@@ -1,8 +1,7 @@
 package sibylfs
 
 // The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation, regenerating each measured quantity (see DESIGN.md's
-// per-experiment index and EXPERIMENTS.md for paper-vs-measured numbers).
+// evaluation, regenerating each measured quantity.
 //
 //	BenchmarkTable71CheckSuite    — §7.1 trace-checking throughput
 //	BenchmarkTable71ExecuteSuite  — §7.1 test-suite execution time
@@ -194,8 +193,8 @@ func BenchmarkCheckConcurrent(b *testing.B) {
 }
 
 // BenchmarkAblationNoDedup shows what fingerprint deduplication of the
-// state set buys on the same trace (the design choice DESIGN.md calls
-// out; without it, equivalent readdir branches multiply).
+// state set buys on the same trace (see ARCHITECTURE.md, "The state
+// engine"; without it, equivalent readdir branches multiply).
 func BenchmarkAblationNoDedup(b *testing.B) {
 	tr := nondetTrace(b)
 	c := checker.New(DefaultSpec())

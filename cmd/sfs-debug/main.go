@@ -15,7 +15,6 @@ import (
 
 	sibylfs "repro"
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/osspec"
 	"repro/internal/types"
 )
@@ -49,8 +48,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	oracle := core.NewOracle(sibylfs.SpecFor(pl))
-	states := []*osspec.OsState{oracle.InitialState()}
+	states := []*osspec.OsState{osspec.NewOsState(sibylfs.SpecFor(pl))}
 	fmt.Printf("# model-debug of %s (%s variant)\n\n", flag.Arg(0), pl)
 	for _, st := range tr.Steps {
 		if ctx.Err() != nil {
@@ -71,11 +69,11 @@ func main() {
 				fmt.Printf("  τ-closure: %d states (%d expansions)\n", len(expanded), taus)
 			}
 			for _, s := range expanded {
-				next = append(next, oracle.Step(s, st.Label)...)
+				next = append(next, osspec.Trans(s, st.Label)...)
 			}
 		} else {
 			for _, s := range states {
-				next = append(next, oracle.Step(s, st.Label)...)
+				next = append(next, osspec.Trans(s, st.Label)...)
 			}
 		}
 		if len(next) == 0 {

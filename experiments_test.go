@@ -1,8 +1,7 @@
 package sibylfs
 
 // The experiments: one test per table/figure of the paper's evaluation
-// (§6.1, §7.1, §7.2, §7.3, Fig 7, Fig 8). EXPERIMENTS.md records the
-// paper-vs-measured comparison; these tests assert the *shape* of each
+// (§6.1, §7.1, §7.2, §7.3, Fig 7, Fig 8). They assert the *shape* of each
 // result. The heavy whole-suite runs are skipped with -short.
 
 import (

@@ -1,0 +1,56 @@
+//go:build !race
+
+package checker
+
+import (
+	"testing"
+
+	"repro/internal/osspec"
+	"repro/internal/telemetry"
+	"repro/internal/types"
+)
+
+// seqTrace is a 14-step sequential trace: seven calls, each followed by
+// its return.
+const seqTrace = `@type trace
+1: mkdir "d" 0o755
+1: RV_none
+1: open "d/f" [O_CREAT;O_WRONLY] 0o644
+1: RV_file_descriptor(FD 3)
+1: write (FD 3) "hi" 2
+1: RV_num(2)
+1: close (FD 3)
+1: RV_none
+1: stat "d/f"
+1: RV_stats { st_kind=S_IFREG; st_perm=0o644; st_size=2; st_nlink=1; st_uid=0; st_gid=0 }
+1: rename "d/f" "d/g"
+1: RV_none
+1: lstat "d/g"
+1: RV_stats { st_kind=S_IFREG; st_perm=0o644; st_size=2; st_nlink=1; st_uid=0; st_gid=0 }
+`
+
+// TestSequentialStepAllocs pins the allocation cost of a sequential step
+// once the cons table holds every transition: the per-trace scratch, the
+// inline dedup set and the calling-state check leave little beyond the
+// label keys. The bound has headroom over the measured figure; the
+// pre-fast-path checker made 11 allocations per step here.
+func TestSequentialStepAllocs(t *testing.T) {
+	tr := parse(t, seqTrace)
+	c := New(types.DefaultSpec())
+	c.TauWorkers = 1
+	c.Memo = osspec.NewConsTable(0)
+	c.Tel = telemetry.NewRegistry()
+	if r := c.Check(tr); !r.Accepted || r.Steps != 14 {
+		t.Fatalf("first pass: accepted=%v steps=%d errors=%+v", r.Accepted, r.Steps, r.Errors)
+	}
+	perTrace := testing.AllocsPerRun(50, func() {
+		if r := c.Check(tr); !r.Accepted {
+			t.Fatal("warm pass rejected")
+		}
+	})
+	perStep := perTrace / 14
+	t.Logf("%.1f allocations per trace, %.2f per step", perTrace, perStep)
+	if perStep > 6 {
+		t.Errorf("%.2f allocations per warm sequential step, want <= 6", perStep)
+	}
+}

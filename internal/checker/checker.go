@@ -117,11 +117,31 @@ type Checker struct {
 	initOnce sync.Once
 	initial  *osspec.OsState
 
-	// scratch pools per-trace dedup sets: one set serves a whole trace
-	// (reset per step) instead of allocating a bucket map per reduce and
-	// per τ-closure — the dominant per-step allocation once the cons
-	// table absorbs the transition work.
+	// scratch pools per-trace scratch (see traceScratch).
 	scratch sync.Pool
+}
+
+// traceScratch is the storage one trace reuses at every step instead of
+// allocating per step: a dedup set (reset per reduce and per τ-closure)
+// and two state buffers. The τ-closure builds its output in closure; the
+// transition union reads from closure and appends into union, which
+// reduce compacts in place — so between steps the tracked set lives in
+// union, and the next closure copies it out before the union overwrites
+// it. Interned memo slices are only ever copied into these buffers.
+type traceScratch struct {
+	set     osspec.StateSet
+	closure []*osspec.OsState
+	union   []*osspec.OsState
+	// stats receives each closure's work split; a local would escape
+	// through ClosureOpts, which the closure's output flows from.
+	stats osspec.ClosureStats
+}
+
+// release drops every state reference so a pooled scratch pins nothing.
+func (sc *traceScratch) release() {
+	sc.set.Reset()
+	clear(sc.closure[:cap(sc.closure)])
+	clear(sc.union[:cap(sc.union)])
 }
 
 // New returns a checker for the given spec variant.
@@ -174,16 +194,17 @@ func (c *Checker) Check(t *trace.Trace) Result {
 func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) {
 	start := time.Now()
 	res := Result{Name: t.Name, Accepted: true}
-	states := []*osspec.OsState{c.initialState()}
 	workers := c.workers() // hoisted: GOMAXPROCS reads showed up per step
-	sc, _ := c.scratch.Get().(*osspec.StateSet)
+	sc, _ := c.scratch.Get().(*traceScratch)
 	if sc == nil {
-		sc = osspec.NewStateSet(64)
+		sc = new(traceScratch)
 	}
 	defer func() {
-		sc.Reset() // drop state references before pooling
+		sc.release()
 		c.scratch.Put(sc)
 	}()
+	sc.union = append(sc.union[:0], c.initialState())
+	states := sc.union
 
 	for _, st := range t.Steps {
 		if err := ctx.Err(); err != nil {
@@ -198,7 +219,7 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 		case types.ReturnLabel:
 			states = c.stepReturn(ctx, states, lbl, st, &res, sc, workers)
 		default:
-			src := states
+			var src []*osspec.OsState
 			_, isDestroy := st.Label.(types.DestroyLabel)
 			_, isCrash := st.Label.(types.CrashLabel)
 			if isDestroy || isCrash {
@@ -220,11 +241,15 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 				if len(src) > res.MaxStates {
 					res.MaxStates = len(src)
 				}
+			} else {
+				// The union overwrites the buffer states lives in.
+				src = append(sc.closure[:0], states...)
+				sc.closure = src
 			}
 			if isCrash {
 				res.CrashPoints++
 			}
-			next := c.unionTrans(src, st.Label, workers)
+			next := c.unionTrans(src, st.Label, sc, workers)
 			if len(next) == 0 {
 				res.Accepted = false
 				res.Errors = append(res.Errors, StepError{
@@ -235,7 +260,7 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 				// Recovery: drop the label entirely.
 				continue
 			}
-			states = c.reduce(next, &res, sc)
+			states = c.reduce(next, &res, &sc.set)
 		}
 	}
 	if len(states) == 0 {
@@ -280,15 +305,16 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 // mid-call and the closure is a single expansion round; for concurrent
 // traces this closure is where the §3 state-set strategy does its real
 // work, and where MaxStates peaks.
-func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl types.ReturnLabel, st trace.Step, res *Result, sc *osspec.StateSet, workers int) []*osspec.OsState {
+func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl types.ReturnLabel, st trace.Step, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
 	expanded := c.tauClosure(ctx, states, res, sc, workers)
 	if len(expanded) > res.MaxStates {
 		res.MaxStates = len(expanded)
 	}
 
-	next := c.unionTrans(expanded, lbl, workers)
+	// st.Label holds lbl already boxed; passing lbl would box it again.
+	next := c.unionTrans(expanded, st.Label, sc, workers)
 	if len(next) > 0 {
-		return c.reduce(next, res, sc)
+		return c.reduce(next, res, &sc.set)
 	}
 
 	// Non-conformant: diagnose and continue with the allowed values (Fig 4).
@@ -308,7 +334,7 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 			recovered = append(recovered, osspec.ResetToRunning(s, lbl.Pid))
 		}
 	}
-	return c.reduce(recovered, res, sc)
+	return c.reduce(recovered, res, &sc.set)
 }
 
 // tauClosure closes the state set over internal transitions (see
@@ -316,19 +342,22 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 // cap and accounting the expansions in the result's statistics. A
 // cancelled ctx cuts the closure short; CheckCtx notices at the next step
 // boundary and abandons the trace, so the truncated set is never used for
-// a verdict.
-func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *osspec.StateSet, workers int) []*osspec.OsState {
+// a verdict. The output is built in the trace's closure buffer.
+func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
 	t0 := time.Now()
-	var cs osspec.ClosureStats
+	cs := &sc.stats
+	*cs = osspec.ClosureStats{}
 	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
 		Dedup:   !c.DisableDedup,
 		Cap:     c.MaxStateSet,
 		Workers: workers,
 		Ctx:     ctx,
-		Stats:   &cs,
+		Stats:   cs,
 		Memo:    c.memo(),
-		Scratch: sc,
+		Scratch: &sc.set,
+		Buf:     sc.closure,
 	})
+	sc.closure = out
 	res.TauExpansions += n
 	res.TauRounds += cs.Rounds
 	res.TauParallelRounds += cs.ParallelRounds
@@ -345,15 +374,17 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 // decision — is byte-identical to the sequential computation. All source
 // states are frozen (Check/reduce/tauClosure guarantee it), which makes
 // the shared reads race-free. With a cons table the per-state fan-out is
-// interned suite-wide and replayed for equal (state, label) pairs.
-func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, workers int) []*osspec.OsState {
+// interned suite-wide and replayed for equal (state, label) pairs. The
+// successors are appended into the trace's union buffer, overwriting it;
+// states must not live there.
+func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, workers int) []*osspec.OsState {
 	prehash := !c.DisableDedup
 	memo := c.memo()
 	var key string
 	if memo != nil {
 		key = osspec.LabelKey(lbl)
 	}
-	return osspec.UnionStates(states, workers, func(s *osspec.OsState) []*osspec.OsState {
+	sc.union = osspec.UnionStates(sc.union[:0], states, workers, func(s *osspec.OsState) []*osspec.OsState {
 		if memo != nil {
 			if succs, ok := memo.Get(s, key); ok {
 				return succs
@@ -368,6 +399,7 @@ func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, workers 
 		}
 		return succs
 	})
+	return sc.union
 }
 
 func allowedSet(states []*osspec.OsState, pid types.Pid) []string {
@@ -387,11 +419,11 @@ func allowedSet(states []*osspec.OsState, pid types.Pid) []string {
 
 // reduce dedupes the state set by hash-consed identity (or only caps it,
 // for the ablation benchmark), records cap truncation, and freezes the
-// survivors so the next fan-out may share them across goroutines. sc is
-// the trace's scratch set, reset here; its previous contents are done with
-// by the time reduce runs (the closure/union results only reference
-// states, never the set).
-func (c *Checker) reduce(states []*osspec.OsState, res *Result, sc *osspec.StateSet) []*osspec.OsState {
+// survivors so the next fan-out may share them across goroutines. It
+// compacts states in place. set is the trace's scratch set, reset here;
+// its previous contents are done with by the time reduce runs (the
+// closure/union results only reference states, never the set).
+func (c *Checker) reduce(states []*osspec.OsState, res *Result, set *osspec.StateSet) []*osspec.OsState {
 	if c.DisableDedup {
 		if c.MaxStateSet > 0 && len(states) > c.MaxStateSet {
 			states = states[:c.MaxStateSet]
@@ -402,12 +434,7 @@ func (c *Checker) reduce(states []*osspec.OsState, res *Result, sc *osspec.State
 		}
 		return states
 	}
-	set := sc
-	if set == nil {
-		set = osspec.NewStateSet(len(states))
-	} else {
-		set.Reset()
-	}
+	set.Reset()
 	out := states[:0]
 	for i, s := range states {
 		if !set.Add(s) {

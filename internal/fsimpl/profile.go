@@ -60,7 +60,7 @@ type Profile struct {
 	// SpinOnDisconnectedCreate: open(O_CREAT) with the cwd unlinked spins
 	// the process unkillably (OpenZFS 1.3.0 on OS X 10.9.5, Fig 8). The
 	// harness's watchdog observes the hang and records EINTR (a value the
-	// model never allows, so the oracle flags the step); see DESIGN.md.
+	// model never allows, so the oracle flags the step).
 	SpinOnDisconnectedCreate bool
 	// FreeBSDSymlinkReplaceBug: open(O_CREAT|O_DIRECTORY|O_EXCL) on a
 	// symlink returns ENOTDIR *and* replaces the symlink with a new file,

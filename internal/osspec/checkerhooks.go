@@ -68,6 +68,11 @@ type ClosureOpts struct {
 	// reuse it before abandoning the returned states of earlier calls'
 	// in-progress use. Ignored without Dedup.
 	Scratch *StateSet
+	// Buf, when non-nil, is caller-owned storage the closure builds its
+	// output in (from Buf[:0]) instead of allocating a fresh slice; the
+	// returned slice reuses it while it has room. The input states must
+	// not alias it.
+	Buf []*OsState
 }
 
 // ClosureStats describes how one τ-closure spent its effort.
@@ -107,7 +112,7 @@ func TauClosure(states []*OsState, dedup bool, cap int) (out []*OsState, expansi
 // would leave a cap-saturated set with no advanced states at all.
 // expansions counts the τ-successors generated, before deduplication.
 func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansions int, capHit bool) {
-	out = append(make([]*OsState, 0, len(states)), states...)
+	out = append(o.Buf[:0], states...)
 	var set *StateSet
 	if o.Dedup {
 		if o.Scratch != nil {
@@ -130,28 +135,31 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	for frontier := out; len(frontier) > 0; {
+	// Each round's frontier is out[lo:hi], the states the previous round
+	// added; successors append behind it. Appending may move out's
+	// storage, but the frontier slice keeps the states it was taken over.
+	for lo := 0; lo < len(out); {
 		if o.Ctx != nil && o.Ctx.Err() != nil {
 			return out, expansions, capHit
 		}
+		hi := len(out)
+		frontier := out[lo:hi]
+		parallel := workers > 1 && len(frontier) >= tauParallelMin
 		if o.Stats != nil {
 			o.Stats.Rounds++
-			if workers > 1 && len(frontier) >= tauParallelMin {
+			if parallel {
 				o.Stats.ParallelRounds++
 			}
 		}
 		// The serial case (every sequential trace, and the pipeline's
 		// TauWorkers=1 default) iterates the frontier directly instead of
-		// materialising MapStates' per-state result table — the table was
-		// a leading per-step allocation once the cons table absorbed the
-		// transition work itself.
+		// materialising MapStates' per-state result table.
 		var groups [][]*OsState
-		if workers > 1 && len(frontier) >= tauParallelMin {
+		if parallel {
 			groups = MapStates(frontier, workers, func(s *OsState) []*OsState {
 				return expandOne(s, o.Dedup, o.Memo)
 			})
 		}
-		var next []*OsState
 		for i, s := range frontier {
 			var succs []*OsState
 			if groups != nil {
@@ -165,18 +173,17 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 					continue
 				}
 				ns.Freeze()
-				next = append(next, ns)
+				out = append(out, ns)
 			}
 		}
-		out = append(out, next...)
-		frontier = next
+		lo = hi
 		if o.Cap > 0 && len(out) >= o.Cap {
 			// Only flag a truncation when a further round could actually
 			// have produced states: a frontier with no pending calls left
 			// means the closure is already complete despite the cap.
 			// (Conservative the other way: survivors whose successors
 			// would all have deduplicated away still count as a hit.)
-			for _, s := range next {
+			for _, s := range out[hi:] {
 				if hasCallingProc(s) {
 					capHit = true
 					break
@@ -199,23 +206,24 @@ func hasCallingProc(s *OsState) bool {
 	return false
 }
 
-// UnionStates applies fn to every state and concatenates the results in
-// source order — the checker's transition union. The serial case (≤ 1
-// worker, or a set below tauParallelMin) streams straight into the output
-// slice; the parallel case fans out via MapStates and concatenates the
-// ordered result table, so the output is byte-identical either way.
-func UnionStates(states []*OsState, workers int, fn func(*OsState) []*OsState) []*OsState {
-	var next []*OsState
+// UnionStates applies fn to every state and appends the results, in
+// source order, to dst — the checker's transition union. The serial case
+// (≤ 1 worker, or a set below tauParallelMin) streams straight into dst;
+// the parallel case fans out via MapStates and concatenates the ordered
+// result table, so the output is byte-identical either way. The results of
+// fn are copied, never retained, so fn may return interned slices. states
+// must not alias dst's spare capacity.
+func UnionStates(dst, states []*OsState, workers int, fn func(*OsState) []*OsState) []*OsState {
 	if workers <= 1 || len(states) < tauParallelMin {
 		for _, s := range states {
-			next = append(next, fn(s)...)
+			dst = append(dst, fn(s)...)
 		}
-		return next
+		return dst
 	}
 	for _, group := range MapStates(states, workers, fn) {
-		next = append(next, group...)
+		dst = append(dst, group...)
 	}
-	return next
+	return dst
 }
 
 // MapStates applies fn to every state, fanning the calls across workers
@@ -258,8 +266,13 @@ func MapStates(states []*OsState, workers int, fn func(*OsState) []*OsState) [][
 // them on the worker, so the serial merge only compares digests. With a
 // memo, the whole fan-out is interned per source state and replayed for
 // equal states in later traces; interned successors are already hashed and
-// frozen, and the returned slice must not be mutated.
+// frozen, and the returned slice must not be mutated. A state with no
+// calling process has no τ-successors: it returns nil before touching the
+// memo (every closure's last round is made of such states).
 func expandOne(s *OsState, hash bool, memo *ConsTable) []*OsState {
+	if !hasCallingProc(s) {
+		return nil
+	}
 	if memo != nil {
 		if succs, ok := memo.Get(s, tauExpandKey); ok {
 			return succs

@@ -115,3 +115,28 @@ func TestLabelKeyInjectiveAcrossKinds(t *testing.T) {
 		keys[k] = name
 	}
 }
+
+// TestClosureSkipsMemoWithoutCallingProc: a state with no pending call has
+// no τ-successors, so closing it must not consult the cons table at all,
+// while closing a state with a pending call still goes through the table.
+func TestClosureSkipsMemoWithoutCallingProc(t *testing.T) {
+	memo := NewConsTable(0)
+	lookups := func() int64 { st := memo.Stats(); return st.Hits + st.Misses }
+	closure := func(s *OsState) (int, int64) {
+		before := lookups()
+		out, _, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: true, Workers: 1, Memo: memo})
+		return len(out), lookups() - before
+	}
+	idle := NewOsState(types.DefaultSpec())
+	if n, got := closure(idle); n != 1 || got != 0 {
+		t.Errorf("closure of an idle state: %d states, %d cons lookups; want 1, 0", n, got)
+	}
+	called := Trans(idle, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}})
+	if len(called) != 1 {
+		t.Fatalf("mkdir call gave %d states", len(called))
+	}
+	// The calling state and its τ-successor: one lookup, for the former.
+	if n, got := closure(called[0]); n != 2 || got != 1 {
+		t.Errorf("closure of a calling state: %d states, %d cons lookups; want 2, 1", n, got)
+	}
+}

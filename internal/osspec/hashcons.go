@@ -207,20 +207,57 @@ func setEqual(a, b map[string]bool) bool {
 // StateSet is a deduplicating set of states keyed by Hash and confirmed by
 // StateEqual — the replacement for fingerprint-string deduplication.
 // Not safe for concurrent use; the checker's merge points are serial.
+//
+// Sequential traces never track more than a handful of states, so the
+// first stateSetInline members live in an inline array searched by linear
+// hash compare; only a set that outgrows it spills into the bucket map,
+// so resetting a small set never pays for clearing a map.
 type StateSet struct {
-	buckets map[uint64][]*OsState
+	inline  [stateSetInline]hashedState
+	buckets map[uint64][]*OsState // nil until the first spill
+	spilled bool                  // members live in buckets, not inline
 	n       int
 }
 
+type hashedState struct {
+	h uint64
+	s *OsState
+}
+
+// stateSetInline is the inline capacity: above the measured sequential
+// peak (6 states), far below where linear search loses to a map.
+const stateSetInline = 8
+
 // NewStateSet returns an empty set sized for capacity states.
 func NewStateSet(capacity int) *StateSet {
-	return &StateSet{buckets: make(map[uint64][]*OsState, capacity)}
+	ss := &StateSet{}
+	if capacity > stateSetInline {
+		ss.buckets = make(map[uint64][]*OsState, capacity)
+	}
+	return ss
 }
 
 // Add inserts s unless an equal state is already present; it reports
 // whether s was new. Hashing memoises into s (see Hash).
 func (ss *StateSet) Add(s *OsState) bool {
-	h := s.Hash()
+	return ss.add(s.Hash(), s)
+}
+
+// add is Add with the digest supplied (tests force collisions through it).
+func (ss *StateSet) add(h uint64, s *OsState) bool {
+	if !ss.spilled {
+		for _, e := range ss.inline[:ss.n] {
+			if e.h == h && StateEqual(e.s, s) {
+				return false
+			}
+		}
+		if ss.n < stateSetInline {
+			ss.inline[ss.n] = hashedState{h, s}
+			ss.n++
+			return true
+		}
+		ss.spill()
+	}
 	bucket := ss.buckets[h]
 	for _, t := range bucket {
 		if StateEqual(t, s) {
@@ -232,19 +269,32 @@ func (ss *StateSet) Add(s *OsState) bool {
 	return true
 }
 
+// spill moves the full inline array into the bucket map.
+func (ss *StateSet) spill() {
+	if ss.buckets == nil {
+		ss.buckets = make(map[uint64][]*OsState, 4*stateSetInline)
+	}
+	for i, e := range ss.inline {
+		ss.buckets[e.h] = append(ss.buckets[e.h], e.s)
+		ss.inline[i] = hashedState{}
+	}
+	ss.spilled = true
+}
+
 // Len reports the number of distinct states added.
 func (ss *StateSet) Len() int { return ss.n }
 
-// Reset empties the set, keeping its bucket storage for reuse — the
-// checker's per-trace scratch sets are reset once per step instead of
-// reallocated (ROADMAP item 5's arena lever: the bucket map was the
-// dominant per-step allocation on the cold path). An already-empty set
-// returns immediately: clear() sweeps the map's full bucket capacity
-// regardless of population, and defensive double-Resets are common.
+// Reset empties the set, keeping its storage for reuse (the checker resets
+// one scratch set per step instead of reallocating it) and dropping every
+// state reference. The bucket map is cleared only if this use spilled
+// into it: clear() sweeps the map's full capacity regardless of
+// population.
 func (ss *StateSet) Reset() {
-	if ss.n == 0 {
-		return
+	if ss.spilled {
+		clear(ss.buckets)
+		ss.spilled = false
+	} else {
+		clear(ss.inline[:ss.n])
 	}
-	clear(ss.buckets)
 	ss.n = 0
 }
