@@ -71,9 +71,10 @@ func RenderChecked(t *trace.Trace, r Result) string {
 		b.WriteString(t.Name)
 		b.WriteByte('\n')
 	}
+	var line []byte // one label's rendering, reused across steps
 	for _, st := range t.Steps {
-		b.WriteString(st.Label.String())
-		b.WriteByte('\n')
+		line = append(st.Label.Append(line[:0]), '\n')
+		b.Write(line)
 		for _, e := range byLine[st.Line] {
 			b.WriteString(e.Message())
 		}

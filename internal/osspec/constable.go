@@ -154,9 +154,9 @@ const tauExpandKey = "\x00tau*"
 func LabelKey(lbl types.Label) string {
 	switch l := lbl.(type) {
 	case types.CallLabel:
-		return "c" + strconv.Itoa(int(l.Pid)) + "\x00" + l.Cmd.String()
+		return string(l.Cmd.Append(appendPidKey(make([]byte, 0, 64), 'c', l.Pid)))
 	case types.ReturnLabel:
-		return "r" + strconv.Itoa(int(l.Pid)) + "\x00" + l.Ret.String()
+		return string(l.Ret.Append(appendPidKey(make([]byte, 0, 64), 'r', l.Pid)))
 	case types.TauLabel:
 		return "t"
 	case types.CreateLabel:
@@ -169,4 +169,10 @@ func LabelKey(lbl types.Label) string {
 		return "x"
 	}
 	return "?" + lbl.String()
+}
+
+// appendPidKey appends a call or return key's prefix: the tag, the pid
+// and a NUL separator.
+func appendPidKey(b []byte, tag byte, pid types.Pid) []byte {
+	return append(strconv.AppendInt(append(b, tag), int64(pid), 10), 0)
 }

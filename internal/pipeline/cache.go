@@ -107,16 +107,22 @@ func (c *Cache) GetRecord(key string) (Record, bool) {
 	return rec, ok
 }
 
-// getRecord also returns the record's canonical JSON line — exactly the
-// json.Marshal bytes PutRecord wrote — so the pipeline's warm path can
+// getRecord also returns a framed entry's canonical JSON line — exactly
+// the json.Marshal bytes putRecord wrote — so the pipeline's warm path can
 // journal a hit without re-marshalling it (Sink.AppendEncoded). Framed
-// entries (codec.go) decode without a JSON parse at all.
+// entries (codec.go) decode without a JSON parse at all. A bare-JSON (v1)
+// entry returns no line: it may come from any writer, so its record is
+// always marshalled afresh.
 func (c *Cache) getRecord(key string) (Record, []byte, bool) {
 	data, ok := c.get(key)
 	if !ok {
 		return Record{}, nil, false
 	}
-	return decodeRecord(data, key)
+	rec, line, ok := decodeRecord(data, key)
+	if !isFramed(data) {
+		line = nil
+	}
+	return rec, line, ok
 }
 
 // PutRecord stores a record under its key.
@@ -125,6 +131,13 @@ func (c *Cache) PutRecord(rec Record) error {
 	if err != nil {
 		return err
 	}
+	return c.putRecord(rec, line)
+}
+
+// putRecord stores rec given its canonical JSON line (exactly
+// json.Marshal(rec)), which the pipeline's fresh path marshals once for
+// both the store and the journal.
+func (c *Cache) putRecord(rec Record, line []byte) error {
 	if c.framed {
 		return c.put(rec.Key, encodeRecord(rec, line))
 	}

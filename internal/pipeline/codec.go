@@ -17,9 +17,9 @@ import (
 // no parser) and journals the embedded canonical JSON verbatim
 // (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The JSON
 // is authoritative for every external consumer (journal, Finalize,
-// ReadRecords); the binary part is a pure decode accelerator, and any
-// damage to it degrades to parsing the embedded JSON, never to a wrong
-// record.
+// ReadRecords) once it passes the sink's framing guard; the binary part
+// is a pure decode accelerator, and any damage to it degrades to parsing
+// the embedded JSON, never to a wrong record.
 //
 // DirStore-bound caches (OpenDirCache, sfs-run -store dir) keep writing
 // bare JSON: the dir layout IS the v1 compatibility format, and the
@@ -75,11 +75,17 @@ func appendBytes32(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
+// isFramed reports whether a stored record value is a framed entry rather
+// than bare JSON.
+func isFramed(data []byte) bool {
+	return len(data) >= len(recMagic) && string(data[:len(recMagic)]) == recMagic
+}
+
 // decodeRecord decodes a stored record value in either format, returning
-// the record and its canonical JSON line. Unparsable data is a miss (ok
-// false) — the writer will overwrite it — never an error.
+// the record and its JSON line. Unparsable data is a miss (ok false) —
+// the writer will overwrite it — never an error.
 func decodeRecord(data []byte, key string) (Record, []byte, bool) {
-	if len(data) < len(recMagic) || string(data[:len(recMagic)]) != recMagic {
+	if !isFramed(data) {
 		// v1 entry: the value is the JSON line itself.
 		var rec Record
 		if err := json.Unmarshal(data, &rec); err != nil {

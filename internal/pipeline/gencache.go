@@ -13,12 +13,12 @@ import (
 // Generation cache: generated suites stored as content-addressed blobs in
 // the result cache (GetRaw/PutRaw), keyed by (testgen version, universe).
 // The blob stores each script's rendered text together with its
-// precomputed ScriptHash, because the hashes are the expensive part of a
-// warm start — pipeline.Run needs every script's content hash for key
-// computation, and re-rendering a 21k-script suite costs several times the
-// generation it was meant to avoid. A warm load parses the stored text
-// (cheaper than generating and re-rendering) and hands the hashes to the
-// session's memo, so the run's key pass is pure lookups.
+// precomputed ScriptHash, because pipeline.Run needs every script's
+// content hash for key computation. A warm load parses the stored text and
+// hands the hashes to the session's memo, so the run's key pass is pure
+// lookups. (ScriptHash now renders into a pooled buffer, so hashing the
+// 21k-script suite costs about as much as generating it; the cache no
+// longer pays for itself.)
 
 // suiteMagic versions the blob layout; bump on any format change.
 const suiteMagic = "sfs-suite-v1"

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -32,12 +33,22 @@ func ConfigHash(fsName string, concurrent bool, schedSeed int64, maxStateSet int
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// renderBufs recycles ScriptHash's render buffers across calls and
+// goroutines.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // ScriptHash digests a script's rendered text (which includes its name, so
 // two identical command sequences under different names cache separately
-// and records keep honest names).
+// and records keep honest names). The text is rendered into a pooled
+// buffer, so hashing allocates only the returned string.
 func ScriptHash(s *trace.Script) string {
-	sum := sha256.Sum256([]byte(s.Render()))
-	return hex.EncodeToString(sum[:])[:24]
+	buf := renderBufs.Get().(*[]byte)
+	*buf = s.AppendRender((*buf)[:0])
+	sum := sha256.Sum256(*buf)
+	renderBufs.Put(buf)
+	var hexSum [24]byte
+	hex.Encode(hexSum[:], sum[:12])
+	return string(hexSum[:])
 }
 
 // Key combines the three component hashes into the content address of one

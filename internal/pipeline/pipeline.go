@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -56,9 +57,9 @@ type Config struct {
 	// cache key.
 	NoSharedCons bool
 	// HashScript, when non-nil, supplies each script's content hash for key
-	// computation instead of ScriptHash (which re-renders the script).
-	// Sessions pass a memo fed by the generation cache so warm runs skip
-	// re-rendering the whole suite. Must agree with ScriptHash.
+	// computation instead of ScriptHash. Sessions pass a memo fed by the
+	// generation cache, so a warm run looks every hash up instead of
+	// hashing the suite again. Must agree with ScriptHash.
 	HashScript func(*trace.Script) string
 	// Shards/Shard split the job list across invocations or machines:
 	// shard K of N takes jobs K, K+N, K+2N, ... Shards ≤ 1 means the whole
@@ -386,9 +387,14 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
 	}
 	rec = NewRecord(key, t, res)
+	// One marshal serves both the framed cache entry and the journal.
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return rec, false, false, err
+	}
 	if cfg.Cache != nil {
 		storeStart := time.Now()
-		err := cfg.Cache.PutRecord(rec)
+		err := cfg.Cache.putRecord(rec, line)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
 			return rec, false, false, err
@@ -396,7 +402,7 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		tel.Counter("pipeline.cache_stores").Inc()
 	}
 	if cfg.Sink != nil {
-		if err := cfg.Sink.Append(rec); err != nil {
+		if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
 			return rec, false, false, err
 		}
 	}

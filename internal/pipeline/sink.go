@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,12 +22,16 @@ import (
 // key, letting the next run skip finished work. Append order is completion
 // order and therefore nondeterministic; Finalize rewrites the file in
 // canonical order before the sink is handed to consumers.
+//
+// Each record is kept next to its canonical line (json.Marshal(rec), no
+// trailing newline), so Finalize only sorts and copies bytes.
 type Sink struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
 	byKey   map[string]Record
 	records []Record
+	lines   [][]byte            // lines[i] is records[i]'s canonical line
 	tel     *telemetry.Registry // nil until SetTelemetry; journal I/O metrics
 
 	// buf is the group-commit buffer: appends coalesce here and reach the
@@ -94,8 +99,16 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 			break // torn or foreign content; drop it and everything after
 		}
 		if _, dup := s.byKey[rec.Key]; !dup {
+			// Re-marshal rather than keep the file's bytes: a journal is
+			// not guaranteed to hold canonical encodings.
+			canon, err := json.Marshal(rec)
+			if err != nil {
+				f.Close()
+				return nil, err
+			}
 			s.byKey[rec.Key] = rec
 			s.records = append(s.records, rec)
+			s.lines = append(s.lines, canon)
 		}
 		valid += nl + 1
 	}
@@ -129,15 +142,16 @@ func (s *Sink) Path() string { return s.path }
 func (s *Sink) Restrict(valid map[string]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.records[:0]
-	for _, rec := range s.records {
+	kept, keptLines := s.records[:0], s.lines[:0]
+	for i, rec := range s.records {
 		if valid[rec.Key] {
 			kept = append(kept, rec)
+			keptLines = append(keptLines, s.lines[i])
 		} else {
 			delete(s.byKey, rec.Key)
 		}
 	}
-	s.records = kept
+	s.records, s.lines = kept, keptLines
 }
 
 // Lookup returns the already-journaled record for key, if any.
@@ -170,15 +184,26 @@ func (s *Sink) Append(rec Record) error {
 }
 
 // AppendEncoded journals a record whose canonical json.Marshal encoding
-// the caller already holds — the pipeline's warm path hands the bytes
-// straight from the result store, skipping a re-marshal per cache hit.
-// line must be exactly json.Marshal(rec) (Finalize re-canonicalizes
-// regardless, so a violation could only reach the intermediate journal).
+// the caller already holds: the pipeline's fresh path hands over the bytes
+// it stored, and its warm path the bytes straight from the result store,
+// so neither marshals again. line must be exactly json.Marshal(rec): the
+// journal and Finalize both use it as-is. A line that fails the framing
+// guard (see usableLine) is ignored and rec is marshalled instead, so
+// store bytes can never change the JSONL framing.
 func (s *Sink) AppendEncoded(rec Record, line []byte) error {
-	if len(line) == 0 {
+	if !usableLine(rec.Key, line) {
 		return s.Append(rec)
 	}
 	return s.appendLine(rec, line)
+}
+
+// usableLine is the guard on lines the sink did not marshal itself: one
+// line only, and it must open with rec's own key as json.Marshal writes
+// it.
+func usableLine(key string, line []byte) bool {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
+	return ok && bytes.IndexByte(line, '\n') < 0 && len(rest) >= len(key)+2 &&
+		string(rest[:len(key)]) == key && string(rest[len(key):len(key)+2]) == `",`
 }
 
 func (s *Sink) appendLine(rec Record, data []byte) error {
@@ -195,6 +220,7 @@ func (s *Sink) appendLine(rec Record, data []byte) error {
 	}
 	s.byKey[rec.Key] = rec
 	s.records = append(s.records, rec)
+	s.lines = append(s.lines, data)
 	if len(s.buf) >= sinkFlushBytes {
 		return s.flushLocked(false)
 	}
@@ -273,7 +299,8 @@ func (s *Sink) Records() []Record {
 // After Finalize the file's bytes depend only on the record *set* — not on
 // completion order, shard layout, cache hits or how many interrupted runs
 // contributed — which is the property the shard-invariance and
-// resume-equivalence tests pin.
+// resume-equivalence tests pin. It sorts the journaled lines; nothing is
+// marshalled again.
 func (s *Sink) Finalize() error {
 	s.stopFlusher()
 	s.mu.Lock()
@@ -286,7 +313,7 @@ func (s *Sink) Finalize() error {
 		return err
 	}
 	s.f = nil
-	err := WriteRecords(s.path, s.records)
+	err := writeLines(s.path, s.records, s.lines)
 	if s.tel != nil {
 		s.tel.Histogram("journal.finalize_ns").ObserveSince(finalizeStart)
 	}
@@ -313,33 +340,42 @@ func (s *Sink) Close() error {
 	return err
 }
 
-// sortRecords orders records canonically: by name, key-tiebroken (names
-// are unique across the generated suite, but user script directories make
-// no such promise).
-func sortRecords(records []Record) {
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].Name != records[j].Name {
-			return records[i].Name < records[j].Name
-		}
-		return records[i].Key < records[j].Key
-	})
-}
-
 // WriteRecords writes records to path in canonical order, atomically and
 // durably (temp file + fsync + rename + directory fsync), world-readable.
 func WriteRecords(path string, records []Record) error {
-	sorted := append([]Record(nil), records...)
-	sortRecords(sorted)
-	var buf bytes.Buffer
-	for _, rec := range sorted {
-		data, err := json.Marshal(rec)
+	lines := make([][]byte, len(records))
+	for i, rec := range records {
+		line, err := json.Marshal(rec)
 		if err != nil {
 			return err
 		}
-		buf.Write(data)
-		buf.WriteByte('\n')
+		lines[i] = line
 	}
-	return atomicWriteFile(path, ".jsonl-*", buf.Bytes())
+	return writeLines(path, records, lines)
+}
+
+// writeLines writes lines (lines[i] encodes records[i]) to path, one per
+// line, in canonical record order: by name, key-tiebroken (names are
+// unique across the generated suite, but user script directories make no
+// such promise). The write is atomic and durable (atomicWriteFile).
+func writeLines(path string, records []Record, lines [][]byte) error {
+	order := make([]int, len(records))
+	size := 0
+	for i := range order {
+		order[i] = i
+		size += len(lines[i]) + 1
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := strings.Compare(records[a].Name, records[b].Name); c != 0 {
+			return c
+		}
+		return strings.Compare(records[a].Key, records[b].Key)
+	})
+	buf := make([]byte, 0, size)
+	for _, i := range order {
+		buf = append(append(buf, lines[i]...), '\n')
+	}
+	return atomicWriteFile(path, ".jsonl-*", buf)
 }
 
 // ReadRecords loads every record line of a JSONL file, in file order. A

@@ -1,0 +1,131 @@
+package pipeline
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// spaced re-encodes a canonical line with a space after every comma that
+// separates fields. JSON escapes '"' inside strings, so only structural
+// commas are followed by a bare quote.
+func spaced(line []byte) []byte {
+	return bytes.ReplaceAll(line, []byte(`,"`), []byte(`, "`))
+}
+
+// TestStoredLineGuard pins the guard on lines the sink uses as-is: store
+// and journal bytes that are not the record's own canonical line are
+// re-marshalled, so every case finalizes byte-identical to a cold run.
+func TestStoredLineGuard(t *testing.T) {
+	scripts := testScripts(t, 6)
+	cold := filepath.Join(t.TempDir(), "cold.jsonl")
+	cfg := testConfig(scripts)
+	sink, err := OpenSink(cold, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sink = sink
+	records, _, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	want := readFile(t, cold)
+	canonical := func(rec Record) []byte {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+
+	// Each store case fills a fresh cache with one tampered entry per
+	// record, then runs warm: every job must be a hit on that entry.
+	storeCases := []struct {
+		name  string
+		entry func(i int, rec Record) []byte
+	}{
+		{"framed pretty-printed JSON", func(_ int, rec Record) []byte {
+			pretty, err := json.MarshalIndent(rec, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return encodeRecord(rec, pretty)
+		}},
+		{"framed JSON of another record", func(i int, rec Record) []byte {
+			return encodeRecord(rec, canonical(records[(i+1)%len(records)]))
+		}},
+		{"bare JSON with extra whitespace", func(_ int, rec Record) []byte {
+			return spaced(canonical(rec))
+		}},
+	}
+	for _, tc := range storeCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cache.Close()
+			for i, rec := range records {
+				if err := cache.Store().Put(rec.Key, tc.entry(i, rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			warm := testConfig(scripts)
+			warm.Cache = cache
+			path := filepath.Join(t.TempDir(), "warm.jsonl")
+			if st := finalizedRun(t, warm, path, false); st.CacheHits != len(scripts) {
+				t.Fatalf("%d cache hits, want %d", st.CacheHits, len(scripts))
+			}
+			if got := readFile(t, path); !bytes.Equal(got, want) {
+				t.Fatalf("finalized file differs from the cold run:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+
+	t.Run("resumed journal with extra spaces", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "resumed.jsonl")
+		var journal []byte
+		for _, rec := range records {
+			journal = append(append(journal, spaced(canonical(rec))...), '\n')
+		}
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st := finalizedRun(t, testConfig(scripts), path, true); st.SinkSkipped != len(scripts) {
+			t.Fatalf("%d resumed, want %d", st.SinkSkipped, len(scripts))
+		}
+		if got := readFile(t, path); !bytes.Equal(got, want) {
+			t.Fatalf("finalized file differs from the cold run:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
+func TestUsableLine(t *testing.T) {
+	const key = "abc"
+	for _, tc := range []struct {
+		line string
+		ok   bool
+	}{
+		{`{"key":"abc","name":"n"}`, true},
+		{`{"key":"abc", "name":"n"}`, true}, // framing only: a stored line is trusted past its key
+		{`{"key":"abd","name":"n"}`, false},
+		{`{"key":"abcd","name":"n"}`, false},
+		{`{"key":"ab","name":"n"}`, false},
+		{`{"key":"abc"}`, false},
+		{`{ "key":"abc","name":"n"}`, false},
+		{"{\"key\":\"abc\",\"name\":\"n\"}\n", false},
+		{"{\"key\":\"abc\",\n\"name\":\"n\"}", false},
+		{``, false},
+		{`{"key":"`, false},
+	} {
+		if got := usableLine(key, []byte(tc.line)); got != tc.ok {
+			t.Errorf("usableLine(%q, %q) = %v, want %v", key, tc.line, got, tc.ok)
+		}
+	}
+}

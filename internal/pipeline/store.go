@@ -16,7 +16,9 @@ import "repro/internal/telemetry"
 type Store interface {
 	// Get returns the bytes stored under key; ok is false on a miss.
 	// Unreadable, torn or checksum-failing entries are misses — the
-	// writer will overwrite them — never errors.
+	// writer will overwrite them — never errors. The caller owns the
+	// returned slice: the sink keeps a record's line from it until
+	// Finalize.
 	Get(key string) ([]byte, bool)
 	// Put stores data under key. A Put is immediately visible to Get on
 	// the same store, but durability may be deferred until the next

@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // Step is one label of a script or trace, with its source line for
 // diagnostics.
@@ -29,37 +24,39 @@ type Trace struct {
 }
 
 // Render prints a script in concrete syntax.
-func (s *Script) Render() string {
-	var b strings.Builder
-	b.WriteString("@type script\n")
-	if s.Name != "" {
-		fmt.Fprintf(&b, "# Test %s\n", s.Name)
-	}
-	for _, st := range s.Steps {
-		b.WriteString(renderLabel(st.Label))
-		b.WriteByte('\n')
-	}
-	return b.String()
+func (s *Script) Render() string { return string(s.AppendRender(nil)) }
+
+// AppendRender appends Render's text to b and returns the extended slice.
+func (s *Script) AppendRender(b []byte) []byte {
+	return appendSteps(b, "@type script\n", s.Name, s.Steps)
 }
 
 // Render prints a trace in concrete syntax.
-func (t *Trace) Render() string {
-	var b strings.Builder
-	b.WriteString("@type trace\n")
-	if t.Name != "" {
-		fmt.Fprintf(&b, "# Test %s\n", t.Name)
-	}
-	for _, st := range t.Steps {
-		b.WriteString(renderLabel(st.Label))
-		b.WriteByte('\n')
-	}
-	return b.String()
+func (t *Trace) Render() string { return string(t.AppendRender(nil)) }
+
+// AppendRender appends Render's text to b and returns the extended slice.
+func (t *Trace) AppendRender(b []byte) []byte {
+	return appendSteps(b, "@type trace\n", t.Name, t.Steps)
 }
 
-func renderLabel(l types.Label) string {
-	if l == nil {
-		return "# unknown label"
+// appendSteps renders a header line, the optional "# Test" name line and
+// one line per step.
+func appendSteps(b []byte, header, name string, steps []Step) []byte {
+	b = append(b, header...)
+	if name != "" {
+		b = append(append(append(b, "# Test "...), name...), '\n')
 	}
-	// Every label kind's String renders exactly the concrete trace syntax.
-	return l.String()
+	for _, st := range steps {
+		b = append(appendLabel(b, st.Label), '\n')
+	}
+	return b
+}
+
+// appendLabel appends l's concrete syntax to b; a nil label renders as a
+// comment.
+func appendLabel(b []byte, l types.Label) []byte {
+	if l == nil {
+		return append(b, "# unknown label"...)
+	}
+	return l.Append(b)
 }

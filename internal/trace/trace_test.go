@@ -117,7 +117,7 @@ func TestLabelRoundtrip(t *testing.T) {
 		types.TauLabel{},
 	}
 	for _, l := range labels {
-		line := renderLabel(l)
+		line := string(appendLabel(nil, l))
 		got, err := ParseLabel(line)
 		if err != nil {
 			t.Errorf("parse %q: %v", line, err)
@@ -181,7 +181,7 @@ func TestStatsRecordParsing(t *testing.T) {
 func TestQuotingProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		l := types.CallLabel{Pid: 1, Cmd: types.Write{FD: 3, Data: data, Size: int64(len(data))}}
-		got, err := ParseLabel(renderLabel(l))
+		got, err := ParseLabel(string(appendLabel(nil, l)))
 		if err != nil {
 			return false
 		}

@@ -20,7 +20,10 @@ type DH int
 type Command interface {
 	// Op returns the libc function name ("rename", "open", ...).
 	Op() string
-	// String renders the command in trace syntax (Fig 2 of the paper).
+	// Append renders the command in trace syntax (Fig 2 of the paper)
+	// onto b and returns the extended slice.
+	Append(b []byte) []byte
+	// String is Append's rendering as a string.
 	String() string
 	// isCommand prevents implementations outside this package.
 	isCommand()
@@ -189,59 +192,135 @@ func (Sync) Op() string           { return "sync" }
 func (Umask) Op() string          { return "umask" }
 func (AddUserToGroup) Op() string { return "add_user_to_group" }
 
-func q(s string) string { return strconv.Quote(s) }
-
-// String implementations render the trace-file syntax of Fig 2.
-func (c Close) String() string    { return "close (FD " + strconv.Itoa(int(c.FD)) + ")" }
-func (c Closedir) String() string { return "closedir (DH " + strconv.Itoa(int(c.DH)) + ")" }
-func (c Chdir) String() string    { return "chdir " + q(c.Path) }
-func (c Chmod) String() string    { return "chmod " + q(c.Path) + " " + c.Perm.String() }
-func (c Chown) String() string {
-	return "chown " + q(c.Path) + " " + strconv.Itoa(int(c.Uid)) + " " + strconv.Itoa(int(c.Gid))
+// Append implementations render the trace-file syntax of Fig 2 onto b;
+// String is the same rendering as a string.
+func (c Close) Append(b []byte) []byte    { return appendFD(append(b, "close "...), c.FD) }
+func (c Closedir) Append(b []byte) []byte { return appendDH(append(b, "closedir "...), c.DH) }
+func (c Chdir) Append(b []byte) []byte    { return strconv.AppendQuote(append(b, "chdir "...), c.Path) }
+func (c Chmod) Append(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "chmod "...), c.Path)
+	return c.Perm.Append(append(b, ' '))
 }
-func (c Link) String() string { return "link " + q(c.Src) + " " + q(c.Dst) }
-func (c Lseek) String() string {
-	return "lseek (FD " + strconv.Itoa(int(c.FD)) + ") " + strconv.FormatInt(c.Off, 10) + " " + c.Whence.String()
+func (c Chown) Append(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "chown "...), c.Path)
+	return appendUidGid(b, c.Uid, c.Gid)
 }
-func (c Lstat) String() string { return "lstat " + q(c.Path) }
-func (c Mkdir) String() string { return "mkdir " + q(c.Path) + " " + c.Perm.String() }
-func (c Open) String() string {
+func (c Link) Append(b []byte) []byte {
+	return appendTwoPaths(append(b, "link "...), c.Src, c.Dst)
+}
+func (c Lseek) Append(b []byte) []byte {
+	b = appendFD(append(b, "lseek "...), c.FD)
+	b = strconv.AppendInt(append(b, ' '), c.Off, 10)
+	return c.Whence.Append(append(b, ' '))
+}
+func (c Lstat) Append(b []byte) []byte { return strconv.AppendQuote(append(b, "lstat "...), c.Path) }
+func (c Mkdir) Append(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "mkdir "...), c.Path)
+	return c.Perm.Append(append(b, ' '))
+}
+func (c Open) Append(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "open "...), c.Path)
+	b = c.Flags.Append(append(b, ' '))
 	if c.HasPerm {
-		return "open " + q(c.Path) + " " + c.Flags.String() + " " + c.Perm.String()
+		b = c.Perm.Append(append(b, ' '))
 	}
-	return "open " + q(c.Path) + " " + c.Flags.String()
+	return b
 }
-func (c Opendir) String() string { return "opendir " + q(c.Path) }
-func (c Pread) String() string {
-	return "pread (FD " + strconv.Itoa(int(c.FD)) + ") " + strconv.FormatInt(c.Size, 10) + " " + strconv.FormatInt(c.Off, 10)
+func (c Opendir) Append(b []byte) []byte {
+	return strconv.AppendQuote(append(b, "opendir "...), c.Path)
 }
-func (c Pwrite) String() string {
-	return "pwrite (FD " + strconv.Itoa(int(c.FD)) + ") " + q(string(c.Data)) + " " + strconv.FormatInt(c.Size, 10) + " " + strconv.FormatInt(c.Off, 10)
+func (c Pread) Append(b []byte) []byte {
+	b = appendFD(append(b, "pread "...), c.FD)
+	b = strconv.AppendInt(append(b, ' '), c.Size, 10)
+	return strconv.AppendInt(append(b, ' '), c.Off, 10)
 }
-func (c Read) String() string {
-	return "read (FD " + strconv.Itoa(int(c.FD)) + ") " + strconv.FormatInt(c.Size, 10)
+func (c Pwrite) Append(b []byte) []byte {
+	b = appendFD(append(b, "pwrite "...), c.FD)
+	b = strconv.AppendQuote(append(b, ' '), string(c.Data))
+	b = strconv.AppendInt(append(b, ' '), c.Size, 10)
+	return strconv.AppendInt(append(b, ' '), c.Off, 10)
 }
-func (c Readdir) String() string { return "readdir (DH " + strconv.Itoa(int(c.DH)) + ")" }
-func (c Readlink) String() string {
-	return "readlink " + q(c.Path)
+func (c Read) Append(b []byte) []byte {
+	b = appendFD(append(b, "read "...), c.FD)
+	return strconv.AppendInt(append(b, ' '), c.Size, 10)
 }
-func (c Rename) String() string    { return "rename " + q(c.Src) + " " + q(c.Dst) }
-func (c Rewinddir) String() string { return "rewinddir (DH " + strconv.Itoa(int(c.DH)) + ")" }
-func (c Rmdir) String() string     { return "rmdir " + q(c.Path) }
-func (c Stat) String() string      { return "stat " + q(c.Path) }
-func (c Symlink) String() string {
-	return "symlink " + q(c.Target) + " " + q(c.Linkpath)
+func (c Readdir) Append(b []byte) []byte { return appendDH(append(b, "readdir "...), c.DH) }
+func (c Readlink) Append(b []byte) []byte {
+	return strconv.AppendQuote(append(b, "readlink "...), c.Path)
 }
-func (c Truncate) String() string {
-	return "truncate " + q(c.Path) + " " + strconv.FormatInt(c.Len, 10)
+func (c Rename) Append(b []byte) []byte {
+	return appendTwoPaths(append(b, "rename "...), c.Src, c.Dst)
 }
-func (c Unlink) String() string { return "unlink " + q(c.Path) }
-func (c Write) String() string {
-	return "write (FD " + strconv.Itoa(int(c.FD)) + ") " + q(string(c.Data)) + " " + strconv.FormatInt(c.Size, 10)
+func (c Rewinddir) Append(b []byte) []byte { return appendDH(append(b, "rewinddir "...), c.DH) }
+func (c Rmdir) Append(b []byte) []byte     { return strconv.AppendQuote(append(b, "rmdir "...), c.Path) }
+func (c Stat) Append(b []byte) []byte      { return strconv.AppendQuote(append(b, "stat "...), c.Path) }
+func (c Symlink) Append(b []byte) []byte {
+	return appendTwoPaths(append(b, "symlink "...), c.Target, c.Linkpath)
 }
-func (c Fsync) String() string { return "fsync (FD " + strconv.Itoa(int(c.FD)) + ")" }
-func (Sync) String() string    { return "sync" }
-func (c Umask) String() string { return "umask " + c.Mask.String() }
-func (c AddUserToGroup) String() string {
-	return "add_user_to_group " + strconv.Itoa(int(c.Uid)) + " " + strconv.Itoa(int(c.Gid))
+func (c Truncate) Append(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "truncate "...), c.Path)
+	return strconv.AppendInt(append(b, ' '), c.Len, 10)
+}
+func (c Unlink) Append(b []byte) []byte { return strconv.AppendQuote(append(b, "unlink "...), c.Path) }
+func (c Write) Append(b []byte) []byte {
+	b = appendFD(append(b, "write "...), c.FD)
+	b = strconv.AppendQuote(append(b, ' '), string(c.Data))
+	return strconv.AppendInt(append(b, ' '), c.Size, 10)
+}
+func (c Fsync) Append(b []byte) []byte { return appendFD(append(b, "fsync "...), c.FD) }
+func (Sync) Append(b []byte) []byte    { return append(b, "sync"...) }
+func (c Umask) Append(b []byte) []byte { return c.Mask.Append(append(b, "umask "...)) }
+func (c AddUserToGroup) Append(b []byte) []byte {
+	return appendUidGid(append(b, "add_user_to_group"...), c.Uid, c.Gid)
+}
+
+func (c Close) String() string          { return string(c.Append(nil)) }
+func (c Closedir) String() string       { return string(c.Append(nil)) }
+func (c Chdir) String() string          { return string(c.Append(nil)) }
+func (c Chmod) String() string          { return string(c.Append(nil)) }
+func (c Chown) String() string          { return string(c.Append(nil)) }
+func (c Link) String() string           { return string(c.Append(nil)) }
+func (c Lseek) String() string          { return string(c.Append(nil)) }
+func (c Lstat) String() string          { return string(c.Append(nil)) }
+func (c Mkdir) String() string          { return string(c.Append(nil)) }
+func (c Open) String() string           { return string(c.Append(nil)) }
+func (c Opendir) String() string        { return string(c.Append(nil)) }
+func (c Pread) String() string          { return string(c.Append(nil)) }
+func (c Pwrite) String() string         { return string(c.Append(nil)) }
+func (c Read) String() string           { return string(c.Append(nil)) }
+func (c Readdir) String() string        { return string(c.Append(nil)) }
+func (c Readlink) String() string       { return string(c.Append(nil)) }
+func (c Rename) String() string         { return string(c.Append(nil)) }
+func (c Rewinddir) String() string      { return string(c.Append(nil)) }
+func (c Rmdir) String() string          { return string(c.Append(nil)) }
+func (c Stat) String() string           { return string(c.Append(nil)) }
+func (c Symlink) String() string        { return string(c.Append(nil)) }
+func (c Truncate) String() string       { return string(c.Append(nil)) }
+func (c Unlink) String() string         { return string(c.Append(nil)) }
+func (c Write) String() string          { return string(c.Append(nil)) }
+func (c Fsync) String() string          { return string(c.Append(nil)) }
+func (c Sync) String() string           { return string(c.Append(nil)) }
+func (c Umask) String() string          { return string(c.Append(nil)) }
+func (c AddUserToGroup) String() string { return string(c.Append(nil)) }
+
+// appendFD renders a descriptor argument: "(FD 3)".
+func appendFD(b []byte, fd FD) []byte {
+	return append(strconv.AppendInt(append(b, "(FD "...), int64(fd), 10), ')')
+}
+
+// appendDH renders a directory-handle argument: "(DH 1)".
+func appendDH(b []byte, dh DH) []byte {
+	return append(strconv.AppendInt(append(b, "(DH "...), int64(dh), 10), ')')
+}
+
+// appendTwoPaths renders two quoted path arguments separated by a space.
+func appendTwoPaths(b []byte, p1, p2 string) []byte {
+	b = strconv.AppendQuote(b, p1)
+	return strconv.AppendQuote(append(b, ' '), p2)
+}
+
+// appendUidGid renders " uid gid".
+func appendUidGid(b []byte, u Uid, g Gid) []byte {
+	b = strconv.AppendInt(append(b, ' '), int64(u), 10)
+	return strconv.AppendInt(append(b, ' '), int64(g), 10)
 }

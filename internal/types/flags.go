@@ -1,9 +1,6 @@
 package types
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // OpenFlags is the bitfield of flags accepted by open(2). The values are
 // abstract (they do not match any particular kernel's encoding); traces use
@@ -26,22 +23,25 @@ const (
 	ONoctty                          // O_NOCTTY
 )
 
+// openFlagNames maps each flag to its trace-syntax name, sorted by name:
+// the order a rendered flag set lists them in.
 var openFlagNames = []struct {
 	f OpenFlags
 	n string
 }{
-	{OWronly, "O_WRONLY"},
-	{ORdwr, "O_RDWR"},
-	{OCreat, "O_CREAT"},
-	{OExcl, "O_EXCL"},
-	{OTrunc, "O_TRUNC"},
 	{OAppend, "O_APPEND"},
-	{ODirectory, "O_DIRECTORY"},
-	{ONofollow, "O_NOFOLLOW"},
 	{OCloexec, "O_CLOEXEC"},
-	{ONonblock, "O_NONBLOCK"},
-	{OSync, "O_SYNC"},
+	{OCreat, "O_CREAT"},
+	{ODirectory, "O_DIRECTORY"},
+	{OExcl, "O_EXCL"},
 	{ONoctty, "O_NOCTTY"},
+	{ONofollow, "O_NOFOLLOW"},
+	{ONonblock, "O_NONBLOCK"},
+	{ORdonly, "O_RDONLY"},
+	{ORdwr, "O_RDWR"},
+	{OSync, "O_SYNC"},
+	{OTrunc, "O_TRUNC"},
+	{OWronly, "O_WRONLY"},
 }
 
 // Has reports whether all bits of g are set in f.
@@ -58,20 +58,26 @@ func (f OpenFlags) Readable() bool { return f.AccessMode() == ORdonly || f.Has(O
 // Writable reports whether the access mode permits writing.
 func (f OpenFlags) Writable() bool { return f.Has(OWronly) || f.Has(ORdwr) }
 
-// String renders the flag set in trace syntax: "[O_CREAT;O_WRONLY]".
-func (f OpenFlags) String() string {
-	var parts []string
-	if f.AccessMode() == ORdonly {
-		parts = append(parts, "O_RDONLY")
-	}
+// Append renders the flag set in trace syntax onto b: "[O_CREAT;O_WRONLY]".
+func (f OpenFlags) Append(b []byte) []byte {
+	b = append(b, '[')
+	first := true
 	for _, fn := range openFlagNames {
-		if f.Has(fn.f) {
-			parts = append(parts, fn.n)
+		// O_RDONLY is the absence of a write access mode, not a bit.
+		if fn.f == ORdonly && f.AccessMode() != ORdonly || !f.Has(fn.f) {
+			continue
 		}
+		if !first {
+			b = append(b, ';')
+		}
+		first = false
+		b = append(b, fn.n...)
 	}
-	sort.Strings(parts)
-	return "[" + strings.Join(parts, ";") + "]"
+	return append(b, ']')
 }
+
+// String is Append's rendering as a string.
+func (f OpenFlags) String() string { return string(f.Append(nil)) }
 
 // ParseOpenFlags parses trace syntax such as "[O_CREAT;O_WRONLY]".
 func ParseOpenFlags(s string) (OpenFlags, bool) {
@@ -86,9 +92,6 @@ func ParseOpenFlags(s string) (OpenFlags, bool) {
 	}
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
-		if part == "O_RDONLY" {
-			continue
-		}
 		found := false
 		for _, fn := range openFlagNames {
 			if fn.n == part {
@@ -113,18 +116,21 @@ const (
 	SeekEnd                   // SEEK_END
 )
 
-// String renders the whence in trace syntax.
-func (w SeekWhence) String() string {
+// Append renders the whence in trace syntax onto b.
+func (w SeekWhence) Append(b []byte) []byte {
 	switch w {
 	case SeekSet:
-		return "SEEK_SET"
+		return append(b, "SEEK_SET"...)
 	case SeekCur:
-		return "SEEK_CUR"
+		return append(b, "SEEK_CUR"...)
 	case SeekEnd:
-		return "SEEK_END"
+		return append(b, "SEEK_END"...)
 	}
-	return "SEEK_?"
+	return append(b, "SEEK_?"...)
 }
+
+// String is Append's rendering as a string.
+func (w SeekWhence) String() string { return string(w.Append(nil)) }
 
 // ParseSeekWhence parses trace syntax for the lseek whence argument.
 func ParseSeekWhence(s string) (SeekWhence, bool) {

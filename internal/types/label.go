@@ -5,7 +5,10 @@ import "strconv"
 // Label is the Go encoding of os_label (§5): the alphabet of the labelled
 // transition system. A trace is a sequence of labels.
 type Label interface {
-	// String renders the label in trace syntax.
+	// Append renders the label in trace syntax onto b and returns the
+	// extended slice.
+	Append(b []byte) []byte
+	// String is Append's rendering as a string.
 	String() string
 	isLabel()
 }
@@ -50,11 +53,27 @@ func (DestroyLabel) isLabel() {}
 func (TauLabel) isLabel()     {}
 func (CrashLabel) isLabel()   {}
 
-func (l CallLabel) String() string   { return strconv.Itoa(int(l.Pid)) + ": " + l.Cmd.String() }
-func (l ReturnLabel) String() string { return strconv.Itoa(int(l.Pid)) + ": " + l.Ret.String() }
-func (l CreateLabel) String() string {
-	return "create " + strconv.Itoa(int(l.Pid)) + " " + strconv.Itoa(int(l.Uid)) + " " + strconv.Itoa(int(l.Gid))
+func (l CallLabel) Append(b []byte) []byte {
+	return l.Cmd.Append(append(strconv.AppendInt(b, int64(l.Pid), 10), ": "...))
 }
-func (l DestroyLabel) String() string { return "destroy " + strconv.Itoa(int(l.Pid)) }
-func (TauLabel) String() string       { return "tau" }
-func (l CrashLabel) String() string   { return "crash " + strconv.Itoa(l.Keep) }
+func (l ReturnLabel) Append(b []byte) []byte {
+	return l.Ret.Append(append(strconv.AppendInt(b, int64(l.Pid), 10), ": "...))
+}
+func (l CreateLabel) Append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "create "...), int64(l.Pid), 10)
+	return appendUidGid(b, l.Uid, l.Gid)
+}
+func (l DestroyLabel) Append(b []byte) []byte {
+	return strconv.AppendInt(append(b, "destroy "...), int64(l.Pid), 10)
+}
+func (TauLabel) Append(b []byte) []byte { return append(b, "tau"...) }
+func (l CrashLabel) Append(b []byte) []byte {
+	return strconv.AppendInt(append(b, "crash "...), int64(l.Keep), 10)
+}
+
+func (l CallLabel) String() string    { return string(l.Append(nil)) }
+func (l ReturnLabel) String() string  { return string(l.Append(nil)) }
+func (l CreateLabel) String() string  { return string(l.Append(nil)) }
+func (l DestroyLabel) String() string { return string(l.Append(nil)) }
+func (l TauLabel) String() string     { return string(l.Append(nil)) }
+func (l CrashLabel) String() string   { return string(l.Append(nil)) }

@@ -1,9 +1,6 @@
 package types
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Uid and Gid identify users and groups in the model of users/groups that
 // the permissions trait works over (§1.1 of the paper).
@@ -41,8 +38,14 @@ const (
 	PermMask Perm = 0o7777
 )
 
-// String renders the permission in the octal form used by trace files.
-func (p Perm) String() string { return "0o" + strconv.FormatUint(uint64(uint32(p)), 8) }
+// Append renders the permission onto b in the octal form used by trace
+// files.
+func (p Perm) Append(b []byte) []byte {
+	return strconv.AppendUint(append(b, "0o"...), uint64(uint32(p)), 8)
+}
+
+// String is Append's rendering as a string.
+func (p Perm) String() string { return string(p.Append(nil)) }
 
 // AccessRequest names the kind of access a permission check is for.
 type AccessRequest int
@@ -106,9 +109,17 @@ type Stats struct {
 	Ino   int64
 }
 
-// String renders stats in trace syntax, e.g.
+// Append renders stats in trace syntax onto b, e.g.
 // "{ st_kind=S_IFREG; st_perm=0o644; st_size=3; st_nlink=1; st_uid=0; st_gid=0 }".
-func (s Stats) String() string {
-	return fmt.Sprintf("{ st_kind=%s; st_perm=%s; st_size=%d; st_nlink=%d; st_uid=%d; st_gid=%d }",
-		s.Kind, s.Perm, s.Size, s.Nlink, int(s.Uid), int(s.Gid))
+func (s Stats) Append(b []byte) []byte {
+	b = append(append(b, "{ st_kind="...), s.Kind.String()...)
+	b = s.Perm.Append(append(b, "; st_perm="...))
+	b = strconv.AppendInt(append(b, "; st_size="...), s.Size, 10)
+	b = strconv.AppendInt(append(b, "; st_nlink="...), int64(s.Nlink), 10)
+	b = strconv.AppendInt(append(b, "; st_uid="...), int64(s.Uid), 10)
+	b = strconv.AppendInt(append(b, "; st_gid="...), int64(s.Gid), 10)
+	return append(b, " }"...)
 }
+
+// String is Append's rendering as a string.
+func (s Stats) String() string { return string(s.Append(nil)) }

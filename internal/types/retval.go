@@ -9,7 +9,10 @@ import (
 // returns to the process. Like Command, it is a sealed interface standing
 // in for a Lem variant type.
 type RetValue interface {
-	// String renders the value in trace syntax (Fig 3).
+	// Append renders the value in trace syntax (Fig 3) onto b and returns
+	// the extended slice.
+	Append(b []byte) []byte
+	// String is Append's rendering as a string.
 	String() string
 	// Equal reports whether two return values are the same observation.
 	Equal(RetValue) bool
@@ -57,20 +60,38 @@ func (RvDirent) isRetValue() {}
 func (RvErr) isRetValue()    {}
 func (RvPerm) isRetValue()   {}
 
-func (RvNone) String() string    { return "RV_none" }
-func (v RvNum) String() string   { return "RV_num(" + strconv.FormatInt(v.N, 10) + ")" }
-func (v RvBytes) String() string { return "RV_bytes(" + strconv.Quote(string(v.Data)) + ")" }
-func (v RvStats) String() string { return "RV_stats " + v.Stats.String() }
-func (v RvFD) String() string    { return "RV_file_descriptor(FD " + strconv.Itoa(int(v.FD)) + ")" }
-func (v RvDH) String() string    { return "RV_dir_handle(DH " + strconv.Itoa(int(v.DH)) + ")" }
-func (v RvDirent) String() string {
-	if v.End {
-		return "RV_readdir_end"
-	}
-	return "RV_readdir(" + strconv.Quote(v.Name) + ")"
+func (RvNone) Append(b []byte) []byte { return append(b, "RV_none"...) }
+func (v RvNum) Append(b []byte) []byte {
+	return append(strconv.AppendInt(append(b, "RV_num("...), v.N, 10), ')')
 }
-func (v RvErr) String() string  { return v.Err.String() }
-func (v RvPerm) String() string { return "RV_perm(" + v.Perm.String() + ")" }
+func (v RvBytes) Append(b []byte) []byte {
+	return append(strconv.AppendQuote(append(b, "RV_bytes("...), string(v.Data)), ')')
+}
+func (v RvStats) Append(b []byte) []byte { return v.Stats.Append(append(b, "RV_stats "...)) }
+func (v RvFD) Append(b []byte) []byte {
+	return append(strconv.AppendInt(append(b, "RV_file_descriptor(FD "...), int64(v.FD), 10), ')')
+}
+func (v RvDH) Append(b []byte) []byte {
+	return append(strconv.AppendInt(append(b, "RV_dir_handle(DH "...), int64(v.DH), 10), ')')
+}
+func (v RvDirent) Append(b []byte) []byte {
+	if v.End {
+		return append(b, "RV_readdir_end"...)
+	}
+	return append(strconv.AppendQuote(append(b, "RV_readdir("...), v.Name), ')')
+}
+func (v RvErr) Append(b []byte) []byte  { return append(b, v.Err.String()...) }
+func (v RvPerm) Append(b []byte) []byte { return append(v.Perm.Append(append(b, "RV_perm("...)), ')') }
+
+func (v RvNone) String() string   { return string(v.Append(nil)) }
+func (v RvNum) String() string    { return string(v.Append(nil)) }
+func (v RvBytes) String() string  { return string(v.Append(nil)) }
+func (v RvStats) String() string  { return string(v.Append(nil)) }
+func (v RvFD) String() string     { return string(v.Append(nil)) }
+func (v RvDH) String() string     { return string(v.Append(nil)) }
+func (v RvDirent) String() string { return string(v.Append(nil)) }
+func (v RvErr) String() string    { return string(v.Append(nil)) }
+func (v RvPerm) String() string   { return string(v.Append(nil)) }
 
 // Equal implementations compare observations structurally.
 func (RvNone) Equal(o RetValue) bool { _, ok := o.(RvNone); return ok }

@@ -70,10 +70,10 @@ type Session struct {
 	cacheOnce sync.Once
 	cache     *pipeline.Cache
 	cacheErr  error
-	// hashMu/hashes memoise per-script content hashes (pipeline.ScriptHash
-	// re-renders the script — at suite scale the render pass costs several
-	// times the generation). Generate seeds the memo from the generation
-	// cache; pipeline key computation reads it via Config.HashScript.
+	// hashMu/hashes memoise per-script content hashes, so each script is
+	// hashed at most once per session however many runs check it. Generate
+	// seeds the memo from the generation cache; pipeline key computation
+	// reads it via Config.HashScript.
 	hashMu sync.Mutex
 	hashes map[*Script]string
 	// journalMu serializes Run calls that share this session's journal:
@@ -337,8 +337,8 @@ func (s *Session) rememberHashes(scripts []*Script, hashes []string) {
 
 // scriptHash is the pipeline's Config.HashScript hook: memoised per script
 // pointer, computing (and caching) pipeline.ScriptHash on first sight.
-// Survey's repeated configurations and every warm generation hit pay the
-// render cost zero times.
+// Survey's repeated configurations and every warm generation hit hash no
+// script again.
 func (s *Session) scriptHash(sc *Script) string {
 	s.hashMu.Lock()
 	h, ok := s.hashes[sc]
