@@ -174,6 +174,7 @@ func main() {
 	res, err := session.Fuzz(ctx, job)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
+		cliutil.CloseSession("sfs-fuzz", session)
 		os.Exit(1)
 	}
 
@@ -198,14 +199,17 @@ func main() {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
+			cliutil.CloseSession("sfs-fuzz", session)
 			os.Exit(1)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "report.html"), []byte(res.HTML), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
+			cliutil.CloseSession("sfs-fuzz", session)
 			os.Exit(1)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "summary.txt"), []byte(res.Summary.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
+			cliutil.CloseSession("sfs-fuzz", session)
 			os.Exit(1)
 		}
 		fmt.Printf("report: %s\n", filepath.Join(dir, "report.html"))
@@ -213,6 +217,7 @@ func main() {
 	if *cacheStats {
 		cliutil.PrintCacheStats("sfs-fuzz", session)
 	}
+	cliutil.CloseSession("sfs-fuzz", session)
 	writeStats()
 	if len(res.Findings) > 0 || res.Crashes > 0 {
 		os.Exit(3) // deviations found: distinct from usage/config errors

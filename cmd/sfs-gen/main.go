@@ -41,6 +41,8 @@ func main() {
 	}
 	session := sibylfs.New(opts...)
 	suite, err := session.Generate(ctx)
+	// Only generation uses the cache.
+	cliutil.CloseSession("sfs-gen", session)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-gen:", err)
 		os.Exit(4)

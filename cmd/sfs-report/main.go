@@ -72,6 +72,13 @@ func main() {
 		opts = append(opts, sibylfs.WithResume())
 	}
 	session := sibylfs.New(opts...)
+	// fail reports err and exits with code, closing the session first:
+	// Close seals the cache's index, and os.Exit skips defers.
+	fail := func(code int, err error) {
+		fmt.Fprintln(os.Stderr, "sfs-report:", err)
+		cliutil.CloseSession("sfs-report", session)
+		os.Exit(code)
+	}
 	printCacheStats := func() {
 		if *cacheStats {
 			cliutil.PrintCacheStats("sfs-report", session)
@@ -80,8 +87,7 @@ func main() {
 
 	suite, err := session.Generate(ctx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-report:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	var scripts []*sibylfs.Script
 	for i, s := range suite {
@@ -111,33 +117,29 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr)
 			printCacheStats()
+			cliutil.CloseSession("sfs-report", session)
 			writeStats()
 			os.Exit(4)
 		}
-		fmt.Fprintln(os.Stderr, "sfs-report:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-report:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	for _, r := range results {
 		fmt.Print(r.Summary)
 		html, err := analysis.RenderIndexHTML(r.Summary)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfs-report:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		name := strings.ReplaceAll(r.Config.Name, " ", "_") + ".html"
 		if err := os.WriteFile(filepath.Join(*outDir, name), []byte(html), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "sfs-report:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 	merged, err := session.MergeSurvey(ctx, results)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-report:", err)
-		os.Exit(4)
+		fail(4, err)
 	}
 	fmt.Printf("\n%d tests distinguish configurations:\n", len(merged.Distinguishing()))
 	for i, test := range merged.Distinguishing() {
@@ -149,5 +151,6 @@ func main() {
 	}
 	fmt.Printf("\nHTML written to %s\n", *outDir)
 	printCacheStats()
+	cliutil.CloseSession("sfs-report", session)
 	writeStats()
 }

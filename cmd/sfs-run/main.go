@@ -54,9 +54,20 @@ flags:
 	os.Exit(2)
 }
 
+// session is the run's session once built. Every exit after that closes
+// it (closeSession), fatal ones included.
+var session *sibylfs.Session
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sfs-run:", err)
+	closeSession()
 	os.Exit(1)
+}
+
+func closeSession() {
+	if session != nil {
+		cliutil.CloseSession("sfs-run", session)
+	}
 }
 
 func main() {
@@ -130,8 +141,9 @@ func main() {
 	// hit/miss split; like writeStats it runs on every deliberate exit so
 	// cancelled runs still show what the cache absorbed. With a remote
 	// (-store http://…) backend it reports the wire traffic too — hits,
-	// misses, batches and the degraded fallback paths.
-	var session *sibylfs.Session
+	// misses, batches and the degraded fallback paths. Both bracket
+	// closeSession: the cache is read open, and the stats include the
+	// index write Close makes.
 	printCacheStats := func() {
 		if !*cacheStats || session == nil {
 			return
@@ -224,6 +236,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sfs-run: cancelled (%v); journal %s keeps %s — rerun with -resume to finish\n",
 				err, *jsonl, stats)
 			printCacheStats()
+			closeSession()
 			writeStats()
 			os.Exit(4)
 		}
@@ -266,6 +279,7 @@ func main() {
 			"verdicts for them are best-effort\n", summary.CapHits)
 	}
 	printCacheStats()
+	closeSession()
 	writeStats()
 	if summary.Rejected > 0 {
 		os.Exit(3)

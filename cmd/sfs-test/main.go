@@ -96,6 +96,8 @@ func main() {
 	}
 	session := sibylfs.New(sessionOpts...)
 	scripts, err := cliutil.SessionScripts(ctx, session, *inDir, universe)
+	// Only loading the suite uses the cache.
+	cliutil.CloseSession("sfs-test", session)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-test:", err)
 		os.Exit(1)

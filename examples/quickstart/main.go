@@ -54,6 +54,7 @@ func main() {
 			sibylfs.WithCacheDir(filepath.Join(dir, "cache")),
 			sibylfs.WithJournal(filepath.Join(dir, label+".jsonl")),
 		)
+		defer session.Close() // seals the cache's index for the next session
 		records, stats, err := session.Run(ctx, sibylfs.RunJob{
 			Name:    "quickstart vs linux",
 			Scripts: []*sibylfs.Script{s},

@@ -50,6 +50,17 @@ func StoreOptions(cacheDir, storeName string) ([]sibylfs.Option, error) {
 	}
 }
 
+// CloseSession closes session's result cache, reporting a failure on
+// stderr under tool's name. Every cache-using tool calls it once the
+// cache's work is done, on each exit path (os.Exit skips defers): Close
+// seals the packed store's index, so the next invocation opens the cache
+// without scanning it.
+func CloseSession(tool string, session *sibylfs.Session) {
+	if err := session.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: closing cache: %v\n", tool, err)
+	}
+}
+
 // PrintCacheStats reports the session's result-store contents and the
 // run's hit/miss telemetry on stdout — the shared implementation behind
 // every tool's -cache-stats flag. Remote (http) stores additionally

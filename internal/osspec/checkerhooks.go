@@ -3,7 +3,6 @@ package osspec
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/types"
@@ -15,23 +14,22 @@ import (
 // and choosing the latest allowed point never excludes behaviour for the
 // sequentially-executed traces the harness produces — §6.3).
 func TauFor(s *OsState, pid types.Pid) []*OsState {
-	p, ok := s.procs[pid]
-	if !ok || p.Run != RsCalling {
+	p := s.procs.get(pid)
+	if p == nil || p.Run != RsCalling {
 		return nil
 	}
 	return processCall(s, pid, p.PendingCmd)
 }
 
 // CallingPids lists the processes of s with an unprocessed pending call,
-// in deterministic order.
+// in ascending pid order.
 func CallingPids(s *OsState) []types.Pid {
 	var pids []types.Pid
-	for pid, p := range s.procs {
-		if p.Run == RsCalling {
-			pids = append(pids, pid)
+	for _, e := range s.procs {
+		if e.p.Run == RsCalling {
+			pids = append(pids, e.pid)
 		}
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	return pids
 }
 
@@ -198,8 +196,8 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 // hasCallingProc reports whether any process of s still holds an
 // unprocessed pending call (an allocation-free CallingPids != empty).
 func hasCallingProc(s *OsState) bool {
-	for _, p := range s.procs {
-		if p.Run == RsCalling {
+	for _, e := range s.procs {
+		if e.p.Run == RsCalling {
 			return true
 		}
 	}
@@ -296,8 +294,8 @@ func expandOne(s *OsState, hash bool, memo *ConsTable) []*OsState {
 // AllowedReturn describes the return value(s) a state in RsReturning allows
 // for pid, for diagnostics.
 func AllowedReturn(s *OsState, pid types.Pid) (string, bool) {
-	p, ok := s.procs[pid]
-	if !ok || p.Run != RsReturning || p.PendingRet == nil {
+	p := s.procs.get(pid)
+	if p == nil || p.Run != RsReturning || p.PendingRet == nil {
 		return "", false
 	}
 	if rd, ok := p.PendingRet.(PendingReaddir); ok {
@@ -310,8 +308,8 @@ func AllowedReturn(s *OsState, pid types.Pid) (string, bool) {
 // had been observed — the Fig 4 behaviour ("continuing with EEXIST,
 // ENOTEMPTY") that lets the checker proceed past a non-conformant step.
 func RecoverReturns(s *OsState, pid types.Pid) []*OsState {
-	p, ok := s.procs[pid]
-	if !ok || p.Run != RsReturning || p.PendingRet == nil {
+	p := s.procs.get(pid)
+	if p == nil || p.Run != RsReturning || p.PendingRet == nil {
 		return nil
 	}
 	var rvs []types.RetValue

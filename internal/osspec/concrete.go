@@ -12,8 +12,8 @@ import (
 // (plus end-of-stream when legal) for readdir. Used by the determinized
 // model (fsimpl.SpecFS) and by recovery.
 func ConcreteReturns(s *OsState, pid types.Pid) []types.RetValue {
-	p, ok := s.procs[pid]
-	if !ok || p.Run != RsReturning || p.PendingRet == nil {
+	p := s.procs.get(pid)
+	if p == nil || p.Run != RsReturning || p.PendingRet == nil {
 		return nil
 	}
 	switch pend := p.PendingRet.(type) {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/types"
 )
 
-// ConsTable memoises transition fan-outs across traces. The key observation
-// (ROADMAP item 5): every combinatorial script opens with the identical
+// ConsTable memoises transition fan-outs across traces. The key
+// observation: every combinatorial script opens with the identical
 // fixture prelude, so the same states recur suite-wide — the per-trace
 // hash-cons tables recompute the same clones and digests tens of thousands
 // of times per run. The table interns the successor set of a (source state,

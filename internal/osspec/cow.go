@@ -22,19 +22,41 @@ func (s *OsState) ensureTok() *cowTok {
 	return s.tok
 }
 
-// mutProcsMap makes the pid→process table private (shallow copy) for
-// structural changes: process creation and destruction.
-func (s *OsState) mutProcsMap() map[types.Pid]*ProcState {
+// mutProcs makes the process table private (one slice copy, with room
+// for a new row) before any row changes.
+func (s *OsState) mutProcs() procTable {
+	s.dirty()
 	if !s.ownsProcs {
-		m := make(map[types.Pid]*ProcState, len(s.procs)+1)
-		for pid, p := range s.procs {
-			m[pid] = p
-		}
-		s.procs = m
+		t := make(procTable, len(s.procs), len(s.procs)+1)
+		copy(t, s.procs)
+		s.procs = t
 		s.ownsProcs = true
 		s.frozen = false
 	}
 	return s.procs
+}
+
+// setProc installs p as pid's process, inserting a row in pid order if
+// pid is new.
+func (s *OsState) setProc(pid types.Pid, p *ProcState) {
+	t := s.mutProcs()
+	i, ok := t.lookup(pid)
+	if !ok {
+		t = append(t, procEntry{})
+		copy(t[i+1:], t[i:])
+		s.procs = t
+	}
+	t[i] = procEntry{pid, p}
+}
+
+// deleteProc removes pid's row, if any.
+func (s *OsState) deleteProc(pid types.Pid) {
+	t := s.mutProcs()
+	if i, ok := t.lookup(pid); ok {
+		copy(t[i:], t[i+1:])
+		t[len(t)-1] = procEntry{}
+		s.procs = t[:len(t)-1]
+	}
 }
 
 // mutFidsMap makes the open-file table private for structural changes:
@@ -55,7 +77,7 @@ func (s *OsState) mutFidsMap() map[FidRef]*FidState {
 // mutProc returns a ProcState that is safe to mutate, copying it (sharing
 // its fd/handle tables copy-on-write) unless this state already owns it.
 func (s *OsState) mutProc(pid types.Pid) *ProcState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if p == nil {
 		return nil
 	}
@@ -79,7 +101,7 @@ func (s *OsState) mutProc(pid types.Pid) *ProcState {
 		PendingRet: p.PendingRet,
 		owner:      s.ensureTok(),
 	}
-	s.mutProcsMap()[pid] = np
+	s.setProc(pid, np)
 	return np
 }
 

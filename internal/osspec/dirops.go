@@ -24,7 +24,7 @@ func opendirCall(s *OsState, pid types.Pid, cmd types.Opendir) []*OsState {
 		return fromResult(s, pid, res)
 	}
 	cov.Hit(covOpendirAlloc)
-	dh := s.procs[pid].NextDH
+	dh := s.procs.get(pid).NextDH
 	return []*OsState{succExact(s, pid, types.RvDH{DH: dh}, func(c *OsState) {
 		p := c.mutProc(pid)
 		snap := currentEntries(c, dir)
@@ -44,7 +44,7 @@ func opendirCall(s *OsState, pid types.Pid, cmd types.Opendir) []*OsState {
 // pattern; the concrete entry (or end-of-stream) observed in the trace
 // resolves the nondeterminism at the next step, exactly as described in §3.
 func readdirCall(s *OsState, pid types.Pid, cmd types.Readdir) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if _, ok := p.Dhs[cmd.DH]; !ok {
 		cov.Hit(covReaddirBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
@@ -55,7 +55,7 @@ func readdirCall(s *OsState, pid types.Pid, cmd types.Readdir) []*OsState {
 
 // closedirCall implements closedir(3).
 func closedirCall(s *OsState, pid types.Pid, cmd types.Closedir) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if _, ok := p.Dhs[cmd.DH]; !ok {
 		cov.Hit(covClosedirBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
@@ -69,7 +69,7 @@ func closedirCall(s *OsState, pid types.Pid, cmd types.Closedir) []*OsState {
 // rewinddirCall implements rewinddir(3): the stream restarts from the
 // directory's current contents; previous bookkeeping is discarded.
 func rewinddirCall(s *OsState, pid types.Pid, cmd types.Rewinddir) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if _, ok := p.Dhs[cmd.DH]; !ok {
 		cov.Hit(covRewindBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))

@@ -10,7 +10,7 @@ import (
 // process: the process's view of the world (cwd, umask, credentials) plus
 // the shared heap and spec.
 func ctxFor(s *OsState, pid types.Pid) *fsspec.Ctx {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	return &fsspec.Ctx{
 		Spec:     s.Spec,
 		H:        s.H,
@@ -83,7 +83,7 @@ func dispatch(s *OsState, pid types.Pid, cmd types.Command) []*OsState {
 		}
 		return fromResult(s, pid, res)
 	case types.Umask:
-		old := s.procs[pid].Umask
+		old := s.procs.get(pid).Umask
 		mask := cm.Mask & types.PermMask
 		return []*OsState{succExact(s, pid, types.RvPerm{Perm: old}, func(cl *OsState) {
 			cl.mutProc(pid).Umask = mask
@@ -131,7 +131,7 @@ func dispatch(s *OsState, pid types.Pid, cmd types.Command) []*OsState {
 // closeFD drops one descriptor, releasing the description and any
 // unreferenced, fully-unlinked file object.
 func (s *OsState) closeFD(pid types.Pid, fd types.FD) {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if p == nil {
 		return
 	}

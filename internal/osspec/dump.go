@@ -18,13 +18,8 @@ func (s *OsState) Dump() string {
 	b.WriteString("file system:\n")
 	s.dumpDir(&b, s.H.Root, "/", 1)
 
-	pids := make([]int, 0, len(s.procs))
-	for pid := range s.procs {
-		pids = append(pids, int(pid))
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		p := s.procs[types.Pid(pid)]
+	for _, e := range s.procs {
+		pid, p := e.pid, e.p
 		fmt.Fprintf(&b, "process %d: uid=%d gid=%d umask=%04o cwd=dir#%d", pid, p.Euid, p.Egid, p.Umask, p.Cwd)
 		switch p.Run {
 		case RsRunning:

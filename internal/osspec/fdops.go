@@ -35,7 +35,7 @@ func openCall(s *OsState, pid types.Pid, cmd types.Open) []*OsState {
 		return succErrors(s, pid, d.Errs)
 	}
 	cov.Hit(covOpenFd)
-	fd := s.procs[pid].NextFD
+	fd := s.procs.get(pid).NextFD
 	return []*OsState{succExact(s, pid, types.RvFD{FD: fd}, func(c *OsState) {
 		p := c.mutProc(pid)
 		fid := c.NextFid
@@ -71,7 +71,7 @@ func openCall(s *OsState, pid types.Pid, cmd types.Open) []*OsState {
 // closeCall implements close(2). Close of an unknown descriptor is EBADF;
 // close itself never fails otherwise in the model (EINTR is out of scope).
 func closeCall(s *OsState, pid types.Pid, cmd types.Close) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if _, ok := p.Fds[cmd.FD]; !ok {
 		cov.Hit(covCloseBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
@@ -84,7 +84,7 @@ func closeCall(s *OsState, pid types.Pid, cmd types.Close) []*OsState {
 
 // readCall implements read (at = -1, seq) and pread (at ≥ 0 given, !seq).
 func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	fidRef, ok := p.Fds[fd]
 	if !ok {
 		cov.Hit(covReadBad)
@@ -136,7 +136,7 @@ func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool) 
 
 // writeCall implements write (at = -1, seq) and pwrite (at given, !seq).
 func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int64, seq bool) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if size >= 0 && size < int64(len(data)) {
 		data = data[:size]
 	}
@@ -224,7 +224,7 @@ func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int
 
 // lseekCall implements lseek(2).
 func lseekCall(s *OsState, pid types.Pid, cmd types.Lseek) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	fidRef, ok := p.Fds[cmd.FD]
 	if !ok {
 		cov.Hit(covLseekBad)

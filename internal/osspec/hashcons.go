@@ -14,6 +14,9 @@ package osspec
 // distinguishable states.
 
 import (
+	"bytes"
+	"sync"
+
 	"repro/internal/state"
 )
 
@@ -55,8 +58,9 @@ func (s *OsState) Hash() uint64 {
 
 func (s *OsState) osHash() uint64 {
 	var acc uint64
-	for pid, p := range s.procs {
-		v := state.Mix(seedProc, uint64(pid))
+	for _, e := range s.procs {
+		p := e.p
+		v := state.Mix(seedProc, uint64(e.pid))
 		v = state.Mix(v, uint64(p.Euid))
 		v = state.Mix(v, uint64(p.Egid))
 		v = state.Mix(v, uint64(p.Umask))
@@ -64,7 +68,7 @@ func (s *OsState) osHash() uint64 {
 		v = state.Mix(v, boolU64(p.CwdValid))
 		v = state.Mix(v, uint64(p.Run))
 		if p.Run == RsReturning && p.PendingRet != nil {
-			v = state.Mix(v, state.HashString(seedPend, p.PendingRet.Describe()))
+			v = state.Mix(v, pendingHash(p.PendingRet))
 		}
 		var fdAcc uint64
 		for fd, ref := range p.Fds {
@@ -118,11 +122,12 @@ func StateEqual(a, b *OsState) bool {
 	if len(a.procs) != len(b.procs) {
 		return false
 	}
-	for pid, pa := range a.procs {
-		pb := b.procs[pid]
-		if pb == nil {
+	for i, ea := range a.procs {
+		eb := b.procs[i]
+		if ea.pid != eb.pid {
 			return false
 		}
+		pa, pb := ea.p, eb.p
 		if pa.Euid != pb.Euid || pa.Egid != pb.Egid || pa.Umask != pb.Umask ||
 			pa.Cwd != pb.Cwd || pa.CwdValid != pb.CwdValid || pa.Run != pb.Run {
 			return false
@@ -182,14 +187,37 @@ func StateEqual(a, b *OsState) bool {
 	return state.HeapEqual(a.H, b.H)
 }
 
+// describeBufs holds the scratch buffers pending identity renders into;
+// it is a pool because ConsTable.Put hashes states on several workers.
+var describeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// pendingHash hashes a pending's rendered description without
+// allocating: the same digest as hashing the Describe string.
+func pendingHash(p Pending) uint64 {
+	bp := describeBufs.Get().(*[]byte)
+	*bp = p.AppendDescribe((*bp)[:0])
+	h := state.HashBytes(seedPend, *bp)
+	describeBufs.Put(bp)
+	return h
+}
+
 // pendingEqual follows the fingerprint contract to the letter: pendings
-// are identified by their rendered description (a nil pending renders as
-// the empty string).
+// are identified by the bytes of their rendered description (a nil
+// pending renders as nothing), rendered into one pooled buffer. It must
+// not use RetValue.Equal instead: RvStats.Equal compares Stats.Ino,
+// which the description does not render, so it would split states
+// Fingerprint merges.
 func pendingEqual(a, b Pending) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return a.Describe() == b.Describe()
+	bp := describeBufs.Get().(*[]byte)
+	*bp = a.AppendDescribe((*bp)[:0])
+	n := len(*bp)
+	*bp = b.AppendDescribe(*bp)
+	eq := bytes.Equal((*bp)[:n], (*bp)[n:])
+	describeBufs.Put(bp)
+	return eq
 }
 
 func setEqual(a, b map[string]bool) bool {

@@ -11,6 +11,7 @@ package osspec
 // byte-identical-output guarantee rests on.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -192,5 +193,110 @@ func TestStateSetMergesExactlyFingerprintDuplicates(t *testing.T) {
 	}
 	if set.Len() != len(distinct) {
 		t.Fatalf("set kept %d states, fingerprint count is %d", set.Len(), len(distinct))
+	}
+}
+
+// returningAs is base with pid's process returning pend.
+func returningAs(base *OsState, pid types.Pid, pend Pending) *OsState {
+	s := base.Clone()
+	p := s.mutProc(pid)
+	p.Run = RsReturning
+	p.PendingRet = pend
+	return s
+}
+
+// TestPendingIdentityMatchesFingerprint holds hashing and equality to
+// the fingerprint contract for returning states of every Pending kind.
+// Each kind has variants that render alike — fields Describe omits, such
+// as a stat's inode, a read's descriptor or a write's position — and
+// variants that do not; the former must merge, the latter must not.
+func TestPendingIdentityMatchesFingerprint(t *testing.T) {
+	base := NewOsState(types.DefaultSpec())
+	st := types.Stats{Kind: types.KindFile, Perm: 0o644, Size: 3, Nlink: 1, Ino: 7}
+	stIno, stSize := st, st
+	stIno.Ino = 8
+	stSize.Size = 4
+	pendings := []Pending{
+		PendingExact{Rv: types.RvStats{Stats: st}},
+		PendingExact{Rv: types.RvStats{Stats: stIno}},
+		PendingExact{Rv: types.RvStats{Stats: stSize}},
+		PendingExact{Rv: types.RvNum{N: 3}},
+		PendingAny{Why: "undefined"},
+		PendingAny{Why: "unspecified"},
+		PendingReadPrefix{Pid: 1, Fid: 1, Data: []byte("abc"), Seq: true},
+		PendingReadPrefix{Pid: 1, Fid: 2, Data: []byte("abc")},
+		PendingReadPrefix{Pid: 1, Fid: 1, Data: []byte("ab\"c")},
+		PendingWriteUpTo{Pid: 1, Fid: 1, Data: []byte("abc"), At: -1},
+		PendingWriteUpTo{Pid: 1, Fid: 1, Data: []byte("xyz"), At: 5, Seq: true},
+		PendingWriteUpTo{Pid: 1, Fid: 1, Data: nil},
+		PendingReaddir{Pid: 1, DH: 1},
+		PendingReaddir{Pid: 2, DH: 1},
+		PendingReaddir{Pid: 1, DH: 2},
+	}
+	var pool []*OsState
+	for _, pend := range pendings {
+		pool = append(pool, returningAs(base, InitialPid, pend))
+	}
+	for i, a := range pool {
+		for _, b := range pool[i:] {
+			fpEq := a.Fingerprint() == b.Fingerprint()
+			if eq := StateEqual(a, b); eq != fpEq {
+				t.Fatalf("StateEqual=%v but fingerprint-equal=%v for %q vs %q",
+					eq, fpEq, a.Proc(InitialPid).PendingRet.Describe(), b.Proc(InitialPid).PendingRet.Describe())
+			}
+			if fpEq && a.Hash() != b.Hash() {
+				t.Fatalf("fingerprint-equal states hash %x vs %x (%q)", a.Hash(), b.Hash(), a.Proc(InitialPid).PendingRet.Describe())
+			}
+		}
+	}
+	// Stats that differ only in Ino render alike, so the states merge
+	// (RvStats.Equal would split them).
+	if !StateEqual(pool[0], pool[1]) || pool[0].Hash() != pool[1].Hash() {
+		t.Fatal("returning states differing only in the stat's Ino were not merged")
+	}
+	if StateEqual(pool[0], pool[2]) {
+		t.Fatal("returning states with different stat sizes were merged")
+	}
+}
+
+// TestProcTableOrder creates processes out of pid order and destroys
+// one: the table must still list pids ascending, and the state must be
+// indistinguishable from one that created the survivors in order.
+func TestProcTableOrder(t *testing.T) {
+	step := func(s *OsState, l types.Label) *OsState {
+		t.Helper()
+		next := Trans(s, l)
+		if len(next) != 1 {
+			t.Fatalf("%v: %d successors, want 1", l, len(next))
+		}
+		return next[0]
+	}
+	call := func(pid types.Pid) types.Label {
+		return types.CallLabel{Pid: pid, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}}
+	}
+	a := NewOsState(types.DefaultSpec())
+	for _, pid := range []types.Pid{3, 2, 5} {
+		a = step(a, types.CreateLabel{Pid: pid})
+	}
+	a = step(a, types.DestroyLabel{Pid: 3})
+	a = step(step(a, call(5)), call(2))
+
+	b := NewOsState(types.DefaultSpec())
+	for _, pid := range []types.Pid{2, 5} {
+		b = step(b, types.CreateLabel{Pid: pid})
+	}
+	b = step(step(b, call(2)), call(5))
+
+	if got := fmt.Sprint(a.Pids()); got != "[1 2 5]" {
+		t.Fatalf("Pids = %s, want [1 2 5]", got)
+	}
+	if got := fmt.Sprint(CallingPids(a)); got != "[2 5]" {
+		t.Fatalf("CallingPids = %s, want [2 5]", got)
+	}
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("creation order changed the fingerprint:\n%s\n%s", a.Fingerprint(), b.Fingerprint())
+	}
+	if !StateEqual(a, b) || a.Hash() != b.Hash() {
+		t.Fatal("creation order changed state identity")
 	}
 }

@@ -136,7 +136,7 @@ func TestShortReadLooseness(t *testing.T) {
 			continue
 		}
 		// The offset advanced by exactly the observed amount.
-		p := after[0].procs[1]
+		p := after[0].procs.get(1)
 		fid := after[0].fids[p.Fds[fd]]
 		if fid.Offset != int64(len(data)) {
 			t.Errorf("offset after %q = %d", data, fid.Offset)
@@ -176,7 +176,7 @@ func TestShortWriteLooseness(t *testing.T) {
 			t.Errorf("write of %d bytes allowed by %d candidate states, want 1", n, len(after))
 			continue
 		}
-		p := after[0].procs[1]
+		p := after[0].procs.get(1)
 		fid := after[0].fids[p.Fds[fd]]
 		f := after[0].H.File(fid.File)
 		if int64(len(f.Bytes)) != n {
@@ -329,7 +329,7 @@ func TestProcessDestroyClosesFds(t *testing.T) {
 	if len(s.fids) != 0 {
 		t.Error("descriptors leaked across destroy")
 	}
-	if _, ok := s.procs[2]; ok {
+	if s.procs.get(2) != nil {
 		t.Error("process survived destroy")
 	}
 }
@@ -339,7 +339,7 @@ func TestPerProcessCwd(t *testing.T) {
 	s = Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0})[0]
 	s, _ = run(t, s, 1, types.Mkdir{Path: "/a", Perm: 0o755})
 	s, _ = run(t, s, 1, types.Chdir{Path: "/a"})
-	if s.procs[1].Cwd == s.procs[2].Cwd {
+	if s.procs.get(1).Cwd == s.procs.get(2).Cwd {
 		t.Error("chdir leaked across processes")
 	}
 	// pid 1 creates relative; pid 2 must not see it relative to its cwd.
@@ -368,12 +368,12 @@ func TestCloneIndependenceOsState(t *testing.T) {
 	fd := rv.(types.RvFD).FD
 	c := s.Clone()
 	c.mutProc(1).Umask = 0o777
-	c.mutFid(c.procs[1].Fds[fd]).Offset = 99
+	c.mutFid(c.procs.get(1).Fds[fd]).Offset = 99
 	c.addGroupMember(5, 7)
-	if s.procs[1].Umask == 0o777 {
+	if s.procs.get(1).Umask == 0o777 {
 		t.Error("umask shared")
 	}
-	if s.fids[s.procs[1].Fds[fd]].Offset == 99 {
+	if s.fids[s.procs.get(1).Fds[fd]].Offset == 99 {
 		t.Error("fid shared")
 	}
 	if _, ok := s.groups[5]; ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/state"
@@ -23,8 +24,11 @@ type Pending interface {
 	// readdir bookkeeping). Called only after a successful Match on a
 	// clone of the state.
 	Finalize(s *OsState, rv types.RetValue)
-	// Describe renders the allowed values for diagnostics ("allowed are
-	// only: ...", Fig 4).
+	// AppendDescribe renders the allowed values onto b and returns the
+	// extended slice: the text diagnostics show ("allowed are only: ...",
+	// Fig 4) and the bytes state identity hashes and compares.
+	AppendDescribe(b []byte) []byte
+	// Describe is AppendDescribe's rendering as a string.
 	Describe() string
 }
 
@@ -38,8 +42,11 @@ func (p PendingExact) Match(_ *OsState, rv types.RetValue) bool { return p.Rv.Eq
 // Finalize implements Pending.
 func (p PendingExact) Finalize(*OsState, types.RetValue) {}
 
+// AppendDescribe implements Pending.
+func (p PendingExact) AppendDescribe(b []byte) []byte { return p.Rv.Append(b) }
+
 // Describe implements Pending.
-func (p PendingExact) Describe() string { return p.Rv.String() }
+func (p PendingExact) Describe() string { return string(p.AppendDescribe(nil)) }
 
 // PendingAny allows any return value: the POSIX special states for
 // undefined / unspecified / implementation-defined behaviour (§1.1). The
@@ -52,8 +59,13 @@ func (PendingAny) Match(*OsState, types.RetValue) bool { return true }
 // Finalize implements Pending.
 func (PendingAny) Finalize(*OsState, types.RetValue) {}
 
+// AppendDescribe implements Pending.
+func (p PendingAny) AppendDescribe(b []byte) []byte {
+	return append(append(append(b, "anything ("...), p.Why...), ')')
+}
+
 // Describe implements Pending.
-func (p PendingAny) Describe() string { return "anything (" + p.Why + ")" }
+func (p PendingAny) Describe() string { return string(p.AppendDescribe(nil)) }
 
 // PendingReadPrefix allows RV_bytes(b) for any prefix b of Data — the
 // paper's short-read looseness — advancing the description offset by the
@@ -91,10 +103,14 @@ func (p PendingReadPrefix) Finalize(s *OsState, rv types.RetValue) {
 	}
 }
 
-// Describe implements Pending.
-func (p PendingReadPrefix) Describe() string {
-	return fmt.Sprintf("RV_bytes(any non-empty prefix of %q)", string(p.Data))
+// AppendDescribe implements Pending.
+func (p PendingReadPrefix) AppendDescribe(b []byte) []byte {
+	b = strconv.AppendQuote(append(b, "RV_bytes(any non-empty prefix of "...), string(p.Data))
+	return append(b, ')')
 }
+
+// Describe implements Pending.
+func (p PendingReadPrefix) Describe() string { return string(p.AppendDescribe(nil)) }
 
 // PendingWriteUpTo allows RV_num(n) for 1 ≤ n ≤ len(Data) (or exactly 0 for
 // empty writes) — the short-write looseness — writing the n-byte prefix at
@@ -162,13 +178,16 @@ func applyWriteEffect(s *OsState, fidRef FidRef, data []byte, n, at int64, seq b
 	}
 }
 
-// Describe implements Pending.
-func (p PendingWriteUpTo) Describe() string {
+// AppendDescribe implements Pending.
+func (p PendingWriteUpTo) AppendDescribe(b []byte) []byte {
 	if len(p.Data) == 0 {
-		return "RV_num(0)"
+		return append(b, "RV_num(0)"...)
 	}
-	return fmt.Sprintf("RV_num(1..%d)", len(p.Data))
+	return append(strconv.AppendInt(append(b, "RV_num(1.."...), int64(len(p.Data)), 10), ')')
 }
+
+// Describe implements Pending.
+func (p PendingWriteUpTo) Describe() string { return string(p.AppendDescribe(nil)) }
 
 // PendingReaddir allows RV_readdir(n) for any n in the handle's must/may
 // sets, or RV_readdir_end exactly when the must set is empty (§3,
@@ -181,8 +200,8 @@ type PendingReaddir struct {
 }
 
 func (p PendingReaddir) handle(s *OsState) *DirHandleState {
-	proc, ok := s.procs[p.Pid]
-	if !ok {
+	proc := s.procs.get(p.Pid)
+	if proc == nil {
 		return nil
 	}
 	return proc.Dhs[p.DH]
@@ -223,10 +242,14 @@ func (p PendingReaddir) Finalize(s *OsState, rv types.RetValue) {
 	delete(h.May, v.Name)
 }
 
-// Describe implements Pending.
-func (p PendingReaddir) Describe() string {
-	return fmt.Sprintf("RV_readdir(entry of DH %d) or RV_readdir_end", int(p.DH))
+// AppendDescribe implements Pending.
+func (p PendingReaddir) AppendDescribe(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "RV_readdir(entry of DH "...), int64(p.DH), 10)
+	return append(b, ") or RV_readdir_end"...)
 }
+
+// Describe implements Pending.
+func (p PendingReaddir) Describe() string { return string(p.AppendDescribe(nil)) }
 
 // DescribeAgainst renders the concrete allowed entries for diagnostics.
 func (p PendingReaddir) DescribeAgainst(s *OsState) string {

@@ -161,7 +161,6 @@ func remountState(h *state.Heap, spec types.Spec) *OsState {
 		H:          h.Clone(),
 		fids:       make(map[FidRef]*FidState),
 		NextFid:    1,
-		procs:      make(map[types.Pid]*ProcState),
 		groups:     make(map[types.Gid]map[types.Uid]bool),
 		Spec:       spec,
 		tok:        &cowTok{},
@@ -188,7 +187,7 @@ func remountState(h *state.Heap, spec types.Spec) *OsState {
 // a sync barrier (the model flushes the whole pending log — see the package
 // comment above for why per-file granularity is intentionally absent).
 func fsyncCall(s *OsState, pid types.Pid, cmd types.Fsync) []*OsState {
-	p := s.procs[pid]
+	p := s.procs.get(pid)
 	if _, ok := p.Fds[cmd.FD]; !ok {
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}

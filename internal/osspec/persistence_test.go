@@ -256,10 +256,10 @@ func TestCrashStateIsRemounted(t *testing.T) {
 		if n := cs.PendingEffects(); n != 0 {
 			t.Fatalf("crash state has %d pending effects", n)
 		}
-		if len(cs.procs) != 1 || cs.procs[InitialPid] == nil {
+		if len(cs.procs) != 1 || cs.procs.get(InitialPid) == nil {
 			t.Fatalf("crash state processes: %v, want fresh pid %d only", len(cs.procs), InitialPid)
 		}
-		if len(cs.procs[InitialPid].Fds) != 0 {
+		if len(cs.procs.get(InitialPid).Fds) != 0 {
 			t.Fatal("crash state kept descriptors across the power cycle")
 		}
 		for _, fr := range cs.H.SortedFileRefs() {

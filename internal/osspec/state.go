@@ -88,6 +88,35 @@ type ProcState struct {
 	ownsDhs bool
 }
 
+// procEntry is one row of the process table.
+type procEntry struct {
+	pid types.Pid
+	p   *ProcState
+}
+
+// procTable is the process table, sorted by pid. Scripts run a handful
+// of processes, so lookups scan linearly and copy-on-write copies the
+// slice.
+type procTable []procEntry
+
+// lookup returns pid's row index, or where its row would be inserted.
+func (t procTable) lookup(pid types.Pid) (int, bool) {
+	for i, e := range t {
+		if e.pid >= pid {
+			return i, e.pid == pid
+		}
+	}
+	return len(t), false
+}
+
+// get returns pid's process, nil if absent.
+func (t procTable) get(pid types.Pid) *ProcState {
+	if i, ok := t.lookup(pid); ok {
+		return t[i].p
+	}
+	return nil
+}
+
 // OsState is ty_os_state: one abstract model state of the whole system.
 // The process, open-file and group tables are copy-on-write; read them
 // freely, write through the mut* accessors.
@@ -95,7 +124,7 @@ type OsState struct {
 	H       *state.Heap
 	fids    map[FidRef]*FidState
 	NextFid FidRef
-	procs   map[types.Pid]*ProcState
+	procs   procTable
 	// groups maps gid → set of member uids (oss_group_table).
 	groups map[types.Gid]map[types.Uid]bool
 	Spec   types.Spec
@@ -132,7 +161,6 @@ func NewOsState(spec types.Spec) *OsState {
 		H:          state.NewHeap(),
 		fids:       make(map[FidRef]*FidState),
 		NextFid:    1,
-		procs:      make(map[types.Pid]*ProcState),
 		groups:     make(map[types.Gid]map[types.Uid]bool),
 		Spec:       spec,
 		tok:        &cowTok{},
@@ -154,8 +182,7 @@ func NewOsState(spec types.Spec) *OsState {
 }
 
 func (s *OsState) addProcess(pid types.Pid, uid types.Uid, gid types.Gid) {
-	s.dirty()
-	s.mutProcsMap()[pid] = &ProcState{
+	s.setProc(pid, &ProcState{
 		Cwd:      s.H.Root,
 		CwdValid: true,
 		Umask:    0o022,
@@ -169,11 +196,11 @@ func (s *OsState) addProcess(pid types.Pid, uid types.Uid, gid types.Gid) {
 		owner:    s.ensureTok(),
 		ownsFds:  true,
 		ownsDhs:  true,
-	}
+	})
 }
 
 // Proc returns the per-process state for pid (nil if absent), read-only.
-func (s *OsState) Proc(pid types.Pid) *ProcState { return s.procs[pid] }
+func (s *OsState) Proc(pid types.Pid) *ProcState { return s.procs.get(pid) }
 
 // Fid returns the open-file description for ref (nil if absent), read-only.
 func (s *OsState) Fid(ref FidRef) *FidState { return s.fids[ref] }
@@ -183,11 +210,10 @@ func (s *OsState) NumFids() int { return len(s.fids) }
 
 // Pids returns every live pid in ascending order.
 func (s *OsState) Pids() []types.Pid {
-	out := make([]types.Pid, 0, len(s.procs))
-	for pid := range s.procs {
-		out = append(out, pid)
+	out := make([]types.Pid, len(s.procs))
+	for i, e := range s.procs {
+		out[i] = e.pid
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -241,8 +267,8 @@ func (s *OsState) InGroup(uid types.Uid, gid types.Gid) bool {
 func (s *OsState) Fingerprint() string {
 	var b []byte
 	b = append(b, s.fsFingerprint()...)
-	for _, pid := range s.Pids() {
-		p := s.procs[pid]
+	for _, e := range s.procs {
+		pid, p := e.pid, e.p
 		b = append(b, fmt.Sprintf("|p%d:%d,%d,%d,cwd%d,%v,run%d", pid, p.Euid, p.Egid, p.Umask, p.Cwd, p.CwdValid, p.Run)...)
 		if p.Run == RsReturning && p.PendingRet != nil {
 			b = append(b, p.PendingRet.Describe()...)

@@ -100,7 +100,7 @@ func TestTheoremErrorsPreserveState(t *testing.T) {
 			continue
 		}
 		for _, cand := range TauFor(called[0], 1) {
-			p := cand.procs[1]
+			p := cand.procs.get(1)
 			pe, ok := p.PendingRet.(PendingExact)
 			if !ok || !types.IsError(pe.Rv) {
 				continue
@@ -132,7 +132,7 @@ func TestTheoremSuccessDeterministic(t *testing.T) {
 		}
 		successes, errors, anys := 0, 0, 0
 		for _, cand := range TauFor(called[0], 1) {
-			switch pend := cand.procs[1].PendingRet.(type) {
+			switch pend := cand.procs.get(1).PendingRet.(type) {
 			case PendingExact:
 				if types.IsError(pend.Rv) {
 					errors++

@@ -23,8 +23,8 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 	switch l := lbl.(type) {
 	case types.CallLabel:
 		cov.Hit(covTransCall)
-		p, ok := s.procs[l.Pid]
-		if !ok || p.Run != RsRunning {
+		p := s.procs.get(l.Pid)
+		if p == nil || p.Run != RsRunning {
 			cov.Hit(covTransBadPid)
 			return nil
 		}
@@ -43,15 +43,17 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		// order so a memoised fan-out replays exactly what a fresh
 		// computation would produce.
 		var out []*OsState
-		for _, pid := range CallingPids(s) {
-			out = append(out, processCall(s, pid, s.procs[pid].PendingCmd)...)
+		for _, e := range s.procs {
+			if e.p.Run == RsCalling {
+				out = append(out, processCall(s, e.pid, e.p.PendingCmd)...)
+			}
 		}
 		return out
 
 	case types.ReturnLabel:
 		cov.Hit(covTransReturn)
-		p, ok := s.procs[l.Pid]
-		if !ok || p.Run != RsReturning || p.PendingRet == nil {
+		p := s.procs.get(l.Pid)
+		if p == nil || p.Run != RsReturning || p.PendingRet == nil {
 			cov.Hit(covTransBadPid)
 			return nil
 		}
@@ -70,7 +72,7 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 
 	case types.CreateLabel:
 		cov.Hit(covTransCreate)
-		if _, exists := s.procs[l.Pid]; exists {
+		if s.procs.get(l.Pid) != nil {
 			return nil
 		}
 		c := s.Clone()
@@ -79,8 +81,8 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 
 	case types.DestroyLabel:
 		cov.Hit(covTransDestroy)
-		p, ok := s.procs[l.Pid]
-		if !ok || p.Run != RsRunning {
+		p := s.procs.get(l.Pid)
+		if p == nil || p.Run != RsRunning {
 			return nil
 		}
 		c := s.Clone()
@@ -91,8 +93,7 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		for _, fd := range fds {
 			c.closeFD(l.Pid, fd)
 		}
-		c.dirty()
-		delete(c.mutProcsMap(), l.Pid)
+		c.deleteProc(l.Pid)
 		c.persistNote()
 		return []*OsState{c}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -145,7 +146,7 @@ func packFill(t *testing.T, dir string, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = testKey(i)
-		if err := p.Put(keys[i], []byte(strings.Repeat("v", 64)+keys[i])); err != nil {
+		if err := p.Put(keys[i], []byte(packValue(keys[i]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,6 +155,9 @@ func packFill(t *testing.T, dir string, n int) []string {
 	}
 	return keys
 }
+
+// packValue is the value packFill stores under key.
+func packValue(key string) string { return strings.Repeat("v", 64) + key }
 
 // testKey derives a distinct 64-hex-char key from i (the shape real
 // SHA-256 keys have).
@@ -337,6 +341,326 @@ func TestPackHeaderlessActiveSegment(t *testing.T) {
 	defer p2.Close()
 	if v, ok := p2.Get(key); !ok || string(v) != "value" {
 		t.Fatalf("entry lost after headerless-segment recovery: %q, %v", v, ok)
+	}
+}
+
+// abandon drops a store the way a killed process does: no final
+// commit and no sidecar write, just the background flusher stopped and
+// the handles closed.
+func abandon(p *PackStore) {
+	p.flushOnce.Do(func() { close(p.flushDone) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closeFiles()
+	p.closed = true
+}
+
+// defaultRegistry installs a fresh telemetry.Default for one test: a
+// store's open-time events (index rebuilds, sidecar repairs) land there.
+func defaultRegistry(t *testing.T) *telemetry.Registry {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	old := telemetry.Default
+	telemetry.Default = reg
+	t.Cleanup(func() { telemetry.Default = old })
+	return reg
+}
+
+// putFlush puts each key with its packFill value, committing after each.
+func putFlush(t *testing.T, p *PackStore, keys ...string) {
+	t.Helper()
+	for _, k := range keys {
+		if err := p.Put(k, []byte(packValue(k))); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPackFlushOnlyCommits pins the commit-only barrier: Flush makes
+// entries durable without rewriting the index sidecar, and a store
+// abandoned after two barriers reopens with every entry while scanning
+// only the commits past the sidecar's coverage. The covered prefix is
+// deliberately damaged before the reopen: a scan of it would stop there
+// and cut off every later entry, so their survival shows it was not
+// scanned — and the damaged entry itself is a miss, never a wrong value.
+func TestPackFlushOnlyCommits(t *testing.T) {
+	dir := t.TempDir()
+	keys := packFill(t, dir, 4) // Close: the sidecar covers these four
+	reg := defaultRegistry(t)
+
+	p, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys = append(keys, testKey(4), testKey(5))
+	putFlush(t, p, keys[4:]...)
+	if n := reg.Counter("pipeline.index_writes").Value(); n != 0 {
+		t.Fatalf("two Flush barriers wrote the sidecar %d times, want 0", n)
+	}
+	if n := reg.Counter("pipeline.store_fsyncs").Value(); n != 2 {
+		t.Fatalf("two Flush barriers made %d fsyncs, want 2", n)
+	}
+	abandon(p)
+
+	segPath := filepath.Join(dir, "000001.seg")
+	data, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file opens with the magic and keys[0]'s entry; flip a byte of
+	// its value.
+	data[len(packMagic)+packHeaderLen+len(keys[0])] ^= 0xff
+	if err := os.WriteFile(segPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 0 {
+		t.Fatalf("reopen rebuilt %d segments, want a tail scan only", n)
+	}
+	if _, ok := p2.Get(keys[0]); ok {
+		t.Fatal("damaged entry served instead of missing")
+	}
+	for _, k := range keys[1:] {
+		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+			t.Fatalf("entry %s after reopen: %q, %v", k, v, ok)
+		}
+	}
+	// The scan rewrote the sidecar to cover the whole file.
+	if n := reg.Counter("pipeline.index_writes").Value(); n != 1 {
+		t.Fatalf("reopen wrote the sidecar %d times, want 1", n)
+	}
+}
+
+// TestPackTornTailPastSidecar pins recovery when the damage lies in the
+// uncovered tail: a torn entry after the sidecar's coverage is truncated
+// away, the entries before it (covered or scanned) survive, and the file
+// again ends at an entry boundary.
+func TestPackTornTailPastSidecar(t *testing.T) {
+	dir := t.TempDir()
+	keys := packFill(t, dir, 4)
+	reg := defaultRegistry(t)
+
+	p, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys = append(keys, testKey(4), testKey(5))
+	putFlush(t, p, keys[4])
+	boundary := p.Stats().Bytes
+	putFlush(t, p, keys[5])
+	abandon(p)
+
+	segPath := filepath.Join(dir, "000001.seg")
+	info, err := os.Stat(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segPath, info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 0 {
+		t.Fatalf("reopen rebuilt %d segments, want a tail scan only", n)
+	}
+	for _, k := range keys[:5] {
+		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+			t.Fatalf("intact entry %s after reopen: %q, %v", k, v, ok)
+		}
+	}
+	if _, ok := p2.Get(keys[5]); ok {
+		t.Fatal("torn tail entry served instead of missing")
+	}
+	if info, err = os.Stat(segPath); err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != boundary {
+		t.Fatalf("recovered segment size %d, want the entry boundary %d", info.Size(), boundary)
+	}
+	if err := p2.Put(keys[5], []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p3, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Close()
+	if v, ok := p3.Get(keys[5]); !ok || string(v) != "rewritten" {
+		t.Fatalf("re-put after recovery: got %q, %v", v, ok)
+	}
+}
+
+// TestPackOversizedSidecarRescans pins the other direction: a sidecar
+// covering more than the file holds (the segment lost bytes it indexes)
+// is rejected for a full rescan, so the lost entry is a miss rather than
+// an index entry pointing past the end. The scan replaces the stale
+// sidecar, so a regrown file cannot match it later.
+func TestPackOversizedSidecarRescans(t *testing.T) {
+	dir := t.TempDir()
+	keys := packFill(t, dir, 6)
+	reg := defaultRegistry(t)
+
+	segPath := filepath.Join(dir, "000001.seg")
+	info, err := os.Stat(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segPath, info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 1 {
+		t.Fatalf("oversized sidecar: %d rebuilds, want 1", n)
+	}
+	if n := p.Stats().Entries; n != 5 {
+		t.Fatalf("rescan indexed %d entries, want the 5 intact ones", n)
+	}
+	if _, ok := p.Get(keys[5]); ok {
+		t.Fatal("entry past the file's end served instead of missing")
+	}
+	// Regrow the file past the old coverage and abandon it: the next open
+	// must scan the new tail against the rewritten sidecar.
+	lost := keys[5]
+	keys = append(keys[:5], testKey(6), testKey(7))
+	putFlush(t, p, keys[5:]...)
+	abandon(p)
+
+	p2, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 1 {
+		t.Fatalf("regrown file: %d rebuilds in total, want still 1", n)
+	}
+	for _, k := range keys {
+		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+			t.Fatalf("entry %s after regrowth: %q, %v", k, v, ok)
+		}
+	}
+	if _, ok := p2.Get(lost); ok {
+		t.Fatal("lost entry reappeared after regrowth")
+	}
+}
+
+// TestPackStaleSidecarAfterRegrowth pins the case a failed sidecar
+// replacement leaves behind: the segment was cut short of its sidecar's
+// coverage, rescanned, and regrew past that coverage with entries of
+// another size, while the old sidecar stayed (its removal and rewrite
+// both failed). The stale sidecar's coverage now ends mid-entry; it must
+// be rejected for a full rescan rather than start the tail scan there,
+// which would cut off every committed entry after it.
+func TestPackStaleSidecarAfterRegrowth(t *testing.T) {
+	dir := t.TempDir()
+	keys := packFill(t, dir, 6)
+	reg := defaultRegistry(t)
+	segPath := filepath.Join(dir, "000001.seg")
+	idxPath := filepath.Join(dir, "000001.idx")
+	stale, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segPath, info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regrown := []string{testKey(6), testKey(7), testKey(8)}
+	for _, k := range regrown {
+		if err := p.Put(k, []byte("r"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().Bytes <= info.Size() {
+		t.Fatalf("segment regrew to %d bytes, want past the stale coverage %d", p.Stats().Bytes, info.Size())
+	}
+	abandon(p)
+	if err := os.WriteFile(idxPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 2 {
+		t.Fatalf("stale sidecar: %d rebuilds in total, want 2", n)
+	}
+	for _, k := range keys[:5] {
+		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+			t.Fatalf("entry %s after regrowth: %q, %v", k, v, ok)
+		}
+	}
+	for _, k := range regrown {
+		if v, ok := p2.Get(k); !ok || string(v) != "r"+k {
+			t.Fatalf("regrown entry %s: %q, %v", k, v, ok)
+		}
+	}
+	if _, ok := p2.Get(keys[5]); ok {
+		t.Fatal("entry cut off before the regrowth served")
+	}
+}
+
+// TestPackSidecarOutOfRange pins that a well-formed sidecar placing a
+// value outside its covered prefix is rejected for a rescan: such an
+// entry in the active segment would otherwise be read from the empty
+// commit buffer.
+func TestPackSidecarOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	keys := packFill(t, dir, 3)
+	reg := defaultRegistry(t)
+	info, err := os.Stat(filepath.Join(dir, "000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus := testKey(9)
+	w := &PackStore{dir: dir, tel: reg}
+	w.writeSidecar(1, map[string]packLoc{bogus: {off: info.Size() + 100, vlen: 5}}, info.Size())
+
+	p, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 1 {
+		t.Fatalf("out-of-range sidecar: %d rebuilds, want 1", n)
+	}
+	if _, ok := p.Get(bogus); ok {
+		t.Fatal("out-of-range sidecar entry served")
+	}
+	for _, k := range keys {
+		if v, ok := p.Get(k); !ok || string(v) != packValue(k) {
+			t.Fatalf("entry %s after rescan: %q, %v", k, v, ok)
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ import (
 //     and a read is one pread at a known offset.
 //
 //   - In-memory index. OpenPackStore loads key → (segment, offset,
-//     length, crc) from per-segment index sidecars; a missing, stale or
-//     corrupt sidecar degrades to a sequential scan of that segment
+//     length, crc) from per-segment index sidecars and scans only the
+//     bytes a sidecar does not cover; a missing, corrupt or oversized
+//     sidecar degrades to a sequential scan of that segment
 //     (pipeline.index_rebuilds), never to an error. A torn tail entry —
 //     the only damage a killed append can leave — is detected by its CRC
 //     and truncated away.
@@ -40,7 +41,8 @@ import (
 //     (FlushBytes), on interval (FlushInterval, via a background
 //     flusher), and always on Flush/Close — pipeline.Run flushes at
 //     every exit, cancellation included, so the cache is durable
-//     whenever the resume journal is.
+//     whenever the resume journal is. A commit never rewrites the
+//     index sidecar (pipeline.index_writes).
 //
 // Entry layout (all integers big-endian):
 //
@@ -190,9 +192,12 @@ func (p *PackStore) load() error {
 }
 
 // loadSegment installs one segment's entries into the index. Sidecar
-// first; any mismatch (missing, corrupt, or not covering the file's
-// current size) degrades to a scan that verifies every entry's CRC and
-// truncates a torn tail off the active segment.
+// first: it covers a prefix of the file (all of it after a seal or a
+// Close; less after commits the process was killed before sealing), and
+// only the uncovered tail is scanned. A missing or corrupt sidecar, or
+// one covering more than the file holds or not matching it, is removed
+// and degrades to a scan of the whole segment. A scan verifies every entry's CRC, truncates a torn tail, and
+// rewrites the sidecar so the next open scans nothing.
 func (p *PackStore) loadSegment(id int, last bool) error {
 	path := p.segPath(id)
 	flags := os.O_RDONLY
@@ -210,11 +215,16 @@ func (p *PackStore) loadSegment(id int, last bool) error {
 	}
 	size := info.Size()
 
-	locs, ok := p.readSidecar(id, size)
+	locs, covered, ok := p.readSidecar(id, f, size)
 	if !ok {
 		p.tel.Counter("pipeline.index_rebuilds").Inc()
-		var logical int64
-		locs, logical, err = scanSegment(f, size)
+		// Drop a rejected sidecar before anything else, so it cannot
+		// outlive a failed rewrite and match the file once it regrows.
+		_ = os.Remove(p.idxPath(id))
+		locs, covered = make(map[string]packLoc), 0
+	}
+	if !ok || covered < size {
+		logical, err := scanSegment(f, locs, covered, size)
 		if err != nil {
 			f.Close()
 			return err
@@ -229,10 +239,8 @@ func (p *PackStore) loadSegment(id int, last bool) error {
 			}
 			size = logical
 		}
-		if !last {
-			// Repair the sidecar so the next open skips the scan.
-			p.writeSidecar(id, locs, size)
-		}
+		p.writeSidecar(id, locs, size)
+		covered = size
 	}
 	for key, loc := range locs {
 		loc.seg = id
@@ -242,9 +250,7 @@ func (p *PackStore) loadSegment(id int, last bool) error {
 	p.segSizes[id] = size
 	if last && size < p.opts.MaxSegmentBytes {
 		p.active = id
-		if ok {
-			p.idxCovered = size // current sidecar; barriers skip the rewrite
-		}
+		p.idxCovered = covered
 		if size < int64(len(packMagic)) {
 			// The segment never got a durable header (killed before its
 			// first commit): restart it from scratch.
@@ -269,28 +275,36 @@ func (p *PackStore) idxPath(id int) string {
 	return filepath.Join(p.dir, fmt.Sprintf("%06d.idx", id))
 }
 
-// scanSegment walks a segment sequentially, verifying every entry's CRC,
-// and returns the recovered locations plus the logical end — the offset
-// of the first torn or corrupt entry (everything after it is ignored).
-func scanSegment(f *os.File, size int64) (map[string]packLoc, int64, error) {
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return nil, 0, err
+// scanSegment walks the segment's bytes [from, size) sequentially,
+// verifying every entry's CRC and adding its location to locs, and
+// returns the logical end — the offset of the first torn or corrupt entry
+// (everything after it is ignored). from must be an entry boundary; a
+// scan from the first entry on checks the segment header too.
+func scanSegment(f *os.File, locs map[string]packLoc, from, size int64) (int64, error) {
+	if from <= int64(len(packMagic)) {
+		from = 0
 	}
-	locs := make(map[string]packLoc)
-	if len(data) < len(packMagic) || string(data[:len(packMagic)]) != packMagic {
-		return locs, 0, nil // not even a header: treat as empty
+	data := make([]byte, size-from)
+	if _, err := f.ReadAt(data, from); err != nil {
+		return 0, err
 	}
-	off := int64(len(packMagic))
-	for off < size {
-		if size-off < packHeaderLen {
+	off := int64(0) // into data; file offset from+off
+	if from == 0 {
+		if len(data) < len(packMagic) || string(data[:len(packMagic)]) != packMagic {
+			return 0, nil // not even a header: treat as empty
+		}
+		off = int64(len(packMagic))
+	}
+	end := int64(len(data))
+	for off < end {
+		if end-off < packHeaderLen {
 			break // torn header
 		}
 		h := data[off : off+packHeaderLen]
 		crc := binary.BigEndian.Uint32(h[0:4])
 		klen := int64(binary.BigEndian.Uint16(h[4:6]))
 		vlen := int64(binary.BigEndian.Uint32(h[6:10]))
-		if klen == 0 || off+packHeaderLen+klen+vlen > size {
+		if klen == 0 || off+packHeaderLen+klen+vlen > end {
 			break // torn or nonsense entry
 		}
 		key := data[off+packHeaderLen : off+packHeaderLen+klen]
@@ -301,20 +315,21 @@ func scanSegment(f *os.File, size int64) (map[string]packLoc, int64, error) {
 			break // corrupt entry: stop at the last good offset
 		}
 		locs[string(key)] = packLoc{
-			off:  off + packHeaderLen + klen,
+			off:  from + off + packHeaderLen + klen,
 			vlen: uint32(vlen),
 			crc:  crc,
 		}
 		off += packHeaderLen + klen + vlen
 	}
-	return locs, off, nil
+	return from + off, nil
 }
 
 // Sidecar layout: "sfspidx1", uint64 covered segment size, uint32 count,
 // then per entry (uint16 keyLen | uint64 valOff | uint32 valLen |
 // uint32 crc | key), and a trailing CRC32 over everything before it.
 // Written atomically; validated wholesale on read — any damage means a
-// rebuild-by-scan, never a wrong lookup.
+// rebuild-by-scan, never a wrong lookup. Each write counts in
+// pipeline.index_writes.
 
 func (p *PackStore) writeSidecar(id int, locs map[string]packLoc, covered int64) {
 	keys := make([]string, 0, len(locs))
@@ -336,51 +351,83 @@ func (p *PackStore) writeSidecar(id int, locs map[string]packLoc, covered int64)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, packCRC))
 	// Best-effort: a failed sidecar write only costs the next open a scan.
-	_ = atomicWriteFile(p.idxPath(id), ".tmp-*", buf)
+	if atomicWriteFile(p.idxPath(id), ".tmp-*", buf) == nil {
+		p.tel.Counter("pipeline.index_writes").Inc()
+	}
 }
 
-// readSidecar loads a segment's index sidecar; ok is false when the
-// sidecar is missing, corrupt, or does not cover the segment's current
-// size (e.g. the store was killed after appending but before resealing).
-func (p *PackStore) readSidecar(id int, segSize int64) (map[string]packLoc, bool) {
+// readSidecar loads a segment's index sidecar and the segment prefix it
+// covers; ok is false when the sidecar is missing, corrupt, places an
+// entry outside that prefix, covers more than the segment's current size
+// (the file lost bytes the sidecar indexes), or does not match the file
+// at the end of its coverage. A sidecar covering less is fine: commits
+// after it (a store killed before Close) are left for the caller to scan.
+func (p *PackStore) readSidecar(id int, f *os.File, segSize int64) (locs map[string]packLoc, covered int64, ok bool) {
 	buf, err := os.ReadFile(p.idxPath(id))
 	if err != nil || len(buf) < len(packIdxMagic)+16 {
-		return nil, false
+		return nil, 0, false
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
 	if crc32.Checksum(body, packCRC) != binary.BigEndian.Uint32(tail) {
-		return nil, false
+		return nil, 0, false
 	}
 	if string(body[:len(packIdxMagic)]) != packIdxMagic {
-		return nil, false
+		return nil, 0, false
 	}
-	covered := int64(binary.BigEndian.Uint64(body[8:16]))
-	if covered != segSize {
-		return nil, false
+	covered = int64(binary.BigEndian.Uint64(body[8:16]))
+	if covered > segSize {
+		return nil, 0, false
 	}
 	count := binary.BigEndian.Uint32(body[16:20])
-	locs := make(map[string]packLoc, count)
+	locs = make(map[string]packLoc, count)
+	var lastKey string // the entry ending at covered
 	off := 20
 	for i := uint32(0); i < count; i++ {
 		if off+18 > len(body) {
-			return nil, false
+			return nil, 0, false
 		}
 		klen := int(binary.BigEndian.Uint16(body[off : off+2]))
 		valOff := int64(binary.BigEndian.Uint64(body[off+2 : off+10]))
 		vlen := binary.BigEndian.Uint32(body[off+10 : off+14])
 		crc := binary.BigEndian.Uint32(body[off+14 : off+18])
 		off += 18
-		if off+klen > len(body) {
-			return nil, false
+		if off+klen > len(body) || valOff < int64(len(packMagic)+packHeaderLen+klen) || valOff > covered-int64(vlen) {
+			// Every entry lies in the covered prefix: the store reads
+			// any offset past the durable end from the commit buffer.
+			return nil, 0, false
 		}
 		key := string(body[off : off+klen])
 		off += klen
 		locs[key] = packLoc{off: valOff, vlen: vlen, crc: crc}
+		if valOff+int64(vlen) == covered {
+			lastKey = key
+		}
 	}
 	if off != len(body) {
-		return nil, false
+		return nil, 0, false
 	}
-	return locs, true
+	// The last entry a sidecar covers is always live in it (nothing later
+	// in the segment supersedes it), so coverage past the header must end
+	// at an indexed entry that the file still holds. This rejects a stale
+	// sidecar beside a segment that was cut and regrew past its coverage,
+	// whose tail scan would otherwise start mid-entry.
+	if covered > int64(len(packMagic)) && (lastKey == "" || !entryAt(f, lastKey, locs[lastKey])) {
+		return nil, 0, false
+	}
+	return locs, covered, true
+}
+
+// entryAt reports whether the segment holds key's entry header, as loc
+// describes it, just before loc's value.
+func entryAt(f *os.File, key string, loc packLoc) bool {
+	h := make([]byte, packHeaderLen+len(key))
+	if _, err := f.ReadAt(h, loc.off-int64(len(h))); err != nil {
+		return false
+	}
+	return binary.BigEndian.Uint32(h[0:4]) == loc.crc &&
+		int(binary.BigEndian.Uint16(h[4:6])) == len(key) &&
+		binary.BigEndian.Uint32(h[6:10]) == loc.vlen &&
+		string(h[packHeaderLen:]) == key
 }
 
 // Get returns the bytes stored under key. Reads of already-committed
@@ -531,28 +578,21 @@ func (p *PackStore) flushLocked() error {
 	return nil
 }
 
-// Flush commits every buffered Put — the group-commit barrier.
-// pipeline.Run calls it on every exit path (success, failure and
-// cancellation), so the store is durable whenever the journal is. The
-// explicit barrier also refreshes the active segment's index sidecar:
-// sessions are long-lived and may never Close, and without a current
-// sidecar every reopen would pay a scan of the active segment.
-// (Interval and size flushes skip this — once per batch would be far
-// too often for a full index rewrite.)
+// Flush commits every buffered Put — the group-commit barrier: one
+// write and one fsync. pipeline.Run calls it on every exit path
+// (success, failure and cancellation), so the store is durable whenever
+// the journal is. It leaves the index sidecar alone: rewriting the whole
+// index at every barrier made a long session quadratic in its keys.
+// Close writes it instead (sibylfs.Session.Close closes the store a
+// session opened), and a store killed before Close costs its next open
+// a scan of the commits past the sidecar's coverage.
 func (p *PackStore) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil
 	}
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	if p.active != 0 && p.flushedSize > p.idxCovered {
-		p.writeSidecar(p.active, p.segLocsLocked(p.active), p.flushedSize)
-		p.idxCovered = p.flushedSize
-	}
-	return nil
+	return p.flushLocked()
 }
 
 // flusher is the background interval commit: it bounds how long a Put

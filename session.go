@@ -2,6 +2,7 @@ package sibylfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -70,6 +71,7 @@ type Session struct {
 	cacheOnce sync.Once
 	cache     *pipeline.Cache
 	cacheErr  error
+	ownsCache bool // opened from cacheDir/remote, so Close closes it
 	// hashMu/hashes memoise per-script content hashes, so each script is
 	// hashed at most once per session however many runs check it. Generate
 	// seeds the memo from the generation cache; pipeline key computation
@@ -221,11 +223,37 @@ func (s *Session) openCache() (*pipeline.Cache, error) {
 			}
 			s.store = store // session-owned; flushed at run boundaries
 			s.cache = pipeline.NewCache(store)
+			s.ownsCache = true
 			return
 		}
 		s.cache, s.cacheErr = pipeline.OpenCache(s.cacheDir)
+		s.ownsCache = s.cacheErr == nil
 	})
 	return s.cache, s.cacheErr
+}
+
+// errSessionClosed is what a cache-backed method returns after Close.
+var errSessionClosed = errors.New("sibylfs: session closed")
+
+// Close releases the result cache the session opened for WithCacheDir or
+// WithRemoteCache: it commits buffered entries and writes the packed
+// store's index sidecar, so the next process opening the directory loads
+// the index instead of scanning the active segment (runs only commit,
+// leaving the index to Close). A store injected with WithStore stays the
+// caller's to close. Call Close once the session's work is done, not
+// concurrently with its other methods; it is a no-op for a session
+// without a cache, and afterwards cache-backed methods fail.
+func (s *Session) Close() error {
+	s.cacheOnce.Do(func() {}) // a closed session never opens a cache
+	cache, owned := s.cache, s.ownsCache
+	s.cache, s.ownsCache = nil, false
+	if s.store != nil || s.cacheDir != "" || s.remote != "" {
+		s.cacheErr = errSessionClosed
+	}
+	if cache == nil || !owned {
+		return nil
+	}
+	return cache.Close()
 }
 
 // CacheStats describes the session's result-store contents (backend,

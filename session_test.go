@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // TestSessionGoldenParity drives the same seq_slice7 suite once through
@@ -434,5 +436,55 @@ func TestSessionObserverStreams(t *testing.T) {
 	}
 	if n, stats := run(); n != len(scripts) || stats.CacheHits != len(scripts) {
 		t.Fatalf("warm run: observer saw %d records (stats %s)", n, stats)
+	}
+}
+
+// TestSessionCloseSealsCache pins the reopen cost a CLI's clean exit
+// leaves behind: runs only commit the packed store, and Session.Close
+// writes its index sidecar, so the next session on the same directory
+// loads the index without scanning the segment — no rebuild, and no
+// sidecar rewrite (every scan rewrites it). A session used after Close
+// fails instead of reopening the cache.
+func TestSessionCloseSealsCache(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	old := telemetry.Default
+	telemetry.Default = reg // the store's open-time events land here
+	t.Cleanup(func() { telemetry.Default = old })
+
+	scripts := smallSuite(t, 6)
+	cacheDir := t.TempDir()
+	job := RunJob{
+		Name:    "close",
+		Scripts: scripts,
+		Factory: MemFS(LinuxProfile("ext4")),
+		FSName:  "ext4",
+	}
+	cold := New(WithCacheDir(cacheDir))
+	if _, stats, err := cold.Run(context.Background(), job); err != nil || stats.Executed != len(scripts) {
+		t.Fatalf("cold run: %s, %v", stats, err)
+	}
+	if n := reg.Counter("pipeline.index_writes").Value(); n != 0 {
+		t.Fatalf("cold run wrote the sidecar %d times before Close, want 0", n)
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("pipeline.index_writes").Value(); n != 1 {
+		t.Fatalf("Close wrote the sidecar %d times, want 1", n)
+	}
+	if _, _, err := cold.Run(context.Background(), job); err == nil {
+		t.Fatal("Run on a closed session succeeded")
+	}
+
+	warm := New(WithCacheDir(cacheDir))
+	defer warm.Close()
+	if _, stats, err := warm.Run(context.Background(), job); err != nil || stats.CacheHits != len(scripts) {
+		t.Fatalf("warm run: %s, %v", stats, err)
+	}
+	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 0 {
+		t.Fatalf("warm open rebuilt %d segments, want 0", n)
+	}
+	if n := reg.Counter("pipeline.index_writes").Value(); n != 1 {
+		t.Fatalf("warm open scanned the segment (sidecar writes %d, want still 1)", n)
 	}
 }

@@ -130,7 +130,12 @@ func RunSurveyWith(scripts []*Script, configs []Config, workers int, opts Survey
 	if opts.Resume {
 		sessionOpts = append(sessionOpts, WithResume())
 	}
-	return New(sessionOpts...).Survey(context.Background(), scripts, configs)
+	session := New(sessionOpts...)
+	results, err := session.Survey(context.Background(), scripts, configs)
+	if cerr := session.Close(); err == nil {
+		err = cerr
+	}
+	return results, err
 }
 
 // FilterHostSafe drops scripts that switch credentials or belong to the
