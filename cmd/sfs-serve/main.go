@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -22,6 +21,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 )
 
 func usage() {
@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hsrv := &http.Server{Handler: srv.Handler()}
+	hsrv := telemetry.NewHTTPServer(srv.Handler())
 	fmt.Fprintf(os.Stderr, "sfs-serve: listening on http://%s/ (data %s, %d job slots)\n",
 		ln.Addr(), *dataDir, *jobs)
 

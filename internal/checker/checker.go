@@ -105,9 +105,12 @@ type Checker struct {
 	// initial state — so most of a suite's τ-closure work walks the same
 	// interned object graph). A replay is Trans applied to that very
 	// object, so results are byte-identical with the table on or off;
-	// the golden parity fixtures pin it. Ignored under DisableDedup (the
-	// ablation's unhashed states would race the table's publication
-	// protocol).
+	// the golden parity fixtures pin it. The table keys on source-state
+	// pointer identity, so it pays only where traces share a prefix of
+	// states: pipeline.Run sets it for sequential runs and leaves it nil
+	// for concurrent ones, whose schedules rarely reach the same state
+	// object twice. Ignored under DisableDedup (the ablation's unhashed
+	// states would race the table's publication protocol).
 	Memo *osspec.ConsTable
 
 	// initOnce/initial share one hashed+frozen initial state across every

@@ -105,11 +105,14 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 	rec.TauExpansions = int(d.uint32())
 	rec.SumStates = int(d.uint32())
 	rec.Checked = string(d.bytes32())
-	if n := d.uint32(); n > 0 && !d.failed {
+	// Counts come from stored bytes: one that the rest of the entry
+	// cannot hold (an error takes at least 12 bytes, an allowed string 4)
+	// is damage, and must fail before it sizes an allocation.
+	if n := d.count(12); n > 0 && !d.failed {
 		rec.Errors = make([]RecordError, 0, n)
 		for i := uint32(0); i < n && !d.failed; i++ {
 			e := RecordError{Line: int(d.uint32()), Observed: string(d.bytes32())}
-			if m := d.uint32(); m > 0 && !d.failed {
+			if m := d.count(4); m > 0 && !d.failed {
 				e.Allowed = make([]string, 0, m)
 				for j := uint32(0); j < m && !d.failed; j++ {
 					e.Allowed = append(e.Allowed, string(d.bytes32()))
@@ -132,9 +135,9 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 }
 
 // decoder is a bounds-checked cursor over a framed entry; any overrun
-// sets failed instead of panicking (stores only ever hand us
-// CRC-verified bytes, but the fallback must hold for DirStore entries a
-// foreign writer damaged in place).
+// sets failed instead of panicking (a PackStore hands us CRC-verified
+// bytes, but an HTTPStore relays whatever the server sent, and a DirStore
+// entry may have been damaged in place by a foreign writer).
 type decoder struct {
 	buf    []byte
 	failed bool
@@ -158,6 +161,17 @@ func (d *decoder) uint32() uint32 {
 	v := binary.BigEndian.Uint32(d.buf)
 	d.buf = d.buf[4:]
 	return v
+}
+
+// count reads an element count and fails unless the remaining bytes can
+// hold that many elements of at least size bytes each.
+func (d *decoder) count(size int) uint32 {
+	n := d.uint32()
+	if d.failed || uint64(n)*uint64(size) > uint64(len(d.buf)) {
+		d.failed = true
+		return 0
+	}
+	return n
 }
 
 func (d *decoder) bytes32() []byte {

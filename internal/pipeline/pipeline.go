@@ -54,7 +54,8 @@ type Config struct {
 	// transition fan-outs across traces (checker.Memo) — the ablation knob
 	// for benchmarks and the parity fixtures. Purely an execution strategy:
 	// records are byte-identical either way, so it is NOT part of the
-	// cache key.
+	// cache key. Concurrent runs never build the table (see Run), so it
+	// only matters for sequential ones.
 	NoSharedCons bool
 	// HashScript, when non-nil, supplies each script's content hash for key
 	// computation instead of ScriptHash. Sessions pass a memo fed by the
@@ -168,10 +169,15 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		chk.TauWorkers = 1
 	}
 	chk.Tel = tel
-	if !cfg.NoSharedCons {
+	if !cfg.NoSharedCons && !cfg.Concurrent {
 		// One cons table per Run: a shard is the natural epoch (shards may
 		// run on different machines), and the table resets itself if a
-		// pathological suite outgrows the in-shard cap.
+		// pathological suite outgrows the in-shard cap. Sequential traces
+		// walk the same interned states along their shared script prefix,
+		// so most lookups hit. Concurrent schedules interleave the pending
+		// calls differently, so only about 9% of lookups hit there, and
+		// every miss keeps states alive for the collector to scan: those
+		// runs check without the table.
 		chk.Memo = osspec.NewConsTable(0)
 	}
 	if cfg.Sink != nil {

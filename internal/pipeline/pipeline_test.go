@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fsimpl"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -42,6 +44,38 @@ func testConfig(scripts []*trace.Script) Config {
 		FSName:  "ext4",
 		Spec:    types.DefaultSpec(),
 		Workers: 2,
+	}
+}
+
+// TestConsTablePolicy pins when Run builds the suite-level cons table:
+// for sequential runs, whose traces share a prefix of interned states,
+// and never for concurrent ones, whose schedules do not.
+func TestConsTablePolicy(t *testing.T) {
+	scripts := testScripts(t, 4)
+	consMetrics := func(concurrent bool) []string {
+		cfg := testConfig(scripts)
+		cfg.Concurrent = concurrent
+		cfg.SchedSeed = 1
+		cfg.Tel = telemetry.NewRegistry()
+		if _, _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		snap := cfg.Tel.Snapshot()
+		var names []string
+		for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for name := range m {
+				if strings.HasPrefix(name, "checker.cons_") {
+					names = append(names, name)
+				}
+			}
+		}
+		return names
+	}
+	if names := consMetrics(true); len(names) != 0 {
+		t.Errorf("concurrent run recorded cons-table metrics %v", names)
+	}
+	if names := consMetrics(false); len(names) == 0 {
+		t.Error("sequential run recorded no cons-table metrics")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
 
 // DebugServer is the -debug-addr HTTP endpoint: live /metrics (Prometheus
@@ -16,6 +17,22 @@ import (
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
+}
+
+// Read-side bounds for the tools' long-running HTTP servers (this debug
+// endpoint and sfs-serve): a client has readHeaderTimeout to send its
+// request headers, and a keep-alive connection idle for idleTimeout is
+// closed, so stalled or abandoned clients cannot pin connections. There
+// is no WriteTimeout: sfs-serve streams a running job's records as live
+// NDJSON for as long as the job runs, and a pprof profile answers only
+// when its sampling window ends.
+var readHeaderTimeout = 10 * time.Second // tests shorten it
+
+const idleTimeout = 2 * time.Minute
+
+// NewHTTPServer returns a server for h with the read-side bounds above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // expvarOnce guards the process-global expvar publication: expvar.Publish
@@ -60,7 +77,7 @@ func ServeDebug(addr string, reg *Registry, h Header) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	ds := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
+	ds := &DebugServer{ln: ln, srv: NewHTTPServer(mux)}
 	go ds.srv.Serve(ln)
 	return ds, nil
 }

@@ -3,8 +3,12 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -305,6 +309,48 @@ func TestDebugServer(t *testing.T) {
 	}
 	get("/debug/pprof/")
 	get("/debug/vars")
+}
+
+// TestHTTPServerCutsOffStalledHeaders: a client that never finishes its
+// request headers is disconnected once readHeaderTimeout passes, on the
+// debug endpoint and on any server NewHTTPServer builds (sfs-serve's).
+func TestHTTPServerCutsOffStalledHeaders(t *testing.T) {
+	if srv := NewHTTPServer(http.NotFoundHandler()); srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("bounds: read-header %v, idle %v, write %v; want the first two set and no write timeout (live NDJSON streams)",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+
+	dbg, err := ServeDebug("127.0.0.1:0", NewRegistry(), Header{Tool: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewHTTPServer(http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	for _, addr := range []string{dbg.Addr(), ln.Addr().String()} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection with unfinished headers still open after 5s", addr)
+		}
+	}
 }
 
 func TestOr(t *testing.T) {
