@@ -48,7 +48,9 @@ type Result struct {
 	// the state set over internal transitions. Sequential traces need one
 	// expansion round per return; concurrent traces with several pending
 	// calls are where the number grows — it measures how much interleaving
-	// nondeterminism the oracle had to absorb.
+	// nondeterminism the oracle had to absorb. Successors a closure can
+	// prove are already in its input (the covered masks carried across
+	// labels, see osspec.ReturnCovered) are not generated and not counted.
 	TauExpansions int
 	// SumStates accumulates the state-set size at every step; together with
 	// Steps it yields the mean set size (see MeanStates).
@@ -135,9 +137,29 @@ type traceScratch struct {
 	set     osspec.StateSet
 	closure []*osspec.OsState
 	union   []*osspec.OsState
+	// covered holds the tracked set's covered masks, covered[i] for
+	// union[i] (see osspec.ClosureOpts.Covered); reduce compacts it along
+	// with the states.
+	covered []uint64
+	// fanout[i] is how many successors the last union drew from its i-th
+	// source, which is how covered masks find their successors.
+	fanout []int
 	// stats receives each closure's work split; a local would escape
 	// through ClosureOpts, which the closure's output flows from.
 	stats osspec.ClosureStats
+}
+
+// start makes the tracked set the single initial state, with no covered
+// pids, and returns it.
+func (sc *traceScratch) start(initial *osspec.OsState) []*osspec.OsState {
+	sc.union = append(sc.union[:0], initial)
+	sc.covered = append(sc.covered[:0], 0)
+	return sc.union
+}
+
+// uncover gives each of n successors an empty covered mask.
+func (sc *traceScratch) uncover(n int) {
+	sc.covered = append(sc.covered[:0], make([]uint64, n)...)
 }
 
 // release drops every state reference so a pooled scratch pins nothing.
@@ -206,8 +228,7 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 		sc.release()
 		c.scratch.Put(sc)
 	}()
-	sc.union = append(sc.union[:0], c.initialState())
-	states := sc.union
+	states := sc.start(c.initialState())
 
 	for _, st := range t.Steps {
 		if err := ctx.Err(); err != nil {
@@ -218,53 +239,7 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 		if len(states) > res.MaxStates {
 			res.MaxStates = len(states)
 		}
-		switch lbl := st.Label.(type) {
-		case types.ReturnLabel:
-			states = c.stepReturn(ctx, states, lbl, st, &res, sc, workers)
-		default:
-			var src []*osspec.OsState
-			_, isDestroy := st.Label.(types.DestroyLabel)
-			_, isCrash := st.Label.(types.CrashLabel)
-			if isDestroy || isCrash {
-				// Close over τ before a destroy so interleavings where a
-				// pending call was processed before the process vanished
-				// stay represented. Today the model's destroy effects are
-				// invisible to other processes (no capacity accounting),
-				// so this only pre-computes work the next return's closure
-				// would do — but it keeps the oracle sound if destroy ever
-				// gains observable effects. Sequential traces have no
-				// pending calls here, so it is a no-op for them.
-				//
-				// Before a crash the closure is load-bearing: a call in
-				// flight at power-loss may or may not have had its effect
-				// land, so both the pre-τ and post-τ states (with their
-				// different pending-effect logs) must contribute crash
-				// candidates.
-				src = c.tauClosure(ctx, states, &res, sc, workers)
-				if len(src) > res.MaxStates {
-					res.MaxStates = len(src)
-				}
-			} else {
-				// The union overwrites the buffer states lives in.
-				src = append(sc.closure[:0], states...)
-				sc.closure = src
-			}
-			if isCrash {
-				res.CrashPoints++
-			}
-			next := c.unionTrans(src, st.Label, sc, workers)
-			if len(next) == 0 {
-				res.Accepted = false
-				res.Errors = append(res.Errors, StepError{
-					Line:     st.Line,
-					Observed: st.Label.String(),
-					Allowed:  nil,
-				})
-				// Recovery: drop the label entirely.
-				continue
-			}
-			states = c.reduce(next, &res, &sc.set)
-		}
+		states = c.step(ctx, states, st, &res, sc, workers)
 	}
 	if len(states) == 0 {
 		res.Accepted = false
@@ -274,6 +249,69 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 	}
 	c.record(res, time.Since(start))
 	return res, nil
+}
+
+// step applies one observed label to the tracked set states (which lives
+// in sc.union, with its covered masks in sc.covered) and returns the next
+// tracked set, leaving its masks in sc.covered.
+func (c *Checker) step(ctx context.Context, states []*osspec.OsState, st trace.Step, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
+	switch lbl := st.Label.(type) {
+	case types.ReturnLabel:
+		return c.stepReturn(ctx, states, lbl, st, res, sc, workers)
+	default:
+		var src []*osspec.OsState
+		var cover func(int) uint64
+		_, isDestroy := st.Label.(types.DestroyLabel)
+		_, isCrash := st.Label.(types.CrashLabel)
+		if isDestroy || isCrash {
+			// Close over τ before a destroy so interleavings where a
+			// pending call was processed before the process vanished
+			// stay represented. Today the model's destroy effects are
+			// invisible to other processes (no capacity accounting),
+			// so this only pre-computes work the next return's closure
+			// would do — but it keeps the oracle sound if destroy ever
+			// gains observable effects. Sequential traces have no
+			// pending calls here, so it is a no-op for them.
+			//
+			// Before a crash the closure is load-bearing: a call in
+			// flight at power-loss may or may not have had its effect
+			// land, so both the pre-τ and post-τ states (with their
+			// different pending-effect logs) must contribute crash
+			// candidates.
+			src, _ = c.tauClosure(ctx, states, res, sc, workers)
+			if len(src) > res.MaxStates {
+				res.MaxStates = len(src)
+			}
+		} else {
+			// The union overwrites the buffer states lives in.
+			src = append(sc.closure[:0], states...)
+			sc.closure = src
+			if _, isCall := st.Label.(types.CallLabel); isCall {
+				// τ_q commutes with another process's call, so the
+				// successor keeps its source's mask (src is states,
+				// in order).
+				covered := sc.covered
+				cover = func(i int) uint64 { return covered[i] }
+			}
+		}
+		if isCrash {
+			res.CrashPoints++
+		}
+		next := c.unionTrans(src, st.Label, sc, workers, cover)
+		if len(next) == 0 {
+			res.Accepted = false
+			res.Errors = append(res.Errors, StepError{
+				Line:     st.Line,
+				Observed: st.Label.String(),
+				Allowed:  nil,
+			})
+			// Recovery: drop the label entirely. The union drew
+			// nothing, so states are intact; their masks are not kept.
+			sc.uncover(len(states))
+			return states
+		}
+		return c.reduce(next, res, sc)
+	}
 }
 
 // record attributes one completed trace's work to the checker's registry.
@@ -309,15 +347,21 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 // traces this closure is where the §3 state-set strategy does its real
 // work, and where MaxStates peaks.
 func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl types.ReturnLabel, st trace.Step, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
-	expanded := c.tauClosure(ctx, states, res, sc, workers)
+	expanded, complete := c.tauClosure(ctx, states, res, sc, workers)
 	if len(expanded) > res.MaxStates {
 		res.MaxStates = len(expanded)
 	}
 
+	// A return commutes with the τ steps of the calling processes only
+	// when the closure it follows holds all of their successors.
+	var cover func(int) uint64
+	if complete {
+		cover = func(i int) uint64 { return osspec.ReturnCovered(expanded[i], lbl.Pid) }
+	}
 	// st.Label holds lbl already boxed; passing lbl would box it again.
-	next := c.unionTrans(expanded, st.Label, sc, workers)
+	next := c.unionTrans(expanded, st.Label, sc, workers, cover)
 	if len(next) > 0 {
-		return c.reduce(next, res, &sc.set)
+		return c.reduce(next, res, sc)
 	}
 
 	// Non-conformant: diagnose and continue with the allowed values (Fig 4).
@@ -337,7 +381,8 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 			recovered = append(recovered, osspec.ResetToRunning(s, lbl.Pid))
 		}
 	}
-	return c.reduce(recovered, res, &sc.set)
+	sc.uncover(len(recovered))
+	return c.reduce(recovered, res, sc)
 }
 
 // tauClosure closes the state set over internal transitions (see
@@ -345,8 +390,11 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 // cap and accounting the expansions in the result's statistics. A
 // cancelled ctx cuts the closure short; CheckCtx notices at the next step
 // boundary and abandons the trace, so the truncated set is never used for
-// a verdict. The output is built in the trace's closure buffer.
-func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
+// a verdict. The output is built in the trace's closure buffer; states'
+// covered masks (sc.covered) spare it the successors the previous steps
+// already found. complete reports that the output holds every τ-successor
+// of its states: no cap hit and no cancellation.
+func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *traceScratch, workers int) (out []*osspec.OsState, complete bool) {
 	t0 := time.Now()
 	cs := &sc.stats
 	*cs = osspec.ClosureStats{}
@@ -359,6 +407,7 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 		Memo:    c.memo(),
 		Scratch: &sc.set,
 		Buf:     sc.closure,
+		Covered: sc.covered,
 	})
 	sc.closure = out
 	res.TauExpansions += n
@@ -368,7 +417,7 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 	if capHit {
 		res.StateSetCapHit = true
 	}
-	return out
+	return out, !capHit && ctx.Err() == nil
 }
 
 // unionTrans applies one label to every tracked state, fanning the
@@ -379,15 +428,18 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 // the shared reads race-free. With a cons table the per-state fan-out is
 // interned suite-wide and replayed for equal (state, label) pairs. The
 // successors are appended into the trace's union buffer, overwriting it;
-// states must not live there.
-func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, workers int) []*osspec.OsState {
+// states must not live there. The successors' covered masks replace
+// sc.covered: cover(i) for the successor of source i when cover is
+// non-nil (call and return labels, which draw at most one successor per
+// source), 0 otherwise.
+func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, workers int, cover func(int) uint64) []*osspec.OsState {
 	prehash := !c.DisableDedup
 	memo := c.memo()
 	var key string
 	if memo != nil {
 		key = osspec.LabelKey(lbl)
 	}
-	sc.union = osspec.UnionStates(sc.union[:0], states, workers, func(s *osspec.OsState) []*osspec.OsState {
+	sc.union, sc.fanout = osspec.UnionStates(sc.union[:0], sc.fanout[:0], states, workers, func(s *osspec.OsState) []*osspec.OsState {
 		if memo != nil {
 			if succs, ok := memo.Get(s, key); ok {
 				return succs
@@ -402,6 +454,20 @@ func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *trac
 		}
 		return succs
 	})
+	if cover == nil {
+		sc.uncover(len(sc.union))
+		return sc.union
+	}
+	// Successor j of source i has j ≤ i, so this may overwrite the masks
+	// cover reads (a call label's cover reads sc.covered itself): slot i
+	// is read before slot j is written, and never again after.
+	masks := sc.covered[:0]
+	for i, n := range sc.fanout {
+		if n == 1 {
+			masks = append(masks, cover(i))
+		}
+	}
+	sc.covered = masks
 	return sc.union
 }
 
@@ -423,28 +489,34 @@ func allowedSet(states []*osspec.OsState, pid types.Pid) []string {
 // reduce dedupes the state set by hash-consed identity (or only caps it,
 // for the ablation benchmark), records cap truncation, and freezes the
 // survivors so the next fan-out may share them across goroutines. It
-// compacts states in place. set is the trace's scratch set, reset here;
-// its previous contents are done with by the time reduce runs (the
-// closure/union results only reference states, never the set).
-func (c *Checker) reduce(states []*osspec.OsState, res *Result, set *osspec.StateSet) []*osspec.OsState {
+// compacts states in place, and their covered masks (sc.covered, aligned
+// with states on entry) along with them: a duplicate's mask goes with it,
+// and a truncated set keeps none, since the states it dropped were what
+// the masks vouched for. sc.set is reset here; its previous contents are
+// done with by the time reduce runs (the closure/union results only
+// reference states, never the set).
+func (c *Checker) reduce(states []*osspec.OsState, res *Result, sc *traceScratch) []*osspec.OsState {
 	if c.DisableDedup {
 		if c.MaxStateSet > 0 && len(states) > c.MaxStateSet {
 			states = states[:c.MaxStateSet]
 			res.StateSetCapHit = true
+			sc.uncover(len(states))
 		}
 		for _, s := range states {
 			s.Freeze()
 		}
 		return states
 	}
+	set := &sc.set
 	set.Reset()
-	out := states[:0]
+	out, covered := states[:0], sc.covered[:0]
 	for i, s := range states {
 		if !set.Add(s) {
 			continue
 		}
 		s.Freeze()
 		out = append(out, s)
+		covered = append(covered, sc.covered[i])
 		if c.MaxStateSet > 0 && len(out) >= c.MaxStateSet {
 			// Only report a truncation if some remaining state is genuinely
 			// distinct: a tail of duplicates would have been merged anyway,
@@ -453,11 +525,13 @@ func (c *Checker) reduce(states []*osspec.OsState, res *Result, set *osspec.Stat
 			for _, rest := range states[i+1:] {
 				if set.Add(rest) {
 					res.StateSetCapHit = true
+					clear(covered)
 					break
 				}
 			}
 			break
 		}
 	}
+	sc.covered = covered
 	return out
 }

@@ -1,0 +1,216 @@
+package checker
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/fsimpl"
+	"repro/internal/osspec"
+	"repro/internal/telemetry"
+	"repro/internal/testgen"
+	"repro/internal/types"
+)
+
+// closureRun is what one τ-closure produced: its states by Fingerprint,
+// in order, and its rounds, expansion count and cap verdict.
+type closureRun struct {
+	fps        []string
+	rounds     int
+	expansions int
+	capHit     bool
+}
+
+func runClosure(states []*osspec.OsState, covered []uint64, cap int) closureRun {
+	var st osspec.ClosureStats
+	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
+		Dedup: true, Cap: cap, Workers: 1, Stats: &st, Covered: covered,
+	})
+	fps := make([]string, len(out))
+	for i, s := range out {
+		fps[i] = s.Fingerprint()
+	}
+	return closureRun{fps, st.Rounds, n, capHit}
+}
+
+// TestClosureCoveredParity holds the covered masks to their promise on
+// the concurrent universe under 20 seeded schedules: every τ-closure the
+// checker runs (before each return, destroy and crash) yields, from the
+// masks the checker carried to it, exactly what it yields without them —
+// the same states in the same order, the same rounds, the same cap
+// verdict — and never generates more successors. Over the whole run it
+// must generate fewer, or the masks are doing nothing.
+func TestClosureCoveredParity(t *testing.T) {
+	scripts := testgen.ConcurrentScripts()
+	factory := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
+	c := New(types.DefaultSpec())
+	c.TauWorkers = 1
+	c.Tel = telemetry.NewRegistry()
+	ctx := context.Background()
+	var closures, masked, with, without int
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, s := range scripts {
+			tr, err := exec.RunConcurrent(ctx, s, factory, exec.ConcurrentOptions{Seeded: true, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", s.Name, seed, err)
+			}
+			sc := new(traceScratch)
+			var res Result
+			states := sc.start(c.initialState())
+			for _, st := range tr.Steps {
+				switch st.Label.(type) {
+				case types.ReturnLabel, types.DestroyLabel, types.CrashLabel:
+					got := runClosure(states, sc.covered, c.MaxStateSet)
+					want := runClosure(states, nil, c.MaxStateSet)
+					if got.expansions > want.expansions {
+						t.Fatalf("%s seed %d line %d: %d expansions with masks, %d without",
+							s.Name, seed, st.Line, got.expansions, want.expansions)
+					}
+					closures++
+					with += got.expansions
+					without += want.expansions
+					if got.expansions < want.expansions {
+						masked++
+					}
+					got.expansions = want.expansions
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d line %d: masks changed the closure: %d states in %d rounds (cap hit %v), want %d in %d (%v)",
+							s.Name, seed, st.Line, len(got.fps), got.rounds, got.capHit,
+							len(want.fps), want.rounds, want.capHit)
+					}
+				}
+				states = c.step(ctx, states, st, &res, sc, 1)
+				if len(sc.covered) != len(states) {
+					t.Fatalf("%s seed %d line %d: %d masks for %d states", s.Name, seed, st.Line, len(sc.covered), len(states))
+				}
+			}
+		}
+	}
+	t.Logf("%d closures, %d pruned by masks; expansions %d with masks, %d without", closures, masked, with, without)
+	if with >= without {
+		t.Fatalf("masks pruned nothing: %d expansions with, %d without", with, without)
+	}
+}
+
+// stepThrough checks the trace's steps up to and including the one on
+// line stop, and returns the result and scratch, whose covered slice
+// holds the tracked set's masks after that step.
+func stepThrough(t *testing.T, c *Checker, text string, stop int) (Result, *traceScratch) {
+	t.Helper()
+	tr := parse(t, text)
+	sc := new(traceScratch)
+	res := Result{Accepted: true}
+	states := sc.start(c.initialState())
+	for _, st := range tr.Steps {
+		states = c.step(context.Background(), states, st, &res, sc, 1)
+		if st.Line == stop {
+			return res, sc
+		}
+	}
+	t.Fatalf("no step on line %d", stop)
+	return res, nil
+}
+
+func anyCovered(masks []uint64) bool {
+	for _, m := range masks {
+		if m != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// raceReturnLine is the line of raceTrace's first return ("1: RV_none").
+func raceReturnLine(n int) int { return 2*n + 1 }
+
+// TestCoveredAfterReturn is the positive control the zero cases below
+// are measured against: in a 4-way mkdir race, the return of the winner
+// leaves the losers calling, and the states it yields carry their bits.
+func TestCoveredAfterReturn(t *testing.T) {
+	_, sc := stepThrough(t, New(types.DefaultSpec()), raceTrace(4), raceReturnLine(4))
+	want := osspec.PidBit(2) | osspec.PidBit(3) | osspec.PidBit(4)
+	if len(sc.covered) == 0 || sc.covered[0] != want {
+		t.Fatalf("masks after the winner's return: %v, want [%b ...]", sc.covered, want)
+	}
+}
+
+// TestNoCoveredAfterCapHitClosure: a closure cut short by the cap does
+// not hold every τ-successor of its states, so the return after it
+// vouches for nothing — even though the set it yields is under the cap.
+func TestNoCoveredAfterCapHitClosure(t *testing.T) {
+	c := New(types.DefaultSpec())
+	c.MaxStateSet = 5 // the first round of a 4-way race fills it
+	res, sc := stepThrough(t, c, raceTrace(4), raceReturnLine(4))
+	if !res.StateSetCapHit || len(sc.covered) >= c.MaxStateSet {
+		t.Fatalf("cap hit %v with %d states: want a cap-hit closure and a set under the cap",
+			res.StateSetCapHit, len(sc.covered))
+	}
+	if len(sc.covered) == 0 || anyCovered(sc.covered) {
+		t.Fatalf("masks after a cap-hit closure: %v, want all zero", sc.covered)
+	}
+}
+
+// TestNoCoveredAfterRecovery: a deviating return continues from
+// synthesised states, which no closure vouches for.
+func TestNoCoveredAfterRecovery(t *testing.T) {
+	text := strings.Replace(raceTrace(4), "1: RV_none", "1: ENOENT", 1)
+	res, sc := stepThrough(t, New(types.DefaultSpec()), text, raceReturnLine(4))
+	if res.Accepted {
+		t.Fatal("an impossible ENOENT was accepted")
+	}
+	if len(sc.covered) == 0 || anyCovered(sc.covered) {
+		t.Fatalf("masks after recovery: %v, want all zero", sc.covered)
+	}
+}
+
+// TestReduceCovered: reduce keeps the first occurrence's mask when it
+// merges duplicates, and drops every mask when it truncates at the cap.
+func TestReduceCovered(t *testing.T) {
+	s0 := osspec.NewOsState(types.DefaultSpec())
+	s1 := osspec.Trans(s0, types.CallLabel{Pid: osspec.InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})[0]
+	s2 := osspec.TauFor(s1, osspec.InitialPid)[0]
+	dup := osspec.Trans(s0, types.CallLabel{Pid: osspec.InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})[0]
+
+	c := New(types.DefaultSpec())
+	sc := new(traceScratch)
+	var res Result
+	sc.covered = []uint64{1, 2, 3, 4}
+	out := c.reduce([]*osspec.OsState{s0, s1, dup, s2}, &res, sc)
+	if len(out) != 3 || !reflect.DeepEqual(sc.covered, []uint64{1, 2, 4}) || res.StateSetCapHit {
+		t.Fatalf("dedup: %d states, masks %v, cap hit %v; want 3, [1 2 4], false", len(out), sc.covered, res.StateSetCapHit)
+	}
+
+	c.MaxStateSet = 2
+	sc.covered = []uint64{1, 2, 3}
+	out = c.reduce([]*osspec.OsState{s0, s1, s2}, &res, sc)
+	if len(out) != 2 || !reflect.DeepEqual(sc.covered, []uint64{0, 0}) || !res.StateSetCapHit {
+		t.Fatalf("truncation: %d states, masks %v, cap hit %v; want 2, [0 0], true", len(out), sc.covered, res.StateSetCapHit)
+	}
+}
+
+// TestCoveredStepsKeepMasksAligned runs a whole concurrent trace through
+// CheckCtx's own loop under the race and cap fixtures: whatever path a
+// step takes, the masks stay one per tracked state.
+func TestCoveredStepsKeepMasksAligned(t *testing.T) {
+	texts := []string{raceTrace(3), raceTrace(4), twoWriterTrace,
+		strings.Replace(raceTrace(4), "1: RV_none", "1: ENOENT", 1)}
+	for _, cap := range []int{4096, 5, 2} {
+		for _, text := range texts {
+			tr := parse(t, text)
+			c := New(types.DefaultSpec())
+			c.MaxStateSet = cap
+			sc := new(traceScratch)
+			var res Result
+			states := sc.start(c.initialState())
+			for _, st := range tr.Steps {
+				states = c.step(context.Background(), states, st, &res, sc, 1)
+				if len(sc.covered) != len(states) {
+					t.Fatalf("cap %d line %d (%s): %d masks for %d states", cap, st.Line,
+						st.Label.String(), len(sc.covered), len(states))
+				}
+			}
+		}
+	}
+}

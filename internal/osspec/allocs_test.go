@@ -51,3 +51,38 @@ func TestPendingIdentityAllocs(t *testing.T) {
 		t.Errorf("StateEqual on equal returning states: %.1f allocations, want 0", n)
 	}
 }
+
+// countingRv renders like the RvNum it embeds and counts its renders.
+type countingRv struct {
+	types.RvNum
+	renders *int
+}
+
+func (r countingRv) Append(b []byte) []byte {
+	*r.renders++
+	return r.RvNum.Append(b)
+}
+
+// TestPendingExactHashAllocs pins that a PendingExact built by succExact
+// is rendered once, when it is built: hashing it again, and telling it
+// apart from a different one, render nothing and allocate nothing.
+func TestPendingExactHashAllocs(t *testing.T) {
+	var renders int
+	var p, q Pending = exactPending(countingRv{types.RvNum{N: 3}, &renders}),
+		exactPending(countingRv{types.RvNum{N: 4}, &renders})
+	if renders != 2 {
+		t.Fatalf("building two PendingExacts rendered %d times, want 2", renders)
+	}
+	renders = 0
+	if n := testing.AllocsPerRun(100, func() {
+		pendingHash(p)
+		if pendingEqual(p, q) {
+			t.Fatal("different PendingExacts compared equal")
+		}
+	}); n != 0 {
+		t.Errorf("pendingHash + pendingEqual: %.1f allocations, want 0", n)
+	}
+	if renders != 0 {
+		t.Errorf("pendingHash + pendingEqual rendered %d times, want 0", renders)
+	}
+}

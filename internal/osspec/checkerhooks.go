@@ -21,18 +21,6 @@ func TauFor(s *OsState, pid types.Pid) []*OsState {
 	return processCall(s, pid, p.PendingCmd)
 }
 
-// CallingPids lists the processes of s with an unprocessed pending call,
-// in ascending pid order.
-func CallingPids(s *OsState) []types.Pid {
-	var pids []types.Pid
-	for _, e := range s.procs {
-		if e.p.Run == RsCalling {
-			pids = append(pids, e.pid)
-		}
-	}
-	return pids
-}
-
 // ClosureOpts configures TauClosureWith.
 type ClosureOpts struct {
 	// Dedup collapses states by identity (Hash confirmed by StateEqual) so
@@ -71,6 +59,15 @@ type ClosureOpts struct {
 	// returned slice reuses it while it has room. The input states must
 	// not alias it.
 	Buf []*OsState
+	// Covered, when non-nil, holds one covered mask per input state
+	// (Covered[i] belongs to states[i]): bit q (PidBit) promises that
+	// every τ_q-successor of the state is already among the input
+	// states, so the closure does not generate them. Those successors
+	// would only deduplicate against the input, so the output, Rounds
+	// and capHit are exactly what they are without masks; only the
+	// expansion count falls. See ReturnCovered for where masks come
+	// from. Ignored without Dedup, whose output keeps duplicates.
+	Covered []uint64
 }
 
 // ClosureStats describes how one τ-closure spent its effort.
@@ -149,13 +146,19 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 				o.Stats.ParallelRounds++
 			}
 		}
+		// Only the first round's frontier is the input, whose states the
+		// covered masks belong to.
+		var skip []uint64
+		if lo == 0 && o.Dedup {
+			skip = o.Covered
+		}
 		// The serial case (every sequential trace, and the pipeline's
 		// TauWorkers=1 default) iterates the frontier directly instead of
 		// materialising MapStates' per-state result table.
 		var groups [][]*OsState
 		if parallel {
-			groups = MapStates(frontier, workers, func(s *OsState) []*OsState {
-				return expandOne(s, o.Dedup, o.Memo)
+			groups = MapStates(frontier, workers, func(i int, s *OsState) []*OsState {
+				return expandOne(s, maskAt(skip, i), o.Dedup, o.Memo)
 			})
 		}
 		for i, s := range frontier {
@@ -163,7 +166,7 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 			if groups != nil {
 				succs = groups[i]
 			} else {
-				succs = expandOne(s, o.Dedup, o.Memo)
+				succs = expandOne(s, maskAt(skip, i), o.Dedup, o.Memo)
 			}
 			for _, ns := range succs {
 				expansions++
@@ -193,8 +196,58 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 	return out, expansions, capHit
 }
 
+// maskAt returns masks[i], or 0 past the end of masks.
+func maskAt(masks []uint64, i int) uint64 {
+	if i < len(masks) {
+		return masks[i]
+	}
+	return 0
+}
+
+// PidBit is pid's bit in a covered mask, 0 for pids outside [0, 64): such
+// a pid is never covered, so its τ-successors are always generated.
+func PidBit(pid types.Pid) uint64 {
+	if pid < 0 || pid >= 64 {
+		return 0
+	}
+	return 1 << uint(pid)
+}
+
+// ReturnCovered is the covered mask (see ClosureOpts.Covered) of the state
+// Trans(x, return of pid) yields, for an x taken from a complete
+// τ-closure C (no cap hit, not cancelled): the bits of x's calling pids.
+// For a calling q, the return commutes with τ_q — ret(τ_q x) = τ_q(ret x)
+// — and τ_q x lies in C, so every τ_q-successor of ret x is in the set
+// the return step yields. That holds only when the return is a pure
+// process-table update: pid's pending is PendingExact or PendingAny
+// (Match ignores the state, Finalize does nothing) and x is not in crash
+// mode (the return notes persistence there). Every other return gets 0.
+// A call label's successor inherits its source's mask (τ_q commutes with
+// the call as well); any other label's successors get 0.
+func ReturnCovered(x *OsState, pid types.Pid) uint64 {
+	if x.durable != nil {
+		return 0
+	}
+	p := x.procs.get(pid)
+	if p == nil {
+		return 0
+	}
+	switch p.PendingRet.(type) {
+	case PendingExact, PendingAny:
+	default:
+		return 0
+	}
+	var m uint64
+	for _, e := range x.procs {
+		if e.p.Run == RsCalling {
+			m |= PidBit(e.pid)
+		}
+	}
+	return m
+}
+
 // hasCallingProc reports whether any process of s still holds an
-// unprocessed pending call (an allocation-free CallingPids != empty).
+// unprocessed pending call.
 func hasCallingProc(s *OsState) bool {
 	for _, e := range s.procs {
 		if e.p.Run == RsCalling {
@@ -205,36 +258,40 @@ func hasCallingProc(s *OsState) bool {
 }
 
 // UnionStates applies fn to every state and appends the results, in
-// source order, to dst — the checker's transition union. The serial case
-// (≤ 1 worker, or a set below tauParallelMin) streams straight into dst;
-// the parallel case fans out via MapStates and concatenates the ordered
-// result table, so the output is byte-identical either way. The results of
-// fn are copied, never retained, so fn may return interned slices. states
-// must not alias dst's spare capacity.
-func UnionStates(dst, states []*OsState, workers int, fn func(*OsState) []*OsState) []*OsState {
+// source order, to dst — the checker's transition union — and the number
+// of results for each source, in the same order, to fanout. The serial
+// case (≤ 1 worker, or a set below tauParallelMin) streams straight into
+// dst; the parallel case fans out via MapStates and concatenates the
+// ordered result table, so the output is byte-identical either way. The
+// results of fn are copied, never retained, so fn may return interned
+// slices. states must not alias dst's spare capacity.
+func UnionStates(dst []*OsState, fanout []int, states []*OsState, workers int, fn func(*OsState) []*OsState) ([]*OsState, []int) {
 	if workers <= 1 || len(states) < tauParallelMin {
 		for _, s := range states {
-			dst = append(dst, fn(s)...)
+			succs := fn(s)
+			dst = append(dst, succs...)
+			fanout = append(fanout, len(succs))
 		}
-		return dst
+		return dst, fanout
 	}
-	for _, group := range MapStates(states, workers, fn) {
+	for _, group := range MapStates(states, workers, func(_ int, s *OsState) []*OsState { return fn(s) }) {
 		dst = append(dst, group...)
+		fanout = append(fanout, len(group))
 	}
-	return dst
+	return dst, fanout
 }
 
 // MapStates applies fn to every state, fanning the calls across workers
 // (≤ 1, or fewer states than tauParallelMin, stays on the caller's
 // goroutine) while keeping the result deterministically ordered: slot i
-// holds exactly fn(states[i]). The states must be frozen — each may be
+// holds exactly fn(i, states[i]). The states must be frozen — each may be
 // read by any worker. Shared by the τ-closure and the checker's
 // transition union.
-func MapStates(states []*OsState, workers int, fn func(*OsState) []*OsState) [][]*OsState {
+func MapStates(states []*OsState, workers int, fn func(int, *OsState) []*OsState) [][]*OsState {
 	results := make([][]*OsState, len(states))
 	if workers <= 1 || len(states) < tauParallelMin {
 		for i, s := range states {
-			results[i] = fn(s)
+			results[i] = fn(i, s)
 		}
 		return results
 	}
@@ -252,7 +309,7 @@ func MapStates(states []*OsState, workers int, fn func(*OsState) []*OsState) [][
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = fn(states[i])
+				results[i] = fn(i, states[i])
 			}
 		}()
 	}
@@ -260,16 +317,23 @@ func MapStates(states []*OsState, workers int, fn func(*OsState) []*OsState) [][
 	return results
 }
 
-// expandOne generates s's τ-successors and (when deduplicating) pre-hashes
-// them on the worker, so the serial merge only compares digests. With a
-// memo, the whole fan-out is interned per source state and replayed for
-// equal states in later traces; interned successors are already hashed and
-// frozen, and the returned slice must not be mutated. A state with no
-// calling process has no τ-successors: it returns nil before touching the
-// memo (every closure's last round is made of such states).
-func expandOne(s *OsState, hash bool, memo *ConsTable) []*OsState {
+// expandOne generates s's τ-successors, except those of the pids whose
+// bit is set in skip (the state's covered mask), and (when deduplicating)
+// pre-hashes them on the worker, so the serial merge only compares
+// digests. With a memo, the whole fan-out is interned per source state
+// and replayed for equal states in later traces; interned successors are
+// already hashed and frozen, and the returned slice must not be mutated.
+// A masked state bypasses the memo: it wants only part of the fan-out,
+// and generating that part costs the same work with the table on or off.
+// A state with no calling process has no τ-successors: it returns nil
+// before touching the memo (every closure's last round is made of such
+// states).
+func expandOne(s *OsState, skip uint64, hash bool, memo *ConsTable) []*OsState {
 	if !hasCallingProc(s) {
 		return nil
+	}
+	if skip != 0 {
+		memo = nil
 	}
 	if memo != nil {
 		if succs, ok := memo.Get(s, tauExpandKey); ok {
@@ -277,8 +341,10 @@ func expandOne(s *OsState, hash bool, memo *ConsTable) []*OsState {
 		}
 	}
 	var out []*OsState
-	for _, pid := range CallingPids(s) {
-		out = append(out, TauFor(s, pid)...)
+	for _, e := range s.procs {
+		if e.p.Run == RsCalling && skip&PidBit(e.pid) == 0 {
+			out = append(out, processCall(s, e.pid, e.p.PendingCmd)...)
+		}
 	}
 	if memo != nil {
 		return memo.Put(s, tauExpandKey, out) // hashes and freezes out

@@ -1,0 +1,114 @@
+package osspec
+
+import (
+	"testing"
+
+	"repro/internal/types"
+)
+
+// withCaller is a fresh state of spec in which process 2 exists and has
+// called mkdir "/x", so it is what a return of process 1 would cover.
+func withCaller(t *testing.T, spec types.Spec) *OsState {
+	t.Helper()
+	s := NewOsState(spec)
+	created := Trans(s, types.CreateLabel{Pid: 2})
+	if len(created) != 1 {
+		t.Fatalf("create 2: %d successors", len(created))
+	}
+	called := Trans(created[0], types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/x", Perm: 0o755}})
+	if len(called) != 1 {
+		t.Fatalf("call 2: %d successors", len(called))
+	}
+	return called[0]
+}
+
+// TestReturnCovered: a return covers the calling pids only when it is a
+// pure process-table update — a PendingExact or PendingAny, outside
+// crash mode. The pendings whose Match reads the state or whose Finalize
+// writes it, and every crash-mode state, get no bits.
+func TestReturnCovered(t *testing.T) {
+	base := withCaller(t, types.DefaultSpec())
+	crash := withCaller(t, crashSpec())
+	for _, c := range []struct {
+		name string
+		s    *OsState
+		want uint64
+	}{
+		{"exact", returningAs(base, InitialPid, PendingExact{Rv: types.RvNone{}}), PidBit(2)},
+		{"any", returningAs(base, InitialPid, PendingAny{Why: "undefined"}), PidBit(2)},
+		{"read prefix", returningAs(base, InitialPid, PendingReadPrefix{Pid: InitialPid, Fid: 1, Data: []byte("ab"), Seq: true}), 0},
+		{"write up to", returningAs(base, InitialPid, PendingWriteUpTo{Pid: InitialPid, Fid: 1, Data: []byte("ab"), At: -1, Seq: true}), 0},
+		{"readdir", returningAs(base, InitialPid, PendingReaddir{Pid: InitialPid, DH: 1}), 0},
+		{"crash mode", returningAs(crash, InitialPid, PendingExact{Rv: types.RvNone{}}), 0},
+	} {
+		if got := ReturnCovered(c.s, InitialPid); got != c.want {
+			t.Errorf("%s: ReturnCovered = %b, want %b", c.name, got, c.want)
+		}
+	}
+	if got := ReturnCovered(base, 3); got != 0 {
+		t.Errorf("a pid with no process: ReturnCovered = %b, want 0", got)
+	}
+	if PidBit(64) != 0 || PidBit(-1) != 0 {
+		t.Error("pids outside [0, 64) must have no bit")
+	}
+}
+
+// TestTauClosureCovered: a seed whose τ_2-successor is already an input
+// state may skip it — the closure comes out the same, one expansion
+// cheaper — and without Dedup, whose output keeps duplicates, the mask
+// is ignored.
+func TestTauClosureCovered(t *testing.T) {
+	x := withCaller(t, types.DefaultSpec())
+	called := Trans(x, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/y", Perm: 0o755}})
+	if len(called) != 1 {
+		t.Fatalf("call 1: %d successors", len(called))
+	}
+	x = called[0]
+	y := TauFor(x, 2)
+	if len(y) != 1 {
+		t.Fatalf("τ_2: %d successors", len(y))
+	}
+	seeds := []*OsState{x, y[0]}
+	for _, dedup := range []bool{true, false} {
+		plain, n, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup, Workers: 1})
+		masked, m, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup, Workers: 1, Covered: []uint64{PidBit(2), 0}})
+		if len(masked) != len(plain) {
+			t.Fatalf("dedup %v: %d states with the mask, %d without", dedup, len(masked), len(plain))
+		}
+		for i := range plain {
+			if masked[i].Fingerprint() != plain[i].Fingerprint() {
+				t.Fatalf("dedup %v: state %d differs with the mask", dedup, i)
+			}
+		}
+		want := n - 1
+		if !dedup {
+			want = n
+		}
+		if m != want {
+			t.Errorf("dedup %v: %d expansions with the mask, want %d (%d without)", dedup, m, want, n)
+		}
+	}
+}
+
+// TestPendingExactHashCached: succExact caches the description hash, and
+// identity uses it — equal to the rendered digest, and telling apart
+// different PendingExacts without rendering, while equal-hash pairs and
+// pairs with an uncached side still compare by rendered bytes.
+func TestPendingExactHashCached(t *testing.T) {
+	st := types.Stats{Kind: types.KindFile, Perm: 0o644, Size: 3, Nlink: 1, Ino: 7}
+	a := exactPending(types.RvStats{Stats: st})
+	st.Ino = 8
+	b := exactPending(types.RvStats{Stats: st}) // renders like a
+	st.Size = 4
+	c := exactPending(types.RvStats{Stats: st})
+	if a.h == 0 || a.h != pendingHash(PendingExact{Rv: a.Rv}) {
+		t.Fatalf("cached hash %x, rendered %x", a.h, pendingHash(PendingExact{Rv: a.Rv}))
+	}
+	if !pendingEqual(a, b) || pendingEqual(a, c) || !pendingEqual(a, PendingExact{Rv: b.Rv}) {
+		t.Fatal("cached hashes changed pending identity")
+	}
+	zero := exactPending(types.RvNum{N: 0})
+	if !pendingEqual(zero, PendingWriteUpTo{}) || pendingHash(zero) != pendingHash(PendingWriteUpTo{}) {
+		t.Fatal("a PendingExact no longer matches another kind that renders alike")
+	}
+}

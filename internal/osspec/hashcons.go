@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"repro/internal/state"
+	"repro/internal/types"
 )
 
 const (
@@ -192,8 +193,12 @@ func StateEqual(a, b *OsState) bool {
 var describeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // pendingHash hashes a pending's rendered description without
-// allocating: the same digest as hashing the Describe string.
+// allocating: the same digest as hashing the Describe string. A
+// PendingExact built by succExact carries it already.
 func pendingHash(p Pending) uint64 {
+	if e, ok := p.(PendingExact); ok && e.h != 0 {
+		return e.h
+	}
 	bp := describeBufs.Get().(*[]byte)
 	*bp = p.AppendDescribe((*bp)[:0])
 	h := state.HashBytes(seedPend, *bp)
@@ -201,15 +206,29 @@ func pendingHash(p Pending) uint64 {
 	return h
 }
 
+// exactPending is PendingExact{Rv: rv} with its description hash
+// cached, so hashing a state never renders it again.
+func exactPending(rv types.RetValue) PendingExact {
+	p := PendingExact{Rv: rv}
+	p.h = pendingHash(p)
+	return p
+}
+
 // pendingEqual follows the fingerprint contract to the letter: pendings
 // are identified by the bytes of their rendered description (a nil
 // pending renders as nothing), rendered into one pooled buffer. It must
 // not use RetValue.Equal instead: RvStats.Equal compares Stats.Ino,
 // which the description does not render, so it would split states
-// Fingerprint merges.
+// Fingerprint merges. Two PendingExacts with different cached hashes
+// render differently, so they are told apart without rendering.
 func pendingEqual(a, b Pending) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
+	}
+	if ea, ok := a.(PendingExact); ok && ea.h != 0 {
+		if eb, ok := b.(PendingExact); ok && eb.h != 0 && ea.h != eb.h {
+			return false
+		}
 	}
 	bp := describeBufs.Get().(*[]byte)
 	*bp = a.AppendDescribe((*bp)[:0])

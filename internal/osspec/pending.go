@@ -34,7 +34,14 @@ type Pending interface {
 
 // PendingExact allows exactly one return value with no further effects
 // (those were already applied when the candidate state was built).
-type PendingExact struct{ Rv types.RetValue }
+type PendingExact struct {
+	Rv types.RetValue
+	// h caches the description hash pendingHash would compute; zero
+	// means not cached. succExact fills it (exactPending), so state
+	// hashing never re-renders the value (other processes' pending stat
+	// results are re-hashed in every successor of a concurrent closure).
+	h uint64
+}
 
 // Match implements Pending.
 func (p PendingExact) Match(_ *OsState, rv types.RetValue) bool { return p.Rv.Equal(rv) }

@@ -126,7 +126,7 @@ func succExact(s *OsState, pid types.Pid, rv types.RetValue, apply func(*OsState
 	}
 	p := c.mutProc(pid)
 	p.Run = RsReturning
-	p.PendingRet = PendingExact{Rv: rv}
+	p.PendingRet = exactPending(rv)
 	return c
 }
 

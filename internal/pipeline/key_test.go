@@ -32,3 +32,34 @@ func TestScriptHashesPinned(t *testing.T) {
 		t.Fatalf("script hashes moved: digest %s, want %s", got, scriptHashesPin)
 	}
 }
+
+// TestConfigHashPinned pins the run-configuration third of cache keys.
+// Sequential (and crash) configurations must keep their keys, so caches
+// filled before stay warm; concurrent ones must have moved, because their
+// records' tau_expansions changed when covered masks began to skip
+// redundant τ-successors, and a warm run must not serve the old counts.
+func TestConfigHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		fs         string
+		concurrent bool
+		seed       int64
+		cap        int
+		before     string // the key before concurrent records moved
+	}{
+		{"ext4", false, 0, 4096, "46faac329fb35031"},
+		{"spec:linux", false, 0, 4096, "cfa6207e104a060d"},
+		{"ext4", true, 1, 4096, "78f698d9e3904d01"},
+		{"ext4", true, 7, 4096, "7dd558232b6fb99b"},
+		{"fuzz-seed|x", true, 0, 4096, "099e9aa54c57aa92"},
+	} {
+		got := ConfigHash(c.fs, c.concurrent, c.seed, c.cap)
+		if !c.concurrent && got != c.before {
+			t.Errorf("ConfigHash(%q, false, %d, %d) = %s, want %s: sequential keys must not move",
+				c.fs, c.seed, c.cap, got, c.before)
+		}
+		if c.concurrent && got == c.before {
+			t.Errorf("ConfigHash(%q, true, %d, %d) = %s, unchanged: a warm run would serve records counted without covered masks",
+				c.fs, c.seed, c.cap, got)
+		}
+	}
+}

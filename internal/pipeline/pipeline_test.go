@@ -17,7 +17,7 @@ import (
 
 // testScripts builds a small deterministic suite: n variations on a
 // mkdir/open/rename theme, each with a unique name and content.
-func testScripts(t *testing.T, n int) []*trace.Script {
+func testScripts(t testing.TB, n int) []*trace.Script {
 	t.Helper()
 	var out []*trace.Script
 	for i := 0; i < n; i++ {
