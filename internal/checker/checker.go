@@ -49,8 +49,10 @@ type Result struct {
 	// expansion round per return; concurrent traces with several pending
 	// calls are where the number grows — it measures how much interleaving
 	// nondeterminism the oracle had to absorb. Successors a closure can
-	// prove are already in its input (the covered masks carried across
-	// labels, see osspec.ReturnCovered) are not generated and not counted.
+	// prove are already in its output — in its input, by the covered
+	// masks carried across labels (osspec.ReturnCovered), or earlier in
+	// the closure, by the sleep sets of local τ steps (see
+	// osspec.ClosureOpts.Covered) — are not generated and not counted.
 	TauExpansions int
 	// SumStates accumulates the state-set size at every step; together with
 	// Steps it yields the mean set size (see MeanStates).
@@ -439,20 +441,22 @@ func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *trac
 	if memo != nil {
 		key = osspec.LabelKey(lbl)
 	}
-	sc.union, sc.fanout = osspec.UnionStates(sc.union[:0], sc.fanout[:0], states, workers, func(s *osspec.OsState) []*osspec.OsState {
+	sc.union, sc.fanout = osspec.UnionStates(sc.union[:0], sc.fanout[:0], states, workers, func(dst []*osspec.OsState, s *osspec.OsState) []*osspec.OsState {
 		if memo != nil {
-			if succs, ok := memo.Get(s, key); ok {
-				return succs
+			succs, ok := memo.Get(s, key)
+			if !ok {
+				succs = memo.Put(s, key, osspec.Trans(s, lbl)) // hashes and freezes
 			}
-			return memo.Put(s, key, osspec.Trans(s, lbl)) // hashes and freezes
+			return append(dst, succs...)
 		}
-		succs := osspec.Trans(s, lbl)
+		n := len(dst)
+		dst = osspec.AppendTrans(dst, s, lbl)
 		if prehash {
-			for _, ns := range succs {
+			for _, ns := range dst[n:] {
 				ns.Hash()
 			}
 		}
-		return succs
+		return dst
 	})
 	if cover == nil {
 		sc.uncover(len(sc.union))

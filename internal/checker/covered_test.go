@@ -21,27 +21,72 @@ type closureRun struct {
 	rounds     int
 	expansions int
 	capHit     bool
+	parallel   int // rounds fanned across workers; the reference has none
 }
 
-func runClosure(states []*osspec.OsState, covered []uint64, cap int) closureRun {
+func runClosure(states []*osspec.OsState, covered []uint64, cap, workers int) closureRun {
 	var st osspec.ClosureStats
 	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
-		Dedup: true, Cap: cap, Workers: 1, Stats: &st, Covered: covered,
+		Dedup: true, Cap: cap, Workers: workers, Stats: &st, Covered: covered,
 	})
-	fps := make([]string, len(out))
-	for i, s := range out {
-		fps[i] = s.Fingerprint()
-	}
-	return closureRun{fps, st.Rounds, n, capHit}
+	return closureRun{fingerprints(out), st.Rounds, n, capHit, st.ParallelRounds}
 }
 
-// TestClosureCoveredParity holds the covered masks to their promise on
-// the concurrent universe under 20 seeded schedules: every τ-closure the
-// checker runs (before each return, destroy and crash) yields, from the
-// masks the checker carried to it, exactly what it yields without them —
-// the same states in the same order, the same rounds, the same cap
-// verdict — and never generates more successors. Over the whole run it
-// must generate fewer, or the masks are doing nothing.
+func fingerprints(states []*osspec.OsState) []string {
+	fps := make([]string, len(states))
+	for i, s := range states {
+		fps[i] = s.Fingerprint()
+	}
+	return fps
+}
+
+// naiveClosure is the reference τ-closure: breadth-first rounds, every
+// calling pid's τ-successors (osspec.TauFor) in pid order, deduplicated
+// by a StateSet, and the same cap rule — stop after the round that
+// reaches cap, a hit if a state it added still has a pending call.
+func naiveClosure(states []*osspec.OsState, cap int) closureRun {
+	out := append([]*osspec.OsState(nil), states...)
+	set := osspec.NewStateSet(len(out))
+	for _, s := range out {
+		set.Add(s)
+	}
+	var run closureRun
+	for lo := 0; lo < len(out); {
+		hi := len(out)
+		run.rounds++
+		for _, s := range out[lo:hi] {
+			for _, pid := range s.Pids() {
+				for _, ns := range osspec.TauFor(s, pid) {
+					run.expansions++
+					if set.Add(ns) {
+						out = append(out, ns)
+					}
+				}
+			}
+		}
+		lo = hi
+		if cap > 0 && len(out) >= cap {
+			for _, s := range out[hi:] {
+				for _, pid := range s.Pids() {
+					run.capHit = run.capHit || s.Proc(pid).Run == osspec.RsCalling
+				}
+			}
+			break
+		}
+	}
+	run.fps = fingerprints(out)
+	return run
+}
+
+// TestClosureCoveredParity holds the closure's pruning — the covered
+// masks the checker carries across labels and the sleep sets the closure
+// grows itself — to its promise on the concurrent universe under 20
+// seeded schedules: every τ-closure the checker runs (before each
+// return, destroy and crash) yields, serially and on two workers, exactly
+// what a naive closure yields — the same states in the same order, the
+// same rounds, the same cap verdict — and never generates more
+// successors. Over the whole run it must generate fewer, or the pruning
+// is doing nothing.
 func TestClosureCoveredParity(t *testing.T) {
 	scripts := testgen.ConcurrentScripts()
 	factory := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
@@ -49,7 +94,7 @@ func TestClosureCoveredParity(t *testing.T) {
 	c.TauWorkers = 1
 	c.Tel = telemetry.NewRegistry()
 	ctx := context.Background()
-	var closures, masked, with, without int
+	var closures, pruned, with, without, parallel int
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, s := range scripts {
 			tr, err := exec.RunConcurrent(ctx, s, factory, exec.ConcurrentOptions{Seeded: true, Seed: seed})
@@ -62,23 +107,28 @@ func TestClosureCoveredParity(t *testing.T) {
 			for _, st := range tr.Steps {
 				switch st.Label.(type) {
 				case types.ReturnLabel, types.DestroyLabel, types.CrashLabel:
-					got := runClosure(states, sc.covered, c.MaxStateSet)
-					want := runClosure(states, nil, c.MaxStateSet)
-					if got.expansions > want.expansions {
-						t.Fatalf("%s seed %d line %d: %d expansions with masks, %d without",
-							s.Name, seed, st.Line, got.expansions, want.expansions)
-					}
-					closures++
-					with += got.expansions
-					without += want.expansions
-					if got.expansions < want.expansions {
-						masked++
-					}
-					got.expansions = want.expansions
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s seed %d line %d: masks changed the closure: %d states in %d rounds (cap hit %v), want %d in %d (%v)",
-							s.Name, seed, st.Line, len(got.fps), got.rounds, got.capHit,
-							len(want.fps), want.rounds, want.capHit)
+					want := naiveClosure(states, c.MaxStateSet)
+					for _, workers := range []int{1, 2} {
+						got := runClosure(states, sc.covered, c.MaxStateSet, workers)
+						if got.expansions > want.expansions {
+							t.Fatalf("%s seed %d line %d: %d expansions pruned, %d naive",
+								s.Name, seed, st.Line, got.expansions, want.expansions)
+						}
+						if workers == 1 {
+							closures++
+							with += got.expansions
+							without += want.expansions
+							if got.expansions < want.expansions {
+								pruned++
+							}
+						}
+						parallel += got.parallel
+						got.expansions, got.parallel = want.expansions, 0
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s seed %d line %d, %d workers: pruning changed the closure: %d states in %d rounds (cap hit %v), want %d in %d (%v)",
+								s.Name, seed, st.Line, workers, len(got.fps), got.rounds, got.capHit,
+								len(want.fps), want.rounds, want.capHit)
+						}
 					}
 				}
 				states = c.step(ctx, states, st, &res, sc, 1)
@@ -88,9 +138,12 @@ func TestClosureCoveredParity(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d closures, %d pruned by masks; expansions %d with masks, %d without", closures, masked, with, without)
+	t.Logf("%d closures, %d pruned; expansions %d pruned, %d naive; %d parallel rounds", closures, pruned, with, without, parallel)
+	if parallel == 0 {
+		t.Fatal("no closure ran a parallel round on two workers")
+	}
 	if with >= without {
-		t.Fatalf("masks pruned nothing: %d expansions with, %d without", with, without)
+		t.Fatalf("nothing pruned: %d expansions pruned, %d naive", with, without)
 	}
 }
 

@@ -208,9 +208,9 @@ type seededRunner struct {
 
 // runSeeded simulates the concurrent run on a single goroutine: a PRNG
 // repeatedly picks one unfinished process and advances it by one
-// micro-step.
+// micro-step. The PRNG replays the seed's cached stream (seedStreams).
 func runSeeded(ctx context.Context, name string, progs []*procProgram, fs fsimpl.FS, seed int64) *trace.Trace {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(seedStreams.source(seed))
 	t := &trace.Trace{Name: name}
 	emit := func(lbl types.Label) {
 		t.Steps = append(t.Steps, trace.Step{Label: lbl, Line: len(t.Steps) + 1})

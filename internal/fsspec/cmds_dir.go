@@ -48,7 +48,7 @@ func MkdirSpec(c *Ctx, cmd types.Mkdir) Result {
 			when(!c.dirAccess(r.Parent, types.AccessExec), types.EACCES),
 			when(c.parentGone(r.Parent), types.ENOENT),
 		)
-		if len(errs) > 0 {
+		if errs.Len() > 0 {
 			cov.Hit(covMkdirPerm)
 		} else {
 			cov.Hit(covMkdirOk)
@@ -120,7 +120,7 @@ func RmdirSpec(c *Ctx, cmd types.Rmdir) Result {
 		if errs.Has(types.EACCES) || errs.Has(types.EPERM) {
 			cov.Hit(covRmdirPerm)
 		}
-		if len(errs) == 0 {
+		if errs.Len() == 0 {
 			cov.Hit(covRmdirOk)
 		}
 		parent, name := r.Parent, r.Name

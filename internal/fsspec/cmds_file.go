@@ -53,7 +53,7 @@ func TruncateSpec(c *Ctx, cmd types.Truncate) Result {
 			cov.Hit(covTruncPerm)
 			errs.Add(types.EACCES)
 		}
-		if len(errs) > 0 {
+		if errs.Len() > 0 {
 			return Result{Errors: errs}
 		}
 		cov.Hit(covTruncOk)

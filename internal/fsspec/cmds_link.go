@@ -118,12 +118,12 @@ func LinkSpec(c *Ctx, cmd types.Link) Result {
 			when(!c.dirAccess(dstParent, types.AccessExec), types.EACCES),
 			when(c.parentGone(dstParent), types.ENOENT),
 		)
-		if len(pe) > 0 {
+		if pe.Len() > 0 {
 			cov.Hit(covLinkPerm)
 		}
 		errs.Union(pe)
 	}
-	if len(errs) > 0 {
+	if errs.Len() > 0 {
 		return Result{Errors: errs}
 	}
 	if !srcOk || !dstOk {
@@ -170,7 +170,7 @@ func UnlinkSpec(c *Ctx, cmd types.Unlink) Result {
 			when(!c.dirAccess(r.Parent, types.AccessWrite), types.EACCES),
 			when(!c.dirAccess(r.Parent, types.AccessExec), types.EACCES),
 		)
-		if len(pe) > 0 {
+		if pe.Len() > 0 {
 			cov.Hit(covUnlinkPerm)
 		}
 		errs.Union(pe)
@@ -178,7 +178,7 @@ func UnlinkSpec(c *Ctx, cmd types.Unlink) Result {
 			cov.Hit(covUnlinkSticky)
 			errs.Add(types.EACCES, types.EPERM)
 		}
-		if len(errs) > 0 {
+		if errs.Len() > 0 {
 			return Result{Errors: errs}
 		}
 		cov.Hit(covUnlinkOk)
@@ -218,11 +218,11 @@ func SymlinkSpec(c *Ctx, cmd types.Symlink) Result {
 			when(!c.dirAccess(r.Parent, types.AccessExec), types.EACCES),
 			when(c.parentGone(r.Parent), types.ENOENT),
 		)
-		if len(pe) > 0 {
+		if pe.Len() > 0 {
 			cov.Hit(covSymlinkPerm)
 		}
 		errs.Union(pe)
-		if len(errs) > 0 {
+		if errs.Len() > 0 {
 			return Result{Errors: errs}
 		}
 		cov.Hit(covSymlinkOk)

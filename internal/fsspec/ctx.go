@@ -90,7 +90,7 @@ func when(cond bool, es ...types.Errno) Check {
 // the command must return one of the raised errors; otherwise the success
 // outcome applies.
 func finish(errs types.ErrnoSet, ok Outcome) Result {
-	if len(errs) > 0 {
+	if errs.Len() > 0 {
 		return Result{Errors: errs}
 	}
 	return Result{Errors: types.NewErrnoSet(), Oks: []Outcome{ok}}

@@ -48,7 +48,7 @@ func errsOf(r Result) types.ErrnoSet { return r.Errors }
 
 func mustOk(t *testing.T, r Result) Outcome {
 	t.Helper()
-	if len(r.Errors) > 0 || len(r.Oks) != 1 {
+	if r.Errors.Len() > 0 || len(r.Oks) != 1 {
 		t.Fatalf("expected single success, got errs=%v oks=%d", r.Errors.Sorted(), len(r.Oks))
 	}
 	return r.Oks[0]
@@ -59,7 +59,7 @@ func mustErrs(t *testing.T, r Result, want ...types.Errno) {
 	if len(r.Oks) != 0 {
 		t.Fatalf("expected errors %v, got a success", want)
 	}
-	if len(r.Errors) != len(want) {
+	if r.Errors.Len() != len(want) {
 		t.Fatalf("errors = %v, want %v", r.Errors.Sorted(), want)
 	}
 	for _, e := range want {
@@ -343,13 +343,13 @@ func TestParCombinator(t *testing.T) {
 		when(false, types.EPERM),
 		when(true, types.EACCES, types.EEXIST),
 	)
-	if len(got) != 3 || !got.Has(types.ENOENT) || !got.Has(types.EACCES) || !got.Has(types.EEXIST) {
+	if got.Len() != 3 || !got.Has(types.ENOENT) || !got.Has(types.EACCES) || !got.Has(types.EEXIST) {
 		t.Errorf("Par = %v", got.Sorted())
 	}
 	if got.Has(types.EPERM) {
 		t.Error("Par included a passing check's errors")
 	}
-	if len(Par(when(false, types.EIO))) != 0 {
+	if Par(when(false, types.EIO)).Len() != 0 {
 		t.Error("all-pass Par should be empty")
 	}
 }

@@ -181,7 +181,7 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 			when(chkRead && !c.fileAccess(r.File, types.AccessRead), types.EACCES),
 			when(chkWrite && !c.fileAccess(r.File, types.AccessWrite), types.EACCES),
 		)
-		if len(perms) > 0 {
+		if perms.Len() > 0 {
 			cov.Hit(covOpenPerm)
 			d.Errs.Union(perms)
 			return d
@@ -211,7 +211,7 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 			when(!c.dirAccess(r.Parent, types.AccessExec), types.EACCES),
 			when(c.parentGone(r.Parent), types.ENOENT),
 		)
-		if len(pe) > 0 {
+		if pe.Len() > 0 {
 			cov.Hit(covOpenPerm)
 			d.Errs.Union(pe)
 			return d

@@ -117,7 +117,7 @@ func RenameSpec(c *Ctx, cmd types.Rename) Result {
 		func() types.ErrnoSet { return fsopRenameChecksDisconnected(c, dst) },
 		func() types.ErrnoSet { return fsopRenameChecksPerms(c, src, dst) },
 	)
-	if len(errs) > 0 {
+	if errs.Len() > 0 {
 		return Result{Errors: errs}
 	}
 

@@ -86,3 +86,65 @@ func TestPendingExactHashAllocs(t *testing.T) {
 		t.Errorf("pendingHash + pendingEqual rendered %d times, want 0", renders)
 	}
 }
+
+// threeProcs is a state with three processes in which "/a" exists,
+// process 2 has called stat "/a" and process 3 has called mkdir "/a":
+// both τs are local, one returning a stat, the other EEXIST.
+func threeProcs(t *testing.T) *OsState {
+	t.Helper()
+	s := NewOsState(types.DefaultSpec())
+	step := func(lbl types.Label) {
+		next := Trans(s, lbl)
+		if len(next) != 1 {
+			t.Fatalf("%s: %d successors, want 1", lbl, len(next))
+		}
+		s = next[0]
+	}
+	step(types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})
+	done := TauFor(s, InitialPid)
+	if len(done) != 1 {
+		t.Fatalf("mkdir /a: %d successors, want 1", len(done))
+	}
+	s = done[0]
+	step(types.ReturnLabel{Pid: InitialPid, Ret: types.RvNone{}})
+	step(types.CreateLabel{Pid: 2})
+	step(types.CreateLabel{Pid: 3})
+	step(types.CallLabel{Pid: 2, Cmd: types.Stat{Path: "/a"}})
+	step(types.CallLabel{Pid: 3, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})
+	s.Hash()
+	s.Freeze()
+	return s
+}
+
+// TestLocalTauAllocs pins what one local τ-successor costs to build and
+// hash on a three-process state, as the closure builds it: a stat
+// (RvStats) and an EEXIST. Before clones took one allocation, errno sets
+// became bitsets, the file-system context lost its per-call InGroup
+// closure, path splitting took one allocation, PendingExact stopped
+// being boxed to hash it and error returns began to share prebuilt
+// pendings, both cost 16 allocations per successor.
+func TestLocalTauAllocs(t *testing.T) {
+	s := threeProcs(t)
+	for _, c := range []struct {
+		name string
+		pid  types.Pid
+		want float64
+	}{
+		{"stat", 2, 10},
+		{"EEXIST", 3, 7},
+	} {
+		succs := TauFor(s, c.pid)
+		if len(succs) != 1 {
+			t.Fatalf("%s: %d successors, want 1", c.name, len(succs))
+		}
+		n := testing.AllocsPerRun(100, func() {
+			for _, ns := range TauFor(s, c.pid) {
+				ns.Hash()
+			}
+		})
+		t.Logf("%s: %.1f allocations per successor", c.name, n)
+		if n > c.want {
+			t.Errorf("%s: %.1f allocations per successor, want at most %.0f", c.name, n, c.want)
+		}
+	}
+}

@@ -62,11 +62,15 @@ type ClosureOpts struct {
 	// Covered, when non-nil, holds one covered mask per input state
 	// (Covered[i] belongs to states[i]): bit q (PidBit) promises that
 	// every τ_q-successor of the state is already among the input
-	// states, so the closure does not generate them. Those successors
-	// would only deduplicate against the input, so the output, Rounds
-	// and capHit are exactly what they are without masks; only the
-	// expansion count falls. See ReturnCovered for where masks come
-	// from. Ignored without Dedup, whose output keeps duplicates.
+	// states, so the closure does not generate them. See ReturnCovered
+	// for where masks come from. Inside the closure the same masks carry
+	// sleep sets: a successor reached by a local τ (see localStep) is
+	// born with the bits of the local τs that commute with it and whose
+	// successors are already in the output. Either way a masked
+	// successor would only deduplicate against an earlier output state,
+	// so the output, its order, Rounds and capHit are exactly what they
+	// are without masks; only the expansion count falls. Ignored without
+	// Dedup, whose output keeps duplicates.
 	Covered []uint64
 }
 
@@ -107,8 +111,23 @@ func TauClosure(states []*OsState, dedup bool, cap int) (out []*OsState, expansi
 // would leave a cap-saturated set with no advanced states at all.
 // expansions counts the τ-successors generated, before deduplication.
 func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansions int, capHit bool) {
+	if !o.Dedup {
+		out, expansions, capHit, _ = tauClosure(states, o, nil)
+		return out, expansions, capHit
+	}
+	mp := maskBufs.Get().(*[]uint64)
+	out, expansions, capHit, *mp = tauClosure(states, o, (*mp)[:0])
+	maskBufs.Put(mp)
+	return out, expansions, capHit
+}
+
+// tauClosure is TauClosureWith building the per-state masks in masks'
+// storage (with dedup), which it returns for reuse.
+func tauClosure(states []*OsState, o ClosureOpts, masks []uint64) (out []*OsState, expansions int, capHit bool, _ []uint64) {
 	out = append(o.Buf[:0], states...)
 	var set *StateSet
+	// masks[i] is out[i]'s covered mask: the input's, then each
+	// successor's sleep bits. Only dedup prunes, so only dedup keeps them.
 	if o.Dedup {
 		if o.Scratch != nil {
 			set = o.Scratch
@@ -118,6 +137,9 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 		}
 		for _, s := range out {
 			set.Add(s)
+		}
+		for i := range out {
+			masks = append(masks, maskAt(o.Covered, i))
 		}
 	}
 	// Freeze the seed states: the parallel rounds clone them from several
@@ -130,12 +152,13 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	var sleep []uint64 // the serial expansion's sleep bits, reused
 	// Each round's frontier is out[lo:hi], the states the previous round
 	// added; successors append behind it. Appending may move out's
 	// storage, but the frontier slice keeps the states it was taken over.
 	for lo := 0; lo < len(out); {
 		if o.Ctx != nil && o.Ctx.Err() != nil {
-			return out, expansions, capHit
+			return out, expansions, capHit, masks
 		}
 		hi := len(out)
 		frontier := out[lo:hi]
@@ -146,35 +169,42 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 				o.Stats.ParallelRounds++
 			}
 		}
-		// Only the first round's frontier is the input, whose states the
-		// covered masks belong to.
-		var skip []uint64
-		if lo == 0 && o.Dedup {
-			skip = o.Covered
-		}
 		// The serial case (every sequential trace, and the pipeline's
 		// TauWorkers=1 default) iterates the frontier directly instead of
 		// materialising MapStates' per-state result table.
 		var groups [][]*OsState
+		var sleeps [][]uint64
 		if parallel {
+			sleeps = make([][]uint64, len(frontier))
+			var frontierMasks []uint64
+			if set != nil {
+				frontierMasks = masks[lo:hi]
+			}
 			groups = MapStates(frontier, workers, func(i int, s *OsState) []*OsState {
-				return expandOne(s, maskAt(skip, i), o.Dedup, o.Memo)
+				succs, sl := expandOne(s, maskAt(frontierMasks, i), o.Dedup, o.Memo, nil)
+				sleeps[i] = sl
+				return succs
 			})
 		}
 		for i, s := range frontier {
 			var succs []*OsState
+			var sl []uint64
 			if groups != nil {
-				succs = groups[i]
+				succs, sl = groups[i], sleeps[i]
 			} else {
-				succs = expandOne(s, maskAt(skip, i), o.Dedup, o.Memo)
+				succs, sleep = expandOne(s, maskAt(masks, lo+i), o.Dedup, o.Memo, sleep[:0])
+				sl = sleep
 			}
-			for _, ns := range succs {
+			for j, ns := range succs {
 				expansions++
 				if set != nil && !set.Add(ns) {
 					continue
 				}
 				ns.Freeze()
 				out = append(out, ns)
+				if set != nil {
+					masks = append(masks, maskAt(sl, j))
+				}
 			}
 		}
 		lo = hi
@@ -193,8 +223,11 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 			break
 		}
 	}
-	return out, expansions, capHit
+	return out, expansions, capHit, masks
 }
+
+// maskBufs recycles the closure's per-state mask slices.
+var maskBufs = sync.Pool{New: func() any { return new([]uint64) }}
 
 // maskAt returns masks[i], or 0 past the end of masks.
 func maskAt(masks []uint64, i int) uint64 {
@@ -257,24 +290,24 @@ func hasCallingProc(s *OsState) bool {
 	return false
 }
 
-// UnionStates applies fn to every state and appends the results, in
-// source order, to dst — the checker's transition union — and the number
-// of results for each source, in the same order, to fanout. The serial
-// case (≤ 1 worker, or a set below tauParallelMin) streams straight into
-// dst; the parallel case fans out via MapStates and concatenates the
-// ordered result table, so the output is byte-identical either way. The
-// results of fn are copied, never retained, so fn may return interned
-// slices. states must not alias dst's spare capacity.
-func UnionStates(dst []*OsState, fanout []int, states []*OsState, workers int, fn func(*OsState) []*OsState) ([]*OsState, []int) {
+// UnionStates appends, for every state in source order, fn's results to
+// dst — the checker's transition union — and the number of results for
+// each source, in the same order, to fanout. fn appends its results to
+// the slice it is given and returns it. The serial case (≤ 1 worker, or
+// a set below tauParallelMin) lets fn append straight into dst; the
+// parallel case fans out via MapStates, each call appending to nil, and
+// concatenates the ordered result table, so the output is byte-identical
+// either way. states must not alias dst's spare capacity.
+func UnionStates(dst []*OsState, fanout []int, states []*OsState, workers int, fn func([]*OsState, *OsState) []*OsState) ([]*OsState, []int) {
 	if workers <= 1 || len(states) < tauParallelMin {
 		for _, s := range states {
-			succs := fn(s)
-			dst = append(dst, succs...)
-			fanout = append(fanout, len(succs))
+			n := len(dst)
+			dst = fn(dst, s)
+			fanout = append(fanout, len(dst)-n)
 		}
 		return dst, fanout
 	}
-	for _, group := range MapStates(states, workers, func(_ int, s *OsState) []*OsState { return fn(s) }) {
+	for _, group := range MapStates(states, workers, func(_ int, s *OsState) []*OsState { return fn(nil, s) }) {
 		dst = append(dst, group...)
 		fanout = append(fanout, len(group))
 	}
@@ -320,41 +353,127 @@ func MapStates(states []*OsState, workers int, fn func(int, *OsState) []*OsState
 // expandOne generates s's τ-successors, except those of the pids whose
 // bit is set in skip (the state's covered mask), and (when deduplicating)
 // pre-hashes them on the worker, so the serial merge only compares
-// digests. With a memo, the whole fan-out is interned per source state
-// and replayed for equal states in later traces; interned successors are
+// digests. When deduplicating a state with two calling pids it also
+// appends each successor's sleep bits to sleep, one per successor (a
+// caller reads missing bits as 0): a successor of a local τ_p gets
+//
+//   - every calling q < p expanded here whose τ is local too: its
+//     successors precede τ_p's in the output, and τ_p commutes with them;
+//   - every bit of skip whose τ is local at s whatever the state
+//     (staticLocal): its successors are in the output already.
+//
+// So bit q on a state always means its τ_q-successors are in the output
+// before the state itself is expanded (see ClosureOpts.Covered).
+//
+// With a memo, the whole fan-out is interned per source state and
+// replayed for equal states in later traces; interned successors are
 // already hashed and frozen, and the returned slice must not be mutated.
 // A masked state bypasses the memo: it wants only part of the fan-out,
 // and generating that part costs the same work with the table on or off.
-// A state with no calling process has no τ-successors: it returns nil
-// before touching the memo (every closure's last round is made of such
-// states).
-func expandOne(s *OsState, skip uint64, hash bool, memo *ConsTable) []*OsState {
-	if !hasCallingProc(s) {
-		return nil
+// So does a state with two calling pids, whose successors' sleep bits
+// depend on how they were built. A state with no calling process has no
+// τ-successors: it returns nil before touching the memo (every closure's
+// last round is made of such states).
+func expandOne(s *OsState, skip uint64, dedup bool, memo *ConsTable, sleep []uint64) ([]*OsState, []uint64) {
+	calling := 0
+	for _, e := range s.procs {
+		if e.p.Run == RsCalling {
+			calling++
+		}
 	}
-	if skip != 0 {
+	if calling == 0 {
+		return nil, sleep
+	}
+	if skip != 0 || calling > 1 {
 		memo = nil
 	}
 	if memo != nil {
 		if succs, ok := memo.Get(s, tauExpandKey); ok {
-			return succs
+			return succs, sleep
 		}
 	}
 	var out []*OsState
+	var local, inherited uint64
+	track := dedup && calling > 1
+	if track {
+		inherited = skip & staticLocal(s)
+	}
 	for _, e := range s.procs {
-		if e.p.Run == RsCalling && skip&PidBit(e.pid) == 0 {
-			out = append(out, processCall(s, e.pid, e.p.PendingCmd)...)
+		bit := PidBit(e.pid)
+		if e.p.Run != RsCalling || skip&bit != 0 {
+			continue
+		}
+		start := len(out)
+		if succs := processCall(s, e.pid, e.p.PendingCmd); out == nil {
+			out = succs // a fresh slice: the first fan-out needs no copy
+		} else {
+			out = append(out, succs...)
+		}
+		if !track {
+			continue
+		}
+		isLocal := bit != 0 && len(out) > start
+		for _, ns := range out[start:] {
+			isLocal = isLocal && localStep(s, ns, e.pid)
+		}
+		var m uint64
+		if isLocal {
+			m = local | inherited
+			local |= bit
+		}
+		for range out[start:] {
+			sleep = append(sleep, m)
 		}
 	}
 	if memo != nil {
-		return memo.Put(s, tauExpandKey, out) // hashes and freezes out
+		return memo.Put(s, tauExpandKey, out), sleep // hashes and freezes out
 	}
-	if hash {
+	if dedup {
 		for _, ns := range out {
 			ns.Hash()
 		}
 	}
-	return out
+	return out, sleep
+}
+
+// localStep reports whether c, built from s by a τ of pid, is local: it
+// changed nothing but pid's own process entry — no heap write, no
+// open-file, NextFid or group change — and s is not in crash mode. Two
+// local τs of different pids commute exactly, since no τ reads another
+// process's entry. It must run before c is frozen, which forgets the
+// ownership flags it reads.
+func localStep(s, c *OsState, pid types.Pid) bool {
+	if c.durable != nil || c.ownsFids || c.ownsGroups || c.NextFid != s.NextFid ||
+		c.H.Written() || len(c.procs) != len(s.procs) {
+		return false
+	}
+	for i, e := range c.procs {
+		if se := s.procs[i]; e.pid != se.pid || (e.pid != pid && e.p != se.p) {
+			return false
+		}
+	}
+	return true
+}
+
+// staticLocal is the mask of s's calling pids whose τ is local in every
+// state: calls that only read (stat, lstat, readlink) change nothing but
+// the caller's pending return. The closure needs it for pids a mask
+// skipped, whose successors it never sees.
+func staticLocal(s *OsState) uint64 {
+	if s.durable != nil {
+		return 0
+	}
+	var m uint64
+	for _, e := range s.procs {
+		if e.p.Run != RsCalling {
+			continue
+		}
+		switch e.p.PendingCmd.(type) {
+		case types.Stat, types.Lstat, types.Readlink:
+			m |= PidBit(e.pid)
+		}
+	}
+	return m
 }
 
 // AllowedReturn describes the return value(s) a state in RsReturning allows

@@ -112,3 +112,138 @@ func TestPendingExactHashCached(t *testing.T) {
 		t.Fatal("a PendingExact no longer matches another kind that renders alike")
 	}
 }
+
+// TestLocalSuccessors: with another process calling alongside, every
+// successor of a stat, lstat or readlink — whatever it resolves to — and
+// every error successor of any call is local, and stat, lstat and
+// readlink are local statically too. A successful mkdir, creat or close
+// writes shared state and is not.
+func TestLocalSuccessors(t *testing.T) {
+	base := withCaller(t, types.DefaultSpec()) // process 2 calls mkdir "/x"
+	for _, lbl := range []types.Label{
+		types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}},
+		types.TauLabel{},
+		types.ReturnLabel{Pid: InitialPid, Ret: types.RvNone{}},
+		types.CallLabel{Pid: InitialPid, Cmd: types.Symlink{Target: "/d", Linkpath: "/l"}},
+		types.TauLabel{},
+		types.ReturnLabel{Pid: InitialPid, Ret: types.RvNone{}},
+		types.CallLabel{Pid: InitialPid, Cmd: types.Open{Path: "/f", Flags: types.OCreat | types.OWronly, Perm: 0o644, HasPerm: true}},
+		types.TauLabel{},
+		types.ReturnLabel{Pid: InitialPid, Ret: types.RvFD{FD: 3}},
+	} {
+		next := Trans(base, lbl)
+		if _, tau := lbl.(types.TauLabel); tau {
+			next = TauFor(base, InitialPid)
+		}
+		if len(next) != 1 {
+			t.Fatalf("%s: %d successors, want 1", lbl, len(next))
+		}
+		base = next[0]
+	}
+	call := func(cmd types.Command) (*OsState, []*OsState) {
+		t.Helper()
+		called := Trans(base, types.CallLabel{Pid: InitialPid, Cmd: cmd})
+		if len(called) != 1 {
+			t.Fatalf("call %s: %d successors", cmd, len(called))
+		}
+		return called[0], TauFor(called[0], InitialPid)
+	}
+	isErr := func(c *OsState) bool {
+		pe, ok := c.Proc(InitialPid).PendingRet.(PendingExact)
+		if !ok {
+			return false
+		}
+		_, ok = pe.Rv.(types.RvErr)
+		return ok
+	}
+	var reads, errs int
+	for _, path := range []string{"/", "/d", "/d/", "/f", "/f/", "/l", "/l/", "/missing", "/missing/x", "/f/x", "d", "//d"} {
+		for _, cmd := range []types.Command{types.Stat{Path: path}, types.Lstat{Path: path}, types.Readlink{Path: path}} {
+			s, succs := call(cmd)
+			if staticLocal(s)&PidBit(InitialPid) == 0 {
+				t.Errorf("%s is not statically local", cmd)
+			}
+			for _, c := range succs {
+				reads++
+				if !localStep(s, c, InitialPid) {
+					t.Errorf("%s: a successor is not local", cmd)
+				}
+			}
+		}
+		for _, cmd := range []types.Command{
+			types.Mkdir{Path: path, Perm: 0o755}, types.Rmdir{Path: path}, types.Unlink{Path: path},
+			types.Open{Path: path, Flags: types.OCreat | types.OExcl | types.OWronly, Perm: 0o644, HasPerm: true},
+			types.Rename{Src: path, Dst: "/d"}, types.Link{Src: path, Dst: "/f"},
+			types.Truncate{Path: path, Len: 1}, types.Chdir{Path: path},
+		} {
+			s, succs := call(cmd)
+			for _, c := range succs {
+				if isErr(c) {
+					errs++
+					if !localStep(s, c, InitialPid) {
+						t.Errorf("%s: an error successor is not local", cmd)
+					}
+				}
+			}
+		}
+	}
+	if reads == 0 || errs == 0 {
+		t.Fatalf("%d read and %d error successors checked", reads, errs)
+	}
+	for _, cmd := range []types.Command{
+		types.Mkdir{Path: "/n", Perm: 0o755},
+		types.Open{Path: "/g", Flags: types.OCreat | types.OWronly, Perm: 0o644, HasPerm: true},
+		types.Close{FD: 3},
+	} {
+		s, succs := call(cmd)
+		if staticLocal(s)&PidBit(InitialPid) != 0 {
+			t.Errorf("%s is statically local", cmd)
+		}
+		for _, c := range succs {
+			if !isErr(c) && localStep(s, c, InitialPid) {
+				t.Errorf("%s: a successful successor is local", cmd)
+			}
+		}
+	}
+}
+
+// TestTauClosureWorkersAgree: serial and two-worker closures of a
+// five-way race agree, with dedup (sleep bits carried through parallel
+// rounds) and without (no masks at all).
+func TestTauClosureWorkersAgree(t *testing.T) {
+	s := NewOsState(types.DefaultSpec())
+	for pid := types.Pid(2); pid <= 5; pid++ {
+		s = Trans(s, types.CreateLabel{Pid: pid})[0]
+	}
+	for pid := types.Pid(1); pid <= 5; pid++ {
+		cmd := types.Command(types.Mkdir{Path: "/x", Perm: 0o755})
+		if pid%2 == 0 {
+			cmd = types.Stat{Path: "/x"}
+		}
+		s = Trans(s, types.CallLabel{Pid: pid, Cmd: cmd})[0]
+	}
+	for _, dedup := range []bool{true, false} {
+		var stats [2]ClosureStats
+		var fps [2][]string
+		var ns [2]int
+		for i, workers := range []int{1, 2} {
+			out, n, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: dedup, Workers: workers, Stats: &stats[i]})
+			ns[i] = n
+			for _, st := range out {
+				fps[i] = append(fps[i], st.Fingerprint())
+			}
+		}
+		if stats[1].ParallelRounds == 0 {
+			t.Fatalf("dedup %v: no parallel round on two workers", dedup)
+		}
+		if ns[0] != ns[1] || len(fps[0]) != len(fps[1]) {
+			t.Fatalf("dedup %v: %d states from %d expansions serially, %d from %d on two workers",
+				dedup, len(fps[0]), ns[0], len(fps[1]), ns[1])
+		}
+		for i := range fps[0] {
+			if fps[0][i] != fps[1][i] {
+				t.Fatalf("dedup %v: state %d differs on two workers", dedup, i)
+			}
+		}
+	}
+}

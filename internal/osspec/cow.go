@@ -11,8 +11,29 @@ import (
 	"repro/internal/types"
 )
 
-// dirty invalidates the memoised hash; every mutation path lands here.
-func (s *OsState) dirty() { s.hvOK = false }
+// dirty invalidates the whole memoised process-table hash: fid-table and
+// process-table shape changes land here.
+func (s *OsState) dirty() { s.hvOK, s.hvDirty = false, 0 }
+
+// unhashProc is how a change to pid's process entry (p, before the
+// change) reaches the memoised hash: its contribution is XORed out now,
+// while it still describes p, and Hash folds the new one back in. A pid
+// already out, or a memo already invalid, needs nothing; a pid with no
+// mask bit invalidates the memo.
+func (s *OsState) unhashProc(pid types.Pid, p *ProcState) {
+	if !s.hvOK {
+		return
+	}
+	bit := PidBit(pid)
+	if bit == 0 {
+		s.dirty()
+		return
+	}
+	if s.hvDirty&bit == 0 {
+		s.hv ^= s.procContrib(pid, p)
+		s.hvDirty |= bit
+	}
+}
 
 func (s *OsState) ensureTok() *cowTok {
 	if s.tok == nil {
@@ -23,9 +44,8 @@ func (s *OsState) ensureTok() *cowTok {
 }
 
 // mutProcs makes the process table private (one slice copy, with room
-// for a new row) before any row changes.
+// for a new row) before any row changes. Callers account for the hash.
 func (s *OsState) mutProcs() procTable {
-	s.dirty()
 	if !s.ownsProcs {
 		t := make(procTable, len(s.procs), len(s.procs)+1)
 		copy(t, s.procs)
@@ -41,7 +61,10 @@ func (s *OsState) mutProcs() procTable {
 func (s *OsState) setProc(pid types.Pid, p *ProcState) {
 	t := s.mutProcs()
 	i, ok := t.lookup(pid)
-	if !ok {
+	if ok {
+		s.unhashProc(pid, t[i].p)
+	} else {
+		s.dirty()
 		t = append(t, procEntry{})
 		copy(t[i+1:], t[i:])
 		s.procs = t
@@ -51,6 +74,7 @@ func (s *OsState) setProc(pid types.Pid, p *ProcState) {
 
 // deleteProc removes pid's row, if any.
 func (s *OsState) deleteProc(pid types.Pid) {
+	s.dirty()
 	t := s.mutProcs()
 	if i, ok := t.lookup(pid); ok {
 		copy(t[i:], t[i+1:])
@@ -62,6 +86,7 @@ func (s *OsState) deleteProc(pid types.Pid) {
 // mutFidsMap makes the open-file table private for structural changes:
 // description allocation and release.
 func (s *OsState) mutFidsMap() map[FidRef]*FidState {
+	s.dirty()
 	if !s.ownsFids {
 		m := make(map[FidRef]*FidState, len(s.fids)+1)
 		for r, f := range s.fids {
@@ -81,11 +106,13 @@ func (s *OsState) mutProc(pid types.Pid) *ProcState {
 	if p == nil {
 		return nil
 	}
-	s.dirty()
+	s.unhashProc(pid, p)
 	if s.tok != nil && p.owner == s.tok {
+		p.hvOK = false
 		return p
 	}
-	np := &ProcState{
+	np := s.newProcForRow()
+	*np = ProcState{
 		Cwd:      p.Cwd,
 		CwdValid: p.CwdValid,
 		Umask:    p.Umask,
@@ -103,6 +130,32 @@ func (s *OsState) mutProc(pid types.Pid) *ProcState {
 	}
 	s.setProc(pid, np)
 	return np
+}
+
+// procBlock is a private process-table copy laid out with a new row's
+// process, for the common write: the first change to one process of a
+// fresh clone, which needs both.
+type procBlock struct {
+	p    ProcState
+	rows [procBlockRows]procEntry
+}
+
+// procBlockRows bounds the tables copied into a procBlock; scripts run
+// a handful of processes.
+const procBlockRows = 6
+
+// newProcForRow returns storage for a process about to replace a row.
+// When the table is still shared and small, the private copy mutProcs
+// would make and the process come from one allocation.
+func (s *OsState) newProcForRow() *ProcState {
+	if s.ownsProcs || len(s.procs) >= procBlockRows {
+		return new(ProcState)
+	}
+	b := new(procBlock)
+	s.procs = b.rows[:copy(b.rows[:], s.procs)]
+	s.ownsProcs = true
+	s.frozen = false
+	return &b.p
 }
 
 // mutFds returns pid's descriptor table ready for insertion/deletion.

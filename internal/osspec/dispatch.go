@@ -8,10 +8,11 @@ import (
 
 // ctxFor builds the file-system module's evaluation context for one
 // process: the process's view of the world (cwd, umask, credentials) plus
-// the shared heap and spec.
+// the shared heap and spec. Without supplementary groups InGroup stays
+// nil, which means the same and spares a method value per call.
 func ctxFor(s *OsState, pid types.Pid) *fsspec.Ctx {
 	p := s.procs.get(pid)
-	return &fsspec.Ctx{
+	c := &fsspec.Ctx{
 		Spec:     s.Spec,
 		H:        s.H,
 		Cwd:      p.Cwd,
@@ -19,8 +20,11 @@ func ctxFor(s *OsState, pid types.Pid) *fsspec.Ctx {
 		Umask:    p.Umask,
 		Euid:     p.Euid,
 		Egid:     p.Egid,
-		InGroup:  s.InGroup,
 	}
+	if len(s.groups) > 0 {
+		c.InGroup = s.InGroup
+	}
+	return c
 }
 
 // fromResult converts a file-system module Result into LTS successors.
@@ -28,7 +32,7 @@ func fromResult(s *OsState, pid types.Pid, res fsspec.Result) []*OsState {
 	if res.Undefined {
 		return []*OsState{succPending(s, pid, PendingAny{Why: "implementation-defined"}, nil)}
 	}
-	out := succErrors(s, pid, res.Errors)
+	out := appendErrors(make([]*OsState, 0, res.Errors.Len()+len(res.Oks)), s, pid, res.Errors)
 	for _, ok := range res.Oks {
 		apply := ok.Apply
 		var f func(*OsState)

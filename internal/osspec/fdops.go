@@ -31,7 +31,7 @@ func openCall(s *OsState, pid types.Pid, cmd types.Open) []*OsState {
 	if d.Undefined {
 		return []*OsState{succPending(s, pid, PendingAny{Why: "open flags undefined"}, nil)}
 	}
-	if len(d.Errs) > 0 {
+	if d.Errs.Len() > 0 {
 		return succErrors(s, pid, d.Errs)
 	}
 	cov.Hit(covOpenFd)
@@ -112,7 +112,7 @@ func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool) 
 		cov.Hit(covReadNeg)
 		errs.Add(types.EINVAL)
 	}
-	if len(errs) > 0 {
+	if errs.Len() > 0 {
 		return succErrors(s, pid, errs)
 	}
 	f := s.H.File(fid.File)
@@ -173,7 +173,7 @@ func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int
 		cov.Hit(covWriteNeg)
 		errs.Add(types.EINVAL)
 	}
-	if len(errs) > 0 {
+	if errs.Len() > 0 {
 		if badMode && len(data) == 0 {
 			// Zero-length pwrite on a read-only fd: Linux still reports
 			// the offset error first when the offset is bad, else 0.

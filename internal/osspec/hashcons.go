@@ -42,6 +42,13 @@ func (s *OsState) Hash() uint64 {
 	if !s.hvOK {
 		s.hv = s.osHash()
 		s.hvOK = true
+	} else if s.hvDirty != 0 {
+		for _, e := range s.procs {
+			if s.hvDirty&PidBit(e.pid) != 0 {
+				s.hv ^= s.procContrib(e.pid, e.p)
+			}
+		}
+		s.hvDirty = 0
 	}
 	h := state.Mix(s.hv, s.H.Hash())
 	if s.durable != nil {
@@ -57,44 +64,67 @@ func (s *OsState) Hash() uint64 {
 	return h
 }
 
+// osHash is the process-table hash: the XOR of every process's
+// contribution, so one process's can be swapped out and back in alone
+// (unhashProc).
 func (s *OsState) osHash() uint64 {
 	var acc uint64
 	for _, e := range s.procs {
-		p := e.p
-		v := state.Mix(seedProc, uint64(e.pid))
-		v = state.Mix(v, uint64(p.Euid))
-		v = state.Mix(v, uint64(p.Egid))
-		v = state.Mix(v, uint64(p.Umask))
-		v = state.Mix(v, uint64(p.Cwd))
-		v = state.Mix(v, boolU64(p.CwdValid))
-		v = state.Mix(v, uint64(p.Run))
-		if p.Run == RsReturning && p.PendingRet != nil {
-			v = state.Mix(v, pendingHash(p.PendingRet))
-		}
-		var fdAcc uint64
-		for fd, ref := range p.Fds {
-			fv := state.Mix(seedFd, uint64(fd))
-			if fid := s.fids[ref]; fid != nil {
-				fv = state.Mix(fv, uint64(fid.File))
-				fv = state.Mix(fv, uint64(fid.Dir))
-				fv = state.Mix(fv, uint64(fid.Offset))
-			}
-			fdAcc ^= state.Mix(0, fv)
-		}
-		v = state.Mix(v, fdAcc)
-		var dhAcc uint64
-		for dh, h := range p.Dhs {
-			dv := state.Mix(seedDh, uint64(dh))
-			dv = state.Mix(dv, uint64(h.Dir))
-			dv = state.Mix(dv, setHash(seedMust, h.Must))
-			dv = state.Mix(dv, setHash(seedMay, h.May))
-			dv = state.Mix(dv, setHash(seedRet, h.Returned))
-			dhAcc ^= state.Mix(0, dv)
-		}
-		v = state.Mix(v, dhAcc)
-		acc ^= state.Mix(0, v)
+		acc ^= s.procContrib(e.pid, e.p)
 	}
 	return acc
+}
+
+// procContrib is one process's share of osHash: its credentials, cwd,
+// run state, pending-return description, descriptor table (through the
+// open-file table) and directory handles. A process without descriptors
+// memoises it (ProcState.hv) while this state owns it, so a frozen
+// process is hashed once however many states share it.
+func (s *OsState) procContrib(pid types.Pid, p *ProcState) uint64 {
+	if p.hvOK {
+		return p.hv
+	}
+	v := s.procContribOf(pid, p)
+	if len(p.Fds) == 0 && s.tok != nil && p.owner == s.tok {
+		p.hv, p.hvOK = v, true
+	}
+	return v
+}
+
+// procContribOf computes procContrib, ignoring and leaving the memo.
+func (s *OsState) procContribOf(pid types.Pid, p *ProcState) uint64 {
+	v := state.Mix(seedProc, uint64(pid))
+	v = state.Mix(v, uint64(p.Euid))
+	v = state.Mix(v, uint64(p.Egid))
+	v = state.Mix(v, uint64(p.Umask))
+	v = state.Mix(v, uint64(p.Cwd))
+	v = state.Mix(v, boolU64(p.CwdValid))
+	v = state.Mix(v, uint64(p.Run))
+	if p.Run == RsReturning && p.PendingRet != nil {
+		v = state.Mix(v, pendingHash(p.PendingRet))
+	}
+	var fdAcc uint64
+	for fd, ref := range p.Fds {
+		fv := state.Mix(seedFd, uint64(fd))
+		if fid := s.fids[ref]; fid != nil {
+			fv = state.Mix(fv, uint64(fid.File))
+			fv = state.Mix(fv, uint64(fid.Dir))
+			fv = state.Mix(fv, uint64(fid.Offset))
+		}
+		fdAcc ^= state.Mix(0, fv)
+	}
+	v = state.Mix(v, fdAcc)
+	var dhAcc uint64
+	for dh, h := range p.Dhs {
+		dv := state.Mix(seedDh, uint64(dh))
+		dv = state.Mix(dv, uint64(h.Dir))
+		dv = state.Mix(dv, setHash(seedMust, h.Must))
+		dv = state.Mix(dv, setHash(seedMay, h.May))
+		dv = state.Mix(dv, setHash(seedRet, h.Returned))
+		dhAcc ^= state.Mix(0, dv)
+	}
+	v = state.Mix(v, dhAcc)
+	return state.Mix(0, v)
 }
 
 func setHash(seed uint64, m map[string]bool) uint64 {
@@ -207,11 +237,15 @@ func pendingHash(p Pending) uint64 {
 }
 
 // exactPending is PendingExact{Rv: rv} with its description hash
-// cached, so hashing a state never renders it again.
+// cached, so hashing a state never renders it again. It hashes the
+// rendering itself rather than through pendingHash, which would box the
+// value into a Pending.
 func exactPending(rv types.RetValue) PendingExact {
-	p := PendingExact{Rv: rv}
-	p.h = pendingHash(p)
-	return p
+	bp := describeBufs.Get().(*[]byte)
+	*bp = PendingExact{Rv: rv}.AppendDescribe((*bp)[:0])
+	h := state.HashBytes(seedPend, *bp)
+	describeBufs.Put(bp)
+	return PendingExact{Rv: rv, h: h}
 }
 
 // pendingEqual follows the fingerprint contract to the letter: pendings
@@ -258,12 +292,16 @@ func setEqual(a, b map[string]bool) bool {
 // Sequential traces never track more than a handful of states, so the
 // first stateSetInline members live in an inline array searched by linear
 // hash compare; only a set that outgrows it spills into the bucket map,
-// so resetting a small set never pays for clearing a map.
+// so resetting a small set never pays for clearing a map. The map holds
+// the first state of each hash; distinct states sharing a hash (a true
+// collision) go to the collisions map, so a new state costs no bucket
+// slice.
 type StateSet struct {
-	inline  [stateSetInline]hashedState
-	buckets map[uint64][]*OsState // nil until the first spill
-	spilled bool                  // members live in buckets, not inline
-	n       int
+	inline     [stateSetInline]hashedState
+	buckets    map[uint64]*OsState   // nil until the first spill
+	collisions map[uint64][]*OsState // nil until the first collision
+	spilled    bool                  // members live in buckets, not inline
+	n          int
 }
 
 type hashedState struct {
@@ -279,7 +317,7 @@ const stateSetInline = 8
 func NewStateSet(capacity int) *StateSet {
 	ss := &StateSet{}
 	if capacity > stateSetInline {
-		ss.buckets = make(map[uint64][]*OsState, capacity)
+		ss.buckets = make(map[uint64]*OsState, capacity)
 	}
 	return ss
 }
@@ -305,24 +343,42 @@ func (ss *StateSet) add(h uint64, s *OsState) bool {
 		}
 		ss.spill()
 	}
-	bucket := ss.buckets[h]
-	for _, t := range bucket {
+	if !ss.insert(h, s) {
+		return false
+	}
+	ss.n++
+	return true
+}
+
+// insert adds s to the bucket map unless an equal state is there.
+func (ss *StateSet) insert(h uint64, s *OsState) bool {
+	first, ok := ss.buckets[h]
+	if !ok {
+		ss.buckets[h] = s
+		return true
+	}
+	if StateEqual(first, s) {
+		return false
+	}
+	for _, t := range ss.collisions[h] {
 		if StateEqual(t, s) {
 			return false
 		}
 	}
-	ss.buckets[h] = append(bucket, s)
-	ss.n++
+	if ss.collisions == nil {
+		ss.collisions = make(map[uint64][]*OsState)
+	}
+	ss.collisions[h] = append(ss.collisions[h], s)
 	return true
 }
 
 // spill moves the full inline array into the bucket map.
 func (ss *StateSet) spill() {
 	if ss.buckets == nil {
-		ss.buckets = make(map[uint64][]*OsState, 4*stateSetInline)
+		ss.buckets = make(map[uint64]*OsState, 4*stateSetInline)
 	}
 	for i, e := range ss.inline {
-		ss.buckets[e.h] = append(ss.buckets[e.h], e.s)
+		ss.insert(e.h, e.s)
 		ss.inline[i] = hashedState{}
 	}
 	ss.spilled = true
@@ -339,6 +395,9 @@ func (ss *StateSet) Len() int { return ss.n }
 func (ss *StateSet) Reset() {
 	if ss.spilled {
 		clear(ss.buckets)
+		if len(ss.collisions) > 0 {
+			clear(ss.collisions)
+		}
 		ss.spilled = false
 	} else {
 		clear(ss.inline[:ss.n])

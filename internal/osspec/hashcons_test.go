@@ -302,3 +302,21 @@ func TestProcTableOrder(t *testing.T) {
 		t.Fatal("creation order changed state identity")
 	}
 }
+
+// TestProcHashAfterRewrite: a process changed again after its state was
+// hashed — in place, since the state still owns it — is re-hashed, not
+// served from the memo of its earlier content.
+func TestProcHashAfterRewrite(t *testing.T) {
+	s := NewOsState(types.DefaultSpec()).Clone()
+	s.Hash()
+	s.mutProc(InitialPid).Umask = 0o077
+	s.Hash()
+	s.mutProc(InitialPid).Umask = 0o007
+	var full uint64
+	for _, e := range s.procs {
+		full ^= s.procContribOf(e.pid, e.p)
+	}
+	if s.Hash(); s.hv != full {
+		t.Fatalf("process hash %x after a rewrite, full recompute %x", s.hv, full)
+	}
+}

@@ -86,6 +86,13 @@ type ProcState struct {
 	owner   *cowTok
 	ownsFds bool
 	ownsDhs bool
+
+	// hv memoises the process's share of the state hash (procContrib)
+	// while that share cannot depend on the open-file table: only with
+	// no descriptors. It is written only while the process is private to
+	// the state being built, and cleared whenever mutProc hands it out.
+	hv   uint64
+	hvOK bool
 }
 
 // procEntry is one row of the process table.
@@ -145,10 +152,14 @@ type OsState struct {
 	ownsPend   bool
 	frozen     bool
 
-	// hv memoises the non-heap part of Hash (procs, fds, dir handles);
-	// every mut* accessor invalidates it.
-	hv   uint64
-	hvOK bool
+	// hv memoises the non-heap part of Hash (procs, fds, dir handles),
+	// the XOR of one contribution per process. A change to one process
+	// XORs its old contribution out and sets its bit in hvDirty, and
+	// Hash folds the new one in; fid-table and process-table shape
+	// changes invalidate the memo instead (hvOK false).
+	hv      uint64
+	hvDirty uint64
+	hvOK    bool
 }
 
 // InitialPid is the process every script starts with.
@@ -220,12 +231,15 @@ func (s *OsState) Pids() []types.Pid {
 // Clone shares the state copy-on-write: O(1), no table or object is copied
 // until one side writes. The source is frozen first, so cloning a frozen
 // state is a pure read — which is what lets the checker fan os_trans out
-// across goroutines over one shared frontier state.
+// across goroutines over one shared frontier state. The clone and its
+// heap header share one allocation (osClone).
 func (s *OsState) Clone() *OsState {
 	s.Freeze()
 	stateClones.Add(1)
-	return &OsState{
-		H:       s.H.Clone(),
+	b := new(osClone)
+	s.H.CloneInto(&b.h)
+	b.s = OsState{
+		H:       &b.h,
 		fids:    s.fids,
 		NextFid: s.NextFid,
 		procs:   s.procs,
@@ -234,8 +248,19 @@ func (s *OsState) Clone() *OsState {
 		durable: s.durable,
 		pend:    s.pend,
 		hv:      s.hv,
+		hvDirty: s.hvDirty,
 		hvOK:    s.hvOK,
 	}
+	return &b.s
+}
+
+// osClone is a cloned state laid out with its heap header, so a clone is
+// one allocation. The block lives as long as either half is referenced;
+// a state whose H is later replaced (crash states) keeps the unused
+// header alive with it.
+type osClone struct {
+	s OsState
+	h state.Heap
 }
 
 // Freeze relinquishes in-place mutation rights (here and in the heap) so

@@ -19,14 +19,19 @@ var (
 // a label it returns the finite set of possible next states; an empty
 // result means the label is not allowed from this state. The function
 // never mutates s.
-func Trans(s *OsState, lbl types.Label) []*OsState {
+func Trans(s *OsState, lbl types.Label) []*OsState { return AppendTrans(nil, s, lbl) }
+
+// AppendTrans is Trans appending the next states to dst, so a caller
+// collecting many states' successors (the checker's union) needs no
+// slice per state.
+func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
 	switch l := lbl.(type) {
 	case types.CallLabel:
 		cov.Hit(covTransCall)
 		p := s.procs.get(l.Pid)
 		if p == nil || p.Run != RsRunning {
 			cov.Hit(covTransBadPid)
-			return nil
+			return dst
 		}
 		// Receptivity: a running process may always issue a call; the call
 		// blocks the process until its return.
@@ -34,7 +39,7 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		cp := c.mutProc(l.Pid)
 		cp.Run = RsCalling
 		cp.PendingCmd = l.Cmd
-		return []*OsState{c}
+		return append(dst, c)
 
 	case types.TauLabel:
 		cov.Hit(covTransTau)
@@ -42,23 +47,22 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		// process — the concurrency nondeterminism of §3. Deterministic pid
 		// order so a memoised fan-out replays exactly what a fresh
 		// computation would produce.
-		var out []*OsState
 		for _, e := range s.procs {
 			if e.p.Run == RsCalling {
-				out = append(out, processCall(s, e.pid, e.p.PendingCmd)...)
+				dst = append(dst, processCall(s, e.pid, e.p.PendingCmd)...)
 			}
 		}
-		return out
+		return dst
 
 	case types.ReturnLabel:
 		cov.Hit(covTransReturn)
 		p := s.procs.get(l.Pid)
 		if p == nil || p.Run != RsReturning || p.PendingRet == nil {
 			cov.Hit(covTransBadPid)
-			return nil
+			return dst
 		}
 		if !p.PendingRet.Match(s, l.Ret) {
-			return nil
+			return dst
 		}
 		c := s.Clone()
 		cp := c.mutProc(l.Pid)
@@ -68,22 +72,22 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		cp.PendingCmd = nil
 		pend.Finalize(c, l.Ret)
 		c.persistNote()
-		return []*OsState{c}
+		return append(dst, c)
 
 	case types.CreateLabel:
 		cov.Hit(covTransCreate)
 		if s.procs.get(l.Pid) != nil {
-			return nil
+			return dst
 		}
 		c := s.Clone()
 		c.addProcess(l.Pid, l.Uid, l.Gid)
-		return []*OsState{c}
+		return append(dst, c)
 
 	case types.DestroyLabel:
 		cov.Hit(covTransDestroy)
 		p := s.procs.get(l.Pid)
 		if p == nil || p.Run != RsRunning {
-			return nil
+			return dst
 		}
 		c := s.Clone()
 		fds := make([]types.FD, 0, len(p.Fds))
@@ -95,7 +99,7 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		}
 		c.deleteProc(l.Pid)
 		c.persistNote()
-		return []*OsState{c}
+		return append(dst, c)
 
 	case types.CrashLabel:
 		cov.Hit(covTransCrash)
@@ -104,9 +108,9 @@ func Trans(s *OsState, lbl types.Label) []*OsState {
 		// observations prune the set. Outside crash mode the label is
 		// simply not enabled, which surfaces misconfigured runs as an
 		// immediate deviation instead of silently passing.
-		return CrashStates(s)
+		return append(dst, CrashStates(s)...)
 	}
-	return nil
+	return dst
 }
 
 // processCall evaluates the pending command of pid against s, returning one
@@ -126,9 +130,34 @@ func succExact(s *OsState, pid types.Pid, rv types.RetValue, apply func(*OsState
 	}
 	p := c.mutProc(pid)
 	p.Run = RsReturning
-	p.PendingRet = exactPending(rv)
+	p.PendingRet = pendingFor(rv)
 	return c
 }
+
+// pendingFor is the PendingExact of rv, boxed as a Pending. Error and
+// RV_none returns — the result of most successors — share prebuilt
+// values, so building one allocates and renders nothing.
+func pendingFor(rv types.RetValue) Pending {
+	switch r := rv.(type) {
+	case types.RvErr:
+		if r.Err >= 0 && int(r.Err) < len(errPendings) {
+			return errPendings[r.Err]
+		}
+	case types.RvNone:
+		return nonePending
+	}
+	return exactPending(rv)
+}
+
+var (
+	errPendings = func() (t [types.ENOSYS + 1]Pending) {
+		for e := range t {
+			t[e] = exactPending(types.RvErr{Err: types.Errno(e)})
+		}
+		return t
+	}()
+	nonePending Pending = exactPending(types.RvNone{})
+)
 
 // succPending builds a successor with an arbitrary pending pattern; apply
 // (if non-nil) mutates the successor first.
@@ -147,8 +176,14 @@ func succPending(s *OsState, pid types.Pid, pend Pending, apply func(*OsState)) 
 // succErrors builds one successor per allowed errno (error returns leave
 // the file-system state unchanged — the paper's proved invariant).
 func succErrors(s *OsState, pid types.Pid, errs types.ErrnoSet) []*OsState {
-	out := make([]*OsState, 0, len(errs))
-	for _, e := range errs.Sorted() {
+	return appendErrors(make([]*OsState, 0, errs.Len()), s, pid, errs)
+}
+
+// appendErrors is succErrors appending to out, in ascending errno order.
+func appendErrors(out []*OsState, s *OsState, pid types.Pid, errs types.ErrnoSet) []*OsState {
+	for rest := errs; rest != 0; {
+		var e types.Errno
+		e, rest = rest.Pop()
 		out = append(out, succExact(s, pid, types.RvErr{Err: e}, nil))
 	}
 	return out

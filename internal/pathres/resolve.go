@@ -127,12 +127,31 @@ func (r *resolver) run() ResName {
 // whether the path had a trailing slash. Repeated slashes collapse; POSIX
 // makes exactly two leading slashes implementation-defined and all modelled
 // platforms treat them as one.
+// The components are counted first, so the slice is the only allocation
+// (none for a path without components).
 func splitPath(p string) (comps []string, trailing bool) {
 	trailing = strings.HasSuffix(p, "/") && !onlySlashes(p)
-	for _, c := range strings.Split(p, "/") {
-		if c != "" {
-			comps = append(comps, c)
+	n := 0
+	for i := 0; i < len(p); i++ {
+		if p[i] != '/' && (i == 0 || p[i-1] == '/') {
+			n++
 		}
+	}
+	if n == 0 {
+		return nil, trailing
+	}
+	comps = make([]string, 0, n)
+	for i := 0; i < len(p); {
+		if p[i] == '/' {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(p) && p[j] != '/' {
+			j++
+		}
+		comps = append(comps, p[i:j])
+		i = j
 	}
 	return comps, trailing
 }

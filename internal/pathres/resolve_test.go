@@ -1,8 +1,10 @@
 package pathres
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/state"
 	"repro/internal/types"
@@ -237,6 +239,31 @@ func TestSplitPath(t *testing.T) {
 		if len(comps) != c.n || tr != c.trailing {
 			t.Errorf("splitPath(%q) = %v %v", c.path, comps, tr)
 		}
+	}
+}
+
+// TestSplitPathReference holds splitPath to the strings.Split rendering
+// it replaced — the same components, in order — and to one allocation.
+func TestSplitPathReference(t *testing.T) {
+	f := func(raw []byte) bool {
+		p := make([]byte, len(raw))
+		for i, b := range raw {
+			p[i] = "ab/."[b%4]
+		}
+		var want []string
+		for _, c := range strings.Split(string(p), "/") {
+			if c != "" {
+				want = append(want, c)
+			}
+		}
+		got, _ := splitPath(string(p))
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { splitPath("/a//b/c/") }); n > 1 {
+		t.Errorf("splitPath: %.1f allocations, want at most 1", n)
 	}
 }
 

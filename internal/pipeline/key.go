@@ -28,16 +28,17 @@ func SpecHash(modelVersion string, spec types.Spec) string {
 // contract guarantees results do not depend on them.
 //
 // Concurrent records count τ-expansions net of the successors covered
-// masks prove redundant (osspec.ClosureOpts.Covered), a smaller number
-// for the same verdict; the extra line gives them keys of their own, so
-// a cache filled before that change is not served for them, while
-// sequential keys (whose counts did not move) stay where they were.
+// masks and sleep sets prove redundant (osspec.ClosureOpts.Covered), a
+// smaller number for the same verdict; the extra line gives them keys of
+// their own, so a cache filled before that count last moved is not
+// served for them, while sequential and crash keys (whose counts did not
+// move) stay where they were.
 func ConfigHash(fsName string, concurrent bool, schedSeed int64, maxStateSet int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "fs=%s\nconcurrent=%t\nseed=%d\ncap=%d\n",
 		fsName, concurrent, schedSeed, maxStateSet)
 	if concurrent {
-		fmt.Fprint(h, "tau=covered\n")
+		fmt.Fprint(h, "tau=sleep\n")
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

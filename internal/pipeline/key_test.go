@@ -34,10 +34,11 @@ func TestScriptHashesPinned(t *testing.T) {
 }
 
 // TestConfigHashPinned pins the run-configuration third of cache keys.
-// Sequential (and crash) configurations must keep their keys, so caches
-// filled before stay warm; concurrent ones must have moved, because their
-// records' tau_expansions changed when covered masks began to skip
-// redundant τ-successors, and a warm run must not serve the old counts.
+// Sequential (and crash, which share them) configurations must keep
+// their keys, so caches filled before stay warm; concurrent ones must
+// have moved, because their records' tau_expansions fell when the
+// closure began to prune with sleep sets, and a warm run must not serve
+// the old counts.
 func TestConfigHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		fs         string
@@ -48,9 +49,9 @@ func TestConfigHashPinned(t *testing.T) {
 	}{
 		{"ext4", false, 0, 4096, "46faac329fb35031"},
 		{"spec:linux", false, 0, 4096, "cfa6207e104a060d"},
-		{"ext4", true, 1, 4096, "78f698d9e3904d01"},
-		{"ext4", true, 7, 4096, "7dd558232b6fb99b"},
-		{"fuzz-seed|x", true, 0, 4096, "099e9aa54c57aa92"},
+		{"ext4", true, 1, 4096, "c3c3dc93b6ef5772"},
+		{"ext4", true, 7, 4096, "c4f35d57ec2eb33c"},
+		{"fuzz-seed|x", true, 0, 4096, "87993127ac7a4515"},
 	} {
 		got := ConfigHash(c.fs, c.concurrent, c.seed, c.cap)
 		if !c.concurrent && got != c.before {
@@ -58,7 +59,7 @@ func TestConfigHashPinned(t *testing.T) {
 				c.fs, c.seed, c.cap, got, c.before)
 		}
 		if c.concurrent && got == c.before {
-			t.Errorf("ConfigHash(%q, true, %d, %d) = %s, unchanged: a warm run would serve records counted without covered masks",
+			t.Errorf("ConfigHash(%q, true, %d, %d) = %s, unchanged: a warm run would serve records counted without sleep sets",
 				c.fs, c.seed, c.cap, got)
 		}
 	}

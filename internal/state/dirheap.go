@@ -77,30 +77,32 @@ type Heap struct {
 	nextDir  DirRef
 	nextFile FileRef
 
-	tok      *cowTok // nil: this heap owns no objects (fresh clone / frozen)
-	ownsMaps bool
-	frozen   bool
+	tok       *cowTok // nil: this heap owns no objects (fresh clone / frozen)
+	ownsDirs  bool
+	ownsFiles bool
+	frozen    bool
 
 	// hash is the XOR of the contributions of every object NOT in a dirty
 	// set; flushHash folds the dirty objects back in. Incremental: a
 	// mutation XORs the object's old contribution out once and defers the
 	// new contribution to the next flush.
 	hash       uint64
-	dirtyDirs  map[DirRef]struct{}
-	dirtyFiles map[FileRef]struct{}
+	dirtyDirs  []DirRef
+	dirtyFiles []FileRef
 }
 
 // NewHeap returns a heap containing only an empty root directory owned by
 // root:root with mode 0o755, matching the paper's empty initial file system.
 func NewHeap() *Heap {
 	h := &Heap{
-		dirs:     make(map[DirRef]*Dir),
-		files:    make(map[FileRef]*File),
-		Root:     1,
-		nextDir:  2,
-		nextFile: 1,
-		tok:      &cowTok{},
-		ownsMaps: true,
+		dirs:      make(map[DirRef]*Dir),
+		files:     make(map[FileRef]*File),
+		Root:      1,
+		nextDir:   2,
+		nextFile:  1,
+		tok:       &cowTok{},
+		ownsDirs:  true,
+		ownsFiles: true,
 	}
 	h.dirs[h.Root] = &Dir{
 		Entries: make(map[string]Entry),
@@ -119,9 +121,18 @@ func NewHeap() *Heap {
 // rights), so cloning a frozen heap is a pure read — the checker relies on
 // that to fan Trans out across goroutines over a shared frontier state.
 func (h *Heap) Clone() *Heap {
+	c := new(Heap)
+	h.CloneInto(c)
+	return c
+}
+
+// CloneInto is Clone into caller-provided storage, overwriting dst: a
+// caller that allocates the heap together with its own state (the OS
+// layer's clones) pays one allocation for both.
+func (h *Heap) CloneInto(dst *Heap) {
 	h.Freeze()
 	heapClones.Add(1)
-	return &Heap{
+	*dst = Heap{
 		dirs:     h.dirs,
 		files:    h.files,
 		Root:     h.Root,
@@ -140,9 +151,15 @@ func (h *Heap) Freeze() {
 	}
 	h.flushHash()
 	h.tok = nil
-	h.ownsMaps = false
+	h.ownsDirs, h.ownsFiles = false, false
 	h.frozen = true
 }
+
+// Written reports whether the heap may have changed since it was last
+// cloned or frozen: any write takes an ownership token or private
+// tables first. A false answer means it still holds exactly its
+// source's objects.
+func (h *Heap) Written() bool { return h.tok != nil || h.ownsDirs || h.ownsFiles }
 
 // ensureTok gives the heap an ownership token for newly written objects.
 func (h *Heap) ensureTok() *cowTok {
@@ -152,22 +169,34 @@ func (h *Heap) ensureTok() *cowTok {
 	return h.tok
 }
 
-// ensureMaps makes the ref→object tables private to this heap (a shallow,
-// pointers-only copy) so structural changes don't leak into clones.
-func (h *Heap) ensureMaps() {
-	if h.ownsMaps {
+// ensureDirs makes the ref→directory table private to this heap (a
+// shallow, pointers-only copy) so structural changes don't leak into
+// clones. The file table is copied separately (ensureFiles): a write to
+// one kind of object never pays for copying the other's table.
+func (h *Heap) ensureDirs() {
+	if h.ownsDirs {
 		return
 	}
-	dirs := make(map[DirRef]*Dir, len(h.dirs))
+	dirs := make(map[DirRef]*Dir, len(h.dirs)+1)
 	for r, d := range h.dirs {
 		dirs[r] = d
 	}
-	files := make(map[FileRef]*File, len(h.files))
+	h.dirs = dirs
+	h.ownsDirs = true
+	h.frozen = false
+}
+
+// ensureFiles is ensureDirs for the ref→file table.
+func (h *Heap) ensureFiles() {
+	if h.ownsFiles {
+		return
+	}
+	files := make(map[FileRef]*File, len(h.files)+1)
 	for r, f := range h.files {
 		files[r] = f
 	}
-	h.dirs, h.files = dirs, files
-	h.ownsMaps = true
+	h.files = files
+	h.ownsFiles = true
 	h.frozen = false
 }
 
@@ -216,7 +245,7 @@ func (h *Heap) MutDir(r DirRef) *Dir {
 	h.unhashDir(r, d)
 	if h.tok == nil || d.owner != h.tok {
 		objectCopies.Add(1)
-		h.ensureMaps()
+		h.ensureDirs()
 		entries := make(map[string]Entry, len(d.Entries))
 		for n, e := range d.Entries {
 			entries[n] = e
@@ -245,7 +274,7 @@ func (h *Heap) MutFile(r FileRef) *File {
 	h.unhashFile(r, f)
 	if h.tok == nil || f.owner != h.tok {
 		objectCopies.Add(1)
-		h.ensureMaps()
+		h.ensureFiles()
 		nf := &File{
 			Bytes:     append([]byte(nil), f.Bytes...),
 			Nlink:     f.Nlink,
@@ -265,7 +294,7 @@ func (h *Heap) MutFile(r FileRef) *File {
 // AllocDir creates a fresh, empty, unlinked directory and returns its
 // reference. The caller links it into a parent (or leaves it disconnected).
 func (h *Heap) AllocDir(parent DirRef, perm types.Perm, uid types.Uid, gid types.Gid) DirRef {
-	h.ensureMaps()
+	h.ensureDirs()
 	r := h.nextDir
 	h.nextDir++
 	h.dirs[r] = &Dir{
@@ -282,7 +311,7 @@ func (h *Heap) AllocDir(parent DirRef, perm types.Perm, uid types.Uid, gid types
 
 // AllocFile creates a fresh empty file with link count zero.
 func (h *Heap) AllocFile(perm types.Perm, uid types.Uid, gid types.Gid) FileRef {
-	h.ensureMaps()
+	h.ensureFiles()
 	r := h.nextFile
 	h.nextFile++
 	h.files[r] = &File{Nlink: 0, Perm: perm, Uid: uid, Gid: gid, owner: h.ensureTok()}
@@ -353,12 +382,12 @@ func (h *Heap) FreeFile(f FileRef) {
 	if fl == nil {
 		return
 	}
-	if _, dirty := h.dirtyFiles[f]; dirty {
-		delete(h.dirtyFiles, f)
+	if i, dirty := h.dirtyFile(f); dirty {
+		h.dirtyFiles = append(h.dirtyFiles[:i], h.dirtyFiles[i+1:]...)
 	} else {
 		h.hash ^= fileContrib(f, fl)
 	}
-	h.ensureMaps()
+	h.ensureFiles()
 	delete(h.files, f)
 }
 

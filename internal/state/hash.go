@@ -125,24 +125,38 @@ func fileContrib(r FileRef, f *File) uint64 {
 	return fileContent(r, f)
 }
 
-func (h *Heap) markDirtyDir(r DirRef) {
-	if h.dirtyDirs == nil {
-		h.dirtyDirs = make(map[DirRef]struct{})
+// A transition touches a handful of objects, so the dirty sets are
+// short slices searched linearly: no map to allocate per clone. A ref
+// is marked only when it is not dirty already — unhash* check, and
+// allocation hands out fresh refs — since flushHash folds each entry in.
+
+func (h *Heap) markDirtyDir(r DirRef) { h.dirtyDirs = append(h.dirtyDirs, r) }
+
+func (h *Heap) markDirtyFile(r FileRef) { h.dirtyFiles = append(h.dirtyFiles, r) }
+
+func (h *Heap) dirtyDir(r DirRef) bool {
+	for _, d := range h.dirtyDirs {
+		if d == r {
+			return true
+		}
 	}
-	h.dirtyDirs[r] = struct{}{}
+	return false
 }
 
-func (h *Heap) markDirtyFile(r FileRef) {
-	if h.dirtyFiles == nil {
-		h.dirtyFiles = make(map[FileRef]struct{})
+// dirtyFile reports whether r is in the dirty set, and where.
+func (h *Heap) dirtyFile(r FileRef) (int, bool) {
+	for i, f := range h.dirtyFiles {
+		if f == r {
+			return i, true
+		}
 	}
-	h.dirtyFiles[r] = struct{}{}
+	return 0, false
 }
 
 // unhashDir retires r's current contribution ahead of a mutation; no-op if
 // the object is already dirty (its contribution is not folded in).
 func (h *Heap) unhashDir(r DirRef, d *Dir) {
-	if _, dirty := h.dirtyDirs[r]; dirty {
+	if h.dirtyDir(r) {
 		return
 	}
 	h.hash ^= h.dirContrib(r, d)
@@ -150,7 +164,7 @@ func (h *Heap) unhashDir(r DirRef, d *Dir) {
 }
 
 func (h *Heap) unhashFile(r FileRef, f *File) {
-	if _, dirty := h.dirtyFiles[r]; dirty {
+	if _, dirty := h.dirtyFile(r); dirty {
 		return
 	}
 	h.hash ^= h.fileContrib(r, f)
@@ -159,12 +173,12 @@ func (h *Heap) unhashFile(r FileRef, f *File) {
 
 // flushHash folds every dirty object's contribution back into the hash.
 func (h *Heap) flushHash() {
-	for r := range h.dirtyDirs {
+	for _, r := range h.dirtyDirs {
 		if d := h.dirs[r]; d != nil {
 			h.hash ^= h.dirContrib(r, d)
 		}
 	}
-	for r := range h.dirtyFiles {
+	for _, r := range h.dirtyFiles {
 		if f := h.files[r]; f != nil {
 			h.hash ^= h.fileContrib(r, f)
 		}

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Errno is an abstract POSIX error number. The model works with symbolic
 // errors, not platform-specific integer values, because the oracle compares
@@ -104,55 +107,65 @@ func ParseErrno(name string) (Errno, bool) {
 
 // ErrnoSet is a set of error numbers, used by the specification combinators
 // to accumulate the envelope of allowed errors for a call (§4 of the paper).
-type ErrnoSet map[Errno]struct{}
+// It is a bitset — bit e holds Errno e — so building, copying and uniting
+// sets never allocates; every Errno is below 64.
+type ErrnoSet uint64
+
+// errnoBit is e's bit. An errno outside [0, 64) is a programming error.
+func errnoBit(e Errno) ErrnoSet {
+	if e < 0 || e >= 64 {
+		panic(fmt.Sprintf("types: errno %d outside an ErrnoSet", int(e)))
+	}
+	return 1 << uint(e)
+}
 
 // NewErrnoSet builds a set from the given errors.
 func NewErrnoSet(es ...Errno) ErrnoSet {
-	s := make(ErrnoSet, len(es))
-	for _, e := range es {
-		s[e] = struct{}{}
-	}
+	var s ErrnoSet
+	s.Add(es...)
 	return s
 }
 
 // Add inserts the given errors into the set.
-func (s ErrnoSet) Add(es ...Errno) {
+func (s *ErrnoSet) Add(es ...Errno) {
 	for _, e := range es {
-		s[e] = struct{}{}
+		*s |= errnoBit(e)
 	}
 }
 
 // Has reports whether e is in the set.
-func (s ErrnoSet) Has(e Errno) bool { _, ok := s[e]; return ok }
+func (s ErrnoSet) Has(e Errno) bool { return e >= 0 && e < 64 && s&(1<<uint(e)) != 0 }
 
 // Union adds every element of other to s and returns s.
-func (s ErrnoSet) Union(other ErrnoSet) ErrnoSet {
-	for e := range other {
-		s[e] = struct{}{}
-	}
-	return s
+func (s *ErrnoSet) Union(other ErrnoSet) ErrnoSet {
+	*s |= other
+	return *s
+}
+
+// Len reports the number of errors in the set.
+func (s ErrnoSet) Len() int { return bits.OnesCount64(uint64(s)) }
+
+// Pop returns the set's smallest error and the set without it; s must not
+// be empty. Popping until the set is empty visits the errors in ascending
+// numeric order — Sorted's order — without allocating:
+//
+//	for rest := s; rest != 0; {
+//		var e Errno
+//		e, rest = rest.Pop()
+//		...
+//	}
+func (s ErrnoSet) Pop() (Errno, ErrnoSet) {
+	return Errno(bits.TrailingZeros64(uint64(s))), s & (s - 1)
 }
 
 // Sorted returns the elements in ascending numeric order (which matches the
 // declaration order above and gives deterministic diagnostics).
 func (s ErrnoSet) Sorted() []Errno {
-	out := make([]Errno, 0, len(s))
-	for e := range s {
+	out := make([]Errno, 0, s.Len())
+	for rest := s; rest != 0; {
+		var e Errno
+		e, rest = rest.Pop()
 		out = append(out, e)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
 	return out
-}
-
-// Clone returns a copy of the set.
-func (s ErrnoSet) Clone() ErrnoSet {
-	c := make(ErrnoSet, len(s))
-	for e := range s {
-		c[e] = struct{}{}
-	}
-	return c
 }

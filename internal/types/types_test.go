@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -29,15 +30,15 @@ func TestParseErrnoRejectsUnknown(t *testing.T) {
 func TestErrnoSetBasics(t *testing.T) {
 	s := NewErrnoSet(ENOENT, EEXIST)
 	if !s.Has(ENOENT) || !s.Has(EEXIST) || s.Has(EPERM) {
-		t.Fatalf("membership wrong: %v", s)
+		t.Fatalf("membership wrong: %v", s.Sorted())
 	}
 	s.Add(EPERM, EACCES)
-	if len(s) != 4 {
-		t.Fatalf("Add variadic: %v", s)
+	if s.Len() != 4 {
+		t.Fatalf("Add variadic: %v", s.Sorted())
 	}
-	u := NewErrnoSet(ELOOP).Union(s)
-	if len(u) != 5 {
-		t.Fatalf("Union: %v", u)
+	u := NewErrnoSet(ELOOP)
+	if u.Union(s) != u || u.Len() != 5 {
+		t.Fatalf("Union: %v", u.Sorted())
 	}
 	sorted := u.Sorted()
 	for i := 1; i < len(sorted); i++ {
@@ -45,10 +46,62 @@ func TestErrnoSetBasics(t *testing.T) {
 			t.Fatalf("Sorted not ascending: %v", sorted)
 		}
 	}
-	c := u.Clone()
+	c := u
 	c.Add(EIO)
 	if u.Has(EIO) {
-		t.Fatal("Clone is not independent")
+		t.Fatal("a copy is not independent")
+	}
+}
+
+// mapSorted is the map-based ErrnoSet's Sorted, kept as the reference
+// the bitset's iteration order is held to.
+func mapSorted(es []Errno) []Errno {
+	m := make(map[Errno]struct{}, len(es))
+	for _, e := range es {
+		m[e] = struct{}{}
+	}
+	out := make([]Errno, 0, len(m))
+	for e := range m {
+		out = append(out, e)
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j-1] > out[j]; j-- {
+			out[j-1], out[j] = out[j], out[j-1]
+		}
+	}
+	return out
+}
+
+// TestErrnoSetOrder: popping a bitset ErrnoSet visits exactly what the
+// map-based set's Sorted returned, in the same order, so the successors
+// built per error (and every diagnostic listing them) keep their order.
+func TestErrnoSetOrder(t *testing.T) {
+	f := func(raw []uint8) bool {
+		es := make([]Errno, len(raw))
+		for i, r := range raw {
+			es[i] = Errno(int(r) % int(ENOSYS+1))
+		}
+		s := NewErrnoSet(es...)
+		want := mapSorted(es)
+		got := []Errno{}
+		for rest := s; rest != 0; {
+			var e Errno
+			e, rest = rest.Pop()
+			got = append(got, e)
+		}
+		return reflect.DeepEqual(got, want) && reflect.DeepEqual(s.Sorted(), want) && s.Len() == len(want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s := NewErrnoSet(ENOENT, EEXIST)
+		s.Union(NewErrnoSet(ELOOP))
+		if !s.Has(ELOOP) {
+			t.Fatal("Union lost ELOOP")
+		}
+	}); n != 0 {
+		t.Errorf("building and uniting sets: %.1f allocations, want 0", n)
 	}
 }
 
@@ -59,7 +112,7 @@ func TestErrnoSetSortedProperty(t *testing.T) {
 			s.Add(Errno(int(r)%int(ENOSYS) + 1))
 		}
 		sorted := s.Sorted()
-		if len(sorted) != len(s) {
+		if len(sorted) != s.Len() {
 			return false
 		}
 		for i := 1; i < len(sorted); i++ {
