@@ -103,7 +103,7 @@ type Checker struct {
 	// attribution); nil selects telemetry.Default. Purely observational:
 	// results are byte-identical whatever registry is installed.
 	Tel *telemetry.Registry
-	// Memo, when non-nil, is the suite-level cons table: transition
+	// Memo, when non-nil, is the checker's cons table: transition
 	// fan-outs are interned per (source state object, label) and replayed
 	// across traces (scripts share their fixture prefix — and the shared
 	// initial state — so most of a suite's τ-closure work walks the same
@@ -111,10 +111,11 @@ type Checker struct {
 	// object, so results are byte-identical with the table on or off;
 	// the golden parity fixtures pin it. The table keys on source-state
 	// pointer identity, so it pays only where traces share a prefix of
-	// states: pipeline.Run sets it for sequential runs and leaves it nil
-	// for concurrent ones, whose schedules rarely reach the same state
-	// object twice. Ignored under DisableDedup (the ablation's unhashed
-	// states would race the table's publication protocol).
+	// states: pipeline.Run gives each worker's checker a table of its own
+	// for sequential runs and leaves it nil for concurrent ones, whose
+	// schedules rarely reach the same state object twice. Ignored under
+	// DisableDedup (the ablation's unhashed states would race the table's
+	// publication protocol).
 	Memo *osspec.ConsTable
 
 	// initOnce/initial share one hashed+frozen initial state across every
@@ -149,6 +150,9 @@ type traceScratch struct {
 	// stats receives each closure's work split; a local would escape
 	// through ClosureOpts, which the closure's output flows from.
 	stats osspec.ClosureStats
+	// key holds the current label's cons-table key (osspec.AppendLabelKey),
+	// rendered once per step and read by every worker of the union.
+	key []byte
 }
 
 // start makes the tracked set the single initial state, with no covered
@@ -437,9 +441,10 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, workers int, cover func(int) uint64) []*osspec.OsState {
 	prehash := !c.DisableDedup
 	memo := c.memo()
-	var key string
+	var key []byte
 	if memo != nil {
-		key = osspec.LabelKey(lbl)
+		sc.key = osspec.AppendLabelKey(sc.key[:0], lbl)
+		key = sc.key
 	}
 	sc.union, sc.fanout = osspec.UnionStates(sc.union[:0], sc.fanout[:0], states, workers, func(dst []*osspec.OsState, s *osspec.OsState) []*osspec.OsState {
 		if memo != nil {

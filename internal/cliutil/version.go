@@ -11,8 +11,8 @@ import (
 // Version reports the build's identity: the module version when built
 // from a tagged module ("(devel)" for tree builds), the VCS revision when
 // the toolchain stamped one, and the Go version. It is what -version
-// prints and what telemetry snapshots embed, so BENCH_*.json and CI
-// stats artifacts say which build produced them.
+// prints and what telemetry snapshots embed, so CI stats artifacts and
+// saved -stats-json files say which build produced them.
 func Version() string {
 	v := "devel"
 	var rev, dirty string

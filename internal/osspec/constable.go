@@ -13,8 +13,8 @@ import (
 // fixture prelude, so the same states recur suite-wide — the per-trace
 // hash-cons tables recompute the same clones and digests tens of thousands
 // of times per run. The table interns the successor set of a (source state,
-// label) pair once per shard and replays it for every later trace that
-// reaches the same state.
+// label) pair once and replays it for every later trace that reaches the
+// same state.
 //
 // Entries are keyed by the source state's *pointer identity*, not by
 // StateEqual: StateEqual deliberately ignores fields Trans depends on
@@ -22,15 +22,25 @@ import (
 // LastSeen snapshots — ignorable within one trace, where merged states
 // never differ in them, but not across traces). Pointer identity makes a
 // replay trivially sound — it is Trans applied to that very object — and
-// still captures the suite-wide sharing: the checker publishes one initial
-// state per run, interned successors feed back into every trace's state
-// set, so all traces walk the same object graph along shared script
+// still captures the suite-wide sharing: a checker publishes one initial
+// state, interned successors feed back into every trace's state set, so
+// all its traces walk the same object graph along shared script
 // prefixes and divergence re-interns fresh objects at the first new label.
 //
-// Concurrency: safe for concurrent use. Successor states are published
-// only hashed and frozen (Hash() then Freeze()), after which Hash,
-// StateEqual and Clone on them are pure reads. Callers must treat returned
-// successor slices as immutable.
+// Ownership: one table per checker, and pipeline.Run gives every worker a
+// checker of its own, so a hit never writes a cache line another core
+// reads. Each worker still walks the shared fixture prefix through its own
+// interned objects; sharing one table across workers was measured to add
+// under 0.5% of hits, while its lock put every lookup's atomics on a
+// cache line that both cores wrote.
+//
+// Concurrency: safe for concurrent use. The lock is uncontended across
+// traces but still guards a checker's within-trace fan-out (TauWorkers >
+// 1), where two goroutines may miss on the same pair and Put converges on
+// the winner. Successor states are published only hashed and frozen
+// (Hash() then Freeze()), after which Hash, StateEqual and Clone on them
+// are pure reads. Callers must treat returned successor slices as
+// immutable.
 //
 // Memory is bounded by an epoch reset: once the retained-state count
 // passes the cap the whole table is cleared (the shared initial state
@@ -55,9 +65,11 @@ type consKey struct {
 	lbl string
 }
 
-// DefaultConsCap bounds the states a ConsTable may retain before an epoch
-// reset. 64k states is ~tens of MB of copy-on-write structure — far above
-// what one suite's shared fixture prefix needs, far below a leak.
+// DefaultConsCap bounds the states a run's cons tables may retain in total
+// before an epoch reset; pipeline.Run splits it evenly across its
+// workers' tables. 64k states is ~tens of MB of copy-on-write structure —
+// far above what one suite's shared fixture prefix needs, far below a
+// leak.
 const DefaultConsCap = 1 << 16
 
 // NewConsTable returns an empty table; maxStates ≤ 0 selects
@@ -70,10 +82,12 @@ func NewConsTable(maxStates int) *ConsTable {
 }
 
 // Get returns the interned successors of (src, key) and whether the pair
-// was present.
-func (t *ConsTable) Get(src *OsState, key string) ([]*OsState, bool) {
+// was present. The lookup converts key in place (the compiler elides the
+// string conversion of a map index), so a hit allocates nothing; callers
+// may reuse key's storage as soon as Get returns.
+func (t *ConsTable) Get(src *OsState, key []byte) ([]*OsState, bool) {
 	t.mu.RLock()
-	succs, ok := t.m[consKey{src, key}]
+	succs, ok := t.m[consKey{src, string(key)}]
 	t.mu.RUnlock()
 	if ok {
 		t.hits.Add(1)
@@ -88,15 +102,14 @@ func (t *ConsTable) Get(src *OsState, key string) ([]*OsState, bool) {
 // reads race-free), and returns the canonical slice: when a concurrent Put
 // of the same pair won the race, the winner's (identical) successors are
 // returned so every caller converges on the same interned objects. src
-// must already be frozen.
-func (t *ConsTable) Put(src *OsState, key string, succs []*OsState) []*OsState {
+// must already be frozen. key is copied only when the entry is stored.
+func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState) []*OsState {
 	for _, ns := range succs {
 		ns.Hash()
 		ns.Freeze()
 	}
-	k := consKey{src, key}
 	t.mu.Lock()
-	if won, dup := t.m[k]; dup {
+	if won, dup := t.m[consKey{src, string(key)}]; dup {
 		t.mu.Unlock()
 		return won
 	}
@@ -107,7 +120,7 @@ func (t *ConsTable) Put(src *OsState, key string, succs []*OsState) []*OsState {
 		t.retained = 0
 		t.resets.Add(1)
 	}
-	t.m[k] = succs
+	t.m[consKey{src, string(key)}] = succs
 	t.retained += len(succs)
 	t.mu.Unlock()
 	return succs
@@ -146,29 +159,31 @@ func (t *ConsTable) Stats() ConsStats {
 // tauExpandKey is the ConsTable key for the whole-state τ expansion
 // (expandOne: every calling pid's fan-out, concatenated in pid order).
 // NUL-prefixed so it can never collide with a rendered label key.
-const tauExpandKey = "\x00tau*"
+var tauExpandKey = []byte("\x00tau*")
 
-// LabelKey renders lbl as a ConsTable key. A leading type tag keeps the
-// key space injective across label kinds even where the human renderings
-// could overlap.
-func LabelKey(lbl types.Label) string {
+// AppendLabelKey appends lbl's ConsTable key to dst. A leading type tag
+// keeps the key space injective across label kinds even where the human
+// renderings could overlap.
+func AppendLabelKey(dst []byte, lbl types.Label) []byte {
 	switch l := lbl.(type) {
 	case types.CallLabel:
-		return string(l.Cmd.Append(appendPidKey(make([]byte, 0, 64), 'c', l.Pid)))
+		return l.Cmd.Append(appendPidKey(dst, 'c', l.Pid))
 	case types.ReturnLabel:
-		return string(l.Ret.Append(appendPidKey(make([]byte, 0, 64), 'r', l.Pid)))
+		return l.Ret.Append(appendPidKey(dst, 'r', l.Pid))
 	case types.TauLabel:
-		return "t"
+		return append(dst, 't')
 	case types.CreateLabel:
-		return "n" + strconv.Itoa(int(l.Pid)) + "," + strconv.Itoa(int(l.Uid)) + "," + strconv.Itoa(int(l.Gid))
+		dst = strconv.AppendInt(append(dst, 'n'), int64(l.Pid), 10)
+		dst = strconv.AppendInt(append(dst, ','), int64(l.Uid), 10)
+		return strconv.AppendInt(append(dst, ','), int64(l.Gid), 10)
 	case types.DestroyLabel:
-		return "d" + strconv.Itoa(int(l.Pid))
+		return strconv.AppendInt(append(dst, 'd'), int64(l.Pid), 10)
 	case types.CrashLabel:
 		// One key for every keep count: the oracle ignores Keep (it admits
 		// the whole crash-state set), so the fan-outs are identical.
-		return "x"
+		return append(dst, 'x')
 	}
-	return "?" + lbl.String()
+	return append(append(dst, '?'), lbl.String()...)
 }
 
 // appendPidKey appends a call or return key's prefix: the tag, the pid

@@ -17,7 +17,7 @@ func TestConsTableInternsAndConverges(t *testing.T) {
 	tbl := NewConsTable(0)
 
 	lbl := types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
-	key := LabelKey(lbl)
+	key := AppendLabelKey(nil, lbl)
 	if _, ok := tbl.Get(src, key); ok {
 		t.Fatal("empty table reported a hit")
 	}
@@ -74,7 +74,7 @@ func TestConsTableEpochReset(t *testing.T) {
 		if len(succs) > maxFan {
 			maxFan = len(succs)
 		}
-		tbl.Put(src, LabelKey(lbl), succs)
+		tbl.Put(src, AppendLabelKey(nil, lbl), succs)
 		if got := tbl.Stats().Retained; got > cap+maxFan {
 			t.Fatalf("retained %d states, cap %d + fan-out %d", got, cap, maxFan)
 		}
@@ -88,14 +88,16 @@ func TestConsTableEpochReset(t *testing.T) {
 	if st := tbl.Stats(); st.Retained != 0 {
 		t.Fatalf("Reset left %d retained states", st.Retained)
 	}
-	if _, ok := tbl.Get(src, LabelKey(types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})); ok {
+	if _, ok := tbl.Get(src, AppendLabelKey(nil, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})); ok {
 		t.Fatal("Reset left an entry behind")
 	}
 }
 
 // TestLabelKeyInjectiveAcrossKinds spot-checks the type-tag discipline:
 // labels of different kinds can never share a key, and the τ-expansion
-// sentinel cannot collide with any rendered label.
+// sentinel cannot collide with any rendered label. Keys appended behind a
+// prefix render the same bytes after it, so a reused buffer cannot leak
+// one step's key into the next.
 func TestLabelKeyInjectiveAcrossKinds(t *testing.T) {
 	keys := map[string]string{}
 	for name, lbl := range map[string]types.Label{
@@ -105,14 +107,20 @@ func TestLabelKeyInjectiveAcrossKinds(t *testing.T) {
 		"create":  types.CreateLabel{Pid: 2, Uid: 0, Gid: 0},
 		"destroy": types.DestroyLabel{Pid: 2},
 	} {
-		k := LabelKey(lbl)
-		if k == tauExpandKey {
+		k := string(AppendLabelKey(nil, lbl))
+		if k == string(tauExpandKey) {
 			t.Fatalf("%s label collides with the τ-expansion sentinel", name)
 		}
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("labels %s and %s share key %q", prev, name, k)
 		}
 		keys[k] = name
+		if got := string(AppendLabelKey([]byte("prefix"), lbl)); got != "prefix"+k {
+			t.Fatalf("%s key behind a prefix = %q, want %q", name, got, "prefix"+k)
+		}
+	}
+	if got, want := string(AppendLabelKey(nil, types.CreateLabel{Pid: 3, Uid: 1000, Gid: 50})), "n3,1000,50"; got != want {
+		t.Fatalf("create key = %q, want %q", got, want)
 	}
 }
 

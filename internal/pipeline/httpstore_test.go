@@ -426,7 +426,7 @@ func TestHTTPStoreStats(t *testing.T) {
 	}
 }
 
-func mustPack(t *testing.T) *PackStore {
+func mustPack(t testing.TB) *PackStore {
 	t.Helper()
 	p, err := OpenPackStore(t.TempDir())
 	if err != nil {

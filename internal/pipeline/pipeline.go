@@ -50,12 +50,13 @@ type Config struct {
 	// MaxStateSet caps the checker's tracked state set (0 = the checker
 	// default). Part of the cache key: a different cap can change verdicts.
 	MaxStateSet int
-	// NoSharedCons disables the suite-level cons table that interns
-	// transition fan-outs across traces (checker.Memo) — the ablation knob
-	// for benchmarks and the parity fixtures. Purely an execution strategy:
-	// records are byte-identical either way, so it is NOT part of the
-	// cache key. Concurrent runs never build the table (see Run), so it
-	// only matters for sequential ones.
+	// NoSharedCons disables the cons tables that intern transition
+	// fan-outs across the traces each worker checks (checker.Memo, one
+	// table per worker) — the ablation knob for benchmarks and the parity
+	// fixtures. Purely an execution strategy: records are byte-identical
+	// either way, so it is NOT part of the cache key. Concurrent runs
+	// never build the tables (see Run), so it only matters for sequential
+	// ones.
 	NoSharedCons bool
 	// HashScript, when non-nil, supplies each script's content hash for key
 	// computation instead of ScriptHash. Sessions pass a memo fed by the
@@ -129,9 +130,11 @@ func (st Stats) String() string {
 }
 
 // Run executes one shard of the suite through the cache-backed pipeline
-// and returns this shard's records in job order. The record content is
-// deterministic: a cache hit, a sink resume and a fresh execution of the
-// same job yield identical records (only Stats and Record.Cached reveal
+// and returns this shard's records in job order. Each worker checks with
+// a checker of its own, and for sequential runs a cons table of its own
+// (see workerCheckers). The record content is deterministic: a cache hit,
+// a sink resume and a fresh execution of the same job yield identical
+// records whichever worker checks it (only Stats and Record.Cached reveal
 // the difference).
 //
 // Cancellation is cooperative: ctx is consulted between jobs and inside
@@ -160,26 +163,7 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		version = osspec.ModelVersion
 	}
 	tel := telemetry.Or(cfg.Tel)
-	chk := checker.New(cfg.Spec)
-	if cfg.MaxStateSet > 0 {
-		chk.MaxStateSet = cfg.MaxStateSet
-	}
-	chk.TauWorkers = cfg.TauWorkers
-	if chk.TauWorkers <= 0 {
-		chk.TauWorkers = 1
-	}
-	chk.Tel = tel
-	if !cfg.NoSharedCons && !cfg.Concurrent {
-		// One cons table per Run: a shard is the natural epoch (shards may
-		// run on different machines), and the table resets itself if a
-		// pathological suite outgrows the in-shard cap. Sequential traces
-		// walk the same interned states along their shared script prefix,
-		// so most lookups hit. Concurrent schedules interleave the pending
-		// calls differently, so only about 9% of lookups hit there, and
-		// every miss keeps states alive for the collector to scan: those
-		// runs check without the table.
-		chk.Memo = osspec.NewConsTable(0)
-	}
+	chks := workerCheckers(cfg, workers, tel)
 	if cfg.Sink != nil {
 		cfg.Sink.SetTelemetry(tel)
 	}
@@ -188,7 +172,7 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	}
 
 	specHash := SpecHash(version, cfg.Spec)
-	configHash := ConfigHash(cfg.FSName, cfg.Concurrent, cfg.SchedSeed, chk.MaxStateSet)
+	configHash := ConfigHash(cfg.FSName, cfg.Concurrent, cfg.SchedSeed, chks[0].MaxStateSet)
 
 	// Keys for the FULL suite (not just this shard): jobs need theirs, and
 	// the sink prunes against the complete set so a resumed sink keeps
@@ -229,7 +213,7 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	lastProgress := start
 	var wg sync.WaitGroup
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, chk := range chks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -293,13 +277,7 @@ feed:
 	if cfg.Cache != nil {
 		flushErr = cfg.Cache.Flush()
 	}
-	if chk.Memo != nil {
-		cs := chk.Memo.Stats()
-		tel.Counter("checker.cons_hits").Add(cs.Hits)
-		tel.Counter("checker.cons_misses").Add(cs.Misses)
-		tel.Counter("checker.cons_resets").Add(cs.Resets)
-		tel.Gauge("checker.cons_retained").SetMax(int64(cs.Retained))
-	}
+	publishConsStats(tel, chks)
 	if err := ctx.Err(); err != nil {
 		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
@@ -315,6 +293,60 @@ feed:
 		fmt.Fprintf(cfg.Log, "pipeline: %s: %s\n", cfg.Name, st)
 	}
 	return records, st, nil
+}
+
+// workerCheckers builds one checker per worker, so no two workers share
+// a checker's scratch pool or cons table. Sequential runs give each
+// checker its own cons table with an even share of DefaultConsCap: a
+// shard is the natural epoch (shards may run on different machines), and
+// a table resets itself if a pathological suite outgrows its share.
+// Sequential traces walk the same interned states along their shared
+// script prefix, so most lookups hit, and a worker's own traces find
+// nearly every hit that one shared table would: sharing was measured to
+// add under 0.5% of hits, while its lock made the workers' cores trade
+// one cache line on every lookup. Concurrent schedules interleave the
+// pending calls differently, so only about 9% of lookups hit there, and
+// every miss keeps states alive for the collector to scan: those runs
+// check without a table.
+func workerCheckers(cfg Config, workers int, tel *telemetry.Registry) []*checker.Checker {
+	chks := make([]*checker.Checker, workers)
+	for w := range chks {
+		chk := checker.New(cfg.Spec)
+		if cfg.MaxStateSet > 0 {
+			chk.MaxStateSet = cfg.MaxStateSet
+		}
+		chk.TauWorkers = cfg.TauWorkers
+		if chk.TauWorkers <= 0 {
+			chk.TauWorkers = 1
+		}
+		chk.Tel = tel
+		if !cfg.NoSharedCons && !cfg.Concurrent {
+			chk.Memo = osspec.NewConsTable(max(1, osspec.DefaultConsCap/workers))
+		}
+		chks[w] = chk
+	}
+	return chks
+}
+
+// publishConsStats reports the worker tables' counters, summed, to tel.
+// Runs without tables (every worker has one, or none does) report
+// nothing.
+func publishConsStats(tel *telemetry.Registry, chks []*checker.Checker) {
+	if chks[0].Memo == nil {
+		return
+	}
+	var sum osspec.ConsStats
+	for _, chk := range chks {
+		cs := chk.Memo.Stats()
+		sum.Hits += cs.Hits
+		sum.Misses += cs.Misses
+		sum.Resets += cs.Resets
+		sum.Retained += cs.Retained
+	}
+	tel.Counter("checker.cons_hits").Add(sum.Hits)
+	tel.Counter("checker.cons_misses").Add(sum.Misses)
+	tel.Counter("checker.cons_resets").Add(sum.Resets)
+	tel.Gauge("checker.cons_retained").SetMax(int64(sum.Retained))
 }
 
 // logProgress emits one rate-limited in-flight status line: completion,

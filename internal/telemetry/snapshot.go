@@ -18,8 +18,8 @@ type Header struct {
 
 // Snapshot is a point-in-time, JSON-marshalable view of a registry. It is
 // the standing machine-readable stats format: sfs-run -stats-json and
-// sfs-report emit it, BENCH_*.json evidence embeds it, and /stats.json
-// serves it live.
+// sfs-report emit it, the sfsbench benchmark reads its per-layer budget
+// from it, and /stats.json serves it live.
 type Snapshot struct {
 	Tool      string    `json:"tool,omitempty"`
 	Version   string    `json:"version,omitempty"`
