@@ -3,10 +3,9 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -23,34 +22,11 @@ func (c *Checker) CheckAll(traces []*trace.Trace, workers int) []Result {
 // the results completed so far stay in place (unchecked slots zero) and
 // ctx.Err() is returned.
 func (c *Checker) CheckAllCtx(ctx context.Context, traces []*trace.Trace, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]Result, len(traces))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain
-				}
-				results[i], _ = c.CheckCtx(ctx, traces[i])
-			}
-		}()
-	}
-feed:
-	for i := range traces {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	par.Each(ctx, workers, len(traces), func(_, i int) bool {
+		results[i], _ = c.CheckCtx(ctx, traces[i])
+		return true
+	})
 	return results, ctx.Err()
 }
 

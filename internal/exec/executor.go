@@ -3,10 +3,9 @@ package exec
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/fsimpl"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -92,35 +91,12 @@ func RunAll(ctx context.Context, scripts []*trace.Script, factory fsimpl.Factory
 // Cancellation stops dispatch; already-running fn calls are expected to
 // observe ctx themselves.
 func runPool(ctx context.Context, n, workers int, fn func(i int) (*trace.Trace, error)) ([]*trace.Trace, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	traces := make([]*trace.Trace, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain
-				}
-				traces[i], errs[i] = fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	par.Each(ctx, workers, n, func(_, i int) bool {
+		traces[i], errs[i] = fn(i)
+		return true
+	})
 	if err := ctx.Err(); err != nil {
 		return traces, err
 	}

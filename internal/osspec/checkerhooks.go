@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -315,38 +316,16 @@ func UnionStates(dst []*OsState, fanout []int, states []*OsState, workers int, f
 }
 
 // MapStates applies fn to every state, fanning the calls across workers
-// (≤ 1, or fewer states than tauParallelMin, stays on the caller's
-// goroutine) while keeping the result deterministically ordered: slot i
-// holds exactly fn(i, states[i]). The states must be frozen — each may be
-// read by any worker. Shared by the τ-closure and the checker's
-// transition union.
+// while keeping the result deterministically ordered: slot i holds
+// exactly fn(i, states[i]). The states must be frozen — each may be read
+// by any worker. Shared by the τ-closure and the checker's transition
+// union, which keep sets below tauParallelMin on their own goroutine.
 func MapStates(states []*OsState, workers int, fn func(int, *OsState) []*OsState) [][]*OsState {
 	results := make([][]*OsState, len(states))
-	if workers <= 1 || len(states) < tauParallelMin {
-		for i, s := range states {
-			results[i] = fn(i, s)
-		}
-		return results
-	}
-	if workers > len(states) {
-		workers = len(states)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int, len(states))
-	for i := range states {
-		idx <- i
-	}
-	close(idx)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = fn(i, states[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(context.TODO(), workers, len(states), func(_, i int) bool {
+		results[i] = fn(i, states[i])
+		return true
+	})
 	return results
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,22 +10,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// atomicWriteFile writes data to path through a temp file in the same
-// directory: write, fsync, chmod 0644, rename, fsync the directory. The
-// fsync before rename is what makes the rename a durability barrier — on
-// many file systems rename alone only orders metadata, so a crash shortly
-// after could surface the *renamed* file with empty or torn content,
-// defeating the whole point of the temp-file dance. The chmod undoes
-// os.CreateTemp's 0600: cache entries and finalized JSONL are shared
-// artifacts (multi-user cache dirs, CI artifact upload), not secrets.
-// The directory fsync persists the rename itself.
-func atomicWriteFile(path, pattern string, data []byte) error {
+// atomicWriteFile writes the content write streams to path through a
+// temp file in the same directory: write, fsync, chmod 0644, rename,
+// fsync the directory. The fsync before rename is what makes the rename a
+// durability barrier — on many file systems rename alone only orders
+// metadata, so a crash shortly after could surface the *renamed* file
+// with empty or torn content, defeating the whole point of the temp-file
+// dance. The chmod undoes os.CreateTemp's 0600: cache entries and
+// finalized JSONL are shared artifacts (multi-user cache dirs, CI
+// artifact upload), not secrets. The directory fsync persists the rename
+// itself.
+func atomicWriteFile(path, pattern string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return err
 	}
-	if err := writeSyncClose(tmp, data); err != nil {
+	if err := writeSyncClose(tmp, write); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -35,8 +37,8 @@ func atomicWriteFile(path, pattern string, data []byte) error {
 	return syncDir(dir)
 }
 
-func writeSyncClose(f *os.File, data []byte) error {
-	if _, err := f.Write(data); err != nil {
+func writeSyncClose(f *os.File, write func(io.Writer) error) error {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -49,6 +51,14 @@ func writeSyncClose(f *os.File, data []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+// bytesOf is atomicWriteFile content that writes data as it is.
+func bytesOf(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 func syncDir(dir string) error {

@@ -60,7 +60,7 @@ func (d *DirStore) Put(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return atomicWriteFile(path, ".tmp-*", data)
+	return atomicWriteFile(path, ".tmp-*", bytesOf(data))
 }
 
 // Flush is a no-op: DirStore pays for durability inside every Put.

@@ -351,7 +351,7 @@ func (p *PackStore) writeSidecar(id int, locs map[string]packLoc, covered int64)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, packCRC))
 	// Best-effort: a failed sidecar write only costs the next open a scan.
-	if atomicWriteFile(p.idxPath(id), ".tmp-*", buf) == nil {
+	if atomicWriteFile(p.idxPath(id), ".tmp-*", bytesOf(buf)) == nil {
 		p.tel.Counter("pipeline.index_writes").Inc()
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checker"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fsimpl"
 	"repro/internal/osspec"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -58,11 +58,12 @@ type Config struct {
 	// never build the tables (see Run), so it only matters for sequential
 	// ones.
 	NoSharedCons bool
-	// HashScript, when non-nil, supplies each script's content hash for key
-	// computation instead of ScriptHash. Sessions pass a memo fed by the
-	// generation cache, so a warm run looks every hash up instead of
-	// hashing the suite again. Must agree with ScriptHash.
-	HashScript func(*trace.Script) string
+	// HashScripts, when non-nil, fills hashes[i] with scripts[i]'s content
+	// hash for key computation instead of ScriptHash. Sessions pass a memo
+	// fed by the generation cache, so a warm run looks every hash up
+	// instead of hashing the suite again. The key pass calls it on batches
+	// of scripts from several workers at once. Must agree with ScriptHash.
+	HashScripts func(scripts []*trace.Script, hashes []string)
 	// Shards/Shard split the job list across invocations or machines:
 	// shard K of N takes jobs K, K+N, K+2N, ... Shards ≤ 1 means the whole
 	// list; Shard must be in [0, Shards).
@@ -177,20 +178,23 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	// Keys for the FULL suite (not just this shard): jobs need theirs, and
 	// the sink prunes against the complete set so a resumed sink keeps
 	// other shards' records but drops records of edited/removed scripts.
-	hashScript := cfg.HashScript
-	if hashScript == nil {
-		hashScript = ScriptHash
-	}
-	keys := make([]string, len(cfg.Scripts))
-	for i, s := range cfg.Scripts {
-		keys[i] = Key(hashScript(s), specHash, configHash)
-	}
-	if cfg.Sink != nil {
-		valid := make(map[string]bool, len(keys))
-		for _, k := range keys {
-			valid[k] = true
+	n := len(cfg.Scripts)
+	keys := make([]string, n) // a batch's script hashes, until replaced by its keys
+	par.Each(ctx, workers, (n+keyBatch-1)/keyBatch, func(_, b int) bool {
+		lo, hi := b*keyBatch, min(n, (b+1)*keyBatch)
+		if cfg.HashScripts != nil {
+			cfg.HashScripts(cfg.Scripts[lo:hi], keys[lo:hi])
 		}
-		cfg.Sink.Restrict(valid)
+		for i := lo; i < hi; i++ {
+			if cfg.HashScripts == nil {
+				keys[i] = ScriptHash(cfg.Scripts[i])
+			}
+			keys[i] = Key(keys[i], specHash, configHash)
+		}
+		return true
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
 
 	// Shard selection: stable indices into the shared job list.
@@ -201,6 +205,9 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		}
 	}
 	st.Jobs = len(jobs)
+	if cfg.Sink != nil {
+		cfg.Sink.Restrict(keys, len(jobs))
+	}
 
 	start := time.Now()
 	_, span := telemetry.StartSpan(ctx, tel, "pipeline.run")
@@ -208,66 +215,44 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	tel.Counter("pipeline.jobs").Add(int64(st.Jobs))
 	records := make([]Record, len(jobs))
 	errs := make([]error, len(jobs))
-	var failed atomic.Bool // first job error stops further work
-	var mu sync.Mutex      // st counters + log
+	var mu sync.Mutex // st counters + log
 	lastProgress := start
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for _, chk := range chks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				if failed.Load() || ctx.Err() != nil {
-					continue // drain: completed records stay in sink/cache
-				}
-				jobStart := time.Now()
-				rec, hit, skipped, err := runJob(ctx, cfg, chk, tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
-				records[j], errs[j] = rec, err
-				if err != nil {
-					failed.Store(true)
-					continue
-				}
-				tel.Histogram("pipeline.job_ns").ObserveSince(jobStart)
-				mu.Lock()
-				switch {
-				case skipped:
-					st.SinkSkipped++
-					tel.Counter("pipeline.resumed").Inc()
-				case hit:
-					st.CacheHits++
-					tel.Counter("pipeline.cache_hits").Inc()
-				default:
-					st.Executed++
-					tel.Counter("pipeline.executed").Inc()
-				}
-				if !rec.Accepted {
-					st.Rejected++
-					tel.Counter("pipeline.rejected").Inc()
-				}
-				if cfg.Observe != nil {
-					cfg.Observe(rec)
-				}
-				if cfg.Log != nil {
-					if now := time.Now(); now.Sub(lastProgress) >= progressInterval {
-						lastProgress = now
-						logProgress(cfg.Log, cfg.Name, st, now.Sub(start))
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for j := range jobs {
-		select {
-		case idx <- j:
-		case <-ctx.Done():
-			break feed
+	par.Each(ctx, workers, len(jobs), func(w, j int) bool {
+		jobStart := time.Now()
+		rec, hit, skipped, err := runJob(ctx, cfg, chks[w], tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
+		records[j], errs[j] = rec, err
+		if err != nil {
+			return false // completed records stay in sink/cache
 		}
-	}
-	close(idx)
-	wg.Wait()
+		tel.Histogram("pipeline.job_ns").ObserveSince(jobStart)
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case skipped:
+			st.SinkSkipped++
+			tel.Counter("pipeline.resumed").Inc()
+		case hit:
+			st.CacheHits++
+			tel.Counter("pipeline.cache_hits").Inc()
+		default:
+			st.Executed++
+			tel.Counter("pipeline.executed").Inc()
+		}
+		if !rec.Accepted {
+			st.Rejected++
+			tel.Counter("pipeline.rejected").Inc()
+		}
+		if cfg.Observe != nil {
+			cfg.Observe(rec)
+		}
+		if cfg.Log != nil {
+			if now := time.Now(); now.Sub(lastProgress) >= progressInterval {
+				lastProgress = now
+				logProgress(cfg.Log, cfg.Name, st, now.Sub(start))
+			}
+		}
+		return true
+	})
 	st.Elapsed = time.Since(start)
 	// Group-commit barrier: every exit — success, job error, cancel —
 	// passes through here, so each record that reached the cache is
@@ -294,6 +279,11 @@ feed:
 	}
 	return records, st, nil
 }
+
+// keyBatch is how many scripts a key-pass worker claims at once, and so
+// the size of each Config.HashScripts call: a memo takes its lock once
+// per batch instead of once per script.
+const keyBatch = 128
 
 // workerCheckers builds one checker per worker, so no two workers share
 // a checker's scratch pool or cons table. Sequential runs give each

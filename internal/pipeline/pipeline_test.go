@@ -2,14 +2,16 @@ package pipeline
 
 import (
 	"context"
-
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/checker"
 	"repro/internal/fsimpl"
 	"repro/internal/osspec"
 	"repro/internal/telemetry"
@@ -431,5 +433,121 @@ func TestRecordResultRoundTrip(t *testing.T) {
 		r.SumStates != rec.SumStates || r.StateSetCapHit != rec.CapHit ||
 		len(r.Errors) != len(rec.Errors) {
 		t.Errorf("Result() round-trip mismatch: %+v vs %+v", r, rec)
+	}
+}
+
+// TestRunWorkersAgree pins that the worker count changes nothing a run
+// produces: keys (each equal to the serial Key of its script), records
+// and finalized bytes are the same for 1, 2 and 8 workers, on a 3-shard
+// layout resuming one sink that starts with a stale record. The stale
+// record is pruned by Restrict after the parallel key pass. The suite
+// spans several key-pass batches, the last one partial.
+func TestRunWorkersAgree(t *testing.T) {
+	scripts := testScripts(t, 2*keyBatch+44)
+	dir := t.TempDir()
+
+	// A journal holding one record of an edited pipe___job_00.
+	stale := filepath.Join(dir, "stale.jsonl")
+	edited, err := trace.ParseScript("@type script\n# Test pipe___job_00\nmkdir \"d0\" 0o700\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := OpenSink(stale, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecfg := testConfig([]*trace.Script{edited})
+	ecfg.Sink = sink
+	if _, _, err := Run(context.Background(), ecfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	staleJournal := readFile(t, stale)
+
+	fresh := filepath.Join(dir, "fresh.jsonl")
+	finalizedRun(t, testConfig(scripts), fresh, false)
+	want := readFile(t, fresh)
+
+	specHash := SpecHash(osspec.ModelVersion, types.DefaultSpec())
+	configHash := ConfigHash("ext4", false, 0, checker.New(types.DefaultSpec()).MaxStateSet)
+	var wantRecords [][]Record
+	for _, workers := range []int{1, 2, 8} {
+		cfg := testConfig(scripts)
+		cfg.Workers = workers
+		path := filepath.Join(dir, fmt.Sprintf("w%d.jsonl", workers))
+		if err := os.WriteFile(path, staleJournal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var records [][]Record
+		for k := 0; k < 3; k++ {
+			sink, err := OpenSink(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scfg := cfg
+			scfg.Shards, scfg.Shard, scfg.Sink = 3, k, sink
+			recs, st, err := Run(context.Background(), scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SinkSkipped != 0 || st.Executed != st.Jobs {
+				t.Fatalf("workers %d, shard %d: %s, want every job executed", workers, k, st)
+			}
+			for j, rec := range recs {
+				if want := Key(ScriptHash(scripts[3*j+k]), specHash, configHash); rec.Key != want {
+					t.Fatalf("workers %d, shard %d: job %d key %s, want %s", workers, k, j, rec.Key, want)
+				}
+			}
+			records = append(records, recs)
+			if k < 2 {
+				err = sink.Close()
+			} else {
+				err = sink.Finalize()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wantRecords == nil {
+			wantRecords = records
+		} else if !reflect.DeepEqual(records, wantRecords) {
+			t.Fatalf("workers %d: records differ from 1 worker's", workers)
+		}
+		if got := readFile(t, path); string(got) != string(want) {
+			t.Fatalf("workers %d: finalized sink differs from a fresh unsharded run (stale record kept?)", workers)
+		}
+	}
+}
+
+// TestRunJobErrorStopsDispatch pins that a failing job stops dispatch:
+// the jobs already in flight finish, and no later job starts. The first
+// factory call fails and holds every other job in its factory until it
+// has failed, so at most one job per worker can have started.
+func TestRunJobErrorStopsDispatch(t *testing.T) {
+	scripts := testScripts(t, 64)
+	boom := errors.New("factory failed")
+	for _, workers := range []int{1, 2, 8} {
+		var calls atomic.Int32
+		release := make(chan struct{})
+		mem := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
+		cfg := testConfig(scripts)
+		cfg.Workers = workers
+		cfg.Factory = func() (fsimpl.FS, error) {
+			if calls.Add(1) == 1 {
+				defer close(release)
+				return nil, boom
+			}
+			<-release
+			return mem()
+		}
+		_, _, err := Run(context.Background(), cfg)
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers %d: err = %v, want the factory's", workers, err)
+		}
+		if got := int(calls.Load()); got > workers {
+			t.Errorf("workers %d: %d jobs started, want at most one per worker", workers, got)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -130,28 +132,36 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 // Path returns the sink's file path.
 func (s *Sink) Path() string { return s.path }
 
-// Restrict drops journaled records whose key is not in valid — the
-// resume-time defence against stale results. A sink belongs to one
-// (suite, configuration) pair; when a script is edited between runs its
-// key changes, and without pruning the old record (same name, old
-// verdict) would survive every resume and finalize. Run calls this with
-// the key set of the FULL suite (all shards), so records contributed by
-// other shards of the same layout are never touched. The journal file
-// still holds the stale lines until Finalize rewrites it; the in-memory
-// view (Lookup/Records/Finalize) is pruned immediately.
-func (s *Sink) Restrict(valid map[string]bool) {
+// Restrict readies the sink for a run that may append n records: it
+// presizes the index, records and lines for them, and drops journaled
+// records whose key is not among keys — the resume-time defence against
+// stale results. A sink belongs to one (suite, configuration) pair; when
+// a script is edited between runs its key changes, and without pruning
+// the old record (same name, old verdict) would survive every resume and
+// finalize. Run passes the keys of the FULL suite (all shards), so
+// records contributed by other shards of the same layout are never
+// touched. The journal file still holds the stale lines until Finalize
+// rewrites it; the in-memory view is pruned immediately.
+func (s *Sink) Restrict(keys []string, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var valid map[string]bool
+	if len(s.records) > 0 {
+		valid = make(map[string]bool, len(keys))
+		for _, k := range keys {
+			valid[k] = true
+		}
+	}
 	kept, keptLines := s.records[:0], s.lines[:0]
+	s.byKey = make(map[string]Record, len(s.records)+n)
 	for i, rec := range s.records {
 		if valid[rec.Key] {
 			kept = append(kept, rec)
 			keptLines = append(keptLines, s.lines[i])
-		} else {
-			delete(s.byKey, rec.Key)
+			s.byKey[rec.Key] = rec
 		}
 	}
-	s.records, s.lines = kept, keptLines
+	s.records, s.lines = slices.Grow(kept, n), slices.Grow(keptLines, n)
 }
 
 // Lookup returns the already-journaled record for key, if any.
@@ -354,6 +364,10 @@ func WriteRecords(path string, records []Record) error {
 	return writeLines(path, records, lines)
 }
 
+// finalizeBufSize bounds the buffer writeLines streams a journal through
+// (a full-suite journal is megabytes).
+const finalizeBufSize = 64 << 10
+
 // writeLines writes lines (lines[i] encodes records[i]) to path, one per
 // line, in canonical record order: by name, key-tiebroken (names are
 // unique across the generated suite, but user script directories make no
@@ -371,11 +385,15 @@ func writeLines(path string, records []Record, lines [][]byte) error {
 		}
 		return strings.Compare(records[a].Key, records[b].Key)
 	})
-	buf := make([]byte, 0, size)
-	for _, i := range order {
-		buf = append(append(buf, lines[i]...), '\n')
-	}
-	return atomicWriteFile(path, ".jsonl-*", buf)
+	return atomicWriteFile(path, ".jsonl-*", func(f io.Writer) error {
+		// A small journal gets a buffer of its own size, not the bound.
+		w := bufio.NewWriterSize(f, min(size, finalizeBufSize))
+		for _, i := range order {
+			w.Write(lines[i])
+			w.WriteByte('\n')
+		}
+		return w.Flush() // reports the first failed write
+	})
 }
 
 // ReadRecords loads every record line of a JSONL file, in file order. A

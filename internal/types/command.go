@@ -196,13 +196,13 @@ func (AddUserToGroup) Op() string { return "add_user_to_group" }
 // String is the same rendering as a string.
 func (c Close) Append(b []byte) []byte    { return appendFD(append(b, "close "...), c.FD) }
 func (c Closedir) Append(b []byte) []byte { return appendDH(append(b, "closedir "...), c.DH) }
-func (c Chdir) Append(b []byte) []byte    { return strconv.AppendQuote(append(b, "chdir "...), c.Path) }
+func (c Chdir) Append(b []byte) []byte    { return appendQuote(append(b, "chdir "...), c.Path) }
 func (c Chmod) Append(b []byte) []byte {
-	b = strconv.AppendQuote(append(b, "chmod "...), c.Path)
+	b = appendQuote(append(b, "chmod "...), c.Path)
 	return c.Perm.Append(append(b, ' '))
 }
 func (c Chown) Append(b []byte) []byte {
-	b = strconv.AppendQuote(append(b, "chown "...), c.Path)
+	b = appendQuote(append(b, "chown "...), c.Path)
 	return appendUidGid(b, c.Uid, c.Gid)
 }
 func (c Link) Append(b []byte) []byte {
@@ -213,13 +213,13 @@ func (c Lseek) Append(b []byte) []byte {
 	b = strconv.AppendInt(append(b, ' '), c.Off, 10)
 	return c.Whence.Append(append(b, ' '))
 }
-func (c Lstat) Append(b []byte) []byte { return strconv.AppendQuote(append(b, "lstat "...), c.Path) }
+func (c Lstat) Append(b []byte) []byte { return appendQuote(append(b, "lstat "...), c.Path) }
 func (c Mkdir) Append(b []byte) []byte {
-	b = strconv.AppendQuote(append(b, "mkdir "...), c.Path)
+	b = appendQuote(append(b, "mkdir "...), c.Path)
 	return c.Perm.Append(append(b, ' '))
 }
 func (c Open) Append(b []byte) []byte {
-	b = strconv.AppendQuote(append(b, "open "...), c.Path)
+	b = appendQuote(append(b, "open "...), c.Path)
 	b = c.Flags.Append(append(b, ' '))
 	if c.HasPerm {
 		b = c.Perm.Append(append(b, ' '))
@@ -227,7 +227,7 @@ func (c Open) Append(b []byte) []byte {
 	return b
 }
 func (c Opendir) Append(b []byte) []byte {
-	return strconv.AppendQuote(append(b, "opendir "...), c.Path)
+	return appendQuote(append(b, "opendir "...), c.Path)
 }
 func (c Pread) Append(b []byte) []byte {
 	b = appendFD(append(b, "pread "...), c.FD)
@@ -236,7 +236,7 @@ func (c Pread) Append(b []byte) []byte {
 }
 func (c Pwrite) Append(b []byte) []byte {
 	b = appendFD(append(b, "pwrite "...), c.FD)
-	b = strconv.AppendQuote(append(b, ' '), string(c.Data))
+	b = appendQuote(append(b, ' '), string(c.Data))
 	b = strconv.AppendInt(append(b, ' '), c.Size, 10)
 	return strconv.AppendInt(append(b, ' '), c.Off, 10)
 }
@@ -246,25 +246,25 @@ func (c Read) Append(b []byte) []byte {
 }
 func (c Readdir) Append(b []byte) []byte { return appendDH(append(b, "readdir "...), c.DH) }
 func (c Readlink) Append(b []byte) []byte {
-	return strconv.AppendQuote(append(b, "readlink "...), c.Path)
+	return appendQuote(append(b, "readlink "...), c.Path)
 }
 func (c Rename) Append(b []byte) []byte {
 	return appendTwoPaths(append(b, "rename "...), c.Src, c.Dst)
 }
 func (c Rewinddir) Append(b []byte) []byte { return appendDH(append(b, "rewinddir "...), c.DH) }
-func (c Rmdir) Append(b []byte) []byte     { return strconv.AppendQuote(append(b, "rmdir "...), c.Path) }
-func (c Stat) Append(b []byte) []byte      { return strconv.AppendQuote(append(b, "stat "...), c.Path) }
+func (c Rmdir) Append(b []byte) []byte     { return appendQuote(append(b, "rmdir "...), c.Path) }
+func (c Stat) Append(b []byte) []byte      { return appendQuote(append(b, "stat "...), c.Path) }
 func (c Symlink) Append(b []byte) []byte {
 	return appendTwoPaths(append(b, "symlink "...), c.Target, c.Linkpath)
 }
 func (c Truncate) Append(b []byte) []byte {
-	b = strconv.AppendQuote(append(b, "truncate "...), c.Path)
+	b = appendQuote(append(b, "truncate "...), c.Path)
 	return strconv.AppendInt(append(b, ' '), c.Len, 10)
 }
-func (c Unlink) Append(b []byte) []byte { return strconv.AppendQuote(append(b, "unlink "...), c.Path) }
+func (c Unlink) Append(b []byte) []byte { return appendQuote(append(b, "unlink "...), c.Path) }
 func (c Write) Append(b []byte) []byte {
 	b = appendFD(append(b, "write "...), c.FD)
-	b = strconv.AppendQuote(append(b, ' '), string(c.Data))
+	b = appendQuote(append(b, ' '), string(c.Data))
 	return strconv.AppendInt(append(b, ' '), c.Size, 10)
 }
 func (c Fsync) Append(b []byte) []byte { return appendFD(append(b, "fsync "...), c.FD) }
@@ -315,12 +315,24 @@ func appendDH(b []byte, dh DH) []byte {
 
 // appendTwoPaths renders two quoted path arguments separated by a space.
 func appendTwoPaths(b []byte, p1, p2 string) []byte {
-	b = strconv.AppendQuote(b, p1)
-	return strconv.AppendQuote(append(b, ' '), p2)
+	b = appendQuote(b, p1)
+	return appendQuote(append(b, ' '), p2)
 }
 
 // appendUidGid renders " uid gid".
 func appendUidGid(b []byte, u Uid, g Gid) []byte {
 	b = strconv.AppendInt(append(b, ' '), int64(u), 10)
 	return strconv.AppendInt(append(b, ' '), int64(g), 10)
+}
+
+// appendQuote is strconv.AppendQuote with a copying fast path for
+// printable ASCII without quotes or backslashes, which is every path the
+// generated suite uses; strconv would decode and classify it rune by rune.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -110,6 +111,21 @@ func TestRenderPins(t *testing.T) {
 
 // TestOpenFlagNamesSorted keeps the flag table in name order, the order
 // OpenFlags.Append lists flags in.
+// TestAppendQuoteMatchesStrconv pins appendQuote's fast path to
+// strconv.AppendQuote: every single byte, plus strings that leave the
+// fast path at their start, middle and end.
+func TestAppendQuoteMatchesStrconv(t *testing.T) {
+	cases := []string{"", "d0/f", "a b~", "\x7f", "é", "tab\tx", `q"q`, `b\\s`, "\xff", "x\x00"}
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)}), "a/"+string([]byte{byte(c)})+"/b")
+	}
+	for _, s := range cases {
+		if got, want := string(appendQuote([]byte("> "), s)), string(strconv.AppendQuote([]byte("> "), s)); got != want {
+			t.Errorf("appendQuote(%q) = %s, strconv gives %s", s, got, want)
+		}
+	}
+}
+
 func TestOpenFlagNamesSorted(t *testing.T) {
 	if !sort.SliceIsSorted(openFlagNames, func(i, j int) bool { return openFlagNames[i].n < openFlagNames[j].n }) {
 		t.Fatal("openFlagNames is not sorted by name")

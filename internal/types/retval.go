@@ -65,7 +65,7 @@ func (v RvNum) Append(b []byte) []byte {
 	return append(strconv.AppendInt(append(b, "RV_num("...), v.N, 10), ')')
 }
 func (v RvBytes) Append(b []byte) []byte {
-	return append(strconv.AppendQuote(append(b, "RV_bytes("...), string(v.Data)), ')')
+	return append(appendQuote(append(b, "RV_bytes("...), string(v.Data)), ')')
 }
 func (v RvStats) Append(b []byte) []byte { return v.Stats.Append(append(b, "RV_stats "...)) }
 func (v RvFD) Append(b []byte) []byte {
@@ -78,7 +78,7 @@ func (v RvDirent) Append(b []byte) []byte {
 	if v.End {
 		return append(b, "RV_readdir_end"...)
 	}
-	return append(strconv.AppendQuote(append(b, "RV_readdir("...), v.Name), ')')
+	return append(appendQuote(append(b, "RV_readdir("...), v.Name), ')')
 }
 func (v RvErr) Append(b []byte) []byte  { return append(b, v.Err.String()...) }
 func (v RvPerm) Append(b []byte) []byte { return append(v.Perm.Append(append(b, "RV_perm("...)), ')') }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fsimpl"
 	"repro/internal/fuzz"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
@@ -75,7 +76,7 @@ type Session struct {
 	// hashMu/hashes memoise per-script content hashes, so each script is
 	// hashed at most once per session however many runs check it. Generate
 	// seeds the memo from the generation cache; pipeline key computation
-	// reads it via Config.HashScript.
+	// reads it via Config.HashScripts.
 	hashMu sync.Mutex
 	hashes map[*Script]string
 	// journalMu serializes Run calls that share this session's journal:
@@ -363,25 +364,27 @@ func (s *Session) rememberHashes(scripts []*Script, hashes []string) {
 	s.hashMu.Unlock()
 }
 
-// scriptHash is the pipeline's Config.HashScript hook: memoised per script
-// pointer, computing (and caching) pipeline.ScriptHash on first sight.
-// Survey's repeated configurations and every warm generation hit hash no
-// script again.
-func (s *Session) scriptHash(sc *Script) string {
+// scriptHashes is the pipeline's Config.HashScripts hook: memoised per
+// script pointer, computing (and caching) pipeline.ScriptHash on first
+// sight. Survey's repeated configurations and every warm generation hit
+// hash no script again. The key pass calls it from several workers at
+// once, so the memo lock is taken once to look the batch up and once to
+// store its misses, which are hashed outside it.
+func (s *Session) scriptHashes(scripts []*Script, hashes []string) {
 	s.hashMu.Lock()
-	h, ok := s.hashes[sc]
-	s.hashMu.Unlock()
-	if ok {
-		return h
+	for i, sc := range scripts {
+		hashes[i] = s.hashes[sc]
 	}
-	h = pipeline.ScriptHash(sc)
-	s.hashMu.Lock()
-	if s.hashes == nil {
-		s.hashes = make(map[*Script]string)
-	}
-	s.hashes[sc] = h
 	s.hashMu.Unlock()
-	return h
+	fresh := false
+	for i, h := range hashes {
+		if h == "" {
+			hashes[i], fresh = pipeline.ScriptHash(scripts[i]), true
+		}
+	}
+	if fresh {
+		s.rememberHashes(scripts, hashes)
+	}
 }
 
 // covWrap returns the attribution wrapper for this session's model
@@ -471,37 +474,13 @@ func (s *Session) ExecuteConcurrent(ctx context.Context, scripts []*Script, fact
 func (s *Session) Check(ctx context.Context, traces []*Trace) ([]CheckResult, error) {
 	chk := s.newChecker()
 	wrap := s.covWrap()
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]CheckResult, len(traces))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain
-				}
-				wrap(func() {
-					results[i], _ = chk.CheckCtx(ctx, traces[i])
-				})
-			}
-		}()
-	}
-feed:
-	for i := range traces {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	par.Each(ctx, s.workers, len(traces), func(_, i int) bool {
+		wrap(func() {
+			results[i], _ = chk.CheckCtx(ctx, traces[i])
+		})
+		return true
+	})
 	return results, ctx.Err()
 }
 
@@ -580,7 +559,7 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 		Cov:          s.reg,
 		Tel:          s.tel,
 		Log:          s.log,
-		HashScript:   s.scriptHash,
+		HashScripts:  s.scriptHashes,
 	}
 	if s.journal != "" {
 		s.journalMu.Lock()
@@ -638,18 +617,18 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 			w = 1
 		}
 		pcfg := pipeline.Config{
-			Name:       cfg.Name,
-			Scripts:    sel,
-			Factory:    cfg.Factory,
-			FSName:     cfg.Name,
-			Spec:       cfg.Spec,
-			Workers:    w,
-			Cache:      cache,
-			Observe:    s.observer,
-			Cov:        s.reg,
-			Tel:        s.tel,
-			Log:        s.log,
-			HashScript: s.scriptHash,
+			Name:        cfg.Name,
+			Scripts:     sel,
+			Factory:     cfg.Factory,
+			FSName:      cfg.Name,
+			Spec:        cfg.Spec,
+			Workers:     w,
+			Cache:       cache,
+			Observe:     s.observer,
+			Cov:         s.reg,
+			Tel:         s.tel,
+			Log:         s.log,
+			HashScripts: s.scriptHashes,
 		}
 		if s.maxStateSet > 0 {
 			pcfg.MaxStateSet = s.maxStateSet
