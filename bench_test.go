@@ -14,6 +14,7 @@ package sibylfs
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,12 +38,17 @@ var benchOnce struct {
 func benchData(b *testing.B) ([]*Script, []*Trace) {
 	b.Helper()
 	benchOnce.Do(func() {
-		suite := Generate()
+		ctx := context.Background()
+		session := New()
+		suite, err := session.Generate(ctx)
+		if err != nil {
+			panic(err)
+		}
 		var sel []*Script
 		for i := 0; i < len(suite) && len(sel) < 2000; i += len(suite)/2000 + 1 {
 			sel = append(sel, suite[i])
 		}
-		traces, err := Execute(sel, MemFS(LinuxProfile("ext4")), 0)
+		traces, err := session.Execute(ctx, sel, MemFS(LinuxProfile("ext4")))
 		if err != nil {
 			panic(err)
 		}
@@ -72,9 +78,10 @@ func BenchmarkTable71CheckSuite(b *testing.B) {
 func BenchmarkTable71ExecuteSuite(b *testing.B) {
 	scripts, _ := benchData(b)
 	factory := MemFS(LinuxProfile("ext4"))
+	session := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(scripts, factory, 0); err != nil {
+		if _, err := session.Execute(context.Background(), scripts, factory); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +94,10 @@ func BenchmarkTable71ExecuteSuite(b *testing.B) {
 // paper's naive single-threaded HTML generator takes 48 s for a run).
 func BenchmarkTable71RenderHTML(b *testing.B) {
 	_, traces := benchData(b)
-	results := Check(DefaultSpec(), traces, 0)
+	results, err := New().Check(context.Background(), traces)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sum := analysis.Summarise("bench", traces, results)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,11 +137,7 @@ func nondetTrace(b *testing.B) *Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := ExecuteOne(s, MemFS(LinuxProfile("ext4")))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
+	return executeOne(b, s, MemFS(LinuxProfile("ext4")))
 }
 
 func itoa(n int) string {
@@ -167,8 +173,10 @@ func BenchmarkTable3StateSetCheck(b *testing.B) {
 // Complements BenchmarkTable3StateSetCheck, whose nondeterminism is
 // readdir-driven and single-process.
 func BenchmarkCheckConcurrent(b *testing.B) {
-	scripts := GenerateConcurrent()
-	traces, err := ExecuteConcurrent(scripts, MemFS(LinuxProfile("ext4")),
+	ctx := context.Background()
+	session := New()
+	scripts := generate(b, (*Session).GenerateConcurrent)
+	traces, err := session.ExecuteConcurrent(ctx, scripts, MemFS(LinuxProfile("ext4")),
 		ConcurrentOptions{Seeded: true, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -379,17 +387,18 @@ func BenchmarkFig7ModelSize(b *testing.B) {
 // pipeline over a fixed 500-script slice: cold executes and checks every
 // script, warm resolves every job from the content-addressed cache. Their
 // ratio is the re-run speedup; sfsbench's cold and warm workloads are the
-// standing measurement of both paths.
+// standing measurement of both paths. Each iteration runs in a fresh
+// session, so every run hashes its scripts as a new process would.
 func BenchmarkPipelineCold(b *testing.B) {
 	scripts, _ := benchData(b)
-	sel := scripts[:500]
+	job := RunJob{
+		Name: "bench-cold", Scripts: scripts[:500],
+		Factory: MemFS(LinuxProfile("ext4")), FSName: "ext4",
+	}
+	sel := job.Scripts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := RunPipeline(PipelineConfig{
-			Name: "bench-cold", Scripts: sel,
-			Factory: MemFS(LinuxProfile("ext4")), FSName: "ext4",
-			Spec: DefaultSpec(),
-		})
+		_, st, err := New().Run(context.Background(), job)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,22 +412,23 @@ func BenchmarkPipelineCold(b *testing.B) {
 
 func BenchmarkPipelineWarm(b *testing.B) {
 	scripts, _ := benchData(b)
-	sel := scripts[:500]
-	cache, err := OpenResultCache(b.TempDir())
+	job := RunJob{
+		Name: "bench-warm", Scripts: scripts[:500],
+		Factory: MemFS(LinuxProfile("ext4")), FSName: "ext4",
+	}
+	sel := job.Scripts
+	store, err := OpenPackStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := PipelineConfig{
-		Name: "bench-warm", Scripts: sel,
-		Factory: MemFS(LinuxProfile("ext4")), FSName: "ext4",
-		Spec: DefaultSpec(), Cache: cache,
-	}
-	if _, _, err := RunPipeline(cfg); err != nil { // fill the cache
+	defer store.Close()
+	ctx := context.Background()
+	if _, _, err := New(WithStore(store)).Run(ctx, job); err != nil { // fill the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := RunPipeline(cfg)
+		_, st, err := New(WithStore(store)).Run(ctx, job)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -436,9 +446,10 @@ func BenchmarkSpecFSExecute(b *testing.B) {
 	scripts, _ := benchData(b)
 	sel := scripts[:200]
 	factory := SpecFS("specfs", DefaultSpec())
+	session := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(sel, factory, 0); err != nil {
+		if _, err := session.Execute(context.Background(), sel, factory); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,6 @@ func main() {
 	outDir := flag.String("o", "", "output directory for script files (omit with -stats)")
 	stats := flag.Bool("stats", false, "print per-group script counts and exit")
 	group := flag.String("group", "", "only emit scripts of this command group")
-	cacheDir := flag.String("cache-dir", "", "cache directory (warm starts load the generated suite from it)")
 	timeout := flag.Duration("timeout", 0, "cancel generation after this long (exit 4, like Ctrl-C)")
 	showVersion := cliutil.VersionFlag(flag.CommandLine, "sfs-gen")
 	flag.Parse()
@@ -35,14 +34,7 @@ func main() {
 		defer cancel()
 	}
 
-	var opts []sibylfs.Option
-	if *cacheDir != "" {
-		opts = append(opts, sibylfs.WithCacheDir(*cacheDir))
-	}
-	session := sibylfs.New(opts...)
-	suite, err := session.Generate(ctx)
-	// Only generation uses the cache.
-	cliutil.CloseSession("sfs-gen", session)
+	suite, err := sibylfs.New().Generate(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-gen:", err)
 		os.Exit(4)

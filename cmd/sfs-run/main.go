@@ -202,9 +202,6 @@ func main() {
 	}
 	session = sibylfs.New(opts...)
 
-	// The session is built before the scripts load so that with -cache-dir
-	// a warm start serves the generated suite (text and hashes both) from
-	// the generation cache instead of regenerating it.
 	scripts, err := cliutil.SessionScripts(ctx, session, *inDir, universe)
 	if err != nil {
 		fatal(err)

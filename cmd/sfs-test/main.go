@@ -45,7 +45,6 @@ Sequential executor only; -fs host is rejected.
 func main() {
 	fsName := flag.String("fs", "", "implementation under test")
 	inDir := flag.String("i", "", "directory of .script files (default: generated suite)")
-	cacheDir := flag.String("cache-dir", "", "cache directory (warm starts load the generated suite from it)")
 	outDir := flag.String("o", "", "directory for .trace files (default: stdout summary only)")
 	workers := flag.Int("w", 0, "parallel workers (0 = GOMAXPROCS)")
 	concurrent := flag.Bool("concurrent", false, "run script processes concurrently (one goroutine per process)")
@@ -90,14 +89,8 @@ func main() {
 	if fs.Serial {
 		w = 1
 	}
-	sessionOpts := []sibylfs.Option{sibylfs.WithWorkers(w)}
-	if *cacheDir != "" {
-		sessionOpts = append(sessionOpts, sibylfs.WithCacheDir(*cacheDir))
-	}
-	session := sibylfs.New(sessionOpts...)
+	session := sibylfs.New(sibylfs.WithWorkers(w))
 	scripts, err := cliutil.SessionScripts(ctx, session, *inDir, universe)
-	// Only loading the suite uses the cache.
-	cliutil.CloseSession("sfs-test", session)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-test:", err)
 		os.Exit(1)

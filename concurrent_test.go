@@ -6,6 +6,7 @@ package sibylfs
 // model's envelope under every schedule.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,19 +15,24 @@ import (
 // accepted, and at least one must push the tracked state set to ≥ 4 —
 // the τ-closure doing real work (§7.1's MaxStates metric).
 func TestConcurrentSuiteConforms(t *testing.T) {
-	scripts := GenerateConcurrent()
+	ctx := context.Background()
+	session := New()
+	scripts := generate(t, (*Session).GenerateConcurrent)
 	if len(scripts) < 10 {
 		t.Fatalf("concurrent universe has only %d scripts", len(scripts))
 	}
 	peak := 0
 	var totalTau int
 	for _, seed := range []int64{1, 2} {
-		traces, err := ExecuteConcurrent(scripts, MemFS(LinuxProfile("ext4")),
+		traces, err := session.ExecuteConcurrent(ctx, scripts, MemFS(LinuxProfile("ext4")),
 			ConcurrentOptions{Seeded: true, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := Check(DefaultSpec(), traces, 0)
+		results, err := session.Check(ctx, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range results {
 			if !r.Accepted {
 				t.Errorf("seed %d: %s rejected:\n%s", seed, r.Name, RenderChecked(traces[i], r))
@@ -52,12 +58,17 @@ func TestConcurrentSuiteConforms(t *testing.T) {
 // under -race this doubles as the executor/memfs race test) and checks
 // every observed interleaving is in the envelope.
 func TestConcurrentFreeRunningConforms(t *testing.T) {
-	scripts := GenerateConcurrent()
-	traces, err := ExecuteConcurrent(scripts, MemFS(LinuxProfile("ext4")), ConcurrentOptions{})
+	ctx := context.Background()
+	session := New()
+	scripts := generate(t, (*Session).GenerateConcurrent)
+	traces, err := session.ExecuteConcurrent(ctx, scripts, MemFS(LinuxProfile("ext4")), ConcurrentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := Check(DefaultSpec(), traces, 0)
+	results, err := session.Check(ctx, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range results {
 		if !r.Accepted {
 			t.Errorf("%s rejected:\n%s", r.Name, RenderChecked(traces[i], r))
@@ -68,12 +79,9 @@ func TestConcurrentFreeRunningConforms(t *testing.T) {
 // TestConcurrentSequentialFallback: the same scripts are valid sequential
 // multi-process scripts; the ordinary executor and checker must agree.
 func TestConcurrentSequentialFallback(t *testing.T) {
-	scripts := GenerateConcurrent()
-	traces, err := Execute(scripts, MemFS(LinuxProfile("ext4")), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range Check(DefaultSpec(), traces, 0) {
+	scripts := generate(t, (*Session).GenerateConcurrent)
+	_, results := executeAndCheck(t, scripts, MemFS(LinuxProfile("ext4")), 0)
+	for _, r := range results {
 		if !r.Accepted {
 			t.Errorf("%s rejected under sequential execution", r.Name)
 		}

@@ -58,12 +58,16 @@ func crashGoldenFactory() Factory {
 }
 
 func TestCrashGolden(t *testing.T) {
-	scripts := GenerateCrash()
-	traces, err := Execute(scripts, crashGoldenFactory(), 0)
+	ctx := context.Background()
+	session := New(WithSpec(crashGoldenSpec()))
+	traces, err := session.Execute(ctx, generate(t, (*Session).GenerateCrash), crashGoldenFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := Check(crashGoldenSpec(), traces, 0)
+	results, err := session.Check(ctx, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := &crashGoldenFile{}
 	h := sha256.New()
 	for i, r := range results {
@@ -134,7 +138,7 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 	t.Helper()
 	cfg := pipeline.Config{
 		Name:         "crash golden",
-		Scripts:      GenerateCrash(),
+		Scripts:      generate(t, (*Session).GenerateCrash),
 		Factory:      crashGoldenFactory(),
 		FSName:       "ext4-crash",
 		Spec:         crashGoldenSpec(),
@@ -168,8 +172,8 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 func TestCrashGoldenParity(t *testing.T) {
 	dir := t.TempDir()
 	coldSHA, coldStats := runCrashPipeline(t, dir, false)
-	if coldStats.Executed != len(GenerateCrash()) {
-		t.Fatalf("cold run executed %d of %d scripts", coldStats.Executed, len(GenerateCrash()))
+	if n := len(generate(t, (*Session).GenerateCrash)); coldStats.Executed != n {
+		t.Fatalf("cold run executed %d of %d scripts", coldStats.Executed, n)
 	}
 	warmSHA, warmStats := runCrashPipeline(t, dir, false)
 	if warmStats.Executed != 0 {

@@ -5,6 +5,7 @@ package sibylfs
 // result. The heavy whole-suite runs are skipped with -short.
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 // scripts, with rename dominating two-path testing (≈2 500 in the paper
 // vs OpenGroup's ≈50 rename tests).
 func TestTable61SuiteSize(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	if len(suite) < 20000 {
 		t.Fatalf("suite = %d scripts, want ≥ 20 000 (paper: 21 070)", len(suite))
 	}
@@ -38,14 +39,19 @@ func TestTable72Acceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-suite run")
 	}
-	ResetCoverage()
-	suite := Generate()
-	traces, err := Execute(suite, MemFS(LinuxProfile("ext4")), 0)
+	ctx := context.Background()
+	session := New()
+	session.ResetCoverage()
+	suite := generate(t, (*Session).Generate)
+	traces, err := session.Execute(ctx, suite, MemFS(LinuxProfile("ext4")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	results := Check(DefaultSpec(), traces, 4)
+	results, err := New(WithWorkers(4)).Check(ctx, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	elapsed := time.Since(start)
 	bad := 0
 	for i, r := range results {
@@ -68,11 +74,11 @@ func TestTable72Acceptance(t *testing.T) {
 
 	// §7.2 coverage: the suite must exercise ≥95% of the model's coverage
 	// points (paper: 98% of model lines).
-	hit, total := Coverage()
+	hit, total := session.Coverage()
 	pct := 100 * float64(hit) / float64(total)
 	t.Logf("§7.2: model coverage %d/%d points = %.1f%% (paper: 98%%)", hit, total, pct)
 	if pct < 90 {
-		t.Errorf("coverage %.1f%% too low; unhit: %v", pct, CoverageUnhit())
+		t.Errorf("coverage %.1f%% too low; unhit: %v", pct, session.CoverageUnhit())
 	}
 }
 
@@ -82,18 +88,14 @@ func TestTable72HostAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("host run")
 	}
-	all := FilterHostSafe(Generate())
+	all := FilterHostSafe(generate(t, (*Session).Generate))
 	var sel []*Script
 	for i, s := range all {
 		if i%5 == 0 {
 			sel = append(sel, s)
 		}
 	}
-	traces, err := Execute(sel, HostFS("hostfs"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces, results := executeAndCheck(t, sel, HostFS("hostfs"), 1)
 	var rejected []string
 	for i, r := range results {
 		if !r.Accepted {
@@ -114,7 +116,8 @@ func TestTable72HostAcceptance(t *testing.T) {
 // TestTable72SpecFSSelfCheck — the determinized model's own traces must be
 // accepted with zero failures (by construction, a soundness check).
 func TestTable72SpecFSSelfCheck(t *testing.T) {
-	suite := Generate()
+	ctx := context.Background()
+	suite := generate(t, (*Session).Generate)
 	stride := 41
 	if testing.Short() {
 		stride = 163 // a thinner but still cross-group sample
@@ -126,11 +129,15 @@ func TestTable72SpecFSSelfCheck(t *testing.T) {
 		}
 	}
 	for _, pl := range []Platform{Linux, POSIX} {
-		traces, err := Execute(sel, SpecFS("specfs", SpecFor(pl)), 0)
+		session := New(WithSpec(SpecFor(pl)))
+		traces, err := session.Execute(ctx, sel, SpecFS("specfs", SpecFor(pl)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := Check(SpecFor(pl), traces, 0)
+		results, err := session.Check(ctx, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range results {
 			if !r.Accepted {
 				t.Errorf("%v: specfs trace rejected:\n%s", pl, RenderChecked(traces[i], r))
@@ -150,8 +157,11 @@ func TestTable73Survey(t *testing.T) {
 		t.Fatalf("only %d configurations; paper surveys over 40", len(configs))
 	}
 	// Representative slice: all survey scripts plus a sample of the rest.
+	ctx := context.Background()
+	session := New()
+	suite := generate(t, (*Session).Generate)
 	var scripts []*Script
-	for i, s := range Generate() {
+	for i, s := range suite {
 		if GroupOfName(s.Name) == "survey" || i%29 == 0 {
 			scripts = append(scripts, s)
 		}
@@ -164,7 +174,7 @@ func TestTable73Survey(t *testing.T) {
 			sel = append(sel, c)
 		}
 	}
-	results, err := RunSurvey(scripts, sel, 0)
+	results, err := session.Survey(ctx, scripts, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,14 +319,11 @@ func TestSurveyPlatformConventions(t *testing.T) {
 			script = s
 		}
 	}
-	tr, err := ExecuteOne(script, MemFS(LinuxProfile("ext4")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := CheckOne(SpecFor(Linux), tr); !r.Accepted {
+	tr := executeOne(t, script, MemFS(LinuxProfile("ext4")))
+	if r := checkOne(t, SpecFor(Linux), tr); !r.Accepted {
 		t.Errorf("Linux variant rejected the Linux convention:\n%s", RenderChecked(tr, r))
 	}
-	if r := CheckOne(SpecFor(POSIX), tr); r.Accepted {
+	if r := checkOne(t, SpecFor(POSIX), tr); r.Accepted {
 		t.Error("POSIX variant accepted the Linux O_APPEND/pwrite convention")
 	}
 }
@@ -330,15 +337,15 @@ func TestSurveyErrorCodes(t *testing.T) {
 			script = s
 		}
 	}
-	trLinux, _ := ExecuteOne(script, MemFS(LinuxProfile("ext4")))
-	if r := CheckOne(SpecFor(Linux), trLinux); !r.Accepted {
+	trLinux := executeOne(t, script, MemFS(LinuxProfile("ext4")))
+	if r := checkOne(t, SpecFor(Linux), trLinux); !r.Accepted {
 		t.Error("Linux EISDIR rejected by the Linux variant")
 	}
-	if r := CheckOne(SpecFor(OSX), trLinux); r.Accepted {
+	if r := checkOne(t, SpecFor(OSX), trLinux); r.Accepted {
 		t.Error("Linux EISDIR accepted by the OS X variant")
 	}
-	trOSX, _ := ExecuteOne(script, MemFS(OSXProfile("hfs")))
-	if r := CheckOne(SpecFor(OSX), trOSX); !r.Accepted {
+	trOSX := executeOne(t, script, MemFS(OSXProfile("hfs")))
+	if r := checkOne(t, SpecFor(OSX), trOSX); !r.Accepted {
 		t.Error("OS X EPERM rejected by the OS X variant")
 	}
 }
@@ -380,7 +387,7 @@ func TestFig4RenderChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderChecked(tr, CheckOne(DefaultSpec(), tr))
+	out := RenderChecked(tr, checkOne(t, DefaultSpec(), tr))
 	for _, want := range []string{
 		"# Error:", "EPERM",
 		"# allowed are only: EEXIST, ENOTEMPTY",

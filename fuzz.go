@@ -1,10 +1,6 @@
 package sibylfs
 
-import (
-	"context"
-
-	"repro/internal/fuzz"
-)
+import "repro/internal/fuzz"
 
 // Fuzzing vocabulary, re-exported: a coverage-guided mutation fuzzer over
 // test scripts (the feedback loop of §8/§9's future work; see
@@ -17,21 +13,3 @@ type (
 	// FuzzFinding is one minimized defect the fuzzer discovered.
 	FuzzFinding = fuzz.Finding
 )
-
-// Fuzz runs a coverage-guided fuzzing session: mutated scripts are
-// executed via the configured Factory, checked against the model, admitted
-// to the corpus when they reach new model coverage points, and minimized
-// into findings when the oracle rejects them.
-//
-//	cfg := sibylfs.FuzzConfig{
-//	    Factory:  sibylfs.MemFS(sibylfs.LinuxProfile("ext4")),
-//	    Spec:     sibylfs.DefaultSpec(),
-//	    Duration: 30 * time.Second,
-//	    Workers:  4,
-//	}
-//	res, err := sibylfs.Fuzz(cfg)
-//
-// Deprecated: use Session.Fuzz — the session supplies spec, workers,
-// result cache and coverage registry, and the wall-clock bound is the
-// context deadline instead of Config.Duration.
-func Fuzz(cfg FuzzConfig) (*FuzzResult, error) { return fuzz.Run(context.Background(), cfg) }

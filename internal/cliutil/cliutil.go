@@ -13,7 +13,6 @@ import (
 
 	sibylfs "repro"
 	"repro/internal/fsimpl"
-	"repro/internal/testgen"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -70,7 +69,7 @@ func PickFS(name string) (FSChoice, bool) {
 	}
 }
 
-// Universe names for SessionScripts/LoadScripts.
+// Universe names for SessionScripts.
 const (
 	UniverseSequential = "sequential"
 	UniverseConcurrent = "concurrent"
@@ -124,13 +123,10 @@ func PickCrashFS(name string) (FSChoice, error) {
 
 // SessionScripts resolves a tool's -i flag to its script list: a
 // directory of .script files when dir is given, otherwise the named
-// generated universe served through the session — so a session
-// constructed with WithCacheDir loads the suite (and its precomputed
-// script hashes) from the generation cache on warm starts instead of
-// regenerating.
+// generated universe, generated through the session (so ctx cancels it).
 func SessionScripts(ctx context.Context, s *sibylfs.Session, dir string, universe string) ([]*trace.Script, error) {
 	if dir != "" {
-		return LoadScripts(dir, universe)
+		return LoadScripts(dir)
 	}
 	switch universe {
 	case UniverseConcurrent:
@@ -143,20 +139,8 @@ func SessionScripts(ctx context.Context, s *sibylfs.Session, dir string, univers
 }
 
 // LoadScripts parses every .script file under dir (the file name becomes
-// the script name when the header carries none). An empty dir selects
-// the named generated universe. It bypasses the generation cache; prefer
-// SessionScripts from tools that hold a Session.
-func LoadScripts(dir string, universe string) ([]*trace.Script, error) {
-	if dir == "" {
-		switch universe {
-		case UniverseConcurrent:
-			return testgen.ConcurrentScripts(), nil
-		case UniverseCrash:
-			return testgen.CrashScripts(), nil
-		default:
-			return testgen.Generate().Scripts, nil
-		}
-	}
+// the script name when the header carries none).
+func LoadScripts(dir string) ([]*trace.Script, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,7 @@ import (
 )
 
 // StoreUsage is the shared help text for the -store flag.
-const StoreUsage = "cache backend: pack (segment store), dir (v1 file-per-key), or an sfs-serve URL (http://HOST:PORT shared fleet store; -cache-dir becomes its local fallback)"
+const StoreUsage = "cache backend: pack (segment store) or an sfs-serve URL (http://HOST:PORT shared fleet store; -cache-dir becomes its local fallback)"
 
 // StoreOptions maps the shared -cache-dir/-store flags to session
 // options, identically across every cache-using tool (sfs-run,
@@ -18,7 +18,6 @@ const StoreUsage = "cache backend: pack (segment store), dir (v1 file-per-key), 
 //
 //   - "pack" (the default): a packed cache rooted at -cache-dir; no
 //     -cache-dir means no cache, as before.
-//   - "dir": the v1 file-per-key backend at -cache-dir.
 //   - "http://…" / "https://…": the shared store of the sfs-serve
 //     daemon at that URL — usable without any -cache-dir (the fleet
 //     cache is remote); with one, the local packed store becomes the
@@ -32,21 +31,15 @@ func StoreOptions(cacheDir, storeName string) ([]sibylfs.Option, error) {
 		return opts, nil
 	}
 	if cacheDir == "" {
-		// No cache root: pack/dir have nowhere to live. Matches the old
+		// No cache root: pack has nowhere to live. Matches the old
 		// per-tool behavior of ignoring -store without -cache-dir.
 		return nil, nil
 	}
 	switch storeName {
 	case "pack", "":
 		return []sibylfs.Option{sibylfs.WithCacheDir(cacheDir)}, nil
-	case "dir":
-		store, err := sibylfs.OpenDirStore(cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		return []sibylfs.Option{sibylfs.WithStore(store)}, nil
 	default:
-		return nil, fmt.Errorf("unknown store backend %q (want pack, dir or http://HOST:PORT)", storeName)
+		return nil, fmt.Errorf("unknown store backend %q (want pack or http://HOST:PORT)", storeName)
 	}
 }
 
@@ -74,10 +67,6 @@ func PrintCacheStats(tool string, session *sibylfs.Session) {
 	}
 	fmt.Printf("cache: backend=%s entries=%d segments=%d bytes=%d\n",
 		st.Backend, st.Entries, st.Segments, st.Bytes)
-	if fb, ok := session.CacheFallbackStats(); ok {
-		fmt.Printf("cache: v1 read-through fallback: entries=%d bytes=%d\n",
-			fb.Entries, fb.Bytes)
-	}
 	tel := telemetry.Default
 	hits := tel.Counter("pipeline.cache_hits").Value()
 	misses := tel.Counter("pipeline.cache_misses").Value()

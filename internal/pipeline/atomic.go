@@ -16,7 +16,7 @@ import (
 // durability barrier — on many file systems rename alone only orders
 // metadata, so a crash shortly after could surface the *renamed* file
 // with empty or torn content, defeating the whole point of the temp-file
-// dance. The chmod undoes os.CreateTemp's 0600: cache entries and
+// dance. The chmod undoes os.CreateTemp's 0600: pack index sidecars and
 // finalized JSONL are shared artifacts (multi-user cache dirs, CI
 // artifact upload), not secrets. The directory fsync persists the rename
 // itself.

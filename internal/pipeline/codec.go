@@ -5,11 +5,8 @@ import (
 	"encoding/json"
 )
 
-// Framed record encoding — the value format pack-backed caches store
-// under a record key. A v1 entry is the record's canonical JSON line and
-// nothing else; decoding it costs a full JSON parse per warm hit, which
-// dominates the warm path once the store itself is down to one pread.
-// A framed entry carries both representations:
+// Framed record encoding — the value format caches store under a record
+// key. A framed entry carries the record twice:
 //
 //	"sfsrec1\x00" | uint32 len(json) | json | binary fields
 //
@@ -19,16 +16,10 @@ import (
 // is authoritative for every external consumer (journal, Finalize,
 // ReadRecords) once it passes the sink's framing guard; the binary part
 // is a pure decode accelerator, and any damage to it degrades to parsing
-// the embedded JSON, never to a wrong record.
-//
-// DirStore-bound caches (OpenDirCache, sfs-run -store dir) keep writing
-// bare JSON: the dir layout IS the v1 compatibility format, and the
-// format-compat CI job relies on -store dir producing genuine v1 bytes.
-// Reads accept both formats wherever they come from, which is what makes
-// v1 read-through migration transparent.
+// the embedded JSON, never to a wrong record. A value without the tag —
+// a v1 bare-JSON entry among them — is a miss.
 
-// recMagic tags a framed record entry. Bare-JSON entries start with '{',
-// so the tag can never be confused with a v1 record.
+// recMagic tags a framed record entry.
 const recMagic = "sfsrec1\x00"
 
 // encodeRecord frames rec and its canonical JSON encoding (line must be
@@ -75,24 +66,12 @@ func appendBytes32(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// isFramed reports whether a stored record value is a framed entry rather
-// than bare JSON.
-func isFramed(data []byte) bool {
-	return len(data) >= len(recMagic) && string(data[:len(recMagic)]) == recMagic
-}
-
-// decodeRecord decodes a stored record value in either format, returning
-// the record and its JSON line. Unparsable data is a miss (ok false) —
-// the writer will overwrite it — never an error.
+// decodeRecord decodes a framed record value, returning the record and
+// its JSON line. Unframed or unparsable data is a miss (ok false) — the
+// writer will overwrite it — never an error.
 func decodeRecord(data []byte, key string) (Record, []byte, bool) {
-	if !isFramed(data) {
-		// v1 entry: the value is the JSON line itself.
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return Record{}, nil, false
-		}
-		rec.Key = key
-		return rec, data, true
+	if len(data) < len(recMagic) || string(data[:len(recMagic)]) != recMagic {
+		return Record{}, nil, false
 	}
 	d := decoder{buf: data[len(recMagic):]}
 	line := d.bytes32()
@@ -136,8 +115,7 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 
 // decoder is a bounds-checked cursor over a framed entry; any overrun
 // sets failed instead of panicking (a PackStore hands us CRC-verified
-// bytes, but an HTTPStore relays whatever the server sent, and a DirStore
-// entry may have been damaged in place by a foreign writer).
+// bytes, but an HTTPStore relays whatever the server sent).
 type decoder struct {
 	buf    []byte
 	failed bool

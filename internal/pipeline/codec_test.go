@@ -46,21 +46,19 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordCodecBareJSON pins that a record's bare JSON line — the v1
+// entry format — is a miss, while the same record framed decodes.
 func TestRecordCodecBareJSON(t *testing.T) {
 	rec := codecTestRecord()
 	line, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotLine, ok := decodeRecord(line, rec.Key)
-	if !ok {
-		t.Fatal("decodeRecord on bare JSON: not ok")
+	if _, _, ok := decodeRecord(line, rec.Key); ok {
+		t.Fatal("decodeRecord on bare JSON: ok, want a miss")
 	}
-	if !bytes.Equal(gotLine, line) {
-		t.Fatal("bare JSON entry must return itself as the line")
-	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Fatalf("record mismatch:\n got %+v\nwant %+v", got, rec)
+	if _, _, ok := decodeRecord(encodeRecord(rec, line), rec.Key); !ok {
+		t.Fatal("decodeRecord on the framed record: not ok")
 	}
 }
 
@@ -86,11 +84,10 @@ func TestRecordCodecDamagedBinaryFallsBackToJSON(t *testing.T) {
 		}
 	}
 	// Garbage that is neither framed nor JSON is a miss, not an error.
-	if _, _, ok := decodeRecord([]byte("sfsrec1\x00\xff\xff\xff\xff"), "k"); ok {
-		t.Fatal("framed garbage decoded as ok")
-	}
-	if _, _, ok := decodeRecord([]byte("not json"), "k"); ok {
-		t.Fatal("non-JSON garbage decoded as ok")
+	for _, data := range [][]byte{[]byte("sfsrec1\x00\xff\xff\xff\xff"), []byte("not json")} {
+		if _, _, ok := decodeRecord(data, "k"); ok {
+			t.Fatalf("%q decoded as ok", data)
+		}
 	}
 }
 
@@ -116,11 +113,12 @@ func TestRecordCodecCraftedCount(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord: any stored bytes decode without panicking, and any
-// record that decodes re-encodes (encodeRecord with its canonical JSON)
-// to an entry that decodes back to the same record and the same line.
-// The corpus is seeded with records shaped like the golden fixtures',
-// the codec test record, and that record as a bare-JSON entry.
+// FuzzDecodeRecord: any stored bytes decode without panicking, bytes
+// without the frame tag are a miss, and any record that decodes
+// re-encodes (encodeRecord with its canonical JSON) to an entry that
+// decodes back to the same record and the same line. The corpus is
+// seeded with records shaped like the golden fixtures', the codec test
+// record, and that record as a bare-JSON (v1) entry.
 //
 //	go test -run '^$' -fuzz FuzzDecodeRecord -fuzztime 20s ./internal/pipeline/
 func FuzzDecodeRecord(f *testing.F) {
@@ -136,6 +134,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(line)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, _, ok := decodeRecord(data, "k")
+		if ok && !bytes.HasPrefix(data, []byte(recMagic)) {
+			t.Fatalf("unframed value decoded: %q", data)
+		}
 		if !ok || !fitsUint32(rec) {
 			return
 		}

@@ -8,35 +8,16 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // TestCacheEntryPermissions pins the shared-artifact contract: entries
 // land world-readable (0644), not with os.CreateTemp's private 0600 —
 // a cache directory is meant to be shareable across users and CI stages.
-// Checked for both backends: DirStore's per-key files and PackStore's
-// segment and sidecar files.
+// Checked on PackStore's segment and sidecar files.
 func TestCacheEntryPermissions(t *testing.T) {
 	key := strings.Repeat("ab", 32)
-
-	dirDir := t.TempDir()
-	d, err := OpenDirStore(dirDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Put(key, []byte(`{"name":"x"}`)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(d.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm := info.Mode().Perm(); perm != 0o644 {
-		t.Fatalf("dir store entry mode %o, want 644", perm)
-	}
-
-	packDir := t.TempDir()
-	p, err := OpenPackStore(packDir)
+	dir := t.TempDir()
+	p, err := OpenPackStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +28,7 @@ func TestCacheEntryPermissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"000001.seg", "000001.idx"} {
-		info, err := os.Stat(filepath.Join(packDir, name))
+		info, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +60,8 @@ func TestFinalizedSinkPermissions(t *testing.T) {
 func TestOrphanSweepOnOpen(t *testing.T) {
 	dir := t.TempDir()
 
-	// Cache orphans live in the two-hex-digit fan-out subdirectories.
-	sub := filepath.Join(dir, "ab")
+	// Cache orphans (index sidecar temp files) live beside the segments.
+	sub := packDir(dir)
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -660,50 +641,6 @@ func TestPackSidecarOutOfRange(t *testing.T) {
 	for _, k := range keys {
 		if v, ok := p.Get(k); !ok || string(v) != packValue(k) {
 			t.Fatalf("entry %s after rescan: %q, %v", k, v, ok)
-		}
-	}
-}
-
-// TestSuiteBlobRoundTrip pins the generation-cache encoding: decode is the
-// inverse of encode, the stored hashes are exactly ScriptHash's, and a
-// damaged blob reports an error (a cache miss) instead of a partial suite.
-func TestSuiteBlobRoundTrip(t *testing.T) {
-	a, err := trace.ParseScript("@type script\n# Test alpha\n1: mkdir \"/a\" 0o755\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := trace.ParseScript("@type script\n# Test beta\n1: stat \"/a\"\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scripts := []*trace.Script{a, b}
-	blob, hashes := EncodeSuite(scripts)
-	for i, s := range scripts {
-		if hashes[i] != ScriptHash(s) {
-			t.Fatalf("script %d: stored hash %s, ScriptHash %s", i, hashes[i], ScriptHash(s))
-		}
-	}
-	back, gotHashes, err := DecodeSuite(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(scripts) {
-		t.Fatalf("decoded %d scripts, want %d", len(back), len(scripts))
-	}
-	for i := range scripts {
-		if back[i].Name != scripts[i].Name {
-			t.Fatalf("script %d: name %q, want %q", i, back[i].Name, scripts[i].Name)
-		}
-		if back[i].Render() != scripts[i].Render() {
-			t.Fatalf("script %d: decoded text differs", i)
-		}
-		if gotHashes[i] != hashes[i] {
-			t.Fatalf("script %d: decoded hash %s, want %s", i, gotHashes[i], hashes[i])
-		}
-	}
-	for _, cut := range []int{0, len(blob) / 2, len(blob) - 1} {
-		if _, _, err := DecodeSuite(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}
 }

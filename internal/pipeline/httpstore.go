@@ -364,15 +364,6 @@ func (h *HTTPStore) Stats() StoreStats {
 	return st
 }
 
-// FallbackStats describes the local fallback store; ok is false when
-// none is configured.
-func (h *HTTPStore) FallbackStats() (StoreStats, bool) {
-	if h.opts.Fallback == nil {
-		return StoreStats{}, false
-	}
-	return h.opts.Fallback.Stats(), true
-}
-
 // do issues one request with retry/backoff: transport errors and 5xx
 // responses are retried up to MaxRetries times with doubling delay;
 // anything else returns as-is for the caller to interpret.

@@ -16,8 +16,8 @@ import (
 
 // storeFixture builds one Store backend for the shared conformance
 // suite. corrupt damages the stored entry for key (whose value is val)
-// in whatever way that backend can be damaged — deleting the v1 file,
-// bit-flipping pack segment bytes, tampering the wire body — after
+// in whatever way that backend can be damaged — bit-flipping pack
+// segment bytes, tampering the wire body — after
 // which the contract demands a miss, never an error.
 type storeFixture struct {
 	name  string
@@ -26,23 +26,6 @@ type storeFixture struct {
 
 func storeFixtures() []storeFixture {
 	return []storeFixture{
-		{
-			name: "dir",
-			setup: func(t *testing.T) (Store, func(*testing.T, string, []byte)) {
-				d, err := OpenDirStore(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				corrupt := func(t *testing.T, key string, _ []byte) {
-					// The v1 store has no checksums; its corruption mode is
-					// an unreadable file, which Get documents as a miss.
-					if err := os.Remove(d.path(key)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return d, corrupt
-			},
-		},
 		{
 			name: "pack",
 			setup: func(t *testing.T) (Store, func(*testing.T, string, []byte)) {
@@ -141,8 +124,7 @@ func flipValueOnDisk(t *testing.T, dir string, val []byte) {
 }
 
 // TestStoreConformance pins the Store contract every backend must obey
-// — local pack, v1 dir, and the remote HTTP store all behind one
-// table: round-trip, overwrite idempotence, Flush visibility, and
+// — local pack and the remote HTTP store behind one table: round-trip, overwrite idempotence, Flush visibility, and
 // corruption-is-a-miss (never an error).
 func TestStoreConformance(t *testing.T) {
 	for _, fx := range storeFixtures() {

@@ -19,7 +19,7 @@ import (
 // append-only pack segments (git packfile / LevelDB-log style) instead
 // of one file per key, and durability is paid per *batch*, not per
 // entry. The three design points, each fixing a measured bottleneck of
-// the v1 file-per-key layout:
+// the file-per-key layout it replaced:
 //
 //   - Packed segments. A cold full-suite run used to create ~21k small
 //     files, each with its own fsync + rename + directory fsync; a warm

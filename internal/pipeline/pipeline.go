@@ -59,10 +59,11 @@ type Config struct {
 	// ones.
 	NoSharedCons bool
 	// HashScripts, when non-nil, fills hashes[i] with scripts[i]'s content
-	// hash for key computation instead of ScriptHash. Sessions pass a memo
-	// fed by the generation cache, so a warm run looks every hash up
-	// instead of hashing the suite again. The key pass calls it on batches
-	// of scripts from several workers at once. Must agree with ScriptHash.
+	// hash for key computation instead of ScriptHash. Sessions pass a
+	// memo, so a second run over the same scripts (Survey's repeated
+	// configurations) looks every hash up instead of hashing the suite
+	// again. The key pass calls it on batches of scripts from several
+	// workers at once. Must agree with ScriptHash.
 	HashScripts func(scripts []*trace.Script, hashes []string)
 	// Shards/Shard split the job list across invocations or machines:
 	// shard K of N takes jobs K, K+N, K+2N, ... Shards ≤ 1 means the whole

@@ -48,10 +48,12 @@ func TestStoredLineGuard(t *testing.T) {
 	}
 
 	// Each store case fills a fresh cache with one tampered entry per
-	// record, then runs warm: every job must be a hit on that entry.
+	// record, then runs warm: every job must be a hit on a framed entry,
+	// and a miss (re-executed) on a bare-JSON one.
 	storeCases := []struct {
 		name  string
 		entry func(i int, rec Record) []byte
+		hits  int
 	}{
 		{"framed pretty-printed JSON", func(_ int, rec Record) []byte {
 			pretty, err := json.MarshalIndent(rec, "", "  ")
@@ -59,13 +61,13 @@ func TestStoredLineGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 			return encodeRecord(rec, pretty)
-		}},
+		}, len(scripts)},
 		{"framed JSON of another record", func(i int, rec Record) []byte {
 			return encodeRecord(rec, canonical(records[(i+1)%len(records)]))
-		}},
+		}, len(scripts)},
 		{"bare JSON with extra whitespace", func(_ int, rec Record) []byte {
 			return spaced(canonical(rec))
-		}},
+		}, 0},
 	}
 	for _, tc := range storeCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,8 +84,8 @@ func TestStoredLineGuard(t *testing.T) {
 			warm := testConfig(scripts)
 			warm.Cache = cache
 			path := filepath.Join(t.TempDir(), "warm.jsonl")
-			if st := finalizedRun(t, warm, path, false); st.CacheHits != len(scripts) {
-				t.Fatalf("%d cache hits, want %d", st.CacheHits, len(scripts))
+			if st := finalizedRun(t, warm, path, false); st.CacheHits != tc.hits {
+				t.Fatalf("%d cache hits, want %d", st.CacheHits, tc.hits)
 			}
 			if got := readFile(t, path); !bytes.Equal(got, want) {
 				t.Fatalf("finalized file differs from the cold run:\n got %s\nwant %s", got, want)

@@ -3,13 +3,11 @@ package pipeline
 import "repro/internal/telemetry"
 
 // Store is the persistence seam under the result cache: a flat
-// content-addressed byte store keyed by hex digest strings. Two local
-// implementations exist — PackStore (append-only pack segments with
-// group-commit durability, the default) and DirStore (one file per key,
-// the v1 layout, kept for compatibility and read-through migration) —
-// and the interface is deliberately narrow enough that a remote store
-// (HTTP, S3) can plug in behind the same Cache facade for a shared
-// fleet-wide cache.
+// content-addressed byte store keyed by hex digest strings. PackStore
+// (append-only pack segments with group-commit durability) is the local
+// implementation; the interface is deliberately narrow enough that a
+// remote store (HTTPStore, the sfs-serve fleet cache) plugs in behind the
+// same Cache facade.
 //
 // Implementations must be safe for concurrent use: the pipeline's worker
 // pool calls Get and Put from many goroutines at once.
@@ -38,15 +36,15 @@ type Store interface {
 
 // StoreStats summarises a store's contents for -cache-stats and tests.
 type StoreStats struct {
-	// Backend names the implementation ("pack", "dir").
+	// Backend names the implementation ("pack", or "http/" plus the
+	// server's backend for an HTTPStore).
 	Backend string
 	// Entries is the number of live keys.
 	Entries int
 	// Segments is the number of pack segments (0 for non-segment stores).
 	Segments int
 	// Bytes is the stored payload footprint: for PackStore the bytes of
-	// all segment files (live and superseded entries alike), for
-	// DirStore the summed size of the entry files.
+	// all segment files (live and superseded entries alike).
 	Bytes int64
 }
 

@@ -5,22 +5,11 @@ import (
 	"testing"
 )
 
-// Store microbenchmarks: PackStore vs DirStore on the three operations
-// the pipeline actually issues — warm lookups (Get), cold stores with a
-// barrier per record (Put+Flush, the v1 durability shape), and cold
-// stores amortized through group commit (many Puts, one Flush). The
-// pack-vs-dir gap on Put is the tentpole's headline number: DirStore pays
-// fsync + rename + directory fsync per record, PackStore pays one fsync
-// per batch.
-
-func benchStores(b *testing.B, run func(b *testing.B, open func(dir string) (Store, error))) {
-	b.Run("pack", func(b *testing.B) {
-		run(b, func(dir string) (Store, error) { return OpenPackStore(dir) })
-	})
-	b.Run("dir", func(b *testing.B) {
-		run(b, func(dir string) (Store, error) { return OpenDirStore(dir) })
-	})
-}
+// PackStore microbenchmarks on the three operations the pipeline
+// actually issues — warm lookups (Get), cold stores with a barrier per
+// record (Put+Flush), and cold stores amortized through group commit
+// (many Puts, one Flush). The Put-vs-BatchPut gap is what group commit
+// buys: one fsync per batch instead of one per record.
 
 func benchKey(i int) string {
 	return fmt.Sprintf("%064x", i)
@@ -33,79 +22,69 @@ var benchValue = []byte(fmt.Sprintf(`{"name":"bench","key":%q,"checked":%q,"acce
 // BenchmarkStoreGet measures warm lookups over a prepopulated store —
 // the cache-hit path a warm full-suite run takes ~21k times.
 func BenchmarkStoreGet(b *testing.B) {
-	benchStores(b, func(b *testing.B, open func(string) (Store, error)) {
-		dir := b.TempDir()
-		s, err := open(dir)
-		if err != nil {
+	s, err := OpenPackStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 2048
+	for i := 0; i < n; i++ {
+		if err := s.Put(benchKey(i), benchValue); err != nil {
 			b.Fatal(err)
 		}
-		const n = 2048
-		for i := 0; i < n; i++ {
-			if err := s.Put(benchKey(i), benchValue); err != nil {
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(benchKey(i % n)); !ok {
+			b.Fatal("miss")
+		}
+	}
+	b.StopTimer()
+	s.Close()
+}
+
+// BenchmarkStorePut measures the per-record durable store: one Put
+// followed by its barrier, the worst case: one fsync per record.
+func BenchmarkStorePut(b *testing.B) {
+	s, err := OpenPackStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(benchKey(i), benchValue); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	s.Close()
+}
+
+// BenchmarkStoreBatchPut measures the pipeline's actual cold-run shape:
+// a batch of stores with one group-commit barrier at the end, which
+// coalesces the whole batch into one write+fsync.
+func BenchmarkStoreBatchPut(b *testing.B) {
+	const batch = 256
+	s, err := OpenPackStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			if err := s.Put(benchKey(i*batch+j), benchValue); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if err := s.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := s.Get(benchKey(i % n)); !ok {
-				b.Fatal("miss")
-			}
-		}
-		b.StopTimer()
-		s.Close()
-	})
-}
-
-// BenchmarkStorePut measures the per-record durable store: one Put
-// followed by its barrier, the worst case for both backends (DirStore's
-// Flush is free but every Put carries its own fsyncs; PackStore pays one
-// fsync per barrier).
-func BenchmarkStorePut(b *testing.B) {
-	benchStores(b, func(b *testing.B, open func(string) (Store, error)) {
-		s, err := open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Put(benchKey(i), benchValue); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		s.Close()
-	})
-}
-
-// BenchmarkStoreBatchPut measures the pipeline's actual cold-run shape:
-// a batch of stores with one group-commit barrier at the end (PackStore
-// coalesces the whole batch into one write+fsync; DirStore still pays
-// per record).
-func BenchmarkStoreBatchPut(b *testing.B) {
-	const batch = 256
-	benchStores(b, func(b *testing.B, open func(string) (Store, error)) {
-		s, err := open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				if err := s.Put(benchKey(i*batch+j), benchValue); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		s.Close()
-	})
+	}
+	b.StopTimer()
+	s.Close()
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/types"
 )
 
-// TestStoreRoundTrip pins the Store contract both backends share:
+// TestStoreRoundTrip pins the Store contract on the local backend:
 // Put-then-Get returns the bytes verbatim (before AND after a Flush),
 // absent keys are plain misses, and overwriting a key is allowed.
 func TestStoreRoundTrip(t *testing.T) {
@@ -25,7 +26,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		open func(dir string) (Store, error)
 	}{
 		{"pack", func(dir string) (Store, error) { return OpenPackStore(dir) }},
-		{"dir", func(dir string) (Store, error) { return OpenDirStore(dir) }},
 	} {
 		t.Run(open.name, func(t *testing.T) {
 			s, err := open.open(t.TempDir())
@@ -186,20 +186,76 @@ func TestPackConcurrency(t *testing.T) {
 	}
 }
 
-// TestCacheV1ReadThrough pins the migration story: opening a cache over a
-// v1 file-per-key directory serves the old entries (through the DirStore
-// fallback), writes new entries packed, and a pack entry shadows its v1
-// counterpart.
-func TestCacheV1ReadThrough(t *testing.T) {
-	dir := t.TempDir()
-
-	// Seed a v1 layout the way the old cache wrote it.
-	v1, err := OpenDirCache(dir)
+// TestCacheV1EntryIsMiss pins what becomes of a cache directory the v1
+// file-per-key layout wrote: it opens, its entries are misses, and a run
+// over it re-executes them and finalizes byte-identical to a cold run —
+// an old format costs one cold run, never a failure.
+func TestCacheV1EntryIsMiss(t *testing.T) {
+	run := func(t *testing.T, cache *Cache) (Stats, string) {
+		t.Helper()
+		cfg := storeSuiteConfig(t, cache, nil)
+		cfg.Scripts = cfg.Scripts[:8]
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		return finalizedRun(t, cfg, path, false), path
+	}
+	_, cold := run(t, nil)
+	records, err := ReadRecords(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldKey := testKey(1)
-	if err := v1.PutRecord(Record{Key: oldKey, Name: "old", Accepted: true}); err != nil {
+
+	// Seed each record the way the v1 layout stored it: bare JSON in a
+	// two-hex-digit fan-out directory.
+	dir := t.TempDir()
+	for _, rec := range records {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, rec.Key[:2], rec.Key[2:]+".json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, line, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	for _, rec := range records {
+		if _, ok := cache.GetRecord(rec.Key); ok {
+			t.Fatalf("v1 entry %s served as a hit", rec.Name)
+		}
+	}
+	st, out := run(t, cache)
+	if st.Executed != len(records) {
+		t.Fatalf("run over a v1 cache executed %d of %d jobs", st.Executed, len(records))
+	}
+	if !bytes.Equal(readFile(t, out), readFile(t, cold)) {
+		t.Fatal("finalized JSONL over a v1 cache differs from a cold run")
+	}
+}
+
+// TestCacheV1ReadThrough pins that nothing reads through a v1 layout any
+// more: over a directory holding a v1 entry, the key misses, a PutRecord
+// of it lands packed and leaves the v1 file as it was, and a reopen serves
+// the packed record.
+func TestCacheV1ReadThrough(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(1)
+	v1Path := filepath.Join(dir, key[:2], key[2:]+".json")
+	v1Line, err := json.Marshal(Record{Key: key, Name: "old", Accepted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(v1Path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v1Path, v1Line, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,54 +263,59 @@ func TestCacheV1ReadThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.fallback == nil {
-		t.Fatal("v1 layout not detected")
+	if rec, ok := c.GetRecord(key); ok {
+		t.Fatalf("v1 entry served read-through: %+v", rec)
 	}
-	if rec, ok := c.GetRecord(oldKey); !ok || rec.Name != "old" {
-		t.Fatalf("v1 entry not served read-through: %+v, %v", rec, ok)
-	}
-	newKey := testKey(2)
-	if err := c.PutRecord(Record{Key: newKey, Name: "new", Accepted: true}); err != nil {
+	if err := c.PutRecord(Record{Key: key, Name: "new", Accepted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The new entry landed packed, not as a v1 file.
-	if _, err := os.Stat(filepath.Join(dir, newKey[:2], newKey[2:]+".json")); !os.IsNotExist(err) {
-		t.Fatal("new entry written to the v1 layout")
+	if !bytes.Equal(readFile(t, v1Path), v1Line) {
+		t.Fatal("v1 file rewritten")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "pack", "000001.seg")); err != nil {
 		t.Fatalf("no pack segment created: %v", err)
 	}
 
-	// A fresh open still serves both.
 	c2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if rec, ok := c2.GetRecord(oldKey); !ok || rec.Name != "old" {
-		t.Fatal("v1 entry lost after pack writes")
-	}
-	if rec, ok := c2.GetRecord(newKey); !ok || rec.Name != "new" {
-		t.Fatal("packed entry lost")
+	if rec, ok := c2.GetRecord(key); !ok || rec.Name != "new" {
+		t.Fatalf("packed entry not served after reopen: %+v, %v", rec, ok)
 	}
 }
 
-// TestCacheFreshDirHasNoFallback pins that a fresh (or pack-only) cache
-// directory skips the DirStore fallback entirely.
+// TestCacheFreshDirHasNoFallback pins that a fresh cache directory gets
+// the pack backend and nothing else: after a write, dir holds only pack/.
 func TestCacheFreshDirHasNoFallback(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.fallback != nil {
-		t.Fatal("fallback store opened for a fresh directory")
-	}
 	if st := c.Stats(); st.Backend != "pack" {
 		t.Fatalf("backend = %q, want pack", st.Backend)
+	}
+	if err := c.PutRecord(Record{Key: testKey(1), Name: "t", Accepted: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "pack" || !ents[0].IsDir() {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("fresh cache dir holds %v, want only pack/", names)
 	}
 }
 
@@ -279,84 +340,42 @@ func storeSuiteConfig(t *testing.T, cache *Cache, sink *Sink) Config {
 	}
 }
 
-// TestBackendJSONLParity is the tentpole's acceptance property: the
-// finalized JSONL is byte-identical whether the run used PackStore,
-// DirStore, or a warm v1 cache served read-through into a pack cache.
+// TestBackendJSONLParity pins the pack store's half of the byte-identity
+// contract: a warm run over a reopened pack cache executes nothing and
+// finalizes byte-identical to the cold run that filled it.
 func TestBackendJSONLParity(t *testing.T) {
-	run := func(t *testing.T, cache *Cache, jsonl string) []byte {
+	run := func(t *testing.T, cfg Config) (Stats, []byte) {
 		t.Helper()
-		sink, err := OpenSink(jsonl, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Run(context.Background(), storeSuiteConfig(t, cache, sink)); err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(jsonl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		return finalizedRun(t, cfg, path, false), readFile(t, path)
 	}
-
-	// Cold pack-backed run.
-	packDir := t.TempDir()
-	packCache, err := OpenCache(packDir)
+	dir := t.TempDir()
+	cold, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packOut := run(t, packCache, filepath.Join(t.TempDir(), "pack.jsonl"))
-	if err := packCache.Close(); err != nil {
+	_, coldOut := run(t, storeSuiteConfig(t, cold, nil))
+	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Cold dir-backed (v1) run.
-	dirDir := t.TempDir()
-	dirCache, err := OpenDirCache(dirDir)
+	warm, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirOut := run(t, dirCache, filepath.Join(t.TempDir(), "dir.jsonl"))
-
-	if !bytes.Equal(packOut, dirOut) {
-		t.Fatal("finalized JSONL differs between pack and dir backends")
-	}
-
-	// Warm run over the v1 cache through the migrating pack cache: every
-	// job must come from the fallback (executed = 0) and the bytes must
-	// still match.
-	migCache, err := OpenCache(dirDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer migCache.Close()
+	defer warm.Close()
 	reg := telemetry.NewRegistry()
-	sink, err := OpenSink(filepath.Join(t.TempDir(), "mig.jsonl"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := storeSuiteConfig(t, migCache, sink)
+	cfg := storeSuiteConfig(t, warm, nil)
 	cfg.Tel = reg
-	if _, st, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	} else if st.Executed != 0 {
-		t.Fatalf("warm v1 read-through executed %d jobs, want 0", st.Executed)
+	st, warmOut := run(t, cfg)
+	if st.Executed != 0 {
+		t.Fatalf("warm pack run executed %d jobs, want 0", st.Executed)
 	}
-	if err := sink.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	migOut, err := os.ReadFile(sink.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(packOut, migOut) {
-		t.Fatal("finalized JSONL differs between cold pack run and v1 read-through run")
+	if !bytes.Equal(coldOut, warmOut) {
+		t.Fatal("finalized JSONL differs between cold and warm pack runs")
 	}
 	if reg.Counter("pipeline.cache_hits").Value() == 0 {
-		t.Fatal("read-through run recorded no cache hits")
+		t.Fatal("warm run recorded no cache hits")
 	}
 }
 

@@ -10,12 +10,6 @@ import (
 	"repro/internal/types"
 )
 
-// Version identifies the generator's output and keys the generation cache
-// (pipeline.GenSuiteKey): bump it whenever any change alters the generated
-// suite — scripts added, removed, reordered, renamed or rendered
-// differently — or stale cached suites will be replayed as current.
-const Version = "1"
-
 // Suite is the generated test suite with per-group counts (the paper's
 // suite has 21 070 scripts; ours is tuned to the same order — see
 // TestTable61SuiteSize).

@@ -16,6 +16,7 @@ package sibylfs
 // diff here means the oracle's verdict or its state-set trajectory moved.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -50,7 +51,10 @@ type goldenFile struct {
 
 func collectGolden(t *testing.T, config string, traces []*Trace, perTrace bool) *goldenFile {
 	t.Helper()
-	results := Check(DefaultSpec(), traces, 0)
+	results, err := New().Check(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := &goldenFile{Config: config}
 	h := sha256.New()
 	for i, r := range results {
@@ -86,19 +90,20 @@ func collectGolden(t *testing.T, config string, traces []*Trace, perTrace bool) 
 // covering all command groups).
 func goldenTraces(t *testing.T) (conc, seq []*Trace) {
 	t.Helper()
-	concScripts := GenerateConcurrent()
-	var err error
-	conc, err = ExecuteConcurrent(concScripts, MemFS(LinuxProfile("ext4")),
+	ctx := context.Background()
+	session := New()
+	concScripts := generate(t, (*Session).GenerateConcurrent)
+	conc, err := session.ExecuteConcurrent(ctx, concScripts, MemFS(LinuxProfile("ext4")),
 		ConcurrentOptions{Seeded: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
-	seq, err = Execute(sel, MemFS(LinuxProfile("ext4")), 0)
+	seq, err = session.Execute(ctx, sel, MemFS(LinuxProfile("ext4")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +119,7 @@ func TestOracleGolden(t *testing.T) {
 	if !testing.Short() {
 		// The full sequential suite: aggregates and the diagnosis digest
 		// only (the per-trace list would dwarf the repo).
-		full, err := Execute(Generate(), MemFS(LinuxProfile("ext4")), 0)
+		full, err := New().Execute(context.Background(), generate(t, (*Session).Generate), MemFS(LinuxProfile("ext4")))
 		if err != nil {
 			t.Fatal(err)
 		}

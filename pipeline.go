@@ -1,10 +1,6 @@
 package sibylfs
 
-import (
-	"context"
-
-	"repro/internal/pipeline"
-)
+import "repro/internal/pipeline"
 
 // Batch pipeline vocabulary, re-exported (see internal/pipeline and
 // ARCHITECTURE.md). The pipeline is the cross-trace scaling layer: it
@@ -24,8 +20,7 @@ type (
 	ResultSink = pipeline.Sink
 	// ResultStore is the pluggable persistence backend under ResultCache
 	// (see WithStore): PackStore — packed append-only segments with
-	// group-commit durability, the default — or DirStore, the v1
-	// file-per-key layout kept for compatibility.
+	// group-commit durability — or the HTTPStore of an sfs-serve daemon.
 	ResultStore = pipeline.Store
 	// StoreStats summarises a store's contents (Session.CacheStats,
 	// sfs-run -cache-stats).
@@ -33,30 +28,15 @@ type (
 )
 
 // OpenResultCache opens (creating if needed) a result cache rooted at dir
-// with the default packed-segment backend; a dir holding the v1
-// file-per-key layout keeps serving those entries read-through.
+// with the packed-segment backend.
 func OpenResultCache(dir string) (*ResultCache, error) { return pipeline.OpenCache(dir) }
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
 // at dir — the default ResultStore backend, exposed for WithStore.
 func OpenPackStore(dir string) (ResultStore, error) { return pipeline.OpenPackStore(dir) }
 
-// OpenDirStore opens (creating if needed) a v1 file-per-key store rooted
-// at dir — the compatibility ResultStore backend (sfs-run -store dir).
-func OpenDirStore(dir string) (ResultStore, error) { return pipeline.OpenDirStore(dir) }
-
 // OpenResultSink opens the JSONL sink at path; resume recovers an
 // interrupted run's journal instead of replacing it.
 func OpenResultSink(path string, resume bool) (*ResultSink, error) {
 	return pipeline.OpenSink(path, resume)
-}
-
-// RunPipeline executes one shard of a suite through the cache-backed
-// checking pipeline, returning this shard's records in job order.
-//
-// Deprecated: use Session.Run — it is cancellable, owns the sink
-// lifecycle (finalize on success, resumable journal on error) and
-// supplies spec/workers/cache/observer from the session options.
-func RunPipeline(cfg PipelineConfig) ([]PipelineRecord, PipelineStats, error) {
-	return pipeline.Run(context.Background(), cfg)
 }

@@ -1,7 +1,9 @@
 package sibylfs
 
-// Pipeline-parity fixtures: the sharded, cache-backed pipeline must
-// produce verdicts byte-identical to the direct Execute+Check flow that
+// Pipeline-parity fixtures: the sharded, cache-backed pipeline (driven
+// through pipeline.Run, so the ablation knobs Session does not expose are
+// reachable) must produce verdicts byte-identical to the direct
+// Execute+Check flow that
 // recorded testdata/oracle_golden.json. The per-record Checked text is
 // digested in suite order and compared against the same golden SHA the
 // monolithic oracle-parity test pins, for both the sequential slice and
@@ -9,15 +11,18 @@ package sibylfs
 // cache-hit run and bare sfs-check can never disagree.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
-func pipelineGolden(t *testing.T, name string, cfg PipelineConfig) {
+func pipelineGolden(t *testing.T, name string, cfg pipeline.Config) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "oracle_golden.json"))
 	if err != nil {
@@ -32,7 +37,7 @@ func pipelineGolden(t *testing.T, name string, cfg PipelineConfig) {
 		t.Fatalf("no golden record %q", name)
 	}
 
-	records, stats, err := RunPipeline(cfg)
+	records, stats, err := pipeline.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +67,12 @@ func pipelineGolden(t *testing.T, name string, cfg PipelineConfig) {
 }
 
 func TestPipelineGoldenParity(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
-	pipelineGolden(t, "seq_slice7", PipelineConfig{
+	pipelineGolden(t, "seq_slice7", pipeline.Config{
 		Name:    "seq_slice7",
 		Scripts: sel,
 		Factory: MemFS(LinuxProfile("ext4")),
@@ -83,12 +88,12 @@ func TestPipelineGoldenParity(t *testing.T) {
 // memoised run pins. A divergence here means the memo replayed a fan-out
 // it had no right to reuse.
 func TestPipelineGoldenParityNoSharedCons(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
-	pipelineGolden(t, "seq_slice7", PipelineConfig{
+	pipelineGolden(t, "seq_slice7", pipeline.Config{
 		Name:         "seq_slice7",
 		Scripts:      sel,
 		Factory:      MemFS(LinuxProfile("ext4")),
@@ -99,9 +104,10 @@ func TestPipelineGoldenParityNoSharedCons(t *testing.T) {
 }
 
 func TestPipelineGoldenParityConcurrent(t *testing.T) {
-	pipelineGolden(t, "conc_seed1", PipelineConfig{
+	scripts := generate(t, (*Session).GenerateConcurrent)
+	pipelineGolden(t, "conc_seed1", pipeline.Config{
 		Name:       "conc_seed1",
-		Scripts:    GenerateConcurrent(),
+		Scripts:    scripts,
 		Factory:    MemFS(LinuxProfile("ext4")),
 		FSName:     "ext4",
 		Spec:       DefaultSpec(),

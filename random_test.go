@@ -18,11 +18,7 @@ func TestRandomDifferentialMemfs(t *testing.T) {
 		n = 80
 	}
 	scripts := testgen.RandomScripts(1, n, 25)
-	traces, err := Execute(scripts, MemFS(LinuxProfile("ext4")), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces, results := executeAndCheck(t, scripts, MemFS(LinuxProfile("ext4")), 0)
 	for i, r := range results {
 		if !r.Accepted {
 			t.Errorf("random script deviates — model or memfs bug:\n%s\n%s",
@@ -40,11 +36,7 @@ func TestRandomDifferentialSpecFS(t *testing.T) {
 		n = 40
 	}
 	scripts := testgen.RandomScripts(2, n, 20)
-	traces, err := Execute(scripts, SpecFS("specfs", DefaultSpec()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces, results := executeAndCheck(t, scripts, SpecFS("specfs", DefaultSpec()), 0)
 	for i, r := range results {
 		if !r.Accepted {
 			t.Errorf("determinized model outside its own envelope:\n%s\n%s",
@@ -61,11 +53,7 @@ func TestRandomDifferentialHost(t *testing.T) {
 		t.Skip("host run")
 	}
 	scripts := FilterHostSafe(testgen.RandomScripts(3, 200, 20))
-	traces, err := Execute(scripts, HostFS("host"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces, results := executeAndCheck(t, scripts, HostFS("host"), 1)
 	bad := 0
 	for i, r := range results {
 		if !r.Accepted {

@@ -74,9 +74,8 @@ type Session struct {
 	cacheErr  error
 	ownsCache bool // opened from cacheDir/remote, so Close closes it
 	// hashMu/hashes memoise per-script content hashes, so each script is
-	// hashed at most once per session however many runs check it. Generate
-	// seeds the memo from the generation cache; pipeline key computation
-	// reads it via Config.HashScripts.
+	// hashed at most once per session however many runs check it; pipeline
+	// key computation reads it via Config.HashScripts.
 	hashMu sync.Mutex
 	hashes map[*Script]string
 	// journalMu serializes Run calls that share this session's journal:
@@ -118,18 +117,17 @@ func WithMaxStateSet(n int) Option { return func(s *Session) { s.maxStateSet = n
 // WithCacheDir backs Run, Survey and Fuzz with a content-addressed result
 // cache rooted at dir: re-runs skip any trace whose (script, model
 // version, run config) key is already cached. The directory is created on
-// first use. The default backend is the packed segment store (entries
-// append to a few bounded pack files under dir/pack, with group-commit
-// durability); a dir that already holds the v1 file-per-key layout keeps
-// serving those entries read-through while new results land packed.
+// first use. The backend is the packed segment store: entries append to
+// a few bounded pack files under dir/pack, with group-commit durability.
+// Entries in any other format, such as the v1 file-per-key layout, are
+// misses: a run re-checks those traces and stores them packed.
 func WithCacheDir(dir string) Option { return func(s *Session) { s.cacheDir = dir } }
 
 // WithStore backs the session's result cache with an explicit store
 // backend instead of opening one from a directory — the injection seam
-// for a forced v1 DirStore (sfs-run -store dir), tuned PackOptions, or a
-// future remote store. Takes precedence over WithCacheDir; the session
-// owns flushing (it flushes at run and generation boundaries) but the
-// caller owns Close.
+// for tuned PackOptions or a remote store. Takes precedence over
+// WithCacheDir; the session owns flushing (it flushes at run boundaries)
+// but the caller owns Close.
 func WithStore(store ResultStore) Option { return func(s *Session) { s.store = store } }
 
 // WithJournal streams Run's records to the JSONL sink at path. The sink
@@ -268,108 +266,42 @@ func (s *Session) CacheStats() (StoreStats, bool) {
 	return cache.Stats(), true
 }
 
-// CacheFallbackStats describes the v1 read-through fallback feeding a
-// migrating cache; ok is false when there is no cache or no v1 layout.
-func (s *Session) CacheFallbackStats() (StoreStats, bool) {
-	cache, err := s.openCache()
-	if err != nil || cache == nil {
-		return StoreStats{}, false
-	}
-	return cache.FallbackStats()
-}
-
-// Generate builds the full sequential test suite (§6.1). With WithCacheDir
-// the suite is served from the content-addressed generation cache — keyed
-// by (testgen.Version, universe) — so warm invocations load the rendered
-// suite and its precomputed script hashes instead of regenerating; a cold
-// invocation generates, then stores the blob for the next process.
+// Generate builds the full sequential test suite (§6.1).
 func (s *Session) Generate(ctx context.Context) ([]*Script, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	defer telemetry.Or(s.tel).Span("session.generate").End()
-	return s.generateUniverse("sequential", func() []*Script { return testgen.Generate().Scripts })
+	return testgen.Generate().Scripts, nil
 }
 
 // GenerateConcurrent builds the multi-process concurrency universe; run
-// it through ExecuteConcurrent so the calls genuinely interleave. Cached
-// like Generate, under its own universe key.
+// it through ExecuteConcurrent so the calls genuinely interleave.
 func (s *Session) GenerateConcurrent(ctx context.Context) ([]*Script, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.generateUniverse("concurrent", testgen.ConcurrentScripts)
+	return testgen.ConcurrentScripts(), nil
 }
 
 // GenerateCrash builds the crash-consistency universe (crash___ scripts:
 // workloads with fsync/sync barriers, crash points and post-remount
 // observations). Run it through Execute — crash scripts are
 // sequential-executor only — against a crash-profiled implementation, and
-// check with a Spec.Crash session. Cached like Generate, under its own
-// universe key.
+// check with a Spec.Crash session.
 func (s *Session) GenerateCrash(ctx context.Context) ([]*Script, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.generateUniverse("crash", testgen.CrashScripts)
-}
-
-// generateUniverse serves one generation universe through the session's
-// cache: a hit decodes the stored suite (and seeds the script-hash memo
-// from the stored hashes), a miss generates, renders each script once to
-// hash and store it, and seeds the memo from that same pass. Without a
-// cache it simply generates — hashes then compute lazily if a pipeline
-// run needs them. Corrupt blobs count as misses and are overwritten.
-func (s *Session) generateUniverse(universe string, gen func() []*Script) ([]*Script, error) {
-	tel := telemetry.Or(s.tel)
-	cache, err := s.openCache()
-	if err != nil {
-		return nil, err
-	}
-	if cache == nil {
-		return gen(), nil
-	}
-	key := pipeline.GenSuiteKey(testgen.Version, universe)
-	if blob, ok := cache.GetRaw(key); ok {
-		if scripts, hashes, err := pipeline.DecodeSuite(blob); err == nil {
-			tel.Counter("testgen.cache_hits").Inc()
-			s.rememberHashes(scripts, hashes)
-			return scripts, nil
-		}
-	}
-	tel.Counter("testgen.cache_misses").Inc()
-	scripts := gen()
-	blob, hashes := pipeline.EncodeSuite(scripts)
-	if err := cache.PutRaw(key, blob); err != nil {
-		return nil, err
-	}
-	// Group-commit barrier: the rendered suite must be durable before the
-	// generation returns — it is what makes the *next* process warm.
-	if err := cache.Flush(); err != nil {
-		return nil, err
-	}
-	s.rememberHashes(scripts, hashes)
-	return scripts, nil
-}
-
-// rememberHashes seeds the script-hash memo (index-aligned slices).
-func (s *Session) rememberHashes(scripts []*Script, hashes []string) {
-	s.hashMu.Lock()
-	if s.hashes == nil {
-		s.hashes = make(map[*Script]string, len(scripts))
-	}
-	for i, sc := range scripts {
-		s.hashes[sc] = hashes[i]
-	}
-	s.hashMu.Unlock()
+	return testgen.CrashScripts(), nil
 }
 
 // scriptHashes is the pipeline's Config.HashScripts hook: memoised per
 // script pointer, computing (and caching) pipeline.ScriptHash on first
-// sight. Survey's repeated configurations and every warm generation hit
-// hash no script again. The key pass calls it from several workers at
-// once, so the memo lock is taken once to look the batch up and once to
-// store its misses, which are hashed outside it.
+// sight, so Survey's repeated configurations hash no script again. The
+// key pass calls it from several workers at once, so the memo lock is
+// taken once to look the batch up and once to store its misses, which
+// are hashed outside it.
 func (s *Session) scriptHashes(scripts []*Script, hashes []string) {
 	s.hashMu.Lock()
 	for i, sc := range scripts {
@@ -382,9 +314,17 @@ func (s *Session) scriptHashes(scripts []*Script, hashes []string) {
 			hashes[i], fresh = pipeline.ScriptHash(scripts[i]), true
 		}
 	}
-	if fresh {
-		s.rememberHashes(scripts, hashes)
+	if !fresh {
+		return
 	}
+	s.hashMu.Lock()
+	if s.hashes == nil {
+		s.hashes = make(map[*Script]string, len(scripts))
+	}
+	for i, sc := range scripts {
+		s.hashes[sc] = hashes[i]
+	}
+	s.hashMu.Unlock()
 }
 
 // covWrap returns the attribution wrapper for this session's model
@@ -774,9 +714,6 @@ func (s *Session) ResetCoverage() {
 	}
 	cov.Reset()
 }
-
-// defaultSession backs the deprecated package-level functions.
-var defaultSession = New()
 
 // surveySinkName maps a configuration name to its JSONL file name.
 func surveySinkName(config string) string {

@@ -1,10 +1,10 @@
 package sibylfs
 
-// Session facade tests: parity with the legacy free-function path,
-// cooperative cancellation with a resumable journal, and per-session
-// coverage-registry isolation. The golden-parity test is the acceptance
-// gate for the API redesign — the Session pipeline must be byte-identical
-// to the legacy RunPipeline path against the recorded oracle fixtures.
+// Session facade tests: parity with the layers under it, cooperative
+// cancellation with a resumable journal, and per-session coverage-registry
+// isolation. The golden-parity test is the acceptance gate for the facade
+// — the Session pipeline must be byte-identical to a bare pipeline.Run
+// against the recorded oracle fixtures.
 
 import (
 	"bytes"
@@ -20,21 +20,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checker"
+	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
 
 // TestSessionGoldenParity drives the same seq_slice7 suite once through
-// the deprecated RunPipeline free function and once through Session.Run,
-// and requires byte-identical records — then pins both against the golden
-// oracle fixtures recorded with the pre-refactor engine.
+// a bare pipeline.Run and once through Session.Run, and requires
+// byte-identical records — then pins both against the golden oracle
+// fixtures recorded with the pre-refactor engine.
 func TestSessionGoldenParity(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
 
-	legacy, legacyStats, err := RunPipeline(PipelineConfig{
+	direct, directStats, err := pipeline.Run(context.Background(), pipeline.Config{
 		Name:    "seq_slice7",
 		Scripts: sel,
 		Factory: MemFS(LinuxProfile("ext4")),
@@ -44,8 +46,8 @@ func TestSessionGoldenParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacyStats.Executed != len(sel) {
-		t.Fatalf("legacy run not cold: %s", legacyStats)
+	if directStats.Executed != len(sel) {
+		t.Fatalf("direct run not cold: %s", directStats)
 	}
 
 	session := New(WithSpec(DefaultSpec()))
@@ -61,20 +63,20 @@ func TestSessionGoldenParity(t *testing.T) {
 	if stats.Executed != len(sel) {
 		t.Fatalf("session run not cold: %s", stats)
 	}
-	if len(records) != len(legacy) {
-		t.Fatalf("session produced %d records, legacy %d", len(records), len(legacy))
+	if len(records) != len(direct) {
+		t.Fatalf("session produced %d records, direct %d", len(records), len(direct))
 	}
 	for i := range records {
 		a, err := json.Marshal(records[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(legacy[i])
+		b, err := json.Marshal(direct[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("record %d (%s) differs between Session and legacy paths:\n%s\n%s",
+			t.Fatalf("record %d (%s) differs between Session and direct paths:\n%s\n%s",
 				i, records[i].Name, a, b)
 		}
 	}
@@ -105,7 +107,7 @@ func TestSessionGoldenParity(t *testing.T) {
 // enough to span several worker dispatches.
 func smallSuite(t *testing.T, n int) []*Script {
 	t.Helper()
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	if len(suite) < n*50 {
 		t.Fatalf("suite unexpectedly small: %d", len(suite))
 	}
@@ -226,27 +228,27 @@ func TestSessionRunPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSessionCheckParity: Session.Check must agree exactly with the
-// legacy Check free function.
+// TestSessionCheckParity: Session.Check must agree exactly with a bare
+// checker.
 func TestSessionCheckParity(t *testing.T) {
 	scripts := smallSuite(t, 20)
 	traces, err := New().Execute(context.Background(), scripts, MemFS(LinuxProfile("ext4")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := Check(DefaultSpec(), traces, 4)
+	direct := checker.New(DefaultSpec()).CheckAll(traces, 4)
 	session, err := New(WithSpec(DefaultSpec()), WithWorkers(4)).Check(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacy {
+	for i := range direct {
 		// TauNanos is wall-clock telemetry — never equal across two runs
 		// and not part of the parity contract.
-		legacy[i].TauNanos, session[i].TauNanos = 0, 0
-		a, _ := json.Marshal(legacy[i])
+		direct[i].TauNanos, session[i].TauNanos = 0, 0
+		a, _ := json.Marshal(direct[i])
 		b, _ := json.Marshal(session[i])
 		if !bytes.Equal(a, b) {
-			t.Fatalf("trace %s: session result differs from legacy:\n%s\n%s", traces[i].Name, b, a)
+			t.Fatalf("trace %s: session result differs from direct:\n%s\n%s", traces[i].Name, b, a)
 		}
 	}
 }

@@ -12,17 +12,13 @@
 //	results, _ := s.Check(ctx, traces)                      // oracle
 //
 // plus Run (the sharded, cache-backed pipeline), Survey and Fuzz; see
-// Session. The package-level Execute/Check/... functions predate the
-// facade and survive as deprecated wrappers so existing callers keep
-// compiling.
+// Session.
 //
 // The package re-exports the model's vocabulary via type aliases so
 // downstream users never import internal packages directly.
 package sibylfs
 
 import (
-	"context"
-
 	"repro/internal/checker"
 	"repro/internal/exec"
 	"repro/internal/fsimpl"
@@ -78,25 +74,6 @@ func SpecFor(p Platform) Spec {
 // ("posix", "linux", "mac_os_x"/"osx", "freebsd") to a Platform.
 func ParsePlatformName(s string) (Platform, bool) { return types.ParsePlatform(s) }
 
-// Generate builds the full test suite (§6.1).
-//
-// Deprecated: use Session.Generate, which is context-aware.
-func Generate() []*Script { return testgen.Generate().Scripts }
-
-// GenerateConcurrent builds the multi-process concurrency universe: 2–4
-// processes issuing overlapping calls on shared paths. Run it through
-// ExecuteConcurrent so the calls genuinely interleave.
-//
-// Deprecated: use Session.GenerateConcurrent, which is context-aware.
-func GenerateConcurrent() []*Script { return testgen.ConcurrentScripts() }
-
-// GenerateCrash builds the crash-consistency universe (crash___ scripts).
-// Execute it sequentially against a crash-profiled implementation and
-// check with a Spec.Crash model.
-//
-// Deprecated: use Session.GenerateCrash, which is context-aware.
-func GenerateCrash() []*Script { return testgen.CrashScripts() }
-
 // SuiteStats reports the number of scripts per command group.
 func SuiteStats(scripts []*Script) map[string]int {
 	s := testgen.Suite{Scripts: scripts}
@@ -108,57 +85,6 @@ func ParseScript(text string) (*Script, error) { return trace.ParseScript(text) 
 
 // ParseTrace parses trace concrete syntax.
 func ParseTrace(text string) (*Trace, error) { return trace.ParseTrace(text) }
-
-// Execute runs scripts against fresh instances from factory (§6.2).
-// workers ≤ 0 selects GOMAXPROCS.
-//
-// Deprecated: use Session.Execute, which is cancellable and carries the
-// worker bound as a session option.
-func Execute(scripts []*Script, factory Factory, workers int) ([]*Trace, error) {
-	return New(WithWorkers(workers)).Execute(context.Background(), scripts, factory)
-}
-
-// ExecuteOne runs a single script.
-//
-// Deprecated: use Session.Execute with a one-script slice, or
-// Session.ExecuteConcurrent for multi-process scripts.
-func ExecuteOne(script *Script, factory Factory) (*Trace, error) {
-	return exec.Run(context.Background(), script, factory)
-}
-
-// ExecuteConcurrent runs scripts with one goroutine per script process, so
-// calls from different processes genuinely overlap in the recorded traces.
-// With opts.Seeded a deterministic scheduler replays the interleaving
-// chosen by opts.Seed; opts.Workers bounds script-level parallelism.
-//
-// Deprecated: use Session.ExecuteConcurrent, which is cancellable.
-func ExecuteConcurrent(scripts []*Script, factory Factory, opts ConcurrentOptions) ([]*Trace, error) {
-	return New().ExecuteConcurrent(context.Background(), scripts, factory, opts)
-}
-
-// ExecuteOneConcurrent runs a single script concurrently.
-//
-// Deprecated: use Session.ExecuteConcurrent with a one-script slice.
-func ExecuteOneConcurrent(script *Script, factory Factory, opts ConcurrentOptions) (*Trace, error) {
-	return exec.RunConcurrent(context.Background(), script, factory, opts)
-}
-
-// Check runs the oracle over traces with the given model variant.
-// workers ≤ 0 selects GOMAXPROCS.
-//
-// Deprecated: use Session.Check, which is cancellable and carries spec
-// and workers as session options.
-func Check(spec Spec, traces []*Trace, workers int) []CheckResult {
-	results, _ := New(WithSpec(spec), WithWorkers(workers)).Check(context.Background(), traces)
-	return results
-}
-
-// CheckOne checks a single trace.
-//
-// Deprecated: use Session.CheckOne.
-func CheckOne(spec Spec, t *Trace) CheckResult {
-	return checker.New(spec).Check(t)
-}
 
 // RenderChecked produces the checked-trace text of Fig 4.
 func RenderChecked(t *Trace, r CheckResult) string {
@@ -184,23 +110,3 @@ func FreeBSDProfile(name string) Profile { return fsimpl.FreeBSDProfile(name) }
 
 // SurveyProfiles returns the defect catalogue of §7.3 as memfs profiles.
 func SurveyProfiles() []Profile { return fsimpl.SurveyProfiles() }
-
-// Coverage reports model coverage-point statistics accumulated since the
-// last reset (§7.2 measures statement coverage of the model this way).
-//
-// Deprecated: use Session.Coverage — with WithCoverage the figures are
-// the session's own instead of process-global.
-func Coverage() (hit, total int) { return defaultSession.Coverage() }
-
-// CoverageUnhit lists coverage points never exercised.
-//
-// Deprecated: use Session.CoverageUnhit.
-func CoverageUnhit() []string { return defaultSession.CoverageUnhit() }
-
-// ResetCoverage zeroes the process-global coverage counters — including
-// every concurrent session's view of them, which is why it is deprecated.
-//
-// Deprecated: use Session.ResetCoverage on a session constructed with
-// WithCoverage(NewCoverageRegistry()); resetting an isolated registry
-// cannot disturb other sessions.
-func ResetCoverage() { defaultSession.ResetCoverage() }

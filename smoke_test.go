@@ -1,6 +1,7 @@
 package sibylfs
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fsimpl"
@@ -25,11 +26,8 @@ rename "emptydir" "nonemptydir"
 		SpecFS("spec", DefaultSpec()),
 		MemFS(LinuxProfile("ext4")),
 	} {
-		tr, err := ExecuteOne(s, factory)
-		if err != nil {
-			t.Fatalf("exec: %v", err)
-		}
-		r := CheckOne(DefaultSpec(), tr)
+		tr := executeOne(t, s, factory)
+		r := checkOne(t, DefaultSpec(), tr)
 		if !r.Accepted {
 			t.Errorf("trace not accepted:\n%s", RenderChecked(tr, r))
 		}
@@ -55,7 +53,7 @@ func TestSmokeSSHFSRenameEPERM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	r := CheckOne(DefaultSpec(), tr)
+	r := checkOne(t, DefaultSpec(), tr)
 	if r.Accepted {
 		t.Fatalf("EPERM rename should be rejected")
 	}
@@ -72,7 +70,7 @@ func TestSmokeSSHFSRenameEPERM(t *testing.T) {
 // TestSmokeSuiteSample executes a slice of the generated suite on the
 // conforming Linux memfs and checks acceptance.
 func TestSmokeSuiteSample(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	if len(suite) < 1000 {
 		t.Fatalf("suite too small: %d", len(suite))
 	}
@@ -80,11 +78,7 @@ func TestSmokeSuiteSample(t *testing.T) {
 	for i := 0; i < len(suite); i += 97 {
 		sample = append(sample, suite[i])
 	}
-	traces, err := Execute(sample, MemFS(fsimpl.LinuxProfile("ext4")), 0)
-	if err != nil {
-		t.Fatalf("execute: %v", err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces, results := executeAndCheck(t, sample, MemFS(fsimpl.LinuxProfile("ext4")), 0)
 	bad := 0
 	for i, r := range results {
 		if !r.Accepted {
@@ -97,4 +91,51 @@ func TestSmokeSuiteSample(t *testing.T) {
 	if bad > 0 {
 		t.Errorf("%d/%d sampled traces rejected", bad, len(sample))
 	}
+}
+
+// generate builds one universe (a Session.Generate* method) in a fresh
+// session.
+func generate(tb testing.TB, universe func(*Session, context.Context) ([]*Script, error)) []*Script {
+	tb.Helper()
+	scripts, err := universe(New(), context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return scripts
+}
+
+// executeAndCheck executes scripts on factory with the given number of
+// workers, then checks the traces against the default spec.
+func executeAndCheck(t *testing.T, scripts []*Script, factory Factory, workers int) ([]*Trace, []CheckResult) {
+	t.Helper()
+	ctx := context.Background()
+	traces, err := New(WithWorkers(workers)).Execute(ctx, scripts, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := New().Check(ctx, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces, results
+}
+
+// executeOne runs one script against factory in a fresh session.
+func executeOne(tb testing.TB, s *Script, factory Factory) *Trace {
+	tb.Helper()
+	traces, err := New().Execute(context.Background(), []*Script{s}, factory)
+	if err != nil {
+		tb.Fatalf("exec %s: %v", s.Name, err)
+	}
+	return traces[0]
+}
+
+// checkOne checks one trace against spec in a fresh session.
+func checkOne(t *testing.T, spec Spec, tr *Trace) CheckResult {
+	t.Helper()
+	r, err := New(WithSpec(spec)).CheckOne(context.Background(), tr)
+	if err != nil {
+		t.Fatalf("check %s: %v", tr.Name, err)
+	}
+	return r
 }

@@ -6,10 +6,11 @@ package sibylfs
 // profile against the same model variant — so the per-(profile, platform)
 // run summaries are memoised. The full generated suite is deliberately NOT
 // cached: keeping 21k scripts live inflates every GC mark cycle and
-// measurably slows the fingerprint-heavy checker; Generate() itself costs
-// only ~0.1s per call.
+// measurably slows the fingerprint-heavy checker; Session.Generate itself
+// costs only ~0.1s per call.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -62,11 +63,16 @@ func runSurveyScripts(t *testing.T, profName string, spec Spec) *analysis.RunSum
 	if !found {
 		t.Fatalf("profile %q missing", profName)
 	}
-	traces, err := Execute(testSurveyScripts(), MemFS(prof), 0)
+	ctx := context.Background()
+	session := New(WithSpec(spec))
+	traces, err := session.Execute(ctx, testSurveyScripts(), MemFS(prof))
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := Check(spec, traces, 0)
+	results, err := session.Check(ctx, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := analysis.Summarise(profName, traces, results)
 	surveyRunCache.runs[key] = s
 	return s

@@ -1,7 +1,6 @@
 package sibylfs
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -85,57 +84,6 @@ func Configurations() []Config {
 type SurveyResult struct {
 	Config  Config
 	Summary *analysis.RunSummary
-}
-
-// SurveyOptions wires the survey through the pipeline's persistence: a
-// shared result cache (unchanged configurations re-summarise without
-// re-executing anything) and a JSONL sink per configuration, resumable
-// after a kill.
-type SurveyOptions struct {
-	// CacheDir, when non-empty, backs every configuration with one shared
-	// content-addressed result cache.
-	CacheDir string
-	// JSONLDir, when non-empty, streams each configuration's records to
-	// JSONLDir/<config>.jsonl (finalized in canonical order).
-	JSONLDir string
-	// Resume recovers existing sinks instead of replacing them.
-	Resume bool
-}
-
-// RunSurvey executes scripts on every configuration and summarises the
-// deviations (the §7.3 survey). workers applies per configuration. Each
-// configuration streams through the checking pipeline: summaries are
-// aggregated from per-trace records, so no configuration ever holds its
-// full ([]Trace, []Result) pair in memory.
-//
-// Deprecated: use Session.Survey, which is cancellable and carries
-// workers/cache/journals as session options.
-func RunSurvey(scripts []*Script, configs []Config, workers int) ([]SurveyResult, error) {
-	return RunSurveyWith(scripts, configs, workers, SurveyOptions{})
-}
-
-// RunSurveyWith is RunSurvey with the pipeline's cache and JSONL sinks
-// attached (see SurveyOptions).
-//
-// Deprecated: use Session.Survey with WithCacheDir/WithJournalDir/
-// WithResume.
-func RunSurveyWith(scripts []*Script, configs []Config, workers int, opts SurveyOptions) ([]SurveyResult, error) {
-	sessionOpts := []Option{WithWorkers(workers)}
-	if opts.CacheDir != "" {
-		sessionOpts = append(sessionOpts, WithCacheDir(opts.CacheDir))
-	}
-	if opts.JSONLDir != "" {
-		sessionOpts = append(sessionOpts, WithJournalDir(opts.JSONLDir))
-	}
-	if opts.Resume {
-		sessionOpts = append(sessionOpts, WithResume())
-	}
-	session := New(sessionOpts...)
-	results, err := session.Survey(context.Background(), scripts, configs)
-	if cerr := session.Close(); err == nil {
-		err = cerr
-	}
-	return results, err
 }
 
 // FilterHostSafe drops scripts that switch credentials or belong to the

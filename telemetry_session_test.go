@@ -13,13 +13,15 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 // TestConcurrentSessionTelemetryIsolation runs two sessions with private
 // telemetry registries concurrently over different-sized suites and
 // proves each registry holds exactly its own session's figures.
 func TestConcurrentSessionTelemetryIsolation(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	scriptsA, scriptsB := suite[:6], suite[6:16]
 
 	run := func(reg *TelemetryRegistry, scripts []*Script, name string) error {
@@ -73,13 +75,13 @@ func TestConcurrentSessionTelemetryIsolation(t *testing.T) {
 // checked-trace digest must not move (telemetry is purely observational),
 // and the registry must have attributed every trace.
 func TestPipelineGoldenParityWithTelemetry(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
 	reg := NewTelemetryRegistry()
-	pipelineGolden(t, "seq_slice7", PipelineConfig{
+	pipelineGolden(t, "seq_slice7", pipeline.Config{
 		Name:    "seq_slice7",
 		Scripts: sel,
 		Factory: MemFS(LinuxProfile("ext4")),
@@ -99,7 +101,7 @@ func TestPipelineGoldenParityWithTelemetry(t *testing.T) {
 // contract directly: the finalized JSONL of a run with a private
 // registry is byte-identical to an uninstrumented run of the same suite.
 func TestTelemetryJournalByteIdentity(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 97 {
 		sel = append(sel, suite[i])
