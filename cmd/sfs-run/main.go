@@ -22,6 +22,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cliutil"
 	"repro/internal/pipeline"
+	"repro/internal/telemetry"
 )
 
 func usage() {
@@ -243,7 +244,13 @@ func main() {
 	// Report over the whole sink (it may hold other shards' records from
 	// earlier resumed invocations), re-read from the canonical file: the
 	// JSONL on disk is the source of truth, not this process's memory.
-	records, err := pipeline.ReadRecords(*jsonl)
+	// Only -o needs the checked traces; the summary reads verdicts alone.
+	span := telemetry.Default.Span("cli.summary")
+	read := pipeline.ReadVerdicts
+	if *outDir != "" {
+		read = pipeline.ReadRecords
+	}
+	records, err := read(*jsonl)
 	if err != nil {
 		fatal(err)
 	}
@@ -262,6 +269,7 @@ func main() {
 	summary := pipeline.Summarise(name, records)
 	fmt.Print(summary)
 	fmt.Printf("pipeline: %s (sink %s: %d records)\n", stats, *jsonl, len(records))
+	span.End()
 	if *htmlPath != "" {
 		html, err := analysis.RenderIndexHTML(summary)
 		if err != nil {

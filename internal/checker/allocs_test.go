@@ -31,16 +31,17 @@ const seqTrace = `@type trace
 
 // TestSequentialStepAllocs pins the allocation cost of a sequential step
 // once the cons table holds every transition: the per-trace scratch, the
-// inline dedup set, the calling-state check and label keys rendered into
-// a reused buffer leave about one allocation per step. The bound has
-// headroom over the measured 1.0; a checker that allocated every label
-// key made 3.1 allocations per step here, and the pre-fast-path checker
-// 11.
+// inline dedup set, the calling-state check, label keys rendered into a
+// reused buffer and a union loop without a per-step closure leave no
+// allocation per step. The bound has headroom over the measured 0 (a
+// collection may empty the scratch pool mid-measurement); the closure
+// cost 1.0 allocations per step here, allocating every label key 3.1,
+// and the pre-fast-path checker 11.
 func TestSequentialStepAllocs(t *testing.T) {
 	tr := parse(t, seqTrace)
 	c := New(types.DefaultSpec())
 	c.TauWorkers = 1
-	c.Memo = osspec.NewConsTable(0)
+	c.Memo = osspec.NewConsTable(0, 0)
 	c.Tel = telemetry.NewRegistry()
 	if r := c.Check(tr); !r.Accepted || r.Steps != 14 {
 		t.Fatalf("first pass: accepted=%v steps=%d errors=%+v", r.Accepted, r.Steps, r.Errors)
@@ -52,7 +53,28 @@ func TestSequentialStepAllocs(t *testing.T) {
 	})
 	perStep := perTrace / 14
 	t.Logf("%.1f allocations per trace, %.2f per step", perTrace, perStep)
-	if perStep > 1.5 {
-		t.Errorf("%.2f allocations per warm sequential step, want <= 1.5", perStep)
+	if perStep > 0.25 {
+		t.Errorf("%.2f allocations per warm sequential step, want <= 0.25", perStep)
+	}
+}
+
+// TestSerialUnionAllocs pins that a serial transition union whose every
+// fan-out the cons table already holds allocates nothing: the loop runs
+// inline, with no per-step closure, and writes into the trace's scratch.
+func TestSerialUnionAllocs(t *testing.T) {
+	c := New(types.DefaultSpec())
+	c.Memo = osspec.NewConsTable(0, 0)
+	tr := parse(t, seqTrace)
+	states := []*osspec.OsState{c.initialState()}
+	var sc traceScratch
+	lbl := tr.Steps[0].Label // the mkdir call
+	if next := c.unionTrans(states, lbl, &sc, 1, nil); len(next) != 1 {
+		t.Fatalf("first union: %d successors, want 1", len(next))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.unionTrans(states, lbl, &sc, 1, nil)
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per memo-hit serial union, want 0", allocs)
 	}
 }

@@ -2,10 +2,9 @@ package checker
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -23,17 +22,31 @@ type StepError struct {
 }
 
 // Message renders the Fig 4 diagnostic block.
-func (e StepError) Message() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Error: %d: %s\n", e.Line, e.Observed)
-	fmt.Fprintf(&b, "# unexpected results: %s\n", e.Observed)
-	if len(e.Allowed) > 0 {
-		fmt.Fprintf(&b, "# allowed are only: %s\n", strings.Join(e.Allowed, ", "))
-		fmt.Fprintf(&b, "# continuing with %s\n", strings.Join(e.Allowed, ", "))
-	} else {
-		b.WriteString("# no behaviour allowed here; resetting process state\n")
+func (e StepError) Message() string { return string(e.AppendMessage(nil)) }
+
+// AppendMessage appends Message's text to b and returns the extended
+// slice.
+func (e StepError) AppendMessage(b []byte) []byte {
+	b = append(b, "# Error: "...)
+	b = strconv.AppendInt(b, int64(e.Line), 10)
+	b = append(append(append(b, ": "...), e.Observed...), '\n')
+	b = append(append(append(b, "# unexpected results: "...), e.Observed...), '\n')
+	if len(e.Allowed) == 0 {
+		return append(b, "# no behaviour allowed here; resetting process state\n"...)
 	}
-	return b.String()
+	b = appendJoined(append(b, "# allowed are only: "...), e.Allowed)
+	return appendJoined(append(b, "# continuing with "...), e.Allowed)
+}
+
+// appendJoined appends the strings joined by ", " and a newline.
+func appendJoined(b []byte, ss []string) []byte {
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, s...)
+	}
+	return append(b, '\n')
 }
 
 // Result is the outcome of checking one trace.
@@ -426,43 +439,41 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 	return out, !capHit && ctx.Err() == nil
 }
 
-// unionTrans applies one label to every tracked state, fanning the
-// per-state work across the worker pool (osspec.MapStates). Successors are
+// unionTrans applies one label to every tracked state. Successors are
 // concatenated in source order, so the result — and every later dedup
-// decision — is byte-identical to the sequential computation. All source
-// states are frozen (Check/reduce/tauClosure guarantee it), which makes
-// the shared reads race-free. With a cons table the per-state fan-out is
-// interned suite-wide and replayed for equal (state, label) pairs. The
-// successors are appended into the trace's union buffer, overwriting it;
-// states must not live there. The successors' covered masks replace
-// sc.covered: cover(i) for the successor of source i when cover is
-// non-nil (call and return labels, which draw at most one successor per
-// source), 0 otherwise.
+// decision — is byte-identical to the sequential computation. Sets where
+// osspec.Parallel holds fan the per-state work across the worker pool
+// (osspec.MapStates); the rest, every sequential trace among them, run
+// in a loop that allocates nothing per step on a memo hit. All
+// source states are frozen (Check/reduce/tauClosure guarantee it), which
+// makes the shared reads race-free. With a cons table the per-state
+// fan-out is interned suite-wide and replayed for equal (state, label)
+// pairs. The successors are appended into the trace's union buffer,
+// overwriting it; states must not live there. The successors' covered
+// masks replace sc.covered: cover(i) for the successor of source i when
+// cover is non-nil (call and return labels, which draw at most one
+// successor per source), 0 otherwise.
 func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, workers int, cover func(int) uint64) []*osspec.OsState {
-	prehash := !c.DisableDedup
 	memo := c.memo()
-	var key []byte
 	if memo != nil {
 		sc.key = osspec.AppendLabelKey(sc.key[:0], lbl)
-		key = sc.key
 	}
-	sc.union, sc.fanout = osspec.UnionStates(sc.union[:0], sc.fanout[:0], states, workers, func(dst []*osspec.OsState, s *osspec.OsState) []*osspec.OsState {
-		if memo != nil {
-			succs, ok := memo.Get(s, key)
-			if !ok {
-				succs = memo.Put(s, key, osspec.Trans(s, lbl)) // hashes and freezes
-			}
-			return append(dst, succs...)
+	sc.union, sc.fanout = sc.union[:0], sc.fanout[:0]
+	if osspec.Parallel(workers, len(states)) {
+		key := sc.key
+		for _, succs := range osspec.MapStates(states, workers, func(_ int, s *osspec.OsState) []*osspec.OsState {
+			return c.trans(nil, s, lbl, memo, key)
+		}) {
+			sc.union = append(sc.union, succs...)
+			sc.fanout = append(sc.fanout, len(succs))
 		}
-		n := len(dst)
-		dst = osspec.AppendTrans(dst, s, lbl)
-		if prehash {
-			for _, ns := range dst[n:] {
-				ns.Hash()
-			}
+	} else {
+		for _, s := range states {
+			n := len(sc.union)
+			sc.union = c.trans(sc.union, s, lbl, memo, sc.key)
+			sc.fanout = append(sc.fanout, len(sc.union)-n)
 		}
-		return dst
-	})
+	}
 	if cover == nil {
 		sc.uncover(len(sc.union))
 		return sc.union
@@ -478,6 +489,27 @@ func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *trac
 	}
 	sc.covered = masks
 	return sc.union
+}
+
+// trans appends s's successors under lbl to dst: with a cons table the
+// interned fan-out (key is lbl's cons key), otherwise fresh successors,
+// pre-hashed on the calling worker unless dedup is off.
+func (c *Checker) trans(dst []*osspec.OsState, s *osspec.OsState, lbl types.Label, memo *osspec.ConsTable, key []byte) []*osspec.OsState {
+	if memo != nil {
+		succs, ok := memo.Get(s, key)
+		if !ok {
+			succs = memo.Put(s, key, osspec.Trans(s, lbl)) // hashes and freezes
+		}
+		return append(dst, succs...)
+	}
+	n := len(dst)
+	dst = osspec.AppendTrans(dst, s, lbl)
+	if !c.DisableDedup {
+		for _, ns := range dst[n:] {
+			ns.Hash()
+		}
+	}
+	return dst
 }
 
 func allowedSet(states []*osspec.OsState, pid types.Pid) []string {

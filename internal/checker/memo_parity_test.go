@@ -22,7 +22,7 @@ func TestMemoParityConcurrent(t *testing.T) {
 	scripts := testgen.ConcurrentScripts()
 	factory := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
 	memo := New(types.DefaultSpec())
-	memo.Memo = osspec.NewConsTable(0)
+	memo.Memo = osspec.NewConsTable(0, 0)
 	memo.Tel = telemetry.NewRegistry()
 	plain := New(types.DefaultSpec())
 	plain.Tel = telemetry.NewRegistry()

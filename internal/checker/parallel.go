@@ -2,8 +2,7 @@ package checker
 
 import (
 	"context"
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -33,6 +32,12 @@ func (c *Checker) CheckAllCtx(ctx context.Context, traces []*trace.Trace, worker
 // RenderChecked interleaves the original trace with the checker's
 // diagnostics, producing a checked trace in the style of Fig 4.
 func RenderChecked(t *trace.Trace, r Result) string {
+	return string(AppendChecked(nil, t, r))
+}
+
+// AppendChecked appends RenderChecked's text to b and returns the
+// extended slice, so a caller that renders many traces reuses one buffer.
+func AppendChecked(b []byte, t *trace.Trace, r Result) []byte {
 	var byLine map[int][]StepError // nil on the common accepted path
 	if len(r.Errors) > 0 {
 		byLine = make(map[int][]StepError)
@@ -40,25 +45,19 @@ func RenderChecked(t *trace.Trace, r Result) string {
 			byLine[e.Line] = append(byLine[e.Line], e)
 		}
 	}
-	var b strings.Builder
-	b.WriteString("@type checked_trace\n")
+	b = append(b, "@type checked_trace\n"...)
 	if t.Name != "" {
-		b.WriteString("# Test ")
-		b.WriteString(t.Name)
-		b.WriteByte('\n')
+		b = append(append(append(b, "# Test "...), t.Name...), '\n')
 	}
-	var line []byte // one label's rendering, reused across steps
 	for _, st := range t.Steps {
-		line = append(st.Label.Append(line[:0]), '\n')
-		b.Write(line)
+		b = append(st.Label.Append(b), '\n')
 		for _, e := range byLine[st.Line] {
-			b.WriteString(e.Message())
+			b = e.AppendMessage(b)
 		}
 	}
 	if r.Accepted {
-		b.WriteString("# Trace accepted.\n")
-	} else {
-		fmt.Fprintf(&b, "# Trace NOT accepted: %d error(s).\n", len(r.Errors))
+		return append(b, "# Trace accepted.\n"...)
 	}
-	return b.String()
+	b = strconv.AppendInt(append(b, "# Trace NOT accepted: "...), int64(len(r.Errors)), 10)
+	return append(b, " error(s).\n"...)
 }

@@ -21,7 +21,9 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory) (*trace.T
 		return nil, fmt.Errorf("exec: creating file system: %w", err)
 	}
 	defer fs.Close()
-	t := &trace.Trace{Name: s.Name}
+	// A call yields two labels and every other step at most one, so the
+	// steps are allocated once.
+	t := &trace.Trace{Name: s.Name, Steps: make([]trace.Step, 0, 2*len(s.Steps))}
 	line := 0
 	emit := func(lbl types.Label) {
 		line++
@@ -31,17 +33,19 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory) (*trace.T
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// A script label is emitted as st.Label, already boxed; only the
+		// return is a new label.
 		switch lbl := st.Label.(type) {
 		case types.CallLabel:
-			emit(lbl)
+			emit(st.Label)
 			rv := fs.Apply(lbl.Pid, lbl.Cmd)
 			emit(types.ReturnLabel{Pid: lbl.Pid, Ret: rv})
 		case types.CreateLabel:
 			fs.CreateProcess(lbl.Pid, lbl.Uid, lbl.Gid)
-			emit(lbl)
+			emit(st.Label)
 		case types.DestroyLabel:
 			fs.DestroyProcess(lbl.Pid)
-			emit(lbl)
+			emit(st.Label)
 		case types.CrashLabel:
 			// Power loss + remount. The implementation picks which pending
 			// effects survived (lbl.Keep, clamped by the backend); the oracle
@@ -56,7 +60,7 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory) (*trace.T
 			if err := cfs.Crash(lbl.Keep); err != nil {
 				return nil, fmt.Errorf("exec: script %q line %d: %w", s.Name, st.Line, err)
 			}
-			emit(lbl)
+			emit(st.Label)
 		case types.TauLabel:
 			// Scripts don't contain τ; ignore if present.
 		case types.ReturnLabel:

@@ -158,7 +158,7 @@ func TestConsGetHitAllocs(t *testing.T) {
 	src.Freeze()
 	// Boxed once, as a trace step holds it.
 	var lbl types.Label = types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
-	tbl := NewConsTable(0)
+	tbl := NewConsTable(0, 0)
 	key := AppendLabelKey(nil, lbl)
 	tbl.Put(src, key, Trans(src, lbl))
 	buf := make([]byte, 0, 64)

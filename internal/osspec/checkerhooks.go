@@ -90,6 +90,13 @@ type ClosureStats struct {
 // on the caller's goroutine.
 const tauParallelMin = 16
 
+// Parallel reports whether a fan-out over n states with workers workers
+// is worth the pool: the τ-closure's rounds and the checker's transition
+// union both run on the caller's goroutine unless it is.
+func Parallel(workers, n int) bool {
+	return workers > 1 && n >= tauParallelMin
+}
+
 // TauClosure returns every state reachable from the set by zero or more τ
 // steps, single-threaded. See TauClosureWith.
 func TauClosure(states []*OsState, dedup bool, cap int) (out []*OsState, expansions int) {
@@ -163,7 +170,7 @@ func tauClosure(states []*OsState, o ClosureOpts, masks []uint64) (out []*OsStat
 		}
 		hi := len(out)
 		frontier := out[lo:hi]
-		parallel := workers > 1 && len(frontier) >= tauParallelMin
+		parallel := Parallel(workers, len(frontier))
 		if o.Stats != nil {
 			o.Stats.Rounds++
 			if parallel {
@@ -291,35 +298,11 @@ func hasCallingProc(s *OsState) bool {
 	return false
 }
 
-// UnionStates appends, for every state in source order, fn's results to
-// dst — the checker's transition union — and the number of results for
-// each source, in the same order, to fanout. fn appends its results to
-// the slice it is given and returns it. The serial case (≤ 1 worker, or
-// a set below tauParallelMin) lets fn append straight into dst; the
-// parallel case fans out via MapStates, each call appending to nil, and
-// concatenates the ordered result table, so the output is byte-identical
-// either way. states must not alias dst's spare capacity.
-func UnionStates(dst []*OsState, fanout []int, states []*OsState, workers int, fn func([]*OsState, *OsState) []*OsState) ([]*OsState, []int) {
-	if workers <= 1 || len(states) < tauParallelMin {
-		for _, s := range states {
-			n := len(dst)
-			dst = fn(dst, s)
-			fanout = append(fanout, len(dst)-n)
-		}
-		return dst, fanout
-	}
-	for _, group := range MapStates(states, workers, func(_ int, s *OsState) []*OsState { return fn(nil, s) }) {
-		dst = append(dst, group...)
-		fanout = append(fanout, len(group))
-	}
-	return dst, fanout
-}
-
 // MapStates applies fn to every state, fanning the calls across workers
 // while keeping the result deterministically ordered: slot i holds
 // exactly fn(i, states[i]). The states must be frozen — each may be read
 // by any worker. Shared by the τ-closure and the checker's transition
-// union, which keep sets below tauParallelMin on their own goroutine.
+// union, which keep sets where Parallel is false on their own goroutine.
 func MapStates(states []*OsState, workers int, fn func(int, *OsState) []*OsState) [][]*OsState {
 	results := make([][]*OsState, len(states))
 	par.Each(context.TODO(), workers, len(states), func(_, i int) bool {

@@ -49,7 +49,11 @@ import (
 // recomputation, not a shard's).
 type ConsTable struct {
 	mu sync.RWMutex
-	m  map[consKey][]*OsState
+	// m is made at the first Put, sized for hint entries, so a table that
+	// never misses (a warm run's) allocates nothing; an epoch reset clears
+	// it in place and keeps the buckets for the next epoch.
+	m    map[consKey][]*OsState
+	hint int
 	// retained counts the *OsState pointers the table keeps alive (the
 	// interned successors); the epoch reset triggers when it passes cap.
 	retained int
@@ -73,12 +77,15 @@ type consKey struct {
 const DefaultConsCap = 1 << 16
 
 // NewConsTable returns an empty table; maxStates ≤ 0 selects
-// DefaultConsCap.
-func NewConsTable(maxStates int) *ConsTable {
+// DefaultConsCap. sizeHint is the number of entries the table's map is
+// made for at its first Put (≤ 0: grow from empty): a table sized once
+// skips the rehashes of growing to its working size, which a cold run
+// otherwise pays for on every worker.
+func NewConsTable(maxStates, sizeHint int) *ConsTable {
 	if maxStates <= 0 {
 		maxStates = DefaultConsCap
 	}
-	return &ConsTable{m: make(map[consKey][]*OsState), cap: maxStates}
+	return &ConsTable{cap: maxStates, hint: max(0, sizeHint)}
 }
 
 // Get returns the interned successors of (src, key) and whether the pair
@@ -113,10 +120,13 @@ func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState) []*OsState {
 		t.mu.Unlock()
 		return won
 	}
+	if t.m == nil {
+		t.m = make(map[consKey][]*OsState, t.hint)
+	}
 	if t.retained+len(succs) > t.cap && t.retained > 0 {
 		// Epoch reset: drop everything rather than evict piecemeal. The
-		// table regrows from the live frontier within one trace.
-		t.m = make(map[consKey][]*OsState)
+		// table refills from the live frontier within one trace.
+		clear(t.m)
 		t.retained = 0
 		t.resets.Add(1)
 	}
@@ -130,7 +140,7 @@ func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState) []*OsState {
 func (t *ConsTable) Reset() {
 	t.mu.Lock()
 	if t.retained > 0 || len(t.m) > 0 {
-		t.m = make(map[consKey][]*OsState)
+		clear(t.m)
 		t.retained = 0
 		t.resets.Add(1)
 	}
@@ -141,18 +151,22 @@ func (t *ConsTable) Reset() {
 type ConsStats struct {
 	Hits, Misses, Resets int64
 	Retained             int
+	// Mapped reports that the table has made its map, which it does at
+	// its first Put.
+	Mapped bool
 }
 
 // Stats snapshots the table's counters (telemetry; never affects results).
 func (t *ConsTable) Stats() ConsStats {
 	t.mu.RLock()
-	retained := t.retained
+	retained, mapped := t.retained, t.m != nil
 	t.mu.RUnlock()
 	return ConsStats{
 		Hits:     t.hits.Load(),
 		Misses:   t.misses.Load(),
 		Resets:   t.resets.Load(),
 		Retained: retained,
+		Mapped:   mapped,
 	}
 }
 

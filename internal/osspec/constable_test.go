@@ -14,7 +14,7 @@ func TestConsTableInternsAndConverges(t *testing.T) {
 	src := NewOsState(types.DefaultSpec())
 	src.Hash()
 	src.Freeze()
-	tbl := NewConsTable(0)
+	tbl := NewConsTable(0, 0)
 
 	lbl := types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
 	key := AppendLabelKey(nil, lbl)
@@ -64,7 +64,7 @@ func TestConsTableEpochReset(t *testing.T) {
 	src.Hash()
 	src.Freeze()
 	const cap = 4
-	tbl := NewConsTable(cap)
+	tbl := NewConsTable(cap, 0)
 	// Distinct labels produce distinct entries from the same source.
 	paths := []string{"/a", "/b", "/c", "/d", "/e", "/f", "/g", "/h"}
 	maxFan := 0
@@ -128,7 +128,7 @@ func TestLabelKeyInjectiveAcrossKinds(t *testing.T) {
 // no τ-successors, so closing it must not consult the cons table at all,
 // while closing a state with a pending call still goes through the table.
 func TestClosureSkipsMemoWithoutCallingProc(t *testing.T) {
-	memo := NewConsTable(0)
+	memo := NewConsTable(0, 0)
 	lookups := func() int64 { st := memo.Stats(); return st.Hits + st.Misses }
 	closure := func(s *OsState) (int, int64) {
 		before := lookups()

@@ -310,7 +310,7 @@ func TestCrashEnumerationKnobInvariance(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("no crash states enumerated")
 	}
-	table := NewConsTable(0)
+	table := NewConsTable(0, 0)
 	for _, cfg := range []struct {
 		name    string
 		workers int

@@ -3,6 +3,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/testgen"
@@ -22,5 +23,36 @@ func TestScriptHashAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per ScriptHash over %d scripts", perCall, len(scripts))
 	if perCall > 2 {
 		t.Errorf("%.2f allocations per ScriptHash, want <= 2", perCall)
+	}
+}
+
+// TestWarmRunBuildsNoConsMap pins that a cons table makes its map only
+// when it first stores a fan-out: a cold run's tables make theirs, and a
+// warm run over the same cache, which checks nothing, makes none.
+func TestWarmRunBuildsNoConsMap(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	defer func() { runDoneHook = nil }()
+	mapped := 0 // tables with a map at the end of the last run
+	runDoneHook = func(ws []*worker) {
+		mapped = 0
+		for _, w := range ws {
+			if w.chk.Memo.Stats().Mapped {
+				mapped++
+			}
+		}
+	}
+	cfg := testConfig(testScripts(t, 16))
+	cfg.Cache = cache
+	for _, warm := range []bool{false, true} {
+		if _, st, err := Run(context.Background(), cfg); err != nil || (st.CacheHits == st.Jobs) != warm {
+			t.Fatalf("warm=%v: %+v, err %v", warm, st, err)
+		}
+		if (mapped > 0) == warm {
+			t.Errorf("warm=%v: %d of %d tables made a map", warm, mapped, cfg.Workers)
+		}
 	}
 }

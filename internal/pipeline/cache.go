@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"path/filepath"
 
 	"repro/internal/telemetry"
@@ -53,7 +52,7 @@ func (c *Cache) GetRecord(key string) (Record, bool) {
 }
 
 // getRecord also returns the entry's canonical JSON line — exactly the
-// json.Marshal bytes putRecord wrote — so the pipeline's warm path can
+// bytes its writer framed — so the pipeline's warm path can
 // journal a hit without re-marshalling it (Sink.AppendEncoded). A framed
 // entry (codec.go) decodes without a JSON parse at all.
 func (c *Cache) getRecord(key string) (Record, []byte, bool) {
@@ -66,18 +65,7 @@ func (c *Cache) getRecord(key string) (Record, []byte, bool) {
 
 // PutRecord stores a record under its key.
 func (c *Cache) PutRecord(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return c.putRecord(rec, line)
-}
-
-// putRecord stores rec given its canonical JSON line (exactly
-// json.Marshal(rec)), which the pipeline's fresh path marshals once for
-// both the store and the journal.
-func (c *Cache) putRecord(rec Record, line []byte) error {
-	return c.store.Put(rec.Key, encodeRecord(rec, line))
+	return c.store.Put(rec.Key, encodeRecord(nil, rec, rec.AppendJSON(nil)))
 }
 
 // GetRaw and PutRaw expose the store to sibling subsystems that cache

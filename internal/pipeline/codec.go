@@ -22,20 +22,13 @@ import (
 // recMagic tags a framed record entry.
 const recMagic = "sfsrec1\x00"
 
-// encodeRecord frames rec and its canonical JSON encoding (line must be
-// exactly json.Marshal(rec)).
-func encodeRecord(rec Record, line []byte) []byte {
-	n := len(recMagic) + 4 + len(line) + 4 + len(rec.Name) + 1 + 16 + 4 + len(rec.Checked) + 4
-	for _, e := range rec.Errors {
-		n += 4 + 4 + len(e.Observed) + 4
-		for _, a := range e.Allowed {
-			n += 4 + len(a)
-		}
-	}
-	buf := make([]byte, 0, n)
+// encodeRecord appends the framed encoding of rec and its canonical JSON
+// line (exactly rec.AppendJSON's bytes) to buf. The pipeline frames into
+// a worker's reused buffer, which Store.Put copies.
+func encodeRecord(buf []byte, rec Record, line []byte) []byte {
 	buf = append(buf, recMagic...)
 	buf = appendBytes32(buf, line)
-	buf = appendBytes32(buf, []byte(rec.Name))
+	buf = appendString32(buf, rec.Name)
 	var flags byte
 	if rec.Accepted {
 		flags |= 1
@@ -48,14 +41,14 @@ func encodeRecord(rec Record, line []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.MaxStates))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.TauExpansions))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.SumStates))
-	buf = appendBytes32(buf, []byte(rec.Checked))
+	buf = appendString32(buf, rec.Checked)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Errors)))
 	for _, e := range rec.Errors {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.Line))
-		buf = appendBytes32(buf, []byte(e.Observed))
+		buf = appendString32(buf, e.Observed)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Allowed)))
 		for _, a := range e.Allowed {
-			buf = appendBytes32(buf, []byte(a))
+			buf = appendString32(buf, a)
 		}
 	}
 	return buf
@@ -64,6 +57,11 @@ func encodeRecord(rec Record, line []byte) []byte {
 func appendBytes32(buf, b []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
+}
+
+func appendString32(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
+	return append(buf, s...)
 }
 
 // decodeRecord decodes a framed record value, returning the record and

@@ -33,7 +33,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeRecord(rec, line)
+	data := encodeRecord(nil, rec, line)
 	got, gotLine, ok := decodeRecord(data, rec.Key)
 	if !ok {
 		t.Fatal("decodeRecord: not ok")
@@ -57,7 +57,7 @@ func TestRecordCodecBareJSON(t *testing.T) {
 	if _, _, ok := decodeRecord(line, rec.Key); ok {
 		t.Fatal("decodeRecord on bare JSON: ok, want a miss")
 	}
-	if _, _, ok := decodeRecord(encodeRecord(rec, line), rec.Key); !ok {
+	if _, _, ok := decodeRecord(encodeRecord(nil, rec, line), rec.Key); !ok {
 		t.Fatal("decodeRecord on the framed record: not ok")
 	}
 }
@@ -68,7 +68,7 @@ func TestRecordCodecDamagedBinaryFallsBackToJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeRecord(rec, line)
+	data := encodeRecord(nil, rec, line)
 	// Truncate into the binary tail: the embedded JSON (which sits right
 	// after the magic and length) stays intact and must win.
 	for _, cut := range []int{len(data) - 1, len(data) - 10, len(recMagic) + 4 + len(line)} {
@@ -102,7 +102,7 @@ func TestRecordCodecCraftedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeRecord(rec, line)
+	data := encodeRecord(nil, rec, line)
 	binary.BigEndian.PutUint32(data[len(data)-4:], 0xFFFFFFFF)
 	got, gotLine, ok := decodeRecord(data, rec.Key)
 	if !ok {
@@ -145,7 +145,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotLine, ok := decodeRecord(encodeRecord(rec, line), "k")
+		got, gotLine, ok := decodeRecord(encodeRecord(nil, rec, line), "k")
 		if !ok {
 			t.Fatalf("re-encoded record does not decode: %+v", rec)
 		}
@@ -163,7 +163,7 @@ func mustEncode(tb testing.TB, rec Record) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodeRecord(rec, line)
+	return encodeRecord(nil, rec, line)
 }
 
 // goldenRecords builds records from a sample of the golden fixtures'

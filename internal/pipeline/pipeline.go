@@ -1,13 +1,14 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checker"
@@ -134,7 +135,7 @@ func (st Stats) String() string {
 // Run executes one shard of the suite through the cache-backed pipeline
 // and returns this shard's records in job order. Each worker checks with
 // a checker of its own, and for sequential runs a cons table of its own
-// (see workerCheckers). The record content is deterministic: a cache hit,
+// (see newWorkers). The record content is deterministic: a cache hit,
 // a sink resume and a fresh execution of the same job yield identical
 // records whichever worker checks it (only Stats and Record.Cached reveal
 // the difference).
@@ -165,7 +166,17 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		version = osspec.ModelVersion
 	}
 	tel := telemetry.Or(cfg.Tel)
-	chks := workerCheckers(cfg, workers, tel)
+
+	// Shard selection: stable indices into the shared job list.
+	var jobs []int
+	labels := 0 // an upper bound on the labels this shard's traces carry
+	for i, s := range cfg.Scripts {
+		if cfg.Shards <= 1 || i%cfg.Shards == cfg.Shard {
+			jobs = append(jobs, i)
+			labels += 2 * len(s.Steps)
+		}
+	}
+	ws := newWorkers(cfg, workers, labels, tel)
 	if cfg.Sink != nil {
 		cfg.Sink.SetTelemetry(tel)
 	}
@@ -174,7 +185,7 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	}
 
 	specHash := SpecHash(version, cfg.Spec)
-	configHash := ConfigHash(cfg.FSName, cfg.Concurrent, cfg.SchedSeed, chks[0].MaxStateSet)
+	configHash := ConfigHash(cfg.FSName, cfg.Concurrent, cfg.SchedSeed, ws[0].chk.MaxStateSet)
 
 	// Keys for the FULL suite (not just this shard): jobs need theirs, and
 	// the sink prunes against the complete set so a resumed sink keeps
@@ -198,13 +209,6 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
 
-	// Shard selection: stable indices into the shared job list.
-	var jobs []int
-	for i := range cfg.Scripts {
-		if cfg.Shards <= 1 || i%cfg.Shards == cfg.Shard {
-			jobs = append(jobs, i)
-		}
-	}
 	st.Jobs = len(jobs)
 	if cfg.Sink != nil {
 		cfg.Sink.Restrict(keys, len(jobs))
@@ -218,11 +222,22 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	errs := make([]error, len(jobs))
 	var mu sync.Mutex // st counters + log
 	lastProgress := start
+	// failed is set by the first job error, before dispatch stops: a job
+	// claimed after it returns without starting, even one claimed by a
+	// worker that finished its job while the error was on its way.
+	var failed atomic.Bool
 	par.Each(ctx, workers, len(jobs), func(w, j int) bool {
+		if failed.Load() {
+			return false
+		}
 		jobStart := time.Now()
-		rec, hit, skipped, err := runJob(ctx, cfg, chks[w], tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
+		rec, hit, skipped, err := ws[w].runJob(ctx, cfg, tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
 		records[j], errs[j] = rec, err
 		if err != nil {
+			failed.Store(true)
+			if jobFailedHook != nil {
+				jobFailedHook()
+			}
 			return false // completed records stay in sink/cache
 		}
 		tel.Histogram("pipeline.job_ns").ObserveSince(jobStart)
@@ -263,7 +278,10 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	if cfg.Cache != nil {
 		flushErr = cfg.Cache.Flush()
 	}
-	publishConsStats(tel, chks)
+	publishConsStats(tel, ws)
+	if runDoneHook != nil {
+		runDoneHook(ws)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
@@ -286,10 +304,33 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 // per batch instead of once per script.
 const keyBatch = 128
 
-// workerCheckers builds one checker per worker, so no two workers share
-// a checker's scratch pool or cons table. Sequential runs give each
-// checker its own cons table with an even share of DefaultConsCap: a
-// shard is the natural epoch (shards may run on different machines), and
+// Test hooks, nil outside tests: jobFailedHook runs once a job error has
+// marked the run failed, runDoneHook with the run's worker slots before
+// Run returns.
+var (
+	jobFailedHook func()
+	runDoneHook   func([]*worker)
+)
+
+// worker is one pipeline worker's slot, indexed by the par worker id: its
+// checker, and the scratch its jobs reuse. Per-trace scratch comes from
+// here rather than from a sync.Pool, which the collector empties several
+// times per pass; only a job's outputs (the record, its checked-trace
+// text and its journal line) are allocated.
+type worker struct {
+	chk *checker.Checker
+	// buf holds the checked-trace rendering, then the record's JSON line.
+	buf []byte
+	// frame holds the framed cache entry; Store.Put copies it.
+	frame []byte
+}
+
+// newWorkers builds one slot per worker, each with a checker of its own,
+// so no two workers share a checker's scratch pool or cons table.
+// Sequential runs give each checker its own cons table with an even share
+// of DefaultConsCap, its map sized once for min(that share, the worker's
+// share of the run's labels) entries, about where a cold table ends up,
+// so it never rehashes on the way there: a shard is the natural epoch (shards may run on different machines), and
 // a table resets itself if a pathological suite outgrows its share.
 // Sequential traces walk the same interned states along their shared
 // script prefix, so most lookups hit, and a worker's own traces find
@@ -299,9 +340,10 @@ const keyBatch = 128
 // pending calls differently, so only about 9% of lookups hit there, and
 // every miss keeps states alive for the collector to scan: those runs
 // check without a table.
-func workerCheckers(cfg Config, workers int, tel *telemetry.Registry) []*checker.Checker {
-	chks := make([]*checker.Checker, workers)
-	for w := range chks {
+func newWorkers(cfg Config, workers, labels int, tel *telemetry.Registry) []*worker {
+	ws := make([]*worker, workers)
+	share := max(1, osspec.DefaultConsCap/workers)
+	for w := range ws {
 		chk := checker.New(cfg.Spec)
 		if cfg.MaxStateSet > 0 {
 			chk.MaxStateSet = cfg.MaxStateSet
@@ -312,23 +354,23 @@ func workerCheckers(cfg Config, workers int, tel *telemetry.Registry) []*checker
 		}
 		chk.Tel = tel
 		if !cfg.NoSharedCons && !cfg.Concurrent {
-			chk.Memo = osspec.NewConsTable(max(1, osspec.DefaultConsCap/workers))
+			chk.Memo = osspec.NewConsTable(share, min(share, labels/workers))
 		}
-		chks[w] = chk
+		ws[w] = &worker{chk: chk}
 	}
-	return chks
+	return ws
 }
 
 // publishConsStats reports the worker tables' counters, summed, to tel.
 // Runs without tables (every worker has one, or none does) report
 // nothing.
-func publishConsStats(tel *telemetry.Registry, chks []*checker.Checker) {
-	if chks[0].Memo == nil {
+func publishConsStats(tel *telemetry.Registry, ws []*worker) {
+	if ws[0].chk.Memo == nil {
 		return
 	}
 	var sum osspec.ConsStats
-	for _, chk := range chks {
-		cs := chk.Memo.Stats()
+	for _, w := range ws {
+		cs := w.chk.Memo.Stats()
 		sum.Hits += cs.Hits
 		sum.Misses += cs.Misses
 		sum.Resets += cs.Resets
@@ -362,7 +404,7 @@ func logProgress(w io.Writer, name string, st Stats, elapsed time.Duration) {
 // coverage-collection window attributed to that registry. Phase latencies
 // (cache lookup/store, execute, check, journal append) land in tel's
 // histograms.
-func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetry.Registry, s *trace.Script, key string) (rec Record, hit, skipped bool, err error) {
+func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry, s *trace.Script, key string) (rec Record, hit, skipped bool, err error) {
 	if cfg.Sink != nil {
 		if rec, ok := cfg.Sink.Lookup(key); ok {
 			rec.Cached = true
@@ -401,7 +443,7 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		tel.Histogram("pipeline.execute_ns").ObserveSince(execStart)
 		if err == nil {
 			checkStart := time.Now()
-			res, err = chk.CheckCtx(ctx, t)
+			res, err = w.chk.CheckCtx(ctx, t)
 			tel.Histogram("pipeline.check_ns").ObserveSince(checkStart)
 		}
 	}
@@ -415,15 +457,16 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 	if err != nil {
 		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
 	}
-	rec = NewRecord(key, t, res)
-	// One marshal serves both the framed cache entry and the journal.
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return rec, false, false, err
-	}
+	// The checked trace and the JSON line are built in the worker's
+	// buffer; each is then copied out once, at its exact size. One line
+	// serves both the framed cache entry and the journal.
+	rec, w.buf = newRecord(w.buf, key, t, res)
+	w.buf = rec.AppendJSON(w.buf[:0])
+	line := bytes.Clone(w.buf)
 	if cfg.Cache != nil {
 		storeStart := time.Now()
-		err := cfg.Cache.putRecord(rec, line)
+		w.frame = encodeRecord(w.frame[:0], rec, line)
+		err := cfg.Cache.store.Put(rec.Key, w.frame)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
 			return rec, false, false, err

@@ -523,20 +523,22 @@ func TestRunWorkersAgree(t *testing.T) {
 
 // TestRunJobErrorStopsDispatch pins that a failing job stops dispatch:
 // the jobs already in flight finish, and no later job starts. The first
-// factory call fails and holds every other job in its factory until it
-// has failed, so at most one job per worker can have started.
+// factory call fails, and every other job is held in its factory until
+// Run has marked the run failed (jobFailedHook), so at most one job per
+// worker can have started.
 func TestRunJobErrorStopsDispatch(t *testing.T) {
 	scripts := testScripts(t, 64)
 	boom := errors.New("factory failed")
+	defer func() { jobFailedHook = nil }()
 	for _, workers := range []int{1, 2, 8} {
 		var calls atomic.Int32
 		release := make(chan struct{})
+		jobFailedHook = func() { close(release) }
 		mem := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
 		cfg := testConfig(scripts)
 		cfg.Workers = workers
 		cfg.Factory = func() (fsimpl.FS, error) {
 			if calls.Add(1) == 1 {
-				defer close(release)
 				return nil, boom
 			}
 			<-release

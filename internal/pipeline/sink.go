@@ -25,7 +25,7 @@ import (
 // order and therefore nondeterministic; Finalize rewrites the file in
 // canonical order before the sink is handed to consumers.
 //
-// Each record is kept next to its canonical line (json.Marshal(rec), no
+// Each record is kept next to its canonical line (rec.AppendJSON, no
 // trailing newline), so Finalize only sorts and copies bytes.
 type Sink struct {
 	mu      sync.Mutex
@@ -101,13 +101,9 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 			break // torn or foreign content; drop it and everything after
 		}
 		if _, dup := s.byKey[rec.Key]; !dup {
-			// Re-marshal rather than keep the file's bytes: a journal is
+			// Re-encode rather than keep the file's bytes: a journal is
 			// not guaranteed to hold canonical encodings.
-			canon, err := json.Marshal(rec)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
+			canon := rec.AppendJSON(nil)
 			s.byKey[rec.Key] = rec
 			s.records = append(s.records, rec)
 			s.lines = append(s.lines, canon)
@@ -186,20 +182,17 @@ func (s *Sink) Len() int {
 // arise from two shards of the same layout sharing a sink, where both
 // would write identical content anyway.
 func (s *Sink) Append(rec Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return s.appendLine(rec, data)
+	return s.appendLine(rec, rec.AppendJSON(nil))
 }
 
-// AppendEncoded journals a record whose canonical json.Marshal encoding
-// the caller already holds: the pipeline's fresh path hands over the bytes
-// it stored, and its warm path the bytes straight from the result store,
-// so neither marshals again. line must be exactly json.Marshal(rec): the
-// journal and Finalize both use it as-is. A line that fails the framing
-// guard (see usableLine) is ignored and rec is marshalled instead, so
-// store bytes can never change the JSONL framing.
+// AppendEncoded journals a record whose canonical encoding (exactly
+// rec.AppendJSON's bytes) the caller already holds: the pipeline's fresh
+// path hands over the line it framed for the store, and its warm path the
+// bytes straight from the result store, so neither encodes again. The
+// sink keeps line as it is, for the journal and for Finalize, so the
+// caller must not reuse its storage. A line that fails the framing guard
+// (see usableLine) is ignored and rec is encoded instead, so store bytes
+// can never change the JSONL framing.
 func (s *Sink) AppendEncoded(rec Record, line []byte) error {
 	if !usableLine(rec.Key, line) {
 		return s.Append(rec)
@@ -207,9 +200,8 @@ func (s *Sink) AppendEncoded(rec Record, line []byte) error {
 	return s.appendLine(rec, line)
 }
 
-// usableLine is the guard on lines the sink did not marshal itself: one
-// line only, and it must open with rec's own key as json.Marshal writes
-// it.
+// usableLine is the guard on lines the sink did not encode itself: one
+// line only, and it must open with rec's own key as AppendJSON writes it.
 func usableLine(key string, line []byte) bool {
 	rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
 	return ok && bytes.IndexByte(line, '\n') < 0 && len(rest) >= len(key)+2 &&
@@ -355,11 +347,7 @@ func (s *Sink) Close() error {
 func WriteRecords(path string, records []Record) error {
 	lines := make([][]byte, len(records))
 	for i, rec := range records {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		lines[i] = line
+		lines[i] = rec.AppendJSON(nil)
 	}
 	return writeLines(path, records, lines)
 }
@@ -403,6 +391,19 @@ func writeLines(path string, records []Record, lines [][]byte) error {
 // in one syscall, so a short write can never produce a terminated
 // partial line).
 func ReadRecords(path string) ([]Record, error) {
+	return readRecords(path, true)
+}
+
+// ReadVerdicts is ReadRecords without the checked-trace text: every
+// record's Checked stays empty. A line that ends in its "checked" member,
+// as every line AppendJSON writes does, is decoded without it, so the
+// text, most of a record's bytes, is neither parsed nor validated; other
+// lines are decoded whole. Summaries (Summarise) need nothing more.
+func ReadVerdicts(path string) ([]Record, error) {
+	return readRecords(path, false)
+}
+
+func readRecords(path string, checked bool) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -416,13 +417,53 @@ func ReadRecords(path string) ([]Record, error) {
 		}
 		line := data[off : off+nl]
 		off += nl + 1
+		if !checked {
+			line = cutChecked(line)
+		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return nil, fmt.Errorf("pipeline: %s: bad record line: %w", path, err)
 		}
+		if !checked {
+			rec.Checked = ""
+		}
 		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// checkedMember opens a record line's "checked" member. Inside a JSON
+// string every quote is escaped, so a match is always structural.
+var checkedMember = []byte(`,"checked":"`)
+
+// cutChecked returns line with its "checked" member removed when that
+// member is the line's last, overwriting line in place; any other line
+// comes back as it is.
+func cutChecked(line []byte) []byte {
+	i := bytes.Index(line, checkedMember)
+	if i < 0 {
+		return line
+	}
+	// The string value must close at the line's final '"', right before
+	// the object's '}'.
+	for j := i + len(checkedMember); ; j++ {
+		k := bytes.IndexByte(line[j:], '"')
+		if k < 0 {
+			return line
+		}
+		j += k
+		escapes := 0
+		for line[j-1-escapes] == '\\' {
+			escapes++
+		}
+		if escapes%2 == 0 {
+			if j != len(line)-2 || line[j+1] != '}' {
+				return line
+			}
+			line[i] = '}'
+			return line[:i+1]
+		}
+	}
 }
 
 // MergeRecords combines shard sinks into one canonical JSONL file,

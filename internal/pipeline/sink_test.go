@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,10 +62,10 @@ func TestStoredLineGuard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return encodeRecord(rec, pretty)
+			return encodeRecord(nil, rec, pretty)
 		}, len(scripts)},
 		{"framed JSON of another record", func(i int, rec Record) []byte {
-			return encodeRecord(rec, canonical(records[(i+1)%len(records)]))
+			return encodeRecord(nil, rec, canonical(records[(i+1)%len(records)]))
 		}, len(scripts)},
 		{"bare JSON with extra whitespace", func(_ int, rec Record) []byte {
 			return spaced(canonical(rec))
@@ -201,4 +203,63 @@ func FuzzSinkResume(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadVerdicts pins that the slim decode sfs-run summarises from
+// yields ReadRecords' records with only Checked left empty, and so the
+// same summary: for canonical lines, whatever their checked text holds,
+// and for lines of other shapes, which it decodes whole.
+func TestReadVerdicts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var records []Record
+	for i := range 200 {
+		rec := randomRecord(rng)
+		rec.Key = fmt.Sprintf("k%03d", i)
+		if i%10 == 0 {
+			rec.Checked = `ends in \ "}` + strings.Repeat(`\`, i%3)
+		}
+		records = append(records, rec)
+	}
+	path := filepath.Join(t.TempDir(), "v.jsonl")
+	if err := WriteRecords(path, records); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`{"checked":"first","key":"x1","name":"n1","accepted":true,"steps":3}`,
+		`{"key":"x2", "name":"n2", "accepted":false, "checked":"spaced"}`,
+		`{"key":"x3","checked":"middle","name":"n3","steps":4}`,
+		`{"key":"x4","name":"n4","errors":[{"line":2,"observed":"o","checked":"nested"}],"checked":"last"}`,
+	} {
+		if _, err := f.WriteString(line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := ReadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slim, err := ReadVerdicts(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slim) != len(full) {
+		t.Fatalf("%d verdicts, %d records", len(slim), len(full))
+	}
+	for i := range full {
+		want := full[i]
+		want.Checked = ""
+		if !reflect.DeepEqual(slim[i], want) {
+			t.Fatalf("verdict %d:\n got %+v\nwant %+v", i, slim[i], want)
+		}
+	}
+	if got, want := Summarise("v", slim).String(), Summarise("v", full).String(); got != want {
+		t.Errorf("summaries differ:\n%s\nvs\n%s", got, want)
+	}
 }

@@ -22,7 +22,9 @@ type Store interface {
 	// the same store, but durability may be deferred until the next
 	// Flush (the group-commit contract). Overwriting a key is allowed
 	// and idempotent by the cache-key contract: the same key always
-	// denotes the same bytes.
+	// denotes the same bytes. Put must not retain data: it copies what
+	// it keeps, so the caller may reuse data's storage as soon as Put
+	// returns (the pipeline frames every entry into one worker buffer).
 	Put(key string, data []byte) error
 	// Flush makes every completed Put durable — the group-commit
 	// barrier. One Flush covers the whole batch of Puts since the last.

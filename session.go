@@ -281,6 +281,7 @@ func (s *Session) GenerateConcurrent(ctx context.Context) ([]*Script, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	defer telemetry.Or(s.tel).Span("session.generate").End()
 	return testgen.ConcurrentScripts(), nil
 }
 
@@ -293,6 +294,7 @@ func (s *Session) GenerateCrash(ctx context.Context) ([]*Script, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	defer telemetry.Or(s.tel).Span("session.generate").End()
 	return testgen.CrashScripts(), nil
 }
 

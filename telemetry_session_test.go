@@ -70,6 +70,27 @@ func TestConcurrentSessionTelemetryIsolation(t *testing.T) {
 	}
 }
 
+// TestGenerateSpans pins that every suite generator records the
+// session.generate span, once per call, in the session's own registry:
+// without it the generate layer of the concurrent and crash budgets is
+// invisible in -stats-json.
+func TestGenerateSpans(t *testing.T) {
+	for name, gen := range map[string]func(*Session, context.Context) ([]*Script, error){
+		"Generate":           (*Session).Generate,
+		"GenerateConcurrent": (*Session).GenerateConcurrent,
+		"GenerateCrash":      (*Session).GenerateCrash,
+	} {
+		reg := NewTelemetryRegistry()
+		scripts, err := gen(New(WithTelemetry(reg)), context.Background())
+		if err != nil || len(scripts) == 0 {
+			t.Fatalf("%s: %d scripts, err %v", name, len(scripts), err)
+		}
+		if got := reg.Histogram("span.session.generate").Count(); got != 1 {
+			t.Errorf("%s: span.session.generate count = %d, want 1", name, got)
+		}
+	}
+}
+
 // TestPipelineGoldenParityWithTelemetry re-runs the sequential golden
 // parity fixture with an isolated telemetry registry installed: the
 // checked-trace digest must not move (telemetry is purely observational),
