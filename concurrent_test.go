@@ -7,6 +7,7 @@ package sibylfs
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -16,7 +17,6 @@ import (
 // the τ-closure doing real work (§7.1's MaxStates metric).
 func TestConcurrentSuiteConforms(t *testing.T) {
 	ctx := context.Background()
-	session := New()
 	scripts := generate(t, (*Session).GenerateConcurrent)
 	if len(scripts) < 10 {
 		t.Fatalf("concurrent universe has only %d scripts", len(scripts))
@@ -24,6 +24,7 @@ func TestConcurrentSuiteConforms(t *testing.T) {
 	peak := 0
 	var totalTau int
 	for _, seed := range []int64{1, 2} {
+		session := New(WithCoverage(NewCoverageRegistry()))
 		traces, err := session.ExecuteConcurrent(ctx, scripts, MemFS(LinuxProfile("ext4")),
 			ConcurrentOptions{Seeded: true, Seed: seed})
 		if err != nil {
@@ -43,6 +44,7 @@ func TestConcurrentSuiteConforms(t *testing.T) {
 			}
 			totalTau += r.TauExpansions
 		}
+		assertCoverage(t, fmt.Sprintf("seed %d", seed), session, concurrentCoverage[seed])
 	}
 	if peak < 4 {
 		t.Errorf("peak MaxStates = %d, want ≥ 4: concurrency never stressed the oracle", peak)

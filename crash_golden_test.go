@@ -59,7 +59,7 @@ func crashGoldenFactory() Factory {
 
 func TestCrashGolden(t *testing.T) {
 	ctx := context.Background()
-	session := New(WithSpec(crashGoldenSpec()))
+	session := New(WithSpec(crashGoldenSpec()), WithCoverage(NewCoverageRegistry()))
 	traces, err := session.Execute(ctx, generate(t, (*Session).GenerateCrash), crashGoldenFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +93,7 @@ func TestCrashGolden(t *testing.T) {
 	if got.CrashPointsTotal == 0 {
 		t.Fatal("crash universe hit no crash points")
 	}
+	assertCoverage(t, "crash universe", session, crashCoverage)
 
 	path := filepath.Join("testdata", "crash_golden.json")
 	if os.Getenv("SFS_WRITE_CRASH_GOLDEN") != "" {

@@ -40,15 +40,15 @@ func TestTable72Acceptance(t *testing.T) {
 		t.Skip("whole-suite run")
 	}
 	ctx := context.Background()
-	session := New()
-	session.ResetCoverage()
+	reg := NewCoverageRegistry()
+	session := New(WithCoverage(reg))
 	suite := generate(t, (*Session).Generate)
 	traces, err := session.Execute(ctx, suite, MemFS(LinuxProfile("ext4")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	results, err := New(WithWorkers(4)).Check(ctx, traces)
+	results, err := New(WithWorkers(4), WithCoverage(reg)).Check(ctx, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,7 @@ func TestTable72Acceptance(t *testing.T) {
 	if pct < 90 {
 		t.Errorf("coverage %.1f%% too low; unhit: %v", pct, session.CoverageUnhit())
 	}
+	assertCoverage(t, "whole suite", session, suiteCoverage)
 }
 
 // TestTable72HostAcceptance — §7.2 on the *real* kernel: the only failures
