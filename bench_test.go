@@ -222,10 +222,10 @@ func BenchmarkAblationStateClone(b *testing.B) {
 	s := osspec.NewOsState(DefaultSpec())
 	// Populate a fixture-sized state.
 	grow := func(cmd types.Command) {
-		called := osspec.Trans(s, types.CallLabel{Pid: 1, Cmd: cmd})
-		for _, cand := range osspec.TauFor(called[0], 1) {
+		called := osspec.Trans(s, types.CallLabel{Pid: 1, Cmd: cmd}, nil)
+		for _, cand := range osspec.TauFor(called[0], 1, nil) {
 			for _, rv := range osspec.ConcreteReturns(cand, 1) {
-				if after := osspec.Trans(cand, types.ReturnLabel{Pid: 1, Ret: rv}); len(after) > 0 {
+				if after := osspec.Trans(cand, types.ReturnLabel{Pid: 1, Ret: rv}, nil); len(after) > 0 {
 					s = after[0]
 					return
 				}
@@ -251,7 +251,7 @@ func closureFixture(b *testing.B) []*osspec.OsState {
 	b.Helper()
 	s := osspec.NewOsState(DefaultSpec())
 	for p := 2; p <= 5; p++ {
-		next := osspec.Trans(s, types.CreateLabel{Pid: types.Pid(p), Uid: 0, Gid: 0})
+		next := osspec.Trans(s, types.CreateLabel{Pid: types.Pid(p), Uid: 0, Gid: 0}, nil)
 		if len(next) != 1 {
 			b.Fatal("create rejected")
 		}
@@ -265,7 +265,7 @@ func closureFixture(b *testing.B) []*osspec.OsState {
 		types.Unlink{Path: "/a/f"},
 	}
 	for i, cmd := range calls {
-		next := osspec.Trans(s, types.CallLabel{Pid: types.Pid(i + 1), Cmd: cmd})
+		next := osspec.Trans(s, types.CallLabel{Pid: types.Pid(i + 1), Cmd: cmd}, nil)
 		if len(next) != 1 {
 			b.Fatal("call rejected")
 		}
@@ -274,28 +274,15 @@ func closureFixture(b *testing.B) []*osspec.OsState {
 	return []*osspec.OsState{s}
 }
 
-// BenchmarkTauClosure measures one full τ-closure over the fixture set:
-// every order in which five conflicting pending calls may be processed,
-// with state-identity deduplication and the checker's default worker
-// fan-out — the hot loop of concurrent checking.
-func BenchmarkTauClosure(b *testing.B) {
-	states := closureFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true})
-		if len(out) < 8 {
-			b.Fatalf("closure collapsed to %d states", len(out))
-		}
-	}
-}
-
-// BenchmarkTauClosureSerial is the same closure pinned to one worker,
-// isolating the COW/hash gains from the goroutine fan-out.
+// BenchmarkTauClosureSerial measures one full τ-closure over the fixture
+// set: every order in which five conflicting pending calls may be
+// processed, with state-identity deduplication, on the calling goroutine
+// as the checker runs it — the hot loop of concurrent checking.
 func BenchmarkTauClosureSerial(b *testing.B) {
 	states := closureFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true, Workers: 1})
+		out, _, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true})
 		if len(out) < 8 {
 			b.Fatalf("closure collapsed to %d states", len(out))
 		}
@@ -308,10 +295,10 @@ func BenchmarkTauClosureSerial(b *testing.B) {
 func BenchmarkStateClone(b *testing.B) {
 	s := osspec.NewOsState(DefaultSpec())
 	grow := func(cmd types.Command) {
-		called := osspec.Trans(s, types.CallLabel{Pid: 1, Cmd: cmd})
-		for _, cand := range osspec.TauFor(called[0], 1) {
+		called := osspec.Trans(s, types.CallLabel{Pid: 1, Cmd: cmd}, nil)
+		for _, cand := range osspec.TauFor(called[0], 1, nil) {
 			for _, rv := range osspec.ConcreteReturns(cand, 1) {
-				if after := osspec.Trans(cand, types.ReturnLabel{Pid: 1, Ret: rv}); len(after) > 0 {
+				if after := osspec.Trans(cand, types.ReturnLabel{Pid: 1, Ret: rv}, nil); len(after) > 0 {
 					s = after[0]
 					return
 				}
@@ -389,7 +376,16 @@ func BenchmarkFig7ModelSize(b *testing.B) {
 // ratio is the re-run speedup; sfsbench's cold and warm workloads are the
 // standing measurement of both paths. Each iteration runs in a fresh
 // session, so every run hashes its scripts as a new process would.
-func BenchmarkPipelineCold(b *testing.B) {
+func BenchmarkPipelineCold(b *testing.B) { benchPipelineCold(b, false) }
+
+// BenchmarkPipelineColdIsolated is BenchmarkPipelineCold with each
+// session merging its coverage into a registry of its own: isolation
+// must cost nothing measurable against the shared registry.
+func BenchmarkPipelineColdIsolated(b *testing.B) { benchPipelineCold(b, true) }
+
+// benchPipelineCold runs the cold benchmark, each session with a
+// coverage registry of its own when isolated.
+func benchPipelineCold(b *testing.B, isolated bool) {
 	scripts, _ := benchData(b)
 	job := RunJob{
 		Name: "bench-cold", Scripts: scripts[:500],
@@ -398,7 +394,11 @@ func BenchmarkPipelineCold(b *testing.B) {
 	sel := job.Scripts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := New().Run(context.Background(), job)
+		session := New()
+		if isolated {
+			session = New(WithCoverage(NewCoverageRegistry()))
+		}
+		_, st, err := session.Run(context.Background(), job)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -69,11 +69,11 @@ func main() {
 				fmt.Printf("  τ-closure: %d states (%d expansions)\n", len(expanded), taus)
 			}
 			for _, s := range expanded {
-				next = append(next, osspec.Trans(s, st.Label)...)
+				next = append(next, osspec.Trans(s, st.Label, nil)...)
 			}
 		} else {
 			for _, s := range states {
-				next = append(next, osspec.Trans(s, st.Label)...)
+				next = append(next, osspec.Trans(s, st.Label, nil)...)
 			}
 		}
 		if len(next) == 0 {

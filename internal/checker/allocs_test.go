@@ -40,7 +40,6 @@ const seqTrace = `@type trace
 func TestSequentialStepAllocs(t *testing.T) {
 	tr := parse(t, seqTrace)
 	c := New(types.DefaultSpec())
-	c.TauWorkers = 1
 	c.Memo = osspec.NewConsTable(0, 0)
 	c.Tel = telemetry.NewRegistry()
 	if r := c.Check(tr); !r.Accepted || r.Steps != 14 {
@@ -58,9 +57,10 @@ func TestSequentialStepAllocs(t *testing.T) {
 	}
 }
 
-// TestSerialUnionAllocs pins that a serial transition union whose every
-// fan-out the cons table already holds allocates nothing: the loop runs
-// inline, with no per-step closure, and writes into the trace's scratch.
+// TestSerialUnionAllocs pins that a transition union whose every fan-out
+// the cons table already holds allocates nothing: the loop runs inline,
+// with no per-step closure, and writes into the trace's scratch, coverage
+// set included.
 func TestSerialUnionAllocs(t *testing.T) {
 	c := New(types.DefaultSpec())
 	c.Memo = osspec.NewConsTable(0, 0)
@@ -68,11 +68,11 @@ func TestSerialUnionAllocs(t *testing.T) {
 	states := []*osspec.OsState{c.initialState()}
 	var sc traceScratch
 	lbl := tr.Steps[0].Label // the mkdir call
-	if next := c.unionTrans(states, lbl, &sc, 1, nil); len(next) != 1 {
+	if next := c.unionTrans(states, lbl, &sc, nil); len(next) != 1 {
 		t.Fatalf("first union: %d successors, want 1", len(next))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		c.unionTrans(states, lbl, &sc, 1, nil)
+		c.unionTrans(states, lbl, &sc, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("%.1f allocations per memo-hit serial union, want 0", allocs)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -60,29 +61,29 @@ func TestCapHitAblationPath(t *testing.T) {
 	}
 }
 
-// TestWorkerCountDoesNotChangeResults: the parallel τ-closure and
-// transition union must be observationally identical for every worker
-// count — same acceptance, same diagnoses, same state-set statistics.
+// TestWorkerCountDoesNotChangeResults: checking traces across workers
+// (CheckAll, one trace per goroutine, one shared checker) is
+// observationally identical for every worker count — same acceptance,
+// same diagnoses, same state-set statistics, same coverage sets.
 func TestWorkerCountDoesNotChangeResults(t *testing.T) {
-	traces := []string{raceTrace(4), raceTrace(5), twoWriterTrace,
-		strings.Replace(twoWriterTrace, `RV_bytes("aa")`, `RV_bytes("ab")`, 1)}
-	for ti, text := range traces {
-		tr := parse(t, text)
-		base := New(types.DefaultSpec())
-		base.TauWorkers = 1
-		want := base.Check(tr)
-		// TauNanos is wall-clock and TauParallelRounds counts rounds that
-		// actually fanned out — both are telemetry, expected to vary with
-		// the worker count, and no part of the observational contract.
-		want.TauNanos, want.TauParallelRounds = 0, 0
-		for _, workers := range []int{2, 4, 8} {
-			c := New(types.DefaultSpec())
-			c.TauWorkers = workers
-			got := c.Check(tr)
-			got.TauNanos, got.TauParallelRounds = 0, 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trace %d: workers=%d diverged:\n%+v\nwant\n%+v", ti, workers, got, want)
-			}
+	var traces []*trace.Trace
+	for _, text := range []string{raceTrace(4), raceTrace(5), twoWriterTrace,
+		strings.Replace(twoWriterTrace, `RV_bytes("aa")`, `RV_bytes("ab")`, 1)} {
+		traces = append(traces, parse(t, text))
+	}
+	// TauNanos is wall-clock telemetry, no part of the observational
+	// contract.
+	check := func(workers int) []Result {
+		rs := New(types.DefaultSpec()).CheckAll(traces, workers)
+		for i := range rs {
+			rs[i].TauNanos = 0
+		}
+		return rs
+	}
+	want := check(1)
+	for _, workers := range []int{2, 4} {
+		if got := check(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d diverged:\n%+v\nwant\n%+v", workers, got, want)
 		}
 	}
 }

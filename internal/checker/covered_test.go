@@ -21,15 +21,14 @@ type closureRun struct {
 	rounds     int
 	expansions int
 	capHit     bool
-	parallel   int // rounds fanned across workers; the reference has none
 }
 
-func runClosure(states []*osspec.OsState, covered []uint64, cap, workers int) closureRun {
+func runClosure(states []*osspec.OsState, covered []uint64, cap int) closureRun {
 	var st osspec.ClosureStats
 	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
-		Dedup: true, Cap: cap, Workers: workers, Stats: &st, Covered: covered,
+		Dedup: true, Cap: cap, Stats: &st, Covered: covered,
 	})
-	return closureRun{fingerprints(out), st.Rounds, n, capHit, st.ParallelRounds}
+	return closureRun{fingerprints(out), st.Rounds, n, capHit}
 }
 
 func fingerprints(states []*osspec.OsState) []string {
@@ -56,7 +55,7 @@ func naiveClosure(states []*osspec.OsState, cap int) closureRun {
 		run.rounds++
 		for _, s := range out[lo:hi] {
 			for _, pid := range s.Pids() {
-				for _, ns := range osspec.TauFor(s, pid) {
+				for _, ns := range osspec.TauFor(s, pid, nil) {
 					run.expansions++
 					if set.Add(ns) {
 						out = append(out, ns)
@@ -82,8 +81,7 @@ func naiveClosure(states []*osspec.OsState, cap int) closureRun {
 // masks the checker carries across labels and the sleep sets the closure
 // grows itself — to its promise on the concurrent universe under 20
 // seeded schedules: every τ-closure the checker runs (before each
-// return, destroy and crash) yields, serially and on two workers, exactly
-// what a naive closure yields — the same states in the same order, the
+// return, destroy and crash) yields exactly what a naive closure yields — the same states in the same order, the
 // same rounds, the same cap verdict — and never generates more
 // successors. Over the whole run it must generate fewer, or the pruning
 // is doing nothing.
@@ -91,13 +89,12 @@ func TestClosureCoveredParity(t *testing.T) {
 	scripts := testgen.ConcurrentScripts()
 	factory := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
 	c := New(types.DefaultSpec())
-	c.TauWorkers = 1
 	c.Tel = telemetry.NewRegistry()
 	ctx := context.Background()
-	var closures, pruned, with, without, parallel int
+	var closures, pruned, with, without int
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, s := range scripts {
-			tr, err := exec.RunConcurrent(ctx, s, factory, exec.ConcurrentOptions{Seeded: true, Seed: seed})
+			tr, err := exec.RunConcurrent(ctx, s, factory, exec.ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name, seed, err)
 			}
@@ -108,40 +105,32 @@ func TestClosureCoveredParity(t *testing.T) {
 				switch st.Label.(type) {
 				case types.ReturnLabel, types.DestroyLabel, types.CrashLabel:
 					want := naiveClosure(states, c.MaxStateSet)
-					for _, workers := range []int{1, 2} {
-						got := runClosure(states, sc.covered, c.MaxStateSet, workers)
-						if got.expansions > want.expansions {
-							t.Fatalf("%s seed %d line %d: %d expansions pruned, %d naive",
-								s.Name, seed, st.Line, got.expansions, want.expansions)
-						}
-						if workers == 1 {
-							closures++
-							with += got.expansions
-							without += want.expansions
-							if got.expansions < want.expansions {
-								pruned++
-							}
-						}
-						parallel += got.parallel
-						got.expansions, got.parallel = want.expansions, 0
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s seed %d line %d, %d workers: pruning changed the closure: %d states in %d rounds (cap hit %v), want %d in %d (%v)",
-								s.Name, seed, st.Line, workers, len(got.fps), got.rounds, got.capHit,
-								len(want.fps), want.rounds, want.capHit)
-						}
+					got := runClosure(states, sc.covered, c.MaxStateSet)
+					if got.expansions > want.expansions {
+						t.Fatalf("%s seed %d line %d: %d expansions pruned, %d naive",
+							s.Name, seed, st.Line, got.expansions, want.expansions)
+					}
+					closures++
+					with += got.expansions
+					without += want.expansions
+					if got.expansions < want.expansions {
+						pruned++
+					}
+					got.expansions = want.expansions
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d line %d: pruning changed the closure: %d states in %d rounds (cap hit %v), want %d in %d (%v)",
+							s.Name, seed, st.Line, len(got.fps), got.rounds, got.capHit,
+							len(want.fps), want.rounds, want.capHit)
 					}
 				}
-				states = c.step(ctx, states, st, &res, sc, 1)
+				states = c.step(ctx, states, st, &res, sc)
 				if len(sc.covered) != len(states) {
 					t.Fatalf("%s seed %d line %d: %d masks for %d states", s.Name, seed, st.Line, len(sc.covered), len(states))
 				}
 			}
 		}
 	}
-	t.Logf("%d closures, %d pruned; expansions %d pruned, %d naive; %d parallel rounds", closures, pruned, with, without, parallel)
-	if parallel == 0 {
-		t.Fatal("no closure ran a parallel round on two workers")
-	}
+	t.Logf("%d closures, %d pruned; expansions %d pruned, %d naive", closures, pruned, with, without)
 	if with >= without {
 		t.Fatalf("nothing pruned: %d expansions pruned, %d naive", with, without)
 	}
@@ -157,7 +146,7 @@ func stepThrough(t *testing.T, c *Checker, text string, stop int) (Result, *trac
 	res := Result{Accepted: true}
 	states := sc.start(c.initialState())
 	for _, st := range tr.Steps {
-		states = c.step(context.Background(), states, st, &res, sc, 1)
+		states = c.step(context.Background(), states, st, &res, sc)
 		if st.Line == stop {
 			return res, sc
 		}
@@ -222,9 +211,9 @@ func TestNoCoveredAfterRecovery(t *testing.T) {
 // merges duplicates, and drops every mask when it truncates at the cap.
 func TestReduceCovered(t *testing.T) {
 	s0 := osspec.NewOsState(types.DefaultSpec())
-	s1 := osspec.Trans(s0, types.CallLabel{Pid: osspec.InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})[0]
-	s2 := osspec.TauFor(s1, osspec.InitialPid)[0]
-	dup := osspec.Trans(s0, types.CallLabel{Pid: osspec.InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})[0]
+	s1 := osspec.Trans(s0, types.CallLabel{Pid: osspec.InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}, nil)[0]
+	s2 := osspec.TauFor(s1, osspec.InitialPid, nil)[0]
+	dup := osspec.Trans(s0, types.CallLabel{Pid: osspec.InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}, nil)[0]
 
 	c := New(types.DefaultSpec())
 	sc := new(traceScratch)
@@ -258,7 +247,7 @@ func TestCoveredStepsKeepMasksAligned(t *testing.T) {
 			var res Result
 			states := sc.start(c.initialState())
 			for _, st := range tr.Steps {
-				states = c.step(context.Background(), states, st, &res, sc, 1)
+				states = c.step(context.Background(), states, st, &res, sc)
 				if len(sc.covered) != len(states) {
 					t.Fatalf("cap %d line %d (%s): %d masks for %d states", cap, st.Line,
 						st.Label.String(), len(sc.covered), len(states))

@@ -6,14 +6,15 @@
 // State identity is hash-consed (osspec.StateSet): candidate states carry a
 // memoised 64-bit digest and deduplication compares digests before
 // confirming structurally, instead of rendering and sorting fingerprint
-// strings. Within one trace the expensive fan-outs — the τ-closure over
-// pending-call interleavings and the per-state transition union — run on a
-// worker pool (TauWorkers), with successors merged in deterministic order
-// so results are byte-identical for every worker count, including one.
+// strings. One trace is checked on one goroutine — parallelism is across
+// traces (CheckAll, pipeline.Run), which the paper's independence of
+// traces makes free — and the trace's model coverage is recorded in a
+// cov.Set it owns (Result.Coverage), which the caller merges into a
+// registry.
 //
 // CheckCtx/CheckAllCtx add cooperative cancellation: the context is
 // consulted between traces, between trace steps, and between τ-closure
-// expansion rounds inside one step's fan-out; on cancellation the partial
+// expansion rounds inside one step; on cancellation the partial
 // Result is returned with ctx.Err() and must not be read as a verdict.
 // Check/CheckAll remain as Background-context conveniences.
 package checker

@@ -16,8 +16,9 @@ import (
 // TestMemoParityConcurrent pins that the cons table is only an execution
 // strategy on concurrent traces too, now that pipeline runs never offer it
 // there: the concurrent universe, executed under several seeded
-// schedules, checks to the same verdicts, work counters and rendered
-// checked text with a table shared across every trace as without one.
+// schedules, checks to the same verdicts, work counters, rendered
+// checked text and coverage sets with a table shared across every trace
+// as without one.
 func TestMemoParityConcurrent(t *testing.T) {
 	scripts := testgen.ConcurrentScripts()
 	factory := fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))
@@ -36,16 +37,17 @@ func TestMemoParityConcurrent(t *testing.T) {
 		TauExpansions int
 		CapHit        bool
 		Checked       string
+		Coverage      []string
 	}
 	project := func(r Result, checked string) outcome {
 		return outcome{r.Accepted, r.Errors, r.Steps, r.MaxStates, r.SumStates,
-			r.TauExpansions, r.StateSetCapHit, checked}
+			r.TauExpansions, r.StateSetCapHit, checked, r.Coverage.Names()}
 	}
 	const schedules = 8
 	for seed := int64(1); seed <= schedules; seed++ {
 		for _, s := range scripts {
 			tr, err := exec.RunConcurrent(context.Background(), s, factory,
-				exec.ConcurrentOptions{Seeded: true, Seed: seed})
+				exec.ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name, seed, err)
 			}

@@ -1,305 +1,198 @@
 package cov
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// The point *universe* is process-global: model packages register their
-// coverage points at package init (var hit = cov.Point("fsspec/rename/
-// subdir")), and those registrations — and the counters behind them — live
-// in the Default registry. Hit sites compiled into the model always feed
-// Default. A Registry is an isolated *view*: its counters accumulate only
-// what is explicitly attributed to it (Collect windows, AddHits merges),
-// so two concurrent sessions each owning a registry read disjoint figures
-// even though the raw hits share the Default counters.
-type Registry struct {
+// Capacity is the number of coverage points a Set holds. Point panics
+// when a registration would pass it; raise it when the model grows.
+const Capacity = 128
+
+// ID is a coverage point's dense index, handed out by Point.
+type ID uint16
+
+// The point universe is process-global and append-only: model packages
+// register their points at package init (var hit = cov.Point("fsspec/
+// rename/subdir")), so the denominator is complete before anything is
+// evaluated.
+var universe struct {
 	mu     sync.Mutex
-	points map[string]*uint64
-	// numHit counts points whose counter went 0→1 since the last Reset,
-	// so HitCount is O(1) — the fuzzer polls it once per run.
+	names  []string // indexed by ID
+	byName map[string]ID
+}
+
+// Point registers a coverage point and returns its ID; registering a name
+// twice returns the same ID. Call at package init.
+func Point(name string) ID {
+	u := &universe
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if id, ok := u.byName[name]; ok {
+		return id
+	}
+	if len(u.names) == Capacity {
+		panic(fmt.Sprintf("cov: point %q is past cov.Capacity (%d)", name, Capacity))
+	}
+	if u.byName == nil {
+		u.byName = make(map[string]ID)
+	}
+	id := ID(len(u.names))
+	u.names = append(u.names, name)
+	u.byName[name] = id
+	return id
+}
+
+// points returns the registered names, indexed by ID, and their IDs in
+// name order.
+func points() (names []string, sorted []ID) {
+	u := &universe
+	u.mu.Lock()
+	names = u.names[:len(u.names):len(u.names)]
+	u.mu.Unlock()
+	sorted = make([]ID, len(names))
+	for i := range sorted {
+		sorted[i] = ID(i)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return names[sorted[i]] < names[sorted[j]] })
+	return names, sorted
+}
+
+// Set is the coverage points one evaluation hit: a fixed-size bitset
+// owned by that evaluation, so recording a hit is a plain store and a Set
+// needs no allocation. A nil *Set records nothing.
+type Set [Capacity / 64]uint64
+
+// Hit records id in s.
+func (s *Set) Hit(id ID) {
+	if s != nil {
+		s[id/64] |= 1 << (id % 64)
+	}
+}
+
+// Has reports whether s holds id.
+func (s *Set) Has(id ID) bool { return s[id/64]&(1<<(id%64)) != 0 }
+
+// Or adds o's points to s.
+func (s *Set) Or(o *Set) {
+	if s != nil {
+		for i := range s {
+			s[i] |= o[i]
+		}
+	}
+}
+
+// Names returns the names of s's points, sorted.
+func (s *Set) Names() []string {
+	names, sorted := points()
+	var out []string
+	for _, id := range sorted {
+		if s.Has(id) {
+			out = append(out, names[id])
+		}
+	}
+	return out
+}
+
+// SetOf returns the set of the named points. Names outside the registered
+// universe are ignored: a point set recorded against an older model may
+// name points that no longer exist.
+func SetOf(names []string) Set {
+	u := &universe
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	var s Set
+	for _, n := range names {
+		if id, ok := u.byName[n]; ok {
+			s.Hit(id)
+		}
+	}
+	return s
+}
+
+// Registry counts, for each point, the evaluations (traces, fuzz runs)
+// whose sets hit it. It is safe for concurrent use; merging costs one
+// atomic add per point of the set.
+type Registry struct {
+	counts [Capacity]atomic.Uint64
+	// numHit counts points whose count went 0→1 since the last Reset, so
+	// HitCount is O(1): the fuzzer polls it once per run.
 	numHit atomic.Int64
 }
 
-// NewRegistry returns an empty isolated registry. Its point universe is
-// the Default registry's (Stats/Unhit denominators match process-wide
-// figures); its counters start at zero and only move via Collect,
-// AddHits and ForceHit.
-func NewRegistry() *Registry {
-	return &Registry{points: make(map[string]*uint64)}
-}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return new(Registry) }
 
-// Default is the process-wide live registry: Point registers here, and
-// every cov.Hit site in the model increments one of its counters. The
-// package-level functions (Stats, Unhit, Reset, ...) are its methods —
-// kept for the model packages and for callers content with shared,
-// process-global coverage.
+// Default is the registry of sessions that were not given one of their
+// own.
 var Default = NewRegistry()
 
-// attrMu coordinates exact attribution over the Default counters:
-// Tracker.Attribute and Registry.Collect hold the write side, Guard the
-// read side. It is process-global because the raw counters are — a
-// window is only exact if no unwindowed model evaluation runs inside it.
-var attrMu sync.RWMutex
-
-// Point registers a coverage point in the Default registry and returns its
-// counter. Call at package init (var hit = cov.Point("fsspec/rename/subdir"))
-// so the denominator is complete even before any checking runs.
-func Point(id string) *uint64 {
-	d := Default
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.points[id]; ok {
-		return c
-	}
-	c := new(uint64)
-	d.points[id] = c
-	return c
-}
-
-// Hit increments a Default-registry counter. Safe for concurrent use.
-func Hit(c *uint64) {
-	if atomic.AddUint64(c, 1) == 1 {
-		Default.numHit.Add(1)
-	}
-}
-
-// HitCount returns the number of distinct points hit since the last Reset,
-// in O(1). It is monotone between Resets, which is what the fuzzer's
-// cheap "did this run reach anything new globally?" pre-filter relies on.
-func (r *Registry) HitCount() int { return int(r.numHit.Load()) }
-
-// HitCount is Default.HitCount.
-func HitCount() int { return Default.HitCount() }
-
-// Guard runs f on the shared side of the attribution lock: f's coverage
-// hits can never land inside a concurrently open Tracker.Attribute or
-// Registry.Collect window. Multiple Guard calls proceed in parallel with
-// each other. Evaluations whose hits need no attribution (the fuzzer's
-// fast path, minimization probes) run under Guard so concurrent
-// attribution stays exact.
-func Guard(f func()) {
-	attrMu.RLock()
-	defer attrMu.RUnlock()
-	f()
-}
-
-// universe snapshots the Default registry's point table: sorted ids with
-// their live counters.
-func universe() (ids []string, ctrs []*uint64) {
-	d := Default
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids = make([]string, 0, len(d.points))
-	for id := range d.points {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	ctrs = make([]*uint64, len(ids))
-	for i, id := range ids {
-		ctrs[i] = d.points[id]
-	}
-	return ids, ctrs
-}
-
-// Collect runs f inside an exclusive attribution window and merges the
-// per-point hit deltas of the Default counters during f into r, returning
-// the sorted ids of the points f hit. This is how a session-owned registry
-// accumulates coverage even though the model's hit sites are bound to
-// Default at init: the window excludes every other Collect/Attribute
-// window and all Guard'ed evaluation, so the delta belongs to f alone.
-// Windows serialize process-wide — isolation trades attribution-side
-// parallelism for exactness. On the Default registry itself Collect only
-// reports the hit set (the hits already landed in its counters).
-func (r *Registry) Collect(f func()) []string {
-	attrMu.Lock()
-	defer attrMu.Unlock()
-	ids, ctrs := universe()
-	base := make([]uint64, len(ctrs))
-	for i, c := range ctrs {
-		base[i] = atomic.LoadUint64(c)
-	}
-	f()
-	var hit []string
-	for i, c := range ctrs {
-		// Compare before subtracting: a Reset racing the window could make
-		// the counter smaller than its base, and an unsigned delta would
-		// wrap to ~2^64 false hits.
-		if cur := atomic.LoadUint64(c); cur > base[i] {
-			hit = append(hit, ids[i])
-			if r != Default {
-				r.add(ids[i], cur-base[i])
-			}
-		}
-	}
-	return hit
-}
-
-// add merges delta hits of one point into r's own counter.
-func (r *Registry) add(id string, delta uint64) {
-	r.mu.Lock()
-	c, ok := r.points[id]
-	if !ok {
-		c = new(uint64)
-		r.points[id] = c
-	}
-	r.mu.Unlock()
-	if atomic.AddUint64(c, delta) == delta {
+// add adds n to point i's count.
+func (r *Registry) add(i int, n uint64) {
+	if r.counts[i].Add(n) == n {
 		r.numHit.Add(1)
 	}
 }
 
-// AddHits marks each id as hit once in r — merging an attributed point
-// set (a Tracker.Attribute result, a cached seed replay) into an isolated
-// registry. Ids outside the registered universe are ignored, as in
-// ForceHit.
-func (r *Registry) AddHits(ids []string) {
-	d := Default
-	d.mu.Lock()
-	known := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if _, ok := d.points[id]; ok {
-			known = append(known, id)
-		}
-	}
-	d.mu.Unlock()
-	for _, id := range known {
-		r.add(id, 1)
-	}
-}
-
-// Tracker attributes coverage to individual runs: Attribute(f) returns
-// exactly the points hit during f. Concurrent Attribute calls (from
-// parallel fuzz workers) serialize against each other and against Guard
-// sections, so the delta is exact provided all other model evaluation in
-// the process runs under Guard. A Tracker may be reused across runs; it is
-// not safe for concurrent use by itself (each worker keeps its own, or
-// serializes externally — Attribute's internal lock already serializes the
-// windows).
-type Tracker struct {
-	ids  []string
-	ctrs []*uint64
-	base []uint64
-}
-
-// NewTracker returns a Tracker over the points registered so far.
-func NewTracker() *Tracker { return &Tracker{} }
-
-// refresh (re)builds the point table; points register at package init, but
-// a Tracker built before an import completes would otherwise miss some.
-func (t *Tracker) refresh() {
-	d := Default
-	d.mu.Lock()
-	n := len(d.points)
-	d.mu.Unlock()
-	if len(t.ids) == n {
-		return
-	}
-	t.ids, t.ctrs = universe()
-	t.base = make([]uint64, len(t.ids))
-}
-
-// Attribute runs f inside an exclusive attribution window and returns the
-// sorted ids of the coverage points f hit.
-func (t *Tracker) Attribute(f func()) []string {
-	attrMu.Lock()
-	defer attrMu.Unlock()
-	t.refresh()
-	for i, c := range t.ctrs {
-		t.base[i] = atomic.LoadUint64(c)
-	}
-	f()
-	var hit []string
-	for i, c := range t.ctrs {
-		if atomic.LoadUint64(c) > t.base[i] {
-			hit = append(hit, t.ids[i])
-		}
-	}
-	return hit
-}
-
-// ForceHit marks the named registered points as hit in the Default
-// registry without evaluating anything — for callers replaying a *cached*
-// attribution (the fuzzer's corpus seeding skips re-executing entries
-// whose point sets the result cache already holds, but the global counters
-// must still reflect them or the "globally new coverage?" pre-filter would
-// mis-fire all session). Unknown ids are ignored: a cache recorded against
-// an older model may name points that no longer exist. Runs on the shared
-// side of the attribution lock, so hits never land inside an open
-// Attribute window.
-func ForceHit(ids []string) {
-	attrMu.RLock()
-	defer attrMu.RUnlock()
-	d := Default
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, id := range ids {
-		if c, ok := d.points[id]; ok {
-			Hit(c)
+// Merge counts one more evaluation for each point of s.
+func (r *Registry) Merge(s *Set) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			r.add(w*64+bits.TrailingZeros64(word), 1)
 		}
 	}
 }
 
-// ForceHit on an isolated registry is AddHits; on Default it is the
-// package-level ForceHit.
-func (r *Registry) ForceHit(ids []string) {
-	if r == Default {
-		ForceHit(ids)
-		return
+// Add adds o's counts to r: a worker that merged its sets into a private
+// registry hands them on in one pass.
+func (r *Registry) Add(o *Registry) {
+	for i := range o.counts {
+		if n := o.counts[i].Load(); n > 0 {
+			r.add(i, n)
+		}
 	}
-	r.AddHits(ids)
 }
 
-// Snapshot returns r's hit counts for every point of the registered
-// universe, sorted by id. Points r never saw report zero.
+// HitCount returns the number of distinct points hit since the last
+// Reset, in O(1). It is monotone between Resets, which is what the
+// fuzzer's cheap "did this run reach anything new?" pre-filter relies on.
+func (r *Registry) HitCount() int { return int(r.numHit.Load()) }
+
+// Snapshot returns, for every registered point sorted by name, the number
+// of merged evaluations that hit it.
 func (r *Registry) Snapshot() (ids []string, counts []uint64) {
-	ids, _ = universe()
-	counts = make([]uint64, len(ids))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, id := range ids {
-		if c, ok := r.points[id]; ok {
-			counts[i] = atomic.LoadUint64(c)
-		}
+	names, sorted := points()
+	ids = make([]string, len(sorted))
+	counts = make([]uint64, len(sorted))
+	for i, id := range sorted {
+		ids[i], counts[i] = names[id], r.counts[id].Load()
 	}
 	return ids, counts
 }
-
-// Snapshot is Default.Snapshot.
-func Snapshot() (ids []string, counts []uint64) { return Default.Snapshot() }
 
 // Stats returns (hit, total) point counts.
 func (r *Registry) Stats() (hit, total int) {
 	ids, counts := r.Snapshot()
 	for i := range ids {
-		total++
 		if counts[i] > 0 {
 			hit++
 		}
 	}
-	return hit, total
+	return hit, len(ids)
 }
 
-// Stats is Default.Stats.
-func Stats() (hit, total int) { return Default.Stats() }
-
-// Reset zeroes r's counters (between experiment runs). Resetting an
-// isolated registry never touches the Default counters — the footgun the
-// old package-global Reset was for concurrent sessions.
+// Reset zeroes r's counts (between experiment runs).
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.points {
-		atomic.StoreUint64(c, 0)
+	for i := range r.counts {
+		r.counts[i].Store(0)
 	}
 	r.numHit.Store(0)
 }
 
-// Reset is Default.Reset — it zeroes the process-global counters.
-func Reset() { Default.Reset() }
-
-// Unhit returns the ids of registered points r has never seen hit.
+// Unhit returns the sorted ids of registered points r has never seen hit.
 func (r *Registry) Unhit() []string {
 	ids, counts := r.Snapshot()
 	var out []string
@@ -310,6 +203,3 @@ func (r *Registry) Unhit() []string {
 	}
 	return out
 }
-
-// Unhit is Default.Unhit.
-func Unhit() []string { return Default.Unhit() }

@@ -4,20 +4,13 @@
 // points at init time and hits them during evaluation; the report divides
 // hit points by registered points.
 //
-// Counters are instance-based: the Default Registry holds the live
-// counters every compiled-in hit site feeds (Point registers there at
-// init), and the package-level functions are its methods. Additional
-// Registry instances are isolated per-session views — sibylfs.Session
-// owns or shares one — whose counts accumulate only through explicit
-// attribution (Collect windows, AddHits merges), so two concurrent
-// sessions never see each other's coverage and resetting one cannot
-// disturb another.
-//
-// Per-run attribution for coverage-guided fuzzing (internal/fuzz) uses
-// the same mechanism: a Tracker snapshots the Default counters around one
-// evaluation and returns exactly the points that run hit. Exactness under
-// concurrency comes from a reader/writer discipline: evaluations that do
-// not need attribution run inside Guard (shared side); Tracker.Attribute
-// and Registry.Collect windows take the exclusive side, so no foreign hit
-// can land inside an open window.
+// A point is a dense ID. One evaluation (a trace's check, a model-backed
+// execution, a fuzz run) runs on one goroutine and records its hits in a
+// Set it owns: a fixed-size bitset, so a hit is a plain store and nothing
+// is shared while the model runs. Whoever owns the evaluation merges its
+// Set into a Registry once, when it ends. A Registry counts, per point,
+// the evaluations that hit it; sibylfs.Session owns or shares one, and
+// Default serves sessions that were not given their own. Two sessions
+// with their own registries never see each other's coverage, and
+// resetting one cannot disturb another.
 package cov

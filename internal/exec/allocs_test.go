@@ -44,7 +44,7 @@ func TestRunAllocs(t *testing.T) {
 	}
 	allocs := func(s *trace.Script) float64 {
 		return testing.AllocsPerRun(20, func() {
-			tr, err := Run(context.Background(), s, factory)
+			tr, err := Run(context.Background(), s, factory, nil)
 			if err != nil || len(tr.Steps) != 2*len(s.Steps) || cap(tr.Steps) != len(tr.Steps) {
 				t.Fatalf("trace of %d steps (cap %d), err %v", len(tr.Steps), cap(tr.Steps), err)
 			}

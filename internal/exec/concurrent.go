@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/cov"
 	"repro/internal/fsimpl"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -106,9 +107,10 @@ func splitPrograms(s *trace.Script) ([]*procProgram, error) {
 // concurrently against a fresh instance from factory, recording call and
 // return events in observed order — so calls from different processes
 // genuinely overlap in the trace and the oracle's τ-closure is exercised.
-// Cancellation is checked between events (seeded mode: between
-// micro-steps); a cancelled script returns ctx.Err() and no trace.
-func RunConcurrent(ctx context.Context, s *trace.Script, factory fsimpl.Factory, opts ConcurrentOptions) (*trace.Trace, error) {
+// Model coverage goes to hits, as in Run. Cancellation is checked between
+// events (seeded mode: between micro-steps); a cancelled script returns
+// ctx.Err() and no trace.
+func RunConcurrent(ctx context.Context, s *trace.Script, factory fsimpl.Factory, opts ConcurrentOptions, hits *cov.Set) (*trace.Trace, error) {
 	progs, err := splitPrograms(s)
 	if err != nil {
 		return nil, err
@@ -118,6 +120,7 @@ func RunConcurrent(ctx context.Context, s *trace.Script, factory fsimpl.Factory,
 		return nil, fmt.Errorf("exec: creating file system: %w", err)
 	}
 	defer fs.Close()
+	defer covered(fs, hits)
 	var t *trace.Trace
 	if opts.Seeded {
 		t = runSeeded(ctx, s.Name, progs, fs, opts.Seed)
@@ -262,9 +265,10 @@ func runSeeded(ctx context.Context, name string, progs []*procProgram, fs fsimpl
 // opts.Workers scripts in flight at once (≤ 0 selects GOMAXPROCS),
 // preserving order. In seeded mode every script uses the same scheduler
 // seed, so each trace is reproducible from (script, seed) independent of
-// its position in the suite. Cancellation behaves as in RunAll.
-func RunAllConcurrent(ctx context.Context, scripts []*trace.Script, factory fsimpl.Factory, opts ConcurrentOptions) ([]*trace.Trace, error) {
-	return runPool(ctx, len(scripts), opts.Workers, func(i int) (*trace.Trace, error) {
-		return RunConcurrent(ctx, scripts[i], factory, opts)
+// its position in the suite. Cancellation and coverage behave as in
+// RunAll.
+func RunAllConcurrent(ctx context.Context, scripts []*trace.Script, factory fsimpl.Factory, opts ConcurrentOptions, reg *cov.Registry) ([]*trace.Trace, error) {
+	return runPool(ctx, len(scripts), opts.Workers, reg, func(i int, hits *cov.Set) (*trace.Trace, error) {
+		return RunConcurrent(ctx, scripts[i], factory, opts, hits)
 	})
 }

@@ -36,11 +36,11 @@ func memFactory() fsimpl.Factory { return fsimpl.MemFactory(fsimpl.LinuxProfile(
 func TestConcurrentSeededDeterministic(t *testing.T) {
 	s := racyScript(3)
 	for _, seed := range []int64{1, 7, 12345} {
-		a, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed})
+		a, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed})
+		b, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestConcurrentSeedsProduceDifferentInterleavings(t *testing.T) {
 	s := racyScript(3)
 	seen := make(map[string]bool)
 	for seed := int64(1); seed <= 8; seed++ {
-		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed})
+		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func checkTraceShape(t *testing.T, s *trace.Script, tr *trace.Trace) {
 func TestConcurrentSeededTraceWellFormed(t *testing.T) {
 	s := racyScript(4)
 	for seed := int64(1); seed <= 5; seed++ {
-		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed})
+		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestConcurrentFreeTraceWellFormed(t *testing.T) {
 	// the -race CI job gets real interleavings to chew on.
 	s := racyScript(4)
 	for i := 0; i < 10; i++ {
-		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{})
+		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestConcurrentRejectsMalformedScripts(t *testing.T) {
 		for _, l := range c.steps {
 			s.Steps = append(s.Steps, trace.Step{Label: l})
 		}
-		if _, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: 1}); err == nil {
+		if _, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: 1}, nil); err == nil {
 			t.Errorf("%s: malformed script accepted", c.name)
 		}
 	}
@@ -192,13 +192,13 @@ func TestConcurrentAllowsRecreatedPid(t *testing.T) {
 		trace.Step{Label: types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/"}}},
 	)
 	for seed := int64(1); seed <= 4; seed++ {
-		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed})
+		tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkTraceShape(t, s, tr)
 	}
-	tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{})
+	tr, err := RunConcurrent(context.Background(), s, memFactory(), ConcurrentOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRunAllConcurrentPreservesOrder(t *testing.T) {
 		s.Name = "racy" + itoa(i)
 		scripts = append(scripts, s)
 	}
-	traces, err := RunAllConcurrent(context.Background(), scripts, memFactory(), ConcurrentOptions{Seeded: true, Seed: 3, Workers: 8})
+	traces, err := RunAllConcurrent(context.Background(), scripts, memFactory(), ConcurrentOptions{Seeded: true, Seed: 3, Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

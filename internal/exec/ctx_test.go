@@ -26,7 +26,7 @@ func cancelScript(name string, steps int) *trace.Script {
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tr, err := Run(ctx, cancelScript("c", 4), fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")))
+	tr, err := Run(ctx, cancelScript("c", 4), fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -42,7 +42,7 @@ func TestRunAllCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunAll(ctx, scripts, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), 4)
+	_, err := RunAll(ctx, scripts, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -54,7 +54,7 @@ func TestRunConcurrentCancelled(t *testing.T) {
 	for _, seeded := range []bool{true, false} {
 		tr, err := RunConcurrent(ctx, cancelScript("c", 4),
 			fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")),
-			ConcurrentOptions{Seeded: seeded, Seed: 1})
+			ConcurrentOptions{Seeded: seeded, Seed: 1}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("seeded=%v: err = %v, want context.Canceled", seeded, err)
 		}

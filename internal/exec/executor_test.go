@@ -2,10 +2,12 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"strings"
 	"testing"
 
+	"repro/internal/cov"
 	"repro/internal/fsimpl"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -24,7 +26,7 @@ func TestRunRecordsCallReturnPairs(t *testing.T) {
 		types.CallLabel{Pid: 1, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}},
 		types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/d"}},
 	)
-	tr, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")))
+	tr, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestRunHandlesProcessEvents(t *testing.T) {
 		types.CallLabel{Pid: 2, Cmd: types.Umask{Mask: 0o077}},
 		types.DestroyLabel{Pid: 2},
 	)
-	tr, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")))
+	tr, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestRunRejectsReturnLabels(t *testing.T) {
 		types.CallLabel{Pid: 1, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}},
 		types.ReturnLabel{Pid: 1, Ret: types.RvNone{}},
 	)
-	_, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")))
+	_, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), nil)
 	if err == nil {
 		t.Fatal("script with return label accepted")
 	}
@@ -76,7 +78,7 @@ func TestRunAllFreshInstancePerScript(t *testing.T) {
 	mk := func(n string) *trace.Script {
 		return script(n, types.CallLabel{Pid: 1, Cmd: types.Mkdir{Path: "/same", Perm: 0o755}})
 	}
-	traces, err := RunAll(context.Background(), []*trace.Script{mk("a"), mk("b")}, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), 2)
+	traces, err := RunAll(context.Background(), []*trace.Script{mk("a"), mk("b")}, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestRunAllPreservesOrder(t *testing.T) {
 		scripts = append(scripts, script(string(rune('a'+i%26))+itoa(i),
 			types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/"}}))
 	}
-	traces, err := RunAll(context.Background(), scripts, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), 8)
+	traces, err := RunAll(context.Background(), scripts, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,4 +117,41 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// TestRunRecordsModelCoverage: an implementation that evaluates the
+// model (SpecFS) hands its coverage points to the caller's set, RunAll
+// merges one set per script into its registry, and an implementation
+// that does not evaluate the model records nothing.
+func TestRunRecordsModelCoverage(t *testing.T) {
+	s := script("cov", types.CallLabel{Pid: 1, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}})
+	var hits cov.Set
+	if _, err := Run(context.Background(), s, fsimpl.SpecFactory("spec", types.DefaultSpec()), &hits); err != nil {
+		t.Fatal(err)
+	}
+	names := hits.Names()
+	if !slices.Contains(names, "fsspec/mkdir/ok") || !slices.Contains(names, "osspec/trans/call") {
+		t.Fatalf("SpecFS run hit %v, want fsspec/mkdir/ok and osspec/trans/call among them", names)
+	}
+	var none cov.Set
+	if _, err := Run(context.Background(), s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), &none); err != nil {
+		t.Fatal(err)
+	}
+	if none != (cov.Set{}) {
+		t.Fatalf("memfs run recorded model coverage %v", none.Names())
+	}
+	reg := cov.NewRegistry()
+	if _, err := RunAll(context.Background(), []*trace.Script{s, s}, fsimpl.SpecFactory("spec", types.DefaultSpec()), 2, reg); err != nil {
+		t.Fatal(err)
+	}
+	ids, counts := reg.Snapshot()
+	for i, id := range ids {
+		want := uint64(0)
+		if slices.Contains(names, id) {
+			want = 2
+		}
+		if counts[i] != want {
+			t.Errorf("%s counted %d times, want %d (once per script that hit it)", id, counts[i], want)
+		}
+	}
 }

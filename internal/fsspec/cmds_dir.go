@@ -29,13 +29,13 @@ func MkdirSpec(c *Ctx, cmd types.Mkdir) Result {
 	rn := c.Resolve(cmd.Path, pathres.NoFollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covMkdirErr)
+		c.Cov.Hit(covMkdirErr)
 		return ErrResult(r.Err)
 	case pathres.RNDir:
-		cov.Hit(covMkdirExists)
+		c.Cov.Hit(covMkdirExists)
 		return ErrResult(types.EEXIST)
 	case pathres.RNFile:
-		cov.Hit(covMkdirExists)
+		c.Cov.Hit(covMkdirExists)
 		if r.TrailingSlash && !r.IsSymlink {
 			// "f/" where f is a file: POSIX wants ENOTDIR; Linux returns
 			// EEXIST for mkdir. Keep the envelope loose for both.
@@ -49,9 +49,9 @@ func MkdirSpec(c *Ctx, cmd types.Mkdir) Result {
 			when(c.parentGone(r.Parent), types.ENOENT),
 		)
 		if errs.Len() > 0 {
-			cov.Hit(covMkdirPerm)
+			c.Cov.Hit(covMkdirPerm)
 		} else {
-			cov.Hit(covMkdirOk)
+			c.Cov.Hit(covMkdirOk)
 		}
 		parent, name, perm := r.Parent, r.Name, c.effPerm(cmd.Perm)
 		uid, gid := c.Euid, c.Egid
@@ -71,18 +71,18 @@ func RmdirSpec(c *Ctx, cmd types.Rmdir) Result {
 	rn := c.Resolve(cmd.Path, pathres.NoFollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covRmdirErr)
+		c.Cov.Hit(covRmdirErr)
 		return ErrResult(r.Err)
 	case pathres.RNFile:
-		cov.Hit(covRmdirNotDir)
+		c.Cov.Hit(covRmdirNotDir)
 		return ErrResult(types.ENOTDIR)
 	case pathres.RNNone:
-		cov.Hit(covRmdirNone)
+		c.Cov.Hit(covRmdirNone)
 		return ErrResult(types.ENOENT)
 	case pathres.RNDir:
 		h := c.H
 		if r.Dir == h.Root {
-			cov.Hit(covRmdirRoot)
+			c.Cov.Hit(covRmdirRoot)
 			// Removing the root: POSIX allows EBUSY; Linux returns EBUSY,
 			// OS X EBUSY or EINVAL. Keep both in the envelope.
 			return ErrResult(types.EBUSY, types.EINVAL)
@@ -91,17 +91,17 @@ func RmdirSpec(c *Ctx, cmd types.Rmdir) Result {
 			// The path resolved via "." or "..": rmdir(".") is EINVAL per
 			// POSIX; a disconnected directory gives ENOENT.
 			if !h.IsConnected(r.Dir) {
-				cov.Hit(covRmdirDisc)
+				c.Cov.Hit(covRmdirDisc)
 				return ErrResult(types.ENOENT, types.EINVAL)
 			}
-			cov.Hit(covRmdirDot)
+			c.Cov.Hit(covRmdirDot)
 			return ErrResult(types.EINVAL, types.ENOTEMPTY, types.EBUSY)
 		}
 		dirObj := h.Dir(r.Dir)
 		errs := Par(
 			func() types.ErrnoSet {
 				if !h.IsEmptyDir(r.Dir) {
-					cov.Hit(covRmdirNotEmpty)
+					c.Cov.Hit(covRmdirNotEmpty)
 					// POSIX allows either ENOTEMPTY or EEXIST here.
 					return raise(types.ENOTEMPTY, types.EEXIST)
 				}
@@ -111,17 +111,17 @@ func RmdirSpec(c *Ctx, cmd types.Rmdir) Result {
 			when(!c.dirAccess(r.Parent, types.AccessExec), types.EACCES),
 			func() types.ErrnoSet {
 				if c.stickyDenies(r.Parent, dirObj.Uid) {
-					cov.Hit(covRmdirSticky)
+					c.Cov.Hit(covRmdirSticky)
 					return raise(types.EACCES, types.EPERM)
 				}
 				return none()
 			},
 		)
 		if errs.Has(types.EACCES) || errs.Has(types.EPERM) {
-			cov.Hit(covRmdirPerm)
+			c.Cov.Hit(covRmdirPerm)
 		}
 		if errs.Len() == 0 {
-			cov.Hit(covRmdirOk)
+			c.Cov.Hit(covRmdirOk)
 		}
 		parent, name := r.Parent, r.Name
 		return finish(errs, Outcome{

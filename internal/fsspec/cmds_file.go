@@ -30,19 +30,19 @@ var (
 // TruncateSpec gives the behaviour of truncate(path, len).
 func TruncateSpec(c *Ctx, cmd types.Truncate) Result {
 	if cmd.Len < 0 {
-		cov.Hit(covTruncNeg)
+		c.Cov.Hit(covTruncNeg)
 		return ErrResult(types.EINVAL)
 	}
 	rn := c.Resolve(cmd.Path, pathres.FollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covTruncErr)
+		c.Cov.Hit(covTruncErr)
 		return ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covTruncErr)
+		c.Cov.Hit(covTruncErr)
 		return ErrResult(types.ENOENT)
 	case pathres.RNDir:
-		cov.Hit(covTruncDir)
+		c.Cov.Hit(covTruncDir)
 		return ErrResult(types.EISDIR)
 	case pathres.RNFile:
 		errs := types.NewErrnoSet()
@@ -50,13 +50,13 @@ func TruncateSpec(c *Ctx, cmd types.Truncate) Result {
 			errs.Add(types.ENOTDIR)
 		}
 		if !c.fileAccess(r.File, types.AccessWrite) {
-			cov.Hit(covTruncPerm)
+			c.Cov.Hit(covTruncPerm)
 			errs.Add(types.EACCES)
 		}
 		if errs.Len() > 0 {
 			return Result{Errors: errs}
 		}
-		cov.Hit(covTruncOk)
+		c.Cov.Hit(covTruncOk)
 		f, n := r.File, cmd.Len
 		return OkResult(types.RvNone{}, func(h *state.Heap) {
 			ResizeFile(h, f, n)
@@ -141,23 +141,23 @@ func hasTrailingSlash(p string) bool {
 	return len(p) > 0 && p[len(p)-1] == '/' && !allSlashes(p)
 }
 
-func statCommon(c *Ctx, rn pathres.ResName, okPoint *uint64) Result {
+func statCommon(c *Ctx, rn pathres.ResName, okPoint cov.ID) Result {
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covStatErr)
+		c.Cov.Hit(covStatErr)
 		return ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covStatErr)
+		c.Cov.Hit(covStatErr)
 		return ErrResult(types.ENOENT)
 	case pathres.RNDir:
-		cov.Hit(okPoint)
+		c.Cov.Hit(okPoint)
 		return OkResult(types.RvStats{Stats: StatsOfDir(c.H, r.Dir)}, nil)
 	case pathres.RNFile:
 		if r.TrailingSlash && !r.IsSymlink {
-			cov.Hit(covStatErr)
+			c.Cov.Hit(covStatErr)
 			return ErrResult(types.ENOTDIR)
 		}
-		cov.Hit(okPoint)
+		c.Cov.Hit(okPoint)
 		return OkResult(types.RvStats{Stats: StatsOfFile(c.H, r.File)}, nil)
 	}
 	panic("fsspec: unreachable stat result")
@@ -168,18 +168,18 @@ func ChmodSpec(c *Ctx, cmd types.Chmod) Result {
 	rn := c.Resolve(cmd.Path, pathres.FollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covChmodErr)
+		c.Cov.Hit(covChmodErr)
 		return ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covChmodErr)
+		c.Cov.Hit(covChmodErr)
 		return ErrResult(types.ENOENT)
 	case pathres.RNDir:
 		d := c.H.Dir(r.Dir)
 		if c.Spec.Permissions && c.Euid != types.RootUid && c.Euid != d.Uid {
-			cov.Hit(covChmodPerm)
+			c.Cov.Hit(covChmodPerm)
 			return ErrResult(types.EPERM)
 		}
-		cov.Hit(covChmodOk)
+		c.Cov.Hit(covChmodOk)
 		dr, p := r.Dir, cmd.Perm&types.PermMask
 		return OkResult(types.RvNone{}, func(h *state.Heap) {
 			if dd := h.MutDir(dr); dd != nil {
@@ -188,15 +188,15 @@ func ChmodSpec(c *Ctx, cmd types.Chmod) Result {
 		})
 	case pathres.RNFile:
 		if r.TrailingSlash && !r.IsSymlink {
-			cov.Hit(covChmodErr)
+			c.Cov.Hit(covChmodErr)
 			return ErrResult(types.ENOTDIR)
 		}
 		f := c.H.File(r.File)
 		if c.Spec.Permissions && c.Euid != types.RootUid && c.Euid != f.Uid {
-			cov.Hit(covChmodPerm)
+			c.Cov.Hit(covChmodPerm)
 			return ErrResult(types.EPERM)
 		}
-		cov.Hit(covChmodOk)
+		c.Cov.Hit(covChmodOk)
 		fr, p := r.File, cmd.Perm&types.PermMask
 		return OkResult(types.RvNone{}, func(h *state.Heap) {
 			if ff := h.MutFile(fr); ff != nil {
@@ -243,11 +243,11 @@ func ChownSpec(c *Ctx, cmd types.Chown) Result {
 		ownerGroupChange := c.Euid == curUid && cmd.Uid == curUid &&
 			(cmd.Gid == c.Egid || (c.InGroup != nil && c.InGroup(c.Euid, cmd.Gid)))
 		if !ownerGroupChange {
-			cov.Hit(covChownPerm)
+			c.Cov.Hit(covChownPerm)
 			return ErrResult(types.EPERM)
 		}
 	}
-	cov.Hit(covChownOk)
+	c.Cov.Hit(covChownOk)
 	return OkResult(types.RvNone{}, apply)
 }
 
@@ -257,20 +257,20 @@ func ChdirSpec(c *Ctx, cmd types.Chdir) (state.DirRef, Result) {
 	rn := c.Resolve(cmd.Path, pathres.FollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covChdirErr)
+		c.Cov.Hit(covChdirErr)
 		return 0, ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covChdirErr)
+		c.Cov.Hit(covChdirErr)
 		return 0, ErrResult(types.ENOENT)
 	case pathres.RNFile:
-		cov.Hit(covChdirNotDir)
+		c.Cov.Hit(covChdirNotDir)
 		return 0, ErrResult(types.ENOTDIR)
 	case pathres.RNDir:
 		if !c.dirAccess(r.Dir, types.AccessExec) {
-			cov.Hit(covChdirPerm)
+			c.Cov.Hit(covChdirPerm)
 			return 0, ErrResult(types.EACCES)
 		}
-		cov.Hit(covChdirOk)
+		c.Cov.Hit(covChdirOk)
 		return r.Dir, OkResult(types.RvNone{}, nil)
 	}
 	panic("fsspec: unreachable chdir result")

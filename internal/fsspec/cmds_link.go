@@ -55,26 +55,26 @@ func LinkSpec(c *Ctx, cmd types.Link) Result {
 	srcOk := false
 	switch r := src.(type) {
 	case pathres.RNError:
-		cov.Hit(covLinkSrcErr)
+		c.Cov.Hit(covLinkSrcErr)
 		errs.Add(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covLinkSrcErr)
+		c.Cov.Hit(covLinkSrcErr)
 		errs.Add(types.ENOENT)
 	case pathres.RNDir:
-		cov.Hit(covLinkSrcDir)
+		c.Cov.Hit(covLinkSrcDir)
 		// Hard links to directories: POSIX says EPERM; Linux EPERM; OS X
 		// allows them on HFS+ in principle but the envelope keeps EPERM.
 		errs.Add(types.EPERM)
 	case pathres.RNFile:
 		if r.TrailingSlash {
-			cov.Hit(covLinkTrailing)
+			c.Cov.Hit(covLinkTrailing)
 			errs.Add(types.ENOTDIR)
 			if c.isLinux() {
 				errs.Add(types.EEXIST, types.ENOENT)
 			}
 		}
 		if r.IsSymlink {
-			cov.Hit(covLinkSymlink)
+			c.Cov.Hit(covLinkSymlink)
 			if c.isPOSIX() {
 				// Implementation-defined whether the link is made to the
 				// symlink or its target: a special state.
@@ -90,23 +90,23 @@ func LinkSpec(c *Ctx, cmd types.Link) Result {
 	dstOk := false
 	switch r := dst.(type) {
 	case pathres.RNError:
-		cov.Hit(covLinkDstErr)
+		c.Cov.Hit(covLinkDstErr)
 		errs.Add(r.Err)
 	case pathres.RNDir:
-		cov.Hit(covLinkExists)
+		c.Cov.Hit(covLinkExists)
 		errs.Add(types.EEXIST)
 	case pathres.RNFile:
-		cov.Hit(covLinkExists)
+		c.Cov.Hit(covLinkExists)
 		errs.Add(types.EEXIST)
 		if r.TrailingSlash {
-			cov.Hit(covLinkTrailing)
+			c.Cov.Hit(covLinkTrailing)
 			// Paper §7.3.2: on Linux, link /dir/ /f.txt/ returns EEXIST,
 			// which POSIX does not allow (POSIX: ENOTDIR).
 			errs.Add(types.ENOTDIR)
 		}
 	case pathres.RNNone:
 		if r.TrailingSlash {
-			cov.Hit(covLinkTrailing)
+			c.Cov.Hit(covLinkTrailing)
 			errs.Add(types.ENOENT, types.ENOTDIR)
 		}
 		dstParent, dstName, dstOk = r.Parent, r.Name, true
@@ -119,7 +119,7 @@ func LinkSpec(c *Ctx, cmd types.Link) Result {
 			when(c.parentGone(dstParent), types.ENOENT),
 		)
 		if pe.Len() > 0 {
-			cov.Hit(covLinkPerm)
+			c.Cov.Hit(covLinkPerm)
 		}
 		errs.Union(pe)
 	}
@@ -129,7 +129,7 @@ func LinkSpec(c *Ctx, cmd types.Link) Result {
 	if !srcOk || !dstOk {
 		return ErrResult(types.ENOENT)
 	}
-	cov.Hit(covLinkOk)
+	c.Cov.Hit(covLinkOk)
 	f := srcFile
 	p, n := dstParent, dstName
 	return OkResult(types.RvNone{}, func(h *state.Heap) {
@@ -142,13 +142,13 @@ func UnlinkSpec(c *Ctx, cmd types.Unlink) Result {
 	rn := c.Resolve(cmd.Path, pathres.NoFollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covUnlinkErr)
+		c.Cov.Hit(covUnlinkErr)
 		return ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covUnlinkNone)
+		c.Cov.Hit(covUnlinkNone)
 		return ErrResult(types.ENOENT)
 	case pathres.RNDir:
-		cov.Hit(covUnlinkDir)
+		c.Cov.Hit(covUnlinkDir)
 		// unlink of a directory: POSIX and OS X give EPERM; Linux follows
 		// the LSB and gives EISDIR (§7.3.2). Each variant pins its own
 		// value so the checker can flag the other platform's convention.
@@ -171,17 +171,17 @@ func UnlinkSpec(c *Ctx, cmd types.Unlink) Result {
 			when(!c.dirAccess(r.Parent, types.AccessExec), types.EACCES),
 		)
 		if pe.Len() > 0 {
-			cov.Hit(covUnlinkPerm)
+			c.Cov.Hit(covUnlinkPerm)
 		}
 		errs.Union(pe)
 		if fileObj != nil && c.stickyDenies(r.Parent, fileObj.Uid) {
-			cov.Hit(covUnlinkSticky)
+			c.Cov.Hit(covUnlinkSticky)
 			errs.Add(types.EACCES, types.EPERM)
 		}
 		if errs.Len() > 0 {
 			return Result{Errors: errs}
 		}
-		cov.Hit(covUnlinkOk)
+		c.Cov.Hit(covUnlinkOk)
 		p, n := r.Parent, r.Name
 		return OkResult(types.RvNone{}, func(h *state.Heap) {
 			h.UnlinkFile(p, n)
@@ -194,19 +194,19 @@ func UnlinkSpec(c *Ctx, cmd types.Unlink) Result {
 // is not resolved; dangling symlinks are created freely.
 func SymlinkSpec(c *Ctx, cmd types.Symlink) Result {
 	if cmd.Target == "" {
-		cov.Hit(covSymlinkEmpty)
+		c.Cov.Hit(covSymlinkEmpty)
 		return ErrResult(types.ENOENT)
 	}
 	rn := c.Resolve(cmd.Linkpath, pathres.NoFollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covSymlinkErr)
+		c.Cov.Hit(covSymlinkErr)
 		return ErrResult(r.Err)
 	case pathres.RNDir:
-		cov.Hit(covSymlinkExists)
+		c.Cov.Hit(covSymlinkExists)
 		return ErrResult(types.EEXIST)
 	case pathres.RNFile:
-		cov.Hit(covSymlinkExists)
+		c.Cov.Hit(covSymlinkExists)
 		return ErrResult(types.EEXIST)
 	case pathres.RNNone:
 		errs := types.NewErrnoSet()
@@ -219,13 +219,13 @@ func SymlinkSpec(c *Ctx, cmd types.Symlink) Result {
 			when(c.parentGone(r.Parent), types.ENOENT),
 		)
 		if pe.Len() > 0 {
-			cov.Hit(covSymlinkPerm)
+			c.Cov.Hit(covSymlinkPerm)
 		}
 		errs.Union(pe)
 		if errs.Len() > 0 {
 			return Result{Errors: errs}
 		}
-		cov.Hit(covSymlinkOk)
+		c.Cov.Hit(covSymlinkOk)
 		p, n, tgt := r.Parent, r.Name, cmd.Target
 		uid, gid := c.Euid, c.Egid
 		perm := symlinkDefaultPerm(c)
@@ -260,25 +260,25 @@ func ReadlinkSpec(c *Ctx, cmd types.Readlink) Result {
 	rn := c.Resolve(cmd.Path, follow)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covReadlinkErr)
+		c.Cov.Hit(covReadlinkErr)
 		return ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covReadlinkErr)
+		c.Cov.Hit(covReadlinkErr)
 		return ErrResult(types.ENOENT)
 	case pathres.RNDir:
-		cov.Hit(covReadlinkKind)
+		c.Cov.Hit(covReadlinkKind)
 		return ErrResult(types.EINVAL)
 	case pathres.RNFile:
 		f := c.H.File(r.File)
 		if r.TrailingSlash && (f == nil || !f.IsSymlink) {
-			cov.Hit(covReadlinkKind)
+			c.Cov.Hit(covReadlinkKind)
 			return ErrResult(types.ENOTDIR)
 		}
 		if f == nil || !f.IsSymlink {
-			cov.Hit(covReadlinkKind)
+			c.Cov.Hit(covReadlinkKind)
 			return ErrResult(types.EINVAL)
 		}
-		cov.Hit(covReadlinkOk)
+		c.Cov.Hit(covReadlinkOk)
 		data := append([]byte(nil), f.Bytes...)
 		return OkResult(types.RvBytes{Data: data}, nil)
 	}

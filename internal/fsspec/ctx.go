@@ -1,14 +1,16 @@
 package fsspec
 
 import (
+	"repro/internal/cov"
 	"repro/internal/pathres"
 	"repro/internal/state"
 	"repro/internal/types"
 )
 
 // Ctx carries everything command evaluation needs: the spec variant, the
-// heap, and the calling process's view (cwd, umask, credentials). It is
-// built by the OS layer for each transition.
+// heap, the calling process's view (cwd, umask, credentials) and the
+// evaluation's coverage set. It is built by the OS layer for each
+// transition.
 type Ctx struct {
 	Spec     types.Spec
 	H        *state.Heap
@@ -20,6 +22,9 @@ type Ctx struct {
 	// InGroup reports supplementary group membership; nil means only the
 	// primary gid counts.
 	InGroup func(types.Uid, types.Gid) bool
+	// Cov records the coverage points the evaluation hits; nil records
+	// nothing.
+	Cov *cov.Set
 }
 
 // Outcome is one allowed successful behaviour: the value returned and the

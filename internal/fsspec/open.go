@@ -74,7 +74,7 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 		// even looked at (observed against the real kernel; POSIX leaves
 		// the combination to normal processing — which is what makes the
 		// FreeBSD symlink-replacement defect of §7.3.2 observable).
-		cov.Hit(covOpenErr)
+		c.Cov.Hit(covOpenErr)
 		d.Errs.Add(types.EINVAL)
 		return d
 	}
@@ -84,7 +84,7 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 		// Linux refuses creation-style opens of any trailing-slash path
 		// with EISDIR, whether or not the path resolves (observed against
 		// the real kernel).
-		cov.Hit(covOpenTrailing)
+		c.Cov.Hit(covOpenTrailing)
 		d.Errs.Add(types.EISDIR)
 		return d
 	}
@@ -103,13 +103,13 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covOpenErr)
+		c.Cov.Hit(covOpenErr)
 		d.Errs.Add(r.Err)
 		return d
 
 	case pathres.RNDir:
 		if flags.Has(types.OCreat) {
-			cov.Hit(covOpenExcl)
+			c.Cov.Hit(covOpenExcl)
 			// O_CREAT on an existing directory: POSIX says EEXIST (with
 			// O_EXCL); Linux reports EISDIR. Both are in the envelope;
 			// FreeBSD's ENOTDIR for the symlink-to-directory case
@@ -123,16 +123,16 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 			return d
 		}
 		if chkWrite || flags.Has(types.OTrunc) {
-			cov.Hit(covOpenDirWr)
+			c.Cov.Hit(covOpenDirWr)
 			d.Errs.Add(types.EISDIR)
 			return d
 		}
 		if !c.dirAccess(r.Dir, types.AccessRead) {
-			cov.Hit(covOpenPerm)
+			c.Cov.Hit(covOpenPerm)
 			d.Errs.Add(types.EACCES)
 			return d
 		}
-		cov.Hit(covOpenDir)
+		c.Cov.Hit(covOpenDir)
 		d.OpenDir = true
 		d.Dir = r.Dir
 		return d
@@ -144,33 +144,33 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 			// reports ENOTDIR in preference to ELOOP (observed).
 			switch {
 			case flags.Has(types.OCreat) && flags.Has(types.OExcl):
-				cov.Hit(covOpenExcl)
+				c.Cov.Hit(covOpenExcl)
 				d.Errs.Add(types.EEXIST)
 			case flags.Has(types.ODirectory):
-				cov.Hit(covOpenNofollow)
+				c.Cov.Hit(covOpenNofollow)
 				if c.isLinux() {
 					d.Errs.Add(types.ENOTDIR)
 				} else {
 					d.Errs.Add(types.ENOTDIR, types.ELOOP)
 				}
 			default:
-				cov.Hit(covOpenNofollow)
+				c.Cov.Hit(covOpenNofollow)
 				d.Errs.Add(types.ELOOP)
 			}
 			return d
 		}
 		if flags.Has(types.OCreat) && flags.Has(types.OExcl) {
-			cov.Hit(covOpenExcl)
+			c.Cov.Hit(covOpenExcl)
 			d.Errs.Add(types.EEXIST)
 			return d
 		}
 		if flags.Has(types.ODirectory) {
-			cov.Hit(covOpenNotDir)
+			c.Cov.Hit(covOpenNotDir)
 			d.Errs.Add(types.ENOTDIR)
 			return d
 		}
 		if r.TrailingSlash {
-			cov.Hit(covOpenTrailing)
+			c.Cov.Hit(covOpenTrailing)
 			d.Errs.Add(types.ENOTDIR)
 			if flags.Has(types.OCreat) {
 				d.Errs.Add(types.EISDIR)
@@ -182,11 +182,11 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 			when(chkWrite && !c.fileAccess(r.File, types.AccessWrite), types.EACCES),
 		)
 		if perms.Len() > 0 {
-			cov.Hit(covOpenPerm)
+			c.Cov.Hit(covOpenPerm)
 			d.Errs.Union(perms)
 			return d
 		}
-		cov.Hit(covOpenExisting)
+		c.Cov.Hit(covOpenExisting)
 		d.OpenExisting = true
 		d.File = r.File
 		// POSIX leaves O_TRUNC|O_RDONLY unspecified; Linux truncates even
@@ -196,12 +196,12 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 
 	case pathres.RNNone:
 		if !flags.Has(types.OCreat) {
-			cov.Hit(covOpenNoEnt)
+			c.Cov.Hit(covOpenNoEnt)
 			d.Errs.Add(types.ENOENT)
 			return d
 		}
 		if r.TrailingSlash {
-			cov.Hit(covOpenTrailing)
+			c.Cov.Hit(covOpenTrailing)
 			// Creating "name/": Linux gives EISDIR, POSIX ENOENT/EISDIR.
 			d.Errs.Add(types.EISDIR, types.ENOENT)
 			return d
@@ -212,11 +212,11 @@ func OpenSpec(c *Ctx, cmd types.Open) OpenDecision {
 			when(c.parentGone(r.Parent), types.ENOENT),
 		)
 		if pe.Len() > 0 {
-			cov.Hit(covOpenPerm)
+			c.Cov.Hit(covOpenPerm)
 			d.Errs.Union(pe)
 			return d
 		}
-		cov.Hit(covOpenCreate)
+		c.Cov.Hit(covOpenCreate)
 		d.Create = true
 		d.Parent = r.Parent
 		d.Name = r.Name
@@ -232,20 +232,20 @@ func OpendirSpec(c *Ctx, cmd types.Opendir) (state.DirRef, Result) {
 	rn := c.Resolve(cmd.Path, pathres.FollowLast)
 	switch r := rn.(type) {
 	case pathres.RNError:
-		cov.Hit(covOpendirErr)
+		c.Cov.Hit(covOpendirErr)
 		return 0, ErrResult(r.Err)
 	case pathres.RNNone:
-		cov.Hit(covOpendirErr)
+		c.Cov.Hit(covOpendirErr)
 		return 0, ErrResult(types.ENOENT)
 	case pathres.RNFile:
-		cov.Hit(covOpendirErr)
+		c.Cov.Hit(covOpendirErr)
 		return 0, ErrResult(types.ENOTDIR)
 	case pathres.RNDir:
 		if !c.dirAccess(r.Dir, types.AccessRead) {
-			cov.Hit(covOpendirErr)
+			c.Cov.Hit(covOpendirErr)
 			return 0, ErrResult(types.EACCES)
 		}
-		cov.Hit(covOpendirOk)
+		c.Cov.Hit(covOpendirOk)
 		return r.Dir, OkResult(types.RvNone{}, nil)
 	}
 	panic("fsspec: unreachable opendir result")

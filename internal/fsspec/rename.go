@@ -82,7 +82,7 @@ func RenameSpec(c *Ctx, cmd types.Rename) Result {
 	// EBUSY/EINVAL.
 	dstRootish := dst.trail || allSlashes(cmd.Dst)
 	if src.err == types.EOK && !src.none && !src.isDir && (src.trail || dstRootish) {
-		cov.Hit(covRenameTrailing)
+		c.Cov.Hit(covRenameTrailing)
 		errs := types.NewErrnoSet(types.ENOTDIR)
 		if dst.err != types.EOK {
 			errs.Add(dst.err)
@@ -101,7 +101,7 @@ func RenameSpec(c *Ctx, cmd types.Rename) Result {
 	// is the root directory, real systems may instead report the
 	// root-rename error (Linux: EBUSY), so both are in the envelope.
 	if fsopRenameSame(src, dst) {
-		cov.Hit(covRenameSame)
+		c.Cov.Hit(covRenameSame)
 		res := OkResult(types.RvNone{}, nil)
 		if src.isDir && src.dir == c.H.Root {
 			res.Errors.Add(types.EBUSY, types.EINVAL)
@@ -123,9 +123,9 @@ func RenameSpec(c *Ctx, cmd types.Rename) Result {
 
 	// Success: move the entry, replacing the destination if present.
 	if src.isDir {
-		cov.Hit(covRenameOkDir)
+		c.Cov.Hit(covRenameOkDir)
 	} else {
-		cov.Hit(covRenameOkFile)
+		c.Cov.Hit(covRenameOkFile)
 	}
 	s, d := src, dst
 	return OkResult(types.RvNone{}, func(h *state.Heap) {
@@ -160,48 +160,48 @@ func fsopRenameSame(src, dst renameEnd) bool {
 func fsopRenameChecksRsrcRdst(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 	errs := types.NewErrnoSet()
 	if src.err != types.EOK {
-		cov.Hit(covRenameSrcErr)
+		c.Cov.Hit(covRenameSrcErr)
 		errs.Add(src.err)
 	}
 	if src.none {
-		cov.Hit(covRenameSrcErr)
+		c.Cov.Hit(covRenameSrcErr)
 		errs.Add(types.ENOENT)
 	}
 	if dst.err != types.EOK {
-		cov.Hit(covRenameDstErr)
+		c.Cov.Hit(covRenameDstErr)
 		errs.Add(dst.err)
 	}
 	if src.isFile && src.trail {
 		// rename("f/", ...) — the source is a file reached with a trailing
 		// slash; POSIX and Linux agree on ENOTDIR here.
-		cov.Hit(covRenameTrailing)
+		c.Cov.Hit(covRenameTrailing)
 		errs.Add(types.ENOTDIR)
 	}
 	if dst.isFile && dst.trail {
 		// rename onto "f/" (or "s/" with s a symlink): ENOTDIR on all
 		// modelled platforms (observed on Linux; the EEXIST quirk of
 		// §7.3.2 applies to link, not rename).
-		cov.Hit(covRenameTrailing)
+		c.Cov.Hit(covRenameTrailing)
 		errs.Add(types.ENOTDIR)
 	}
 	if dst.none && dst.trail && !src.isDir {
 		// Creating a non-directory at "name/" cannot succeed.
-		cov.Hit(covRenameTrailing)
+		c.Cov.Hit(covRenameTrailing)
 		errs.Add(types.ENOENT, types.ENOTDIR)
 	}
 	if src.isFile && dst.isDir {
-		cov.Hit(covRenameKinds)
+		c.Cov.Hit(covRenameKinds)
 		errs.Add(types.EISDIR)
 	}
 	if src.isDir && dst.isFile {
-		cov.Hit(covRenameKinds)
+		c.Cov.Hit(covRenameKinds)
 		errs.Add(types.ENOTDIR)
 	}
 	if src.isDir && dst.isDir && dst.hasPar && !c.H.IsEmptyDir(dst.dir) {
 		// The Fig 4 example: rename of an empty dir onto a non-empty dir
 		// allows EEXIST or ENOTEMPTY (and nothing else — the checker
 		// rejects SSHFS's EPERM here, exactly as in the paper).
-		cov.Hit(covRenameNonempty)
+		c.Cov.Hit(covRenameNonempty)
 		errs.Add(types.EEXIST, types.ENOTEMPTY)
 	}
 	return errs
@@ -213,7 +213,7 @@ func fsopRenameChecksRoot(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 	errs := types.NewErrnoSet()
 	rootInvolved := (src.isDir && src.dir == c.H.Root) || (dst.isDir && dst.dir == c.H.Root)
 	if rootInvolved {
-		cov.Hit(covRenameRoot)
+		c.Cov.Hit(covRenameRoot)
 		if c.isOSX() {
 			// OS X returns EISDIR when renaming the root (§7.3.2); the OS X
 			// variant of the model describes the observed behaviour.
@@ -226,7 +226,7 @@ func fsopRenameChecksRoot(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 	// parent binding.
 	if (src.isDir && src.dotLike && src.err == types.EOK && src.dir != c.H.Root) ||
 		(dst.isDir && dst.dotLike && dst.err == types.EOK && dst.dir != c.H.Root) {
-		cov.Hit(covRenameRoot)
+		c.Cov.Hit(covRenameRoot)
 		errs.Add(types.EINVAL, types.EBUSY)
 	}
 	return errs
@@ -243,11 +243,11 @@ func fsopRenameChecksSubdir(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 		dstParent = dst.parent
 	}
 	if dst.isDir && src.dir != dst.dir && c.H.IsAncestor(src.dir, dst.dir) {
-		cov.Hit(covRenameSubdir)
+		c.Cov.Hit(covRenameSubdir)
 		return raise(types.EINVAL)
 	}
 	if (dst.none || dst.isFile) && (dstParent == src.dir || c.H.IsAncestor(src.dir, dstParent)) {
-		cov.Hit(covRenameSubdir)
+		c.Cov.Hit(covRenameSubdir)
 		return raise(types.EINVAL)
 	}
 	return none()
@@ -260,19 +260,19 @@ func fsopRenameChecksParentdirs(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 	errs := types.NewErrnoSet()
 	if src.hasPar {
 		if c.H.Dir(src.parent) == nil {
-			cov.Hit(covRenameParentdirs)
+			c.Cov.Hit(covRenameParentdirs)
 			errs.Add(types.ENOENT)
 		}
 	}
 	if dst.hasPar || dst.none {
 		if c.H.Dir(dst.parent) == nil {
-			cov.Hit(covRenameParentdirs)
+			c.Cov.Hit(covRenameParentdirs)
 			errs.Add(types.ENOENT)
 		}
 	}
 	if src.isDir && src.err == types.EOK && !src.hasPar && src.dir != c.H.Root {
 		// Source resolved via "."/".." to a (possibly disconnected) dir.
-		cov.Hit(covRenameParentdirs)
+		c.Cov.Hit(covRenameParentdirs)
 		errs.Add(types.EINVAL, types.EBUSY, types.ENOENT)
 	}
 	return errs
@@ -291,7 +291,7 @@ func fsopRenameChecksPerms(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 	errs := types.NewErrnoSet()
 	if src.hasPar {
 		if !c.dirAccess(src.parent, types.AccessWrite) || !c.dirAccess(src.parent, types.AccessExec) {
-			cov.Hit(covRenamePerms)
+			c.Cov.Hit(covRenamePerms)
 			errs.Add(types.EACCES)
 		}
 		var objUid types.Uid
@@ -301,14 +301,14 @@ func fsopRenameChecksPerms(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 			objUid = f.Uid
 		}
 		if c.stickyDenies(src.parent, objUid) {
-			cov.Hit(covRenamePerms)
+			c.Cov.Hit(covRenamePerms)
 			errs.Add(types.EACCES, types.EPERM)
 		}
 	}
 	dstParent, ok := dstParentOf(dst)
 	if ok {
 		if !c.dirAccess(dstParent, types.AccessWrite) || !c.dirAccess(dstParent, types.AccessExec) {
-			cov.Hit(covRenamePerms)
+			c.Cov.Hit(covRenamePerms)
 			errs.Add(types.EACCES)
 		}
 	}
@@ -318,7 +318,7 @@ func fsopRenameChecksPerms(c *Ctx, src, dst renameEnd) types.ErrnoSet {
 // fsopRenameChecksDisconnected: moving into an unlinked parent is ENOENT.
 func fsopRenameChecksDisconnected(c *Ctx, dst renameEnd) types.ErrnoSet {
 	if p, ok := dstParentOf(dst); ok && c.parentGone(p) {
-		cov.Hit(covRenameParentdirs)
+		c.Cov.Hit(covRenameParentdirs)
 		return raise(types.ENOENT)
 	}
 	return none()

@@ -15,14 +15,13 @@
 // as findings, rendered through internal/analysis. The corpus persists to
 // disk so successive runs resume where the last one stopped.
 //
-// Coverage attribution is exact even with parallel workers: the fast path
-// (execute + check, no attribution) runs under cov.Guard, and the rare
-// re-run that attributes a promising candidate's exact point set runs in a
-// cov.Tracker window that excludes all guarded evaluation. With
-// Config.Registry the session instead attributes every candidate and
-// merges the point sets into that isolated registry — several sessions
-// can then fuzz in one process without polluting each other's counters,
-// at the cost of serializing candidate evaluation.
+// Every run — candidate, seed replay or minimization probe — records the
+// model coverage points its execution and its check hit in a set of its
+// own, and merges it once into the session's registry (Config.Registry).
+// Admission uses that set directly, so the points a candidate is admitted
+// with are exact even with parallel workers, and nothing is re-run to
+// find them. Sessions that each own a registry fuzz in one process
+// without moving each other's figures.
 //
 // A session ends when its context is done (Config.Duration is sugar for a
 // deadline) or MaxRuns is reached; cancellation is the normal end of a

@@ -104,13 +104,13 @@ func findingName(kind FindingKind, sig string) string {
 }
 
 // Report renders findings through the analysis pipeline: a RunSummary with
-// severity classification (§7.3's taxonomy) and process-global
-// model-coverage figures, plus the HTML index. Sessions with an isolated
-// coverage registry use ReportWith instead, stamping the registry's
+// severity classification (§7.3's taxonomy) and cov.Default's
+// model-coverage figures, plus the HTML index. Sessions with a coverage
+// registry of their own use ReportWith instead, stamping the registry's
 // figures. Crashes carry no checkable trace and are appended as synthetic
 // critical deviations.
 func Report(config string, findings []*Finding) (*analysis.RunSummary, string, error) {
-	hit, total := cov.Stats()
+	hit, total := cov.Default.Stats()
 	return ReportWith(config, findings, hit, total)
 }
 

@@ -86,14 +86,11 @@ type Config struct {
 	// KeepCoverage leaves the session's coverage counters as they are
 	// instead of resetting them at session start.
 	KeepCoverage bool
-	// Registry, when non-nil, is an isolated coverage registry: every
-	// candidate evaluation is attributed (exclusive cov windows) and
-	// merged into it, the corpus guidance polls it instead of the
-	// process-global counters, and Reset/KeepCoverage never touch the
-	// global state. Isolation serializes candidate evaluation across
-	// workers — prefer nil (the process-global registry) for raw
-	// throughput, a private registry when several sessions share one
-	// process.
+	// Registry receives the session's model coverage (nil selects
+	// cov.Default): every run, minimization probes included, records its
+	// points in a set of its own and merges it here once, and the corpus
+	// guidance polls this registry. Give each session of a process its
+	// own for figures the others cannot move.
 	Registry *cov.Registry
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
@@ -166,19 +163,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg:     cfg,
 		check:   checker.New(cfg.Spec),
 		corpus:  NewCorpus(),
-		tracker: cov.NewTracker(),
 		reg:     cfg.Registry,
 		tel:     tel,
 		bySig:   make(map[string]*Finding),
 		rawSeen: make(map[string]*Finding),
 	}
 	e.check.Tel = cfg.Tel // nil keeps the checker on Default, like the engine
+	if e.reg == nil {
+		e.reg = cov.Default
+	}
 	if !cfg.KeepCoverage {
-		if e.reg != nil {
-			e.reg.Reset()
-		} else {
-			cov.Reset()
-		}
+		e.reg.Reset()
 	}
 
 	seedSpan := tel.Span("fuzz.seed")
@@ -187,7 +182,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	seedSpan.End()
 	tel.Counter("fuzz.cached_seeds").Add(int64(e.cachedSeeds))
-	initialHit := e.covHitCount()
+	initialHit := e.reg.HitCount()
 	e.logf("fuzz: start corpus=%d coverage=%d points (%d seeds from cache)",
 		e.corpus.Len(), initialHit, e.cachedSeeds)
 
@@ -226,7 +221,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.NewEntries = e.newEntries
 	res.Findings = append(res.Findings, e.findings...)
 	e.mu.Unlock()
-	res.CovHit, res.CovTotal = e.covStats()
+	res.CovHit, res.CovTotal = e.reg.Stats()
 	tel.Gauge("fuzz.corpus_size").Set(int64(res.CorpusSize))
 	tel.Gauge("fuzz.findings").Set(int64(len(res.Findings)))
 	tel.Gauge("fuzz.coverage_points").Set(int64(res.CovHit))
@@ -256,9 +251,7 @@ type engine struct {
 	// cachedSeeds is only written during single-threaded seeding.
 	cachedSeeds int
 
-	tracker *cov.Tracker // Attribute serializes internally
-	// reg is the isolated coverage registry, nil for the process-global
-	// counters (Config.Registry).
+	// reg is the session's coverage registry (Config.Registry), never nil.
 	reg *cov.Registry
 	// tel is the resolved telemetry registry (never nil).
 	tel      *telemetry.Registry
@@ -268,46 +261,30 @@ type engine struct {
 	crashes  atomic.Int64
 }
 
-// covHitCount is the corpus guidance's "anything new?" figure: the
-// session registry's in isolated mode, the process-global one otherwise.
-func (e *engine) covHitCount() int {
-	if e.reg != nil {
-		return e.reg.HitCount()
-	}
-	return cov.HitCount()
-}
-
-// covStats reports the session's (hit, total) coverage figures.
-func (e *engine) covStats() (int, int) {
-	if e.reg != nil {
-		return e.reg.Stats()
-	}
-	return cov.Stats()
-}
-
 func (e *engine) logf(format string, args ...any) {
 	if e.cfg.Log != nil {
 		fmt.Fprintf(e.cfg.Log, format+"\n", args...)
 	}
 }
 
-// runScript executes one candidate with the configured executor mode.
-// Candidates run to completion even when the session context is cancelled
-// (they are short); the worker loop is where cancellation is observed.
-func (e *engine) runScript(s *trace.Script) (*trace.Trace, error) {
+// runScript executes one candidate with the configured executor mode,
+// recording the implementation's model coverage in hits. Candidates run
+// to completion even when the session context is cancelled (they are
+// short); the worker loop is where cancellation is observed.
+func (e *engine) runScript(s *trace.Script, hits *cov.Set) (*trace.Trace, error) {
 	if e.cfg.Concurrent {
 		return exec.RunConcurrent(context.Background(), s, e.cfg.Factory,
-			exec.ConcurrentOptions{Seeded: true, Seed: e.cfg.Seed})
+			exec.ConcurrentOptions{Seeded: true, Seed: e.cfg.Seed}, hits)
 	}
-	return exec.Run(context.Background(), s, e.cfg.Factory)
+	return exec.Run(context.Background(), s, e.cfg.Factory, hits)
 }
 
 // seed loads the persisted corpus (if any) and the configured seed
-// scripts, replaying each through attributed execution so the corpus keys
-// and the session's coverage counters reflect the current model. With a
-// ResultCache, entries whose clean attributed replay is already cached
-// skip the replay entirely: the cached point set is admitted directly and
-// force-marked in the counters, so a warm resumed session starts in
+// scripts, replaying each so the corpus keys and the session's coverage
+// counters reflect the current model. With a ResultCache, entries whose
+// clean replay is already cached skip the replay entirely: the cached
+// point set is admitted directly and merged into the registry, so a warm
+// resumed session starts in
 // seconds regardless of corpus size. A cancelled ctx stops seeding early
 // (graceful shutdown, as in the worker loop) — the session then reports
 // over whatever was admitted.
@@ -338,7 +315,7 @@ func (e *engine) seed(ctx context.Context) error {
 			e.cachedSeeds++
 			continue
 		}
-		e.offer(s, false)
+		e.offer(s)
 	}
 	return nil
 }
@@ -389,16 +366,14 @@ func (e *engine) putSeed(s *trace.Script, points []string) {
 	}
 }
 
-// admitCached admits a seed with its cached point set, mirroring offer's
-// admission and persistence paths but skipping execution, checking and
-// attribution. The points are force-marked in the session's counters so
-// its coverage view matches what a real replay would have left.
+// admitCached admits a seed with its cached point set, mirroring admit's
+// corpus and persistence paths but skipping execution and checking. The
+// points (those the current model still registers) are merged into the
+// session's registry, so its coverage view matches what a real replay
+// would have left.
 func (e *engine) admitCached(s *trace.Script, points []string) {
-	if e.reg != nil {
-		e.reg.ForceHit(points)
-	} else {
-		cov.ForceHit(points)
-	}
+	hits := cov.SetOf(points)
+	e.reg.Merge(&hits)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	_, admitted, replaced, evicted := e.corpus.Admit(s, points)
@@ -454,9 +429,9 @@ func (e *engine) step(r *rand.Rand, m *mutator, seq int64) {
 		cand.Name = candidateName(seq)
 	}
 
-	before := e.covHitCount()
+	before := e.reg.HitCount()
 	candStart := time.Now()
-	tr, res, crash, err := e.execCheck(cand)
+	tr, res, hits, crash, err := e.execCheck(cand)
 	e.tel.Histogram("fuzz.exec_check_ns").ObserveSince(candStart)
 	switch {
 	case crash != "":
@@ -468,40 +443,34 @@ func (e *engine) step(r *rand.Rand, m *mutator, seq int64) {
 		e.tel.Counter("fuzz.exec_errors").Inc()
 	case !res.Accepted:
 		e.reportDeviation(cand, tr, res)
-	case e.covHitCount() > before || r.Intn(64) == 0:
-		// The cheap pre-filter only sees *globally* new points, which a
-		// deviating run may have claimed first even though no corpus entry
-		// holds them — so a small slice of accepted runs is attributed
+	case e.reg.HitCount() > before || r.Intn(64) == 0:
+		// The cheap pre-filter only sees *registry-wide* new points, which
+		// a deviating run may have claimed first even though no corpus
+		// entry holds them — so a small slice of accepted runs is offered
 		// unconditionally, letting the corpus eventually absorb points
 		// first reached along defect paths.
-		e.offer(cand, true)
+		e.admit(cand, hits.Names(), true)
 	}
 }
 
-// execCheck is the fast path: execute and check once under cov.Guard (so
-// its hits never land in a concurrent attribution window), catching
-// panics from the implementation or the model. In isolated-registry mode
-// the run is attributed instead and its point set merged into the
-// registry — that is what keeps the registry's HitCount moving for the
-// guidance pre-filter, at the cost of serializing candidate evaluation.
-func (e *engine) execCheck(s *trace.Script) (tr *trace.Trace, res checker.Result, crash string, err error) {
+// execCheck executes and checks one script, catching panics from the
+// implementation or the model, and returns the run's coverage set: the
+// points its execution (a model-backed implementation) and its check hit.
+// The set is merged into the session's registry, which keeps HitCount
+// moving for the guidance pre-filter.
+func (e *engine) execCheck(s *trace.Script) (tr *trace.Trace, res checker.Result, hits cov.Set, crash string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			crash = fmt.Sprintf("%v", p)
 		}
+		e.reg.Merge(&hits)
 	}()
-	run := func() {
-		tr, err = e.runScript(s)
-		if err == nil {
-			res = e.check.Check(tr)
-		}
+	tr, err = e.runScript(s, &hits)
+	if err == nil {
+		res = e.check.Check(tr)
+		hits.Or(&res.Coverage)
 	}
-	if e.reg != nil {
-		e.reg.AddHits(e.tracker.Attribute(run))
-	} else {
-		cov.Guard(run)
-	}
-	return tr, res, "", err
+	return tr, res, hits, "", err
 }
 
 // pick chooses a parent entry (weighted by coverage-point rarity) and an
@@ -531,47 +500,32 @@ func (e *engine) pick(r *rand.Rand) (parent, donor *trace.Script) {
 	return parent, donor
 }
 
-// offer attributes the script's exact coverage-point set (re-running it in
-// an exclusive cov.Tracker window) and admits it to the corpus if it hits
-// a point no existing entry hits. Scripts whose attributed re-run deviates
-// are routed to the findings path instead (e.g. loaded corpus entries that
-// deviate under a different profile than they were collected on). Clean
-// replays of scripts that enter the corpus are memoised in the result
-// cache (when configured) so the next session's seeding skips them.
-func (e *engine) offer(s *trace.Script, fromLoop bool) {
-	var tr *trace.Trace
-	var res checker.Result
-	var runErr error
-	var crash string
-	points := e.tracker.Attribute(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				crash = fmt.Sprintf("%v", p)
-			}
-		}()
-		tr, runErr = e.runScript(s)
-		if runErr == nil {
-			res = e.check.Check(tr)
-		}
-	})
-	if e.reg != nil {
-		e.reg.AddHits(points)
-	}
-	if crash != "" {
+// offer replays a seed script and admits it to the corpus if it hits a
+// point no existing entry hits. Scripts whose replay deviates are routed
+// to the findings path instead (e.g. loaded corpus entries that deviate
+// under a different profile than they were collected on).
+func (e *engine) offer(s *trace.Script) {
+	tr, res, hits, crash, err := e.execCheck(s)
+	switch {
+	case crash != "":
 		// E.g. a reloaded corpus replayed against a different profile that
 		// panics on it: a finding, not a session abort.
 		e.crashes.Add(1)
 		e.reportCrash(s, crash)
-		return
-	}
-	if runErr != nil {
+	case err != nil:
 		e.execErrs.Add(1)
-		return
-	}
-	if !res.Accepted {
+	case !res.Accepted:
 		e.reportDeviation(s, tr, res)
-		return
+	default:
+		e.admit(s, hits.Names(), false)
 	}
+}
+
+// admit adds a clean run's script to the corpus if its coverage points
+// (sorted names) include one no existing entry hits. Clean replays of
+// scripts that enter the corpus are memoised in the result cache (when
+// configured) so the next session's seeding skips them.
+func (e *engine) admit(s *trace.Script, points []string, fromLoop bool) {
 	e.mu.Lock()
 	entry, admitted, replaced, evicted := e.corpus.Admit(s, points)
 	if admitted {
@@ -582,7 +536,7 @@ func (e *engine) offer(s *trace.Script, fromLoop bool) {
 		e.newEntries++
 	}
 	if (admitted || replaced) && e.cfg.ResultCache != nil {
-		// Cache the clean attributed replay of everything that enters the
+		// Cache the clean replay's points of everything that enters the
 		// corpus: the next session's seeding admits it without re-running.
 		e.putSeed(s, points)
 	}
@@ -624,13 +578,13 @@ func (e *engine) reportDeviation(cand *trace.Script, tr *trace.Trace, res checke
 	}
 	e.mu.Unlock()
 
-	min, err := reduce.MinimizeWith(cand, e.guardedDeviates)
+	min, err := reduce.MinimizeWith(cand, e.deviates)
 	if err != nil {
 		min = cand
 	}
 	trMin, resMin := tr, res
 	if min != cand {
-		if tr2, res2, crash, err2 := e.execCheck(min); crash == "" && err2 == nil && !res2.Accepted {
+		if tr2, res2, _, crash, err2 := e.execCheck(min); crash == "" && err2 == nil && !res2.Accepted {
 			trMin, resMin = tr2, res2
 		} else {
 			min = cand // minimization went nondeterministic; keep the original
@@ -680,7 +634,7 @@ func (e *engine) reportDeviation(cand *trace.Script, tr *trace.Trace, res checke
 // oracle and records it.
 func (e *engine) reportCrash(cand *trace.Script, panicVal string) {
 	min, err := reduce.MinimizeWith(cand, func(s *trace.Script) (bad bool, oerr error) {
-		_, _, crash, runErr := e.execCheck(s)
+		_, _, _, crash, runErr := e.execCheck(s)
 		if runErr != nil {
 			return false, nil // an unexecutable shrink is not the crash
 		}
@@ -722,10 +676,10 @@ func (e *engine) reportCrash(cand *trace.Script, panicVal string) {
 	}
 }
 
-// guardedDeviates is the minimization oracle: execute + check under
-// cov.Guard, so reduction probes cannot pollute attribution windows.
-func (e *engine) guardedDeviates(s *trace.Script) (bad bool, err error) {
-	_, res, crash, err := e.execCheck(s)
+// deviates is the minimization oracle: execute + check, counting the
+// probe's coverage like any run's.
+func (e *engine) deviates(s *trace.Script) (bad bool, err error) {
+	_, res, _, crash, err := e.execCheck(s)
 	if err != nil {
 		return false, nil // shrinks that fail to execute don't deviate
 	}
@@ -760,9 +714,9 @@ func (e *engine) progress(done <-chan struct{}) {
 			e.mu.Unlock()
 			e.tel.Gauge("fuzz.corpus_size").Set(int64(corpus))
 			e.tel.Gauge("fuzz.findings").Set(int64(findings))
-			e.tel.Gauge("fuzz.coverage_points").Set(int64(e.covHitCount()))
+			e.tel.Gauge("fuzz.coverage_points").Set(int64(e.reg.HitCount()))
 			e.logf("fuzz: runs=%d corpus=%d coverage=%d findings=%d",
-				e.runs.Load(), corpus, e.covHitCount(), findings)
+				e.runs.Load(), corpus, e.reg.HitCount(), findings)
 		}
 	}
 }

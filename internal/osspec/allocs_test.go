@@ -14,11 +14,11 @@ import (
 // RvStats.String for every hash and comparison.
 func statReturning(t *testing.T) *OsState {
 	t.Helper()
-	called := Trans(NewOsState(types.DefaultSpec()), types.CallLabel{Pid: InitialPid, Cmd: types.Stat{Path: "/"}})
+	called := Trans(NewOsState(types.DefaultSpec()), types.CallLabel{Pid: InitialPid, Cmd: types.Stat{Path: "/"}}, nil)
 	if len(called) != 1 {
 		t.Fatalf("stat call: %d successors, want 1", len(called))
 	}
-	for _, c := range TauFor(called[0], InitialPid) {
+	for _, c := range TauFor(called[0], InitialPid, nil) {
 		if pe, ok := c.Proc(InitialPid).PendingRet.(PendingExact); ok {
 			if _, ok := pe.Rv.(types.RvStats); ok {
 				return c
@@ -94,14 +94,14 @@ func threeProcs(t *testing.T) *OsState {
 	t.Helper()
 	s := NewOsState(types.DefaultSpec())
 	step := func(lbl types.Label) {
-		next := Trans(s, lbl)
+		next := Trans(s, lbl, nil)
 		if len(next) != 1 {
 			t.Fatalf("%s: %d successors, want 1", lbl, len(next))
 		}
 		s = next[0]
 	}
 	step(types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})
-	done := TauFor(s, InitialPid)
+	done := TauFor(s, InitialPid, nil)
 	if len(done) != 1 {
 		t.Fatalf("mkdir /a: %d successors, want 1", len(done))
 	}
@@ -133,12 +133,12 @@ func TestLocalTauAllocs(t *testing.T) {
 		{"stat", 2, 10},
 		{"EEXIST", 3, 7},
 	} {
-		succs := TauFor(s, c.pid)
+		succs := TauFor(s, c.pid, nil)
 		if len(succs) != 1 {
 			t.Fatalf("%s: %d successors, want 1", c.name, len(succs))
 		}
 		n := testing.AllocsPerRun(100, func() {
-			for _, ns := range TauFor(s, c.pid) {
+			for _, ns := range TauFor(s, c.pid, nil) {
 				ns.Hash()
 			}
 		})
@@ -160,11 +160,11 @@ func TestConsGetHitAllocs(t *testing.T) {
 	var lbl types.Label = types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
 	tbl := NewConsTable(0, 0)
 	key := AppendLabelKey(nil, lbl)
-	tbl.Put(src, key, Trans(src, lbl))
+	tbl.Put(src, key, Trans(src, lbl, nil), nil)
 	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = AppendLabelKey(buf[:0], lbl)
-		if _, ok := tbl.Get(src, buf); !ok {
+		if _, ok := tbl.Get(src, buf, nil); !ok {
 			t.Fatal("interned pair missed")
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cov"
 	"repro/internal/types"
 )
 
@@ -14,7 +15,9 @@ import (
 // hash-cons tables recompute the same clones and digests tens of thousands
 // of times per run. The table interns the successor set of a (source state,
 // label) pair once and replays it for every later trace that reaches the
-// same state.
+// same state. Each entry keeps the coverage points its fan-out hit, and a
+// replay records them again, so a trace's coverage set does not depend on
+// whether its transitions were computed or replayed.
 //
 // Entries are keyed by the source state's *pointer identity*, not by
 // StateEqual: StateEqual deliberately ignores fields Trans depends on
@@ -34,13 +37,13 @@ import (
 // under 0.5% of hits, while its lock put every lookup's atomics on a
 // cache line that both cores wrote.
 //
-// Concurrency: safe for concurrent use. The lock is uncontended across
-// traces but still guards a checker's within-trace fan-out (TauWorkers >
-// 1), where two goroutines may miss on the same pair and Put converges on
-// the winner. Successor states are published only hashed and frozen
-// (Hash() then Freeze()), after which Hash, StateEqual and Clone on them
-// are pure reads. Callers must treat returned successor slices as
-// immutable.
+// Concurrency: safe for concurrent use, and Stats may be read from
+// another goroutine while the owner checks. The lock is uncontended: one
+// trace is checked on one goroutine, and a table belongs to one worker.
+// Should two goroutines miss on the same pair, Put converges on the
+// winner. Successor states are published only hashed and frozen (Hash()
+// then Freeze()), after which Hash, StateEqual and Clone on them are pure
+// reads. Callers must treat returned successor slices as immutable.
 //
 // Memory is bounded by an epoch reset: once the retained-state count
 // passes the cap the whole table is cleared (the shared initial state
@@ -52,7 +55,7 @@ type ConsTable struct {
 	// m is made at the first Put, sized for hint entries, so a table that
 	// never misses (a warm run's) allocates nothing; an epoch reset clears
 	// it in place and keeps the buckets for the next epoch.
-	m    map[consKey][]*OsState
+	m    map[consKey]consEntry
 	hint int
 	// retained counts the *OsState pointers the table keeps alive (the
 	// interned successors); the epoch reset triggers when it passes cap.
@@ -67,6 +70,13 @@ type ConsTable struct {
 type consKey struct {
 	src *OsState
 	lbl string
+}
+
+// consEntry is one interned fan-out: the successors and the coverage
+// points computing them hit.
+type consEntry struct {
+	succs []*OsState
+	hits  cov.Set
 }
 
 // DefaultConsCap bounds the states a run's cons tables may retain in total
@@ -89,28 +99,31 @@ func NewConsTable(maxStates, sizeHint int) *ConsTable {
 }
 
 // Get returns the interned successors of (src, key) and whether the pair
-// was present. The lookup converts key in place (the compiler elides the
-// string conversion of a map index), so a hit allocates nothing; callers
-// may reuse key's storage as soon as Get returns.
-func (t *ConsTable) Get(src *OsState, key []byte) ([]*OsState, bool) {
+// was present, adding the entry's coverage points to hits on a hit. The
+// lookup converts key in place (the compiler elides the string conversion
+// of a map index), so a hit allocates nothing; callers may reuse key's
+// storage as soon as Get returns.
+func (t *ConsTable) Get(src *OsState, key []byte, hits *cov.Set) ([]*OsState, bool) {
 	t.mu.RLock()
-	succs, ok := t.m[consKey{src, string(key)}]
+	e, ok := t.m[consKey{src, string(key)}]
 	t.mu.RUnlock()
 	if ok {
 		t.hits.Add(1)
-		return succs, true
+		hits.Or(&e.hits)
+		return e.succs, true
 	}
 	t.misses.Add(1)
 	return nil, false
 }
 
-// Put interns succs as the fan-out of (src, key), hashing and freezing
-// every successor first (the publication protocol that makes later shared
-// reads race-free), and returns the canonical slice: when a concurrent Put
-// of the same pair won the race, the winner's (identical) successors are
-// returned so every caller converges on the same interned objects. src
-// must already be frozen. key is copied only when the entry is stored.
-func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState) []*OsState {
+// Put interns succs as the fan-out of (src, key), with the coverage
+// points computing it hit, hashing and freezing every successor first
+// (the publication protocol that makes later shared reads race-free), and
+// returns the canonical slice: when a concurrent Put of the same pair won
+// the race, the winner's (identical) successors are returned so every
+// caller converges on the same interned objects. src must already be
+// frozen. key is copied only when the entry is stored.
+func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState, hits *cov.Set) []*OsState {
 	for _, ns := range succs {
 		ns.Hash()
 		ns.Freeze()
@@ -118,10 +131,10 @@ func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState) []*OsState {
 	t.mu.Lock()
 	if won, dup := t.m[consKey{src, string(key)}]; dup {
 		t.mu.Unlock()
-		return won
+		return won.succs
 	}
 	if t.m == nil {
-		t.m = make(map[consKey][]*OsState, t.hint)
+		t.m = make(map[consKey]consEntry, t.hint)
 	}
 	if t.retained+len(succs) > t.cap && t.retained > 0 {
 		// Epoch reset: drop everything rather than evict piecemeal. The
@@ -130,7 +143,11 @@ func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState) []*OsState {
 		t.retained = 0
 		t.resets.Add(1)
 	}
-	t.m[consKey{src, string(key)}] = succs
+	e := consEntry{succs: succs}
+	if hits != nil {
+		e.hits = *hits
+	}
+	t.m[consKey{src, string(key)}] = e
 	t.retained += len(succs)
 	t.mu.Unlock()
 	return succs

@@ -18,14 +18,14 @@ func TestConsTableInternsAndConverges(t *testing.T) {
 
 	lbl := types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
 	key := AppendLabelKey(nil, lbl)
-	if _, ok := tbl.Get(src, key); ok {
+	if _, ok := tbl.Get(src, key, nil); ok {
 		t.Fatal("empty table reported a hit")
 	}
-	succs := Trans(src, lbl)
+	succs := Trans(src, lbl, nil)
 	if len(succs) == 0 {
 		t.Fatal("mkdir produced no successors")
 	}
-	won := tbl.Put(src, key, succs)
+	won := tbl.Put(src, key, succs, nil)
 	if len(won) != len(succs) || won[0] != succs[0] {
 		t.Fatal("first Put did not intern its own successors")
 	}
@@ -37,14 +37,14 @@ func TestConsTableInternsAndConverges(t *testing.T) {
 			t.Fatal("Put published an unhashed successor")
 		}
 	}
-	got, ok := tbl.Get(src, key)
+	got, ok := tbl.Get(src, key, nil)
 	if !ok || got[0] != succs[0] {
 		t.Fatal("Get did not return the interned slice")
 	}
 	// A racing loser must converge on the winner's objects, not keep its
 	// own equal-but-distinct recomputation.
-	dup := Trans(src, lbl)
-	if again := tbl.Put(src, key, dup); again[0] != succs[0] {
+	dup := Trans(src, lbl, nil)
+	if again := tbl.Put(src, key, dup, nil); again[0] != succs[0] {
 		t.Fatal("second Put kept the loser's successors")
 	}
 	st := tbl.Stats()
@@ -70,11 +70,11 @@ func TestConsTableEpochReset(t *testing.T) {
 	maxFan := 0
 	for _, p := range paths {
 		lbl := types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: p, Perm: 0o755}}
-		succs := Trans(src, lbl)
+		succs := Trans(src, lbl, nil)
 		if len(succs) > maxFan {
 			maxFan = len(succs)
 		}
-		tbl.Put(src, AppendLabelKey(nil, lbl), succs)
+		tbl.Put(src, AppendLabelKey(nil, lbl), succs, nil)
 		if got := tbl.Stats().Retained; got > cap+maxFan {
 			t.Fatalf("retained %d states, cap %d + fan-out %d", got, cap, maxFan)
 		}
@@ -88,7 +88,7 @@ func TestConsTableEpochReset(t *testing.T) {
 	if st := tbl.Stats(); st.Retained != 0 {
 		t.Fatalf("Reset left %d retained states", st.Retained)
 	}
-	if _, ok := tbl.Get(src, AppendLabelKey(nil, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})); ok {
+	if _, ok := tbl.Get(src, AppendLabelKey(nil, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}), nil); ok {
 		t.Fatal("Reset left an entry behind")
 	}
 }
@@ -132,14 +132,14 @@ func TestClosureSkipsMemoWithoutCallingProc(t *testing.T) {
 	lookups := func() int64 { st := memo.Stats(); return st.Hits + st.Misses }
 	closure := func(s *OsState) (int, int64) {
 		before := lookups()
-		out, _, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: true, Workers: 1, Memo: memo})
+		out, _, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: true, Memo: memo})
 		return len(out), lookups() - before
 	}
 	idle := NewOsState(types.DefaultSpec())
 	if n, got := closure(idle); n != 1 || got != 0 {
 		t.Errorf("closure of an idle state: %d states, %d cons lookups; want 1, 0", n, got)
 	}
-	called := Trans(idle, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}})
+	called := Trans(idle, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/d", Perm: 0o755}}, nil)
 	if len(called) != 1 {
 		t.Fatalf("mkdir call gave %d states", len(called))
 	}

@@ -1,7 +1,11 @@
 package osspec
 
 import (
+	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/cov"
 
 	"repro/internal/types"
 )
@@ -11,11 +15,11 @@ import (
 func withCaller(t *testing.T, spec types.Spec) *OsState {
 	t.Helper()
 	s := NewOsState(spec)
-	created := Trans(s, types.CreateLabel{Pid: 2})
+	created := Trans(s, types.CreateLabel{Pid: 2}, nil)
 	if len(created) != 1 {
 		t.Fatalf("create 2: %d successors", len(created))
 	}
-	called := Trans(created[0], types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/x", Perm: 0o755}})
+	called := Trans(created[0], types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/x", Perm: 0o755}}, nil)
 	if len(called) != 1 {
 		t.Fatalf("call 2: %d successors", len(called))
 	}
@@ -59,19 +63,19 @@ func TestReturnCovered(t *testing.T) {
 // is ignored.
 func TestTauClosureCovered(t *testing.T) {
 	x := withCaller(t, types.DefaultSpec())
-	called := Trans(x, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/y", Perm: 0o755}})
+	called := Trans(x, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/y", Perm: 0o755}}, nil)
 	if len(called) != 1 {
 		t.Fatalf("call 1: %d successors", len(called))
 	}
 	x = called[0]
-	y := TauFor(x, 2)
+	y := TauFor(x, 2, nil)
 	if len(y) != 1 {
 		t.Fatalf("τ_2: %d successors", len(y))
 	}
 	seeds := []*OsState{x, y[0]}
 	for _, dedup := range []bool{true, false} {
-		plain, n, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup, Workers: 1})
-		masked, m, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup, Workers: 1, Covered: []uint64{PidBit(2), 0}})
+		plain, n, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup})
+		masked, m, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup, Covered: []uint64{PidBit(2), 0}})
 		if len(masked) != len(plain) {
 			t.Fatalf("dedup %v: %d states with the mask, %d without", dedup, len(masked), len(plain))
 		}
@@ -131,9 +135,9 @@ func TestLocalSuccessors(t *testing.T) {
 		types.TauLabel{},
 		types.ReturnLabel{Pid: InitialPid, Ret: types.RvFD{FD: 3}},
 	} {
-		next := Trans(base, lbl)
+		next := Trans(base, lbl, nil)
 		if _, tau := lbl.(types.TauLabel); tau {
-			next = TauFor(base, InitialPid)
+			next = TauFor(base, InitialPid, nil)
 		}
 		if len(next) != 1 {
 			t.Fatalf("%s: %d successors, want 1", lbl, len(next))
@@ -142,11 +146,11 @@ func TestLocalSuccessors(t *testing.T) {
 	}
 	call := func(cmd types.Command) (*OsState, []*OsState) {
 		t.Helper()
-		called := Trans(base, types.CallLabel{Pid: InitialPid, Cmd: cmd})
+		called := Trans(base, types.CallLabel{Pid: InitialPid, Cmd: cmd}, nil)
 		if len(called) != 1 {
 			t.Fatalf("call %s: %d successors", cmd, len(called))
 		}
-		return called[0], TauFor(called[0], InitialPid)
+		return called[0], TauFor(called[0], InitialPid, nil)
 	}
 	isErr := func(c *OsState) bool {
 		pe, ok := c.Proc(InitialPid).PendingRet.(PendingExact)
@@ -207,42 +211,55 @@ func TestLocalSuccessors(t *testing.T) {
 	}
 }
 
-// TestTauClosureWorkersAgree: serial and two-worker closures of a
-// five-way race agree, with dedup (sleep bits carried through parallel
-// rounds) and without (no masks at all).
+// TestTauClosureWorkersAgree: two workers closing the same frozen
+// five-way race at once, each on its own goroutine with its own coverage
+// set, agree with each other and with a closure run alone — states,
+// expansions and coverage — with dedup (sleep bits) and without (no
+// masks at all). Traces checked on several goroutines share their
+// initial state this way; under -race this pins those reads race-free.
 func TestTauClosureWorkersAgree(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
 	for pid := types.Pid(2); pid <= 5; pid++ {
-		s = Trans(s, types.CreateLabel{Pid: pid})[0]
+		s = Trans(s, types.CreateLabel{Pid: pid}, nil)[0]
 	}
 	for pid := types.Pid(1); pid <= 5; pid++ {
 		cmd := types.Command(types.Mkdir{Path: "/x", Perm: 0o755})
 		if pid%2 == 0 {
 			cmd = types.Stat{Path: "/x"}
 		}
-		s = Trans(s, types.CallLabel{Pid: pid, Cmd: cmd})[0]
+		s = Trans(s, types.CallLabel{Pid: pid, Cmd: cmd}, nil)[0]
+	}
+	s.Hash()
+	s.Freeze()
+	type run struct {
+		fps  []string
+		n    int
+		hits cov.Set
+	}
+	closure := func(dedup bool) (r run) {
+		out, n, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: dedup, Cov: &r.hits})
+		r.n = n
+		for _, st := range out {
+			r.fps = append(r.fps, st.Fingerprint())
+		}
+		return r
 	}
 	for _, dedup := range []bool{true, false} {
-		var stats [2]ClosureStats
-		var fps [2][]string
-		var ns [2]int
-		for i, workers := range []int{1, 2} {
-			out, n, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: dedup, Workers: workers, Stats: &stats[i]})
-			ns[i] = n
-			for _, st := range out {
-				fps[i] = append(fps[i], st.Fingerprint())
-			}
+		want := closure(dedup)
+		var got [2]run
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w] = closure(dedup)
+			}()
 		}
-		if stats[1].ParallelRounds == 0 {
-			t.Fatalf("dedup %v: no parallel round on two workers", dedup)
-		}
-		if ns[0] != ns[1] || len(fps[0]) != len(fps[1]) {
-			t.Fatalf("dedup %v: %d states from %d expansions serially, %d from %d on two workers",
-				dedup, len(fps[0]), ns[0], len(fps[1]), ns[1])
-		}
-		for i := range fps[0] {
-			if fps[0][i] != fps[1][i] {
-				t.Fatalf("dedup %v: state %d differs on two workers", dedup, i)
+		wg.Wait()
+		for w, g := range got {
+			if !reflect.DeepEqual(g, want) {
+				t.Fatalf("dedup %v: worker %d closed %d states from %d expansions (points %v), alone %d from %d (%v)",
+					dedup, w, len(g.fps), g.n, g.hits.Names(), len(want.fps), want.n, want.hits.Names())
 			}
 		}
 	}

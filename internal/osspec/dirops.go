@@ -18,12 +18,12 @@ var (
 
 // opendirCall implements opendir(3): the file-system module validates the
 // path; the OS layer allocates the handle and takes the must-set snapshot.
-func opendirCall(s *OsState, pid types.Pid, cmd types.Opendir) []*OsState {
-	dir, res := fsspec.OpendirSpec(ctxFor(s, pid), cmd)
+func opendirCall(s *OsState, pid types.Pid, cmd types.Opendir, hits *cov.Set) []*OsState {
+	dir, res := fsspec.OpendirSpec(ctxFor(s, pid, hits), cmd)
 	if len(res.Oks) == 0 {
 		return fromResult(s, pid, res)
 	}
-	cov.Hit(covOpendirAlloc)
+	hits.Hit(covOpendirAlloc)
 	dh := s.procs.get(pid).NextDH
 	return []*OsState{succExact(s, pid, types.RvDH{DH: dh}, func(c *OsState) {
 		p := c.mutProc(pid)
@@ -43,24 +43,24 @@ func opendirCall(s *OsState, pid types.Pid, cmd types.Opendir) []*OsState {
 // readdirCall implements readdir(3): the successor carries the must/may
 // pattern; the concrete entry (or end-of-stream) observed in the trace
 // resolves the nondeterminism at the next step, exactly as described in §3.
-func readdirCall(s *OsState, pid types.Pid, cmd types.Readdir) []*OsState {
+func readdirCall(s *OsState, pid types.Pid, cmd types.Readdir, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	if _, ok := p.Dhs[cmd.DH]; !ok {
-		cov.Hit(covReaddirBad)
+		hits.Hit(covReaddirBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
-	cov.Hit(covReaddirOk)
+	hits.Hit(covReaddirOk)
 	return []*OsState{succPending(s, pid, PendingReaddir{Pid: pid, DH: cmd.DH}, nil)}
 }
 
 // closedirCall implements closedir(3).
-func closedirCall(s *OsState, pid types.Pid, cmd types.Closedir) []*OsState {
+func closedirCall(s *OsState, pid types.Pid, cmd types.Closedir, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	if _, ok := p.Dhs[cmd.DH]; !ok {
-		cov.Hit(covClosedirBad)
+		hits.Hit(covClosedirBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
-	cov.Hit(covClosedirOk)
+	hits.Hit(covClosedirOk)
 	return []*OsState{succExact(s, pid, types.RvNone{}, func(c *OsState) {
 		delete(c.mutDhs(pid), cmd.DH)
 	})}
@@ -68,13 +68,13 @@ func closedirCall(s *OsState, pid types.Pid, cmd types.Closedir) []*OsState {
 
 // rewinddirCall implements rewinddir(3): the stream restarts from the
 // directory's current contents; previous bookkeeping is discarded.
-func rewinddirCall(s *OsState, pid types.Pid, cmd types.Rewinddir) []*OsState {
+func rewinddirCall(s *OsState, pid types.Pid, cmd types.Rewinddir, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	if _, ok := p.Dhs[cmd.DH]; !ok {
-		cov.Hit(covRewindBad)
+		hits.Hit(covRewindBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
-	cov.Hit(covRewindOk)
+	hits.Hit(covRewindOk)
 	return []*OsState{succExact(s, pid, types.RvNone{}, func(c *OsState) {
 		h := c.mutDh(pid, cmd.DH)
 		snap := currentEntries(c, h.Dir)

@@ -1,6 +1,7 @@
 package osspec
 
 import (
+	"repro/internal/cov"
 	"repro/internal/fsspec"
 	"repro/internal/state"
 	"repro/internal/types"
@@ -8,9 +9,10 @@ import (
 
 // ctxFor builds the file-system module's evaluation context for one
 // process: the process's view of the world (cwd, umask, credentials) plus
-// the shared heap and spec. Without supplementary groups InGroup stays
-// nil, which means the same and spares a method value per call.
-func ctxFor(s *OsState, pid types.Pid) *fsspec.Ctx {
+// the shared heap and spec, recording coverage in hits. Without
+// supplementary groups InGroup stays nil, which means the same and spares
+// a method value per call.
+func ctxFor(s *OsState, pid types.Pid, hits *cov.Set) *fsspec.Ctx {
 	p := s.procs.get(pid)
 	c := &fsspec.Ctx{
 		Spec:     s.Spec,
@@ -20,6 +22,7 @@ func ctxFor(s *OsState, pid types.Pid) *fsspec.Ctx {
 		Umask:    p.Umask,
 		Euid:     p.Euid,
 		Egid:     p.Egid,
+		Cov:      hits,
 	}
 	if len(s.groups) > 0 {
 		c.InGroup = s.InGroup
@@ -45,9 +48,10 @@ func fromResult(s *OsState, pid types.Pid, res fsspec.Result) []*OsState {
 }
 
 // dispatch is the per-command core of os_trans's τ step: it evaluates cmd
-// for process pid in state s and returns the successor states.
-func dispatch(s *OsState, pid types.Pid, cmd types.Command) []*OsState {
-	c := ctxFor(s, pid)
+// for process pid in state s, recording coverage in hits, and returns the
+// successor states.
+func dispatch(s *OsState, pid types.Pid, cmd types.Command, hits *cov.Set) []*OsState {
+	c := ctxFor(s, pid, hits)
 	switch cm := cmd.(type) {
 	// Path-based commands: delegate to the file-system module.
 	case types.Mkdir:
@@ -99,19 +103,19 @@ func dispatch(s *OsState, pid types.Pid, cmd types.Command) []*OsState {
 
 	// Descriptor-based commands.
 	case types.Open:
-		return openCall(s, pid, cm)
+		return openCall(s, pid, cm, hits)
 	case types.Close:
-		return closeCall(s, pid, cm)
+		return closeCall(s, pid, cm, hits)
 	case types.Read:
-		return readCall(s, pid, cm.FD, cm.Size, -1, true)
+		return readCall(s, pid, cm.FD, cm.Size, -1, true, hits)
 	case types.Pread:
-		return readCall(s, pid, cm.FD, cm.Size, cm.Off, false)
+		return readCall(s, pid, cm.FD, cm.Size, cm.Off, false, hits)
 	case types.Write:
-		return writeCall(s, pid, cm.FD, cm.Data, cm.Size, -1, true)
+		return writeCall(s, pid, cm.FD, cm.Data, cm.Size, -1, true, hits)
 	case types.Pwrite:
-		return writeCall(s, pid, cm.FD, cm.Data, cm.Size, cm.Off, false)
+		return writeCall(s, pid, cm.FD, cm.Data, cm.Size, cm.Off, false, hits)
 	case types.Lseek:
-		return lseekCall(s, pid, cm)
+		return lseekCall(s, pid, cm, hits)
 	case types.Fsync:
 		return fsyncCall(s, pid, cm)
 	case types.Sync:
@@ -119,13 +123,13 @@ func dispatch(s *OsState, pid types.Pid, cmd types.Command) []*OsState {
 
 	// Directory-stream commands.
 	case types.Opendir:
-		return opendirCall(s, pid, cm)
+		return opendirCall(s, pid, cm, hits)
 	case types.Readdir:
-		return readdirCall(s, pid, cm)
+		return readdirCall(s, pid, cm, hits)
 	case types.Closedir:
-		return closedirCall(s, pid, cm)
+		return closedirCall(s, pid, cm, hits)
 	case types.Rewinddir:
-		return rewinddirCall(s, pid, cm)
+		return rewinddirCall(s, pid, cm, hits)
 	}
 	// Unknown command: treat as undefined behaviour rather than crashing
 	// the oracle (forward compatibility with extended scripts).

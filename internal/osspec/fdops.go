@@ -26,15 +26,15 @@ var (
 
 // openCall implements open(2): the file-system module decides the envelope
 // and the success shape; the OS layer allocates the descriptor.
-func openCall(s *OsState, pid types.Pid, cmd types.Open) []*OsState {
-	d := fsspec.OpenSpec(ctxFor(s, pid), cmd)
+func openCall(s *OsState, pid types.Pid, cmd types.Open, hits *cov.Set) []*OsState {
+	d := fsspec.OpenSpec(ctxFor(s, pid, hits), cmd)
 	if d.Undefined {
 		return []*OsState{succPending(s, pid, PendingAny{Why: "open flags undefined"}, nil)}
 	}
 	if d.Errs.Len() > 0 {
 		return succErrors(s, pid, d.Errs)
 	}
-	cov.Hit(covOpenFd)
+	hits.Hit(covOpenFd)
 	fd := s.procs.get(pid).NextFD
 	return []*OsState{succExact(s, pid, types.RvFD{FD: fd}, func(c *OsState) {
 		p := c.mutProc(pid)
@@ -70,24 +70,24 @@ func openCall(s *OsState, pid types.Pid, cmd types.Open) []*OsState {
 
 // closeCall implements close(2). Close of an unknown descriptor is EBADF;
 // close itself never fails otherwise in the model (EINTR is out of scope).
-func closeCall(s *OsState, pid types.Pid, cmd types.Close) []*OsState {
+func closeCall(s *OsState, pid types.Pid, cmd types.Close, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	if _, ok := p.Fds[cmd.FD]; !ok {
-		cov.Hit(covCloseBad)
+		hits.Hit(covCloseBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
-	cov.Hit(covCloseOk)
+	hits.Hit(covCloseOk)
 	return []*OsState{succExact(s, pid, types.RvNone{}, func(c *OsState) {
 		c.closeFD(pid, cmd.FD)
 	})}
 }
 
 // readCall implements read (at = -1, seq) and pread (at ≥ 0 given, !seq).
-func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool) []*OsState {
+func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	fidRef, ok := p.Fds[fd]
 	if !ok {
-		cov.Hit(covReadBad)
+		hits.Hit(covReadBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
 	fid := s.fids[fidRef]
@@ -95,21 +95,21 @@ func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool) 
 	// kernel may report whichever failing check it tests first.
 	errs := types.NewErrnoSet()
 	if fid.IsDir {
-		cov.Hit(covReadDir)
+		hits.Hit(covReadDir)
 		errs.Add(types.EISDIR)
 	} else if !fid.Readable {
-		cov.Hit(covReadBad)
+		hits.Hit(covReadBad)
 		errs.Add(types.EBADF)
 	}
 	if size < 0 {
-		cov.Hit(covReadNeg)
+		hits.Hit(covReadNeg)
 		errs.Add(types.EINVAL)
 	}
 	if !seq && at < 0 {
 		// pread with a negative offset is EINVAL per POSIX (the OS X VFS
 		// underflow in §7.3.4 deviates from this for pwrite; pread is
 		// analogous).
-		cov.Hit(covReadNeg)
+		hits.Hit(covReadNeg)
 		errs.Add(types.EINVAL)
 	}
 	if errs.Len() > 0 {
@@ -128,21 +128,21 @@ func readCall(s *OsState, pid types.Pid, fd types.FD, size, at int64, seq bool) 
 		}
 		avail = append([]byte(nil), f.Bytes[pos:end]...)
 	}
-	cov.Hit(covReadOk)
+	hits.Hit(covReadOk)
 	return []*OsState{succPending(s, pid, PendingReadPrefix{
 		Pid: pid, Fid: fidRef, Data: avail, Seq: seq,
 	}, nil)}
 }
 
 // writeCall implements write (at = -1, seq) and pwrite (at given, !seq).
-func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int64, seq bool) []*OsState {
+func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int64, seq bool, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	if size >= 0 && size < int64(len(data)) {
 		data = data[:size]
 	}
 	fidRef, ok := p.Fds[fd]
 	if !ok {
-		cov.Hit(covWriteBad)
+		hits.Hit(covWriteBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
 	fid := s.fids[fidRef]
@@ -153,24 +153,24 @@ func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int
 			// Writing zero bytes to a read-only descriptor: POSIX leaves
 			// this implementation-defined; Linux returns 0 (§7.2 lists it
 			// among the divergences). Allow both.
-			cov.Hit(covWriteZero)
+			hits.Hit(covWriteZero)
 			return []*OsState{
 				succExact(s, pid, types.RvNum{N: 0}, nil),
 				succExact(s, pid, types.RvErr{Err: types.EBADF}, nil),
 			}
 		}
-		cov.Hit(covWriteBad)
+		hits.Hit(covWriteBad)
 		errs.Add(types.EBADF)
 	}
 	if size < 0 {
-		cov.Hit(covWriteNeg)
+		hits.Hit(covWriteNeg)
 		errs.Add(types.EINVAL)
 	}
 	if !seq && at < 0 {
 		// pwrite with a negative offset: EINVAL per POSIX. The OS X VFS
 		// integer-underflow defect (§7.3.4) is an implementation bug the
 		// oracle must flag, so every variant keeps EINVAL.
-		cov.Hit(covWriteNeg)
+		hits.Hit(covWriteNeg)
 		errs.Add(types.EINVAL)
 	}
 	if errs.Len() > 0 {
@@ -193,10 +193,10 @@ func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int
 		// Linux platform convention (§7.3.3): pwrite on an O_APPEND
 		// descriptor ignores the offset and appends. POSIX-conforming
 		// systems write at the given offset.
-		cov.Hit(covPwriteAppend)
+		hits.Hit(covPwriteAppend)
 		pos = -1
 	}
-	cov.Hit(covWriteOk)
+	hits.Hit(covWriteOk)
 	// The complete write applies its content effect here, at the τ point —
 	// so with concurrent calls the effect order is the τ interleaving the
 	// checker's closure explores, not the order returns happen to be
@@ -223,11 +223,11 @@ func writeCall(s *OsState, pid types.Pid, fd types.FD, data []byte, size, at int
 }
 
 // lseekCall implements lseek(2).
-func lseekCall(s *OsState, pid types.Pid, cmd types.Lseek) []*OsState {
+func lseekCall(s *OsState, pid types.Pid, cmd types.Lseek, hits *cov.Set) []*OsState {
 	p := s.procs.get(pid)
 	fidRef, ok := p.Fds[cmd.FD]
 	if !ok {
-		cov.Hit(covLseekBad)
+		hits.Hit(covLseekBad)
 		return succErrors(s, pid, types.NewErrnoSet(types.EBADF))
 	}
 	fid := s.fids[fidRef]
@@ -242,15 +242,15 @@ func lseekCall(s *OsState, pid types.Pid, cmd types.Lseek) []*OsState {
 			base = int64(len(f.Bytes))
 		}
 	default:
-		cov.Hit(covLseekInval)
+		hits.Hit(covLseekInval)
 		return succErrors(s, pid, types.NewErrnoSet(types.EINVAL))
 	}
 	target := base + cmd.Off
 	if target < 0 {
-		cov.Hit(covLseekInval)
+		hits.Hit(covLseekInval)
 		return succErrors(s, pid, types.NewErrnoSet(types.EINVAL))
 	}
-	cov.Hit(covLseekOk)
+	hits.Hit(covLseekOk)
 	return []*OsState{succExact(s, pid, types.RvNum{N: target}, func(c *OsState) {
 		if f := c.mutFid(fidRef); f != nil {
 			f.Offset = target

@@ -58,7 +58,7 @@ func randomWalkStates(rng *rand.Rand, steps int) []*OsState {
 	nextPid := types.Pid(2)
 	for i := 0; i < steps; i++ {
 		if rng.Intn(8) == 0 {
-			if created := Trans(cur, types.CreateLabel{Pid: nextPid, Uid: 0, Gid: 0}); len(created) > 0 {
+			if created := Trans(cur, types.CreateLabel{Pid: nextPid, Uid: 0, Gid: 0}, nil); len(created) > 0 {
 				nextPid++
 				cur = created[0]
 				pool = append(pool, cur)
@@ -69,12 +69,12 @@ func randomWalkStates(rng *rand.Rand, steps int) []*OsState {
 		if nextPid > 2 && rng.Intn(3) == 0 {
 			pid = types.Pid(2 + rng.Intn(int(nextPid)-2))
 		}
-		called := Trans(cur, types.CallLabel{Pid: pid, Cmd: cmds()})
+		called := Trans(cur, types.CallLabel{Pid: pid, Cmd: cmds()}, nil)
 		if len(called) == 0 {
 			continue
 		}
 		pool = append(pool, called...)
-		cands := TauFor(called[0], pid)
+		cands := TauFor(called[0], pid, nil)
 		if len(cands) == 0 {
 			cur = called[0]
 			continue
@@ -85,7 +85,7 @@ func randomWalkStates(rng *rand.Rand, steps int) []*OsState {
 		if len(rvs) == 0 {
 			continue
 		}
-		after := Trans(cand, types.ReturnLabel{Pid: pid, Ret: rvs[rng.Intn(len(rvs))]})
+		after := Trans(cand, types.ReturnLabel{Pid: pid, Ret: rvs[rng.Intn(len(rvs))]}, nil)
 		if len(after) == 0 {
 			continue
 		}
@@ -151,7 +151,7 @@ func TestCloneMutatePairs(t *testing.T) {
 		}
 		// Mutate the clone through a real transition (the only supported
 		// mutation path) and require the pair to separate consistently.
-		called := Trans(c, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/zz", Perm: 0o700}})
+		called := Trans(c, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/zz", Perm: 0o700}}, nil)
 		if len(called) == 0 {
 			continue
 		}
@@ -270,7 +270,7 @@ func TestPendingIdentityMatchesFingerprint(t *testing.T) {
 func TestProcTableOrder(t *testing.T) {
 	step := func(s *OsState, l types.Label) *OsState {
 		t.Helper()
-		next := Trans(s, l)
+		next := Trans(s, l, nil)
 		if len(next) != 1 {
 			t.Fatalf("%v: %d successors, want 1", l, len(next))
 		}

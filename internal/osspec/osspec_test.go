@@ -8,11 +8,11 @@ import (
 
 func callRet(t *testing.T, s *OsState, pid types.Pid, cmd types.Command) ([]*OsState, []types.RetValue) {
 	t.Helper()
-	called := Trans(s, types.CallLabel{Pid: pid, Cmd: cmd})
+	called := Trans(s, types.CallLabel{Pid: pid, Cmd: cmd}, nil)
 	if len(called) != 1 {
 		t.Fatalf("call %v: %d successors", cmd, len(called))
 	}
-	cands := TauFor(called[0], pid)
+	cands := TauFor(called[0], pid, nil)
 	if len(cands) == 0 {
 		t.Fatalf("tau %v: no successors", cmd)
 	}
@@ -32,7 +32,7 @@ func run(t *testing.T, s *OsState, pid types.Pid, cmd types.Command) (*OsState, 
 	var bestRv types.RetValue
 	for _, c := range cands {
 		for _, rv := range ConcreteReturns(c, pid) {
-			after := Trans(c, types.ReturnLabel{Pid: pid, Ret: rv})
+			after := Trans(c, types.ReturnLabel{Pid: pid, Ret: rv}, nil)
 			if len(after) == 0 {
 				continue
 			}
@@ -49,31 +49,31 @@ func run(t *testing.T, s *OsState, pid types.Pid, cmd types.Command) (*OsState, 
 
 func TestCallBlocksProcess(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/"}})
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/"}}, nil)
 	if len(called) != 1 {
 		t.Fatal("call failed")
 	}
 	// A second call from the same (now blocked) process is not allowed.
-	if got := Trans(called[0], types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/"}}); len(got) != 0 {
+	if got := Trans(called[0], types.CallLabel{Pid: 1, Cmd: types.Stat{Path: "/"}}, nil); len(got) != 0 {
 		t.Error("blocked process accepted a second call")
 	}
 	// But a different process may call (receptivity).
-	created := Trans(called[0], types.CreateLabel{Pid: 2, Uid: 0, Gid: 0})
+	created := Trans(called[0], types.CreateLabel{Pid: 2, Uid: 0, Gid: 0}, nil)
 	if len(created) != 1 {
 		t.Fatal("create failed")
 	}
-	if got := Trans(created[0], types.CallLabel{Pid: 2, Cmd: types.Stat{Path: "/"}}); len(got) != 1 {
+	if got := Trans(created[0], types.CallLabel{Pid: 2, Cmd: types.Stat{Path: "/"}}, nil); len(got) != 1 {
 		t.Error("receptivity violated")
 	}
 }
 
 func TestTauProcessesAnyCallingProcess(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
-	s2 := Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0})[0]
-	a := Trans(s2, types.CallLabel{Pid: 1, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}})[0]
-	b := Trans(a, types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/b", Perm: 0o755}})[0]
+	s2 := Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0}, nil)[0]
+	a := Trans(s2, types.CallLabel{Pid: 1, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}, nil)[0]
+	b := Trans(a, types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/b", Perm: 0o755}}, nil)[0]
 	// τ may process either pending call: two distinct successors.
-	succ := Trans(b, types.TauLabel{})
+	succ := Trans(b, types.TauLabel{}, nil)
 	if len(succ) != 2 {
 		t.Fatalf("tau successors = %d, want 2 (concurrency nondeterminism)", len(succ))
 	}
@@ -127,10 +127,10 @@ func TestShortReadLooseness(t *testing.T) {
 	s, _ = run(t, s, 1, types.Write{FD: fd, Data: []byte("abcdef"), Size: 6})
 	s, _ = run(t, s, 1, types.Lseek{FD: fd, Off: 0, Whence: types.SeekSet})
 	// The model must accept ANY non-empty prefix.
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Read{FD: fd, Size: 6}})[0]
-	cand := TauFor(called, 1)[0]
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Read{FD: fd, Size: 6}}, nil)[0]
+	cand := TauFor(called, 1, nil)[0]
 	for _, data := range []string{"a", "abc", "abcdef"} {
-		after := Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvBytes{Data: []byte(data)}})
+		after := Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvBytes{Data: []byte(data)}}, nil)
 		if len(after) != 1 {
 			t.Errorf("prefix %q not accepted", data)
 			continue
@@ -148,7 +148,7 @@ func TestShortReadLooseness(t *testing.T) {
 		types.RvBytes{Data: nil},
 		types.RvNum{N: 3},
 	} {
-		if after := Trans(cand, types.ReturnLabel{Pid: 1, Ret: bad}); len(after) != 0 {
+		if after := Trans(cand, types.ReturnLabel{Pid: 1, Ret: bad}, nil); len(after) != 0 {
 			t.Errorf("bad return %v accepted", bad)
 		}
 	}
@@ -158,15 +158,15 @@ func TestShortWriteLooseness(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
 	s, rv := run(t, s, 1, types.Open{Path: "/f", Flags: types.OCreat | types.OWronly, Perm: 0o644, HasPerm: true})
 	fd := rv.(types.RvFD).FD
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Write{FD: fd, Data: []byte("abcd"), Size: 4}})[0]
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Write{FD: fd, Data: []byte("abcd"), Size: 4}}, nil)[0]
 	// τ branches into the complete write (effect applied at the τ point)
 	// and the short-write continuation (effect at return-match time); the
 	// union of candidates must allow exactly n ∈ 1..4.
-	cands := TauFor(called, 1)
+	cands := TauFor(called, 1, nil)
 	trans := func(rv types.RetValue) []*OsState {
 		var after []*OsState
 		for _, cand := range cands {
-			after = append(after, Trans(cand, types.ReturnLabel{Pid: 1, Ret: rv})...)
+			after = append(after, Trans(cand, types.ReturnLabel{Pid: 1, Ret: rv}, nil)...)
 		}
 		return after
 	}
@@ -204,25 +204,25 @@ func TestReaddirMustMay(t *testing.T) {
 
 	// Any of a,b,c may come first; end is not allowed while must is
 	// non-empty.
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}})[0]
-	cand := TauFor(called, 1)[0]
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}}, nil)[0]
+	cand := TauFor(called, 1, nil)[0]
 	for _, n := range []string{"a", "b", "c"} {
-		if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: n}})) != 1 {
+		if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: n}}, nil)) != 1 {
 			t.Errorf("entry %q rejected", n)
 		}
 	}
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}})) != 0 {
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}}, nil)) != 0 {
 		t.Error("premature end-of-directory accepted")
 	}
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "zz"}})) != 0 {
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "zz"}}, nil)) != 0 {
 		t.Error("phantom entry accepted")
 	}
 
 	// Take "b"; it must not be returned again.
-	s = Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "b"}})[0]
-	called = Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}})[0]
-	cand = TauFor(called, 1)[0]
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "b"}})) != 0 {
+	s = Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "b"}}, nil)[0]
+	called = Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}}, nil)[0]
+	cand = TauFor(called, 1, nil)[0]
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "b"}}, nil)) != 0 {
 		t.Error("entry returned twice")
 	}
 }
@@ -241,23 +241,23 @@ func TestReaddirConcurrentDeletion(t *testing.T) {
 	// Delete "a" before any readdir: it becomes may — both returning it
 	// and skipping to only "b" are allowed.
 	s, _ = run(t, s, 1, types.Unlink{Path: "/d/a"})
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}})[0]
-	cand := TauFor(called, 1)[0]
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "a"}})) != 1 {
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}}, nil)[0]
+	cand := TauFor(called, 1, nil)[0]
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "a"}}, nil)) != 1 {
 		t.Error("deleted-but-unreturned entry must be allowed (may set)")
 	}
-	sB := Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "b"}})
+	sB := Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "b"}}, nil)
 	if len(sB) != 1 {
 		t.Fatal("remaining entry rejected")
 	}
 	// After "b", end is allowed (must is empty; "a" is only may).
-	called = Trans(sB[0], types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}})[0]
-	cand = TauFor(called, 1)[0]
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}})) != 1 {
+	called = Trans(sB[0], types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}}, nil)[0]
+	cand = TauFor(called, 1, nil)[0]
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}}, nil)) != 1 {
 		t.Error("end not allowed though must is drained")
 	}
 	// ... and "a" may also still be returned.
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "a"}})) != 1 {
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "a"}}, nil)) != 1 {
 		t.Error("may entry rejected after drain")
 	}
 }
@@ -271,12 +271,12 @@ func TestReaddirAddition(t *testing.T) {
 	// both allowed.
 	s, rv = run(t, s, 1, types.Open{Path: "/d/new", Flags: types.OCreat | types.OWronly, Perm: 0o644, HasPerm: true})
 	s, _ = run(t, s, 1, types.Close{FD: rv.(types.RvFD).FD})
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}})[0]
-	cand := TauFor(called, 1)[0]
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "new"}})) != 1 {
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}}, nil)[0]
+	cand := TauFor(called, 1, nil)[0]
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "new"}}, nil)) != 1 {
 		t.Error("added entry not in may set")
 	}
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}})) != 1 {
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}}, nil)) != 1 {
 		t.Error("end not allowed though must is empty")
 	}
 }
@@ -294,12 +294,12 @@ func TestRewinddirResets(t *testing.T) {
 	}
 	s, _ = run(t, s, 1, types.Rewinddir{DH: dh})
 	// After rewind, "a" must be returned again.
-	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}})[0]
-	cand := TauFor(called, 1)[0]
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}})) != 0 {
+	called := Trans(s, types.CallLabel{Pid: 1, Cmd: types.Readdir{DH: dh}}, nil)[0]
+	cand := TauFor(called, 1, nil)[0]
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{End: true}}, nil)) != 0 {
 		t.Error("end accepted right after rewind of non-empty dir")
 	}
-	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "a"}})) != 1 {
+	if len(Trans(cand, types.ReturnLabel{Pid: 1, Ret: types.RvDirent{Name: "a"}}, nil)) != 1 {
 		t.Error("entry rejected after rewind")
 	}
 }
@@ -319,13 +319,13 @@ func TestUmaskAffectsCreation(t *testing.T) {
 
 func TestProcessDestroyClosesFds(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
-	s = Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0})[0]
+	s = Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0}, nil)[0]
 	s, rv := run(t, s, 2, types.Open{Path: "/f", Flags: types.OCreat | types.OWronly, Perm: 0o644, HasPerm: true})
 	_ = rv
 	if len(s.fids) != 1 {
 		t.Fatalf("fids = %d", len(s.fids))
 	}
-	s = Trans(s, types.DestroyLabel{Pid: 2})[0]
+	s = Trans(s, types.DestroyLabel{Pid: 2}, nil)[0]
 	if len(s.fids) != 0 {
 		t.Error("descriptors leaked across destroy")
 	}
@@ -336,7 +336,7 @@ func TestProcessDestroyClosesFds(t *testing.T) {
 
 func TestPerProcessCwd(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
-	s = Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0})[0]
+	s = Trans(s, types.CreateLabel{Pid: 2, Uid: 0, Gid: 0}, nil)[0]
 	s, _ = run(t, s, 1, types.Mkdir{Path: "/a", Perm: 0o755})
 	s, _ = run(t, s, 1, types.Chdir{Path: "/a"})
 	if s.procs.get(1).Cwd == s.procs.get(2).Cwd {

@@ -16,6 +16,7 @@ package osspec
 import (
 	"fmt"
 	"math/rand"
+	"repro/internal/cov"
 	"sort"
 	"strings"
 	"testing"
@@ -61,11 +62,11 @@ func treeContents(s *OsState) string {
 // return value alongside the post-return state.
 func stepCmd(t *testing.T, s *OsState, pid types.Pid, cmd types.Command) (*OsState, types.RetValue) {
 	t.Helper()
-	called := Trans(s, types.CallLabel{Pid: pid, Cmd: cmd})
+	called := Trans(s, types.CallLabel{Pid: pid, Cmd: cmd}, nil)
 	if len(called) == 0 {
 		t.Fatalf("call %s not enabled", cmd)
 	}
-	cands := TauFor(called[0], pid)
+	cands := TauFor(called[0], pid, nil)
 	if len(cands) == 0 {
 		t.Fatalf("no τ successors for %s", cmd)
 	}
@@ -75,7 +76,7 @@ func stepCmd(t *testing.T, s *OsState, pid types.Pid, cmd types.Command) (*OsSta
 			if _, isErr := rv.(types.RvErr); isErr {
 				continue
 			}
-			if after := Trans(cand, types.ReturnLabel{Pid: pid, Ret: rv}); len(after) > 0 {
+			if after := Trans(cand, types.ReturnLabel{Pid: pid, Ret: rv}, nil); len(after) > 0 {
 				return after[0], rv
 			}
 		}
@@ -85,7 +86,7 @@ func stepCmd(t *testing.T, s *OsState, pid types.Pid, cmd types.Command) (*OsSta
 	if len(rvs) == 0 {
 		t.Fatalf("no allowed returns for %s", cmd)
 	}
-	after := Trans(cands[0], types.ReturnLabel{Pid: pid, Ret: rvs[0]})
+	after := Trans(cands[0], types.ReturnLabel{Pid: pid, Ret: rvs[0]}, nil)
 	if len(after) == 0 {
 		t.Fatalf("return %s not enabled for %s", rvs[0], cmd)
 	}
@@ -276,26 +277,27 @@ func TestCrashStateIsRemounted(t *testing.T) {
 }
 
 // TestCrashEnumerationKnobInvariance is property (c): the crash-state
-// enumeration commutes with the checker's performance knobs — τ-closure
-// worker count and the ConsTable — none of which may change results.
+// enumeration commutes with the checker's ConsTable, cold or warm, which
+// may change neither the states nor the coverage points recorded.
 func TestCrashEnumerationKnobInvariance(t *testing.T) {
 	// Build a state with genuinely concurrent in-flight calls, so the
 	// τ-closure has real work: two extra processes with pending mkdirs.
 	base := NewOsState(crashSpec())
 	base, _ = stepCmd(t, base, InitialPid, types.Mkdir{Path: "/a", Perm: 0o755})
 	for _, pid := range []types.Pid{2, 3} {
-		created := Trans(base, types.CreateLabel{Pid: pid, Uid: 0, Gid: 0})
+		created := Trans(base, types.CreateLabel{Pid: pid, Uid: 0, Gid: 0}, nil)
 		if len(created) == 0 {
 			t.Fatal("create not enabled")
 		}
 		base = created[0]
 	}
-	called := Trans(base, types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/p2", Perm: 0o755}})
-	called = Trans(called[0], types.CallLabel{Pid: 3, Cmd: types.Mkdir{Path: "/p3", Perm: 0o755}})
+	called := Trans(base, types.CallLabel{Pid: 2, Cmd: types.Mkdir{Path: "/p2", Perm: 0o755}}, nil)
+	called = Trans(called[0], types.CallLabel{Pid: 3, Cmd: types.Mkdir{Path: "/p3", Perm: 0o755}}, nil)
 	pre := called[0]
 
-	enumerate := func(workers int, memo *ConsTable) []string {
-		closure, _, _ := TauClosureWith([]*OsState{pre}, ClosureOpts{Dedup: true, Workers: workers, Memo: memo})
+	enumerate := func(memo *ConsTable) ([]string, cov.Set) {
+		var hits cov.Set
+		closure, _, _ := TauClosureWith([]*OsState{pre}, ClosureOpts{Dedup: true, Memo: memo, Cov: &hits})
 		var fps []string
 		for _, s := range closure {
 			for _, cs := range CrashStates(s) {
@@ -303,25 +305,25 @@ func TestCrashEnumerationKnobInvariance(t *testing.T) {
 			}
 		}
 		sort.Strings(fps)
-		return fps
+		return fps, hits
 	}
 
-	ref := enumerate(1, nil)
+	ref, refHits := enumerate(nil)
 	if len(ref) == 0 {
 		t.Fatal("no crash states enumerated")
 	}
 	table := NewConsTable(0, 0)
 	for _, cfg := range []struct {
-		name    string
-		workers int
-		memo    *ConsTable
+		name string
+		memo *ConsTable
 	}{
-		{"workers=4", 4, nil},
-		{"memo cold", 1, table},
-		{"memo warm", 1, table},
-		{"workers=4 memo warm", 4, table},
+		{"memo cold", table},
+		{"memo warm", table},
 	} {
-		got := enumerate(cfg.workers, cfg.memo)
+		got, hits := enumerate(cfg.memo)
+		if hits != refHits {
+			t.Fatalf("%s: coverage %v, reference %v", cfg.name, hits.Names(), refHits.Names())
+		}
 		if len(got) != len(ref) {
 			t.Fatalf("%s: %d crash states, reference %d", cfg.name, len(got), len(ref))
 		}

@@ -29,7 +29,7 @@ func TestIncrementalProcHash(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, sc := range testgen.ConcurrentScripts() {
-			tr, err := exec.RunConcurrent(context.Background(), sc, factory, exec.ConcurrentOptions{Seeded: true, Seed: seed})
+			tr, err := exec.RunConcurrent(context.Background(), sc, factory, exec.ConcurrentOptions{Seeded: true, Seed: seed}, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", sc.Name, seed, err)
 			}
@@ -43,7 +43,7 @@ func TestIncrementalProcHash(t *testing.T) {
 				set := osspec.NewStateSet(len(states))
 				var next []*osspec.OsState
 				for _, s := range states {
-					succs := osspec.Trans(s, st.Label)
+					succs := osspec.Trans(s, st.Label, nil)
 					check(sc.Name, st.Line, succs)
 					for _, ns := range succs {
 						if set.Add(ns) {

@@ -230,8 +230,8 @@ func (s *OsState) Pids() []types.Pid {
 
 // Clone shares the state copy-on-write: O(1), no table or object is copied
 // until one side writes. The source is frozen first, so cloning a frozen
-// state is a pure read — which is what lets the checker fan os_trans out
-// across goroutines over one shared frontier state. The clone and its
+// state is a pure read — which is what lets traces checked on several
+// goroutines share one initial state. The clone and its
 // heap header share one allocation (osClone).
 func (s *OsState) Clone() *OsState {
 	s.Freeze()

@@ -66,17 +66,17 @@ func randomState(t *testing.T, r *rand.Rand) *OsState {
 	s, _ = run(t, s, 1, types.Symlink{Target: "a", Linkpath: "/s"})
 	for i := 0; i < r.Intn(4); i++ {
 		cmd := randomCommand(r)
-		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd})
+		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd}, nil)
 		if len(called) == 0 {
 			continue
 		}
-		cands := TauFor(called[0], 1)
+		cands := TauFor(called[0], 1, nil)
 		if len(cands) == 0 {
 			continue
 		}
 		for _, c := range cands {
 			for _, rv := range ConcreteReturns(c, 1) {
-				if after := Trans(c, types.ReturnLabel{Pid: 1, Ret: rv}); len(after) > 0 {
+				if after := Trans(c, types.ReturnLabel{Pid: 1, Ret: rv}, nil); len(after) > 0 {
 					s = after[0]
 					goto next
 				}
@@ -95,17 +95,17 @@ func TestTheoremErrorsPreserveState(t *testing.T) {
 		s := randomState(t, r)
 		cmd := randomCommand(r)
 		before := s.fsFingerprint()
-		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd})
+		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd}, nil)
 		if len(called) == 0 {
 			continue
 		}
-		for _, cand := range TauFor(called[0], 1) {
+		for _, cand := range TauFor(called[0], 1, nil) {
 			p := cand.procs.get(1)
 			pe, ok := p.PendingRet.(PendingExact)
 			if !ok || !types.IsError(pe.Rv) {
 				continue
 			}
-			after := Trans(cand, types.ReturnLabel{Pid: 1, Ret: pe.Rv})
+			after := Trans(cand, types.ReturnLabel{Pid: 1, Ret: pe.Rv}, nil)
 			if len(after) != 1 {
 				t.Fatalf("error return did not complete: %v %v", cmd, pe.Rv)
 			}
@@ -126,12 +126,12 @@ func TestTheoremSuccessDeterministic(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		s := randomState(t, r)
 		cmd := randomCommand(r)
-		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd})
+		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd}, nil)
 		if len(called) == 0 {
 			continue
 		}
 		successes, errors, anys := 0, 0, 0
-		for _, cand := range TauFor(called[0], 1) {
+		for _, cand := range TauFor(called[0], 1, nil) {
 			switch pend := cand.procs.get(1).PendingRet.(type) {
 			case PendingExact:
 				if types.IsError(pend.Rv) {
@@ -164,12 +164,12 @@ func TestTheoremCheckingIsPure(t *testing.T) {
 		s := randomState(t, r)
 		fp := s.Fingerprint()
 		cmd := randomCommand(r)
-		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd})
+		called := Trans(s, types.CallLabel{Pid: 1, Cmd: cmd}, nil)
 		if len(called) > 0 {
-			TauFor(called[0], 1)
+			TauFor(called[0], 1, nil)
 		}
-		Trans(s, types.TauLabel{})
-		Trans(s, types.ReturnLabel{Pid: 1, Ret: types.RvNone{}})
+		Trans(s, types.TauLabel{}, nil)
+		Trans(s, types.ReturnLabel{Pid: 1, Ret: types.RvNone{}}, nil)
 		if s.Fingerprint() != fp {
 			t.Fatalf("trial %d: Trans mutated its input on %v", trial, cmd)
 		}

@@ -17,20 +17,23 @@ var (
 
 // Trans is os_trans: the transition function of the LTS. Given a state and
 // a label it returns the finite set of possible next states; an empty
-// result means the label is not allowed from this state. The function
-// never mutates s.
-func Trans(s *OsState, lbl types.Label) []*OsState { return AppendTrans(nil, s, lbl) }
+// result means the label is not allowed from this state. The coverage
+// points the evaluation hits are recorded in hits (nil: nowhere). The
+// function never mutates s.
+func Trans(s *OsState, lbl types.Label, hits *cov.Set) []*OsState {
+	return AppendTrans(nil, s, lbl, hits)
+}
 
 // AppendTrans is Trans appending the next states to dst, so a caller
 // collecting many states' successors (the checker's union) needs no
 // slice per state.
-func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
+func AppendTrans(dst []*OsState, s *OsState, lbl types.Label, hits *cov.Set) []*OsState {
 	switch l := lbl.(type) {
 	case types.CallLabel:
-		cov.Hit(covTransCall)
+		hits.Hit(covTransCall)
 		p := s.procs.get(l.Pid)
 		if p == nil || p.Run != RsRunning {
-			cov.Hit(covTransBadPid)
+			hits.Hit(covTransBadPid)
 			return dst
 		}
 		// Receptivity: a running process may always issue a call; the call
@@ -42,23 +45,23 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
 		return append(dst, c)
 
 	case types.TauLabel:
-		cov.Hit(covTransTau)
+		hits.Hit(covTransTau)
 		// An internal step processes the pending call of any one calling
 		// process — the concurrency nondeterminism of §3. Deterministic pid
 		// order so a memoised fan-out replays exactly what a fresh
 		// computation would produce.
 		for _, e := range s.procs {
 			if e.p.Run == RsCalling {
-				dst = append(dst, processCall(s, e.pid, e.p.PendingCmd)...)
+				dst = append(dst, processCall(s, e.pid, e.p.PendingCmd, hits)...)
 			}
 		}
 		return dst
 
 	case types.ReturnLabel:
-		cov.Hit(covTransReturn)
+		hits.Hit(covTransReturn)
 		p := s.procs.get(l.Pid)
 		if p == nil || p.Run != RsReturning || p.PendingRet == nil {
-			cov.Hit(covTransBadPid)
+			hits.Hit(covTransBadPid)
 			return dst
 		}
 		if !p.PendingRet.Match(s, l.Ret) {
@@ -75,7 +78,7 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
 		return append(dst, c)
 
 	case types.CreateLabel:
-		cov.Hit(covTransCreate)
+		hits.Hit(covTransCreate)
 		if s.procs.get(l.Pid) != nil {
 			return dst
 		}
@@ -84,7 +87,7 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
 		return append(dst, c)
 
 	case types.DestroyLabel:
-		cov.Hit(covTransDestroy)
+		hits.Hit(covTransDestroy)
 		p := s.procs.get(l.Pid)
 		if p == nil || p.Run != RsRunning {
 			return dst
@@ -102,7 +105,7 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
 		return append(dst, c)
 
 	case types.CrashLabel:
-		cov.Hit(covTransCrash)
+		hits.Hit(covTransCrash)
 		// The oracle ignores l.Keep: a single crash label admits every
 		// durable state the persistence model allows here, and later
 		// observations prune the set. Outside crash mode the label is
@@ -116,8 +119,8 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label) []*OsState {
 // processCall evaluates the pending command of pid against s, returning one
 // successor per allowed behaviour, each in RsReturning with the pending
 // return recorded. s itself is not mutated.
-func processCall(s *OsState, pid types.Pid, cmd types.Command) []*OsState {
-	return dispatch(s, pid, cmd)
+func processCall(s *OsState, pid types.Pid, cmd types.Command, hits *cov.Set) []*OsState {
+	return dispatch(s, pid, cmd, hits)
 }
 
 // succExact builds a successor where pid will return exactly rv; apply (if

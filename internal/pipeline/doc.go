@@ -1,8 +1,7 @@
 // Package pipeline is the batch orchestration layer over the Fig 1 flow:
 // it shards a suite of test scripts across a pool of workers (parallelism
-// *across* traces, complementing the checker's within-trace TauWorkers),
-// executes and checks each script, and streams one Record per trace to a
-// crash-safe JSONL sink. A content-addressed result cache keyed by
+// *across* traces; each trace is executed and checked on one worker),
+// and streams one Record per trace to a crash-safe JSONL sink. A content-addressed result cache keyed by
 //
 //	(script hash, spec/model version hash, run-config hash)
 //
@@ -29,8 +28,8 @@
 // atomic line in the sink, a cancelled run's journal is always a valid
 // resume log — finishing it later yields the same canonical bytes as an
 // uninterrupted run. Config.Observe streams records as jobs finish, and
-// Config.Cov attributes each job's model coverage to an isolated
-// cov.Registry instead of the process-wide counters.
+// Config.Cov receives the run's model coverage: each worker counts its
+// jobs' coverage sets and merges the counts once, when the run ends.
 //
 // cmd/sfs-run is the CLI for this package; sfs-report and internal/fuzz
 // reuse the cache and the record stream. sibylfs.Session.Run is the

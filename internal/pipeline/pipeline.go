@@ -42,12 +42,8 @@ type Config struct {
 	// use it to force invalidation; leave empty otherwise.
 	ModelVersion string
 	// Workers bounds cross-trace parallelism (≤ 0 selects GOMAXPROCS).
+	// Each trace is executed and checked on one worker.
 	Workers int
-	// TauWorkers bounds within-trace parallelism (checker.TauWorkers).
-	// The pipeline default is 1: with Workers saturating the cores across
-	// traces, fanning out inside each trace as well only adds scheduling
-	// overhead. Raise it for few-trace, heavily concurrent workloads.
-	TauWorkers int
 	// MaxStateSet caps the checker's tracked state set (0 = the checker
 	// default). Part of the cache key: a different cap can change verdicts.
 	MaxStateSet int
@@ -89,11 +85,10 @@ type Config struct {
 	// serialized but arrive in completion order, which is nondeterministic
 	// under parallel workers; the returned slice stays in job order.
 	Observe func(Record)
-	// Cov, when non-nil, is an isolated coverage registry: each job's
-	// execute-and-check runs inside a cov Collect window and its model
-	// coverage is attributed to this registry instead of the process-wide
-	// one. Windows serialize model evaluation process-wide — prefer nil
-	// (shared coverage) for throughput.
+	// Cov receives the run's model coverage (nil selects cov.Default):
+	// each executed job records its execution's and its check's points in
+	// a set of its own, its worker counts them, and every worker's counts
+	// are merged into Cov once, when the run ends however it ends.
 	Cov *cov.Registry
 	// Log, when non-nil, receives progress lines: a rate-limited status
 	// line (at most one per progressInterval — completed/total, cache hit
@@ -270,6 +265,13 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		return true
 	})
 	st.Elapsed = time.Since(start)
+	reg := cfg.Cov
+	if reg == nil {
+		reg = cov.Default
+	}
+	for _, w := range ws {
+		reg.Add(&w.covered)
+	}
 	// Group-commit barrier: every exit — success, job error, cancel —
 	// passes through here, so each record that reached the cache is
 	// durable whenever the resume journal is. On the failure paths the
@@ -306,19 +308,24 @@ const keyBatch = 128
 
 // Test hooks, nil outside tests: jobFailedHook runs once a job error has
 // marked the run failed, runDoneHook with the run's worker slots before
-// Run returns.
+// Run returns, jobCoverageHook with each executed job's coverage set (from
+// every worker at once).
 var (
-	jobFailedHook func()
-	runDoneHook   func([]*worker)
+	jobFailedHook   func()
+	runDoneHook     func([]*worker)
+	jobCoverageHook func(script string, hits cov.Set)
 )
 
 // worker is one pipeline worker's slot, indexed by the par worker id: its
-// checker, and the scratch its jobs reuse. Per-trace scratch comes from
-// here rather than from a sync.Pool, which the collector empties several
-// times per pass; only a job's outputs (the record, its checked-trace
-// text and its journal line) are allocated.
+// checker, its jobs' coverage counts, and the scratch its jobs reuse.
+// Per-trace scratch comes from here rather than from a sync.Pool, which
+// the collector empties several times per pass; only a job's outputs (the
+// record, its checked-trace text and its journal line) are allocated.
 type worker struct {
 	chk *checker.Checker
+	// covered counts the coverage points of the worker's jobs, so no two
+	// workers write one coverage cache line; Run merges it into Config.Cov.
+	covered cov.Registry
 	// buf holds the checked-trace rendering, then the record's JSON line.
 	buf []byte
 	// frame holds the framed cache entry; Store.Put copies it.
@@ -347,10 +354,6 @@ func newWorkers(cfg Config, workers, labels int, tel *telemetry.Registry) []*wor
 		chk := checker.New(cfg.Spec)
 		if cfg.MaxStateSet > 0 {
 			chk.MaxStateSet = cfg.MaxStateSet
-		}
-		chk.TauWorkers = cfg.TauWorkers
-		if chk.TauWorkers <= 0 {
-			chk.TauWorkers = 1
 		}
 		chk.Tel = tel
 		if !cfg.NoSharedCons && !cfg.Concurrent {
@@ -400,10 +403,9 @@ func logProgress(w io.Writer, name string, st Stats, elapsed time.Duration) {
 
 // runJob resolves one script to its record: sink journal first, then the
 // result cache, then a real execute-and-check (whose record is written
-// back to both). With cfg.Cov the execute-and-check runs inside a
-// coverage-collection window attributed to that registry. Phase latencies
-// (cache lookup/store, execute, check, journal append) land in tel's
-// histograms.
+// back to both, and whose coverage set the worker counts). Phase
+// latencies (cache lookup/store, execute, check, journal append) land in
+// tel's histograms.
 func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry, s *trace.Script, key string) (rec Record, hit, skipped bool, err error) {
 	if cfg.Sink != nil {
 		if rec, ok := cfg.Sink.Lookup(key); ok {
@@ -430,29 +432,26 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 	}
 	var t *trace.Trace
 	var res checker.Result
-	work := func() {
-		execStart := time.Now()
-		if cfg.Concurrent {
-			t, err = exec.RunConcurrent(ctx, s, cfg.Factory, exec.ConcurrentOptions{
-				Seeded: cfg.SchedSeed != 0,
-				Seed:   cfg.SchedSeed,
-			})
-		} else {
-			t, err = exec.Run(ctx, s, cfg.Factory)
-		}
-		tel.Histogram("pipeline.execute_ns").ObserveSince(execStart)
-		if err == nil {
-			checkStart := time.Now()
-			res, err = w.chk.CheckCtx(ctx, t)
-			tel.Histogram("pipeline.check_ns").ObserveSince(checkStart)
-		}
-	}
-	if cfg.Cov != nil {
-		cfg.Cov.Collect(work)
+	var hits cov.Set
+	execStart := time.Now()
+	if cfg.Concurrent {
+		t, err = exec.RunConcurrent(ctx, s, cfg.Factory, exec.ConcurrentOptions{
+			Seeded: cfg.SchedSeed != 0,
+			Seed:   cfg.SchedSeed,
+		}, &hits)
 	} else {
-		// Shared-registry runs evaluate under Guard so their hits can never
-		// land inside another session's open attribution window.
-		cov.Guard(work)
+		t, err = exec.Run(ctx, s, cfg.Factory, &hits)
+	}
+	tel.Histogram("pipeline.execute_ns").ObserveSince(execStart)
+	if err == nil {
+		checkStart := time.Now()
+		res, err = w.chk.CheckCtx(ctx, t)
+		tel.Histogram("pipeline.check_ns").ObserveSince(checkStart)
+	}
+	hits.Or(&res.Coverage)
+	w.covered.Merge(&hits)
+	if jobCoverageHook != nil {
+		jobCoverageHook(s.Name, hits)
 	}
 	if err != nil {
 		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)

@@ -12,15 +12,15 @@ import (
 
 // Oracle reports whether a script still exhibits the behaviour being
 // minimized (for spec deviations: executes the script and asks the checker).
-// Callers may wrap extra policy around the check — the fuzzer's oracle runs
-// under cov.Guard so minimization probes never pollute a concurrent
-// coverage-attribution window.
+// Callers may wrap extra policy around the check — the fuzzer's oracle
+// counts each probe's model coverage in its session's registry, as it
+// does for every run.
 type Oracle func(*trace.Script) (bool, error)
 
 // Deviates executes the script against a fresh instance and reports
-// whether the oracle rejects the resulting trace.
+// whether the oracle rejects the resulting trace. It records no coverage.
 func Deviates(s *trace.Script, factory fsimpl.Factory, spec types.Spec) (bool, error) {
-	tr, err := exec.Run(context.Background(), s, factory)
+	tr, err := exec.Run(context.Background(), s, factory, nil)
 	if err != nil {
 		return false, err
 	}

@@ -330,9 +330,6 @@ func (s *Server) runJob(j *job) {
 	if j.spec.MaxStateSet > 0 {
 		opts = append(opts, sibylfs.WithMaxStateSet(j.spec.MaxStateSet))
 	}
-	if j.spec.IsolateCoverage {
-		opts = append(opts, sibylfs.WithCoverage(sibylfs.NewCoverageRegistry()))
-	}
 	session := sibylfs.New(opts...)
 
 	start := time.Now()

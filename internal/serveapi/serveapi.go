@@ -54,10 +54,6 @@ type JobSpec struct {
 	SchedSeed int64 `json:"sched_seed,omitempty"`
 	// MaxStateSet caps the oracle's tracked state set (0 = default).
 	MaxStateSet int `json:"max_state_set,omitempty"`
-	// IsolateCoverage gives the job its own coverage registry. Exact
-	// per-tenant coverage attribution serializes model evaluation
-	// process-wide (see sibylfs.WithCoverage), so it is opt-in.
-	IsolateCoverage bool `json:"isolate_coverage,omitempty"`
 }
 
 // Job states, as JobStatus.State reports them.

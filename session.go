@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -15,13 +14,11 @@ import (
 	"repro/internal/checker"
 	"repro/internal/cov"
 	"repro/internal/exec"
-	"repro/internal/fsimpl"
 	"repro/internal/fuzz"
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/testgen"
-	"repro/internal/types"
 )
 
 // Session is the package's front door: one configured handle unifying the
@@ -56,7 +53,6 @@ import (
 type Session struct {
 	spec        Spec
 	workers     int
-	tauWorkers  int
 	maxStateSet int
 	cacheDir    string
 	remote      string         // WithRemoteCache base URL ("" = none)
@@ -65,7 +61,7 @@ type Session struct {
 	journalDir  string
 	resume      bool
 	observer    func(PipelineRecord)
-	reg         *cov.Registry       // nil = shared process-wide registry
+	reg         *cov.Registry       // nil = cov.Default
 	tel         *telemetry.Registry // nil = telemetry.Default
 	log         io.Writer
 
@@ -101,14 +97,9 @@ func New(opts ...Option) *Session {
 func WithSpec(spec Spec) Option { return func(s *Session) { s.spec = spec } }
 
 // WithWorkers bounds cross-trace parallelism (execution and checking
-// worker pools; ≤ 0 selects GOMAXPROCS).
+// worker pools; ≤ 0 selects GOMAXPROCS). Each trace is executed and
+// checked on one goroutine.
 func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
-
-// WithTauWorkers bounds within-trace parallelism: the goroutines fanning
-// out one trace's τ-closure and transition union (≤ 0 lets each method
-// pick its default — GOMAXPROCS for direct checking, 1 inside the
-// pipeline, whose cross-trace workers already saturate the cores).
-func WithTauWorkers(n int) Option { return func(s *Session) { s.tauWorkers = n } }
 
 // WithMaxStateSet caps the oracle's tracked state set (0 = the checker
 // default). The cap is part of the pipeline cache key.
@@ -160,13 +151,12 @@ func WithObserver(fn func(PipelineRecord)) Option { return func(s *Session) { s.
 
 // WithCoverage gives the session its own coverage registry (or shares one
 // between chosen sessions): model coverage reached by this session's
-// checking, pipeline and fuzzing is attributed to reg, and the session's
-// Coverage/CoverageUnhit/ResetCoverage read and reset reg instead of the
-// process-wide counters — two sessions with distinct registries never see
-// each other's hits, and ResetCoverage loses its process-global blast
-// radius. Attribution uses exclusive windows over the shared counters, so
-// isolation serializes model evaluation across the process; prefer the
-// default shared registry for raw throughput.
+// execution, checking, pipeline and fuzzing is merged into reg, and the
+// session's Coverage/CoverageUnhit/ResetCoverage read and reset reg
+// instead of cov.Default — two sessions with distinct registries never
+// see each other's hits, and ResetCoverage loses its process-global blast
+// radius. Isolation is free: every trace records its points in a set of
+// its own and merges it once, so no lock is shared with other sessions.
 func WithCoverage(reg *CoverageRegistry) Option { return func(s *Session) { s.reg = reg } }
 
 // WithLog sends progress lines (pipeline stats, fuzz session progress)
@@ -177,7 +167,7 @@ func WithLog(w io.Writer) Option { return func(s *Session) { s.log = w } }
 // gauges, latency histograms and spans recorded by this session's
 // checking, pipeline and fuzzing land in reg instead of the shared
 // telemetry.Default — two sessions with distinct registries never see
-// each other's figures. Unlike coverage isolation, telemetry isolation is
+// each other's figures. Like coverage isolation, telemetry isolation is
 // free: registries are just independent sets of atomics. Engine-internal
 // totals (state-heap clones, hash computes) remain process-global and are
 // published on the default registry only. Read reg with its Snapshot /
@@ -329,72 +319,21 @@ func (s *Session) scriptHashes(scripts []*Script, hashes []string) {
 	s.hashMu.Unlock()
 }
 
-// covWrap returns the attribution wrapper for this session's model
-// evaluation: with an isolated registry every unit runs in an exclusive
-// Collect window attributed to it; with the shared registry units run
-// under cov.Guard, so their hits can never land inside another session's
-// open attribution window. Either way, concurrent sessions' coverage
-// stays exact.
-func (s *Session) covWrap() func(func()) {
+// coverage returns the registry this session's model coverage is merged
+// into.
+func (s *Session) coverage() *cov.Registry {
 	if s.reg != nil {
-		reg := s.reg
-		return func(f func()) { reg.Collect(f) }
+		return s.reg
 	}
-	return cov.Guard
-}
-
-// covFactory wraps factory so each Apply runs inside the session's
-// attribution wrapper — only the determinized model (SpecFS) hits
-// coverage points during execution, but wrapping is harmless (a shared
-// read-lock) for the others.
-func (s *Session) covFactory(factory Factory) Factory {
-	wrap := s.covWrap()
-	return func() (fsimpl.FS, error) {
-		fs, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		return &wrapFS{fs: fs, wrap: wrap}, nil
-	}
-}
-
-// wrapFS routes an implementation's model evaluation through the
-// session's coverage-attribution wrapper.
-type wrapFS struct {
-	fs   fsimpl.FS
-	wrap func(func())
-}
-
-func (c *wrapFS) Name() string { return c.fs.Name() }
-func (c *wrapFS) Apply(pid types.Pid, cmd types.Command) (rv types.RetValue) {
-	c.wrap(func() { rv = c.fs.Apply(pid, cmd) })
-	return rv
-}
-func (c *wrapFS) CreateProcess(pid types.Pid, uid types.Uid, gid types.Gid) {
-	c.fs.CreateProcess(pid, uid, gid)
-}
-func (c *wrapFS) DestroyProcess(pid types.Pid) { c.fs.DestroyProcess(pid) }
-func (c *wrapFS) Close() error                 { return c.fs.Close() }
-
-// Crash forwards crash simulation through the wrapper (SpecFS evaluates
-// the model during remount, so the call runs inside the attribution
-// window like Apply does). Backends without persistence simulation keep
-// failing loudly, with the same message the unwrapped executor produces.
-func (c *wrapFS) Crash(keep int) error {
-	cfs, ok := c.fs.(fsimpl.CrashFS)
-	if !ok {
-		return fmt.Errorf("%s does not support crash simulation", c.fs.Name())
-	}
-	var err error
-	c.wrap(func() { err = cfs.Crash(keep) })
-	return err
+	return cov.Default
 }
 
 // Execute runs scripts against fresh instances from factory (§6.2) with
 // the session's worker pool, cancelling between scripts and between
-// steps.
+// steps. A model-backed factory (SpecFS) adds each trace's execution-side
+// coverage to the session's registry.
 func (s *Session) Execute(ctx context.Context, scripts []*Script, factory Factory) ([]*Trace, error) {
-	return exec.RunAll(ctx, scripts, s.covFactory(factory), s.workers)
+	return exec.RunAll(ctx, scripts, factory, s.workers, s.coverage())
 }
 
 // ExecuteConcurrent runs scripts with one goroutine per script process,
@@ -404,23 +343,19 @@ func (s *Session) ExecuteConcurrent(ctx context.Context, scripts []*Script, fact
 	if opts.Workers <= 0 {
 		opts.Workers = s.workers
 	}
-	return exec.RunAllConcurrent(ctx, scripts, s.covFactory(factory), opts)
+	return exec.RunAllConcurrent(ctx, scripts, factory, opts, s.coverage())
 }
 
 // Check runs the oracle over traces with the session's spec and worker
-// pool. Each trace's check runs inside the session's coverage wrapper:
-// an exclusive attribution window with an isolated registry (the
-// registry sees exactly this session's model coverage, at the documented
-// cost of serializing the per-trace work), a shared Guard otherwise (the
-// pool parallelises as before).
+// pool, one trace per goroutine at a time. Each trace's coverage set is
+// merged into the session's registry as its check ends.
 func (s *Session) Check(ctx context.Context, traces []*Trace) ([]CheckResult, error) {
 	chk := s.newChecker()
-	wrap := s.covWrap()
+	reg := s.coverage()
 	results := make([]CheckResult, len(traces))
 	par.Each(ctx, s.workers, len(traces), func(_, i int) bool {
-		wrap(func() {
-			results[i], _ = chk.CheckCtx(ctx, traces[i])
-		})
+		results[i], _ = chk.CheckCtx(ctx, traces[i])
+		reg.Merge(&results[i].Coverage)
 		return true
 	})
 	return results, ctx.Err()
@@ -428,10 +363,8 @@ func (s *Session) Check(ctx context.Context, traces []*Trace) ([]CheckResult, er
 
 // CheckOne checks a single trace.
 func (s *Session) CheckOne(ctx context.Context, t *Trace) (CheckResult, error) {
-	chk := s.newChecker()
-	var res CheckResult
-	var err error
-	s.covWrap()(func() { res, err = chk.CheckCtx(ctx, t) })
+	res, err := s.newChecker().CheckCtx(ctx, t)
+	s.coverage().Merge(&res.Coverage)
 	return res, err
 }
 
@@ -440,7 +373,6 @@ func (s *Session) newChecker() *checker.Checker {
 	if s.maxStateSet > 0 {
 		chk.MaxStateSet = s.maxStateSet
 	}
-	chk.TauWorkers = s.tauWorkers
 	chk.Tel = s.tel
 	return chk
 }
@@ -490,7 +422,6 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 		Spec:         s.spec,
 		ModelVersion: job.ModelVersion,
 		Workers:      s.workers,
-		TauWorkers:   s.tauWorkers,
 		MaxStateSet:  s.maxStateSet,
 		Shards:       job.Shards,
 		Shard:        job.Shard,
@@ -574,19 +505,6 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		}
 		if s.maxStateSet > 0 {
 			pcfg.MaxStateSet = s.maxStateSet
-		}
-		pcfg.TauWorkers = s.tauWorkers
-		if cfg.Serial && pcfg.TauWorkers <= 0 {
-			// Serial configs (hostfs) must execute one script at a time, but
-			// their *checking* needn't be single-threaded too: recover the
-			// session's parallelism inside each trace's closure. Resolve the
-			// "0 = GOMAXPROCS" convention here — pipeline.Run would clamp a
-			// zero TauWorkers to 1.
-			tw := s.workers
-			if tw <= 0 {
-				tw = runtime.GOMAXPROCS(0)
-			}
-			pcfg.TauWorkers = tw
 		}
 		if s.journalDir != "" {
 			sink, err := pipeline.OpenSink(filepath.Join(s.journalDir, surveySinkName(cfg.Name)), s.resume)
@@ -690,32 +608,16 @@ func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
 }
 
 // Coverage reports the session's model coverage-point statistics (§7.2):
-// its registry's with WithCoverage, the process-wide figures otherwise.
-func (s *Session) Coverage() (hit, total int) {
-	if s.reg != nil {
-		return s.reg.Stats()
-	}
-	return cov.Stats()
-}
+// its registry's with WithCoverage, cov.Default's otherwise.
+func (s *Session) Coverage() (hit, total int) { return s.coverage().Stats() }
 
 // CoverageUnhit lists coverage points this session never exercised.
-func (s *Session) CoverageUnhit() []string {
-	if s.reg != nil {
-		return s.reg.Unhit()
-	}
-	return cov.Unhit()
-}
+func (s *Session) CoverageUnhit() []string { return s.coverage().Unhit() }
 
 // ResetCoverage zeroes the session's coverage counters. With an isolated
 // registry this touches nothing process-global — the footgun the old
 // package-level ResetCoverage had.
-func (s *Session) ResetCoverage() {
-	if s.reg != nil {
-		s.reg.Reset()
-		return
-	}
-	cov.Reset()
-}
+func (s *Session) ResetCoverage() { s.coverage().Reset() }
 
 // surveySinkName maps a configuration name to its JSONL file name.
 func surveySinkName(config string) string {

@@ -303,9 +303,9 @@ func parseScriptOrDie(t *testing.T, text string) *Script {
 // TestConcurrentSessionCoverageIsolation runs two sessions with private
 // coverage registries concurrently and proves their counters do not
 // bleed: each registry sees exactly the points of its own session's
-// checking — byte-identical to a solo baseline — and none of the other
-// command's points. Run under -race this also pins the registry windows
-// race-clean.
+// checking — count for count the same as a solo baseline — and none of
+// the other command's points. Run under -race this also pins the
+// per-trace sets and their merges race-clean.
 func TestConcurrentSessionCoverageIsolation(t *testing.T) {
 	mkdirS := parseScriptOrDie(t, "@type script\n# Test mkdir_iso\nmkdir \"d\" 0o755\n")
 	symlinkS := parseScriptOrDie(t, "@type script\n# Test symlink_iso\nsymlink \"t\" \"l\"\n")
@@ -346,8 +346,8 @@ func TestConcurrentSessionCoverageIsolation(t *testing.T) {
 	go func() { defer wg.Done(); errs[1] = runChecks(regB, symlinkS) }()
 	go func() {
 		// A third session on the *shared* registry churns concurrently:
-		// its evaluation runs under cov.Guard, so none of its symlink hits
-		// may leak into the isolated registries' windows.
+		// its traces merge into cov.Default, so none of its symlink hits
+		// may reach the isolated registries.
 		defer wg.Done()
 		errs[2] = runChecks(nil, symlinkS)
 	}()
