@@ -442,38 +442,39 @@ func (p *PackStore) Get(key string) ([]byte, bool) {
 		p.mu.RUnlock()
 		return nil, false
 	}
+	// The entry's key and value are read together: the CRC covers both,
+	// and checksumming contiguous bytes needs no copy of the key.
+	kv := make([]byte, len(key)+int(loc.vlen))
+	kvOff := loc.off - int64(len(key))
 	if loc.seg == p.active && loc.off >= p.flushedSize {
 		// Still pending: copy out under the read lock (flushes and
 		// rotations take the write lock, so the buffer is stable here).
-		start := loc.off - p.flushedSize
-		val := make([]byte, loc.vlen)
-		copy(val, p.pending[start:start+int64(loc.vlen)])
+		copy(kv, p.pending[kvOff-p.flushedSize:])
 		p.mu.RUnlock()
-		return p.verify(key, val, loc.crc)
+		return p.verify(key, kv, loc.crc)
 	}
 	f := p.files[loc.seg]
 	p.mu.RUnlock()
 	if f == nil {
 		return nil, false
 	}
-	val := make([]byte, loc.vlen)
-	if _, err := f.ReadAt(val, loc.off); err != nil {
+	if _, err := f.ReadAt(kv, kvOff); err != nil {
 		return nil, false
 	}
-	return p.verify(key, val, loc.crc)
+	return p.verify(key, kv, loc.crc)
 }
 
-func (p *PackStore) verify(key string, val []byte, crc uint32) ([]byte, bool) {
-	sum := crc32.Checksum([]byte(key), packCRC)
-	sum = crc32.Update(sum, packCRC, val)
-	if sum != crc {
+// verify checks an entry's key‖value bytes against the lookup key and
+// the entry's CRC, and returns the value.
+func (p *PackStore) verify(key string, kv []byte, crc uint32) ([]byte, bool) {
+	if string(kv[:len(key)]) != key || crc32.Checksum(kv, packCRC) != crc {
 		p.mu.RLock()
 		tel := p.tel
 		p.mu.RUnlock()
 		tel.Counter("pipeline.store_crc_errors").Inc()
 		return nil, false
 	}
-	return val, true
+	return kv[len(key):], true
 }
 
 // Put appends one entry to the active segment's group-commit buffer.
@@ -489,19 +490,27 @@ func (p *PackStore) Put(key string, data []byte) error {
 	if p.closed {
 		return fmt.Errorf("pipeline: pack store: closed")
 	}
+	if size := int(min(int64(p.opts.FlushBytes), p.opts.MaxSegmentBytes)); cap(p.pending) < size {
+		// Sized once per store: regrowing the buffer from empty was the
+		// cold path's largest store allocation.
+		p.pending = append(make([]byte, 0, size), p.pending...)
+	}
 	if p.active == 0 || p.flushedSize+int64(len(p.pending))+entrySize > p.opts.MaxSegmentBytes {
 		if err := p.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	sum := crc32.Checksum([]byte(key), packCRC)
-	sum = crc32.Update(sum, packCRC, data)
 	off := p.flushedSize + int64(len(p.pending))
-	p.pending = binary.BigEndian.AppendUint32(p.pending, sum)
+	// The header's CRC is patched in once key‖value sit contiguously in
+	// the buffer, so the checksum needs no copy of the key.
+	p.pending = binary.BigEndian.AppendUint32(p.pending, 0)
 	p.pending = binary.BigEndian.AppendUint16(p.pending, uint16(len(key)))
 	p.pending = binary.BigEndian.AppendUint32(p.pending, uint32(len(data)))
 	p.pending = append(p.pending, key...)
 	p.pending = append(p.pending, data...)
+	entry := p.pending[len(p.pending)-int(entrySize):]
+	sum := crc32.Checksum(entry[packHeaderLen:], packCRC)
+	binary.BigEndian.PutUint32(entry, sum)
 	p.index[key] = packLoc{
 		seg:  p.active,
 		off:  off + packHeaderLen + int64(len(key)),
