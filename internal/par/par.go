@@ -1,5 +1,5 @@
 // Package par is the index pool every parallel loop of the checker runs
-// on (ARCHITECTURE.md, "Two levels of parallelism").
+// on (ARCHITECTURE.md, "One level of parallelism: across traces").
 package par
 
 import (
