@@ -63,10 +63,10 @@ func benchData(b *testing.B) ([]*Script, []*Trace) {
 // 2012 i7; report traces/s for comparison).
 func BenchmarkTable71CheckSuite(b *testing.B) {
 	_, traces := benchData(b)
-	c := checker.New(DefaultSpec())
+	session := New(WithWorkers(4), WithCoverage(NewCoverageRegistry()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.CheckAll(traces, 4)
+		session.Check(context.Background(), traces)
 	}
 	b.StopTimer()
 	perSec := float64(len(traces)) * float64(b.N) / b.Elapsed().Seconds()
@@ -463,10 +463,10 @@ func BenchmarkSpecFSExecute(b *testing.B) {
 func BenchmarkCheckSingleWorker(b *testing.B) {
 	_, traces := benchData(b)
 	sel := traces[:500]
-	c := checker.New(DefaultSpec())
+	session := New(WithWorkers(1), WithCoverage(NewCoverageRegistry()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.CheckAll(sel, 1)
+		session.Check(context.Background(), sel)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(sel))*float64(b.N)/b.Elapsed().Seconds(), "traces/s")

@@ -49,6 +49,7 @@ func main() {
 	defer stop()
 
 	states := []*osspec.OsState{osspec.NewOsState(sibylfs.SpecFor(pl))}
+	var tau osspec.ClosureScratch // every closure's working storage
 	fmt.Printf("# model-debug of %s (%s variant)\n\n", flag.Arg(0), pl)
 	for _, st := range tr.Steps {
 		if ctx.Err() != nil {
@@ -60,11 +61,10 @@ func main() {
 		if _, ok := st.Label.(types.ReturnLabel); ok {
 			// Close over τ first, as the checker does: pending calls of any
 			// process may have been processed in any order by now. The
-			// closure fans out across GOMAXPROCS workers exactly like the
-			// checker's — and honours the same cancellation points — so the
-			// dump shows the same states in the same order the oracle
-			// tracks them.
-			expanded, taus, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true, Ctx: ctx})
+			// closure is the checker's, with the same cancellation points,
+			// so the dump shows the same states in the same order the
+			// oracle tracks them.
+			expanded, taus, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true, Ctx: ctx, Scratch: &tau})
 			if taus > 0 {
 				fmt.Printf("  τ-closure: %d states (%d expansions)\n", len(expanded), taus)
 			}

@@ -3,8 +3,10 @@
 package checker
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/cov"
 	"repro/internal/osspec"
 	"repro/internal/telemetry"
 	"repro/internal/types"
@@ -33,10 +35,9 @@ const seqTrace = `@type trace
 // once the cons table holds every transition: the per-trace scratch, the
 // inline dedup set, the calling-state check, label keys rendered into a
 // reused buffer and a union loop without a per-step closure leave no
-// allocation per step. The bound has headroom over the measured 0 (a
-// collection may empty the scratch pool mid-measurement); the closure
-// cost 1.0 allocations per step here, allocating every label key 3.1,
-// and the pre-fast-path checker 11.
+// allocation per step. The bound has headroom over the measured 0 (the
+// count is process-wide); the closure cost 1.0 allocations per step here,
+// allocating every label key 3.1, and the pre-fast-path checker 11.
 func TestSequentialStepAllocs(t *testing.T) {
 	tr := parse(t, seqTrace)
 	c := New(types.DefaultSpec())
@@ -76,5 +77,49 @@ func TestSerialUnionAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%.1f allocations per memo-hit serial union, want 0", allocs)
+	}
+}
+
+// TestTauMissAllocs pins what the τ-closure before a return costs when
+// its fan-out misses a fresh cons table: what the same closure costs
+// without a table, plus what storing one entry costs, and nothing more.
+// The miss's coverage set is the closure scratch's; a set allocated per
+// miss cost one allocation more.
+func TestTauMissAllocs(t *testing.T) {
+	c := New(types.DefaultSpec())
+	call := parse(t, seqTrace).Steps[0].Label // the mkdir call
+	// After the call pid 1 is calling, so the closure expands its state.
+	states := osspec.Trans(c.initialState(), call, nil)
+	states[0].Hash()
+	states[0].Freeze()
+	var sc traceScratch
+	closure := func(memo *osspec.ConsTable) {
+		c.Memo = memo
+		var res Result
+		if out, _ := c.tauClosure(context.Background(), states, &res, &sc); len(out) != 2 {
+			t.Fatalf("closure of the calling state: %d states, want 2", len(out))
+		}
+	}
+	plain := testing.AllocsPerRun(100, func() { closure(nil) })
+	missed := testing.AllocsPerRun(100, func() {
+		memo := osspec.NewConsTable(0, 0)
+		closure(memo)
+		if st := memo.Stats(); st.Misses != 1 || st.Retained != 1 {
+			t.Fatalf("fresh table: %d misses, %d retained, want 1 and 1", st.Misses, st.Retained)
+		}
+	})
+	// The same entry stored by hand in a fresh table, under a key as long
+	// as the closure's. The table escapes, as the checker's does.
+	succs := osspec.Trans(states[0], types.TauLabel{}, nil)
+	key := []byte("\x00tau*")
+	var fan cov.Set
+	var memo *osspec.ConsTable
+	stored := testing.AllocsPerRun(100, func() {
+		memo = osspec.NewConsTable(0, 0)
+		memo.Put(states[0], key, succs, &fan)
+	})
+	t.Logf("closure %.0f allocations without a table, %.0f on a fresh table's miss; storing the entry %.0f", plain, missed, stored)
+	if missed > plain+stored {
+		t.Errorf("a τ miss costs %.0f allocations beyond the closure and the stored entry, want 0", missed-plain-stored)
 	}
 }

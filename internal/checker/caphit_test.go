@@ -1,16 +1,14 @@
 package checker
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/types"
 )
 
 // raceTrace builds an n-process mkdir race with simultaneously pending
-// calls — the closure-heavy fixture the cap and worker tests drive.
+// calls — the closure-heavy fixture the cap tests drive.
 func raceTrace(n int) string {
 	var b strings.Builder
 	b.WriteString("@type trace\n")
@@ -58,32 +56,5 @@ func TestCapHitAblationPath(t *testing.T) {
 	c.MaxStateSet = 2
 	if r := c.Check(tr); !r.StateSetCapHit {
 		t.Error("ablation reduce truncated silently")
-	}
-}
-
-// TestWorkerCountDoesNotChangeResults: checking traces across workers
-// (CheckAll, one trace per goroutine, one shared checker) is
-// observationally identical for every worker count — same acceptance,
-// same diagnoses, same state-set statistics, same coverage sets.
-func TestWorkerCountDoesNotChangeResults(t *testing.T) {
-	var traces []*trace.Trace
-	for _, text := range []string{raceTrace(4), raceTrace(5), twoWriterTrace,
-		strings.Replace(twoWriterTrace, `RV_bytes("aa")`, `RV_bytes("ab")`, 1)} {
-		traces = append(traces, parse(t, text))
-	}
-	// TauNanos is wall-clock telemetry, no part of the observational
-	// contract.
-	check := func(workers int) []Result {
-		rs := New(types.DefaultSpec()).CheckAll(traces, workers)
-		for i := range rs {
-			rs[i].TauNanos = 0
-		}
-		return rs
-	}
-	want := check(1)
-	for _, workers := range []int{2, 4} {
-		if got := check(workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d diverged:\n%+v\nwant\n%+v", workers, got, want)
-		}
 	}
 }

@@ -1,8 +1,8 @@
 package checker
 
-// Cancellation contract of the oracle: CheckCtx/CheckAllCtx stop between
-// steps/traces and return context.Canceled; the Background-based Check
-// wrappers are unaffected.
+// Cancellation contract of the oracle: CheckCtx stops between steps and
+// returns context.Canceled; the Background-based Check wrapper is
+// unaffected.
 
 import (
 	"context"
@@ -34,20 +34,6 @@ func TestCheckCtxCancelled(t *testing.T) {
 	cancel()
 	c := New(types.DefaultSpec())
 	_, err := c.CheckCtx(ctx, ctxTrace(3))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestCheckAllCtxCancelled(t *testing.T) {
-	traces := make([]*trace.Trace, 40)
-	for i := range traces {
-		traces[i] = ctxTrace(2)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := New(types.DefaultSpec())
-	_, err := c.CheckAllCtx(ctx, traces, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

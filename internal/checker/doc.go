@@ -6,15 +6,17 @@
 // State identity is hash-consed (osspec.StateSet): candidate states carry a
 // memoised 64-bit digest and deduplication compares digests before
 // confirming structurally, instead of rendering and sorting fingerprint
-// strings. One trace is checked on one goroutine — parallelism is across
-// traces (CheckAll, pipeline.Run), which the paper's independence of
-// traces makes free — and the trace's model coverage is recorded in a
-// cov.Set it owns (Result.Coverage), which the caller merges into a
-// registry.
+// strings. One trace is checked on one goroutine, and a Checker (with its
+// scratch, initial state and cons table) belongs to one goroutine:
+// parallelism is across traces, with one checker per worker
+// (Session.Check, pipeline.Run, the fuzz engine), which the paper's
+// independence of traces makes free. The trace's model coverage is
+// recorded in a cov.Set it owns (Result.Coverage), which the caller
+// merges into a registry.
 //
-// CheckCtx/CheckAllCtx add cooperative cancellation: the context is
-// consulted between traces, between trace steps, and between τ-closure
-// expansion rounds inside one step; on cancellation the partial
-// Result is returned with ctx.Err() and must not be read as a verdict.
-// Check/CheckAll remain as Background-context conveniences.
+// CheckCtx adds cooperative cancellation: the context is consulted
+// between trace steps and between τ-closure expansion rounds inside one
+// step; on cancellation the partial Result is returned with ctx.Err()
+// and must not be read as a verdict. Check is the Background-context
+// convenience.
 package checker

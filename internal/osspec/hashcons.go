@@ -219,7 +219,8 @@ func StateEqual(a, b *OsState) bool {
 }
 
 // describeBufs holds the scratch buffers pending identity renders into;
-// it is a pool because ConsTable.Put hashes states on several workers.
+// it is a pool because every checking goroutine hashes and compares
+// states, and no state knows the checker it belongs to.
 var describeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // pendingHash hashes a pending's rendered description without

@@ -332,8 +332,8 @@ type worker struct {
 	frame []byte
 }
 
-// newWorkers builds one slot per worker, each with a checker of its own,
-// so no two workers share a checker's scratch pool or cons table.
+// newWorkers builds one slot per worker, each with a checker of its own:
+// a checker, its scratch and its cons table belong to one goroutine.
 // Sequential runs give each checker its own cons table with an even share
 // of DefaultConsCap, its map sized once for min(that share, the worker's
 // share of the run's labels) entries, about where a cold table ends up,

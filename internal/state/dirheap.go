@@ -119,7 +119,7 @@ func NewHeap() *Heap {
 // Clone shares the heap copy-on-write: O(1), no object is copied until one
 // side writes. The source is frozen first (it gives up in-place mutation
 // rights), so cloning a frozen heap is a pure read — the checker relies on
-// that to fan Trans out across goroutines over a shared frontier state.
+// that when the cons table hands one interned state to many traces.
 func (h *Heap) Clone() *Heap {
 	c := new(Heap)
 	h.CloneInto(c)

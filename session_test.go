@@ -15,6 +15,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -228,28 +229,86 @@ func TestSessionRunPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSessionCheckParity: Session.Check must agree exactly with a bare
-// checker.
+// serialCheck is the reference Session.Check is held to: one checker,
+// checking the traces in order on the calling goroutine. TauNanos is
+// wall-clock telemetry, never equal across two runs and no part of the
+// contract, so it is zeroed.
+func serialCheck(traces []*Trace) []CheckResult {
+	c := checker.New(DefaultSpec())
+	out := make([]CheckResult, len(traces))
+	for i, tr := range traces {
+		out[i] = c.Check(tr)
+		out[i].TauNanos = 0
+	}
+	return out
+}
+
+// TestSessionCheckParity: Session.Check, one checker per worker, must
+// agree exactly with a serial loop over one checker on a sequential
+// slice.
 func TestSessionCheckParity(t *testing.T) {
-	scripts := smallSuite(t, 20)
+	scripts := smallSuite(t, 64)
 	traces, err := New().Execute(context.Background(), scripts, MemFS(LinuxProfile("ext4")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := checker.New(DefaultSpec()).CheckAll(traces, 4)
-	session, err := New(WithSpec(DefaultSpec()), WithWorkers(4)).Check(context.Background(), traces)
+	direct := serialCheck(traces)
+	session, err := New(WithSpec(DefaultSpec()), WithWorkers(8)).Check(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range direct {
-		// TauNanos is wall-clock telemetry — never equal across two runs
-		// and not part of the parity contract.
-		direct[i].TauNanos, session[i].TauNanos = 0, 0
+		session[i].TauNanos = 0
 		a, _ := json.Marshal(direct[i])
 		b, _ := json.Marshal(session[i])
 		if !bytes.Equal(a, b) {
 			t.Fatalf("trace %s: session result differs from direct:\n%s\n%s", traces[i].Name, b, a)
 		}
+		if !session[i].Accepted {
+			t.Fatalf("trace %s rejected", traces[i].Name)
+		}
+	}
+}
+
+// TestSessionCheckWorkerCountDoesNotChangeResults: on the concurrent
+// universe, where the τ-closure does real work, Session.Check equals the
+// serial loop for every worker count — same acceptance, diagnoses,
+// state-set statistics and coverage sets. Under -race it also shows that
+// the workers' checkers share nothing.
+func TestSessionCheckWorkerCountDoesNotChangeResults(t *testing.T) {
+	ctx := context.Background()
+	scripts := generate(t, (*Session).GenerateConcurrent)
+	traces, err := New().ExecuteConcurrent(ctx, scripts, MemFS(LinuxProfile("ext4")),
+		ConcurrentOptions{Seeded: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialCheck(traces)
+	for _, workers := range []int{1, 2, 4} {
+		got, err := New(WithWorkers(workers), WithCoverage(NewCoverageRegistry())).Check(ctx, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			got[i].TauNanos = 0
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d: %s diverged:\n%+v\nwant\n%+v", workers, traces[i].Name, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSessionCheckCancelled: a cancelled context stops Session.Check
+// between traces and reports context.Canceled.
+func TestSessionCheckCancelled(t *testing.T) {
+	traces, err := New().Execute(context.Background(), smallSuite(t, 40), MemFS(LinuxProfile("ext4")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := New(WithWorkers(4)).Check(ctx, traces); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
