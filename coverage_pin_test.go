@@ -63,13 +63,16 @@ func TestSpecFSCoveragePinned(t *testing.T) {
 // process-wide counters. specFSCoverage differs from that record in one
 // point, osspec/trans/create, and agrees with the same run recorded into
 // the shared registry: the isolating wrapper of the time attributed
-// Apply and Crash but ran CreateProcess outside its window.
+// Apply and Crash but ran CreateProcess outside its window. Every pin has
+// since gained osspec/trans/tau, now recorded wherever a τ is processed
+// (TauFor and the closure's expansions), not only by Trans(…, TauLabel),
+// which no checking path calls.
 var (
-	suiteCoverage = coveragePin{105, 107, []string{
-		"osspec/trans/crash", "osspec/trans/tau",
+	suiteCoverage = coveragePin{106, 107, []string{
+		"osspec/trans/crash",
 	}}
 	concurrentCoverage = map[int64]coveragePin{
-		1: {32, 107, []string{
+		1: {33, 107, []string{
 			"fsspec/chdir/not_dir", "fsspec/chdir/ok", "fsspec/chdir/perm",
 			"fsspec/chdir/resolve_error", "fsspec/chmod/not_owner",
 			"fsspec/chmod/resolve_error", "fsspec/chown/not_permitted",
@@ -100,9 +103,9 @@ var (
 			"osspec/read/ebadf", "osspec/read/einval", "osspec/read/eisdir",
 			"osspec/read/ok", "osspec/readdir/ebadf", "osspec/readdir/ok",
 			"osspec/rewinddir/ebadf", "osspec/rewinddir/ok", "osspec/trans/crash",
-			"osspec/trans/tau", "osspec/write/einval", "osspec/write/zero_len",
+			"osspec/write/einval", "osspec/write/zero_len",
 		}},
-		2: {30, 107, []string{
+		2: {31, 107, []string{
 			"fsspec/chdir/not_dir", "fsspec/chdir/ok", "fsspec/chdir/perm",
 			"fsspec/chdir/resolve_error", "fsspec/chmod/not_owner",
 			"fsspec/chmod/resolve_error", "fsspec/chown/not_permitted",
@@ -134,10 +137,10 @@ var (
 			"osspec/read/ebadf", "osspec/read/einval", "osspec/read/eisdir",
 			"osspec/read/ok", "osspec/readdir/ebadf", "osspec/readdir/ok",
 			"osspec/rewinddir/ebadf", "osspec/rewinddir/ok", "osspec/trans/crash",
-			"osspec/trans/tau", "osspec/write/einval", "osspec/write/zero_len",
+			"osspec/write/einval", "osspec/write/zero_len",
 		}},
 	}
-	crashCoverage = coveragePin{18, 107, []string{
+	crashCoverage = coveragePin{19, 107, []string{
 		"fsspec/chdir/not_dir", "fsspec/chdir/ok", "fsspec/chdir/perm",
 		"fsspec/chdir/resolve_error", "fsspec/chmod/not_owner",
 		"fsspec/chmod/ok", "fsspec/chmod/resolve_error",
@@ -173,10 +176,9 @@ var (
 		"osspec/pwrite/linux_append", "osspec/read/einval", "osspec/read/eisdir",
 		"osspec/readdir/ebadf", "osspec/readdir/ok", "osspec/rewinddir/ebadf",
 		"osspec/rewinddir/ok", "osspec/trans/create", "osspec/trans/destroy",
-		"osspec/trans/tau", "osspec/write/ebadf", "osspec/write/einval",
-		"osspec/write/zero_len",
+		"osspec/write/ebadf", "osspec/write/einval", "osspec/write/zero_len",
 	}}
-	specFSCoverage = coveragePin{68, 107, []string{
+	specFSCoverage = coveragePin{69, 107, []string{
 		"fsspec/chdir/not_dir", "fsspec/chdir/resolve_error",
 		"fsspec/link/dst_error", "fsspec/link/dst_exists", "fsspec/link/src_dir",
 		"fsspec/link/src_error", "fsspec/link/src_symlink",
@@ -191,7 +193,6 @@ var (
 		"osspec/pwrite/linux_append", "osspec/read/einval", "osspec/read/eisdir",
 		"osspec/readdir/ebadf", "osspec/rewinddir/ebadf", "osspec/rewinddir/ok",
 		"osspec/trans/bad_pid", "osspec/trans/crash",
-		"osspec/trans/destroy", "osspec/trans/tau", "osspec/write/einval",
-		"osspec/write/zero_len",
+		"osspec/trans/destroy", "osspec/write/einval", "osspec/write/zero_len",
 	}}
 )
