@@ -271,6 +271,7 @@ func main() {
 	fmt.Printf("pipeline: %s (sink %s: %d records)\n", stats, *jsonl, len(records))
 	span.End()
 	if *htmlPath != "" {
+		span := telemetry.Default.Span("cli.html")
 		html, err := analysis.RenderIndexHTML(summary)
 		if err != nil {
 			fatal(err)
@@ -278,6 +279,7 @@ func main() {
 		if err := os.WriteFile(*htmlPath, []byte(html), 0o644); err != nil {
 			fatal(err)
 		}
+		span.End()
 	}
 	if summary.CapHits > 0 {
 		fmt.Fprintf(os.Stderr, "sfs-run: warning: %d trace(s) hit the oracle's state-set cap; "+

@@ -91,6 +91,22 @@ func TestGenerateSpans(t *testing.T) {
 	}
 }
 
+// TestOpenCacheSpan: the first use of a session's cache opens the store
+// inside one span.session.open_cache; later uses open nothing more.
+func TestOpenCacheSpan(t *testing.T) {
+	reg := NewTelemetryRegistry()
+	s := New(WithTelemetry(reg), WithCacheDir(t.TempDir()))
+	defer s.Close()
+	for range 2 {
+		if _, ok := s.CacheStats(); !ok {
+			t.Fatal("session with a cache dir reports no cache")
+		}
+	}
+	if got := reg.Histogram("span.session.open_cache").Count(); got != 1 {
+		t.Errorf("span.session.open_cache count = %d, want 1", got)
+	}
+}
+
 // TestPipelineGoldenParityWithTelemetry re-runs the sequential golden
 // parity fixture with an isolated telemetry registry installed: the
 // checked-trace digest must not move (telemetry is purely observational),
