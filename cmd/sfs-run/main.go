@@ -218,7 +218,7 @@ func main() {
 		scripts = sel
 	}
 
-	_, stats, err := session.Run(ctx, sibylfs.RunJob{
+	records, stats, err := session.Run(ctx, sibylfs.RunJob{
 		Name:       fmt.Sprintf("%s vs %s", *fsName, pl),
 		Scripts:    scripts,
 		Factory:    fs.Factory,
@@ -242,18 +242,9 @@ func main() {
 	}
 
 	// Report over the whole sink (it may hold other shards' records from
-	// earlier resumed invocations), re-read from the canonical file: the
-	// JSONL on disk is the source of truth, not this process's memory.
-	// Only -o needs the checked traces; the summary reads verdicts alone.
+	// earlier resumed invocations): Run returns the records the finalized
+	// file holds, in its order.
 	span := telemetry.Default.Span("cli.summary")
-	read := pipeline.ReadVerdicts
-	if *outDir != "" {
-		read = pipeline.ReadRecords
-	}
-	records, err := read(*jsonl)
-	if err != nil {
-		fatal(err)
-	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)

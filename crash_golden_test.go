@@ -133,10 +133,11 @@ func TestCrashGolden(t *testing.T) {
 }
 
 // runCrashPipeline runs the crash universe through the cache-backed
-// pipeline and returns the digest over the records' checked-trace bytes
-// plus the run stats.
-func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, PipelineStats) {
+// pipeline and returns the digest over the records' checked-trace bytes,
+// the run stats and the checker.crash_states counter of the checks it ran.
+func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, PipelineStats, int64) {
 	t.Helper()
+	tel := NewTelemetryRegistry()
 	cfg := pipeline.Config{
 		Name:         "crash golden",
 		Scripts:      generate(t, (*Session).GenerateCrash),
@@ -144,6 +145,7 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 		FSName:       "ext4-crash",
 		Spec:         crashGoldenSpec(),
 		NoSharedCons: noMemo,
+		Tel:          tel,
 	}
 	if cacheDir != "" {
 		cache, err := pipeline.OpenCache(cacheDir)
@@ -164,19 +166,20 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 			t.Errorf("pipeline rejected crash script %s", rec.Name)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), stats
+	return hex.EncodeToString(h.Sum(nil)), stats, tel.Counter("checker.crash_states").Value()
 }
 
 // TestCrashGoldenParity pins byte-reproduction across execution
 // strategies: cold vs warm cache (the warm run re-executes nothing) and
-// transition memo on vs off all produce identical checked-trace bytes.
+// transition memo on vs off all produce identical checked-trace bytes,
+// and the memo leaves the count of remounted crash states as it is.
 func TestCrashGoldenParity(t *testing.T) {
 	dir := t.TempDir()
-	coldSHA, coldStats := runCrashPipeline(t, dir, false)
+	coldSHA, coldStats, coldCrashStates := runCrashPipeline(t, dir, false)
 	if n := len(generate(t, (*Session).GenerateCrash)); coldStats.Executed != n {
 		t.Fatalf("cold run executed %d of %d scripts", coldStats.Executed, n)
 	}
-	warmSHA, warmStats := runCrashPipeline(t, dir, false)
+	warmSHA, warmStats, _ := runCrashPipeline(t, dir, false)
 	if warmStats.Executed != 0 {
 		t.Fatalf("warm run re-executed %d scripts, want 0", warmStats.Executed)
 	}
@@ -186,9 +189,13 @@ func TestCrashGoldenParity(t *testing.T) {
 	if warmSHA != coldSHA {
 		t.Fatal("warm cache replayed different checked-trace bytes")
 	}
-	noMemoSHA, _ := runCrashPipeline(t, "", true)
+	noMemoSHA, _, noMemoCrashStates := runCrashPipeline(t, "", true)
 	if noMemoSHA != coldSHA {
 		t.Fatal("transition memo changed checked-trace bytes")
+	}
+	if coldCrashStates == 0 || coldCrashStates != noMemoCrashStates {
+		t.Fatalf("checker.crash_states %d with the memo, %d without; want equal and nonzero",
+			coldCrashStates, noMemoCrashStates)
 	}
 	// And the fixture digest must agree with the direct-check digest path
 	// (TestCrashGolden): same renderer, same bytes.

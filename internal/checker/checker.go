@@ -85,6 +85,11 @@ type Result struct {
 	// mode only). Telemetry, like TauRounds: not part of the serialized
 	// record — the record's byte format is pinned by golden fixtures.
 	CrashPoints int
+	// CrashStates counts the remounted states the crash labels drew: the
+	// successors osspec.CrashStates built for every tracked state, each
+	// source's deduplicated. Telemetry, like CrashPoints; it does not
+	// depend on Memo.
+	CrashStates int
 	// Coverage is the set of model coverage points the check hit,
 	// transitions replayed from the cons table included, so it does not
 	// depend on Memo. Like CrashPoints, not part of the serialized record.
@@ -312,10 +317,11 @@ func (c *Checker) step(ctx context.Context, states []*osspec.OsState, st trace.S
 				cover = func(i int) uint64 { return covered[i] }
 			}
 		}
+		next := c.unionTrans(src, st.Label, sc, cover)
 		if isCrash {
 			res.CrashPoints++
+			res.CrashStates += len(next)
 		}
-		next := c.unionTrans(src, st.Label, sc, cover)
 		if len(next) == 0 {
 			res.Accepted = false
 			res.Errors = append(res.Errors, StepError{
@@ -344,6 +350,7 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 	tel.Counter("checker.tau_rounds").Add(int64(res.TauRounds))
 	if res.CrashPoints > 0 {
 		tel.Counter("checker.crash_points").Add(int64(res.CrashPoints))
+		tel.Counter("checker.crash_states").Add(int64(res.CrashStates))
 	}
 	if !res.Accepted {
 		tel.Counter("checker.rejected").Inc()

@@ -17,25 +17,9 @@ package osspec
 // start from (cf. the FERRITE line of work on weaker persistency models).
 
 import (
-	"sync/atomic"
-
 	"repro/internal/state"
-	"repro/internal/telemetry"
 	"repro/internal/types"
 )
-
-// crashStatesEnumerated counts remounted candidate states built by
-// CrashStates process-wide, before deduplication (PR-6 style engine-global
-// counter, like osspec.state_clones).
-var crashStatesEnumerated atomic.Int64
-
-// CrashStatesEnumerated returns the process-wide count of crash candidate
-// states enumerated.
-func CrashStatesEnumerated() int64 { return crashStatesEnumerated.Load() }
-
-func init() {
-	telemetry.Default.Func("osspec.crash_states", CrashStatesEnumerated)
-}
 
 // persistNote records a pending durable effect: called after a transition's
 // effects have been applied, it appends a snapshot of the live heap to the
@@ -118,7 +102,6 @@ func CrashStates(s *OsState) []*OsState {
 	seen := NewStateSet(len(candidates))
 	out := make([]*OsState, 0, len(candidates))
 	for _, h := range candidates {
-		crashStatesEnumerated.Add(1)
 		rs := remountState(h, s.Spec)
 		if seen.Add(rs) {
 			out = append(out, rs)
@@ -146,7 +129,6 @@ func CrashWithKeep(s *OsState, keep int) *OsState {
 	if keep > 0 {
 		h = s.pend[keep-1]
 	}
-	crashStatesEnumerated.Add(1)
 	return remountState(h, s.Spec)
 }
 

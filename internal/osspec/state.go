@@ -235,7 +235,6 @@ func (s *OsState) Pids() []types.Pid {
 // heap header share one allocation (osClone).
 func (s *OsState) Clone() *OsState {
 	s.Freeze()
-	stateClones.Add(1)
 	b := new(osClone)
 	s.H.CloneInto(&b.h)
 	b.s = OsState{

@@ -12,12 +12,15 @@ import (
 //
 // so a warm hit decodes the flat binary fields (length-prefixed slices,
 // no parser) and journals the embedded canonical JSON verbatim
-// (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The JSON
-// is authoritative for every external consumer (journal, Finalize,
-// ReadRecords) once it passes the sink's framing guard; the binary part
-// is a pure decode accelerator, and any damage to it degrades to parsing
-// the embedded JSON, never to a wrong record. A value without the tag —
-// a v1 bare-JSON entry among them — is a miss.
+// (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The
+// decoded record is what a hit hands out: to Stats.Rejected, observers,
+// the sfs-serve live stream and the caller of Sink.Finalize. The embedded
+// JSON is the hit's journal line once it passes the sink's framing guard.
+// The two agree because both come from one encodeRecord call, and a
+// PackStore hands back only CRC-checked frames; a damaged binary part
+// (decodeRecord's bounds checks fail) degrades to parsing the embedded
+// JSON. A value without the tag — a v1 bare-JSON entry among them — is a
+// miss.
 
 // recMagic tags a framed record entry.
 const recMagic = "sfsrec1\x00"

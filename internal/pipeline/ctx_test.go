@@ -42,7 +42,7 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 	if _, _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Finalize(); err != nil {
+	if _, err := sink.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,7 +87,7 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 	if st.SinkSkipped != journaled {
 		t.Fatalf("resume skipped %d, want %d", st.SinkSkipped, journaled)
 	}
-	if err := sink.Finalize(); err != nil {
+	if _, err := sink.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -419,13 +419,14 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 		tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)
 		if ok {
 			// The stored line IS the canonical journal encoding (Cached is
-			// json:"-"), so a hit journals without a re-marshal.
+			// json:"-"), so a hit journals without a re-marshal. Cached is
+			// set first: the sink hands its records back from Finalize.
+			rec.Cached = true
 			if cfg.Sink != nil {
 				if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
 					return rec, true, false, err
 				}
 			}
-			rec.Cached = true
 			return rec, true, false, nil
 		}
 		tel.Counter("pipeline.cache_misses").Inc()

@@ -244,7 +244,7 @@ func finalizedRun(t *testing.T, cfg Config, path string, resume bool) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Finalize(); err != nil {
+	if _, err := sink.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -504,7 +504,7 @@ func TestRunWorkersAgree(t *testing.T) {
 			if k < 2 {
 				err = sink.Close()
 			} else {
-				err = sink.Finalize()
+				_, err = sink.Finalize()
 			}
 			if err != nil {
 				t.Fatal(err)

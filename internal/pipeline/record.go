@@ -39,8 +39,9 @@ type Record struct {
 	CapHit        bool   `json:"cap_hit,omitempty"`
 	Checked       string `json:"checked"`
 
-	// Cached reports whether this record came from the result cache rather
-	// than a fresh execution. Run-local provenance only: never serialized.
+	// Cached reports whether this record came from the result cache or a
+	// resumed journal rather than a fresh execution. Run-local provenance
+	// only: never serialized.
 	Cached bool `json:"-"`
 }
 

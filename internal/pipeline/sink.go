@@ -104,6 +104,7 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 			// Re-encode rather than keep the file's bytes: a journal is
 			// not guaranteed to hold canonical encodings.
 			canon := rec.AppendJSON(nil)
+			rec.Cached = true // not executed by the run that resumes it
 			s.byKey[rec.Key] = rec
 			s.records = append(s.records, rec)
 			s.lines = append(s.lines, canon)
@@ -124,9 +125,6 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 	go s.flusher()
 	return s, nil
 }
-
-// Path returns the sink's file path.
-func (s *Sink) Path() string { return s.path }
 
 // Restrict readies the sink for a run that may append n records: it
 // presizes the index, records and lines for them, and drops journaled
@@ -259,14 +257,6 @@ func (s *Sink) flushLocked(fsync bool) error {
 	return nil
 }
 
-// Flush commits the group-commit buffer to the OS (tests and long-lived
-// embedders; Close and Finalize flush on their own).
-func (s *Sink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked(false)
-}
-
 // flusher is the background interval commit bounding how long a record
 // can stay buffered in a process that is killed without Close.
 func (s *Sink) flusher() {
@@ -290,36 +280,32 @@ func (s *Sink) stopFlusher() {
 	s.stopOnce.Do(func() { close(s.flushDone) })
 }
 
-// Records returns a copy of every journaled record, in journal order.
-func (s *Sink) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Record(nil), s.records...)
-}
-
-// Finalize rewrites the sink file in canonical order and closes the sink.
-// After Finalize the file's bytes depend only on the record *set* — not on
-// completion order, shard layout, cache hits or how many interrupted runs
+// Finalize rewrites the sink file in canonical order, closes the sink and
+// returns the records it wrote, in the order it wrote them: every record
+// the file holds, resumed ones and other shards' included. After Finalize
+// the file's bytes depend only on the record *set* — not on completion
+// order, shard layout, cache hits or how many interrupted runs
 // contributed — which is the property the shard-invariance and
 // resume-equivalence tests pin. It sorts the journaled lines; nothing is
-// marshalled again.
-func (s *Sink) Finalize() error {
+// marshalled again. Record.Cached is true on the records a cache hit or
+// a resumed journal supplied.
+func (s *Sink) Finalize() ([]Record, error) {
 	s.stopFlusher()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	finalizeStart := time.Now()
 	if err := s.flushLocked(false); err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.f.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	s.f = nil
-	err := writeLines(s.path, s.records, s.lines)
+	records, err := writeLines(s.path, s.records, s.lines)
 	if s.tel != nil {
 		s.tel.Histogram("journal.finalize_ns").ObserveSince(finalizeStart)
 	}
-	return err
+	return records, err
 }
 
 // Close closes the sink without canonicalizing (the journal keeps its
@@ -349,7 +335,8 @@ func WriteRecords(path string, records []Record) error {
 	for i, rec := range records {
 		lines[i] = rec.AppendJSON(nil)
 	}
-	return writeLines(path, records, lines)
+	_, err := writeLines(path, records, lines)
+	return err
 }
 
 // finalizeBufSize bounds the buffer writeLines streams a journal through
@@ -359,8 +346,9 @@ const finalizeBufSize = 64 << 10
 // writeLines writes lines (lines[i] encodes records[i]) to path, one per
 // line, in canonical record order: by name, key-tiebroken (names are
 // unique across the generated suite, but user script directories make no
-// such promise). The write is atomic and durable (atomicWriteFile).
-func writeLines(path string, records []Record, lines [][]byte) error {
+// such promise). The write is atomic and durable (atomicWriteFile). It
+// returns the records in the order written.
+func writeLines(path string, records []Record, lines [][]byte) ([]Record, error) {
 	order := make([]int, len(records))
 	size := 0
 	for i := range order {
@@ -373,7 +361,7 @@ func writeLines(path string, records []Record, lines [][]byte) error {
 		}
 		return strings.Compare(records[a].Key, records[b].Key)
 	})
-	return atomicWriteFile(path, ".jsonl-*", func(f io.Writer) error {
+	err := atomicWriteFile(path, ".jsonl-*", func(f io.Writer) error {
 		// A small journal gets a buffer of its own size, not the bound.
 		w := bufio.NewWriterSize(f, min(size, finalizeBufSize))
 		for _, i := range order {
@@ -382,6 +370,14 @@ func writeLines(path string, records []Record, lines [][]byte) error {
 		}
 		return w.Flush() // reports the first failed write
 	})
+	if err != nil {
+		return nil, err
+	}
+	written := make([]Record, len(order))
+	for k, i := range order {
+		written[k] = records[i]
+	}
+	return written, nil
 }
 
 // ReadRecords loads every record line of a JSONL file, in file order. A
@@ -391,19 +387,6 @@ func writeLines(path string, records []Record, lines [][]byte) error {
 // in one syscall, so a short write can never produce a terminated
 // partial line).
 func ReadRecords(path string) ([]Record, error) {
-	return readRecords(path, true)
-}
-
-// ReadVerdicts is ReadRecords without the checked-trace text: every
-// record's Checked stays empty. A line that ends in its "checked" member,
-// as every line AppendJSON writes does, is decoded without it, so the
-// text, most of a record's bytes, is neither parsed nor validated; other
-// lines are decoded whole. Summaries (Summarise) need nothing more.
-func ReadVerdicts(path string) ([]Record, error) {
-	return readRecords(path, false)
-}
-
-func readRecords(path string, checked bool) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -417,53 +400,13 @@ func readRecords(path string, checked bool) ([]Record, error) {
 		}
 		line := data[off : off+nl]
 		off += nl + 1
-		if !checked {
-			line = cutChecked(line)
-		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return nil, fmt.Errorf("pipeline: %s: bad record line: %w", path, err)
 		}
-		if !checked {
-			rec.Checked = ""
-		}
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-// checkedMember opens a record line's "checked" member. Inside a JSON
-// string every quote is escaped, so a match is always structural.
-var checkedMember = []byte(`,"checked":"`)
-
-// cutChecked returns line with its "checked" member removed when that
-// member is the line's last, overwriting line in place; any other line
-// comes back as it is.
-func cutChecked(line []byte) []byte {
-	i := bytes.Index(line, checkedMember)
-	if i < 0 {
-		return line
-	}
-	// The string value must close at the line's final '"', right before
-	// the object's '}'.
-	for j := i + len(checkedMember); ; j++ {
-		k := bytes.IndexByte(line[j:], '"')
-		if k < 0 {
-			return line
-		}
-		j += k
-		escapes := 0
-		for line[j-1-escapes] == '\\' {
-			escapes++
-		}
-		if escapes%2 == 0 {
-			if j != len(line)-2 || line[j+1] != '}' {
-				return line
-			}
-			line[i] = '}'
-			return line[:i+1]
-		}
-	}
 }
 
 // MergeRecords combines shard sinks into one canonical JSONL file,

@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -37,7 +33,7 @@ func TestStoredLineGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Finalize(); err != nil {
+	if _, err := sink.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	want := readFile(t, cold)
@@ -180,86 +176,25 @@ func FuzzSinkResume(f *testing.F) {
 		if !bytes.HasPrefix(data, kept) || (len(kept) > 0 && kept[len(kept)-1] != '\n') {
 			t.Fatalf("journal cut to %q, not a newline-terminated prefix of %q", kept, data)
 		}
-		want := sink.Records()
-		if err := sink.Finalize(); err != nil {
+		want, err := sink.Finalize()
+		if err != nil {
 			t.Fatalf("Finalize: %v", err)
 		}
 		got, err := ReadRecords(path)
 		if err != nil {
 			t.Fatalf("ReadRecords after Finalize: %v", err)
 		}
-		slices.SortFunc(want, func(a, b Record) int {
-			if c := strings.Compare(a.Name, b.Name); c != 0 {
-				return c
-			}
-			return strings.Compare(a.Key, b.Key)
-		})
 		if len(got) != len(want) {
-			t.Fatalf("Finalize + ReadRecords gave %d records, the sink kept %d", len(got), len(want))
+			t.Fatalf("ReadRecords gave %d records, Finalize %d", len(got), len(want))
 		}
 		for i := range got {
+			if !want[i].Cached {
+				t.Fatalf("record %d was recovered from the journal but is not marked Cached", i)
+			}
+			want[i].Cached = false
 			if !reflect.DeepEqual(canonicalRecord(got[i]), canonicalRecord(want[i])) {
 				t.Fatalf("record %d changed:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
 		}
 	})
-}
-
-// TestReadVerdicts pins that the slim decode sfs-run summarises from
-// yields ReadRecords' records with only Checked left empty, and so the
-// same summary: for canonical lines, whatever their checked text holds,
-// and for lines of other shapes, which it decodes whole.
-func TestReadVerdicts(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var records []Record
-	for i := range 200 {
-		rec := randomRecord(rng)
-		rec.Key = fmt.Sprintf("k%03d", i)
-		if i%10 == 0 {
-			rec.Checked = `ends in \ "}` + strings.Repeat(`\`, i%3)
-		}
-		records = append(records, rec)
-	}
-	path := filepath.Join(t.TempDir(), "v.jsonl")
-	if err := WriteRecords(path, records); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		`{"checked":"first","key":"x1","name":"n1","accepted":true,"steps":3}`,
-		`{"key":"x2", "name":"n2", "accepted":false, "checked":"spaced"}`,
-		`{"key":"x3","checked":"middle","name":"n3","steps":4}`,
-		`{"key":"x4","name":"n4","errors":[{"line":2,"observed":"o","checked":"nested"}],"checked":"last"}`,
-	} {
-		if _, err := f.WriteString(line + "\n"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := ReadRecords(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slim, err := ReadVerdicts(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slim) != len(full) {
-		t.Fatalf("%d verdicts, %d records", len(slim), len(full))
-	}
-	for i := range full {
-		want := full[i]
-		want.Checked = ""
-		if !reflect.DeepEqual(slim[i], want) {
-			t.Fatalf("verdict %d:\n got %+v\nwant %+v", i, slim[i], want)
-		}
-	}
-	if got, want := Summarise("v", slim).String(), Summarise("v", full).String(); got != want {
-		t.Errorf("summaries differ:\n%s\nvs\n%s", got, want)
-	}
 }

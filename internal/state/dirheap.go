@@ -131,7 +131,6 @@ func (h *Heap) Clone() *Heap {
 // layer's clones) pays one allocation for both.
 func (h *Heap) CloneInto(dst *Heap) {
 	h.Freeze()
-	heapClones.Add(1)
 	*dst = Heap{
 		dirs:     h.dirs,
 		files:    h.files,
@@ -244,7 +243,6 @@ func (h *Heap) MutDir(r DirRef) *Dir {
 	}
 	h.unhashDir(r, d)
 	if h.tok == nil || d.owner != h.tok {
-		objectCopies.Add(1)
 		h.ensureDirs()
 		entries := make(map[string]Entry, len(d.Entries))
 		for n, e := range d.Entries {
@@ -273,7 +271,6 @@ func (h *Heap) MutFile(r FileRef) *File {
 	}
 	h.unhashFile(r, f)
 	if h.tok == nil || f.owner != h.tok {
-		objectCopies.Add(1)
 		h.ensureFiles()
 		nf := &File{
 			Bytes:     append([]byte(nil), f.Bytes...),

@@ -63,7 +63,6 @@ func b2u(b bool) uint64 {
 
 // dirContent hashes a directory's semantic content together with its ref.
 func dirContent(r DirRef, d *Dir) uint64 {
-	hashComputes.Add(1)
 	v := Mix(seedDir, uint64(r))
 	v = Mix(v, uint64(d.Parent))
 	v = Mix(v, uint64(d.Perm))
@@ -82,7 +81,6 @@ func dirContent(r DirRef, d *Dir) uint64 {
 
 // fileContent hashes a file's semantic content together with its ref.
 func fileContent(r FileRef, f *File) uint64 {
-	hashComputes.Add(1)
 	v := Mix(seedFile, uint64(r))
 	v = Mix(v, uint64(f.Nlink))
 	v = Mix(v, b2u(f.IsSymlink))

@@ -9,10 +9,7 @@
 // Ownership follows the Session model from internal/cov: the package-level
 // Default registry backs legacy paths and single-session CLIs, while a
 // library embedding several sessions gives each its own registry
-// (sibylfs.WithTelemetry) and their figures never bleed. Engine-global
-// readouts that cannot be attributed per session (state-engine clone and
-// hash counts) register themselves on Default as Funcs and are documented
-// as process-wide.
+// (sibylfs.WithTelemetry) and their figures never bleed.
 //
 // Telemetry is always on and must stay effectively free: counters are
 // single atomic adds, histograms three atomic adds and a bounds walk, and

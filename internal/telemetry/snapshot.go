@@ -56,9 +56,9 @@ type BucketCount struct {
 	Count int64 `json:"count"`
 }
 
-// Snapshot captures the registry's current figures. Registered Funcs are
-// evaluated and reported as gauges; empty metrics are included (a zero
-// counter is information), torn in-flight observations are tolerated.
+// Snapshot captures the registry's current figures. Empty metrics are
+// included (a zero counter is information), torn in-flight observations
+// are tolerated.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		GoVersion: runtime.Version(),
@@ -81,10 +81,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for k, v := range r.funcs {
-		funcs[k] = v
-	}
 	r.mu.RUnlock()
 
 	for name, c := range counters {
@@ -92,9 +88,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range gauges {
 		snap.Gauges[name] = g.Value()
-	}
-	for name, fn := range funcs {
-		snap.Gauges[name] = fn()
 	}
 	for name, h := range hists {
 		snap.Hists[name] = snapshotHist(h)

@@ -52,14 +52,12 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 //
 // The package-level Default registry backs every path not configured with
 // an explicit registry. Isolated registries (one per sibylfs.Session) never
-// see each other's figures; Funcs registered on Default that read
-// process-global engine counters are the documented exception.
+// see each other's figures.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() int64
 
 	spanMu sync.RWMutex
 	onSpan func(SpanEvent)
@@ -77,7 +75,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
 		created:  time.Now(),
 	}
 }
@@ -142,19 +139,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Func registers a named external readout, snapshotted as a gauge. Used
-// for process-global engine counters (state-engine clones, hash computes)
-// that cannot be attributed to one registry; registering the same name
-// again replaces the previous readout.
-func (r *Registry) Func(name string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[name] = fn
-}
-
-// Reset zeroes every counter, gauge and histogram (registered Funcs read
-// live state and are untouched). Tests and long-lived daemons use it; the
-// handles stay valid.
+// Reset zeroes every counter, gauge and histogram. Tests and long-lived
+// daemons use it; the handles stay valid.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -164,23 +164,6 @@ func TestRegistryIsolationAndReset(t *testing.T) {
 	}
 }
 
-func TestFuncSnapshot(t *testing.T) {
-	r := NewRegistry()
-	v := int64(10)
-	r.Func("engine.total", func() int64 { return v })
-	if got := r.Snapshot().Gauges["engine.total"]; got != 10 {
-		t.Fatalf("func gauge = %d, want 10", got)
-	}
-	v = 20
-	if got := r.Snapshot().Gauges["engine.total"]; got != 20 {
-		t.Fatalf("func gauge = %d, want live 20", got)
-	}
-	r.Reset()
-	if got := r.Snapshot().Gauges["engine.total"]; got != 20 {
-		t.Fatalf("Reset zeroed a Func readout: %d", got)
-	}
-}
-
 func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
 	var events []SpanEvent

@@ -169,10 +169,8 @@ func WithLog(w io.Writer) Option { return func(s *Session) { s.log = w } }
 // checking, pipeline and fuzzing land in reg instead of the shared
 // telemetry.Default — two sessions with distinct registries never see
 // each other's figures. Like coverage isolation, telemetry isolation is
-// free: registries are just independent sets of atomics. Engine-internal
-// totals (state-heap clones, hash computes) remain process-global and are
-// published on the default registry only. Read reg with its Snapshot /
-// WriteJSON / WritePrometheus methods.
+// free: registries are just independent sets of atomics. Read reg with
+// its Snapshot / WriteJSON / WritePrometheus methods.
 func WithTelemetry(reg *TelemetryRegistry) Option { return func(s *Session) { s.tel = reg } }
 
 // TelemetryRegistry is an isolated metrics/span registry; see
@@ -414,13 +412,16 @@ type RunJob struct {
 }
 
 // Run executes one shard of a suite through the sharded, cache-backed
-// checking pipeline and returns this shard's records in job order. With
-// WithJournal the records also stream to the JSONL sink, which is
-// finalized on success and left as a valid append-order journal on error
-// — cancellation (ctx deadline, Ctrl-C via signal.NotifyContext) stops
-// between jobs, and a later session constructed WithResume completes the
-// run without re-executing journaled work, yielding byte-identical
-// finalized output.
+// checking pipeline. Without WithJournal it returns this shard's records
+// in job order. With WithJournal the records stream to the JSONL sink,
+// which is finalized on success and left as a valid append-order journal
+// on error — cancellation (ctx deadline, Ctrl-C via signal.NotifyContext)
+// stops between jobs, and a later session constructed WithResume
+// completes the run without re-executing journaled work, yielding
+// byte-identical finalized output. A journaled Run returns the finalized
+// file's records in file order: every record the file holds, other
+// shards' and resumed ones included. Record.Cached marks the records a
+// cache hit or the resumed journal supplied.
 func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, PipelineStats, error) {
 	cache, err := s.openCache()
 	if err != nil {
@@ -450,20 +451,29 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 	if s.journal != "" {
 		s.journalMu.Lock()
 		defer s.journalMu.Unlock()
-		sink, err := pipeline.OpenSink(s.journal, s.resume)
-		if err != nil {
-			return nil, PipelineStats{}, err
-		}
-		cfg.Sink = sink
 	}
-	records, stats, err := pipeline.Run(ctx, cfg)
-	if cfg.Sink != nil {
-		if err != nil {
-			cfg.Sink.Close() // keep the append-order journal for -resume
-		} else if ferr := cfg.Sink.Finalize(); ferr != nil {
-			return records, stats, ferr
-		}
+	return s.runSink(ctx, cfg, s.journal)
+}
+
+// runSink runs cfg through the pipeline with a sink at path, if path is
+// not empty: opened per the session's WithResume, finalized on success
+// and closed on error, so the append-order journal stays resumable. With
+// a sink it returns the records Finalize wrote; without one, pipeline.Run's.
+func (s *Session) runSink(ctx context.Context, cfg pipeline.Config, path string) ([]PipelineRecord, PipelineStats, error) {
+	if path == "" {
+		return pipeline.Run(ctx, cfg)
 	}
+	sink, err := pipeline.OpenSink(path, s.resume)
+	if err != nil {
+		return nil, PipelineStats{}, err
+	}
+	cfg.Sink = sink
+	_, stats, err := pipeline.Run(ctx, cfg)
+	if err != nil {
+		sink.Close()
+		return nil, stats, err
+	}
+	records, err := sink.Finalize()
 	return records, stats, err
 }
 
@@ -519,21 +529,11 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		if s.maxStateSet > 0 {
 			pcfg.MaxStateSet = s.maxStateSet
 		}
+		var path string
 		if s.journalDir != "" {
-			sink, err := pipeline.OpenSink(filepath.Join(s.journalDir, surveySinkName(cfg.Name)), s.resume)
-			if err != nil {
-				return out, err
-			}
-			pcfg.Sink = sink
+			path = filepath.Join(s.journalDir, surveySinkName(cfg.Name))
 		}
-		records, _, err := pipeline.Run(ctx, pcfg)
-		if pcfg.Sink != nil {
-			if err == nil {
-				err = pcfg.Sink.Finalize()
-			} else {
-				pcfg.Sink.Close()
-			}
-		}
+		records, _, err := s.runSink(ctx, pcfg, path)
 		if err != nil {
 			return out, fmt.Errorf("survey %s: %w", cfg.Name, err)
 		}

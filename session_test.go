@@ -204,6 +204,88 @@ func TestSessionRunCancelResume(t *testing.T) {
 	}
 }
 
+// TestSessionRunReturnsFinalizedSink pins a journaled Run's records: the
+// records of the whole finalized file, in file order. Shard 0 of 2 runs
+// first; shard 1 then resumes the same journal, with a cache that holds
+// the first third of the scripts. The second Run must return exactly
+// what ReadRecords reads back, with Cached set on exactly the resumed
+// shard-0 records and shard 1's cache hits.
+func TestSessionRunReturnsFinalizedSink(t *testing.T) {
+	scripts := smallSuite(t, 30)
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	journal := filepath.Join(dir, "run.jsonl")
+	job := func(shard int) RunJob {
+		return RunJob{
+			Name:    "finalized-sink",
+			Scripts: scripts,
+			Factory: MemFS(LinuxProfile("ext4")),
+			FSName:  "ext4",
+			Shards:  2,
+			Shard:   shard,
+		}
+	}
+	run := func(job RunJob, opts ...Option) []PipelineRecord {
+		t.Helper()
+		s := New(append(opts, WithCacheDir(cacheDir))...)
+		defer s.Close()
+		records, _, err := s.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	cachedPrefix := len(scripts) / 3
+	warm := job(0)
+	warm.Shards, warm.Scripts = 0, scripts[:cachedPrefix]
+	run(warm)
+
+	readBack := func() []PipelineRecord {
+		t.Helper()
+		recs, err := pipeline.ReadRecords(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	uncached := func(recs []PipelineRecord) []PipelineRecord {
+		out := make([]PipelineRecord, len(recs))
+		for i, rec := range recs {
+			rec.Cached = false
+			out[i] = rec
+		}
+		return out
+	}
+	first := run(job(0), WithJournal(journal))
+	if want := readBack(); len(first) != (len(scripts)+1)/2 || !reflect.DeepEqual(uncached(first), want) {
+		t.Fatalf("shard 0 returned %d records, not the %d its finalized journal holds", len(first), len(want))
+	}
+	second := run(job(1), WithJournal(journal), WithResume())
+	want := readBack()
+	if len(second) != len(scripts) || !reflect.DeepEqual(uncached(second), want) {
+		t.Fatalf("resumed shard 1 returned %d records, not the %d of its finalized journal in file order",
+			len(second), len(want))
+	}
+	index := make(map[string]int, len(scripts))
+	for i, sc := range scripts {
+		index[sc.Name] = i
+	}
+	hits := 0
+	for _, rec := range second {
+		i := index[rec.Name]
+		resumed, hit := i%2 == 0, i%2 == 1 && i < cachedPrefix
+		if hit {
+			hits++
+		}
+		if rec.Cached != (resumed || hit) {
+			t.Errorf("%s (script %d): Cached %v, want %v", rec.Name, i, rec.Cached, resumed || hit)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("shard 1 had no cache hits: the Cached check on hits is vacuous")
+	}
+}
+
 // TestSessionRunPreCancelled: a context cancelled before Run starts must
 // stop promptly, execute nothing, and still leave a valid (empty)
 // journal.
