@@ -7,7 +7,6 @@ package sibylfs
 //	BenchmarkTable71ExecuteSuite  — §7.1 test-suite execution time
 //	BenchmarkTable71RenderHTML    — §7.1 HTML generation
 //	BenchmarkTable3StateSetCheck  — §3 nondeterminism handling cost
-//	BenchmarkAblationNoDedup      — ablation: fingerprint dedup off
 //	BenchmarkAblationStateClone   — the state-clone primitive behind §3
 //	BenchmarkFig7ModelSize        — Fig 7 model line counts
 //	BenchmarkSpecFSExecute        — determinized-model execution (§8)
@@ -200,22 +199,6 @@ func BenchmarkCheckConcurrent(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak_states")
 }
 
-// BenchmarkAblationNoDedup shows what fingerprint deduplication of the
-// state set buys on the same trace (see ARCHITECTURE.md, "The state
-// engine"; without it, equivalent readdir branches multiply).
-func BenchmarkAblationNoDedup(b *testing.B) {
-	tr := nondetTrace(b)
-	c := checker.New(DefaultSpec())
-	c.DisableDedup = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := c.Check(tr)
-		if !r.Accepted {
-			b.Fatal("bench trace rejected")
-		}
-	}
-}
-
 // BenchmarkAblationStateClone measures the clone primitive that the
 // possible-next-state enumeration strategy (§3) rests on.
 func BenchmarkAblationStateClone(b *testing.B) {
@@ -282,7 +265,7 @@ func BenchmarkTauClosureSerial(b *testing.B) {
 	states := closureFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true})
+		out, _, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{})
 		if len(out) < 8 {
 			b.Fatalf("closure collapsed to %d states", len(out))
 		}

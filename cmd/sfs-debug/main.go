@@ -1,19 +1,25 @@
 // sfs-debug is the model-debugging tool of §2: it takes a trace and
 // produces a description of the model states that the oracle tracks at
 // every step — "extremely useful for developing the model, but we do not
-// expect end users of SibylFS to need it". Ctrl-C cancels between steps
-// (a pathological closure dump can run long).
+// expect end users of SibylFS to need it". It walks the checker's own
+// steps, so the sets it shows are the ones the oracle checks against,
+// deduplicated and capped, and it continues past a deviation with the
+// oracle's Fig 4 recovery. Ctrl-C cancels between steps (a pathological
+// closure dump can run long).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 
 	sibylfs "repro"
+	"repro/internal/checker"
 	"repro/internal/cliutil"
 	"repro/internal/osspec"
 	"repro/internal/types"
@@ -34,68 +40,77 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sfs-debug: unknown platform %q\n", *platform)
 		os.Exit(2)
 	}
-	data, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-debug:", err)
-		os.Exit(1)
-	}
-	tr, err := sibylfs.ParseTrace(string(data))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-debug:", err)
-		os.Exit(1)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	err := run(ctx, os.Stdout, flag.Arg(0), pl, *verbose)
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintln(os.Stderr, "sfs-debug: cancelled")
+		os.Exit(4)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "sfs-debug:", err)
+		os.Exit(1)
+	}
+}
 
-	states := []*osspec.OsState{osspec.NewOsState(sibylfs.SpecFor(pl))}
-	var tau osspec.ClosureScratch // every closure's working storage
-	fmt.Printf("# model-debug of %s (%s variant)\n\n", flag.Arg(0), pl)
+// run describes, on w, the states the oracle tracks while it checks the
+// trace in the file at path against the model variant pl: for every step,
+// its τ expansions, any deviation with its diagnosis, and the size (with
+// verbose, the contents) of the tracked set it leaves.
+func run(ctx context.Context, w io.Writer, path string, pl types.Platform, verbose bool) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	tr, err := sibylfs.ParseTrace(string(data))
+	if err != nil {
+		return err
+	}
+	chk := checker.New(sibylfs.SpecFor(pl))
+	walk := chk.Walk(ctx, tr.Name)
+	fmt.Fprintf(w, "# model-debug of %s (%s variant)\n\n", path, pl)
+	var states []*osspec.OsState
+	var before checker.Result
 	for _, st := range tr.Steps {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "sfs-debug: cancelled")
-			os.Exit(4)
+		fmt.Fprintf(w, "step %d: %s\n", st.Line, st.Label)
+		if states, err = walk.Step(st); err != nil {
+			return err
 		}
-		fmt.Printf("step %d: %s\n", st.Line, st.Label)
-		var next []*osspec.OsState
-		if _, ok := st.Label.(types.ReturnLabel); ok {
-			// Close over τ first, as the checker does: pending calls of any
-			// process may have been processed in any order by now. The
-			// closure is the checker's, with the same cancellation points,
-			// so the dump shows the same states in the same order the
-			// oracle tracks them.
-			expanded, taus, _ := osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true, Ctx: ctx, Scratch: &tau})
-			if taus > 0 {
-				fmt.Printf("  τ-closure: %d states (%d expansions)\n", len(expanded), taus)
-			}
-			for _, s := range expanded {
-				next = append(next, osspec.Trans(s, st.Label, nil)...)
-			}
-		} else {
-			for _, s := range states {
-				next = append(next, osspec.Trans(s, st.Label, nil)...)
-			}
+		after, _ := walk.Result()
+		if n := after.TauExpansions - before.TauExpansions; n > 0 {
+			fmt.Fprintf(w, "  τ-closure: %d expansions\n", n)
 		}
-		if len(next) == 0 {
-			fmt.Printf("  !! no tracked state allows this step; stopping\n")
-			break
+		for _, e := range after.Errors[len(before.Errors):] {
+			fmt.Fprint(w, indent(e.Message()))
 		}
-		states = next
-		fmt.Printf("  tracking %d state(s)\n", len(states))
-		if *verbose {
+		if after.StateSetCapHit && !before.StateSetCapHit {
+			fmt.Fprintf(w, "  !! state set capped at %d states; the verdict is best-effort\n", chk.MaxStateSet)
+		}
+		before = after
+		fmt.Fprintf(w, "  tracking %d state(s)\n", len(states))
+		if verbose {
 			for i, s := range states {
-				fmt.Printf("  --- state %d ---\n", i)
-				fmt.Print(indent(s.Dump()))
+				fmt.Fprintf(w, "  --- state %d ---\n", i)
+				fmt.Fprint(w, indent(s.Dump()))
 			}
 		}
 	}
 	if len(states) > 0 {
-		fmt.Println("\nfinal state(s):")
-		fmt.Print(indent(states[0].Dump()))
+		fmt.Fprintln(w, "\nfinal state(s):")
+		fmt.Fprint(w, indent(states[0].Dump()))
 		if len(states) > 1 {
-			fmt.Printf("  (and %d more)\n", len(states)-1)
+			fmt.Fprintf(w, "  (and %d more)\n", len(states)-1)
 		}
 	}
+	res, _ := walk.Result()
+	fmt.Fprintf(w, "\n# %d steps, peak %d states, %d τ expansions\n", res.Steps, res.MaxStates, res.TauExpansions)
+	if res.Accepted {
+		fmt.Fprintln(w, "# Trace accepted.")
+	} else {
+		fmt.Fprintf(w, "# Trace NOT accepted: %d error(s).\n", len(res.Errors))
+	}
+	return nil
 }
 
 func indent(s string) string {

@@ -215,7 +215,10 @@ func TestTable73Survey(t *testing.T) {
 			t.Errorf("%s: defect not detected", name)
 		}
 	}
-	merged := MergeSurvey(results)
+	merged, err := session.MergeSurvey(ctx, results)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged.Distinguishing()) == 0 {
 		t.Error("no distinguishing tests across configurations")
 	}

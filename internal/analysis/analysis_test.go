@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -129,7 +130,10 @@ func TestMergeDistinguishing(t *testing.T) {
 		mkResult("t2", true, ""),
 		mkResult("t3", false, "EIO"),
 	})
-	m := Merge([]*RunSummary{a, b})
+	m, err := MergeCtx(context.Background(), []*RunSummary{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
 	diffs := m.Distinguishing()
 	if len(diffs) != 1 || diffs[0] != "t1" {
 		t.Fatalf("distinguishing = %v", diffs)

@@ -160,16 +160,10 @@ type Merged struct {
 	PerTest map[string]map[string]bool
 }
 
-// Merge combines run summaries.
-func Merge(runs []*RunSummary) *Merged {
-	m, _ := MergeCtx(context.Background(), runs)
-	return m
-}
-
-// MergeCtx is Merge with cooperative cancellation, consulted between
-// runs: merging a full >40-configuration survey walks every deviating
-// test of every run, which is worth interrupting when the caller's
-// deadline has already passed. On cancellation the partial merge is
+// MergeCtx combines run summaries, with cooperative cancellation
+// consulted between runs: merging a full >40-configuration survey walks
+// every deviating test of every run, which is worth interrupting when the
+// caller's deadline has already passed. On cancellation the partial merge is
 // returned with ctx.Err().
 func MergeCtx(ctx context.Context, runs []*RunSummary) (*Merged, error) {
 	defer telemetry.Default.Histogram("analysis.merge_ns").ObserveSince(time.Now())

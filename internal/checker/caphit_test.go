@@ -46,15 +46,3 @@ func TestStateSetCapHitSurfaced(t *testing.T) {
 		t.Fatalf("race trace rejected: %+v", rf.Errors)
 	}
 }
-
-// TestCapHitAblationPath: the dedup-off reduce path truncates too and must
-// report it the same way.
-func TestCapHitAblationPath(t *testing.T) {
-	tr := parse(t, raceTrace(4))
-	c := New(types.DefaultSpec())
-	c.DisableDedup = true
-	c.MaxStateSet = 2
-	if r := c.Check(tr); !r.StateSetCapHit {
-		t.Error("ablation reduce truncated silently")
-	}
-}

@@ -115,9 +115,6 @@ type Checker struct {
 	// blowup; the paper's engineering keeps real sets tiny. Truncation is
 	// reported via Result.StateSetCapHit.
 	MaxStateSet int
-	// DisableDedup turns off deduplication of the state set — only for the
-	// ablation benchmarks; never set it in real checking.
-	DisableDedup bool
 	// Tel receives the checker's telemetry (counters per trace, τ-closure
 	// attribution); nil selects telemetry.Default. Purely observational:
 	// results are byte-identical whatever registry is installed.
@@ -132,9 +129,7 @@ type Checker struct {
 	// pointer identity, so it pays only where traces share a prefix of
 	// states: pipeline.Run gives each worker's checker a table of its own
 	// for sequential runs and leaves it nil for concurrent ones, whose
-	// schedules rarely reach the same state object twice. Ignored under
-	// DisableDedup (the ablation's states are never hashed, which the
-	// table's entries must be).
+	// schedules rarely reach the same state object twice.
 	Memo *osspec.ConsTable
 
 	// initial is the hashed+frozen initial state every trace this checker
@@ -145,6 +140,10 @@ type Checker struct {
 
 	// scratch is the storage each trace reuses (see traceScratch).
 	scratch traceScratch
+
+	// walk is the trace in progress (see Walk); it lives here so that
+	// starting one allocates nothing.
+	walk Walk
 }
 
 // traceScratch is the storage a trace reuses at every step instead of
@@ -209,16 +208,6 @@ func New(spec types.Spec) *Checker {
 	return &Checker{Spec: spec, MaxStateSet: 4096}
 }
 
-// memo returns the cons table to use, nil when memoisation is off. The
-// DisableDedup ablation skips pre-hashing, which the table's entries
-// need; it never memoises.
-func (c *Checker) memo() *osspec.ConsTable {
-	if c.DisableDedup {
-		return nil
-	}
-	return c.Memo
-}
-
 // initialState returns the model's initial state, built at the
 // checker's first check and kept hashed+frozen so every later trace
 // starts from the very same object.
@@ -241,37 +230,75 @@ func (c *Checker) Check(t *trace.Trace) Result {
 
 // CheckCtx is Check with cooperative cancellation: ctx is consulted
 // between trace steps and between τ-closure expansion rounds inside each
-// step. The whole check runs on the calling goroutine. On cancellation
-// the partial Result (inspected so far, verdict meaningless) is returned
-// with ctx.Err().
+// step. The whole check runs on the calling goroutine, as one Walk over
+// the trace. On cancellation the partial Result (inspected so far,
+// verdict meaningless) is returned with ctx.Err().
 func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) {
 	start := time.Now()
-	res := Result{Name: t.Name, Accepted: true}
-	sc := &c.scratch
-	defer sc.release()
-	states := sc.start(c.initialState())
-
+	defer c.scratch.release()
+	w := c.Walk(ctx, t.Name)
 	for _, st := range t.Steps {
-		if err := ctx.Err(); err != nil {
-			res.Coverage = sc.hits
-			return res, err
+		if _, err := w.Step(st); err != nil {
+			return w.Result()
 		}
-		res.Steps++
-		res.SumStates += len(states)
-		if len(states) > res.MaxStates {
-			res.MaxStates = len(states)
-		}
-		states = c.step(ctx, states, st, &res, sc)
 	}
-	res.Coverage = sc.hits
-	if len(states) == 0 {
+	res, err := w.Result()
+	if err == nil {
+		c.record(res, time.Since(start))
+	}
+	return res, err
+}
+
+// Walk is one trace's check in progress, driven a step at a time: the
+// loop CheckCtx runs, open to callers that want the tracked set after
+// every step, as sfs-debug does. Checker.Walk starts one, Step applies
+// the trace's steps in order and Result reads the outcome. A walk works
+// in its checker's scratch, so a checker runs one walk at a time:
+// starting a walk abandons the checker's previous one.
+type Walk struct {
+	c      *Checker
+	ctx    context.Context
+	states []*osspec.OsState
+	res    Result
+}
+
+// Walk starts checking the trace called name from the model's initial
+// state. Its steps consult ctx as CheckCtx does.
+func (c *Checker) Walk(ctx context.Context, name string) *Walk {
+	c.walk = Walk{c: c, ctx: ctx, res: Result{Name: name, Accepted: true}}
+	c.walk.states = c.scratch.start(c.initialState())
+	return &c.walk
+}
+
+// Step applies one observed step to the tracked set and returns the set
+// it leaves, which is valid until the checker's next Step or Walk. A
+// step no tracked state allows is diagnosed in the Result's Errors, and
+// the walk continues as Fig 4 does. If ctx is done before the step,
+// Step applies nothing; if it is done before or during the step, Step
+// returns ctx.Err(), and the set must not be used.
+func (w *Walk) Step(st trace.Step) ([]*osspec.OsState, error) {
+	if err := w.ctx.Err(); err != nil {
+		return w.states, err
+	}
+	res := &w.res
+	res.Steps++
+	res.SumStates += len(w.states)
+	res.MaxStates = max(res.MaxStates, len(w.states))
+	w.states = w.c.step(w.ctx, w.states, st, res, &w.c.scratch)
+	return w.states, w.ctx.Err()
+}
+
+// Result returns the outcome of the steps applied so far, the trace's
+// coverage set included, and ctx.Err(): the verdict is meaningless when
+// that error is non-nil. The trace is accepted iff the tracked set is
+// non-empty and no step required recovery.
+func (w *Walk) Result() (Result, error) {
+	res := w.res
+	res.Coverage = w.c.scratch.hits
+	if len(w.states) == 0 {
 		res.Accepted = false
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	c.record(res, time.Since(start))
-	return res, nil
+	return res, w.ctx.Err()
 }
 
 // step applies one observed label to the tracked set states (which lives
@@ -410,11 +437,10 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 }
 
 // tauClosure closes the state set over internal transitions (see
-// osspec.TauClosureWith), respecting the checker's dedup ablation and set
-// cap and accounting the expansions in the result's statistics. A
-// cancelled ctx cuts the closure short; CheckCtx notices at the next step
-// boundary and abandons the trace, so the truncated set is never used for
-// a verdict. The output is built in the trace's closure buffer; states'
+// osspec.TauClosureWith), respecting the checker's set cap and
+// accounting the expansions in the result's statistics. A cancelled ctx
+// cuts the closure short; Walk.Step reports the cancellation and the
+// trace is abandoned, so the truncated set is never used for a verdict. The output is built in the trace's closure buffer; states'
 // covered masks (sc.covered) spare it the successors the previous steps
 // already found. complete reports that the output holds every τ-successor
 // of its states: no cap hit and no cancellation.
@@ -423,12 +449,11 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 	cs := &sc.stats
 	*cs = osspec.ClosureStats{}
 	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
-		Dedup:   !c.DisableDedup,
 		Cap:     c.MaxStateSet,
 		Cov:     &sc.hits,
 		Ctx:     ctx,
 		Stats:   cs,
-		Memo:    c.memo(),
+		Memo:    c.Memo,
 		Scratch: &sc.tau,
 		Buf:     sc.closure,
 		Covered: sc.covered,
@@ -453,14 +478,13 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 // successor of source i when cover is non-nil (call and return labels,
 // which draw at most one successor per source), 0 otherwise.
 func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, cover func(int) uint64) []*osspec.OsState {
-	memo := c.memo()
-	if memo != nil {
+	if c.Memo != nil {
 		sc.key = osspec.AppendLabelKey(sc.key[:0], lbl)
 	}
 	sc.union, sc.fanout = sc.union[:0], sc.fanout[:0]
 	for _, s := range states {
 		n := len(sc.union)
-		sc.union = c.trans(sc.union, s, lbl, memo, sc)
+		sc.union = c.trans(sc.union, s, lbl, sc)
 		sc.fanout = append(sc.fanout, len(sc.union)-n)
 	}
 	if cover == nil {
@@ -482,10 +506,9 @@ func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *trac
 
 // trans appends s's successors under lbl to dst, and their coverage
 // points to the trace's set: with a cons table the interned fan-out (sc.key
-// is lbl's cons key), otherwise fresh successors, pre-hashed unless dedup
-// is off.
-func (c *Checker) trans(dst []*osspec.OsState, s *osspec.OsState, lbl types.Label, memo *osspec.ConsTable, sc *traceScratch) []*osspec.OsState {
-	if memo != nil {
+// is lbl's cons key), otherwise fresh successors, pre-hashed for reduce.
+func (c *Checker) trans(dst []*osspec.OsState, s *osspec.OsState, lbl types.Label, sc *traceScratch) []*osspec.OsState {
+	if memo := c.Memo; memo != nil {
 		succs, ok := memo.Get(s, sc.key, &sc.hits)
 		if !ok {
 			sc.fan = cov.Set{}
@@ -497,10 +520,8 @@ func (c *Checker) trans(dst []*osspec.OsState, s *osspec.OsState, lbl types.Labe
 	}
 	n := len(dst)
 	dst = osspec.AppendTrans(dst, s, lbl, &sc.hits)
-	if !c.DisableDedup {
-		for _, ns := range dst[n:] {
-			ns.Hash()
-		}
+	for _, ns := range dst[n:] {
+		ns.Hash()
 	}
 	return dst
 }
@@ -520,10 +541,10 @@ func allowedSet(states []*osspec.OsState, pid types.Pid) []string {
 	return out
 }
 
-// reduce dedupes the state set by hash-consed identity (or only caps it,
-// for the ablation benchmark), records cap truncation, and freezes the
-// survivors, so the next fan-out clones them instead of writing to them
-// (the cons table hands them to later traces). It compacts states in
+// reduce dedupes the state set by hash-consed identity, records cap
+// truncation, and freezes the survivors, so the next fan-out clones them
+// instead of writing to them (the cons table hands them to later
+// traces). It compacts states in
 // place, and their covered masks (sc.covered, aligned with states on
 // entry) along with them: a duplicate's mask goes with it, and a
 // truncated set keeps none, since the states it dropped were what the
@@ -531,17 +552,6 @@ func allowedSet(states []*osspec.OsState, pid types.Pid) []string {
 // done with by the time reduce runs (the closure/union results only
 // reference states, never the set).
 func (c *Checker) reduce(states []*osspec.OsState, res *Result, sc *traceScratch) []*osspec.OsState {
-	if c.DisableDedup {
-		if c.MaxStateSet > 0 && len(states) > c.MaxStateSet {
-			states = states[:c.MaxStateSet]
-			res.StateSetCapHit = true
-			sc.uncover(len(states))
-		}
-		for _, s := range states {
-			s.Freeze()
-		}
-		return states
-	}
 	set := &sc.tau.Set
 	set.Reset()
 	out, covered := states[:0], sc.covered[:0]

@@ -26,7 +26,7 @@ type closureRun struct {
 func runClosure(states []*osspec.OsState, covered []uint64, cap int) closureRun {
 	var st osspec.ClosureStats
 	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
-		Dedup: true, Cap: cap, Stats: &st, Covered: covered,
+		Cap: cap, Stats: &st, Covered: covered,
 	})
 	return closureRun{fingerprints(out), st.Rounds, n, capHit}
 }
@@ -98,14 +98,12 @@ func TestClosureCoveredParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name, seed, err)
 			}
-			sc := new(traceScratch)
-			var res Result
-			states := sc.start(c.initialState())
+			w := c.Walk(ctx, tr.Name)
 			for _, st := range tr.Steps {
 				switch st.Label.(type) {
 				case types.ReturnLabel, types.DestroyLabel, types.CrashLabel:
-					want := naiveClosure(states, c.MaxStateSet)
-					got := runClosure(states, sc.covered, c.MaxStateSet)
+					want := naiveClosure(w.states, c.MaxStateSet)
+					got := runClosure(w.states, c.scratch.covered, c.MaxStateSet)
 					if got.expansions > want.expansions {
 						t.Fatalf("%s seed %d line %d: %d expansions pruned, %d naive",
 							s.Name, seed, st.Line, got.expansions, want.expansions)
@@ -123,9 +121,9 @@ func TestClosureCoveredParity(t *testing.T) {
 							len(want.fps), want.rounds, want.capHit)
 					}
 				}
-				states = c.step(ctx, states, st, &res, sc)
-				if len(sc.covered) != len(states) {
-					t.Fatalf("%s seed %d line %d: %d masks for %d states", s.Name, seed, st.Line, len(sc.covered), len(states))
+				states, _ := w.Step(st)
+				if len(c.scratch.covered) != len(states) {
+					t.Fatalf("%s seed %d line %d: %d masks for %d states", s.Name, seed, st.Line, len(c.scratch.covered), len(states))
 				}
 			}
 		}
@@ -136,23 +134,22 @@ func TestClosureCoveredParity(t *testing.T) {
 	}
 }
 
-// stepThrough checks the trace's steps up to and including the one on
-// line stop, and returns the result and scratch, whose covered slice
-// holds the tracked set's masks after that step.
+// stepThrough walks the trace's steps up to and including the one on
+// line stop, and returns the result and the checker's scratch, whose
+// covered slice holds the tracked set's masks after that step.
 func stepThrough(t *testing.T, c *Checker, text string, stop int) (Result, *traceScratch) {
 	t.Helper()
 	tr := parse(t, text)
-	sc := new(traceScratch)
-	res := Result{Accepted: true}
-	states := sc.start(c.initialState())
+	w := c.Walk(context.Background(), tr.Name)
 	for _, st := range tr.Steps {
-		states = c.step(context.Background(), states, st, &res, sc)
+		w.Step(st)
 		if st.Line == stop {
-			return res, sc
+			res, _ := w.Result()
+			return res, &c.scratch
 		}
 	}
 	t.Fatalf("no step on line %d", stop)
-	return res, nil
+	return Result{}, nil
 }
 
 func anyCovered(masks []uint64) bool {
@@ -232,9 +229,9 @@ func TestReduceCovered(t *testing.T) {
 	}
 }
 
-// TestCoveredStepsKeepMasksAligned runs a whole concurrent trace through
-// CheckCtx's own loop under the race and cap fixtures: whatever path a
-// step takes, the masks stay one per tracked state.
+// TestCoveredStepsKeepMasksAligned walks a whole concurrent trace under
+// the race and cap fixtures: whatever path a step takes, the masks stay
+// one per tracked state.
 func TestCoveredStepsKeepMasksAligned(t *testing.T) {
 	texts := []string{raceTrace(3), raceTrace(4), twoWriterTrace,
 		strings.Replace(raceTrace(4), "1: RV_none", "1: ENOENT", 1)}
@@ -243,14 +240,12 @@ func TestCoveredStepsKeepMasksAligned(t *testing.T) {
 			tr := parse(t, text)
 			c := New(types.DefaultSpec())
 			c.MaxStateSet = cap
-			sc := new(traceScratch)
-			var res Result
-			states := sc.start(c.initialState())
+			w := c.Walk(context.Background(), tr.Name)
 			for _, st := range tr.Steps {
-				states = c.step(context.Background(), states, st, &res, sc)
-				if len(sc.covered) != len(states) {
+				states, _ := w.Step(st)
+				if len(c.scratch.covered) != len(states) {
 					t.Fatalf("cap %d line %d (%s): %d masks for %d states", cap, st.Line,
-						st.Label.String(), len(sc.covered), len(states))
+						st.Label.String(), len(c.scratch.covered), len(states))
 				}
 			}
 		}

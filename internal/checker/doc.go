@@ -18,5 +18,7 @@
 // between trace steps and between τ-closure expansion rounds inside one
 // step; on cancellation the partial Result is returned with ctx.Err()
 // and must not be read as a verdict. Check is the Background-context
-// convenience.
+// convenience. Both run one Walk over the trace, the only step loop the
+// oracle has: a caller that wants the tracked set after every step (the
+// sfs-debug tool) drives a Walk itself.
 package checker

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/checker"
-	"repro/internal/cov"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -103,18 +102,11 @@ func findingName(kind FindingKind, sig string) string {
 	return "fuzz___" + kind.String() + "_" + hex.EncodeToString(h[:4])
 }
 
-// Report renders findings through the analysis pipeline: a RunSummary with
-// severity classification (§7.3's taxonomy) and cov.Default's
-// model-coverage figures, plus the HTML index. Sessions with a coverage
-// registry of their own use ReportWith instead, stamping the registry's
-// figures. Crashes carry no checkable trace and are appended as synthetic
-// critical deviations.
-func Report(config string, findings []*Finding) (*analysis.RunSummary, string, error) {
-	hit, total := cov.Default.Stats()
-	return ReportWith(config, findings, hit, total)
-}
-
-// ReportWith is Report with explicit model-coverage figures.
+// ReportWith renders findings through the analysis pipeline: a
+// RunSummary with severity classification (§7.3's taxonomy), stamped with
+// the session's model-coverage figures, plus the HTML index. Crashes
+// carry no checkable trace and are appended as synthetic critical
+// deviations.
 func ReportWith(config string, findings []*Finding, covHit, covTotal int) (*analysis.RunSummary, string, error) {
 	var traces []*trace.Trace
 	var results []checker.Result

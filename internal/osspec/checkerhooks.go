@@ -24,10 +24,6 @@ func TauFor(s *OsState, pid types.Pid, hits *cov.Set) []*OsState {
 
 // ClosureOpts configures TauClosureWith.
 type ClosureOpts struct {
-	// Dedup collapses states by identity (Hash confirmed by StateEqual) so
-	// equivalent interleavings merge. Always on in real checking; off only
-	// for the ablation benchmarks.
-	Dedup bool
 	// Cap > 0 stops further expansion rounds once the closure reaches it.
 	Cap int
 	// Cov records the coverage points of the closure's transitions,
@@ -44,8 +40,8 @@ type ClosureOpts struct {
 	// Memo, when non-nil, interns each state's τ fan-out in the suite-level
 	// ConsTable: traces sharing a prefix (every combinatorial script does)
 	// replay interned successors, and their coverage points, instead of
-	// re-running the spec. Implies the same successors Dedup-hashing would
-	// produce; only meaningful with Dedup on.
+	// re-running the spec. Its successors are the ones the closure would
+	// build and hash itself.
 	Memo *ConsTable
 	// Scratch, when non-nil, is caller-owned storage the closure reuses
 	// instead of allocating its working buffers (see ClosureScratch); nil
@@ -66,16 +62,15 @@ type ClosureOpts struct {
 	// successors are already in the output. Either way a masked
 	// successor would only deduplicate against an earlier output state,
 	// so the output, its order, Rounds and capHit are exactly what they
-	// are without masks; only the expansion count falls. Ignored without
-	// Dedup, whose output keeps duplicates.
+	// are without masks; only the expansion count falls.
 	Covered []uint64
 }
 
 // ClosureScratch is the storage a τ-closure works in: the dedup set
-// (Reset on entry; ignored without Dedup), the per-state covered masks,
-// the sleep bits of one expansion and the coverage set of one memo miss,
-// which its cons-table entry copies. It belongs to one owner, which passes
-// it to one closure at a time and may reuse Set between closures (the
+// (Reset on entry), the per-state covered masks, the sleep bits of one
+// expansion and the coverage set of one memo miss, which its cons-table
+// entry copies. It belongs to one owner, which passes it to one closure
+// at a time and may reuse Set between closures (the
 // checker's reduce does).
 type ClosureScratch struct {
 	Set   StateSet
@@ -94,15 +89,14 @@ type ClosureStats struct {
 // more τ steps: all orders in which the pending calls of the calling
 // processes may have been processed in the kernel. Pre-τ states stay in
 // the set (a τ may not have happened yet from the real system's point of
-// view). With dedup, states are collapsed by hash-consed identity so
-// equivalent interleavings merge; without it the closure still terminates
-// because every τ step moves one process out of RsCalling, bounding the
-// depth. Cap > 0 stops further rounds once the set reaches it (capHit
-// reports a cut-short closure), but at least one round always runs and
-// nothing generated is dropped: truncating would preferentially evict the
-// τ-advanced states — the only ones able to match an observed return —
-// since the pre-τ originals sit at the front, and skipping the first round
-// would leave a cap-saturated set with no advanced states at all.
+// view). States are collapsed by hash-consed identity (Hash confirmed by
+// StateEqual) so equivalent interleavings merge. Cap > 0 stops further
+// rounds once the set reaches it (capHit reports a cut-short closure),
+// but at least one round always runs and nothing generated is dropped:
+// truncating would preferentially evict the τ-advanced states — the only
+// ones able to match an observed return — since the pre-τ originals sit
+// at the front, and skipping the first round would leave a cap-saturated
+// set with no advanced states at all.
 // expansions counts the τ-successors generated, before deduplication.
 func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansions int, capHit bool) {
 	sc := o.Scratch
@@ -110,23 +104,15 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 		sc = new(ClosureScratch)
 	}
 	out = append(o.Buf[:0], states...)
-	var set *StateSet
+	set := &sc.Set
+	set.Reset()
 	// sc.masks[i] is out[i]'s covered mask: the input's, then each
-	// successor's sleep bits. Only dedup prunes, so only dedup keeps them.
+	// successor's sleep bits. The output is frozen throughout: the seed
+	// states here, each successor as it is added.
 	sc.masks = sc.masks[:0]
-	if o.Dedup {
-		set = &sc.Set
-		set.Reset()
-		for _, s := range out {
-			set.Add(s)
-		}
-		for i := range out {
-			sc.masks = append(sc.masks, maskAt(o.Covered, i))
-		}
-	}
-	// The output is frozen throughout: the seed states here, each
-	// successor as it is added.
-	for _, s := range out {
+	for i, s := range out {
+		set.Add(s)
+		sc.masks = append(sc.masks, maskAt(o.Covered, i))
 		s.Freeze()
 	}
 	// Each round's frontier is out[lo:hi], the states the previous round
@@ -142,17 +128,15 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 		}
 		for i, s := range out[lo:hi] {
 			var succs []*OsState
-			succs, sc.sleep = expandOne(s, maskAt(sc.masks, lo+i), o.Dedup, o.Memo, sc.sleep[:0], o.Cov, &sc.fan)
+			succs, sc.sleep = expandOne(s, maskAt(sc.masks, lo+i), o.Memo, sc.sleep[:0], o.Cov, &sc.fan)
 			for j, ns := range succs {
 				expansions++
-				if set != nil && !set.Add(ns) {
+				if !set.Add(ns) {
 					continue
 				}
 				ns.Freeze()
 				out = append(out, ns)
-				if set != nil {
-					sc.masks = append(sc.masks, maskAt(sc.sleep, j))
-				}
+				sc.masks = append(sc.masks, maskAt(sc.sleep, j))
 			}
 		}
 		lo = hi
@@ -236,11 +220,11 @@ func hasCallingProc(s *OsState) bool {
 }
 
 // expandOne generates s's τ-successors, except those of the pids whose
-// bit is set in skip (the state's covered mask), and (when deduplicating)
-// pre-hashes them, so the closure's dedup set only compares digests.
-// When deduplicating a state with two calling pids it also appends each
-// successor's sleep bits to sleep, one per successor (a caller reads
-// missing bits as 0): a successor of a local τ_p gets
+// bit is set in skip (the state's covered mask), and pre-hashes them, so
+// the closure's dedup set only compares digests. For a state with two
+// calling pids it also appends each successor's sleep bits to sleep, one
+// per successor (a caller reads missing bits as 0): a successor of a
+// local τ_p gets
 //
 //   - every calling q < p expanded here whose τ is local too: its
 //     successors precede τ_p's in the output, and τ_p commutes with them;
@@ -262,7 +246,7 @@ func hasCallingProc(s *OsState) bool {
 // depend on how they were built. A state with no calling process has no
 // τ-successors: it returns nil before touching the memo (every closure's
 // last round is made of such states).
-func expandOne(s *OsState, skip uint64, dedup bool, memo *ConsTable, sleep []uint64, hits, fan *cov.Set) ([]*OsState, []uint64) {
+func expandOne(s *OsState, skip uint64, memo *ConsTable, sleep []uint64, hits, fan *cov.Set) ([]*OsState, []uint64) {
 	calling := 0
 	for _, e := range s.procs {
 		if e.p.Run == RsCalling {
@@ -285,7 +269,7 @@ func expandOne(s *OsState, skip uint64, dedup bool, memo *ConsTable, sleep []uin
 	}
 	var out []*OsState
 	var local, inherited uint64
-	track := dedup && calling > 1
+	track := calling > 1
 	if track {
 		inherited = skip & staticLocal(s)
 	}
@@ -322,10 +306,8 @@ func expandOne(s *OsState, skip uint64, dedup bool, memo *ConsTable, sleep []uin
 		memo.Put(s, tauExpandKey, out, rec) // hashes and freezes out
 		return out, sleep
 	}
-	if dedup {
-		for _, ns := range out {
-			ns.Hash()
-		}
+	for _, ns := range out {
+		ns.Hash()
 	}
 	return out, sleep
 }

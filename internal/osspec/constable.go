@@ -133,15 +133,6 @@ func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState, hits *cov.Se
 	t.retained += len(succs)
 }
 
-// Reset clears the table to an empty epoch (the shard boundary hook).
-func (t *ConsTable) Reset() {
-	if t.retained > 0 || len(t.m) > 0 {
-		clear(t.m)
-		t.retained = 0
-		t.resets++
-	}
-}
-
 // ConsStats is a snapshot of a table's effectiveness counters.
 type ConsStats struct {
 	Hits, Misses, Resets int64

@@ -74,14 +74,6 @@ func TestConsTableEpochReset(t *testing.T) {
 	if st.Resets == 0 {
 		t.Fatalf("no epoch reset after %d puts against cap %d", len(paths), cap)
 	}
-	// The shard-boundary hook empties the table unconditionally.
-	tbl.Reset()
-	if st := tbl.Stats(); st.Retained != 0 {
-		t.Fatalf("Reset left %d retained states", st.Retained)
-	}
-	if _, ok := tbl.Get(src, AppendLabelKey(nil, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}), nil); ok {
-		t.Fatal("Reset left an entry behind")
-	}
 }
 
 // TestLabelKeyInjectiveAcrossKinds spot-checks the type-tag discipline:
@@ -123,7 +115,7 @@ func TestClosureSkipsMemoWithoutCallingProc(t *testing.T) {
 	lookups := func() int64 { st := memo.Stats(); return st.Hits + st.Misses }
 	closure := func(s *OsState) (int, int64) {
 		before := lookups()
-		out, _, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: true, Memo: memo})
+		out, _, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Memo: memo})
 		return len(out), lookups() - before
 	}
 	idle := NewOsState(types.DefaultSpec())

@@ -59,8 +59,7 @@ func TestReturnCovered(t *testing.T) {
 
 // TestTauClosureCovered: a seed whose τ_2-successor is already an input
 // state may skip it — the closure comes out the same, one expansion
-// cheaper — and without Dedup, whose output keeps duplicates, the mask
-// is ignored.
+// cheaper.
 func TestTauClosureCovered(t *testing.T) {
 	x := withCaller(t, types.DefaultSpec())
 	called := Trans(x, types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/y", Perm: 0o755}}, nil)
@@ -73,24 +72,18 @@ func TestTauClosureCovered(t *testing.T) {
 		t.Fatalf("τ_2: %d successors", len(y))
 	}
 	seeds := []*OsState{x, y[0]}
-	for _, dedup := range []bool{true, false} {
-		plain, n, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup})
-		masked, m, _ := TauClosureWith(seeds, ClosureOpts{Dedup: dedup, Covered: []uint64{PidBit(2), 0}})
-		if len(masked) != len(plain) {
-			t.Fatalf("dedup %v: %d states with the mask, %d without", dedup, len(masked), len(plain))
+	plain, n, _ := TauClosureWith(seeds, ClosureOpts{})
+	masked, m, _ := TauClosureWith(seeds, ClosureOpts{Covered: []uint64{PidBit(2), 0}})
+	if len(masked) != len(plain) {
+		t.Fatalf("%d states with the mask, %d without", len(masked), len(plain))
+	}
+	for i := range plain {
+		if masked[i].Fingerprint() != plain[i].Fingerprint() {
+			t.Fatalf("state %d differs with the mask", i)
 		}
-		for i := range plain {
-			if masked[i].Fingerprint() != plain[i].Fingerprint() {
-				t.Fatalf("dedup %v: state %d differs with the mask", dedup, i)
-			}
-		}
-		want := n - 1
-		if !dedup {
-			want = n
-		}
-		if m != want {
-			t.Errorf("dedup %v: %d expansions with the mask, want %d (%d without)", dedup, m, want, n)
-		}
+	}
+	if m != n-1 {
+		t.Errorf("%d expansions with the mask, want %d (%d without)", m, n-1, n)
 	}
 }
 
@@ -214,8 +207,7 @@ func TestLocalSuccessors(t *testing.T) {
 // TestTauClosureWorkersAgree: two workers closing the same frozen
 // five-way race at once, each on its own goroutine with its own coverage
 // set, agree with each other and with a closure run alone — states,
-// expansions and coverage — with dedup (sleep bits) and without (no
-// masks at all). Traces checked on several goroutines share their
+// expansions, whose sleep bits prune, and coverage. Traces checked on several goroutines share their
 // initial state this way; under -race this pins those reads race-free.
 func TestTauClosureWorkersAgree(t *testing.T) {
 	s := NewOsState(types.DefaultSpec())
@@ -236,31 +228,29 @@ func TestTauClosureWorkersAgree(t *testing.T) {
 		n    int
 		hits cov.Set
 	}
-	closure := func(dedup bool) (r run) {
-		out, n, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Dedup: dedup, Cov: &r.hits})
+	closure := func() (r run) {
+		out, n, _ := TauClosureWith([]*OsState{s}, ClosureOpts{Cov: &r.hits})
 		r.n = n
 		for _, st := range out {
 			r.fps = append(r.fps, st.Fingerprint())
 		}
 		return r
 	}
-	for _, dedup := range []bool{true, false} {
-		want := closure(dedup)
-		var got [2]run
-		var wg sync.WaitGroup
-		for w := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[w] = closure(dedup)
-			}()
-		}
-		wg.Wait()
-		for w, g := range got {
-			if !reflect.DeepEqual(g, want) {
-				t.Fatalf("dedup %v: worker %d closed %d states from %d expansions (points %v), alone %d from %d (%v)",
-					dedup, w, len(g.fps), g.n, g.hits.Names(), len(want.fps), want.n, want.hits.Names())
-			}
+	want := closure()
+	var got [2]run
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = closure()
+		}()
+	}
+	wg.Wait()
+	for w, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("worker %d closed %d states from %d expansions (points %v), alone %d from %d (%v)",
+				w, len(g.fps), g.n, g.hits.Names(), len(want.fps), want.n, want.hits.Names())
 		}
 	}
 }

@@ -297,7 +297,7 @@ func TestCrashEnumerationKnobInvariance(t *testing.T) {
 
 	enumerate := func(memo *ConsTable) ([]string, cov.Set) {
 		var hits cov.Set
-		closure, _, _ := TauClosureWith([]*OsState{pre}, ClosureOpts{Dedup: true, Memo: memo, Cov: &hits})
+		closure, _, _ := TauClosureWith([]*OsState{pre}, ClosureOpts{Memo: memo, Cov: &hits})
 		var fps []string
 		for _, s := range closure {
 			for _, cs := range CrashStates(s) {

@@ -37,7 +37,7 @@ func TestIncrementalProcHash(t *testing.T) {
 			for _, st := range tr.Steps {
 				switch st.Label.(type) {
 				case types.ReturnLabel, types.DestroyLabel, types.CrashLabel:
-					states, _, _ = osspec.TauClosureWith(states, osspec.ClosureOpts{Dedup: true, Cap: 4096})
+					states, _, _ = osspec.TauClosureWith(states, osspec.ClosureOpts{Cap: 4096})
 					check(sc.Name, st.Line, states)
 				}
 				set := osspec.NewStateSet(len(states))

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -170,16 +171,8 @@ func (s *Server) recoverJobs() error {
 	}
 	// Jobs were created with time-ordered IDs, so lexicographic order is
 	// submission order across daemon lives.
-	sortStrings(s.order)
+	slices.Sort(s.order)
 	return nil
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for k := i; k > 0 && ss[k] < ss[k-1]; k-- {
-			ss[k], ss[k-1] = ss[k-1], ss[k]
-		}
-	}
 }
 
 // Close drains the daemon: no new submissions, running jobs cancel

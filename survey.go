@@ -118,13 +118,3 @@ func hostSafeScript(s *Script) bool {
 	}
 	return true
 }
-
-// MergeSurvey merges the per-configuration summaries, exposing the tests
-// that distinguish configurations.
-func MergeSurvey(results []SurveyResult) *analysis.Merged {
-	runs := make([]*analysis.RunSummary, len(results))
-	for i, r := range results {
-		runs[i] = r.Summary
-	}
-	return analysis.Merge(runs)
-}
