@@ -4,8 +4,9 @@
 // expect end users of SibylFS to need it". It walks the checker's own
 // steps, so the sets it shows are the ones the oracle checks against,
 // deduplicated and capped, and it continues past a deviation with the
-// oracle's Fig 4 recovery. Ctrl-C cancels between steps (a pathological
-// closure dump can run long).
+// oracle's Fig 4 recovery. A trace with a crash label is walked under
+// the persistence model (Spec.Crash). Ctrl-C cancels between steps (a
+// pathological closure dump can run long).
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/cliutil"
 	"repro/internal/osspec"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -55,9 +57,10 @@ func main() {
 }
 
 // run describes, on w, the states the oracle tracks while it checks the
-// trace in the file at path against the model variant pl: for every step,
-// its τ expansions, any deviation with its diagnosis, and the size (with
-// verbose, the contents) of the tracked set it leaves.
+// trace in the file at path against the model variant pl (with Crash set
+// when the trace has a crash label): for every step, its τ expansions,
+// any deviation with its diagnosis, and the size (with verbose, the
+// contents) of the tracked set it leaves.
 func run(ctx context.Context, w io.Writer, path string, pl types.Platform, verbose bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -67,7 +70,9 @@ func run(ctx context.Context, w io.Writer, path string, pl types.Platform, verbo
 	if err != nil {
 		return err
 	}
-	chk := checker.New(sibylfs.SpecFor(pl))
+	spec := sibylfs.SpecFor(pl)
+	spec.Crash = trace.HasCrashLabel(tr.Steps) // only the persistence model admits a power cycle
+	chk := checker.New(spec)
 	walk := chk.Walk(ctx, tr.Name)
 	fmt.Fprintf(w, "# model-debug of %s (%s variant)\n\n", path, pl)
 	var states []*osspec.OsState

@@ -137,3 +137,31 @@ func TestDebugShowsCheckerSets(t *testing.T) {
 		t.Errorf("line 33: want 192 tracked states:\n%s", blocks[33])
 	}
 }
+
+// TestDebugCrashTrace: a trace with crash labels is walked under the
+// persistence model, which admits the power cycles. Without it every
+// crash step was "no behaviour allowed" and crash___double___0 ended
+// with 6 errors.
+func TestDebugCrashTrace(t *testing.T) {
+	prof := fsimpl.LinuxProfile("ext4")
+	prof.Crash = true
+	var tr *trace.Trace
+	for _, s := range testgen.CrashScripts() {
+		if s.Name == "crash___double___0" {
+			var err error
+			if tr, err = exec.Run(context.Background(), s, fsimpl.MemFactory(prof), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if tr == nil {
+		t.Fatal("crash___double___0 not generated")
+	}
+	out, _ := debugTrace(t, tr)
+	if strings.Contains(out, "no behaviour allowed") {
+		t.Errorf("a crash step was rejected:\n%s", out)
+	}
+	if !strings.HasSuffix(out, "# Trace accepted.\n") {
+		t.Errorf("output does not end with the accepted verdict:\n%s", out)
+	}
+}

@@ -85,42 +85,24 @@ func main() {
 		}
 	}
 
-	if *crashMode && *concurrent {
-		fmt.Fprintln(os.Stderr, "sfs-fuzz: -crash and -concurrent are mutually exclusive (crash labels are sequential-executor only)")
+	universe, err := cliutil.Universe(*concurrent, *crashMode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
 		os.Exit(2)
 	}
-	var fs cliutil.FSChoice
-	if *crashMode {
-		var err error
-		fs, err = cliutil.PickCrashFS(*fsName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
-			os.Exit(2)
-		}
-	} else {
-		var ok bool
-		fs, ok = cliutil.PickFS(*fsName)
-		if !ok {
-			usage()
-		}
+	target, err := cliutil.Resolve(*fsName, *specName, universe, false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
+		os.Exit(2)
 	}
-	if fs.Fallback {
+	if target.Fallback {
 		// Say so, or a typo'd defect profile would silently fuzz a
 		// defect-free conforming Linux memfs and report "no deviations
 		// found".
 		fmt.Fprintf(os.Stderr, "sfs-fuzz: note: %q is not a survey profile; fuzzing a conforming Linux memfs under that name\n", *fsName)
 	}
-	spec := sibylfs.SpecFor(fs.Platform)
-	if *specName != "" {
-		pl, ok := sibylfs.ParsePlatformName(*specName)
-		if !ok {
-			usage()
-		}
-		spec = sibylfs.SpecFor(pl)
-	}
-	spec.Crash = *crashMode // persistence-aware oracle for crash candidates
 	w := *workers
-	if fs.Serial {
+	if target.Serial {
 		w = 1
 	}
 
@@ -140,7 +122,7 @@ func main() {
 	}
 
 	opts := []sibylfs.Option{
-		sibylfs.WithSpec(spec),
+		sibylfs.WithSpec(target.Spec),
 		sibylfs.WithWorkers(w),
 	}
 	storeOpts, err := cliutil.StoreOptions(*cacheDir, *storeName)
@@ -155,20 +137,17 @@ func main() {
 	session := sibylfs.New(opts...)
 
 	job := sibylfs.FuzzJob{
-		Name:       fmt.Sprintf("sfs-fuzz %s vs %s", *fsName, spec.Platform),
-		Factory:    fs.Factory,
+		Name:       fmt.Sprintf("sfs-fuzz %s vs %s", *fsName, target.Spec.Platform),
+		Factory:    target.Factory,
 		Seed:       *seed,
 		MaxRuns:    *runs,
 		MaxSteps:   *steps,
 		CorpusDir:  *corpus,
 		Concurrent: *concurrent,
-		Crash:      *crashMode,
 	}
-	if *concurrent {
-		job.Seeds, _ = session.GenerateConcurrent(ctx)
-	}
-	if *crashMode {
-		job.Seeds, _ = session.GenerateCrash(ctx)
+	if target.Universe != cliutil.UniverseSequential {
+		// Seed the corpus with the universe the candidates explore.
+		job.Seeds, _ = target.Scripts(ctx, session, "", 1)
 	}
 
 	res, err := session.Fuzz(ctx, job)

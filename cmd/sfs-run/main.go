@@ -111,14 +111,16 @@ func main() {
 	if *fsName == "" || flag.NArg() != 0 {
 		usage()
 	}
-	pl, ok := sibylfs.ParsePlatformName(*specName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "sfs-run: unknown platform %q\n", *specName)
+	universe, err := cliutil.Universe(*concurrent, *crashMode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sfs-run:", err)
 		os.Exit(2)
 	}
-	spec := sibylfs.SpecFor(pl)
-	spec.Permissions = !*noPerms
-	spec.Crash = *crashMode // part of the pipeline cache key (SpecHash)
+	target, err := cliutil.Resolve(*fsName, *specName, universe, *noPerms)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sfs-run:", err)
+		os.Exit(2)
+	}
 
 	if *debugAddr != "" {
 		srv, err := cliutil.StartDebug(*debugAddr, "sfs-run")
@@ -160,32 +162,12 @@ func main() {
 		defer cancel()
 	}
 
-	universe, err := cliutil.Universe(*concurrent, *crashMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-run:", err)
-		os.Exit(2)
-	}
-	var fs cliutil.FSChoice
-	if *crashMode {
-		var cerr error
-		fs, cerr = cliutil.PickCrashFS(*fsName)
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, "sfs-run:", cerr)
-			os.Exit(2)
-		}
-	} else {
-		var ok bool
-		fs, ok = cliutil.PickFS(*fsName)
-		if !ok {
-			usage()
-		}
-	}
 	w := *workers
-	if fs.Serial {
+	if target.Serial {
 		w = 1
 	}
 	opts := []sibylfs.Option{
-		sibylfs.WithSpec(spec),
+		sibylfs.WithSpec(target.Spec),
 		sibylfs.WithWorkers(w),
 		sibylfs.WithJournal(*jsonl),
 	}
@@ -203,25 +185,16 @@ func main() {
 	}
 	session = sibylfs.New(opts...)
 
-	scripts, err := cliutil.SessionScripts(ctx, session, *inDir, universe)
+	scripts, err := target.Scripts(ctx, session, *inDir, *sample)
 	if err != nil {
 		fatal(err)
 	}
-	if fs.HostOnly {
-		scripts = sibylfs.FilterHostSafe(scripts)
-	}
-	if *sample > 1 {
-		var sel []*sibylfs.Script
-		for i := 0; i < len(scripts); i += *sample {
-			sel = append(sel, scripts[i])
-		}
-		scripts = sel
-	}
 
+	name := fmt.Sprintf("%s vs %s", *fsName, target.Spec.Platform)
 	records, stats, err := session.Run(ctx, sibylfs.RunJob{
-		Name:       fmt.Sprintf("%s vs %s", *fsName, pl),
+		Name:       name,
 		Scripts:    scripts,
-		Factory:    fs.Factory,
+		Factory:    target.Factory,
 		FSName:     *fsName,
 		Shards:     *shards,
 		Shard:      *shard,
@@ -256,7 +229,6 @@ func main() {
 			}
 		}
 	}
-	name := fmt.Sprintf("%s vs %s", *fsName, pl)
 	summary := pipeline.Summarise(name, records)
 	fmt.Print(summary)
 	fmt.Printf("pipeline: %s (sink %s: %d records)\n", stats, *jsonl, len(records))

@@ -71,41 +71,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sfs-test:", err)
 		os.Exit(2)
 	}
-	var fs cliutil.FSChoice
-	if *crashMode {
-		fs, err = cliutil.PickCrashFS(*fsName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfs-test:", err)
-			os.Exit(2)
-		}
-	} else {
-		var ok bool
-		fs, ok = cliutil.PickFS(*fsName)
-		if !ok {
-			usage()
-		}
+	target, err := cliutil.Resolve(*fsName, "", universe, false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sfs-test:", err)
+		os.Exit(2)
 	}
 	w := *workers
-	if fs.Serial {
+	if target.Serial {
 		w = 1
 	}
 	session := sibylfs.New(sibylfs.WithWorkers(w))
-	scripts, err := cliutil.SessionScripts(ctx, session, *inDir, universe)
+	scripts, err := target.Scripts(ctx, session, *inDir, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-test:", err)
 		os.Exit(1)
 	}
-	if fs.HostOnly {
-		scripts = sibylfs.FilterHostSafe(scripts)
-	}
 	var traces []*sibylfs.Trace
 	if *concurrent {
-		traces, err = session.ExecuteConcurrent(ctx, scripts, fs.Factory, sibylfs.ConcurrentOptions{
+		traces, err = session.ExecuteConcurrent(ctx, scripts, target.Factory, sibylfs.ConcurrentOptions{
 			Seeded: *schedSeed != 0,
 			Seed:   *schedSeed,
 		})
 	} else {
-		traces, err = session.Execute(ctx, scripts, fs.Factory)
+		traces, err = session.Execute(ctx, scripts, target.Factory)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -24,10 +24,16 @@ func cacheTestConfig(t *testing.T, corpusDir string, cache *pipeline.Cache) Conf
 		Seed:        7,
 		Workers:     1,
 		MaxRuns:     150,
-		Duration:    time.Minute, // generous bound; MaxRuns stops first
 		CorpusDir:   corpusDir,
 		ResultCache: cache,
 	}
+}
+
+// runBounded runs cfg under a generous deadline; MaxRuns stops it first.
+func runBounded(cfg Config) (*Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	return Run(ctx, cfg)
 }
 
 // TestSeedCacheEquivalence grows a corpus, then resumes it twice — once
@@ -45,7 +51,7 @@ func TestSeedCacheEquivalence(t *testing.T) {
 	}
 
 	// Session 1: grow a corpus, populating the cache as seeds are offered.
-	res1, err := Run(context.Background(), cacheTestConfig(t, corpusA, cache))
+	res1, err := runBounded(cacheTestConfig(t, corpusA, cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +72,7 @@ func TestSeedCacheEquivalence(t *testing.T) {
 	// Session 2a: resume WITH the cache; MaxRuns=1 keeps mutation noise out.
 	cfgA := cacheTestConfig(t, corpusA, cache)
 	cfgA.MaxRuns = 1
-	resA, err := Run(context.Background(), cfgA)
+	resA, err := runBounded(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +83,7 @@ func TestSeedCacheEquivalence(t *testing.T) {
 	// Session 2b: resume WITHOUT the cache (full replay).
 	cfgB := cacheTestConfig(t, corpusB, nil)
 	cfgB.MaxRuns = 1
-	resB, err := Run(context.Background(), cfgB)
+	resB, err := runBounded(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func crashFuzzSpec() types.Spec {
 	return sp
 }
 
-// TestMutatorCrashOps: with Crash on, mutation products stay lifecycle-
+// TestMutatorCrashOps: with the crash operators on, mutation products stay lifecycle-
 // valid and render/parse round-trip — including across crash labels, which
 // reset process liveness — and the operator mix actually reaches both new
 // step kinds (barriers and crashes).
@@ -107,17 +107,16 @@ func TestValidLifecycleCrash(t *testing.T) {
 }
 
 // TestFuzzCrashConfigValidation: crash candidates are sequential-executor
-// only, so Crash+Concurrent must be rejected up front.
+// only, so a Spec.Crash session with Concurrent must be rejected up front.
 func TestFuzzCrashConfigValidation(t *testing.T) {
 	_, err := Run(context.Background(), Config{
 		Factory:    fsimpl.MemFactory(crashFuzzProfile()),
 		Spec:       crashFuzzSpec(),
-		Crash:      true,
 		Concurrent: true,
 		MaxRuns:    1,
 	})
 	if err == nil {
-		t.Fatal("Crash+Concurrent session accepted")
+		t.Fatal("Spec.Crash+Concurrent session accepted")
 	}
 }
 
@@ -126,7 +125,7 @@ func TestFuzzCrashConfigValidation(t *testing.T) {
 // that an identically-budgeted plain session cannot, and its corpus
 // absorbs crash-labelled entries.
 func TestFuzzCrashCoverageGain(t *testing.T) {
-	run := func(crash bool, prof fsimpl.Profile, spec types.Spec, seeds []*trace.Script) (*Result, *cov.Registry) {
+	run := func(prof fsimpl.Profile, spec types.Spec, seeds []*trace.Script) (*Result, *cov.Registry) {
 		reg := cov.NewRegistry()
 		res, err := Run(context.Background(), Config{
 			Name:     "crash-smoke",
@@ -135,7 +134,6 @@ func TestFuzzCrashCoverageGain(t *testing.T) {
 			Seed:     23,
 			Workers:  1,
 			MaxRuns:  150,
-			Crash:    crash,
 			Seeds:    seeds,
 			Registry: reg,
 		})
@@ -154,8 +152,8 @@ func TestFuzzCrashCoverageGain(t *testing.T) {
 	}
 
 	seeds := testgen.CrashScripts()[:4]
-	crashRes, crashReg := run(true, crashFuzzProfile(), crashFuzzSpec(), seeds)
-	plainRes, plainReg := run(false, fsimpl.LinuxProfile("ext4"), types.DefaultSpec(), nil)
+	crashRes, crashReg := run(crashFuzzProfile(), crashFuzzSpec(), seeds)
+	plainRes, plainReg := run(fsimpl.LinuxProfile("ext4"), types.DefaultSpec(), nil)
 
 	if !hit(crashReg, "osspec/trans/crash") {
 		t.Error("crash session never exercised the model's crash transition")

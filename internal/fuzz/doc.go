@@ -23,7 +23,7 @@
 // find them. Sessions that each own a registry fuzz in one process
 // without moving each other's figures.
 //
-// A session ends when its context is done (Config.Duration is sugar for a
-// deadline) or MaxRuns is reached; cancellation is the normal end of a
-// time-bounded session, reported over whatever was found, never an error.
+// A session ends when its context is done (a deadline bounds it in time)
+// or MaxRuns is reached; cancellation is the normal end of a time-bounded
+// session, reported over whatever was found, never an error.
 package fuzz

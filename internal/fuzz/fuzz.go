@@ -32,23 +32,24 @@ type Config struct {
 	Name string
 	// Factory creates the implementation under test, one instance per run.
 	Factory fsimpl.Factory
-	// Spec is the model variant the oracle checks against.
+	// Spec is the model variant the oracle checks against. Spec.Crash
+	// also makes this a crash session: candidates gain fsync/sync
+	// barriers and crash labels (power cycles), so the fuzzer explores
+	// the persistence model's admissible-state envelope. A crash session
+	// needs a crash-capable Factory (a crash-profiled memfs or a
+	// Spec.Crash SpecFS) and excludes Concurrent — crash labels are
+	// sequential-executor only. Seed the corpus with testgen.CrashScripts
+	// to start the loop inside the crash universe.
 	Spec types.Spec
 	// Seed makes the session reproducible (with Workers = 1).
 	Seed int64
 	// Workers is the number of parallel fuzzing goroutines
 	// (≤ 0 selects GOMAXPROCS).
 	Workers int
-	// Duration bounds wall-clock time; zero means no time bound. It is
-	// sugar for a context deadline: Run derives a sub-context with this
-	// timeout, so the bound covers the whole session — corpus seeding
-	// included, unlike the pre-context engine, whose clock started after
-	// seeding. Callers that already deadline or cancel their ctx can
-	// leave it zero.
-	Duration time.Duration
 	// MaxRuns bounds the number of candidate executions; zero means no
-	// bound. At least one of Duration, MaxRuns, or a ctx deadline must be
-	// set, or the session would never end.
+	// bound. Without it the ctx must carry a deadline (context.WithTimeout
+	// bounds the whole session, corpus seeding included), or the session
+	// would never end.
 	MaxRuns int64
 	// MaxSteps caps candidate script length (default 30).
 	MaxSteps int
@@ -62,15 +63,6 @@ type Config struct {
 	// reproducible for the session seed. Seed the corpus with multi-process
 	// scripts (e.g. testgen.ConcurrentScripts) to make this bite.
 	Concurrent bool
-	// Crash enables the durability mutation operators: candidates gain
-	// fsync/sync barriers and crash labels (power cycles), so the fuzzer
-	// explores the persistence model's admissible-state envelope. It
-	// requires a crash-capable Factory (a crash-profiled memfs or a
-	// Spec.Crash SpecFS) and a Spec with Crash set, and is mutually
-	// exclusive with Concurrent — crash labels are sequential-executor
-	// only. Seed the corpus with testgen.CrashScripts to start the loop
-	// inside the crash universe.
-	Crash bool
 	// Seeds are extra initial inputs offered to the corpus at startup.
 	Seeds []*trace.Script
 	// ResultCache, when non-nil, memoises corpus seeding on the pipeline's
@@ -132,21 +124,15 @@ type Result struct {
 // cancelled or deadlined, or when MaxRuns candidates have executed —
 // cancellation is the normal way a time-bounded session stops, not an
 // error: the corpus and findings collected so far are reported as usual.
-// Config.Duration, when set, is applied as a deadline on a sub-context.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Factory == nil {
 		return nil, errors.New("fuzz: Config.Factory is required")
 	}
-	if cfg.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Duration)
-		defer cancel()
-	}
 	if _, bounded := ctx.Deadline(); !bounded && cfg.MaxRuns <= 0 {
-		return nil, errors.New("fuzz: set Config.Duration, Config.MaxRuns, or a context deadline")
+		return nil, errors.New("fuzz: set Config.MaxRuns or a context deadline")
 	}
-	if cfg.Crash && cfg.Concurrent {
-		return nil, errors.New("fuzz: Config.Crash and Config.Concurrent are mutually exclusive (crash labels are sequential-executor only)")
+	if cfg.Spec.Crash && cfg.Concurrent {
+		return nil, errors.New("fuzz: Spec.Crash and Config.Concurrent are mutually exclusive (crash labels are sequential-executor only)")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -318,7 +304,7 @@ func (e *engine) seed(ctx context.Context, c *checker.Checker) error {
 		if !validLifecycle(s) {
 			continue
 		}
-		if !e.cfg.Crash && hasCrashLabel(s) {
+		if !e.cfg.Spec.Crash && trace.HasCrashLabel(s.Steps) {
 			// A crash corpus reloaded into a non-crash session: the factory
 			// cannot power-cycle, so the replay could only error.
 			continue
@@ -410,7 +396,7 @@ func (e *engine) admitCached(s *trace.Script, points []string) {
 func (e *engine) worker(ctx context.Context, id int) {
 	c := e.newChecker()
 	r := rand.New(rand.NewSource(workerSeed(e.cfg.Seed, id)))
-	m := &mutator{r: r, maxSteps: e.cfg.MaxSteps, crash: e.cfg.Crash}
+	m := &mutator{r: r, maxSteps: e.cfg.MaxSteps, crash: e.cfg.Spec.Crash}
 	for {
 		seq := e.seq.Add(1)
 		if e.cfg.MaxRuns > 0 && seq > e.cfg.MaxRuns {

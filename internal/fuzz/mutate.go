@@ -19,7 +19,7 @@ import (
 type mutator struct {
 	r        *rand.Rand
 	maxSteps int
-	// crash enables the durability operators (Config.Crash): inserting
+	// crash enables the durability operators (a Spec.Crash session): inserting
 	// fsync/sync barriers and inserting/moving/deleting crash labels. A
 	// crash label kills every process and descriptor, so the lifecycle
 	// bookkeeping below treats it as a reset to the initial process.
@@ -207,17 +207,6 @@ func (m *mutator) tweakCrash(s *trace.Script) {
 	default: // re-draw Keep
 		s.Steps[i].Label = types.CrashLabel{Keep: m.r.Intn(4)}
 	}
-}
-
-// hasCrashLabel reports whether the script contains a crash label — such
-// scripts need a crash-capable implementation and a Spec.Crash model.
-func hasCrashLabel(s *trace.Script) bool {
-	for _, st := range s.Steps {
-		if _, ok := st.Label.(types.CrashLabel); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // randomCommand draws an inserted call: usually from the shared testgen

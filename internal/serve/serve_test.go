@@ -54,9 +54,9 @@ func localJournal(t *testing.T, name string, texts []string, workers int) []byte
 		}
 		scripts = append(scripts, sc)
 	}
-	fs, ok := cliutil.PickFS("ext4")
-	if !ok {
-		t.Fatal("ext4 profile missing")
+	target, err := cliutil.Resolve("ext4", "", "", false)
+	if err != nil {
+		t.Fatal(err)
 	}
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
 	session := sibylfs.New(
@@ -65,10 +65,10 @@ func localJournal(t *testing.T, name string, texts []string, workers int) []byte
 		sibylfs.WithJournal(journal),
 		sibylfs.WithTelemetry(telemetry.NewRegistry()),
 	)
-	_, _, err := session.Run(context.Background(), sibylfs.RunJob{
+	_, _, err = session.Run(context.Background(), sibylfs.RunJob{
 		Name:    name,
 		Scripts: scripts,
-		Factory: fs.Factory,
+		Factory: target.Factory,
 		FSName:  "ext4",
 	})
 	if err != nil {

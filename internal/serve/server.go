@@ -217,54 +217,22 @@ func (s *Server) worker(id int) {
 // needs. Building it has no side effects, so Submit uses it to reject
 // bad specs at the door and the worker rebuilds it at run time.
 type runPlan struct {
-	fs       cliutil.FSChoice
-	spec     sibylfs.Spec
-	universe string
-	name     string
-	workers  int
-	inline   []*sibylfs.Script
+	cliutil.Target
+	name    string
+	workers int
+	inline  []*sibylfs.Script
 }
 
 func (s *Server) plan(spec serveapi.JobSpec) (runPlan, error) {
 	var p runPlan
-	switch spec.Universe {
-	case "", cliutil.UniverseSequential:
-		p.universe = cliutil.UniverseSequential
-	case cliutil.UniverseConcurrent, cliutil.UniverseCrash:
-		p.universe = spec.Universe
-	default:
-		return p, fmt.Errorf("unknown universe %q (want sequential, concurrent or crash)", spec.Universe)
-	}
-	if spec.FS == "" {
-		return p, fmt.Errorf("fs is required")
-	}
 	if spec.FS == "host" {
 		return p, fmt.Errorf("fs \"host\" is not served: host runs are serial and jail the daemon's own process — run them locally with sfs-run")
 	}
-	if p.universe == cliutil.UniverseCrash {
-		fs, err := cliutil.PickCrashFS(spec.FS)
-		if err != nil {
-			return p, err
-		}
-		p.fs = fs
-	} else {
-		fs, ok := cliutil.PickFS(spec.FS)
-		if !ok {
-			return p, fmt.Errorf("unknown fs %q", spec.FS)
-		}
-		p.fs = fs
+	t, err := cliutil.Resolve(spec.FS, spec.Platform, spec.Universe, spec.NoPerms)
+	if err != nil {
+		return p, err
 	}
-	platform := p.fs.Platform
-	if spec.Platform != "" {
-		pl, ok := sibylfs.ParsePlatformName(spec.Platform)
-		if !ok {
-			return p, fmt.Errorf("unknown platform %q", spec.Platform)
-		}
-		platform = pl
-	}
-	p.spec = sibylfs.SpecFor(platform)
-	p.spec.Permissions = !spec.NoPerms
-	p.spec.Crash = p.universe == cliutil.UniverseCrash
+	p.Target = t
 	for i, text := range spec.Scripts {
 		sc, err := sibylfs.ParseScript(text)
 		if err != nil {
@@ -277,7 +245,7 @@ func (s *Server) plan(spec serveapi.JobSpec) (runPlan, error) {
 	}
 	p.name = spec.Name
 	if p.name == "" {
-		p.name = fmt.Sprintf("%s vs %s", spec.FS, platform)
+		p.name = fmt.Sprintf("%s vs %s", spec.FS, p.Spec.Platform)
 	}
 	p.workers = s.opts.Workers
 	if spec.Workers > 0 {
@@ -312,7 +280,7 @@ func (s *Server) runJob(j *job) {
 	s.logf("serve: job %s running: %s", j.id, plan.name)
 
 	opts := []sibylfs.Option{
-		sibylfs.WithSpec(plan.spec),
+		sibylfs.WithSpec(plan.Spec),
 		sibylfs.WithWorkers(plan.workers),
 		sibylfs.WithStore(s.store),
 		sibylfs.WithJournal(j.journalPath()),
@@ -326,18 +294,11 @@ func (s *Server) runJob(j *job) {
 	session := sibylfs.New(opts...)
 
 	start := time.Now()
-	scripts := plan.inline
+	scripts := cliutil.Sample(plan.inline, j.spec.Sample)
 	if len(scripts) == 0 {
-		scripts, err = cliutil.SessionScripts(ctx, session, "", plan.universe)
+		scripts, err = plan.Scripts(ctx, session, "", j.spec.Sample)
 	}
 	if err == nil {
-		if n := j.spec.Sample; n > 1 {
-			var sel []*sibylfs.Script
-			for i := 0; i < len(scripts); i += n {
-				sel = append(sel, scripts[i])
-			}
-			scripts = sel
-		}
 		j.mu.Lock()
 		j.scripts = len(scripts)
 		j.mu.Unlock()
@@ -345,9 +306,9 @@ func (s *Server) runJob(j *job) {
 		_, stats, err = session.Run(ctx, sibylfs.RunJob{
 			Name:       plan.name,
 			Scripts:    scripts,
-			Factory:    plan.fs.Factory,
+			Factory:    plan.Factory,
 			FSName:     j.spec.FS,
-			Concurrent: plan.universe == cliutil.UniverseConcurrent,
+			Concurrent: plan.Universe == cliutil.UniverseConcurrent,
 			SchedSeed:  j.spec.SchedSeed,
 		})
 		j.mu.Lock()

@@ -14,7 +14,7 @@ import (
 // the same suite the same way.
 func planSummary(p runPlan) string {
 	s := fmt.Sprintf("fs=%+v spec=%+v universe=%q name=%q workers=%d",
-		[]any{p.fs.Platform, p.fs.Serial, p.fs.HostOnly, p.fs.Fallback}, p.spec, p.universe, p.name, p.workers)
+		[]any{p.Serial, p.HostOnly, p.Fallback}, p.Spec, p.Universe, p.name, p.workers)
 	for _, sc := range p.inline {
 		s += "\n" + sc.Render()
 	}

@@ -23,6 +23,18 @@ type Trace struct {
 	Steps []Step
 }
 
+// HasCrashLabel reports whether steps contain a crash label: such a
+// script needs a crash-capable implementation, and such a trace a
+// Spec.Crash model, since no other model variant admits a power cycle.
+func HasCrashLabel(steps []Step) bool {
+	for _, st := range steps {
+		if _, ok := st.Label.(types.CrashLabel); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Render prints a script in concrete syntax.
 func (s *Script) Render() string { return string(s.AppendRender(nil)) }
 

@@ -556,7 +556,10 @@ func (s *Session) MergeSurvey(ctx context.Context, results []SurveyResult) (*ana
 }
 
 // FuzzJob names one coverage-guided fuzzing session; the session supplies
-// spec, workers, result cache, coverage registry and log. The session
+// spec, workers, result cache, coverage registry and log. A session whose
+// spec has Crash set fuzzes durability: pair it with a crash-capable
+// Factory, and its candidates gain fsync/sync barriers and crash labels
+// (not with Concurrent). The session
 // ends when ctx is cancelled or deadlined (the normal stop for a
 // time-bounded session — pair with context.WithTimeout) or after MaxRuns
 // candidates; one of the two bounds is required.
@@ -577,10 +580,6 @@ type FuzzJob struct {
 	CorpusDir string
 	// Concurrent executes candidates with the seeded concurrent executor.
 	Concurrent bool
-	// Crash enables the durability mutation operators (fsync/sync
-	// barriers, crash labels). Pair with a crash-capable Factory and a
-	// session Spec with Crash set; mutually exclusive with Concurrent.
-	Crash bool
 	// Seeds are extra initial inputs offered to the corpus at startup.
 	Seeds []*Script
 	// KeepCoverage keeps the session's coverage counters instead of
@@ -610,7 +609,6 @@ func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
 		MaxSteps:     job.MaxSteps,
 		CorpusDir:    job.CorpusDir,
 		Concurrent:   job.Concurrent,
-		Crash:        job.Crash,
 		Seeds:        job.Seeds,
 		KeepCoverage: job.KeepCoverage,
 		ResultCache:  cache,
