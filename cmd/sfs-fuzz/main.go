@@ -56,9 +56,6 @@ func main() {
 	concurrent := flag.Bool("concurrent", false, "execute candidates with the concurrent executor (seeded scheduler, seed = -seed) and seed the corpus with the multi-process universe")
 	crashMode := flag.Bool("crash", false, "fuzz durability semantics: crash-capable implementation, Spec.Crash model, fsync/sync and crash-label mutations, corpus seeded with the crash___ universe (excludes -concurrent and -fs host)")
 	outDir := flag.String("o", "", "directory for report.html and summary.txt (default: -corpus dir, if set)")
-	cacheDir := flag.String("cache-dir", "", "pipeline result cache: corpus entries whose clean replay is cached skip re-execution at session start")
-	storeName := flag.String("store", "pack", cliutil.StoreUsage)
-	cacheStats := flag.Bool("cache-stats", false, "print result-store contents and hit/miss ratios on exit")
 	statsJSON := flag.String("stats-json", "", "write a telemetry snapshot (runs, corpus, latency histograms) here on exit; - = stdout")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /stats.json and /debug/pprof on this address while fuzzing")
 	verbose := flag.Bool("v", false, "log corpus admissions, findings and progress")
@@ -125,12 +122,6 @@ func main() {
 		sibylfs.WithSpec(target.Spec),
 		sibylfs.WithWorkers(w),
 	}
-	storeOpts, err := cliutil.StoreOptions(*cacheDir, *storeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
-		os.Exit(2)
-	}
-	opts = append(opts, storeOpts...)
 	if *verbose {
 		opts = append(opts, sibylfs.WithLog(os.Stderr))
 	}
@@ -153,15 +144,14 @@ func main() {
 	res, err := session.Fuzz(ctx, job)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
-		cliutil.CloseSession("sfs-fuzz", session)
 		os.Exit(1)
 	}
 
 	fmt.Printf("%s: %d runs in %v (%.0f/s), %d exec errors\n",
 		job.Name, res.Runs, res.Elapsed.Round(time.Millisecond),
 		float64(res.Runs)/res.Elapsed.Seconds(), res.ExecErrors)
-	fmt.Printf("corpus: %d entries (%d new, %d seeded from cache), model coverage %d/%d points (started at %d)\n",
-		res.CorpusSize, res.NewEntries, res.CachedSeeds, res.CovHit, res.CovTotal, res.InitialCovHit)
+	fmt.Printf("corpus: %d entries (%d new), model coverage %d/%d points (started at %d)\n",
+		res.CorpusSize, res.NewEntries, res.CovHit, res.CovTotal, res.InitialCovHit)
 	if len(res.Findings) == 0 && res.Crashes == 0 {
 		fmt.Println("no deviations found")
 	} else {
@@ -178,25 +168,18 @@ func main() {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
-			cliutil.CloseSession("sfs-fuzz", session)
 			os.Exit(1)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "report.html"), []byte(res.HTML), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
-			cliutil.CloseSession("sfs-fuzz", session)
 			os.Exit(1)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "summary.txt"), []byte(res.Summary.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-fuzz:", err)
-			cliutil.CloseSession("sfs-fuzz", session)
 			os.Exit(1)
 		}
 		fmt.Printf("report: %s\n", filepath.Join(dir, "report.html"))
 	}
-	if *cacheStats {
-		cliutil.PrintCacheStats("sfs-fuzz", session)
-	}
-	cliutil.CloseSession("sfs-fuzz", session)
 	writeStats()
 	if len(res.Findings) > 0 || res.Crashes > 0 {
 		os.Exit(3) // deviations found: distinct from usage/config errors

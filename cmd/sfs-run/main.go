@@ -195,7 +195,7 @@ func main() {
 		Name:       name,
 		Scripts:    scripts,
 		Factory:    target.Factory,
-		FSName:     *fsName,
+		FSName:     target.FSName,
 		Shards:     *shards,
 		Shard:      *shard,
 		Concurrent: *concurrent,

@@ -148,12 +148,12 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 		Tel:          tel,
 	}
 	if cacheDir != "" {
-		cache, err := pipeline.OpenCache(cacheDir)
+		store, err := pipeline.OpenCache(cacheDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cache.Close()
-		cfg.Cache = cache
+		defer store.Close()
+		cfg.Store = store
 	}
 	records, stats, err := pipeline.Run(context.Background(), cfg)
 	if err != nil {

@@ -45,6 +45,11 @@ func Universe(concurrent, crash bool) (string, error) {
 // it is driven with.
 type Target struct {
 	Factory fsimpl.Factory
+	// FSName is the implementation's cache identity (the pipeline's
+	// FSName): fs itself, except that a spec: implementation built
+	// without permission checks is named apart from the one built with
+	// them.
+	FSName string
 	// Spec is the model variant: the platform asked for, or the
 	// implementation's native one, with Crash set exactly in the crash
 	// universe.
@@ -71,9 +76,11 @@ type Target struct {
 // empty universe the sequential one. In the crash universe the
 // implementation simulates persistence (memfs: the crash profile;
 // spec:PLATFORM: a Spec.Crash model), and "host" is an error — the
-// machine the tests run on cannot be power-cycled.
+// machine the tests run on cannot be power-cycled. noPerms drops the
+// permissions trait from the model variant, and from a spec:PLATFORM
+// implementation too, so the model still accepts its own traces.
 func Resolve(fs, platform, universe string, noPerms bool) (Target, error) {
-	t := Target{Universe: universe}
+	t := Target{FSName: fs, Universe: universe}
 	switch universe {
 	case "":
 		t.Universe = UniverseSequential
@@ -97,7 +104,12 @@ func Resolve(fs, platform, universe string, noPerms bool) (Target, error) {
 			return Target{}, fmt.Errorf("unknown platform %q", strings.TrimPrefix(fs, "spec:"))
 		}
 		native = pl
-		t.Factory = fsimpl.SpecFactory(fs, types.Spec{Platform: pl, Permissions: true, RootUser: true, Crash: crash})
+		t.Factory = fsimpl.SpecFactory(fs, types.Spec{Platform: pl, Permissions: !noPerms, RootUser: true, Crash: crash})
+		if noPerms {
+			// A new identity: caches filled while this factory ignored
+			// noPerms must not serve its records.
+			t.FSName = fs + " noperms"
+		}
 	default:
 		prof, found := fsimpl.LinuxProfile(fs), false
 		for _, p := range fsimpl.SurveyProfiles() {

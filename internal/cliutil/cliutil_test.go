@@ -97,6 +97,48 @@ func TestResolveOptions(t *testing.T) {
 	}
 }
 
+// TestResolveSpecNoPerms: a spec: implementation resolved with noPerms
+// is the model without permission checks, so the model variant the
+// target is checked against accepts every trace it records, in the
+// sequential and the crash universe; and its cache identity is not the
+// one of the implementation with permission checks.
+func TestResolveSpecNoPerms(t *testing.T) {
+	ctx := context.Background()
+	for universe, sample := range map[string]int{UniverseSequential: 50, UniverseCrash: 1} {
+		target, err := Resolve("spec:linux", "", universe, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if target.FSName == "spec:linux" {
+			t.Errorf("%s: FSName %q is the identity of the spec:linux with permission checks", universe, target.FSName)
+		}
+		s := sibylfs.New(sibylfs.WithSpec(target.Spec), sibylfs.WithCoverage(sibylfs.NewCoverageRegistry()))
+		scripts, err := target.Scripts(ctx, s, "", sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := s.Execute(ctx, scripts, target.Factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := s.Check(ctx, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejected := 0
+		for _, r := range results {
+			if !r.Accepted {
+				if rejected++; rejected <= 3 {
+					t.Errorf("%s: %s rejected", universe, r.Name)
+				}
+			}
+		}
+		if rejected > 0 {
+			t.Errorf("%s: %d of %d traces rejected, want none", universe, rejected, len(results))
+		}
+	}
+}
+
 // TestTargetScripts: without a directory the target's universe is
 // generated, a host target keeps only host-safe scripts, and sample
 // keeps every nth.

@@ -14,7 +14,7 @@ const StoreUsage = "cache backend: pack (segment store) or an sfs-serve URL (htt
 
 // StoreOptions maps the shared -cache-dir/-store flags to session
 // options, identically across every cache-using tool (sfs-run,
-// sfs-report, sfs-fuzz):
+// sfs-report):
 //
 //   - "pack" (the default): a packed cache rooted at -cache-dir; no
 //     -cache-dir means no cache, as before.

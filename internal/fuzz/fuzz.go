@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +16,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/exec"
 	"repro/internal/fsimpl"
-	"repro/internal/osspec"
-	"repro/internal/pipeline"
 	"repro/internal/reduce"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -65,16 +62,6 @@ type Config struct {
 	Concurrent bool
 	// Seeds are extra initial inputs offered to the corpus at startup.
 	Seeds []*trace.Script
-	// ResultCache, when non-nil, memoises corpus seeding on the pipeline's
-	// content-addressed store: a reloaded corpus entry whose attributed
-	// replay is cached (keyed by script, osspec.ModelVersion + Spec, and a
-	// fuzz-seed config hash derived from Name and the executor mode) is
-	// admitted with its cached point set instead of being re-executed and
-	// re-checked. Only clean, accepted replays are cached — deviating
-	// entries re-run every session so their findings are re-reported. Name
-	// is the implementation identity in the key: keep it stable across
-	// sessions (sfs-fuzz derives it from -fs/-spec) or hits never occur.
-	ResultCache *pipeline.Cache
 	// KeepCoverage leaves the session's coverage counters as they are
 	// instead of resetting them at session start.
 	KeepCoverage bool
@@ -105,11 +92,6 @@ type Result struct {
 	// seeding/corpus reload, before any mutation ran — resumed sessions
 	// start strictly ahead of empty ones.
 	InitialCovHit int
-	// CachedSeeds counts seed scripts whose replay was skipped at session
-	// start because the result cache held their attributed point set
-	// (Config.ResultCache); the corpus's usual admission rules still
-	// decide which of them become entries.
-	CachedSeeds int
 	// CovHit/CovTotal are the session-end model coverage figures (§7.2).
 	CovHit   int
 	CovTotal int
@@ -162,17 +144,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Seeding runs on this goroutine with a checker of its own; every loop
 	// worker builds another.
-	seedChk := e.newChecker()
-	e.maxStateSet = seedChk.MaxStateSet
 	seedSpan := tel.Span("fuzz.seed")
-	if err := e.seed(ctx, seedChk); err != nil {
+	if err := e.seed(ctx, e.newChecker()); err != nil {
 		return nil, err
 	}
 	seedSpan.End()
-	tel.Counter("fuzz.cached_seeds").Add(int64(e.cachedSeeds))
 	initialHit := e.reg.HitCount()
-	e.logf("fuzz: start corpus=%d coverage=%d points (%d seeds from cache)",
-		e.corpus.Len(), initialHit, e.cachedSeeds)
+	e.logf("fuzz: start corpus=%d coverage=%d points", e.corpus.Len(), initialHit)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -187,21 +165,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	go func() { wg.Wait(); close(done) }()
 	e.progress(done)
 
-	if cfg.ResultCache != nil {
-		// Group-commit barrier: the attributed-seed entries written during
-		// this session must be durable before it reports (cancellation is
-		// the *normal* end of a fuzz session, so this is the main exit).
-		if err := cfg.ResultCache.Flush(); err != nil {
-			return nil, err
-		}
-	}
-
 	res := &Result{
 		Runs:          e.runs.Load(),
 		ExecErrors:    e.execErrs.Load(),
 		Crashes:       e.crashes.Load(),
 		InitialCovHit: initialHit,
-		CachedSeeds:   e.cachedSeeds,
 		Elapsed:       time.Since(start),
 	}
 	e.mu.Lock()
@@ -230,9 +198,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // their own and pass it down.
 type engine struct {
 	cfg Config
-	// maxStateSet is the checkers' state-set cap, part of the seed-cache
-	// key.
-	maxStateSet int
 
 	mu         sync.Mutex // corpus, findings, newEntries
 	corpus     *Corpus
@@ -240,8 +205,6 @@ type engine struct {
 	bySig      map[string]*Finding
 	rawSeen    map[string]*Finding // pre-minimization dedup (see reportDeviation)
 	newEntries int
-	// cachedSeeds is only written during single-threaded seeding.
-	cachedSeeds int
 
 	// reg is the session's coverage registry (Config.Registry), never nil.
 	reg *cov.Registry
@@ -280,11 +243,7 @@ func (e *engine) runScript(s *trace.Script, hits *cov.Set) (*trace.Trace, error)
 
 // seed loads the persisted corpus (if any) and the configured seed
 // scripts, replaying each so the corpus keys and the session's coverage
-// counters reflect the current model. With a ResultCache, entries whose
-// clean replay is already cached skip the replay entirely: the cached
-// point set is admitted directly and merged into the registry, so a warm
-// resumed session starts in
-// seconds regardless of corpus size. A cancelled ctx stops seeding early
+// counters reflect the current model. A cancelled ctx stops seeding early
 // (graceful shutdown, as in the worker loop) — the session then reports
 // over whatever was admitted. c checks the replays.
 func (e *engine) seed(ctx context.Context, c *checker.Checker) error {
@@ -309,83 +268,9 @@ func (e *engine) seed(ctx context.Context, c *checker.Checker) error {
 			// cannot power-cycle, so the replay could only error.
 			continue
 		}
-		if points, ok := e.cachedSeed(s); ok {
-			e.admitCached(s, points)
-			e.cachedSeeds++
-			continue
-		}
 		e.offer(c, s)
 	}
 	return nil
-}
-
-// seedRecord is the cached shape of one clean seed replay.
-type seedRecord struct {
-	Points []string `json:"points"`
-}
-
-// seedKey addresses one script's replay under the current session
-// semantics: the model version and variant, and the fuzz-seed config
-// (implementation identity via Config.Name, executor mode). The
-// "fuzz-seed|" tag namespaces these entries away from pipeline records
-// sharing the same cache directory.
-func (e *engine) seedKey(s *trace.Script) string {
-	seed := int64(0)
-	if e.cfg.Concurrent {
-		seed = e.cfg.Seed
-	}
-	cfgHash := pipeline.ConfigHash("fuzz-seed|"+e.cfg.Name, e.cfg.Concurrent, seed, e.maxStateSet)
-	return pipeline.Key(pipeline.ScriptHash(s), pipeline.SpecHash(osspec.ModelVersion, e.cfg.Spec), cfgHash)
-}
-
-// cachedSeed looks up a script's cached clean replay.
-func (e *engine) cachedSeed(s *trace.Script) ([]string, bool) {
-	if e.cfg.ResultCache == nil {
-		return nil, false
-	}
-	data, ok := e.cfg.ResultCache.GetRaw(e.seedKey(s))
-	if !ok {
-		return nil, false
-	}
-	var rec seedRecord
-	if err := json.Unmarshal(data, &rec); err != nil || len(rec.Points) == 0 {
-		return nil, false
-	}
-	return rec.Points, true
-}
-
-// putSeed stores a clean replay's attributed point set.
-func (e *engine) putSeed(s *trace.Script, points []string) {
-	data, err := json.Marshal(seedRecord{Points: points})
-	if err == nil {
-		err = e.cfg.ResultCache.PutRaw(e.seedKey(s), data)
-	}
-	if err != nil {
-		e.logf("fuzz: caching seed replay: %v", err)
-	}
-}
-
-// admitCached admits a seed with its cached point set, mirroring admit's
-// corpus and persistence paths but skipping execution and checking. The
-// points (those the current model still registers) are merged into the
-// session's registry, so its coverage view matches what a real replay
-// would have left.
-func (e *engine) admitCached(s *trace.Script, points []string) {
-	hits := cov.SetOf(points)
-	e.reg.Merge(&hits)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, admitted, replaced, evicted := e.corpus.Admit(s, points)
-	if (admitted || replaced) && e.cfg.CorpusDir != "" {
-		if err := SaveScript(e.cfg.CorpusDir, s); err != nil {
-			e.logf("fuzz: persisting corpus entry: %v", err)
-		}
-		if evicted != nil {
-			if err := RemoveScript(e.cfg.CorpusDir, evicted); err != nil {
-				e.logf("fuzz: removing superseded corpus entry: %v", err)
-			}
-		}
-	}
 }
 
 // worker is one fuzzing goroutine, checking with a checker of its own:
@@ -525,9 +410,7 @@ func (e *engine) offer(c *checker.Checker, s *trace.Script) {
 }
 
 // admit adds a clean run's script to the corpus if its coverage points
-// (sorted names) include one no existing entry hits. Clean replays of
-// scripts that enter the corpus are memoised in the result cache (when
-// configured) so the next session's seeding skips them.
+// (sorted names) include one no existing entry hits.
 func (e *engine) admit(s *trace.Script, points []string, fromLoop bool) {
 	e.mu.Lock()
 	entry, admitted, replaced, evicted := e.corpus.Admit(s, points)
@@ -537,11 +420,6 @@ func (e *engine) admit(s *trace.Script, points []string, fromLoop bool) {
 	}
 	if admitted && fromLoop {
 		e.newEntries++
-	}
-	if (admitted || replaced) && e.cfg.ResultCache != nil {
-		// Cache the clean replay's points of everything that enters the
-		// corpus: the next session's seeding admits it without re-running.
-		e.putSeed(s, points)
 	}
 	if (admitted || replaced) && e.cfg.CorpusDir != "" {
 		// Persist while still holding e.mu: a save racing a concurrent

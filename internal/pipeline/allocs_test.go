@@ -30,11 +30,11 @@ func TestScriptHashAllocs(t *testing.T) {
 // when it first stores a fan-out: a cold run's tables make theirs, and a
 // warm run over the same cache, which checks nothing, makes none.
 func TestWarmRunBuildsNoConsMap(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	store, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cache.Close()
+	defer store.Close()
 	defer func() { runDoneHook = nil }()
 	mapped := 0 // tables with a map at the end of the last run
 	runDoneHook = func(ws []*worker) {
@@ -46,7 +46,7 @@ func TestWarmRunBuildsNoConsMap(t *testing.T) {
 		}
 	}
 	cfg := testConfig(testScripts(t, 16))
-	cfg.Cache = cache
+	cfg.Store = store
 	for _, warm := range []bool{false, true} {
 		if _, st, err := Run(context.Background(), cfg); err != nil || (st.CacheHits == st.Jobs) != warm {
 			t.Fatalf("warm=%v: %+v, err %v", warm, st, err)

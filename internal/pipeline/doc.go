@@ -31,7 +31,7 @@
 // Config.Cov receives the run's model coverage: each worker counts its
 // jobs' coverage sets and merges the counts once, when the run ends.
 //
-// cmd/sfs-run is the CLI for this package; sfs-report and internal/fuzz
+// cmd/sfs-run is the CLI for this package; sfs-report and sfs-serve
 // reuse the cache and the record stream. sibylfs.Session.Run is the
 // public facade.
 package pipeline

@@ -61,7 +61,7 @@ func TestOrphanSweepOnOpen(t *testing.T) {
 	dir := t.TempDir()
 
 	// Cache orphans (index sidecar temp files) live beside the segments.
-	sub := packDir(dir)
+	sub := filepath.Join(dir, "pack")
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}

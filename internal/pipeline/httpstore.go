@@ -106,7 +106,7 @@ func OpenHTTPStore(base string, opts HTTPStoreOptions) (*HTTPStore, error) {
 }
 
 // SetTelemetry attributes the store's remote-traffic metrics to reg
-// (nil selects Default); Cache.SetTelemetry forwards through it.
+// (nil selects Default); Run installs its registry through it.
 func (h *HTTPStore) SetTelemetry(reg *telemetry.Registry) {
 	h.tmu.Lock()
 	h.tel = telemetry.Or(reg)

@@ -2,6 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -405,6 +409,37 @@ func TestHTTPStoreStats(t *testing.T) {
 	}
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
+	}
+}
+
+// TestStoreHandlerCutsOffStalledBody: a PUT or batch upload whose body
+// stalls part-way is answered and its connection dropped once
+// bodyReadTimeout passes, and nothing of it is stored.
+func TestStoreHandlerCutsOffStalledBody(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 100 * time.Millisecond
+	store := mustPack(t)
+	srv := httptest.NewServer(NewStoreHandler(store, telemetry.NewRegistry()))
+	defer srv.Close()
+	for _, route := range []string{"PUT /v1/store/" + testKey(1), "POST /v1/store/batch"} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// Promise 100 body bytes, send 7, then stall.
+		fmt.Fprintf(conn, "%s HTTP/1.1\r\nHost: store\r\nContent-Length: 100\r\n\r\npartial", route)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("%s: connection still open 5s after the body stalled: %v", route, err)
+		}
+		if !bytes.HasPrefix(resp, []byte("HTTP/1.1 400")) {
+			t.Errorf("%s: response %q, want a 400", route, resp)
+		}
+	}
+	if n := store.Stats().Entries; n != 0 {
+		t.Errorf("%d entries stored from stalled uploads", n)
 	}
 }
 

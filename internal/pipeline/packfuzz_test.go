@@ -19,23 +19,23 @@ import (
 // and with a torn tail.
 func FuzzPackSegment(f *testing.F) {
 	dir := f.TempDir()
-	cache, err := OpenCache(dir)
+	store, err := OpenCache(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
 	cfg := testConfig(testScripts(f, 1))
-	cfg.Cache = cache
+	cfg.Store = store
 	if _, _, err := Run(context.Background(), cfg); err != nil {
 		f.Fatal(err)
 	}
-	if err := cache.Close(); err != nil {
+	if err := store.Close(); err != nil {
 		f.Fatal(err)
 	}
-	seg, err := os.ReadFile(filepath.Join(packDir(dir), "000001.seg"))
+	seg, err := os.ReadFile(filepath.Join(dir, "pack", "000001.seg"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	idx, err := os.ReadFile(filepath.Join(packDir(dir), "000001.idx"))
+	idx, err := os.ReadFile(filepath.Join(dir, "pack", "000001.idx"))
 	if err != nil {
 		f.Fatal(err)
 	}

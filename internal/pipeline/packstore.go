@@ -109,6 +109,14 @@ const (
 // per-read verify costs far less than the syscalls it replaces.
 var packCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// OpenCache opens (creating if needed) the result cache rooted at dir: a
+// PackStore with default options whose segments live under dir/pack.
+// It is the one place that knows that layout (-cache-dir, WithCacheDir,
+// an HTTPStore's local fallback).
+func OpenCache(dir string) (*PackStore, error) {
+	return OpenPackStore(filepath.Join(dir, "pack"))
+}
+
 // OpenPackStore opens (creating if needed) a packed segment store rooted
 // at dir, with default options.
 func OpenPackStore(dir string) (*PackStore, error) {

@@ -72,9 +72,12 @@ type Config struct {
 	// part of the cache key.
 	Concurrent bool
 	SchedSeed  int64
-	// Cache, when non-nil, skips any job whose key it already holds and
-	// stores every fresh result.
-	Cache *Cache
+	// Store, when non-nil, is the result cache: a job whose key it holds
+	// a framed record under (codec.go) is a hit, and every fresh result
+	// is stored. Any other value under a key is a miss, which the job's
+	// fresh record overwrites. Run installs the run's telemetry registry
+	// on stores that accept one and flushes the store on every exit.
+	Store Store
 	// Sink, when non-nil, receives records as jobs finish and acts as the
 	// resume journal: jobs whose key the sink already holds are skipped
 	// (their record is reused). Callers own Finalize/Close.
@@ -146,7 +149,7 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	if cfg.Factory == nil {
 		return nil, st, errors.New("pipeline: Config.Factory is required")
 	}
-	if cfg.Cache != nil && cfg.FSName == "" {
+	if cfg.Store != nil && cfg.FSName == "" {
 		return nil, st, errors.New("pipeline: Config.FSName is required when caching")
 	}
 	if cfg.Shards > 1 && (cfg.Shard < 0 || cfg.Shard >= cfg.Shards) {
@@ -175,8 +178,8 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	if cfg.Sink != nil {
 		cfg.Sink.SetTelemetry(tel)
 	}
-	if cfg.Cache != nil {
-		cfg.Cache.SetTelemetry(tel)
+	if ts, ok := cfg.Store.(telemetrySetter); ok {
+		ts.SetTelemetry(tel)
 	}
 
 	specHash := SpecHash(version, cfg.Spec)
@@ -277,8 +280,8 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	// durable whenever the resume journal is. On the failure paths the
 	// flush is best-effort (the job error wins); on success it is checked.
 	var flushErr error
-	if cfg.Cache != nil {
-		flushErr = cfg.Cache.Flush()
+	if cfg.Store != nil {
+		flushErr = cfg.Store.Flush()
 	}
 	publishConsStats(tel, ws)
 	if runDoneHook != nil {
@@ -413,9 +416,10 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 			return rec, false, true, nil
 		}
 	}
-	if cfg.Cache != nil {
+	if cfg.Store != nil {
 		lookupStart := time.Now()
-		rec, line, ok := cfg.Cache.getRecord(key)
+		data, _ := cfg.Store.Get(key) // a miss decodes nil: no frame
+		rec, line, ok := decodeRecord(data, key)
 		tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)
 		if ok {
 			// The stored line IS the canonical journal encoding (Cached is
@@ -463,10 +467,10 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 	rec, w.buf = newRecord(w.buf, key, t, res)
 	w.buf = rec.AppendJSON(w.buf[:0])
 	line := bytes.Clone(w.buf)
-	if cfg.Cache != nil {
+	if cfg.Store != nil {
 		storeStart := time.Now()
 		w.frame = encodeRecord(w.frame[:0], rec, line)
-		err := cfg.Cache.store.Put(rec.Key, w.frame)
+		err := cfg.Store.Put(rec.Key, w.frame)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
 			return rec, false, false, err

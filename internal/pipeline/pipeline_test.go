@@ -162,12 +162,12 @@ func TestPerWorkerConsTables(t *testing.T) {
 
 func TestCacheHitMissInvalidation(t *testing.T) {
 	scripts := testScripts(t, 8)
-	cache, err := OpenCache(t.TempDir())
+	store, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(scripts)
-	cfg.Cache = cache
+	cfg.Store = store
 
 	cold, st, err := Run(context.Background(), cfg)
 	if err != nil {

@@ -69,18 +69,18 @@ func TestStoredLineGuard(t *testing.T) {
 	}
 	for _, tc := range storeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cache, err := OpenCache(t.TempDir())
+			store, err := OpenCache(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer cache.Close()
+			defer store.Close()
 			for i, rec := range records {
-				if err := cache.Store().Put(rec.Key, tc.entry(i, rec)); err != nil {
+				if err := store.Put(rec.Key, tc.entry(i, rec)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			warm := testConfig(scripts)
-			warm.Cache = cache
+			warm.Store = store
 			path := filepath.Join(t.TempDir(), "warm.jsonl")
 			if st := finalizedRun(t, warm, path, false); st.CacheHits != tc.hits {
 				t.Fatalf("%d cache hits, want %d", st.CacheHits, tc.hits)

@@ -2,12 +2,14 @@ package pipeline
 
 import "repro/internal/telemetry"
 
-// Store is the persistence seam under the result cache: a flat
-// content-addressed byte store keyed by hex digest strings. PackStore
-// (append-only pack segments with group-commit durability) is the local
-// implementation; the interface is deliberately narrow enough that a
-// remote store (HTTPStore, the sfs-serve fleet cache) plugs in behind the
-// same Cache facade.
+// Store is the result cache (Config.Store): a flat content-addressed
+// byte store keyed by hex digest strings, holding framed records
+// (codec.go). The cache is lossy by contract: a value in any other
+// format — a v1 bare-JSON entry included — is a miss, and the run that
+// misses stores the record afresh. PackStore (append-only pack segments
+// with group-commit durability) is the local implementation; the
+// interface is deliberately narrow enough that a remote store (HTTPStore,
+// the sfs-serve fleet cache) plugs in the same way.
 //
 // Implementations must be safe for concurrent use: the pipeline's worker
 // pool calls Get and Put from many goroutines at once.
@@ -51,8 +53,8 @@ type StoreStats struct {
 }
 
 // telemetrySetter is implemented by stores whose I/O metrics can be
-// attributed to a specific registry; Cache.SetTelemetry forwards through
-// it (remote stores may not implement it, which is fine).
+// attributed to a specific registry; Run installs its registry through
+// it (a store that does not implement it keeps its own).
 type telemetrySetter interface {
 	SetTelemetry(reg *telemetry.Registry)
 }

@@ -191,9 +191,9 @@ func TestPackConcurrency(t *testing.T) {
 // over it re-executes them and finalizes byte-identical to a cold run —
 // an old format costs one cold run, never a failure.
 func TestCacheV1EntryIsMiss(t *testing.T) {
-	run := func(t *testing.T, cache *Cache) (Stats, string) {
+	run := func(t *testing.T, store Store) (Stats, string) {
 		t.Helper()
-		cfg := storeSuiteConfig(t, cache, nil)
+		cfg := storeSuiteConfig(t, store, nil)
 		cfg.Scripts = cfg.Scripts[:8]
 		path := filepath.Join(t.TempDir(), "run.jsonl")
 		return finalizedRun(t, cfg, path, false), path
@@ -221,17 +221,17 @@ func TestCacheV1EntryIsMiss(t *testing.T) {
 		}
 	}
 
-	cache, err := OpenCache(dir)
+	store, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cache.Close()
+	defer store.Close()
 	for _, rec := range records {
-		if _, ok := cache.GetRecord(rec.Key); ok {
+		if _, ok := getRecord(store, rec.Key); ok {
 			t.Fatalf("v1 entry %s served as a hit", rec.Name)
 		}
 	}
-	st, out := run(t, cache)
+	st, out := run(t, store)
 	if st.Executed != len(records) {
 		t.Fatalf("run over a v1 cache executed %d of %d jobs", st.Executed, len(records))
 	}
@@ -241,9 +241,9 @@ func TestCacheV1EntryIsMiss(t *testing.T) {
 }
 
 // TestCacheV1ReadThrough pins that nothing reads through a v1 layout any
-// more: over a directory holding a v1 entry, the key misses, a PutRecord
-// of it lands packed and leaves the v1 file as it was, and a reopen serves
-// the packed record.
+// more: over a directory holding a v1 entry, the key misses, a framed
+// record put under it lands packed and leaves the v1 file as it was, and
+// a reopen serves the packed record.
 func TestCacheV1ReadThrough(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(1)
@@ -263,10 +263,10 @@ func TestCacheV1ReadThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, ok := c.GetRecord(key); ok {
+	if rec, ok := getRecord(c, key); ok {
 		t.Fatalf("v1 entry served read-through: %+v", rec)
 	}
-	if err := c.PutRecord(Record{Key: key, Name: "new", Accepted: true}); err != nil {
+	if err := putRecord(c, Record{Key: key, Name: "new", Accepted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -284,7 +284,7 @@ func TestCacheV1ReadThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if rec, ok := c2.GetRecord(key); !ok || rec.Name != "new" {
+	if rec, ok := getRecord(c2, key); !ok || rec.Name != "new" {
 		t.Fatalf("packed entry not served after reopen: %+v, %v", rec, ok)
 	}
 }
@@ -300,7 +300,7 @@ func TestCacheFreshDirHasNoFallback(t *testing.T) {
 	if st := c.Stats(); st.Backend != "pack" {
 		t.Fatalf("backend = %q, want pack", st.Backend)
 	}
-	if err := c.PutRecord(Record{Key: testKey(1), Name: "t", Accepted: true}); err != nil {
+	if err := putRecord(c, Record{Key: testKey(1), Name: "t", Accepted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -319,9 +319,21 @@ func TestCacheFreshDirHasNoFallback(t *testing.T) {
 	}
 }
 
+// getRecord and putRecord read and write one framed record the way Run
+// does: a value that does not decode is a miss.
+func getRecord(store Store, key string) (Record, bool) {
+	data, _ := store.Get(key)
+	rec, _, ok := decodeRecord(data, key)
+	return rec, ok
+}
+
+func putRecord(store Store, rec Record) error {
+	return store.Put(rec.Key, encodeRecord(nil, rec, rec.AppendJSON(nil)))
+}
+
 // storeSuiteConfig builds a small real pipeline config against the
 // determinized model (execution is hermetic and fast).
-func storeSuiteConfig(t *testing.T, cache *Cache, sink *Sink) Config {
+func storeSuiteConfig(t *testing.T, store Store, sink *Sink) Config {
 	t.Helper()
 	scripts := testgen.Generate().Scripts
 	if len(scripts) > 60 {
@@ -335,7 +347,7 @@ func storeSuiteConfig(t *testing.T, cache *Cache, sink *Sink) Config {
 		FSName:  "ext4",
 		Spec:    spec,
 		Workers: 4,
-		Cache:   cache,
+		Store:   store,
 		Sink:    sink,
 	}
 }
@@ -385,11 +397,11 @@ func TestBackendJSONLParity(t *testing.T) {
 // run returned ctx.Err and nobody Closed the cache.
 func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := OpenCache(dir)
+	store, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := storeSuiteConfig(t, cache, nil)
+	cfg := storeSuiteConfig(t, store, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
 	cfg.Observe = func(Record) {

@@ -43,13 +43,12 @@ func FuzzStoreBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cache := NewCache(h)
 	cfg := testConfig(testScripts(f, 3))
-	cfg.Cache = cache
+	cfg.Store = h
 	if _, _, err := Run(context.Background(), cfg); err != nil {
 		f.Fatal(err)
 	}
-	if err := cache.Close(); err != nil {
+	if err := h.Close(); err != nil {
 		f.Fatal(err)
 	}
 	if len(batches) == 0 {

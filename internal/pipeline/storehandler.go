@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -38,8 +39,22 @@ func NewStoreHandler(store Store, reg *telemetry.Registry) *StoreHandler {
 }
 
 // maxStoreValueBytes bounds one uploaded value (and one whole batch);
-// records and generation blobs are far below it.
+// records are far below it.
 const maxStoreValueBytes = 64 << 20
+
+// bodyReadTimeout bounds how long the PUT and batch routes wait for a
+// request body, so a client that stalls mid-upload is cut off instead of
+// holding its connection. It is a deadline per request, not the server's
+// ReadTimeout, which would also cut off sfs-serve's live record streams.
+var bodyReadTimeout = time.Minute // tests shorten it
+
+// readBody reads r's body, at most maxStoreValueBytes+1 bytes, within
+// bodyReadTimeout. The server lifts the deadline before the connection's
+// next request.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	return io.ReadAll(io.LimitReader(r.Body, maxStoreValueBytes+1))
+}
 
 func (sh *StoreHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
@@ -95,7 +110,7 @@ func (sh *StoreHandler) get(w http.ResponseWriter, key string) {
 }
 
 func (sh *StoreHandler) put(w http.ResponseWriter, r *http.Request, key string) {
-	val, err := io.ReadAll(io.LimitReader(r.Body, maxStoreValueBytes+1))
+	val, err := readBody(w, r)
 	if err != nil {
 		http.Error(w, "torn body", http.StatusBadRequest)
 		return
@@ -126,7 +141,7 @@ func (sh *StoreHandler) put(w http.ResponseWriter, r *http.Request, key string) 
 // batches are idempotent (same keys, same bytes), so the client simply
 // retries.
 func (sh *StoreHandler) batch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxStoreValueBytes+1))
+	body, err := readBody(w, r)
 	if err != nil {
 		http.Error(w, "torn body", http.StatusBadRequest)
 		return

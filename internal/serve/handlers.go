@@ -65,7 +65,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// bodyReadTimeout bounds how long a submission may take to arrive, so a
+// client that stalls mid-body is cut off instead of holding its
+// connection. It is a deadline per request, which the server lifts
+// before the connection's next one, not the server's ReadTimeout: that
+// would also cut off the live records stream.
+var bodyReadTimeout = time.Minute // tests shorten it
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	var spec serveapi.JobSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&spec); err != nil {
 		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,7 +95,10 @@ func newTestServer(t *testing.T, dataDir string, jobs, workers int) (*Server, *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	// The daemon's own server settings (sfs-serve's), not httptest's.
+	hs := httptest.NewUnstartedServer(nil)
+	hs.Config = telemetry.NewHTTPServer(srv.Handler())
+	hs.Start()
 	stop := func() {
 		hs.Close()
 		srv.Close()
@@ -187,6 +193,70 @@ func TestServeRecordsStream(t *testing.T) {
 	}
 	if final.State != serveapi.StateDone || final.Records != len(texts) {
 		t.Fatalf("final status: %s with %d records", final.State, final.Records)
+	}
+}
+
+// TestServeCutsOffStalledSubmit: a submission whose body stalls part-way
+// is answered and its connection dropped once bodyReadTimeout passes,
+// and no job is created.
+func TestServeCutsOffStalledSubmit(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 100 * time.Millisecond
+	_, client, stop := newTestServer(t, t.TempDir(), 1, 1)
+	defer stop()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(client.Base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Promise 100 body bytes, send part of a spec, then stall.
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: serve\r\nContent-Length: 100\r\n\r\n{\"fs\": \"ext4\"")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("connection still open 5s after the body stalled: %v", err)
+	}
+	if !bytes.HasPrefix(resp, []byte("HTTP/1.1 400")) {
+		t.Errorf("response %q, want a 400", resp)
+	}
+	jobs, err := client.Jobs(context.Background())
+	if err != nil || len(jobs) != 0 {
+		t.Errorf("jobs after a stalled submission: %v, %v; want none", jobs, err)
+	}
+}
+
+// TestServeRecordsStreamOutlivesBodyTimeout: only the routes that read a
+// body set a read deadline, so a live records stream (on the keep-alive
+// connection the submission used) runs for as long as its job does, well
+// past bodyReadTimeout, and delivers every record. A deadline on the
+// stream's own request would cancel its context and cut it short.
+func TestServeRecordsStreamOutlivesBodyTimeout(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 25 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	_, client, stop := newTestServer(t, t.TempDir(), 1, 1)
+	defer stop()
+
+	st, err := client.SubmitJob(ctx, serveapi.JobSpec{FS: "ext4", Sample: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	seen := 0
+	if err := client.Records(ctx, st.ID, func(_ sibylfs.PipelineRecord) { seen++ }); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	final, err := client.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != serveapi.StateDone || seen != final.Records || seen == 0 {
+		t.Fatalf("streamed %d records in %v; the job ended %s with %d", seen, took, final.State, final.Records)
+	}
+	if took < 4*bodyReadTimeout {
+		t.Fatalf("the stream took %v, too short to outlive the %v deadline", took, bodyReadTimeout)
 	}
 }
 

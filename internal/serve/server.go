@@ -307,7 +307,7 @@ func (s *Server) runJob(j *job) {
 			Name:       plan.name,
 			Scripts:    scripts,
 			Factory:    plan.Factory,
-			FSName:     j.spec.FS,
+			FSName:     plan.FSName,
 			Concurrent: plan.Universe == cliutil.UniverseConcurrent,
 			SchedSeed:  j.spec.SchedSeed,
 		})

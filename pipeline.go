@@ -14,22 +14,17 @@ type (
 	PipelineRecord = pipeline.Record
 	// PipelineStats is a run's executed/cached/resumed work split.
 	PipelineStats = pipeline.Stats
-	// ResultCache is the content-addressed (script, spec, config)-keyed store.
-	ResultCache = pipeline.Cache
 	// ResultSink is the streaming JSONL journal with crash-safe resume.
 	ResultSink = pipeline.Sink
-	// ResultStore is the pluggable persistence backend under ResultCache
-	// (see WithStore): PackStore — packed append-only segments with
-	// group-commit durability — or the HTTPStore of an sfs-serve daemon.
+	// ResultStore is the content-addressed (script, spec, config)-keyed
+	// result cache (see WithStore): PackStore — packed append-only
+	// segments with group-commit durability — or the HTTPStore of an
+	// sfs-serve daemon.
 	ResultStore = pipeline.Store
 	// StoreStats summarises a store's contents (Session.CacheStats,
 	// sfs-run -cache-stats).
 	StoreStats = pipeline.StoreStats
 )
-
-// OpenResultCache opens (creating if needed) a result cache rooted at dir
-// with the packed-segment backend.
-func OpenResultCache(dir string) (*ResultCache, error) { return pipeline.OpenCache(dir) }
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
 // at dir — the default ResultStore backend, exposed for WithStore.

@@ -2,7 +2,6 @@ package sibylfs
 
 import (
 	"context"
-	"path/filepath"
 
 	"repro/internal/pipeline"
 	"repro/internal/serveapi"
@@ -49,7 +48,7 @@ func SubmitJob(ctx context.Context, base string, spec ServeJobSpec) (ServeJobSta
 func OpenHTTPStore(base, localDir string) (ResultStore, error) {
 	var opts pipeline.HTTPStoreOptions
 	if localDir != "" {
-		fallback, err := pipeline.OpenPackStore(filepath.Join(localDir, "pack"))
+		fallback, err := pipeline.OpenCache(localDir)
 		if err != nil {
 			return nil, err
 		}

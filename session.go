@@ -57,7 +57,7 @@ type Session struct {
 	maxStateSet int
 	cacheDir    string
 	remote      string         // WithRemoteCache base URL ("" = none)
-	store       pipeline.Store // nil = open a backend from cacheDir/remote
+	store       pipeline.Store // WithStore's, or opened from cacheDir/remote on first use
 	journal     string
 	journalDir  string
 	resume      bool
@@ -67,9 +67,8 @@ type Session struct {
 	log         io.Writer
 
 	cacheOnce sync.Once
-	cache     *pipeline.Cache
 	cacheErr  error
-	ownsCache bool // opened from cacheDir/remote, so Close closes it
+	ownsStore bool // opened from cacheDir/remote, so Close closes it
 	// hashMu/hashes memoise per-script content hashes, so each script is
 	// hashed at most once per session however many runs check it; pipeline
 	// key computation reads it via Config.HashScripts.
@@ -106,7 +105,7 @@ func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
 // default). The cap is part of the pipeline cache key.
 func WithMaxStateSet(n int) Option { return func(s *Session) { s.maxStateSet = n } }
 
-// WithCacheDir backs Run, Survey and Fuzz with a content-addressed result
+// WithCacheDir backs Run and Survey with a content-addressed result
 // cache rooted at dir: re-runs skip any trace whose (script, model
 // version, run config) key is already cached. The directory is created on
 // first use. The backend is the packed segment store: entries append to
@@ -189,37 +188,29 @@ func NewCoverageRegistry() *CoverageRegistry { return cov.NewRegistry() }
 // Spec returns the model variant the session checks against.
 func (s *Session) Spec() Spec { return s.spec }
 
-// openCache lazily opens the session's result cache (nil without
-// WithCacheDir/WithStore), inside a session.open_cache span: the first
-// call opens the store and loads or rebuilds its index. The handle is
-// shared by every method of the session.
-func (s *Session) openCache() (*pipeline.Cache, error) {
-	if s.store == nil && s.cacheDir == "" && s.remote == "" {
-		return nil, nil
-	}
+// openCache lazily opens the session's result store (nil without
+// WithCacheDir/WithRemoteCache/WithStore), inside a session.open_cache
+// span: the first call opens the store and loads or rebuilds its index.
+// An injected store opens nothing. The store is shared by every method of
+// the session.
+func (s *Session) openCache() (pipeline.Store, error) {
 	s.cacheOnce.Do(func() {
-		defer telemetry.Or(s.tel).Span("session.open_cache").End()
-		if s.store != nil {
-			s.cache = pipeline.NewCache(s.store)
+		if s.store != nil || (s.cacheDir == "" && s.remote == "") {
 			return
 		}
+		defer telemetry.Or(s.tel).Span("session.open_cache").End()
 		if s.remote != "" {
 			// WithRemoteCache: the shared fleet store, with the local cache
 			// dir (if any) demoted to the unreachable-server fallback.
-			store, err := OpenHTTPStore(s.remote, s.cacheDir)
-			if err != nil {
-				s.cacheErr = err
-				return
-			}
-			s.store = store // session-owned; flushed at run boundaries
-			s.cache = pipeline.NewCache(store)
-			s.ownsCache = true
-			return
+			s.store, s.cacheErr = OpenHTTPStore(s.remote, s.cacheDir)
+		} else if pack, err := pipeline.OpenCache(s.cacheDir); err != nil {
+			s.cacheErr = err // s.store stays nil, not a nil *PackStore
+		} else {
+			s.store = pack
 		}
-		s.cache, s.cacheErr = pipeline.OpenCache(s.cacheDir)
-		s.ownsCache = s.cacheErr == nil
+		s.ownsStore = s.cacheErr == nil
 	})
-	return s.cache, s.cacheErr
+	return s.store, s.cacheErr
 }
 
 // errSessionClosed is what a cache-backed method returns after Close.
@@ -235,26 +226,26 @@ var errSessionClosed = errors.New("sibylfs: session closed")
 // without a cache, and afterwards cache-backed methods fail.
 func (s *Session) Close() error {
 	s.cacheOnce.Do(func() {}) // a closed session never opens a cache
-	cache, owned := s.cache, s.ownsCache
-	s.cache, s.ownsCache = nil, false
+	store, owned := s.store, s.ownsStore
 	if s.store != nil || s.cacheDir != "" || s.remote != "" {
 		s.cacheErr = errSessionClosed
 	}
-	if cache == nil || !owned {
+	s.store, s.ownsStore = nil, false
+	if !owned {
 		return nil
 	}
-	return cache.Close()
+	return store.Close()
 }
 
 // CacheStats describes the session's result-store contents (backend,
 // entries, segments, bytes); ok is false when the session has no cache.
 // sfs-run -cache-stats prints it next to the run's hit/miss telemetry.
 func (s *Session) CacheStats() (StoreStats, bool) {
-	cache, err := s.openCache()
-	if err != nil || cache == nil {
+	store, err := s.openCache()
+	if err != nil || store == nil {
 		return StoreStats{}, false
 	}
-	return cache.Stats(), true
+	return store.Stats(), true
 }
 
 // Generate builds the full sequential test suite (§6.1).
@@ -423,7 +414,7 @@ type RunJob struct {
 // shards' and resumed ones included. Record.Cached marks the records a
 // cache hit or the resumed journal supplied.
 func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, PipelineStats, error) {
-	cache, err := s.openCache()
+	store, err := s.openCache()
 	if err != nil {
 		return nil, PipelineStats{}, err
 	}
@@ -441,7 +432,7 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 		Shard:        job.Shard,
 		Concurrent:   job.Concurrent,
 		SchedSeed:    job.SchedSeed,
-		Cache:        cache,
+		Store:        store,
 		Observe:      s.observer,
 		Cov:          s.reg,
 		Tel:          s.tel,
@@ -485,7 +476,7 @@ func (s *Session) runSink(ctx context.Context, cfg pipeline.Config, path string)
 // configuration. Cancellation stops between jobs and returns the
 // configurations completed so far with ctx's error.
 func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Config) ([]SurveyResult, error) {
-	cache, err := s.openCache()
+	store, err := s.openCache()
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +510,7 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 			FSName:      cfg.Name,
 			Spec:        cfg.Spec,
 			Workers:     w,
-			Cache:       cache,
+			Store:       store,
 			Observe:     s.observer,
 			Cov:         s.reg,
 			Tel:         s.tel,
@@ -556,7 +547,7 @@ func (s *Session) MergeSurvey(ctx context.Context, results []SurveyResult) (*ana
 }
 
 // FuzzJob names one coverage-guided fuzzing session; the session supplies
-// spec, workers, result cache, coverage registry and log. A session whose
+// spec, workers, coverage registry and log. A session whose
 // spec has Crash set fuzzes durability: pair it with a crash-capable
 // Factory, and its candidates gain fsync/sync barriers and crash labels
 // (not with Concurrent). The session
@@ -564,8 +555,7 @@ func (s *Session) MergeSurvey(ctx context.Context, results []SurveyResult) (*ana
 // time-bounded session — pair with context.WithTimeout) or after MaxRuns
 // candidates; one of the two bounds is required.
 type FuzzJob struct {
-	// Name labels the session in reports and is the result cache's
-	// implementation identity — keep it stable across sessions.
+	// Name labels the session in reports.
 	Name string
 	// Factory creates the implementation under test, one instance per run.
 	Factory Factory
@@ -594,10 +584,6 @@ type FuzzJob struct {
 // the normal end of a session: the corpus and findings collected so far
 // are reported as usual.
 func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
-	cache, err := s.openCache()
-	if err != nil {
-		return nil, err
-	}
 	defer telemetry.Or(s.tel).Span("session.fuzz").End()
 	return fuzz.Run(ctx, FuzzConfig{
 		Name:         job.Name,
@@ -611,7 +597,6 @@ func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
 		Concurrent:   job.Concurrent,
 		Seeds:        job.Seeds,
 		KeepCoverage: job.KeepCoverage,
-		ResultCache:  cache,
 		Registry:     s.reg,
 		Tel:          s.tel,
 		Log:          s.log,
