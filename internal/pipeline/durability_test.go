@@ -176,7 +176,7 @@ func TestPackTruncatedTailSegment(t *testing.T) {
 	}
 	defer p.Close()
 	for _, k := range keys[:9] {
-		v, ok := p.Get(k)
+		v, ok := p.Get(nil, k)
 		if !ok {
 			t.Fatalf("intact entry %s lost after tail truncation", k)
 		}
@@ -184,7 +184,7 @@ func TestPackTruncatedTailSegment(t *testing.T) {
 			t.Fatalf("intact entry %s corrupted after tail truncation", k)
 		}
 	}
-	if _, ok := p.Get(keys[9]); ok {
+	if _, ok := p.Get(nil, keys[9]); ok {
 		t.Fatal("torn tail entry served instead of missing")
 	}
 	// The recovered file must end at an entry boundary so new appends land
@@ -200,7 +200,7 @@ func TestPackTruncatedTailSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if v, ok := p2.Get(keys[9]); !ok || string(v) != "rewritten" {
+	if v, ok := p2.Get(nil, keys[9]); !ok || string(v) != "rewritten" {
 		t.Fatalf("re-put after recovery: got %q, %v", v, ok)
 	}
 }
@@ -229,11 +229,11 @@ func TestPackCRCMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, ok := p.Get(keys[3]); ok {
+	if _, ok := p.Get(nil, keys[3]); ok {
 		t.Fatal("CRC-mismatched entry served instead of missing")
 	}
 	for _, k := range keys[:3] {
-		if _, ok := p.Get(k); !ok {
+		if _, ok := p.Get(nil, k); !ok {
 			t.Fatalf("clean entry %s became a miss", k)
 		}
 	}
@@ -254,7 +254,7 @@ func TestPackMissingIndexRebuild(t *testing.T) {
 	}
 	defer p.Close()
 	for _, k := range keys {
-		if _, ok := p.Get(k); !ok {
+		if _, ok := p.Get(nil, k); !ok {
 			t.Fatalf("entry %s lost with the sidecar", k)
 		}
 	}
@@ -281,7 +281,7 @@ func TestPackCorruptIndexRebuild(t *testing.T) {
 	}
 	defer p.Close()
 	for _, k := range keys {
-		if _, ok := p.Get(k); !ok {
+		if _, ok := p.Get(nil, k); !ok {
 			t.Fatalf("entry %s lost with the corrupt sidecar", k)
 		}
 	}
@@ -320,7 +320,7 @@ func TestPackHeaderlessActiveSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if v, ok := p2.Get(key); !ok || string(v) != "value" {
+	if v, ok := p2.Get(nil, key); !ok || string(v) != "value" {
 		t.Fatalf("entry lost after headerless-segment recovery: %q, %v", v, ok)
 	}
 }
@@ -406,11 +406,11 @@ func TestPackFlushOnlyCommits(t *testing.T) {
 	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 0 {
 		t.Fatalf("reopen rebuilt %d segments, want a tail scan only", n)
 	}
-	if _, ok := p2.Get(keys[0]); ok {
+	if _, ok := p2.Get(nil, keys[0]); ok {
 		t.Fatal("damaged entry served instead of missing")
 	}
 	for _, k := range keys[1:] {
-		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+		if v, ok := p2.Get(nil, k); !ok || string(v) != packValue(k) {
 			t.Fatalf("entry %s after reopen: %q, %v", k, v, ok)
 		}
 	}
@@ -456,11 +456,11 @@ func TestPackTornTailPastSidecar(t *testing.T) {
 		t.Fatalf("reopen rebuilt %d segments, want a tail scan only", n)
 	}
 	for _, k := range keys[:5] {
-		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+		if v, ok := p2.Get(nil, k); !ok || string(v) != packValue(k) {
 			t.Fatalf("intact entry %s after reopen: %q, %v", k, v, ok)
 		}
 	}
-	if _, ok := p2.Get(keys[5]); ok {
+	if _, ok := p2.Get(nil, keys[5]); ok {
 		t.Fatal("torn tail entry served instead of missing")
 	}
 	if info, err = os.Stat(segPath); err != nil {
@@ -480,7 +480,7 @@ func TestPackTornTailPastSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p3.Close()
-	if v, ok := p3.Get(keys[5]); !ok || string(v) != "rewritten" {
+	if v, ok := p3.Get(nil, keys[5]); !ok || string(v) != "rewritten" {
 		t.Fatalf("re-put after recovery: got %q, %v", v, ok)
 	}
 }
@@ -514,7 +514,7 @@ func TestPackOversizedSidecarRescans(t *testing.T) {
 	if n := p.Stats().Entries; n != 5 {
 		t.Fatalf("rescan indexed %d entries, want the 5 intact ones", n)
 	}
-	if _, ok := p.Get(keys[5]); ok {
+	if _, ok := p.Get(nil, keys[5]); ok {
 		t.Fatal("entry past the file's end served instead of missing")
 	}
 	// Regrow the file past the old coverage and abandon it: the next open
@@ -533,11 +533,11 @@ func TestPackOversizedSidecarRescans(t *testing.T) {
 		t.Fatalf("regrown file: %d rebuilds in total, want still 1", n)
 	}
 	for _, k := range keys {
-		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+		if v, ok := p2.Get(nil, k); !ok || string(v) != packValue(k) {
 			t.Fatalf("entry %s after regrowth: %q, %v", k, v, ok)
 		}
 	}
-	if _, ok := p2.Get(lost); ok {
+	if _, ok := p2.Get(nil, lost); ok {
 		t.Fatal("lost entry reappeared after regrowth")
 	}
 }
@@ -597,16 +597,16 @@ func TestPackStaleSidecarAfterRegrowth(t *testing.T) {
 		t.Fatalf("stale sidecar: %d rebuilds in total, want 2", n)
 	}
 	for _, k := range keys[:5] {
-		if v, ok := p2.Get(k); !ok || string(v) != packValue(k) {
+		if v, ok := p2.Get(nil, k); !ok || string(v) != packValue(k) {
 			t.Fatalf("entry %s after regrowth: %q, %v", k, v, ok)
 		}
 	}
 	for _, k := range regrown {
-		if v, ok := p2.Get(k); !ok || string(v) != "r"+k {
+		if v, ok := p2.Get(nil, k); !ok || string(v) != "r"+k {
 			t.Fatalf("regrown entry %s: %q, %v", k, v, ok)
 		}
 	}
-	if _, ok := p2.Get(keys[5]); ok {
+	if _, ok := p2.Get(nil, keys[5]); ok {
 		t.Fatal("entry cut off before the regrowth served")
 	}
 }
@@ -635,11 +635,11 @@ func TestPackSidecarOutOfRange(t *testing.T) {
 	if n := reg.Counter("pipeline.index_rebuilds").Value(); n != 1 {
 		t.Fatalf("out-of-range sidecar: %d rebuilds, want 1", n)
 	}
-	if _, ok := p.Get(bogus); ok {
+	if _, ok := p.Get(nil, bogus); ok {
 		t.Fatal("out-of-range sidecar entry served")
 	}
 	for _, k := range keys {
-		if v, ok := p.Get(k); !ok || string(v) != packValue(k) {
+		if v, ok := p.Get(nil, k); !ok || string(v) != packValue(k) {
 			t.Fatalf("entry %s after rescan: %q, %v", k, v, ok)
 		}
 	}

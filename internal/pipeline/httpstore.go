@@ -134,20 +134,22 @@ func wireCRC(key string, val []byte) uint32 {
 	return crc32.Update(sum, packCRC, val)
 }
 
-// Get returns the bytes stored under key: the local write-behind batch
-// first, then the server, then the fallback store. Network faults,
-// torn bodies and CRC mismatches are misses, never errors.
-func (h *HTTPStore) Get(key string) ([]byte, bool) {
+// Get reads the bytes stored under key into dst (see Store.Get): the
+// local write-behind batch first, then the server, then the fallback
+// store. Network faults, torn bodies and CRC mismatches are misses,
+// never errors.
+func (h *HTTPStore) Get(dst []byte, key string) ([]byte, bool) {
+	dst = dst[:0]
 	h.mu.Lock()
 	if val, ok := h.pending[key]; ok {
-		out := append([]byte(nil), val...)
+		dst = append(dst, val...)
 		h.mu.Unlock()
-		return out, true
+		return dst, true
 	}
 	if val, ok := h.inflight[key]; ok {
-		out := append([]byte(nil), val...)
+		dst = append(dst, val...)
 		h.mu.Unlock()
-		return out, true
+		return dst, true
 	}
 	h.mu.Unlock()
 
@@ -156,7 +158,7 @@ func (h *HTTPStore) Get(key string) ([]byte, bool) {
 	defer tel.Histogram("pipeline.http_get_ns").ObserveSince(time.Now())
 	resp, err := h.do(http.MethodGet, "/v1/store/"+key, nil)
 	if err != nil {
-		return h.fallbackGet(key)
+		return h.fallbackGet(dst, key)
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -167,39 +169,57 @@ func (h *HTTPStore) Get(key string) ([]byte, bool) {
 		if h.opts.Fallback != nil {
 			// Authoritative remote miss, but a local fallback may still
 			// hold the entry (e.g. it absorbed a degraded batch earlier).
-			if val, ok := h.opts.Fallback.Get(key); ok {
+			if val, ok := h.opts.Fallback.Get(dst, key); ok {
 				tel.Counter("pipeline.http_fallback_gets").Inc()
 				return val, true
 			}
 		}
-		return nil, false
+		return dst, false
 	}
 	if resp.StatusCode != http.StatusOK {
-		return h.fallbackGet(key)
+		return h.fallbackGet(dst, key)
 	}
-	val, err := io.ReadAll(resp.Body)
+	val, err := readAppend(dst, resp.Body)
 	if err != nil {
 		// Torn mid-body: the connection died after the status line. A
 		// miss re-executes one trace; an error would fail the run.
 		tel.Counter("pipeline.http_torn").Inc()
-		return nil, false
+		return val[:0], false
 	}
 	want, err := strconv.ParseUint(resp.Header.Get(storeCRCHeader), 16, 32)
 	if err != nil || wireCRC(key, val) != uint32(want) {
 		tel.Counter("pipeline.store_crc_errors").Inc()
-		return nil, false
+		return val[:0], false
 	}
 	tel.Counter("pipeline.http_hits").Inc()
 	return val, true
 }
 
-func (h *HTTPStore) fallbackGet(key string) ([]byte, bool) {
+// readAppend appends everything r yields to b, growing it only when it
+// is full — io.ReadAll into the caller's storage.
+func readAppend(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+func (h *HTTPStore) fallbackGet(dst []byte, key string) ([]byte, bool) {
 	tel := h.telemetry()
 	tel.Counter("pipeline.http_errors").Inc()
 	if h.opts.Fallback == nil {
-		return nil, false
+		return dst, false
 	}
-	val, ok := h.opts.Fallback.Get(key)
+	val, ok := h.opts.Fallback.Get(dst, key)
 	if ok {
 		tel.Counter("pipeline.http_fallback_gets").Inc()
 	}

@@ -69,7 +69,7 @@ func storeFixtures() []storeFixture {
 					}
 					// Serve the true CRC header over a bit-flipped body —
 					// exactly what a torn cache entry looks like on the wire.
-					val, ok := backing.Get(key)
+					val, ok := backing.Get(nil, key)
 					if !ok {
 						http.Error(w, "miss", http.StatusNotFound)
 						return
@@ -129,28 +129,31 @@ func flipValueOnDisk(t *testing.T, dir string, val []byte) {
 
 // TestStoreConformance pins the Store contract every backend must obey
 // — local pack and the remote HTTP store behind one table: round-trip, overwrite idempotence, Flush visibility, and
-// corruption-is-a-miss (never an error).
+// corruption-is-a-miss (never an error). Every read goes into one reused
+// buffer as well as into a nil one (getReused): both must return the
+// same bytes, and a miss an empty slice.
 func TestStoreConformance(t *testing.T) {
 	for _, fx := range storeFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			s, corrupt := fx.setup(t)
 			defer s.Close()
+			buf := staleBuffer()
 
 			key, val := testKey(1), []byte("conformance value one")
-			if _, ok := s.Get(key); ok {
+			if _, ok := getReused(t, s, &buf, key); ok {
 				t.Fatal("miss expected on empty store")
 			}
 			if err := s.Put(key, val); err != nil {
 				t.Fatal(err)
 			}
 			// Read-your-writes before any Flush.
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val) {
+			if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val) {
 				t.Fatalf("pre-flush get: %q, %v", got, ok)
 			}
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val) {
+			if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val) {
 				t.Fatalf("post-flush get: %q, %v", got, ok)
 			}
 
@@ -158,7 +161,7 @@ func TestStoreConformance(t *testing.T) {
 			if err := s.Put(key, val); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val) {
+			if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val) {
 				t.Fatalf("idempotent re-put get: %q, %v", got, ok)
 			}
 			val2 := []byte("conformance value two")
@@ -168,7 +171,7 @@ func TestStoreConformance(t *testing.T) {
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val2) {
+			if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val2) {
 				t.Fatalf("overwrite get: %q, %v", got, ok)
 			}
 
@@ -182,10 +185,10 @@ func TestStoreConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			corrupt(t, victim, victimVal)
-			if got, ok := s.Get(victim); ok {
+			if got, ok := getReused(t, s, &buf, victim); ok {
 				t.Fatalf("corrupted entry served as a hit: %q", got)
 			}
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val2) {
+			if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val2) {
 				t.Fatalf("healthy key lost after corrupting another: %q, %v", got, ok)
 			}
 		})
@@ -228,7 +231,7 @@ func TestHTTPStoreServerDownFallback(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatalf("Flush must not surface remote unavailability: %v", err)
 	}
-	if got, ok := h.Get(key); !ok || !bytes.Equal(got, val) {
+	if got, ok := h.Get(nil, key); !ok || !bytes.Equal(got, val) {
 		t.Fatalf("fallback read: %q, %v", got, ok)
 	}
 	if n := reg.Counter("pipeline.http_fallback_puts").Value(); n != 1 {
@@ -259,7 +262,7 @@ func TestHTTPStoreServerDownNoFallback(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatalf("Flush must not fail on a dead server: %v", err)
 	}
-	if _, ok := h.Get(key); ok {
+	if _, ok := h.Get(nil, key); ok {
 		t.Fatal("dropped entry must read as a miss")
 	}
 	if n := reg.Counter("pipeline.http_dropped_puts").Value(); n != 1 {
@@ -304,7 +307,7 @@ func TestHTTPStoreRetries5xx(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := backing.Get(key); !ok {
+	if _, ok := backing.Get(nil, key); !ok {
 		t.Fatal("batch did not reach the server after retries")
 	}
 	if n := reg.Counter("pipeline.http_retries").Value(); n != 2 {
@@ -343,7 +346,7 @@ func TestHTTPStoreTornResponseBody(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h.SetTelemetry(reg)
 
-	if _, ok := h.Get(key); ok {
+	if _, ok := h.Get(nil, key); ok {
 		t.Fatal("torn body served as a hit")
 	}
 	if n := reg.Counter("pipeline.http_torn").Value(); n != 1 {
@@ -371,7 +374,7 @@ func TestHTTPStoreBatchRejectsBadCRC(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	if _, ok := backing.Get(key); ok {
+	if _, ok := backing.Get(nil, key); ok {
 		t.Fatal("CRC-failing batch entry was stored")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -438,21 +439,23 @@ func entryAt(f *os.File, key string, loc packLoc) bool {
 		string(h[packHeaderLen:]) == key
 }
 
-// Get returns the bytes stored under key. Reads of already-committed
-// entries are one pread; reads of entries still in the group-commit
-// buffer are served from memory. Every read re-verifies the entry CRC —
-// a mismatch (bit rot, torn concurrent writer) is a miss, never an
-// error or a torn record.
-func (p *PackStore) Get(key string) ([]byte, bool) {
+// Get reads the bytes stored under key into dst (see Store.Get). Reads
+// of already-committed entries are one pread; reads of entries still in
+// the group-commit buffer are served from memory. Every read re-verifies
+// the entry CRC — a mismatch (bit rot, torn concurrent writer) is a miss,
+// never an error or a torn record.
+func (p *PackStore) Get(dst []byte, key string) ([]byte, bool) {
+	dst = dst[:0]
 	p.mu.RLock()
 	loc, ok := p.index[key]
 	if !ok || p.closed {
 		p.mu.RUnlock()
-		return nil, false
+		return dst, false
 	}
 	// The entry's key and value are read together: the CRC covers both,
 	// and checksumming contiguous bytes needs no copy of the key.
-	kv := make([]byte, len(key)+int(loc.vlen))
+	n := len(key) + int(loc.vlen)
+	kv := slices.Grow(dst, n)[:n]
 	kvOff := loc.off - int64(len(key))
 	if loc.seg == p.active && loc.off >= p.flushedSize {
 		// Still pending: copy out under the read lock (flushes and
@@ -464,25 +467,26 @@ func (p *PackStore) Get(key string) ([]byte, bool) {
 	f := p.files[loc.seg]
 	p.mu.RUnlock()
 	if f == nil {
-		return nil, false
+		return kv[:0], false
 	}
 	if _, err := f.ReadAt(kv, kvOff); err != nil {
-		return nil, false
+		return kv[:0], false
 	}
 	return p.verify(key, kv, loc.crc)
 }
 
 // verify checks an entry's key‖value bytes against the lookup key and
-// the entry's CRC, and returns the value.
+// the entry's CRC, and moves the value down over the key: the value is
+// returned in kv's storage, from its start.
 func (p *PackStore) verify(key string, kv []byte, crc uint32) ([]byte, bool) {
 	if string(kv[:len(key)]) != key || crc32.Checksum(kv, packCRC) != crc {
 		p.mu.RLock()
 		tel := p.tel
 		p.mu.RUnlock()
 		tel.Counter("pipeline.store_crc_errors").Inc()
-		return nil, false
+		return kv[:0], false
 	}
-	return kv[len(key):], true
+	return kv[:copy(kv, kv[len(key):])], true
 }
 
 // Put appends one entry to the active segment's group-commit buffer.

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -323,7 +322,8 @@ var (
 // checker, its jobs' coverage counts, and the scratch its jobs reuse.
 // Per-trace scratch comes from here rather than from a sync.Pool, which
 // the collector empties several times per pass; only a job's outputs (the
-// record, its checked-trace text and its journal line) are allocated.
+// record and its checked-trace text) are allocated, and the sink copies
+// the journal line into its own buffer.
 type worker struct {
 	chk *checker.Checker
 	// covered counts the coverage points of the worker's jobs, so no two
@@ -331,7 +331,8 @@ type worker struct {
 	covered cov.Registry
 	// buf holds the checked-trace rendering, then the record's JSON line.
 	buf []byte
-	// frame holds the framed cache entry; Store.Put copies it.
+	// frame holds a cache entry: the frame a hit reads from the store,
+	// or the frame a fresh record is stored as (Store.Put copies it).
 	frame []byte
 }
 
@@ -418,8 +419,10 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 	}
 	if cfg.Store != nil {
 		lookupStart := time.Now()
-		data, _ := cfg.Store.Get(key) // a miss decodes nil: no frame
-		rec, line, ok := decodeRecord(data, key)
+		// The frame is read into the worker's buffer; a miss leaves it
+		// empty, which decodes as no frame.
+		w.frame, _ = cfg.Store.Get(w.frame, key)
+		rec, line, ok := decodeRecord(w.frame, key)
 		tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)
 		if ok {
 			// The stored line IS the canonical journal encoding (Cached is
@@ -462,11 +465,11 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
 	}
 	// The checked trace and the JSON line are built in the worker's
-	// buffer; each is then copied out once, at its exact size. One line
+	// buffer; the store and the sink copy what they keep. One line
 	// serves both the framed cache entry and the journal.
 	rec, w.buf = newRecord(w.buf, key, t, res)
 	w.buf = rec.AppendJSON(w.buf[:0])
-	line := bytes.Clone(w.buf)
+	line := w.buf
 	if cfg.Store != nil {
 		storeStart := time.Now()
 		w.frame = encodeRecord(w.frame[:0], rec, line)

@@ -26,30 +26,43 @@ import (
 // canonical order before the sink is handed to consumers.
 //
 // Each record is kept next to its canonical line (rec.AppendJSON, no
-// trailing newline), so Finalize only sorts and copies bytes.
+// trailing newline), so Finalize only sorts and copies bytes. The lines
+// live in the journal's own write buffer: each line is stored once.
 type Sink struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
-	byKey   map[string]Record
+	byKey   map[string]int // key → index into records
 	records []Record
 	lines   [][]byte            // lines[i] is records[i]'s canonical line
 	tel     *telemetry.Registry // nil until SetTelemetry; journal I/O metrics
 
-	// buf is the group-commit buffer: appends coalesce here and reach the
-	// file in batches — one write (and one fsync) per batch instead of one
-	// write per record. Flushes happen on size (sinkFlushBytes), on
-	// interval (the background flusher), and always on Close/Finalize, so
-	// every record completed before a cancel is durable in the journal.
-	buf       []byte
+	// chunk is the group-commit buffer and, with the chunks before it,
+	// the storage of lines: each line is appended with its '\n', and
+	// chunk[:written] has reached the file. Appends coalesce here and
+	// reach the file in batches — one write (and one fsync) per batch
+	// instead of one write per record. A line that does not fit writes
+	// the chunk's unwritten tail and starts the next chunk, a quarter
+	// larger up to sinkFlushBytes (or the line's own size, if larger);
+	// a full chunk is kept for lines' views, never regrown or copied.
+	// Flushes also happen on interval (the background flusher) and
+	// always on Close/Finalize, so every record completed before a
+	// cancel is durable in the journal. Every flush writes whole lines.
+	chunk     []byte
+	written   int
 	flushDone chan struct{}
 	stopOnce  sync.Once
 }
 
-// sinkFlushBytes forces a batch commit once this much is buffered;
-// sinkFlushInterval bounds how long an append can stay buffered (the
-// exposure window of a hard kill — a cooperative cancel always flushes).
+// sinkFirstChunk is the size of a sink's first line chunk; each next
+// chunk is a quarter larger, up to sinkFlushBytes, which bounds how much
+// a sink buffers before a batch commit. Growing by a quarter rather than
+// doubling leaves at most about a fifth of a small journal's chunk bytes
+// unused, instead of half. sinkFlushInterval bounds how long an
+// append can stay buffered (the exposure window of a hard kill — a
+// cooperative cancel always flushes).
 const (
+	sinkFirstChunk    = 4 << 10
 	sinkFlushBytes    = 1 << 20
 	sinkFlushInterval = 25 * time.Millisecond
 )
@@ -70,7 +83,7 @@ func (s *Sink) SetTelemetry(reg *telemetry.Registry) {
 // finalize temp files abandoned by a kill mid-Finalize (see sweepOrphans).
 func OpenSink(path string, resume bool) (*Sink, error) {
 	sweepOrphans(filepath.Dir(path), ".jsonl-")
-	s := &Sink{path: path, byKey: make(map[string]Record), flushDone: make(chan struct{})}
+	s := &Sink{path: path, byKey: make(map[string]int), flushDone: make(chan struct{})}
 	if !resume {
 		f, err := os.Create(path)
 		if err != nil {
@@ -102,12 +115,12 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 		}
 		if _, dup := s.byKey[rec.Key]; !dup {
 			// Re-encode rather than keep the file's bytes: a journal is
-			// not guaranteed to hold canonical encodings.
-			canon := rec.AppendJSON(nil)
+			// not guaranteed to hold canonical encodings. The file
+			// already holds the record, so its line is marked written
+			// (keep cannot fail yet: with no file set, it writes nothing).
 			rec.Cached = true // not executed by the run that resumes it
-			s.byKey[rec.Key] = rec
-			s.records = append(s.records, rec)
-			s.lines = append(s.lines, canon)
+			s.keep(rec, rec.AppendJSON(nil))
+			s.written = len(s.chunk)
 		}
 		valid += nl + 1
 	}
@@ -147,12 +160,12 @@ func (s *Sink) Restrict(keys []string, n int) {
 		}
 	}
 	kept, keptLines := s.records[:0], s.lines[:0]
-	s.byKey = make(map[string]Record, len(s.records)+n)
+	s.byKey = make(map[string]int, len(s.records)+n)
 	for i, rec := range s.records {
 		if valid[rec.Key] {
+			s.byKey[rec.Key] = len(kept)
 			kept = append(kept, rec)
 			keptLines = append(keptLines, s.lines[i])
-			s.byKey[rec.Key] = rec
 		}
 	}
 	s.records, s.lines = slices.Grow(kept, n), slices.Grow(keptLines, n)
@@ -162,8 +175,11 @@ func (s *Sink) Restrict(keys []string, n int) {
 func (s *Sink) Lookup(key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.byKey[key]
-	return rec, ok
+	i, ok := s.byKey[key]
+	if !ok {
+		return Record{}, false
+	}
+	return s.records[i], true
 }
 
 // Len returns the number of journaled records.
@@ -186,11 +202,11 @@ func (s *Sink) Append(rec Record) error {
 // AppendEncoded journals a record whose canonical encoding (exactly
 // rec.AppendJSON's bytes) the caller already holds: the pipeline's fresh
 // path hands over the line it framed for the store, and its warm path the
-// bytes straight from the result store, so neither encodes again. The
-// sink keeps line as it is, for the journal and for Finalize, so the
-// caller must not reuse its storage. A line that fails the framing guard
-// (see usableLine) is ignored and rec is encoded instead, so store bytes
-// can never change the JSONL framing.
+// line inside the frame it read from the result store, so neither
+// encodes again. The sink copies line into its journal buffer, so the
+// caller may reuse line's storage as soon as AppendEncoded returns. A
+// line that fails the framing guard (see usableLine) is ignored and rec
+// is encoded instead, so store bytes can never change the JSONL framing.
 func (s *Sink) AppendEncoded(rec Record, line []byte) error {
 	if !usableLine(rec.Key, line) {
 		return s.Append(rec)
@@ -206,24 +222,39 @@ func usableLine(key string, line []byte) bool {
 		string(rest[:len(key)]) == key && string(rest[len(key):len(key)+2]) == `",`
 }
 
-func (s *Sink) appendLine(rec Record, data []byte) error {
+func (s *Sink) appendLine(rec Record, line []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.byKey[rec.Key]; dup {
 		return nil
 	}
-	s.buf = append(s.buf, data...)
-	s.buf = append(s.buf, '\n')
+	if err := s.keep(rec, line); err != nil {
+		return err
+	}
 	if s.tel != nil {
 		s.tel.Counter("journal.appends").Inc()
-		s.tel.Counter("journal.bytes").Add(int64(len(data) + 1))
+		s.tel.Counter("journal.bytes").Add(int64(len(line) + 1))
 	}
-	s.byKey[rec.Key] = rec
+	return nil
+}
+
+// keep copies line and its newline into the current chunk and indexes
+// rec with a view of it. A line the chunk has no room for first writes
+// the chunk's unwritten lines, then starts a new chunk.
+func (s *Sink) keep(rec Record, line []byte) error {
+	need := len(line) + 1
+	if cap(s.chunk)-len(s.chunk) < need {
+		if err := s.flushLocked(false); err != nil {
+			return err
+		}
+		size := min(max(cap(s.chunk)*5/4, sinkFirstChunk), sinkFlushBytes)
+		s.chunk, s.written = make([]byte, 0, max(size, need)), 0
+	}
+	start := len(s.chunk)
+	s.chunk = append(append(s.chunk, line...), '\n')
+	s.byKey[rec.Key] = len(s.records)
 	s.records = append(s.records, rec)
-	s.lines = append(s.lines, data)
-	if len(s.buf) >= sinkFlushBytes {
-		return s.flushLocked(false)
-	}
+	s.lines = append(s.lines, s.chunk[start:start+len(line):start+len(line)])
 	return nil
 }
 
@@ -235,12 +266,12 @@ func (s *Sink) flushLocked(fsync bool) error {
 	if s.f == nil {
 		return nil
 	}
-	if len(s.buf) > 0 {
+	if len(s.chunk) > s.written {
 		flushStart := time.Now()
-		if _, err := s.f.Write(s.buf); err != nil {
+		if _, err := s.f.Write(s.chunk[s.written:]); err != nil {
 			return err
 		}
-		s.buf = s.buf[:0]
+		s.written = len(s.chunk)
 		if s.tel != nil {
 			s.tel.Histogram("journal.flush_ns").ObserveSince(flushStart)
 			s.tel.Counter("journal.batches").Inc()
@@ -268,7 +299,7 @@ func (s *Sink) flusher() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if s.f != nil && len(s.buf) > 0 {
+			if s.f != nil && len(s.chunk) > s.written {
 				s.flushLocked(false) // best-effort; errors surface on Close/Finalize
 			}
 			s.mu.Unlock()

@@ -2,11 +2,15 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -194,6 +198,133 @@ func FuzzSinkResume(f *testing.F) {
 			want[i].Cached = false
 			if !reflect.DeepEqual(canonicalRecord(got[i]), canonicalRecord(want[i])) {
 				t.Fatalf("record %d changed:\n got %+v\nwant %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// FuzzSinkAppend holds the journal to its contract on any sequence of
+// appends and interval flushes. Each input byte below 16 is an interval
+// flush; 0xff is a line larger than the largest journal chunk (at most
+// two per input); any other byte appends a record whose line grows with
+// the byte, so lines cross chunk boundaries. Throughout, the journal file
+// ends at a boundary of the appended lines; once flushed it
+// holds every line in append order, each followed by '\n'; a copy cut at
+// a byte the input picks recovers, on resume, exactly the whole lines
+// before the cut; Finalize writes the lines in canonical order and
+// returns the records in the order of the file.
+func FuzzSinkAppend(f *testing.F) {
+	f.Add([]byte{40, 200, 0, 255, 3, 90})
+	f.Add(bytes.Repeat([]byte{250, 251, 7}, 40))
+	f.Add([]byte{0xff, 20, 0, 0xff, 30})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		sink, err := OpenSink(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sink.Close()
+		flush := func() {
+			t.Helper()
+			sink.mu.Lock()
+			err := sink.flushLocked(false)
+			sink.mu.Unlock()
+			if err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+		}
+		var journal []byte // every appended line, in order, with its '\n'
+		var recs []Record
+		var lines [][]byte // lines[i] is recs[i]'s line
+		big := 0
+		for i, op := range ops {
+			if op < 16 {
+				// The content is compared once, at the end; an append-only
+				// file that ends at a line boundary here holds whole lines.
+				flush()
+				info, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := int(info.Size()); n > len(journal) || (n > 0 && journal[n-1] != '\n') {
+					t.Fatalf("after %d appends the journal holds %d bytes, not whole lines of the %d appended", len(recs), n, len(journal))
+				}
+				continue
+			}
+			size := int(op-16) * 17
+			if op == 0xff && big < 2 {
+				big++
+				size = sinkFlushBytes + i
+			}
+			rec := Record{
+				Key:     fmt.Sprintf("%064x", i),
+				Name:    fmt.Sprintf("fuzz___%02d", (int(op)*7+i)%31),
+				Steps:   i,
+				Checked: strings.Repeat("c", size),
+			}
+			line := rec.AppendJSON(nil)
+			if op%3 == 0 {
+				err = sink.Append(rec)
+			} else {
+				err = sink.AppendEncoded(rec, line)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal = append(append(journal, line...), '\n')
+			recs, lines = append(recs, rec), append(lines, line)
+		}
+		flush()
+		if got := readFile(t, path); !bytes.Equal(got, journal) {
+			t.Fatalf("flushed journal holds %d bytes, the appended lines %d", len(got), len(journal))
+		}
+
+		for j := 0; j < min(len(ops), 2); j++ {
+			cut := (int(ops[j])*len(journal)/255 + j) % (len(journal) + 1)
+			cutPath := filepath.Join(t.TempDir(), "cut.jsonl")
+			if err := os.WriteFile(cutPath, journal[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := OpenSink(cutPath, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := bytes.Count(journal[:cut], []byte{'\n'})
+			if resumed.Len() != whole {
+				t.Fatalf("a journal cut at byte %d of %d recovered %d records, want the %d whole lines", cut, len(journal), resumed.Len(), whole)
+			}
+			for k := range whole {
+				if resumed.records[k].Key != recs[k].Key {
+					t.Fatalf("cut at byte %d: record %d is %s, want %s", cut, k, resumed.records[k].Key, recs[k].Key)
+				}
+			}
+			resumed.Close()
+		}
+
+		order := make([]int, len(recs))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(strings.Compare(recs[a].Name, recs[b].Name), strings.Compare(recs[a].Key, recs[b].Key))
+		})
+		var canonical []byte
+		for _, i := range order {
+			canonical = append(append(canonical, lines[i]...), '\n')
+		}
+		written, err := sink.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readFile(t, path); !bytes.Equal(got, canonical) {
+			t.Fatalf("finalized file holds %d bytes; the canonical sort of the lines is %d", len(got), len(canonical))
+		}
+		if len(written) != len(order) {
+			t.Fatalf("Finalize returned %d records, the file holds %d", len(written), len(order))
+		}
+		for k, i := range order {
+			if !reflect.DeepEqual(written[k], recs[i]) {
+				t.Fatalf("Finalize returned record %d as %s; the file holds %s there", k, written[k].Key, recs[i].Key)
 			}
 		}
 	})

@@ -14,12 +14,15 @@ import "repro/internal/telemetry"
 // Implementations must be safe for concurrent use: the pipeline's worker
 // pool calls Get and Put from many goroutines at once.
 type Store interface {
-	// Get returns the bytes stored under key; ok is false on a miss.
-	// Unreadable, torn or checksum-failing entries are misses — the
-	// writer will overwrite them — never errors. The caller owns the
-	// returned slice: the sink keeps a record's line from it until
-	// Finalize.
-	Get(key string) ([]byte, bool)
+	// Get reads the bytes stored under key into dst's storage, growing
+	// it only when it lacks room, and returns them; ok is false on a
+	// miss. Unreadable, torn or checksum-failing entries are misses —
+	// the writer will overwrite them — never errors. A miss returns an
+	// empty slice, so no stale bytes of dst can pass for a value. The
+	// returned slice, in dst's storage or in storage grown from it,
+	// belongs to the caller, who may pass it back as the next dst (each
+	// pipeline worker reads every entry into one buffer); dst may be nil.
+	Get(dst []byte, key string) ([]byte, bool)
 	// Put stores data under key. A Put is immediately visible to Get on
 	// the same store, but durability may be deferred until the next
 	// Flush (the group-commit contract). Overwriting a key is allowed

@@ -34,26 +34,26 @@ func TestStoreRoundTrip(t *testing.T) {
 			}
 			defer s.Close()
 			key := testKey(7)
-			if _, ok := s.Get(key); ok {
+			if _, ok := s.Get(nil, key); ok {
 				t.Fatal("miss expected on empty store")
 			}
 			if err := s.Put(key, []byte("one")); err != nil {
 				t.Fatal(err)
 			}
 			// Read-your-writes: visible before any flush.
-			if v, ok := s.Get(key); !ok || string(v) != "one" {
+			if v, ok := s.Get(nil, key); !ok || string(v) != "one" {
 				t.Fatalf("pre-flush get: %q, %v", v, ok)
 			}
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if v, ok := s.Get(key); !ok || string(v) != "one" {
+			if v, ok := s.Get(nil, key); !ok || string(v) != "one" {
 				t.Fatalf("post-flush get: %q, %v", v, ok)
 			}
 			if err := s.Put(key, []byte("two")); err != nil {
 				t.Fatal(err)
 			}
-			if v, ok := s.Get(key); !ok || string(v) != "two" {
+			if v, ok := s.Get(nil, key); !ok || string(v) != "two" {
 				t.Fatalf("overwrite get: %q, %v", v, ok)
 			}
 			st := s.Stats()
@@ -82,7 +82,7 @@ func TestPackPersistence(t *testing.T) {
 	}
 	defer p.Close()
 	for _, k := range keys {
-		if v, ok := p.Get(k); !ok || !strings.HasSuffix(string(v), k) {
+		if v, ok := p.Get(nil, k); !ok || !strings.HasSuffix(string(v), k) {
 			t.Fatalf("entry %s lost across reopen: %q, %v", k, v, ok)
 		}
 	}
@@ -116,7 +116,7 @@ func TestPackRotation(t *testing.T) {
 		t.Fatalf("stats entries = %d, want %d", st.Entries, len(keys))
 	}
 	for i, k := range keys {
-		if v, ok := p.Get(k); !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 50)) {
+		if v, ok := p.Get(nil, k); !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 50)) {
 			t.Fatalf("entry %d unreadable after rotation", i)
 		}
 	}
@@ -129,7 +129,7 @@ func TestPackRotation(t *testing.T) {
 	}
 	defer p2.Close()
 	for i, k := range keys {
-		if v, ok := p2.Get(k); !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 50)) {
+		if v, ok := p2.Get(nil, k); !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 50)) {
 			t.Fatalf("entry %d unreadable after rotation+reopen", i)
 		}
 	}
@@ -147,7 +147,7 @@ func TestPackOversizeEntry(t *testing.T) {
 	if err := p.Put(testKey(1), big); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := p.Get(testKey(1)); !ok || !bytes.Equal(v, big) {
+	if v, ok := p.Get(nil, testKey(1)); !ok || !bytes.Equal(v, big) {
 		t.Fatal("oversize entry unreadable")
 	}
 }
@@ -172,7 +172,7 @@ func TestPackConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if v, ok := p.Get(k); !ok || !bytes.Equal(v, val) {
+				if v, ok := p.Get(nil, k); !ok || !bytes.Equal(v, val) {
 					t.Errorf("read-your-writes failed for %s", k)
 					return
 				}
@@ -322,13 +322,40 @@ func TestCacheFreshDirHasNoFallback(t *testing.T) {
 // getRecord and putRecord read and write one framed record the way Run
 // does: a value that does not decode is a miss.
 func getRecord(store Store, key string) (Record, bool) {
-	data, _ := store.Get(key)
+	data, _ := store.Get(nil, key)
 	rec, _, ok := decodeRecord(data, key)
 	return rec, ok
 }
 
 func putRecord(store Store, rec Record) error {
 	return store.Put(rec.Key, encodeRecord(nil, rec, rec.AppendJSON(nil)))
+}
+
+// staleBuffer returns a read buffer that already holds a valid frame, of
+// a record no store holds: a Get that left any of it in place on a miss
+// would hand a decodable frame to Run.
+func staleBuffer() []byte {
+	rec := Record{Key: "stale", Name: "stale", Accepted: true, Checked: strings.Repeat("stale\n", 40)}
+	return encodeRecord(nil, rec, rec.AppendJSON(nil))
+}
+
+// getReused reads key from s into *buf, which still holds the bytes of
+// earlier reads, and fails t unless the read returns exactly what a read
+// into a nil buffer returns, and an empty slice on a miss. *buf keeps
+// the returned slice for the next read, as a pipeline worker does.
+func getReused(t testing.TB, s Store, buf *[]byte, key string) ([]byte, bool) {
+	t.Helper()
+	want, wantOK := s.Get(nil, key)
+	got, ok := s.Get((*buf)[:cap(*buf)], key)
+	if ok != wantOK || !bytes.Equal(got, want) {
+		t.Fatalf("Get(%q) into a reused buffer = %q, %v; into nil = %q, %v", key, got, ok, want, wantOK)
+	}
+	if !ok && (len(got) != 0 || len(want) != 0) {
+		t.Fatalf("a miss on %q returned %d bytes into a reused buffer and %d into nil; want empty slices",
+			key, len(got), len(want))
+	}
+	*buf = got
+	return got, ok
 }
 
 // storeSuiteConfig builds a small real pipeline config against the

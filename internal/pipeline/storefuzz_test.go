@@ -17,9 +17,12 @@ import (
 // FuzzStoreBatch holds POST /v1/store/batch to its contract on any body:
 // StoreHandler never panics; a 4xx stores nothing of the batch; a 204
 // makes every entry readable with its exact bytes (the last value of a
-// repeated key), and only entries whose CRC verifies are accepted. It is
-// seeded with the batches HTTPStore's writer sent for a real Run's
-// records, intact, torn and with a flipped byte.
+// repeated key), and only entries whose CRC verifies are accepted. Every
+// read also goes into one reused buffer (getReused), from the flushed
+// segment and, once each value is put back, from the group-commit
+// buffer: the bytes must equal a read into nil, and every miss must
+// return an empty slice. It is seeded with the batches HTTPStore's writer
+// sent for a real Run's records, intact, torn and with a flipped byte.
 func FuzzStoreBatch(f *testing.F) {
 	var mu sync.Mutex
 	var batches [][]byte
@@ -71,21 +74,37 @@ func FuzzStoreBatch(f *testing.F) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/v1/store/batch", bytes.NewReader(body))
 		NewStoreHandler(store, telemetry.NewRegistry()).ServeHTTP(rec, req)
+		buf := staleBuffer()
 		switch code := rec.Code; {
 		case code == http.StatusNoContent:
 			want, ok := decodeBatch(body)
 			if !ok {
 				t.Fatalf("204 for a batch with a torn or CRC-failing entry: %q", body)
 			}
+			const probe = "\x00fuzz-probe"
+			if _, ok := getReused(t, store, &buf, probe); ok != (want[probe] != nil) {
+				t.Fatalf("Get(%q) hit %v; the batch holds it: %v", probe, ok, want[probe] != nil)
+			}
 			for key, val := range want {
-				if got, ok := store.Get(key); !ok || !bytes.Equal(got, val) {
+				if got, ok := getReused(t, store, &buf, key); !ok || !bytes.Equal(got, val) {
 					t.Fatalf("after 204, Get(%q) = %q, %v; want %q", key, got, ok, val)
 				}
 			}
 			if n := store.Stats().Entries; n != len(want) {
 				t.Fatalf("after 204 the store holds %d entries; the batch has %d keys", n, len(want))
 			}
+			for key, val := range want {
+				if err := store.Put(key, val); err != nil {
+					t.Fatal(err)
+				}
+				if got, ok := getReused(t, store, &buf, key); !ok || !bytes.Equal(got, val) {
+					t.Fatalf("pending Get(%q) = %q, %v; want %q", key, got, ok, val)
+				}
+			}
 		case code >= 400 && code < 500:
+			if _, ok := getReused(t, store, &buf, testKey(1)); ok {
+				t.Fatalf("%d, yet a key hit", code)
+			}
 			if n := store.Stats().Entries; n != 0 {
 				t.Fatalf("%d left %d entries of the refused batch in the store", code, n)
 			}

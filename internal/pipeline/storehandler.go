@@ -98,7 +98,7 @@ func isStoreKey(s string) bool {
 
 func (sh *StoreHandler) get(w http.ResponseWriter, key string) {
 	sh.tel.Counter("pipeline.store_http_gets").Inc()
-	val, ok := sh.store.Get(key)
+	val, ok := sh.store.Get(nil, key)
 	if !ok {
 		http.Error(w, "miss", http.StatusNotFound)
 		return

@@ -27,8 +27,15 @@ type (
 )
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
-// at dir — the default ResultStore backend, exposed for WithStore.
-func OpenPackStore(dir string) (ResultStore, error) { return pipeline.OpenPackStore(dir) }
+// at dir — the default ResultStore backend, exposed for WithStore. On
+// error the store is nil.
+func OpenPackStore(dir string) (ResultStore, error) {
+	p, err := pipeline.OpenPackStore(dir)
+	if err != nil {
+		return nil, err // not a ResultStore holding a nil *PackStore
+	}
+	return p, nil
+}
 
 // OpenResultSink opens the JSONL sink at path; resume recovers an
 // interrupted run's journal instead of replacing it.

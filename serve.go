@@ -44,7 +44,8 @@ func SubmitJob(ctx context.Context, base string, spec ServeJobSpec) (ServeJobSta
 // their retries land in it instead of being dropped — a fleet client
 // keeps working through a daemon outage, just colder. Values are
 // CRC-verified end to end; torn or corrupt responses are cache misses,
-// never errors. Pass the store to WithStore (the caller owns Close).
+// never errors. Pass the store to WithStore (the caller owns Close). On
+// error the store is nil and the fallback, if one was opened, is closed.
 func OpenHTTPStore(base, localDir string) (ResultStore, error) {
 	var opts pipeline.HTTPStoreOptions
 	if localDir != "" {
@@ -54,7 +55,14 @@ func OpenHTTPStore(base, localDir string) (ResultStore, error) {
 		}
 		opts.Fallback = fallback
 	}
-	return pipeline.OpenHTTPStore(base, opts)
+	h, err := pipeline.OpenHTTPStore(base, opts)
+	if err != nil {
+		if opts.Fallback != nil {
+			opts.Fallback.Close()
+		}
+		return nil, err
+	}
+	return h, nil
 }
 
 // WithRemoteCache backs the session's result cache with an sfs-serve
