@@ -32,7 +32,6 @@ func main() {
 	workers := flag.Int("w", 0, "parallel workers")
 	configFilter := flag.String("config", "", "substring filter on configuration names")
 	cacheDir := flag.String("cache-dir", "", "shared result cache: unchanged configurations skip re-execution")
-	storeName := flag.String("store", "pack", cliutil.StoreUsage)
 	cacheStats := flag.Bool("cache-stats", false, "print result-store contents and hit/miss ratios on exit")
 	jsonlDir := flag.String("jsonl-dir", "", "write one canonical JSONL record file per configuration")
 	resume := flag.Bool("resume", false, "with -jsonl-dir: recover interrupted sinks and skip completed traces")
@@ -59,12 +58,9 @@ func main() {
 	}
 
 	opts := []sibylfs.Option{sibylfs.WithWorkers(*workers)}
-	storeOpts, err := cliutil.StoreOptions(*cacheDir, *storeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-report:", err)
-		os.Exit(2)
+	if *cacheDir != "" {
+		opts = append(opts, sibylfs.WithCacheDir(*cacheDir))
 	}
-	opts = append(opts, storeOpts...)
 	if *jsonlDir != "" {
 		opts = append(opts, sibylfs.WithJournalDir(*jsonlDir))
 	}

@@ -81,7 +81,6 @@ func main() {
 	shards := flag.Int("shards", 1, "total number of shards the suite is split into")
 	shard := flag.Int("shard", 0, "this invocation's shard index, in [0,shards)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache (skip unchanged traces)")
-	storeName := flag.String("store", "pack", cliutil.StoreUsage)
 	cacheStats := flag.Bool("cache-stats", false, "print result-store contents and hit/miss ratios on exit")
 	jsonl := flag.String("jsonl", "run.jsonl", "JSONL result sink / resume journal")
 	resume := flag.Bool("resume", false, "recover the sink journal and skip already-completed traces")
@@ -142,9 +141,7 @@ func main() {
 	}
 	// printCacheStats reports the result store's contents and this run's
 	// hit/miss split; like writeStats it runs on every deliberate exit so
-	// cancelled runs still show what the cache absorbed. With a remote
-	// (-store http://…) backend it reports the wire traffic too — hits,
-	// misses, batches and the degraded fallback paths. Both bracket
+	// cancelled runs still show what the cache absorbed. Both bracket
 	// closeSession: the cache is read open, and the stats include the
 	// index write Close makes.
 	printCacheStats := func() {
@@ -171,12 +168,9 @@ func main() {
 		sibylfs.WithWorkers(w),
 		sibylfs.WithJournal(*jsonl),
 	}
-	storeOpts, err := cliutil.StoreOptions(*cacheDir, *storeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfs-run:", err)
-		os.Exit(2)
+	if *cacheDir != "" {
+		opts = append(opts, sibylfs.WithCacheDir(*cacheDir))
 	}
-	opts = append(opts, storeOpts...)
 	if *resume {
 		opts = append(opts, sibylfs.WithResume())
 	}

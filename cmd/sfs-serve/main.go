@@ -1,12 +1,12 @@
 // sfs-serve is the check-as-a-service daemon: a long-running HTTP
 // coordinator that accepts suite submissions (POST /v1/jobs), fans them
 // across a work-stealing pool of Session workers, streams per-record
-// results as NDJSON, and exports its content-addressed result store
-// over /v1/store so a fleet of sfs-run -store http://… clients shares
-// one warm cache. All state lives under -data-dir: per-job resumable
-// journals and the packed result store — kill the daemon, restart it on
-// the same directory, and unfinished jobs resume without re-executing
-// completed traces.
+// results as NDJSON, and serves every job from one content-addressed
+// result store, so a resubmitted suite runs warm. All state lives under
+// -data-dir: per-job resumable journals and the packed result store,
+// which one daemon at a time holds locked — kill the daemon, restart it
+// on the same directory, and unfinished jobs resume without
+// re-executing completed traces.
 package main
 
 import (
@@ -34,7 +34,6 @@ The daemon serves, on -addr:
   GET  /v1/jobs/{id}/records   NDJSON record stream (live, then finalized)
   GET  /v1/jobs/{id}/stats     the job's isolated telemetry snapshot
   POST /v1/jobs/{id}/cancel    cooperative cancel
-  GET|PUT /v1/store/{key}      the shared result store (CRC-verified)
   GET  /v1/healthz             liveness probe
 
 SIGINT/SIGTERM drain gracefully: running jobs cancel cooperatively, their

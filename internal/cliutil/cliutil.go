@@ -46,9 +46,8 @@ func Universe(concurrent, crash bool) (string, error) {
 type Target struct {
 	Factory fsimpl.Factory
 	// FSName is the implementation's cache identity (the pipeline's
-	// FSName): fs itself, except that a spec: implementation built
-	// without permission checks is named apart from the one built with
-	// them.
+	// FSName): fs itself, except that an implementation built without
+	// permission checks is named apart from the one built with them.
 	FSName string
 	// Spec is the model variant: the platform asked for, or the
 	// implementation's native one, with Crash set exactly in the crash
@@ -77,8 +76,9 @@ type Target struct {
 // implementation simulates persistence (memfs: the crash profile;
 // spec:PLATFORM: a Spec.Crash model), and "host" is an error — the
 // machine the tests run on cannot be power-cycled. noPerms drops the
-// permissions trait from the model variant, and from a spec:PLATFORM
-// implementation too, so the model still accepts its own traces.
+// permissions trait from the model variant, and permission checks from
+// a spec:PLATFORM or memfs implementation too, so the model still
+// accepts what they do.
 func Resolve(fs, platform, universe string, noPerms bool) (Target, error) {
 	t := Target{FSName: fs, Universe: universe}
 	switch universe {
@@ -105,11 +105,6 @@ func Resolve(fs, platform, universe string, noPerms bool) (Target, error) {
 		}
 		native = pl
 		t.Factory = fsimpl.SpecFactory(fs, types.Spec{Platform: pl, Permissions: !noPerms, RootUser: true, Crash: crash})
-		if noPerms {
-			// A new identity: caches filled while this factory ignored
-			// noPerms must not serve its records.
-			t.FSName = fs + " noperms"
-		}
 	default:
 		prof, found := fsimpl.LinuxProfile(fs), false
 		for _, p := range fsimpl.SurveyProfiles() {
@@ -119,8 +114,14 @@ func Resolve(fs, platform, universe string, noPerms bool) (Target, error) {
 			}
 		}
 		prof.Crash = crash
+		prof.CheckPerms = prof.CheckPerms && !noPerms
 		native, t.Fallback = prof.Platform, !found
 		t.Factory = fsimpl.MemFactory(prof)
+	}
+	if noPerms && fs != "host" {
+		// A new identity: caches filled while the implementation ignored
+		// noPerms must not serve its records.
+		t.FSName = fs + " noperms"
 	}
 	pl := native
 	if platform != "" {

@@ -97,20 +97,28 @@ func TestResolveOptions(t *testing.T) {
 	}
 }
 
-// TestResolveSpecNoPerms: a spec: implementation resolved with noPerms
-// is the model without permission checks, so the model variant the
-// target is checked against accepts every trace it records, in the
-// sequential and the crash universe; and its cache identity is not the
-// one of the implementation with permission checks.
+// TestResolveSpecNoPerms: a spec: implementation or a memfs profile
+// resolved with noPerms runs without permission checks, so the model
+// variant the target is checked against accepts every trace it records,
+// in the sequential and the crash universe; and its cache identity is
+// not the one of the implementation with permission checks.
 func TestResolveSpecNoPerms(t *testing.T) {
 	ctx := context.Background()
-	for universe, sample := range map[string]int{UniverseSequential: 50, UniverseCrash: 1} {
-		target, err := Resolve("spec:linux", "", universe, true)
+	for _, row := range []struct {
+		fs, universe string
+		sample       int
+	}{
+		{"spec:linux", UniverseSequential, 50},
+		{"spec:linux", UniverseCrash, 1},
+		{"ext4", UniverseSequential, 50},
+	} {
+		fs, universe, sample := row.fs, row.universe, row.sample
+		target, err := Resolve(fs, "", universe, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if target.FSName == "spec:linux" {
-			t.Errorf("%s: FSName %q is the identity of the spec:linux with permission checks", universe, target.FSName)
+		if target.FSName == fs {
+			t.Errorf("%s %s: FSName %q is the identity of %s with permission checks", fs, universe, target.FSName, fs)
 		}
 		s := sibylfs.New(sibylfs.WithSpec(target.Spec), sibylfs.WithCoverage(sibylfs.NewCoverageRegistry()))
 		scripts, err := target.Scripts(ctx, s, "", sample)
@@ -129,12 +137,12 @@ func TestResolveSpecNoPerms(t *testing.T) {
 		for _, r := range results {
 			if !r.Accepted {
 				if rejected++; rejected <= 3 {
-					t.Errorf("%s: %s rejected", universe, r.Name)
+					t.Errorf("%s %s: %s rejected", fs, universe, r.Name)
 				}
 			}
 		}
 		if rejected > 0 {
-			t.Errorf("%s: %d of %d traces rejected, want none", universe, rejected, len(results))
+			t.Errorf("%s %s: %d of %d traces rejected, want none", fs, universe, rejected, len(results))
 		}
 	}
 }

@@ -116,7 +116,8 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 
 // decoder is a bounds-checked cursor over a framed entry; any overrun
 // sets failed instead of panicking (a PackStore hands us CRC-verified
-// bytes, but an HTTPStore relays whatever the server sent).
+// bytes, but a CRC only proves the bytes are the ones written, and a
+// store injected with WithStore may hold anything).
 type decoder struct {
 	buf    []byte
 	failed bool

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -327,7 +328,8 @@ func TestPackHeaderlessActiveSegment(t *testing.T) {
 
 // abandon drops a store the way a killed process does: no final
 // commit and no sidecar write, just the background flusher stopped and
-// the handles closed.
+// the handles closed — the LOCK file's with them, so the directory lock
+// goes as the kernel drops it when the owner dies.
 func abandon(p *PackStore) {
 	p.flushOnce.Do(func() { close(p.flushDone) })
 	p.mu.Lock()
@@ -643,4 +645,90 @@ func TestPackSidecarOutOfRange(t *testing.T) {
 			t.Fatalf("entry %s after rescan: %q, %v", k, v, ok)
 		}
 	}
+}
+
+// TestPackDirLock pins the one-owner rule. While a store holds a
+// directory, a second open fails naming the directory as in use and
+// touches nothing: an orphaned temp file old enough to sweep and a torn
+// tail past the last commit (which an owning open would cut off) are
+// both still there, and every file is byte-identical. After Close the
+// directory opens again, and a Close that fails releases it too.
+func TestPackDirLock(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenPackStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putFlush(t, p, testKey(1), testKey(2))
+	orphan := filepath.Join(dir, ".tmp-orphan")
+	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * orphanAge)
+	if err := os.Chtimes(orphan, old, old); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(filepath.Join(dir, "000001.seg"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write([]byte("torn")); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+	before := dirFiles(t, dir)
+
+	if q, err := OpenPackStore(dir); err == nil {
+		q.Close()
+		t.Fatal("a second store opened a held directory")
+	} else if !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "in use") {
+		t.Errorf("second open: %v; want an error naming %s as in use", err, dir)
+	}
+	if after := dirFiles(t, dir); !maps.Equal(before, after) {
+		t.Errorf("the refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+	}
+
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err = OpenPackStore(dir)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	for _, k := range []string{testKey(1), testKey(2)} {
+		if v, ok := p.Get(nil, k); !ok || string(v) != packValue(k) {
+			t.Fatalf("entry %s after reopen: %q, %v", k, v, ok)
+		}
+	}
+	// Fail the final commit: the active segment's handle is gone.
+	if err := p.Put(testKey(3), []byte(packValue(testKey(3)))); err != nil {
+		t.Fatal(err)
+	}
+	p.files[p.active].Close()
+	if err := p.Close(); err == nil {
+		t.Fatal("Close committed through a closed segment handle")
+	}
+	p, err = OpenPackStore(dir)
+	if err != nil {
+		t.Fatalf("reopen after a failed Close: %v", err)
+	}
+	p.Close()
+}
+
+// dirFiles maps each file name in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/telemetry"
@@ -52,9 +54,15 @@ import (
 // Segments are named NNNNNN.seg with an 8-byte "sfspack1" header and
 // sealed at MaxSegmentBytes; NNNNNN.idx sidecars are written atomically
 // on seal and on Close.
+//
+// A directory has one owner: the store holds an exclusive flock on the
+// directory's LOCK file from open to Close, so a second store, in this
+// process or another, fails to open instead of appending to the same
+// segments. The kernel drops the lock when a killed owner exits.
 type PackStore struct {
 	dir  string
 	opts PackOptions
+	lock *os.File // LOCK, flocked until closeFiles
 
 	mu       sync.RWMutex
 	index    map[string]packLoc
@@ -112,8 +120,8 @@ var packCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenCache opens (creating if needed) the result cache rooted at dir: a
 // PackStore with default options whose segments live under dir/pack.
-// It is the one place that knows that layout (-cache-dir, WithCacheDir,
-// an HTTPStore's local fallback).
+// It is the one place that knows that layout (-cache-dir and
+// WithCacheDir).
 func OpenCache(dir string) (*PackStore, error) {
 	return OpenPackStore(filepath.Join(dir, "pack"))
 }
@@ -139,10 +147,15 @@ func OpenPackStoreWith(dir string, opts PackOptions) (*PackStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	sweepOrphans(dir, ".tmp-")
 	p := &PackStore{
 		dir:       dir,
 		opts:      opts,
+		lock:      lock,
 		index:     make(map[string]packLoc),
 		files:     make(map[int]*os.File),
 		segSizes:  make(map[int]int64),
@@ -155,6 +168,23 @@ func OpenPackStoreWith(dir string, opts PackOptions) (*PackStore, error) {
 	}
 	go p.flusher()
 	return p, nil
+}
+
+// lockDir takes dir's LOCK file with a non-blocking exclusive flock,
+// before the store sweeps, scans or truncates anything there.
+func lockDir(dir string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("pack store %s is in use by another process or store", dir)
+		}
+		return nil, fmt.Errorf("locking pack store %s: %w", dir, err)
+	}
+	return f, nil
 }
 
 // SetTelemetry attributes the store's I/O metrics (batch commits,
@@ -637,7 +667,8 @@ func (p *PackStore) flusher() {
 }
 
 // Close flushes, seals the active segment's index sidecar (so the next
-// open needs no scan), and closes every segment handle.
+// open needs no scan), closes every segment handle and unlocks the
+// directory — the last even when the flush fails.
 func (p *PackStore) Close() error {
 	p.flushOnce.Do(func() { close(p.flushDone) })
 	p.mu.Lock()
@@ -654,10 +685,13 @@ func (p *PackStore) Close() error {
 	return err
 }
 
+// closeFiles closes every segment handle and then the LOCK file, which
+// releases the directory to the next opener.
 func (p *PackStore) closeFiles() {
 	for _, f := range p.files {
 		f.Close()
 	}
+	p.lock.Close()
 }
 
 // Stats reports live keys, segment count and the summed segment bytes

@@ -7,9 +7,8 @@ import "repro/internal/telemetry"
 // (codec.go). The cache is lossy by contract: a value in any other
 // format — a v1 bare-JSON entry included — is a miss, and the run that
 // misses stores the record afresh. PackStore (append-only pack segments
-// with group-commit durability) is the local implementation; the
-// interface is deliberately narrow enough that a remote store (HTTPStore,
-// the sfs-serve fleet cache) plugs in the same way.
+// with group-commit durability) is the implementation; tests wrap or
+// replace it through this interface.
 //
 // Implementations must be safe for concurrent use: the pipeline's worker
 // pool calls Get and Put from many goroutines at once.
@@ -43,8 +42,7 @@ type Store interface {
 
 // StoreStats summarises a store's contents for -cache-stats and tests.
 type StoreStats struct {
-	// Backend names the implementation ("pack", or "http/" plus the
-	// server's backend for an HTTPStore).
+	// Backend names the implementation ("pack").
 	Backend string
 	// Entries is the number of live keys.
 	Entries int

@@ -444,8 +444,9 @@ func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 	if st.Executed == 0 {
 		t.Skip("cancelled before any job completed")
 	}
-	// No Close: simulate the process dying right after Run returns by
-	// opening the directory fresh and counting durable entries.
+	// No Close: simulate the process dying right after Run returns, then
+	// open the directory fresh and count durable entries.
+	abandon(store)
 	c2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -453,5 +454,105 @@ func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 	defer c2.Close()
 	if got := c2.Stats().Entries; got < st.Executed {
 		t.Fatalf("durable entries %d < executed %d: cancel path lost the flush", got, st.Executed)
+	}
+}
+
+// TestStoreConformance pins the Store contract on PackStore: round-trip,
+// read-your-writes from the pending group-commit batch, Flush
+// visibility, overwrite idempotence, and corruption-is-a-miss (never an
+// error). Every read goes into one reused buffer that starts out holding
+// a stale frame as well as into a nil one (getReused): both must return
+// the same bytes, and a miss an empty slice.
+func TestStoreConformance(t *testing.T) {
+	t.Run("pack", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenPackStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		buf := staleBuffer()
+
+		key, val := testKey(1), []byte("conformance value one")
+		if _, ok := getReused(t, s, &buf, key); ok {
+			t.Fatal("miss expected on empty store")
+		}
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		// Read-your-writes before any Flush.
+		if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val) {
+			t.Fatalf("pre-flush get: %q, %v", got, ok)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val) {
+			t.Fatalf("post-flush get: %q, %v", got, ok)
+		}
+
+		// Overwrite idempotence: same bytes again, then new bytes.
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val) {
+			t.Fatalf("idempotent re-put get: %q, %v", got, ok)
+		}
+		val2 := []byte("conformance value two")
+		if err := s.Put(key, val2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val2) {
+			t.Fatalf("overwrite get: %q, %v", got, ok)
+		}
+
+		// Corruption is a miss, never an error — and other keys are
+		// unaffected.
+		victim, victimVal := testKey(2), []byte("victim value with unique bytes 0xDECAFBAD")
+		if err := s.Put(victim, victimVal); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		flipValueOnDisk(t, dir, victimVal)
+		if got, ok := getReused(t, s, &buf, victim); ok {
+			t.Fatalf("corrupted entry served as a hit: %q", got)
+		}
+		if got, ok := getReused(t, s, &buf, key); !ok || !bytes.Equal(got, val2) {
+			t.Fatalf("healthy key lost after corrupting another: %q, %v", got, ok)
+		}
+	})
+}
+
+// flipValueOnDisk locates val's bytes inside any file under dir and
+// flips one bit — simulated at-rest corruption for checksummed stores.
+func flipValueOnDisk(t *testing.T, dir string, val []byte) {
+	t.Helper()
+	var flipped bool
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || flipped {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		i := bytes.Index(data, val)
+		if i < 0 {
+			return nil
+		}
+		data[i] ^= 0x01
+		flipped = true
+		return os.WriteFile(path, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flipped {
+		t.Fatal("value bytes not found in any file; cannot corrupt")
 	}
 }

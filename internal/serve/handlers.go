@@ -21,7 +21,6 @@ import (
 //	                             job runs, the finalized journal once done
 //	GET  /v1/jobs/{id}/stats     the job's isolated telemetry snapshot
 //	POST /v1/jobs/{id}/cancel    cooperative cancellation
-//	/v1/store/...                the shared result store (StoreHandler)
 //	GET  /v1/healthz             liveness probe
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
@@ -31,7 +30,6 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("GET /v1/jobs/{id}/records", s.withJob(s.handleRecords))
 	mux.HandleFunc("GET /v1/jobs/{id}/stats", s.withJob(s.handleJobStats))
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.withJob(s.handleCancel))
-	mux.Handle("/v1/store/", pipeline.NewStoreHandler(s.store, s.tel))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})

@@ -3,11 +3,11 @@
 // Session facade. Clients submit suite specs as jobs; a work-stealing
 // scheduler fans the jobs across worker goroutines, each driving an
 // isolated Session with a per-job resumable journal under the data
-// directory; and the daemon's content-addressed result store is
-// exported over /v1/store so a fleet of sfs-run clients shares one
-// warm cache. A killed daemon restarted on the same data directory
-// re-enqueues its unfinished jobs and resumes them from their
-// journals without re-executing completed traces.
+// directory; and every job shares the daemon's content-addressed
+// result store, so a resubmitted suite is served warm. A killed daemon
+// restarted on the same data directory re-enqueues its unfinished jobs
+// and resumes them from their journals without re-executing completed
+// traces.
 package serve
 
 import (
@@ -113,10 +113,6 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Store exposes the daemon's shared result store (tests use it to
-// inspect the cache the /v1/store API serves).
-func (s *Server) Store() pipeline.Store { return s.store }
 
 // recoverJobs scans DataDir/jobs: terminal jobs are kept for status
 // and record queries, anything else — queued or mid-run when the

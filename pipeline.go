@@ -17,9 +17,8 @@ type (
 	// ResultSink is the streaming JSONL journal with crash-safe resume.
 	ResultSink = pipeline.Sink
 	// ResultStore is the content-addressed (script, spec, config)-keyed
-	// result cache (see WithStore): PackStore — packed append-only
-	// segments with group-commit durability — or the HTTPStore of an
-	// sfs-serve daemon.
+	// result cache (see WithStore): a PackStore — packed append-only
+	// segments with group-commit durability, one owner per directory.
 	ResultStore = pipeline.Store
 	// StoreStats summarises a store's contents (Session.CacheStats,
 	// sfs-run -cache-stats).
@@ -27,8 +26,9 @@ type (
 )
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
-// at dir — the default ResultStore backend, exposed for WithStore. On
-// error the store is nil.
+// at dir — the ResultStore backend, exposed for WithStore. It fails if
+// another store, in this process or another, holds dir; Close releases
+// it. On error the store is nil.
 func OpenPackStore(dir string) (ResultStore, error) {
 	p, err := pipeline.OpenPackStore(dir)
 	if err != nil {

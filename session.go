@@ -56,8 +56,7 @@ type Session struct {
 	workers     int
 	maxStateSet int
 	cacheDir    string
-	remote      string         // WithRemoteCache base URL ("" = none)
-	store       pipeline.Store // WithStore's, or opened from cacheDir/remote on first use
+	store       pipeline.Store // WithStore's, or opened from cacheDir on first use
 	journal     string
 	journalDir  string
 	resume      bool
@@ -68,7 +67,7 @@ type Session struct {
 
 	cacheOnce sync.Once
 	cacheErr  error
-	ownsStore bool // opened from cacheDir/remote, so Close closes it
+	ownsStore bool // opened from cacheDir, so Close closes it
 	// hashMu/hashes memoise per-script content hashes, so each script is
 	// hashed at most once per session however many runs check it; pipeline
 	// key computation reads it via Config.HashScripts.
@@ -116,7 +115,7 @@ func WithCacheDir(dir string) Option { return func(s *Session) { s.cacheDir = di
 
 // WithStore backs the session's result cache with an explicit store
 // backend instead of opening one from a directory — the injection seam
-// for tuned PackOptions or a remote store. Takes precedence over
+// for tuned PackOptions or a test's wrapped store. Takes precedence over
 // WithCacheDir; the session owns flushing (it flushes at run boundaries)
 // but the caller owns Close.
 func WithStore(store ResultStore) Option { return func(s *Session) { s.store = store } }
@@ -189,26 +188,22 @@ func NewCoverageRegistry() *CoverageRegistry { return cov.NewRegistry() }
 func (s *Session) Spec() Spec { return s.spec }
 
 // openCache lazily opens the session's result store (nil without
-// WithCacheDir/WithRemoteCache/WithStore), inside a session.open_cache
-// span: the first call opens the store and loads or rebuilds its index.
-// An injected store opens nothing. The store is shared by every method of
-// the session.
+// WithCacheDir/WithStore), inside a session.open_cache span: the first
+// call opens the store and loads or rebuilds its index. An injected
+// store opens nothing. The store is shared by every method of the
+// session.
 func (s *Session) openCache() (pipeline.Store, error) {
 	s.cacheOnce.Do(func() {
-		if s.store != nil || (s.cacheDir == "" && s.remote == "") {
+		if s.store != nil || s.cacheDir == "" {
 			return
 		}
 		defer telemetry.Or(s.tel).Span("session.open_cache").End()
-		if s.remote != "" {
-			// WithRemoteCache: the shared fleet store, with the local cache
-			// dir (if any) demoted to the unreachable-server fallback.
-			s.store, s.cacheErr = OpenHTTPStore(s.remote, s.cacheDir)
-		} else if pack, err := pipeline.OpenCache(s.cacheDir); err != nil {
+		pack, err := pipeline.OpenCache(s.cacheDir)
+		if err != nil {
 			s.cacheErr = err // s.store stays nil, not a nil *PackStore
-		} else {
-			s.store = pack
+			return
 		}
-		s.ownsStore = s.cacheErr == nil
+		s.store, s.ownsStore = pack, true
 	})
 	return s.store, s.cacheErr
 }
@@ -216,18 +211,19 @@ func (s *Session) openCache() (pipeline.Store, error) {
 // errSessionClosed is what a cache-backed method returns after Close.
 var errSessionClosed = errors.New("sibylfs: session closed")
 
-// Close releases the result cache the session opened for WithCacheDir or
-// WithRemoteCache: it commits buffered entries and writes the packed
-// store's index sidecar, so the next process opening the directory loads
-// the index instead of scanning the active segment (runs only commit,
-// leaving the index to Close). A store injected with WithStore stays the
-// caller's to close. Call Close once the session's work is done, not
-// concurrently with its other methods; it is a no-op for a session
-// without a cache, and afterwards cache-backed methods fail.
+// Close releases the result cache the session opened for WithCacheDir:
+// it commits buffered entries, writes the packed store's index sidecar,
+// so the next process opening the directory loads the index instead of
+// scanning the active segment (runs only commit, leaving the index to
+// Close), and unlocks the directory for the next process. A store
+// injected with WithStore stays the caller's to close. Call Close once
+// the session's work is done, not concurrently with its other methods;
+// it is a no-op for a session without a cache, and afterwards
+// cache-backed methods fail.
 func (s *Session) Close() error {
 	s.cacheOnce.Do(func() {}) // a closed session never opens a cache
 	store, owned := s.store, s.ownsStore
-	if s.store != nil || s.cacheDir != "" || s.remote != "" {
+	if s.store != nil || s.cacheDir != "" {
 		s.cacheErr = errSessionClosed
 	}
 	s.store, s.ownsStore = nil, false

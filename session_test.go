@@ -563,6 +563,7 @@ func TestSessionObserverStreams(t *testing.T) {
 			WithCacheDir(cacheDir),
 			WithObserver(func(PipelineRecord) { mu.Lock(); n++; mu.Unlock() }),
 		)
+		defer session.Close() // the warm session reopens the directory
 		_, stats, err := session.Run(context.Background(), RunJob{
 			Name:    "observer",
 			Scripts: scripts,
