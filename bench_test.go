@@ -359,16 +359,7 @@ func BenchmarkFig7ModelSize(b *testing.B) {
 // ratio is the re-run speedup; sfsbench's cold and warm workloads are the
 // standing measurement of both paths. Each iteration runs in a fresh
 // session, so every run hashes its scripts as a new process would.
-func BenchmarkPipelineCold(b *testing.B) { benchPipelineCold(b, false) }
-
-// BenchmarkPipelineColdIsolated is BenchmarkPipelineCold with each
-// session merging its coverage into a registry of its own: isolation
-// must cost nothing measurable against the shared registry.
-func BenchmarkPipelineColdIsolated(b *testing.B) { benchPipelineCold(b, true) }
-
-// benchPipelineCold runs the cold benchmark, each session with a
-// coverage registry of its own when isolated.
-func benchPipelineCold(b *testing.B, isolated bool) {
+func BenchmarkPipelineCold(b *testing.B) {
 	scripts, _ := benchData(b)
 	job := RunJob{
 		Name: "bench-cold", Scripts: scripts[:500],
@@ -377,11 +368,7 @@ func benchPipelineCold(b *testing.B, isolated bool) {
 	sel := job.Scripts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		session := New()
-		if isolated {
-			session = New(WithCoverage(NewCoverageRegistry()))
-		}
-		_, st, err := session.Run(context.Background(), job)
+		_, st, err := New().Run(context.Background(), job)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,6 +56,10 @@ func main() {
 // run is sfs-fuzz on args, reporting on stdout and stderr; it returns
 // the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
+	// The session's one registry, created first so its uptime spans the
+	// run: the session records into it, and -stats-json and -debug-addr
+	// read it.
+	tel := sibylfs.NewTelemetryRegistry()
 	flags := flag.NewFlagSet("sfs-fuzz", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	flags.Usage = func() {
@@ -94,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *debugAddr != "" {
-		srv, err := cliutil.StartDebug(*debugAddr, "sfs-fuzz")
+		srv, err := cliutil.StartDebug(*debugAddr, "sfs-fuzz", tel)
 		if err != nil {
 			fmt.Fprintln(stderr, "sfs-fuzz:", err)
 			return 1
@@ -105,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *statsJSON == "" {
 			return
 		}
-		if err := cliutil.WriteStats(*statsJSON, "sfs-fuzz"); err != nil {
+		if err := cliutil.WriteStats(*statsJSON, "sfs-fuzz", tel); err != nil {
 			fmt.Fprintln(stderr, "sfs-fuzz: writing stats:", err)
 		}
 	}
@@ -145,6 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := []sibylfs.Option{
 		sibylfs.WithSpec(target.Spec),
 		sibylfs.WithWorkers(*workers),
+		sibylfs.WithTelemetry(tel),
 	}
 	if *verbose {
 		opts = append(opts, sibylfs.WithLog(stderr))

@@ -27,6 +27,10 @@ import (
 )
 
 func main() {
+	// The survey's one registry, created first so its uptime spans the
+	// run: the session records into it, and -stats-json and -cache-stats
+	// read it.
+	tel := sibylfs.NewTelemetryRegistry()
 	outDir := flag.String("o", "sibylfs-report", "output directory for HTML")
 	sample := flag.Int("sample", 13, "use every Nth generated script (1 = full suite)")
 	workers := flag.Int("w", 0, "parallel workers")
@@ -44,7 +48,7 @@ func main() {
 		if *statsJSON == "" {
 			return
 		}
-		if err := cliutil.WriteStats(*statsJSON, "sfs-report"); err != nil {
+		if err := cliutil.WriteStats(*statsJSON, "sfs-report", tel); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-report: writing stats:", err)
 		}
 	}
@@ -57,7 +61,7 @@ func main() {
 		defer cancel()
 	}
 
-	opts := []sibylfs.Option{sibylfs.WithWorkers(*workers)}
+	opts := []sibylfs.Option{sibylfs.WithWorkers(*workers), sibylfs.WithTelemetry(tel)}
 	if *cacheDir != "" {
 		opts = append(opts, sibylfs.WithCacheDir(*cacheDir))
 	}
@@ -77,7 +81,7 @@ func main() {
 	}
 	printCacheStats := func() {
 		if *cacheStats {
-			cliutil.PrintCacheStats("sfs-report", session)
+			cliutil.PrintCacheStats("sfs-report", session, tel)
 		}
 	}
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cliutil"
 	"repro/internal/pipeline"
-	"repro/internal/telemetry"
 )
 
 func usage() {
@@ -72,6 +71,10 @@ func closeSession() {
 }
 
 func main() {
+	// The run's one registry, created first so its uptime spans the run:
+	// the session records into it, and -stats-json, -debug-addr and
+	// -cache-stats read it.
+	tel := sibylfs.NewTelemetryRegistry()
 	fsName := flag.String("fs", "", "implementation under test")
 	specName := flag.String("p", "linux", "model variant: posix|linux|mac_os_x|freebsd")
 	noPerms := flag.Bool("noperms", false, "disable the permissions trait")
@@ -122,7 +125,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		srv, err := cliutil.StartDebug(*debugAddr, "sfs-run")
+		srv, err := cliutil.StartDebug(*debugAddr, "sfs-run", tel)
 		if err != nil {
 			fatal(err)
 		}
@@ -135,7 +138,7 @@ func main() {
 		if *statsJSON == "" {
 			return
 		}
-		if err := cliutil.WriteStats(*statsJSON, "sfs-run"); err != nil {
+		if err := cliutil.WriteStats(*statsJSON, "sfs-run", tel); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-run: writing stats:", err)
 		}
 	}
@@ -148,7 +151,7 @@ func main() {
 		if !*cacheStats || session == nil {
 			return
 		}
-		cliutil.PrintCacheStats("sfs-run", session)
+		cliutil.PrintCacheStats("sfs-run", session, tel)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -167,6 +170,7 @@ func main() {
 		sibylfs.WithSpec(target.Spec),
 		sibylfs.WithWorkers(w),
 		sibylfs.WithJournal(*jsonl),
+		sibylfs.WithTelemetry(tel),
 	}
 	if *cacheDir != "" {
 		opts = append(opts, sibylfs.WithCacheDir(*cacheDir))
@@ -211,7 +215,7 @@ func main() {
 	// Report over the whole sink (it may hold other shards' records from
 	// earlier resumed invocations): Run returns the records the finalized
 	// file holds, in its order.
-	span := telemetry.Default.Span("cli.summary")
+	span := tel.Span("cli.summary")
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)
@@ -223,12 +227,12 @@ func main() {
 			}
 		}
 	}
-	summary := pipeline.Summarise(name, records)
+	summary := pipeline.Summarise(name, records, tel)
 	fmt.Print(summary)
 	fmt.Printf("pipeline: %s (sink %s: %d records)\n", stats, *jsonl, len(records))
 	span.End()
 	if *htmlPath != "" {
-		span := telemetry.Default.Span("cli.html")
+		span := tel.Span("cli.html")
 		html, err := analysis.RenderIndexHTML(summary)
 		if err != nil {
 			fatal(err)

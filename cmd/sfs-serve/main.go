@@ -1,6 +1,6 @@
 // sfs-serve is the check-as-a-service daemon: a long-running HTTP
-// coordinator that accepts suite submissions (POST /v1/jobs), fans them
-// across a work-stealing pool of Session workers, streams per-record
+// coordinator that accepts suite submissions (POST /v1/jobs), runs them
+// in submission order on a pool of Session workers, streams per-record
 // results as NDJSON, and serves every job from one content-addressed
 // result store, so a resubmitted suite runs warm. All state lives under
 // -data-dir: per-job resumable journals and the packed result store,
@@ -54,6 +54,11 @@ func fatal(err error) {
 }
 
 func main() {
+	// The daemon's one registry, created first so its uptime spans the
+	// daemon's life: serve.* and the shared store's metrics land here, and
+	// -stats-json and -debug-addr read it. Each job has its own, at
+	// /v1/jobs/{id}/stats.
+	tel := telemetry.NewRegistry()
 	addr := flag.String("addr", "127.0.0.1:8373", "listen address for the service API")
 	dataDir := flag.String("data-dir", "", "daemon state root: shared result store + per-job journals (required)")
 	jobs := flag.Int("jobs", 2, "concurrent job slots (scheduler workers)")
@@ -69,14 +74,14 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		dbg, err := cliutil.StartDebug(*debugAddr, "sfs-serve")
+		dbg, err := cliutil.StartDebug(*debugAddr, "sfs-serve", tel)
 		if err != nil {
 			fatal(err)
 		}
 		defer dbg.Close()
 	}
 
-	opts := serve.Options{DataDir: *dataDir, Jobs: *jobs, Workers: *workers}
+	opts := serve.Options{DataDir: *dataDir, Jobs: *jobs, Workers: *workers, Tel: tel}
 	if *verbose {
 		opts.Log = os.Stderr
 	}
@@ -114,7 +119,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sfs-serve: close:", err)
 	}
 	if *statsJSON != "" {
-		if err := cliutil.WriteStats(*statsJSON, "sfs-serve"); err != nil {
+		if err := cliutil.WriteStats(*statsJSON, "sfs-serve", tel); err != nil {
 			fmt.Fprintln(os.Stderr, "sfs-serve: writing stats:", err)
 		}
 	}

@@ -148,7 +148,7 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 		Tel:          tel,
 	}
 	if cacheDir != "" {
-		store, err := pipeline.OpenCache(cacheDir)
+		store, err := pipeline.OpenCache(cacheDir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

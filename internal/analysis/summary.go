@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/checker"
-	"repro/internal/telemetry"
 	"repro/internal/testgen"
 	"repro/internal/trace"
 )
@@ -57,7 +55,6 @@ type Deviation struct {
 
 // Summarise builds a RunSummary from paired traces and results.
 func Summarise(config string, traces []*trace.Trace, results []checker.Result) *RunSummary {
-	defer telemetry.Default.Histogram("analysis.summarise_ns").ObserveSince(time.Now())
 	s := &RunSummary{Config: config, ByGroup: make(map[string]*GroupSummary)}
 	var sumStates, steps int
 	for i, r := range results {
@@ -166,7 +163,6 @@ type Merged struct {
 // caller's deadline has already passed. On cancellation the partial merge is
 // returned with ctx.Err().
 func MergeCtx(ctx context.Context, runs []*RunSummary) (*Merged, error) {
-	defer telemetry.Default.Histogram("analysis.merge_ns").ObserveSince(time.Now())
 	m := &Merged{PerTest: make(map[string]map[string]bool)}
 	for _, r := range runs {
 		if err := ctx.Err(); err != nil {

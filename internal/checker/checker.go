@@ -116,8 +116,8 @@ type Checker struct {
 	// reported via Result.StateSetCapHit.
 	MaxStateSet int
 	// Tel receives the checker's telemetry (counters per trace, τ-closure
-	// attribution); nil selects telemetry.Default. Purely observational:
-	// results are byte-identical whatever registry is installed.
+	// attribution); nil records none. Purely observational: results are
+	// byte-identical whatever registry is installed.
 	Tel *telemetry.Registry
 	// Memo, when non-nil, is the checker's cons table: transition
 	// fan-outs are interned per (source state object, label) and replayed
@@ -369,7 +369,10 @@ func (c *Checker) step(ctx context.Context, states []*osspec.OsState, st trace.S
 // One batch of counter adds per trace — never per step — so the oracle's
 // hot loop stays unmetered.
 func (c *Checker) record(res Result, elapsed time.Duration) {
-	tel := telemetry.Or(c.Tel)
+	tel := c.Tel
+	if tel == nil {
+		return
+	}
 	tel.Counter("checker.traces").Inc()
 	tel.Counter("checker.steps").Add(int64(res.Steps))
 	tel.Counter("checker.states_explored").Add(int64(res.SumStates))

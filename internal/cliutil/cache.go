@@ -20,9 +20,10 @@ func CloseSession(tool string, session *sibylfs.Session) {
 }
 
 // PrintCacheStats reports the session's result-store contents and the
-// run's hit/miss telemetry on stdout — the shared implementation behind
-// every tool's -cache-stats flag.
-func PrintCacheStats(tool string, session *sibylfs.Session) {
+// run's hit/miss telemetry, read from tel (the session's registry), on
+// stdout — the shared implementation behind every tool's -cache-stats
+// flag.
+func PrintCacheStats(tool string, session *sibylfs.Session, tel *telemetry.Registry) {
 	st, ok := session.CacheStats()
 	if !ok {
 		fmt.Fprintf(os.Stderr, "%s: -cache-stats: no cache configured (use -cache-dir)\n", tool)
@@ -30,7 +31,6 @@ func PrintCacheStats(tool string, session *sibylfs.Session) {
 	}
 	fmt.Printf("cache: backend=%s entries=%d segments=%d bytes=%d\n",
 		st.Backend, st.Entries, st.Segments, st.Bytes)
-	tel := telemetry.Default
 	hits := tel.Counter("pipeline.cache_hits").Value()
 	misses := tel.Counter("pipeline.cache_misses").Value()
 	if total := hits + misses; total > 0 {

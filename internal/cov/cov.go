@@ -126,10 +126,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return new(Registry) }
 
-// Default is the registry of sessions that were not given one of their
-// own.
-var Default = NewRegistry()
-
 // add adds n to point i's count.
 func (r *Registry) add(i int, n uint64) {
 	if r.counts[i].Add(n) == n {

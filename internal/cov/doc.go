@@ -9,8 +9,8 @@
 // Set it owns: a fixed-size bitset, so a hit is a plain store and nothing
 // is shared while the model runs. Whoever owns the evaluation merges its
 // Set into a Registry once, when it ends. A Registry counts, per point,
-// the evaluations that hit it; sibylfs.Session owns or shares one, and
-// Default serves sessions that were not given their own. Two sessions
-// with their own registries never see each other's coverage, and
-// resetting one cannot disturb another.
+// the evaluations that hit it. There is no process-wide registry: a
+// sibylfs.Session makes its own unless WithCoverage shares one, so two
+// sessions never see each other's coverage, and resetting one (a fuzz
+// session starts with a reset) cannot disturb another.
 package cov

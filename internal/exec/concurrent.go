@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/fsimpl"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -130,8 +129,6 @@ func RunConcurrent(ctx context.Context, s *trace.Script, factory fsimpl.Factory,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	telemetry.Default.Counter("exec.traces_concurrent").Inc()
-	telemetry.Default.Counter("exec.steps").Add(int64(len(t.Steps)))
 	return t, nil
 }
 

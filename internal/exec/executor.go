@@ -74,12 +74,20 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory, hits *cov
 			return nil, fmt.Errorf("exec: script %q line %d contains a return label (%s); returns are executor output, not script input", s.Name, st.Line, lbl)
 		}
 	}
-	// Executor throughput is process-global telemetry (exec has no
-	// per-session configuration); the pipeline attributes per-job
-	// execute timings to its own registry on top.
-	telemetry.Default.Counter("exec.traces").Inc()
-	telemetry.Default.Counter("exec.steps").Add(int64(len(t.Steps)))
 	return t, nil
+}
+
+// Count adds t, a trace the executor produced, to tel's exec.* counters:
+// exec.traces (exec.traces_concurrent for RunConcurrent's) and
+// exec.steps. The executor holds no registry; the layers that execute
+// (pipeline.Run, Session.Execute*, the fuzzer) count into theirs.
+func Count(tel *telemetry.Registry, t *trace.Trace, concurrent bool) {
+	if concurrent {
+		tel.Counter("exec.traces_concurrent").Inc()
+	} else {
+		tel.Counter("exec.traces").Inc()
+	}
+	tel.Counter("exec.steps").Add(int64(len(t.Steps)))
 }
 
 // RunAll executes many scripts concurrently (workers ≤ 0 selects

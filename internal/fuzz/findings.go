@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/checker"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -106,8 +108,9 @@ func findingName(kind FindingKind, sig string) string {
 // RunSummary with severity classification (§7.3's taxonomy), stamped with
 // the session's model-coverage figures, plus the HTML index. Crashes
 // carry no checkable trace and are appended as synthetic critical
-// deviations.
-func ReportWith(config string, findings []*Finding, covHit, covTotal int) (*analysis.RunSummary, string, error) {
+// deviations. The summary's build time goes to tel's
+// analysis.summarise_ns.
+func ReportWith(config string, findings []*Finding, covHit, covTotal int, tel *telemetry.Registry) (*analysis.RunSummary, string, error) {
 	var traces []*trace.Trace
 	var results []checker.Result
 	for _, f := range findings {
@@ -128,7 +131,9 @@ func ReportWith(config string, findings []*Finding, covHit, covTotal int) (*anal
 		traces = append(traces, f.Trace)
 		results = append(results, f.Result)
 	}
+	start := time.Now()
 	sum := analysis.Summarise(config, traces, results)
+	tel.Histogram("analysis.summarise_ns").ObserveSince(start)
 	sum.CovHit, sum.CovTotal = covHit, covTotal
 	html, err := analysis.RenderIndexHTML(sum)
 	if err != nil {

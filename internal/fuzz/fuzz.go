@@ -65,17 +65,19 @@ type Config struct {
 	// KeepCoverage leaves the session's coverage counters as they are
 	// instead of resetting them at session start.
 	KeepCoverage bool
-	// Registry receives the session's model coverage (nil selects
-	// cov.Default): every run, minimization probes included, records its
-	// points in a set of its own and merges it here once, and the corpus
-	// guidance polls this registry. Give each session of a process its
-	// own for figures the others cannot move.
+	// Registry receives the session's model coverage (nil gives the
+	// session a registry of its own): every run, minimization probes
+	// included, records its points in a set of its own and merges it here
+	// once, and the corpus guidance polls this registry. Unless
+	// KeepCoverage is set the session resets it at start, so only a
+	// registry the caller owns belongs here.
 	Registry *cov.Registry
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// Tel receives the session's telemetry (iteration throughput, corpus
-	// size, findings, per-candidate latency); nil selects
-	// telemetry.Default. Purely observational.
+	// size, findings, per-candidate latency, exec.* for every execution);
+	// nil gives the session a registry of its own, which nobody reads.
+	// Purely observational.
 	Tel *telemetry.Registry
 }
 
@@ -126,7 +128,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Name = "fuzz"
 	}
 
-	tel := telemetry.Or(cfg.Tel)
+	if cfg.Registry == nil {
+		cfg.Registry = cov.NewRegistry()
+	}
+	if cfg.Tel == nil {
+		cfg.Tel = telemetry.NewRegistry()
+	}
+	tel := cfg.Tel
 	e := &engine{
 		cfg:     cfg,
 		corpus:  NewCorpus(),
@@ -134,9 +142,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		tel:     tel,
 		bySig:   make(map[string]*Finding),
 		rawSeen: make(map[string]*Finding),
-	}
-	if e.reg == nil {
-		e.reg = cov.Default
 	}
 	if !cfg.KeepCoverage {
 		e.reg.Reset()
@@ -182,7 +187,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	tel.Gauge("fuzz.findings").Set(int64(len(res.Findings)))
 	tel.Gauge("fuzz.coverage_points").Set(int64(res.CovHit))
 
-	sum, html, err := ReportWith(cfg.Name, res.Findings, res.CovHit, res.CovTotal)
+	sum, html, err := ReportWith(cfg.Name, res.Findings, res.CovHit, res.CovTotal, tel)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +213,7 @@ type engine struct {
 
 	// reg is the session's coverage registry (Config.Registry), never nil.
 	reg *cov.Registry
-	// tel is the resolved telemetry registry (never nil).
+	// tel is the session's telemetry registry (Config.Tel), never nil.
 	tel      *telemetry.Registry
 	runs     atomic.Int64
 	seq      atomic.Int64
@@ -219,7 +224,7 @@ type engine struct {
 // newChecker returns a checker for one goroutine of the session.
 func (e *engine) newChecker() *checker.Checker {
 	c := checker.New(e.cfg.Spec)
-	c.Tel = e.cfg.Tel // nil keeps the checker on Default, like the engine
+	c.Tel = e.tel
 	return c
 }
 
@@ -234,11 +239,18 @@ func (e *engine) logf(format string, args ...any) {
 // to completion even when the session context is cancelled (they are
 // short); the worker loop is where cancellation is observed.
 func (e *engine) runScript(s *trace.Script, hits *cov.Set) (*trace.Trace, error) {
+	var t *trace.Trace
+	var err error
 	if e.cfg.Concurrent {
-		return exec.RunConcurrent(context.Background(), s, e.cfg.Factory,
+		t, err = exec.RunConcurrent(context.Background(), s, e.cfg.Factory,
 			exec.ConcurrentOptions{Seeded: true, Seed: e.cfg.Seed}, hits)
+	} else {
+		t, err = exec.Run(context.Background(), s, e.cfg.Factory, hits)
 	}
-	return exec.Run(context.Background(), s, e.cfg.Factory, hits)
+	if err == nil {
+		exec.Count(e.tel, t, e.cfg.Concurrent)
+	}
+	return t, err
 }
 
 // seed loads the persisted corpus (if any) and the configured seed

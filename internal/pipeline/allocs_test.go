@@ -33,7 +33,7 @@ func TestScriptHashAllocs(t *testing.T) {
 // when it first stores a fan-out: a cold run's tables make theirs, and a
 // warm run over the same cache, which checks nothing, makes none.
 func TestWarmRunBuildsNoConsMap(t *testing.T) {
-	store, err := OpenCache(t.TempDir())
+	store, err := OpenCache(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWarmRunBuildsNoConsMap(t *testing.T) {
 func TestWarmHitAllocs(t *testing.T) {
 	const n, slack = 600, 1024
 	scripts := testgen.Generate().Scripts[:n]
-	store, err := OpenCache(t.TempDir())
+	store, err := OpenCache(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestWarmHitAllocs(t *testing.T) {
 
 	gets := &dstStore{Store: store}
 	cfg.Store = gets
-	sink, err := OpenSink(filepath.Join(t.TempDir(), "warm.jsonl"), false)
+	sink, err := OpenSink(filepath.Join(t.TempDir(), "warm.jsonl"), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,10 +81,11 @@ func syncDir(dir string) error {
 const orphanAge = time.Hour
 
 // sweepOrphans removes abandoned atomic-write temp files: entries of dir
-// whose name starts with prefix and whose mtime is older than orphanAge.
+// whose name starts with prefix and whose mtime is older than orphanAge,
+// counting each in tel's pipeline.orphans_swept (nil counts nothing).
 // Best-effort hygiene — all errors are ignored; a file that can't be
 // statted or removed will be caught by a later open.
-func sweepOrphans(dir, prefix string) {
+func sweepOrphans(dir, prefix string, tel *telemetry.Registry) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -98,8 +99,8 @@ func sweepOrphans(dir, prefix string) {
 		if err != nil || !info.ModTime().Before(cutoff) {
 			continue
 		}
-		if os.Remove(filepath.Join(dir, e.Name())) == nil {
-			telemetry.Default.Counter("pipeline.orphans_swept").Inc()
+		if os.Remove(filepath.Join(dir, e.Name())) == nil && tel != nil {
+			tel.Counter("pipeline.orphans_swept").Inc()
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 
 	// Baseline.
 	cfg := base
-	sink, err := OpenSink(clean, false)
+	sink, err := OpenSink(clean, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	if sink, err = OpenSink(killed, false); err != nil {
+	if sink, err = OpenSink(killed, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Sink = sink
@@ -71,7 +71,7 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 	sink.Close()
 
 	// Resume to completion and finalize.
-	if sink, err = OpenSink(killed, true); err != nil {
+	if sink, err = OpenSink(killed, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	journaled := sink.Len()

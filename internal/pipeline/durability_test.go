@@ -18,7 +18,7 @@ import (
 func TestCacheEntryPermissions(t *testing.T) {
 	key := strings.Repeat("ab", 32)
 	dir := t.TempDir()
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,8 @@ func TestOrphanSweepOnOpen(t *testing.T) {
 	if err := os.Chtimes(old, stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCache(dir); err != nil {
+	reg := telemetry.NewRegistry()
+	if _, err := OpenCache(dir, reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(old); !os.IsNotExist(err) {
@@ -104,7 +105,7 @@ func TestOrphanSweepOnOpen(t *testing.T) {
 	if err := os.Chtimes(oldSink, stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSink(filepath.Join(sinkDir, "run.jsonl"), false)
+	s, err := OpenSink(filepath.Join(sinkDir, "run.jsonl"), false, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +116,17 @@ func TestOrphanSweepOnOpen(t *testing.T) {
 	if _, err := os.Stat(freshSink); err != nil {
 		t.Fatal("fresh sink temp file was swept")
 	}
+	// Both sweeps count into the registry passed to the open.
+	if n := reg.Counter("pipeline.orphans_swept").Value(); n != 2 {
+		t.Fatalf("pipeline.orphans_swept = %d, want 2", n)
+	}
 }
 
 // packFill writes n deterministic records through a PackStore and closes
 // it, returning the keys in write order.
 func packFill(t *testing.T, dir string, n int) []string {
 	t.Helper()
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +176,7 @@ func TestPackTruncatedTailSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +201,7 @@ func TestPackTruncatedTailSegment(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPackStore(dir)
+	p2, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +230,7 @@ func TestPackCRCMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +254,7 @@ func TestPackMissingIndexRebuild(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "000001.idx")); err != nil {
 		t.Fatal(err)
 	}
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +281,7 @@ func TestPackCorruptIndexRebuild(t *testing.T) {
 	if err := os.WriteFile(idxPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +306,7 @@ func TestPackHeaderlessActiveSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "000001.seg"), []byte("sfs"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +321,7 @@ func TestPackHeaderlessActiveSegment(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "000001.idx")); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPackStore(dir)
+	p2, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,17 +341,6 @@ func abandon(p *PackStore) {
 	defer p.mu.Unlock()
 	p.closeFiles()
 	p.closed = true
-}
-
-// defaultRegistry installs a fresh telemetry.Default for one test: a
-// store's open-time events (index rebuilds, sidecar repairs) land there.
-func defaultRegistry(t *testing.T) *telemetry.Registry {
-	t.Helper()
-	reg := telemetry.NewRegistry()
-	old := telemetry.Default
-	telemetry.Default = reg
-	t.Cleanup(func() { telemetry.Default = old })
-	return reg
 }
 
 // putFlush puts each key with its packFill value, committing after each.
@@ -372,9 +366,9 @@ func putFlush(t *testing.T, p *PackStore, keys ...string) {
 func TestPackFlushOnlyCommits(t *testing.T) {
 	dir := t.TempDir()
 	keys := packFill(t, dir, 4) // Close: the sidecar covers these four
-	reg := defaultRegistry(t)
+	reg := telemetry.NewRegistry()
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +394,7 @@ func TestPackFlushOnlyCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenPackStore(dir)
+	p2, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +423,9 @@ func TestPackFlushOnlyCommits(t *testing.T) {
 func TestPackTornTailPastSidecar(t *testing.T) {
 	dir := t.TempDir()
 	keys := packFill(t, dir, 4)
-	reg := defaultRegistry(t)
+	reg := telemetry.NewRegistry()
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +444,7 @@ func TestPackTornTailPastSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenPackStore(dir)
+	p2, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +471,7 @@ func TestPackTornTailPastSidecar(t *testing.T) {
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p3, err := OpenPackStore(dir)
+	p3, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +489,7 @@ func TestPackTornTailPastSidecar(t *testing.T) {
 func TestPackOversizedSidecarRescans(t *testing.T) {
 	dir := t.TempDir()
 	keys := packFill(t, dir, 6)
-	reg := defaultRegistry(t)
+	reg := telemetry.NewRegistry()
 
 	segPath := filepath.Join(dir, "000001.seg")
 	info, err := os.Stat(segPath)
@@ -506,7 +500,7 @@ func TestPackOversizedSidecarRescans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +520,7 @@ func TestPackOversizedSidecarRescans(t *testing.T) {
 	putFlush(t, p, keys[5:]...)
 	abandon(p)
 
-	p2, err := OpenPackStore(dir)
+	p2, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +548,7 @@ func TestPackOversizedSidecarRescans(t *testing.T) {
 func TestPackStaleSidecarAfterRegrowth(t *testing.T) {
 	dir := t.TempDir()
 	keys := packFill(t, dir, 6)
-	reg := defaultRegistry(t)
+	reg := telemetry.NewRegistry()
 	segPath := filepath.Join(dir, "000001.seg")
 	idxPath := filepath.Join(dir, "000001.idx")
 	stale, err := os.ReadFile(idxPath)
@@ -569,7 +563,7 @@ func TestPackStaleSidecarAfterRegrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +584,7 @@ func TestPackStaleSidecarAfterRegrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenPackStore(dir)
+	p2, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +614,7 @@ func TestPackStaleSidecarAfterRegrowth(t *testing.T) {
 func TestPackSidecarOutOfRange(t *testing.T) {
 	dir := t.TempDir()
 	keys := packFill(t, dir, 3)
-	reg := defaultRegistry(t)
+	reg := telemetry.NewRegistry()
 	info, err := os.Stat(filepath.Join(dir, "000001.seg"))
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +623,7 @@ func TestPackSidecarOutOfRange(t *testing.T) {
 	w := &PackStore{dir: dir, tel: reg}
 	w.writeSidecar(1, map[string]packLoc{bogus: {off: info.Size() + 100, vlen: 5}}, info.Size())
 
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +649,7 @@ func TestPackSidecarOutOfRange(t *testing.T) {
 // directory opens again, and a Close that fails releases it too.
 func TestPackDirLock(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +672,7 @@ func TestPackDirLock(t *testing.T) {
 	seg.Close()
 	before := dirFiles(t, dir)
 
-	if q, err := OpenPackStore(dir); err == nil {
+	if q, err := OpenPackStore(dir, nil); err == nil {
 		q.Close()
 		t.Fatal("a second store opened a held directory")
 	} else if !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "in use") {
@@ -691,7 +685,7 @@ func TestPackDirLock(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p, err = OpenPackStore(dir)
+	p, err = OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}
@@ -708,7 +702,7 @@ func TestPackDirLock(t *testing.T) {
 	if err := p.Close(); err == nil {
 		t.Fatal("Close committed through a closed segment handle")
 	}
-	p, err = OpenPackStore(dir)
+	p, err = OpenPackStore(dir, nil)
 	if err != nil {
 		t.Fatalf("reopen after a failed Close: %v", err)
 	}

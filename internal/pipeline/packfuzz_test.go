@@ -24,7 +24,7 @@ import (
 // CRC failure on read).
 func FuzzPackSegment(f *testing.F) {
 	dir := f.TempDir()
-	store, err := OpenCache(dir)
+	store, err := OpenCache(dir, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func FuzzPackSegment(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		p, err := OpenPackStoreWith(dir, PackOptions{})
+		p, err := OpenPackStoreWith(dir, PackOptions{}, nil)
 		if err != nil {
 			return // refusing the bytes is allowed; panicking is not
 		}

@@ -122,19 +122,22 @@ var packCRC = crc32.MakeTable(crc32.Castagnoli)
 // PackStore with default options whose segments live under dir/pack.
 // It is the one place that knows that layout (-cache-dir and
 // WithCacheDir).
-func OpenCache(dir string) (*PackStore, error) {
-	return OpenPackStore(filepath.Join(dir, "pack"))
+func OpenCache(dir string, tel *telemetry.Registry) (*PackStore, error) {
+	return OpenPackStore(filepath.Join(dir, "pack"), tel)
 }
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
 // at dir, with default options.
-func OpenPackStore(dir string) (*PackStore, error) {
-	return OpenPackStoreWith(dir, PackOptions{})
+func OpenPackStore(dir string, tel *telemetry.Registry) (*PackStore, error) {
+	return OpenPackStoreWith(dir, PackOptions{}, tel)
 }
 
 // OpenPackStoreWith opens a packed segment store with explicit options
-// (tests use tiny segments to force rotation).
-func OpenPackStoreWith(dir string, opts PackOptions) (*PackStore, error) {
+// (tests use tiny segments to force rotation). The store's metrics go to
+// tel, its open-time ones (segments, index rebuilds and writes, orphans
+// swept) included, until SetTelemetry re-points them; nil gives the
+// store a registry of its own.
+func OpenPackStoreWith(dir string, opts PackOptions, tel *telemetry.Registry) (*PackStore, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultMaxSegmentBytes
 	}
@@ -151,7 +154,10 @@ func OpenPackStoreWith(dir string, opts PackOptions) (*PackStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	sweepOrphans(dir, ".tmp-")
+	if tel == nil {
+		tel = telemetry.NewRegistry()
+	}
+	sweepOrphans(dir, ".tmp-", tel)
 	p := &PackStore{
 		dir:       dir,
 		opts:      opts,
@@ -160,7 +166,7 @@ func OpenPackStoreWith(dir string, opts PackOptions) (*PackStore, error) {
 		files:     make(map[int]*os.File),
 		segSizes:  make(map[int]int64),
 		flushDone: make(chan struct{}),
-		tel:       telemetry.Default,
+		tel:       tel,
 	}
 	if err := p.load(); err != nil {
 		p.closeFiles()
@@ -188,11 +194,14 @@ func lockDir(dir string) (*os.File, error) {
 }
 
 // SetTelemetry attributes the store's I/O metrics (batch commits,
-// fsyncs, index rebuilds, CRC failures) to reg; pipeline.Run installs
-// the run's registry here. Open-time events land on telemetry.Default.
+// fsyncs, index rebuilds, CRC failures) to reg from now on; pipeline.Run
+// installs the run's registry here. A nil reg keeps the current one.
 func (p *PackStore) SetTelemetry(reg *telemetry.Registry) {
+	if reg == nil {
+		return
+	}
 	p.mu.Lock()
-	p.tel = telemetry.Or(reg)
+	p.tel = reg
 	p.mu.Unlock()
 }
 

@@ -87,9 +87,9 @@ type Config struct {
 	// serialized but arrive in completion order, which is nondeterministic
 	// under parallel workers; the returned slice stays in job order.
 	Observe func(Record)
-	// Cov receives the run's model coverage (nil selects cov.Default):
-	// each executed job records its execution's and its check's points in
-	// a set of its own, its worker counts them, and every worker's counts
+	// Cov receives the run's model coverage (nil discards it): each
+	// executed job records its execution's and its check's points in a
+	// set of its own, its worker counts them, and every worker's counts
 	// are merged into Cov once, when the run ends however it ends.
 	Cov *cov.Registry
 	// Log, when non-nil, receives progress lines: a rate-limited status
@@ -100,10 +100,10 @@ type Config struct {
 	Log io.Writer
 	// Tel receives the run's telemetry — per-phase latency histograms
 	// (cache lookup/store, execute, check, journal append) and work
-	// counters. nil selects telemetry.Default; sessions pass their own
-	// registry (sibylfs.WithTelemetry) for isolation. Purely
-	// observational: records are byte-identical whatever registry is
-	// installed.
+	// counters (exec.* for the traces it executes). nil gives the run a
+	// registry of its own, which nobody reads; sessions pass theirs.
+	// Purely observational: records are byte-identical whatever registry
+	// is installed.
 	Tel *telemetry.Registry
 }
 
@@ -162,7 +162,10 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	if version == "" {
 		version = osspec.ModelVersion
 	}
-	tel := telemetry.Or(cfg.Tel)
+	tel := cfg.Tel
+	if tel == nil {
+		tel = telemetry.NewRegistry()
+	}
 
 	// Shard selection: stable indices into the shared job list.
 	var jobs []int
@@ -212,8 +215,7 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	}
 
 	start := time.Now()
-	_, span := telemetry.StartSpan(ctx, tel, "pipeline.run")
-	defer span.End()
+	defer tel.Span("pipeline.run").End()
 	tel.Counter("pipeline.jobs").Add(int64(st.Jobs))
 	records := make([]Record, len(jobs))
 	errs := make([]error, len(jobs))
@@ -267,12 +269,10 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		return true
 	})
 	st.Elapsed = time.Since(start)
-	reg := cfg.Cov
-	if reg == nil {
-		reg = cov.Default
-	}
-	for _, w := range ws {
-		reg.Add(&w.covered)
+	if cfg.Cov != nil {
+		for _, w := range ws {
+			cfg.Cov.Add(&w.covered)
+		}
 	}
 	// Group-commit barrier: every exit — success, job error, cancel —
 	// passes through here, so each record that reached the cache is
@@ -452,6 +452,7 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 	}
 	tel.Histogram("pipeline.execute_ns").ObserveSince(execStart)
 	if err == nil {
+		exec.Count(tel, t, cfg.Concurrent)
 		checkStart := time.Now()
 		res, err = w.chk.CheckCtx(ctx, t)
 		tel.Histogram("pipeline.check_ns").ObserveSince(checkStart)

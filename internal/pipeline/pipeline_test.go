@@ -162,7 +162,7 @@ func TestPerWorkerConsTables(t *testing.T) {
 
 func TestCacheHitMissInvalidation(t *testing.T) {
 	scripts := testScripts(t, 8)
-	store, err := OpenCache(t.TempDir())
+	store, err := OpenCache(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 // finalizedRun runs cfg into a fresh sink at path and finalizes it.
 func finalizedRun(t *testing.T, cfg Config, path string, resume bool) Stats {
 	t.Helper()
-	sink, err := OpenSink(path, resume)
+	sink, err := OpenSink(path, resume, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestResumeAfterKill(t *testing.T) {
 	// "Killed" run: journal some records, then chop the file mid-line —
 	// exactly what dying inside an append leaves behind.
 	killed := filepath.Join(dir, "killed.jsonl")
-	sink, err := OpenSink(killed, false)
+	sink, err := OpenSink(killed, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestSummariseMatchesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := Summarise("pipe-test", records)
+	sum := Summarise("pipe-test", records, nil)
 	if sum.Total != len(scripts) {
 		t.Fatalf("summary total %d, want %d", sum.Total, len(scripts))
 	}
@@ -413,7 +413,7 @@ func TestSummariseMatchesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Summarise("pipe-test", loaded).String(); got != sum.String() {
+	if got := Summarise("pipe-test", loaded, nil).String(); got != sum.String() {
 		t.Errorf("summary from JSONL differs:\n%s\nvs\n%s", got, sum.String())
 	}
 }
@@ -452,7 +452,7 @@ func TestRunWorkersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := OpenSink(stale, false)
+	sink, err := OpenSink(stale, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestRunWorkersAgree(t *testing.T) {
 		}
 		var records [][]Record
 		for k := 0; k < 3; k++ {
-			sink, err := OpenSink(path, true)
+			sink, err := OpenSink(path, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

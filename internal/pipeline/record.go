@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"strconv"
+	"time"
 	"unicode/utf8"
 
 	"repro/internal/analysis"
 	"repro/internal/checker"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -201,11 +203,18 @@ func (rec Record) Result() checker.Result {
 
 // Summarise aggregates records into the standard analysis.RunSummary —
 // the bridge that lets sfs-run and sfs-report report from a JSONL sink
-// instead of a monolithic in-memory ([]Trace, []Result) pair.
-func Summarise(config string, records []Record) *analysis.RunSummary {
+// instead of a monolithic in-memory ([]Trace, []Result) pair. The
+// summary's build time goes to tel's analysis.summarise_ns (nil records
+// nothing).
+func Summarise(config string, records []Record, tel *telemetry.Registry) *analysis.RunSummary {
 	results := make([]checker.Result, len(records))
 	for i, rec := range records {
 		results[i] = rec.Result()
 	}
-	return analysis.Summarise(config, nil, results)
+	start := time.Now()
+	sum := analysis.Summarise(config, nil, results)
+	if tel != nil {
+		tel.Histogram("analysis.summarise_ns").ObserveSince(start)
+	}
+	return sum
 }

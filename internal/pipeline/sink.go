@@ -35,7 +35,7 @@ type Sink struct {
 	byKey   map[string]int // key → index into records
 	records []Record
 	lines   [][]byte            // lines[i] is records[i]'s canonical line
-	tel     *telemetry.Registry // nil until SetTelemetry; journal I/O metrics
+	tel     *telemetry.Registry // journal I/O metrics; nil records none
 
 	// chunk is the group-commit buffer and, with the chunks before it,
 	// the storage of lines: each line is appended with its '\n', and
@@ -69,8 +69,7 @@ const (
 
 // SetTelemetry attributes the sink's journal I/O (append counts/bytes/
 // latency, finalize latency) to reg; pipeline.Run installs the run's
-// registry here. Nil disables sink metrics (the sink never falls back to
-// Default on its own — a sink may outlive the run that instrumented it).
+// registry here. Nil disables sink metrics.
 func (s *Sink) SetTelemetry(reg *telemetry.Registry) {
 	s.mu.Lock()
 	s.tel = reg
@@ -80,10 +79,12 @@ func (s *Sink) SetTelemetry(reg *telemetry.Registry) {
 // OpenSink opens the JSONL sink at path. With resume true an existing file
 // is recovered (intact lines kept, a torn tail truncated); with resume
 // false any existing file is replaced. Either way, opening sweeps
-// finalize temp files abandoned by a kill mid-Finalize (see sweepOrphans).
-func OpenSink(path string, resume bool) (*Sink, error) {
-	sweepOrphans(filepath.Dir(path), ".jsonl-")
-	s := &Sink{path: path, byKey: make(map[string]int), flushDone: make(chan struct{})}
+// finalize temp files abandoned by a kill mid-Finalize (see sweepOrphans),
+// counted in tel, which also receives the sink's journal metrics until
+// SetTelemetry replaces it (nil records none).
+func OpenSink(path string, resume bool, tel *telemetry.Registry) (*Sink, error) {
+	sweepOrphans(filepath.Dir(path), ".jsonl-", tel)
+	s := &Sink{path: path, byKey: make(map[string]int), tel: tel, flushDone: make(chan struct{})}
 	if !resume {
 		f, err := os.Create(path)
 		if err != nil {

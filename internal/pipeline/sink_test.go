@@ -28,7 +28,7 @@ func TestStoredLineGuard(t *testing.T) {
 	scripts := testScripts(t, 6)
 	cold := filepath.Join(t.TempDir(), "cold.jsonl")
 	cfg := testConfig(scripts)
-	sink, err := OpenSink(cold, false)
+	sink, err := OpenSink(cold, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStoredLineGuard(t *testing.T) {
 	}
 	for _, tc := range storeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			store, err := OpenCache(t.TempDir())
+			store, err := OpenCache(t.TempDir(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestUsableLine(t *testing.T) {
 // new coverage, and the fuzzer spends its time minimizing them.
 func FuzzSinkResume(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.jsonl")
-	sink, err := OpenSink(path, false)
+	sink, err := OpenSink(path, false, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func FuzzSinkResume(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sink, err := OpenSink(path, true)
+		sink, err := OpenSink(path, true, nil)
 		if err != nil {
 			t.Fatalf("OpenSink: %v", err)
 		}
@@ -219,7 +219,7 @@ func FuzzSinkAppend(f *testing.F) {
 	f.Add([]byte{0xff, 20, 0, 0xff, 30})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		path := filepath.Join(t.TempDir(), "j.jsonl")
-		sink, err := OpenSink(path, false)
+		sink, err := OpenSink(path, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func FuzzSinkAppend(f *testing.F) {
 			if err := os.WriteFile(cutPath, journal[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := OpenSink(cutPath, true)
+			resumed, err := OpenSink(cutPath, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ var benchValue = []byte(fmt.Sprintf(`{"name":"bench","key":%q,"checked":%q,"acce
 // the cache-hit path a warm full-suite run takes ~21k times — reading
 // into one reused buffer, as a pipeline worker does.
 func BenchmarkStoreGet(b *testing.B) {
-	s, err := OpenPackStore(b.TempDir())
+	s, err := OpenPackStore(b.TempDir(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func BenchmarkStoreGet(b *testing.B) {
 // BenchmarkStorePut measures the per-record durable store: one Put
 // followed by its barrier, the worst case: one fsync per record.
 func BenchmarkStorePut(b *testing.B) {
-	s, err := OpenPackStore(b.TempDir())
+	s, err := OpenPackStore(b.TempDir(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func BenchmarkStorePut(b *testing.B) {
 // coalesces the whole batch into one write+fsync.
 func BenchmarkStoreBatchPut(b *testing.B) {
 	const batch = 256
-	s, err := OpenPackStore(b.TempDir())
+	s, err := OpenPackStore(b.TempDir(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

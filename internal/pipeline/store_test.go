@@ -25,7 +25,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		name string
 		open func(dir string) (Store, error)
 	}{
-		{"pack", func(dir string) (Store, error) { return OpenPackStore(dir) }},
+		{"pack", func(dir string) (Store, error) { return OpenPackStore(dir, nil) }},
 	} {
 		t.Run(open.name, func(t *testing.T) {
 			s, err := open.open(t.TempDir())
@@ -72,11 +72,7 @@ func TestPackPersistence(t *testing.T) {
 	keys := packFill(t, dir, 50)
 
 	reg := telemetry.NewRegistry()
-	old := telemetry.Default
-	telemetry.Default = reg
-	defer func() { telemetry.Default = old }()
-
-	p, err := OpenPackStore(dir)
+	p, err := OpenPackStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +92,7 @@ func TestPackPersistence(t *testing.T) {
 // reopen, and that Stats sees the extra segments.
 func TestPackRotation(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenPackStoreWith(dir, PackOptions{MaxSegmentBytes: 512})
+	p, err := OpenPackStoreWith(dir, PackOptions{MaxSegmentBytes: 512}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +119,7 @@ func TestPackRotation(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPackStoreWith(dir, PackOptions{MaxSegmentBytes: 512})
+	p2, err := OpenPackStoreWith(dir, PackOptions{MaxSegmentBytes: 512}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +134,7 @@ func TestPackRotation(t *testing.T) {
 // TestPackOversizeEntry pins the escape hatch: an entry larger than
 // MaxSegmentBytes still stores (in a segment of its own).
 func TestPackOversizeEntry(t *testing.T) {
-	p, err := OpenPackStoreWith(t.TempDir(), PackOptions{MaxSegmentBytes: 128})
+	p, err := OpenPackStoreWith(t.TempDir(), PackOptions{MaxSegmentBytes: 128}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +151,7 @@ func TestPackOversizeEntry(t *testing.T) {
 // TestPackConcurrency hammers one store from many goroutines — the
 // pipeline's worker pool shape — under the race detector.
 func TestPackConcurrency(t *testing.T) {
-	p, err := OpenPackStoreWith(t.TempDir(), PackOptions{MaxSegmentBytes: 4096, FlushBytes: 256})
+	p, err := OpenPackStoreWith(t.TempDir(), PackOptions{MaxSegmentBytes: 4096, FlushBytes: 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +217,7 @@ func TestCacheV1EntryIsMiss(t *testing.T) {
 		}
 	}
 
-	store, err := OpenCache(dir)
+	store, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +255,7 @@ func TestCacheV1ReadThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := OpenCache(dir)
+	c, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +275,7 @@ func TestCacheV1ReadThrough(t *testing.T) {
 		t.Fatalf("no pack segment created: %v", err)
 	}
 
-	c2, err := OpenCache(dir)
+	c2, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +289,7 @@ func TestCacheV1ReadThrough(t *testing.T) {
 // the pack backend and nothing else: after a write, dir holds only pack/.
 func TestCacheFreshDirHasNoFallback(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir)
+	c, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +385,7 @@ func TestBackendJSONLParity(t *testing.T) {
 		return finalizedRun(t, cfg, path, false), readFile(t, path)
 	}
 	dir := t.TempDir()
-	cold, err := OpenCache(dir)
+	cold, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +394,7 @@ func TestBackendJSONLParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := OpenCache(dir)
+	warm, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +420,7 @@ func TestBackendJSONLParity(t *testing.T) {
 // run returned ctx.Err and nobody Closed the cache.
 func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenCache(dir)
+	store, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +443,7 @@ func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 	// No Close: simulate the process dying right after Run returns, then
 	// open the directory fresh and count durable entries.
 	abandon(store)
-	c2, err := OpenCache(dir)
+	c2, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +462,7 @@ func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 func TestStoreConformance(t *testing.T) {
 	t.Run("pack", func(t *testing.T) {
 		dir := t.TempDir()
-		s, err := OpenPackStore(dir)
+		s, err := OpenPackStore(dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,82 +6,48 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sched is the daemon's work-stealing job scheduler: one deque per
-// worker, round-robin submission, and idle workers stealing from the
-// back of the longest other deque. Jobs are coarse units (whole
-// suites), so a single mutex over all deques costs nothing while
-// keeping the stealing decision — which queue is longest — exact.
+// sched is the daemon's job queue: one FIFO under one mutex, so jobs
+// start in submission order whichever worker is free. Jobs are coarse
+// units (whole suites), so workers contend for the lock once per job.
 type sched struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues [][]*job
-	next   int // round-robin submission target
+	queue  []*job
 	closed bool
 	tel    *telemetry.Registry
 }
 
-func newSched(workers int, tel *telemetry.Registry) *sched {
-	sc := &sched{queues: make([][]*job, workers), tel: tel}
+func newSched(tel *telemetry.Registry) *sched {
+	sc := &sched{tel: tel}
 	sc.cond = sync.NewCond(&sc.mu)
 	return sc
 }
 
-// push enqueues j on the next deque round-robin and wakes a worker.
+// push enqueues j and wakes a worker.
 func (sc *sched) push(j *job) {
 	sc.mu.Lock()
-	sc.queues[sc.next] = append(sc.queues[sc.next], j)
-	sc.next = (sc.next + 1) % len(sc.queues)
-	sc.tel.Gauge("serve.queue_depth").Set(int64(sc.depthLocked()))
+	sc.queue = append(sc.queue, j)
+	sc.tel.Gauge("serve.queue_depth").Set(int64(len(sc.queue)))
 	sc.mu.Unlock()
-	sc.cond.Broadcast()
+	sc.cond.Signal()
 }
 
-// pop blocks until a job is available for worker (its own deque's
-// front first, then a steal from the back of the longest other deque)
-// or the scheduler closes; ok is false on close.
-func (sc *sched) pop(worker int) (*job, bool) {
+// pop blocks until a job is queued, and returns the oldest, or until the
+// scheduler closes; ok is false on close.
+func (sc *sched) pop() (*job, bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for {
-		if j, ok := sc.takeLocked(worker); ok {
-			sc.tel.Gauge("serve.queue_depth").Set(int64(sc.depthLocked()))
-			return j, true
-		}
+	for len(sc.queue) == 0 {
 		if sc.closed {
 			return nil, false
 		}
 		sc.cond.Wait()
 	}
-}
-
-func (sc *sched) takeLocked(worker int) (*job, bool) {
-	if q := sc.queues[worker]; len(q) > 0 {
-		j := q[0]
-		sc.queues[worker] = q[1:]
-		return j, true
-	}
-	victim, best := -1, 0
-	for i, q := range sc.queues {
-		if i != worker && len(q) > best {
-			victim, best = i, len(q)
-		}
-	}
-	if victim < 0 {
-		return nil, false
-	}
-	q := sc.queues[victim]
-	j := q[len(q)-1]
-	sc.queues[victim] = q[:len(q)-1]
-	sc.tel.Counter("serve.steals").Inc()
+	j := sc.queue[0]
+	sc.queue[0] = nil
+	sc.queue = sc.queue[1:]
+	sc.tel.Gauge("serve.queue_depth").Set(int64(len(sc.queue)))
 	return j, true
-}
-
-func (sc *sched) depthLocked() int {
-	n := 0
-	for _, q := range sc.queues {
-		n += len(q)
-	}
-	return n
 }
 
 // close wakes every blocked worker with "no more work".

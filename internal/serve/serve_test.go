@@ -166,6 +166,44 @@ func TestServeParityColdWarm(t *testing.T) {
 	}
 }
 
+// TestServeJobStatsCoverWholeJob: a job's stats hold everything its run
+// did, generation and execution included, not only the pipeline's share:
+// every generated script reaches the pipeline, and every executed one is
+// counted by exec. The crash universe keeps the suite small while
+// running on the sequential executor.
+func TestServeJobStatsCoverWholeJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	srv, client, stop := newTestServer(t, t.TempDir(), 1, 2)
+	defer stop()
+	st, err := client.SubmitJob(ctx, serveapi.JobSpec{FS: "ext4", Universe: cliutil.UniverseCrash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := client.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != serveapi.StateDone || done.Executed == 0 {
+		t.Fatalf("job state %s (%s), executed %d", done.State, done.Error, done.Executed)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/stats", nil))
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("stats: %v\n%s", err, rec.Body.String())
+	}
+	c := snap.Counters
+	if c["testgen.scripts"] != c["pipeline.jobs"] || c["pipeline.jobs"] != int64(done.Jobs) {
+		t.Errorf("testgen.scripts %d, pipeline.jobs %d, job's jobs %d: want all equal",
+			c["testgen.scripts"], c["pipeline.jobs"], done.Jobs)
+	}
+	if c["exec.traces"] != c["pipeline.executed"] || c["pipeline.executed"] != int64(done.Executed) {
+		t.Errorf("exec.traces %d, pipeline.executed %d, job's executed %d: want all equal",
+			c["exec.traces"], c["pipeline.executed"], done.Executed)
+	}
+}
+
 // TestServeRecordsStream pins the live NDJSON stream: a subscriber that
 // attaches while the job runs sees every record and returns when the
 // job settles.
@@ -431,35 +469,65 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSchedulerSteal pins the work-stealing discipline: an idle worker
-// drains its own deque front-first, then steals from the back of the
-// longest other deque.
-func TestSchedulerSteal(t *testing.T) {
+// TestSchedulerFIFO pins the job order: queued jobs start in submission
+// order whichever worker is free. Here one worker is busy on B while C, D,
+// E and F are submitted, and the other worker must start them as C, D, E,
+// F (per-worker deques with stealing started them as C, E, F, D).
+func TestSchedulerFIFO(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sc := newSched(2, reg)
+	sc := newSched(reg)
 	mk := func(id string) *job { return newJob(id, serveapi.JobSpec{}, "") }
-	j1, j2, j3, j4 := mk("1"), mk("2"), mk("3"), mk("4")
-	// Round-robin lands these as q0=[j1,j3], q1=[j2,j4].
-	for _, j := range []*job{j1, j2, j3, j4} {
+	a, b := mk("A"), mk("B")
+	sc.push(a)
+	sc.push(b)
+	if g, _ := sc.pop(); g != a {
+		t.Fatalf("first pop = %s, want A", g.id)
+	}
+	if g, _ := sc.pop(); g != b {
+		t.Fatalf("second pop = %s, want B", g.id)
+	}
+	jobs := []*job{mk("C"), mk("D"), mk("E"), mk("F")}
+	for _, j := range jobs {
 		sc.push(j)
 	}
-	if g, _ := sc.pop(0); g != j1 {
-		t.Fatalf("pop(0) = %s, want own-front j1", g.id)
+	if n := reg.Gauge("serve.queue_depth").Value(); n != 4 {
+		t.Fatalf("serve.queue_depth = %d, want 4", n)
 	}
-	if g, _ := sc.pop(0); g != j3 {
-		t.Fatalf("pop(0) = %s, want own-front j3", g.id)
+	for _, want := range jobs {
+		if g, _ := sc.pop(); g != want {
+			t.Fatalf("pop = %s, want %s", g.id, want.id)
+		}
 	}
-	if g, _ := sc.pop(0); g != j4 {
-		t.Fatalf("pop(0) = %s, want steal from the BACK of q1 (j4)", g.id)
+	if n := reg.Gauge("serve.queue_depth").Value(); n != 0 {
+		t.Fatalf("serve.queue_depth = %d after draining, want 0", n)
 	}
-	if n := reg.Counter("serve.steals").Value(); n != 1 {
-		t.Fatalf("steals = %d, want 1", n)
+}
+
+// TestSchedulerCloseWakesWorkers: workers blocked on an empty queue all
+// return "no more work" when the scheduler closes.
+func TestSchedulerCloseWakesWorkers(t *testing.T) {
+	sc := newSched(telemetry.NewRegistry())
+	const workers = 3
+	done := make(chan bool, workers)
+	for range workers {
+		go func() {
+			_, ok := sc.pop()
+			done <- ok
+		}()
 	}
-	if g, _ := sc.pop(1); g != j2 {
-		t.Fatalf("pop(1) = %s, want j2", g.id)
-	}
+	time.Sleep(20 * time.Millisecond) // let the workers block in pop
 	sc.close()
-	if _, ok := sc.pop(0); ok {
-		t.Fatal("pop after close must report no work")
+	for range workers {
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatal("pop after close reported work")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("close left a worker blocked in pop")
+		}
+	}
+	if _, ok := sc.pop(); ok {
+		t.Fatal("pop on a closed, empty scheduler reported work")
 	}
 }

@@ -1,8 +1,8 @@
 // Package serve is the check-as-a-service daemon behind cmd/sfs-serve:
 // an HTTP front end (JSON + NDJSON streaming, stdlib only) over the
-// Session facade. Clients submit suite specs as jobs; a work-stealing
-// scheduler fans the jobs across worker goroutines, each driving an
-// isolated Session with a per-job resumable journal under the data
+// Session facade. Clients submit suite specs as jobs; a FIFO scheduler
+// hands them, in submission order, to worker goroutines, each driving
+// an isolated Session with a per-job resumable journal under the data
 // directory; and every job shares the daemon's content-addressed
 // result store, so a resubmitted suite is served warm. A killed daemon
 // restarted on the same data directory re-enqueues its unfinished jobs
@@ -46,8 +46,10 @@ type Options struct {
 	Workers int
 	// Log receives progress lines (job transitions); nil is silent.
 	Log io.Writer
-	// Tel receives the daemon's serve.* metrics (nil = telemetry.Default,
-	// which is what -debug-addr serves).
+	// Tel receives the daemon's serve.* metrics and the shared store's
+	// open-time ones (nil gives the daemon a registry of its own). Each
+	// job records into a registry of its own, served at
+	// /v1/jobs/{id}/stats.
 	Tel *telemetry.Registry
 }
 
@@ -89,16 +91,19 @@ func New(opts Options) (*Server, error) {
 	if err := os.MkdirAll(filepath.Join(opts.DataDir, "jobs"), 0o755); err != nil {
 		return nil, err
 	}
-	store, err := pipeline.OpenPackStore(filepath.Join(opts.DataDir, "cache"))
+	tel := opts.Tel
+	if tel == nil {
+		tel = telemetry.NewRegistry()
+	}
+	store, err := pipeline.OpenPackStore(filepath.Join(opts.DataDir, "cache"), tel)
 	if err != nil {
 		return nil, err
 	}
-	tel := telemetry.Or(opts.Tel)
 	s := &Server{
 		opts:  opts,
 		tel:   tel,
 		store: store,
-		sched: newSched(opts.Jobs, tel),
+		sched: newSched(tel),
 		jobs:  make(map[string]*job),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -107,9 +112,9 @@ func New(opts Options) (*Server, error) {
 		store.Close()
 		return nil, err
 	}
-	for w := 0; w < opts.Jobs; w++ {
+	for range opts.Jobs {
 		s.wg.Add(1)
-		go s.worker(w)
+		go s.worker()
 	}
 	return s, nil
 }
@@ -189,12 +194,12 @@ func (s *Server) Close() error {
 	return s.store.Close()
 }
 
-// worker is one scheduler worker: pop (or steal) a job, run it to a
+// worker is one scheduler worker: pop the oldest queued job, run it to a
 // settled state, repeat until close.
-func (s *Server) worker(id int) {
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.sched.pop(id)
+		j, ok := s.sched.pop()
 		if !ok {
 			return
 		}

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
@@ -35,25 +34,16 @@ func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
-// expvarOnce guards the process-global expvar publication: expvar.Publish
-// panics on duplicate names, and a process may open several debug servers
-// over its lifetime (tests do).
-var expvarOnce sync.Once
-
 // ServeDebug starts the debug HTTP server on addr (e.g. "localhost:6060";
 // ":0" picks a free port — read it back with Addr). The server runs until
-// Close; handler errors never affect the instrumented run.
+// Close; handler errors never affect the instrumented run. /stats.json
+// and /metrics serve reg; /debug/vars is the process's expvar page
+// (memstats, cmdline).
 func ServeDebug(addr string, reg *Registry, h Header) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	expvarOnce.Do(func() {
-		// Also visible under /debug/vars, next to memstats and cmdline.
-		// First server wins the slot; later registries are still fully
-		// served by their own /stats.json.
-		expvar.Publish("sfs_telemetry", expvar.Func(func() any { return reg.Snapshot() }))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {

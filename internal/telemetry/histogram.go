@@ -125,13 +125,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	return h.max.Load()
 }
-
-// reset zeroes the histogram (Registry.Reset).
-func (h *Histogram) reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}

@@ -25,8 +25,8 @@ type Snapshot struct {
 	Version   string    `json:"version,omitempty"`
 	GoVersion string    `json:"go_version"`
 	Time      time.Time `json:"time"`
-	// UptimeSec is the registry's age — for the Default registry,
-	// effectively the process uptime.
+	// UptimeSec is the registry's age — for a registry a CLI creates at
+	// the top of main, effectively the process uptime.
 	UptimeSec float64 `json:"uptime_sec"`
 
 	Counters map[string]int64        `json:"counters,omitempty"`

@@ -1,61 +1,23 @@
 package telemetry
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
-// Span is a lightweight timing scope. Spans nest: a child's path is
-// "parent/child", and ending a span records its duration into the
-// registry's "span.<path>" histogram and streams a SpanEvent to the
-// registry's OnSpanEnd observer (the seam TUI-style progress hangs off).
-// Spans are not retained individually — a million per run cost a million
-// histogram observations, nothing more.
+// Span is a lightweight timing scope: ending it records its duration into
+// the registry's "span.<name>" histogram. Spans are not retained
+// individually — a million per run cost a million histogram observations,
+// nothing more.
 //
-// All methods are nil-safe: a nil *Span is an always-off span, so call
-// sites never need their own guards.
+// End is nil-safe: a nil *Span is an always-off span, so call sites never
+// need their own guards.
 type Span struct {
 	reg   *Registry
-	path  string
+	name  string
 	start time.Time
 }
 
-// SpanEvent describes one ended span.
-type SpanEvent struct {
-	// Path is the slash-joined nesting path ("session.run/execute").
-	Path     string
-	Start    time.Time
-	Duration time.Duration
-}
-
-// Span starts a new root span.
+// Span starts a span named name.
 func (r *Registry) Span(name string) *Span {
-	return &Span{reg: r, path: name, start: time.Now()}
-}
-
-// OnSpanEnd installs fn as the registry's span-event observer (nil
-// removes it). fn is called synchronously from End and must be fast and
-// must not call back into span creation on the same goroutine chain it
-// observes.
-func (r *Registry) OnSpanEnd(fn func(SpanEvent)) {
-	r.spanMu.Lock()
-	r.onSpan = fn
-	r.spanMu.Unlock()
-}
-
-func (r *Registry) spanObserver() func(SpanEvent) {
-	r.spanMu.RLock()
-	fn := r.onSpan
-	r.spanMu.RUnlock()
-	return fn
-}
-
-// Child starts a nested span.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{reg: s.reg, path: s.path + "/" + name, start: time.Now()}
+	return &Span{reg: r, name: name, start: time.Now()}
 }
 
 // End finishes the span, recording its duration. Safe to call once.
@@ -64,47 +26,6 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.reg.Histogram("span." + s.path).Observe(int64(d))
-	if fn := s.reg.spanObserver(); fn != nil {
-		fn(SpanEvent{Path: s.path, Start: s.start, Duration: d})
-	}
+	s.reg.Histogram("span." + s.name).Observe(int64(d))
 	return d
-}
-
-// Path returns the span's nesting path ("" for nil).
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
-type spanCtxKey struct{}
-
-// ContextWithSpan returns ctx carrying s, so layers below can nest under
-// it without threading *Span parameters through every signature.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
-}
-
-// StartSpan starts a span named name in r, nested under ctx's span when
-// one is present (the child records into r regardless of which registry
-// the parent belonged to). The returned context carries the new span.
-func StartSpan(ctx context.Context, r *Registry, name string) (context.Context, *Span) {
-	var s *Span
-	if parent := SpanFromContext(ctx); parent != nil {
-		s = &Span{reg: r, path: parent.path + "/" + name, start: time.Now()}
-	} else {
-		s = r.Span(name)
-	}
-	return ContextWithSpan(ctx, s), s
 }

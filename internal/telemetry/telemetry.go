@@ -45,29 +45,23 @@ func (g *Gauge) SetMax(n int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Registry owns a named set of counters, gauges, histograms and span
-// streams. Metric handles are created on first use and live for the
-// registry's lifetime; Counter/Gauge/Histogram are cheap enough to call on
-// hot paths, but hot loops should still hoist the handle out.
+// Registry owns a named set of counters, gauges and histograms (spans
+// record into histograms). Metric handles are created on first use and
+// live for the registry's lifetime; Counter/Gauge/Histogram are cheap
+// enough to call on hot paths, but hot loops should still hoist the
+// handle out.
 //
-// The package-level Default registry backs every path not configured with
-// an explicit registry. Isolated registries (one per sibylfs.Session) never
-// see each other's figures.
+// There is no process-wide registry: every registry has an owner (a
+// sibylfs.Session, a CLI's main, the sfs-serve daemon or one of its
+// jobs), and registries never see each other's figures.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	spanMu sync.RWMutex
-	onSpan func(SpanEvent)
-
 	created time.Time
 }
-
-// Default is the process-wide registry: legacy call paths and
-// single-session CLIs record here.
-var Default = NewRegistry()
 
 // NewRegistry returns a fresh, isolated registry.
 func NewRegistry() *Registry {
@@ -77,15 +71,6 @@ func NewRegistry() *Registry {
 		hists:    make(map[string]*Histogram),
 		created:  time.Now(),
 	}
-}
-
-// Or returns r, or Default when r is nil — the resolution every
-// instrumented layer applies to its optional registry configuration.
-func Or(r *Registry) *Registry {
-	if r != nil {
-		return r
-	}
-	return Default
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -137,22 +122,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every counter, gauge and histogram. Tests and long-lived
-// daemons use it; the handles stay valid.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
 }
 
 // sortedKeys returns m's keys in sorted order (deterministic snapshots).

@@ -1,9 +1,6 @@
 package testgen
 
 import (
-	"time"
-
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -20,7 +17,6 @@ import (
 // by DirStreamScripts, and mixing it with call interleaving would multiply
 // envelope sizes without testing anything new.
 func ConcurrentScripts() []*trace.Script {
-	start := time.Now()
 	var out []*trace.Script
 	out = append(out, concMkdirRaces()...)
 	out = append(out, concExclCreateRaces()...)
@@ -28,8 +24,6 @@ func ConcurrentScripts() []*trace.Script {
 	out = append(out, concRenameRaces()...)
 	out = append(out, concTreeRaces()...)
 	out = append(out, concPermissionRaces()...)
-	telemetry.Default.Histogram("testgen.generate_ns").ObserveSince(start)
-	telemetry.Default.Counter("testgen.scripts").Add(int64(len(out)))
 	return out
 }
 

@@ -1,9 +1,6 @@
 package testgen
 
 import (
-	"time"
-
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -21,7 +18,6 @@ import (
 // event with no per-process program order) and require Spec.Crash plus a
 // crash-profiled implementation.
 func CrashScripts() []*trace.Script {
-	start := time.Now()
 	var out []*trace.Script
 	out = append(out, crashWriteScripts()...)
 	out = append(out, crashBarrierScripts()...)
@@ -30,8 +26,6 @@ func CrashScripts() []*trace.Script {
 	out = append(out, crashTreeScripts()...)
 	out = append(out, crashOSyncScripts()...)
 	out = append(out, crashDoubleScripts()...)
-	telemetry.Default.Histogram("testgen.generate_ns").ObserveSince(start)
-	telemetry.Default.Counter("testgen.scripts").Add(int64(len(out)))
 	return out
 }
 

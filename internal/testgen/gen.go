@@ -3,9 +3,7 @@ package testgen
 import (
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -22,11 +20,6 @@ type Suite struct {
 // tests, multi-process permission tests, and the hand-written survey
 // scenarios.
 func Generate() *Suite {
-	// Generation is paid on every cold invocation (ROADMAP item 5 wants
-	// it cached); the Default-registry histogram is what attributes that
-	// cost in stats-JSON dumps. Generation is deterministic, so telemetry
-	// here can never influence suite content.
-	start := time.Now()
 	s := &Suite{}
 	s.Scripts = append(s.Scripts, SinglePathScripts()...)
 	s.Scripts = append(s.Scripts, TwoPathScripts()...)
@@ -36,8 +29,6 @@ func Generate() *Suite {
 	s.Scripts = append(s.Scripts, DirStreamScripts()...)
 	s.Scripts = append(s.Scripts, PermissionScripts()...)
 	s.Scripts = append(s.Scripts, HandwrittenScripts()...)
-	telemetry.Default.Histogram("testgen.generate_ns").ObserveSince(start)
-	telemetry.Default.Counter("testgen.scripts").Add(int64(len(s.Scripts)))
 	return s
 }
 

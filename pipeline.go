@@ -28,9 +28,10 @@ type (
 // OpenPackStore opens (creating if needed) a packed segment store rooted
 // at dir — the ResultStore backend, exposed for WithStore. It fails if
 // another store, in this process or another, holds dir; Close releases
-// it. On error the store is nil.
+// it. On error the store is nil. The store counts its I/O in a registry
+// of its own until a session's Run points it at the session's.
 func OpenPackStore(dir string) (ResultStore, error) {
-	p, err := pipeline.OpenPackStore(dir)
+	p, err := pipeline.OpenPackStore(dir, nil)
 	if err != nil {
 		return nil, err // not a ResultStore holding a nil *PackStore
 	}
@@ -38,7 +39,8 @@ func OpenPackStore(dir string) (ResultStore, error) {
 }
 
 // OpenResultSink opens the JSONL sink at path; resume recovers an
-// interrupted run's journal instead of replacing it.
+// interrupted run's journal instead of replacing it. Its journal metrics
+// go to the registry of the pipeline run it serves.
 func OpenResultSink(path string, resume bool) (*ResultSink, error) {
-	return pipeline.OpenSink(path, resume)
+	return pipeline.OpenSink(path, resume, nil)
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/checker"
@@ -46,11 +47,10 @@ import (
 //	})
 //
 // A Session is safe for concurrent use; several sessions may coexist in
-// one process. By default they share the process-wide coverage registry;
-// give each its own with WithCoverage(NewCoverageRegistry()) and their
-// coverage figures stay fully isolated (see CoverageRegistry). The same
-// model applies to metrics: sessions record into telemetry.Default unless
-// WithTelemetry(NewTelemetryRegistry()) gives them a private registry.
+// one process. Each session records its model coverage and its metrics
+// into registries of its own, so one session's figures never move
+// another's; WithCoverage and WithTelemetry share a registry between
+// chosen sessions, or hand the caller one to read (a CLI's -stats-json).
 type Session struct {
 	spec        Spec
 	workers     int
@@ -61,8 +61,8 @@ type Session struct {
 	journalDir  string
 	resume      bool
 	observer    func(PipelineRecord)
-	reg         *cov.Registry       // nil = cov.Default
-	tel         *telemetry.Registry // nil = telemetry.Default
+	reg         *cov.Registry       // never nil after New
+	tel         *telemetry.Registry // never nil after New
 	log         io.Writer
 
 	cacheOnce sync.Once
@@ -82,12 +82,18 @@ type Session struct {
 type Option func(*Session)
 
 // New constructs a Session. The zero configuration checks against
-// DefaultSpec with GOMAXPROCS workers, no cache, no journal and the
-// shared process-wide coverage registry.
+// DefaultSpec with GOMAXPROCS workers, no cache, no journal, and
+// coverage and telemetry registries of the session's own.
 func New(opts ...Option) *Session {
 	s := &Session{spec: DefaultSpec()}
 	for _, o := range opts {
 		o(s)
+	}
+	if s.reg == nil {
+		s.reg = cov.NewRegistry()
+	}
+	if s.tel == nil {
+		s.tel = telemetry.NewRegistry()
 	}
 	return s
 }
@@ -148,25 +154,24 @@ func WithResume() Option { return func(s *Session) { s.resume = true } }
 // into the session.
 func WithObserver(fn func(PipelineRecord)) Option { return func(s *Session) { s.observer = fn } }
 
-// WithCoverage gives the session its own coverage registry (or shares one
-// between chosen sessions): model coverage reached by this session's
-// execution, checking, pipeline and fuzzing is merged into reg, and the
-// session's Coverage/CoverageUnhit/ResetCoverage read and reset reg
-// instead of cov.Default — two sessions with distinct registries never
-// see each other's hits, and ResetCoverage loses its process-global blast
-// radius. Isolation is free: every trace records its points in a set of
-// its own and merges it once, so no lock is shared with other sessions.
+// WithCoverage sets the session's coverage registry, to share one between
+// chosen sessions (without it the session makes its own): model coverage
+// reached by this session's execution, checking, pipeline and fuzzing is
+// merged into reg, and the session's Coverage/CoverageUnhit/ResetCoverage
+// read and reset reg. Isolation is free: every trace records its points
+// in a set of its own and merges it once, so no lock is shared with other
+// sessions.
 func WithCoverage(reg *CoverageRegistry) Option { return func(s *Session) { s.reg = reg } }
 
 // WithLog sends progress lines (pipeline stats, fuzz session progress)
 // to w.
 func WithLog(w io.Writer) Option { return func(s *Session) { s.log = w } }
 
-// WithTelemetry gives the session its own telemetry registry: counters,
-// gauges, latency histograms and spans recorded by this session's
-// checking, pipeline and fuzzing land in reg instead of the shared
-// telemetry.Default — two sessions with distinct registries never see
-// each other's figures. Like coverage isolation, telemetry isolation is
+// WithTelemetry sets the session's telemetry registry, so the caller can
+// read it or share it between chosen sessions (without it the session
+// makes its own): counters, gauges, latency histograms and spans recorded
+// by this session's generation, execution, checking, pipeline, store and
+// fuzzing land in reg. Like coverage isolation, telemetry isolation is
 // free: registries are just independent sets of atomics. Read reg with
 // its Snapshot / WriteJSON / WritePrometheus methods.
 func WithTelemetry(reg *TelemetryRegistry) Option { return func(s *Session) { s.tel = reg } }
@@ -189,16 +194,16 @@ func (s *Session) Spec() Spec { return s.spec }
 
 // openCache lazily opens the session's result store (nil without
 // WithCacheDir/WithStore), inside a session.open_cache span: the first
-// call opens the store and loads or rebuilds its index. An injected
-// store opens nothing. The store is shared by every method of the
-// session.
+// call opens the store and loads or rebuilds its index, counting that
+// work in the session's registry. An injected store opens nothing. The
+// store is shared by every method of the session.
 func (s *Session) openCache() (pipeline.Store, error) {
 	s.cacheOnce.Do(func() {
 		if s.store != nil || s.cacheDir == "" {
 			return
 		}
-		defer telemetry.Or(s.tel).Span("session.open_cache").End()
-		pack, err := pipeline.OpenCache(s.cacheDir)
+		defer s.tel.Span("session.open_cache").End()
+		pack, err := pipeline.OpenCache(s.cacheDir, s.tel)
 		if err != nil {
 			s.cacheErr = err // s.store stays nil, not a nil *PackStore
 			return
@@ -246,21 +251,13 @@ func (s *Session) CacheStats() (StoreStats, bool) {
 
 // Generate builds the full sequential test suite (§6.1).
 func (s *Session) Generate(ctx context.Context) ([]*Script, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	defer telemetry.Or(s.tel).Span("session.generate").End()
-	return testgen.Generate().Scripts, nil
+	return s.generate(ctx, func() []*Script { return testgen.Generate().Scripts })
 }
 
 // GenerateConcurrent builds the multi-process concurrency universe; run
 // it through ExecuteConcurrent so the calls genuinely interleave.
 func (s *Session) GenerateConcurrent(ctx context.Context) ([]*Script, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	defer telemetry.Or(s.tel).Span("session.generate").End()
-	return testgen.ConcurrentScripts(), nil
+	return s.generate(ctx, testgen.ConcurrentScripts)
 }
 
 // GenerateCrash builds the crash-consistency universe (crash___ scripts:
@@ -269,11 +266,21 @@ func (s *Session) GenerateConcurrent(ctx context.Context) ([]*Script, error) {
 // sequential-executor only — against a crash-profiled implementation, and
 // check with a Spec.Crash session.
 func (s *Session) GenerateCrash(ctx context.Context) ([]*Script, error) {
+	return s.generate(ctx, testgen.CrashScripts)
+}
+
+// generate runs gen inside a session.generate span, timing it in
+// testgen.generate_ns and counting its scripts in testgen.scripts.
+func (s *Session) generate(ctx context.Context, gen func() []*Script) ([]*Script, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	defer telemetry.Or(s.tel).Span("session.generate").End()
-	return testgen.CrashScripts(), nil
+	defer s.tel.Span("session.generate").End()
+	start := time.Now()
+	scripts := gen()
+	s.tel.Histogram("testgen.generate_ns").ObserveSince(start)
+	s.tel.Counter("testgen.scripts").Add(int64(len(scripts)))
+	return scripts, nil
 }
 
 // scriptHashes is the pipeline's Config.HashScripts hook: memoised per
@@ -307,21 +314,14 @@ func (s *Session) scriptHashes(scripts []*Script, hashes []string) {
 	s.hashMu.Unlock()
 }
 
-// coverage returns the registry this session's model coverage is merged
-// into.
-func (s *Session) coverage() *cov.Registry {
-	if s.reg != nil {
-		return s.reg
-	}
-	return cov.Default
-}
-
 // Execute runs scripts against fresh instances from factory (§6.2) with
 // the session's worker pool, cancelling between scripts and between
 // steps. A model-backed factory (SpecFS) adds each trace's execution-side
 // coverage to the session's registry.
 func (s *Session) Execute(ctx context.Context, scripts []*Script, factory Factory) ([]*Trace, error) {
-	return exec.RunAll(ctx, scripts, factory, s.workers, s.coverage())
+	traces, err := exec.RunAll(ctx, scripts, factory, s.workers, s.reg)
+	s.countExecuted(traces, false)
+	return traces, err
 }
 
 // ExecuteConcurrent runs scripts with one goroutine per script process,
@@ -331,7 +331,19 @@ func (s *Session) ExecuteConcurrent(ctx context.Context, scripts []*Script, fact
 	if opts.Workers <= 0 {
 		opts.Workers = s.workers
 	}
-	return exec.RunAllConcurrent(ctx, scripts, factory, opts, s.coverage())
+	traces, err := exec.RunAllConcurrent(ctx, scripts, factory, opts, s.reg)
+	s.countExecuted(traces, true)
+	return traces, err
+}
+
+// countExecuted adds the traces an Execute call produced (nil slots were
+// not executed) to the session's exec.* counters.
+func (s *Session) countExecuted(traces []*Trace, concurrent bool) {
+	for _, t := range traces {
+		if t != nil {
+			exec.Count(s.tel, t, concurrent)
+		}
+	}
 }
 
 // Check runs the oracle over traces with the session's spec and worker
@@ -346,14 +358,13 @@ func (s *Session) Check(ctx context.Context, traces []*Trace) ([]CheckResult, er
 		workers = runtime.GOMAXPROCS(0)
 	}
 	chks := make([]*checker.Checker, workers)
-	reg := s.coverage()
 	results := make([]CheckResult, len(traces))
 	par.Each(ctx, workers, len(traces), func(w, i int) bool {
 		if chks[w] == nil {
 			chks[w] = s.newChecker()
 		}
 		results[i], _ = chks[w].CheckCtx(ctx, traces[i])
-		reg.Merge(&results[i].Coverage)
+		s.reg.Merge(&results[i].Coverage)
 		return true
 	})
 	return results, ctx.Err()
@@ -362,7 +373,7 @@ func (s *Session) Check(ctx context.Context, traces []*Trace) ([]CheckResult, er
 // CheckOne checks a single trace.
 func (s *Session) CheckOne(ctx context.Context, t *Trace) (CheckResult, error) {
 	res, err := s.newChecker().CheckCtx(ctx, t)
-	s.coverage().Merge(&res.Coverage)
+	s.reg.Merge(&res.Coverage)
 	return res, err
 }
 
@@ -414,7 +425,7 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 	if err != nil {
 		return nil, PipelineStats{}, err
 	}
-	defer telemetry.Or(s.tel).Span("session.run").End()
+	defer s.tel.Span("session.run").End()
 	cfg := pipeline.Config{
 		Name:         job.Name,
 		Scripts:      job.Scripts,
@@ -450,7 +461,7 @@ func (s *Session) runSink(ctx context.Context, cfg pipeline.Config, path string)
 	if path == "" {
 		return pipeline.Run(ctx, cfg)
 	}
-	sink, err := pipeline.OpenSink(path, s.resume)
+	sink, err := pipeline.OpenSink(path, s.resume, s.tel)
 	if err != nil {
 		return nil, PipelineStats{}, err
 	}
@@ -485,7 +496,7 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 			return nil, err
 		}
 	}
-	defer telemetry.Or(s.tel).Span("session.survey").End()
+	defer s.tel.Span("session.survey").End()
 	var out []SurveyResult
 	for _, cfg := range configs {
 		if err := ctx.Err(); err != nil {
@@ -526,7 +537,7 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		}
 		out = append(out, SurveyResult{
 			Config:  cfg,
-			Summary: pipeline.Summarise(cfg.Name, records),
+			Summary: pipeline.Summarise(cfg.Name, records, s.tel),
 		})
 	}
 	return out, nil
@@ -539,6 +550,7 @@ func (s *Session) MergeSurvey(ctx context.Context, results []SurveyResult) (*ana
 	for i, r := range results {
 		runs[i] = r.Summary
 	}
+	defer s.tel.Histogram("analysis.merge_ns").ObserveSince(time.Now())
 	return analysis.MergeCtx(ctx, runs)
 }
 
@@ -580,7 +592,7 @@ type FuzzJob struct {
 // the normal end of a session: the corpus and findings collected so far
 // are reported as usual.
 func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
-	defer telemetry.Or(s.tel).Span("session.fuzz").End()
+	defer s.tel.Span("session.fuzz").End()
 	return fuzz.Run(ctx, FuzzConfig{
 		Name:         job.Name,
 		Factory:      job.Factory,
@@ -599,17 +611,15 @@ func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
 	})
 }
 
-// Coverage reports the session's model coverage-point statistics (§7.2):
-// its registry's with WithCoverage, cov.Default's otherwise.
-func (s *Session) Coverage() (hit, total int) { return s.coverage().Stats() }
+// Coverage reports the session's model coverage-point statistics (§7.2).
+func (s *Session) Coverage() (hit, total int) { return s.reg.Stats() }
 
 // CoverageUnhit lists coverage points this session never exercised.
-func (s *Session) CoverageUnhit() []string { return s.coverage().Unhit() }
+func (s *Session) CoverageUnhit() []string { return s.reg.Unhit() }
 
-// ResetCoverage zeroes the session's coverage counters. With an isolated
-// registry this touches nothing process-global — the footgun the old
-// package-level ResetCoverage had.
-func (s *Session) ResetCoverage() { s.coverage().Reset() }
+// ResetCoverage zeroes the session's coverage counters (and those of any
+// session sharing its registry through WithCoverage).
+func (s *Session) ResetCoverage() { s.reg.Reset() }
 
 // surveySinkName maps a configuration name to its JSONL file name.
 func surveySinkName(config string) string {

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,6 @@ import (
 
 	"repro/internal/checker"
 	"repro/internal/pipeline"
-	"repro/internal/telemetry"
 )
 
 // TestSessionGoldenParity drives the same seq_slice7 suite once through
@@ -486,9 +486,9 @@ func TestConcurrentSessionCoverageIsolation(t *testing.T) {
 	go func() { defer wg.Done(); errs[0] = runChecks(regA, mkdirS) }()
 	go func() { defer wg.Done(); errs[1] = runChecks(regB, symlinkS) }()
 	go func() {
-		// A third session on the *shared* registry churns concurrently:
-		// its traces merge into cov.Default, so none of its symlink hits
-		// may reach the isolated registries.
+		// A third session, built with plain New, churns concurrently:
+		// its traces merge into a registry of its own, so none of its
+		// symlink hits may reach the registries above.
 		defer wg.Done()
 		errs[2] = runChecks(nil, symlinkS)
 	}()
@@ -551,6 +551,41 @@ func TestConcurrentSessionCoverageIsolation(t *testing.T) {
 	}
 }
 
+// TestDefaultSessionCoverageIsolation: two sessions built with plain New
+// keep their coverage apart. A fuzz session resets its coverage registry
+// at start, and ResetCoverage zeroes it; neither may move the figures of
+// another default session.
+func TestDefaultSessionCoverageIsolation(t *testing.T) {
+	ctx := context.Background()
+	suite := generate(t, (*Session).Generate)
+	a := New(WithWorkers(1))
+	traces, err := a.Execute(ctx, suite[:200], MemFS(LinuxProfile("ext4")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Check(ctx, traces); err != nil {
+		t.Fatal(err)
+	}
+	hit, total := a.Coverage()
+	unhit := a.CoverageUnhit()
+	if hit == 0 {
+		t.Fatal("session A hit no coverage points")
+	}
+
+	b := New()
+	if _, err := b.Fuzz(ctx, FuzzJob{Factory: MemFS(LinuxProfile("ext4")), Seed: 1, MaxRuns: 3}); err != nil {
+		t.Fatal(err)
+	}
+	b.ResetCoverage()
+
+	if h, tot := a.Coverage(); h != hit || tot != total {
+		t.Errorf("session A coverage moved from %d/%d to %d/%d", hit, total, h, tot)
+	}
+	if got := a.CoverageUnhit(); !slices.Equal(got, unhit) {
+		t.Errorf("session A unhit points moved:\n got %v\nwant %v", got, unhit)
+	}
+}
+
 // TestSessionObserverStreams: the observer sees every record exactly
 // once, including cache hits on a warm run.
 func TestSessionObserverStreams(t *testing.T) {
@@ -590,10 +625,7 @@ func TestSessionObserverStreams(t *testing.T) {
 // sidecar rewrite (every scan rewrites it). A session used after Close
 // fails instead of reopening the cache.
 func TestSessionCloseSealsCache(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	old := telemetry.Default
-	telemetry.Default = reg // the store's open-time events land here
-	t.Cleanup(func() { telemetry.Default = old })
+	reg := NewTelemetryRegistry() // the store's open-time events land here too
 
 	scripts := smallSuite(t, 6)
 	cacheDir := t.TempDir()
@@ -603,7 +635,7 @@ func TestSessionCloseSealsCache(t *testing.T) {
 		Factory: MemFS(LinuxProfile("ext4")),
 		FSName:  "ext4",
 	}
-	cold := New(WithCacheDir(cacheDir))
+	cold := New(WithCacheDir(cacheDir), WithTelemetry(reg))
 	if _, stats, err := cold.Run(context.Background(), job); err != nil || stats.Executed != len(scripts) {
 		t.Fatalf("cold run: %s, %v", stats, err)
 	}
@@ -620,7 +652,7 @@ func TestSessionCloseSealsCache(t *testing.T) {
 		t.Fatal("Run on a closed session succeeded")
 	}
 
-	warm := New(WithCacheDir(cacheDir))
+	warm := New(WithCacheDir(cacheDir), WithTelemetry(reg))
 	defer warm.Close()
 	if _, stats, err := warm.Run(context.Background(), job); err != nil || stats.CacheHits != len(scripts) {
 		t.Fatalf("warm run: %s, %v", stats, err)

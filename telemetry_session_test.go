@@ -52,7 +52,7 @@ func TestConcurrentSessionTelemetryIsolation(t *testing.T) {
 		reg  *TelemetryRegistry
 		want int64
 	}{{regA, int64(len(scriptsA))}, {regB, int64(len(scriptsB))}} {
-		for _, name := range []string{"pipeline.jobs", "pipeline.executed", "checker.traces", "journal.appends"} {
+		for _, name := range []string{"pipeline.jobs", "pipeline.executed", "exec.traces", "checker.traces", "journal.appends"} {
 			if name == "journal.appends" {
 				continue // no journal configured in this test
 			}
@@ -71,9 +71,9 @@ func TestConcurrentSessionTelemetryIsolation(t *testing.T) {
 }
 
 // TestGenerateSpans pins that every suite generator records the
-// session.generate span, once per call, in the session's own registry:
-// without it the generate layer of the concurrent and crash budgets is
-// invisible in -stats-json.
+// session.generate span and the testgen.* figures, once per call, in the
+// session's own registry: without them the generate layer of the
+// concurrent and crash budgets is invisible in -stats-json.
 func TestGenerateSpans(t *testing.T) {
 	for name, gen := range map[string]func(*Session, context.Context) ([]*Script, error){
 		"Generate":           (*Session).Generate,
@@ -87,6 +87,12 @@ func TestGenerateSpans(t *testing.T) {
 		}
 		if got := reg.Histogram("span.session.generate").Count(); got != 1 {
 			t.Errorf("%s: span.session.generate count = %d, want 1", name, got)
+		}
+		if got := reg.Histogram("testgen.generate_ns").Count(); got != 1 {
+			t.Errorf("%s: testgen.generate_ns count = %d, want 1", name, got)
+		}
+		if got := reg.Counter("testgen.scripts").Value(); got != int64(len(scripts)) {
+			t.Errorf("%s: testgen.scripts = %d, want %d", name, got, len(scripts))
 		}
 	}
 }
