@@ -12,25 +12,6 @@ import (
 	"repro/internal/types"
 )
 
-// seqTrace is a 14-step sequential trace: seven calls, each followed by
-// its return.
-const seqTrace = `@type trace
-1: mkdir "d" 0o755
-1: RV_none
-1: open "d/f" [O_CREAT;O_WRONLY] 0o644
-1: RV_file_descriptor(FD 3)
-1: write (FD 3) "hi" 2
-1: RV_num(2)
-1: close (FD 3)
-1: RV_none
-1: stat "d/f"
-1: RV_stats { st_kind=S_IFREG; st_perm=0o644; st_size=2; st_nlink=1; st_uid=0; st_gid=0 }
-1: rename "d/f" "d/g"
-1: RV_none
-1: lstat "d/g"
-1: RV_stats { st_kind=S_IFREG; st_perm=0o644; st_size=2; st_nlink=1; st_uid=0; st_gid=0 }
-`
-
 // TestSequentialStepAllocs pins the allocation cost of a sequential step
 // once the cons table holds every transition: the per-trace scratch, the
 // inline dedup set, the calling-state check, label keys rendered into a
@@ -55,6 +36,32 @@ func TestSequentialStepAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per trace, %.2f per step", perTrace, perStep)
 	if perStep > 0.25 {
 		t.Errorf("%.2f allocations per warm sequential step, want <= 0.25", perStep)
+	}
+}
+
+// TestSequentialStepAllocsNoMemo is TestSequentialStepAllocs without a
+// cons table, the way Session.Check, sfs-check and the fuzzer check:
+// every call and its return are one fused transition, which builds only
+// the τ outcomes and finalizes the kept ones in place. Checked as three
+// steps, each call cloned its state for the call label, once per τ
+// outcome and once more for the return: 160 allocations per trace here,
+// against 118 fused. The bound has headroom over the fused figure and
+// fails the stepwise one.
+func TestSequentialStepAllocsNoMemo(t *testing.T) {
+	tr := parse(t, seqTrace)
+	c := New(types.DefaultSpec())
+	c.Tel = telemetry.NewRegistry()
+	if r := c.Check(tr); !r.Accepted || r.Steps != 14 {
+		t.Fatalf("first pass: accepted=%v steps=%d errors=%+v", r.Accepted, r.Steps, r.Errors)
+	}
+	perTrace := testing.AllocsPerRun(50, func() {
+		if r := c.Check(tr); !r.Accepted {
+			t.Fatal("second pass rejected")
+		}
+	})
+	t.Logf("%.1f allocations per trace without a cons table", perTrace)
+	if perTrace > 125 {
+		t.Errorf("%.1f allocations per sequential trace without a cons table, want <= 125", perTrace)
 	}
 }
 

@@ -65,6 +65,8 @@ type Result struct {
 	// masks carried across labels (osspec.ReturnCovered), or earlier in
 	// the closure, by the sleep sets of local τ steps (see
 	// osspec.ClosureOpts.Covered) — are not generated and not counted.
+	// A fused call/return pair (Walk.StepPair) counts the τ outcomes its
+	// closure would have generated.
 	TauExpansions int
 	// SumStates accumulates the state-set size at every step; together with
 	// Steps it yields the mean set size (see MeanStates).
@@ -77,8 +79,11 @@ type Result struct {
 	StateSetCapHit bool
 	// TauRounds / TauNanos are telemetry: the number of τ-closure
 	// frontier-expansion rounds this trace cost and the wall time spent
-	// inside the closure. They never influence the verdict and are not
-	// part of the serialized record.
+	// inside the closure. A fused call/return pair counts the rounds its
+	// closure would have run, and its whole time lands in TauNanos, call
+	// and return included, so tau_closure_ns covers every fused pair.
+	// They never influence the verdict and are not part of the
+	// serialized record.
 	TauRounds int
 	TauNanos  int64
 	// CrashPoints counts the crash labels checked in this trace (crash
@@ -120,7 +125,8 @@ type Checker struct {
 	// byte-identical whatever registry is installed.
 	Tel *telemetry.Registry
 	// Memo, when non-nil, is the checker's cons table: transition
-	// fan-outs are interned per (source state object, label) and replayed
+	// fan-outs are interned per (source state object, label), or per
+	// (source state object, call and return) for a fused pair, and replayed
 	// across traces (scripts share their fixture prefix — and the shared
 	// initial state — so most of a suite's τ-closure work walks the same
 	// interned object graph). A replay is Trans applied to that very
@@ -231,14 +237,23 @@ func (c *Checker) Check(t *trace.Trace) Result {
 // CheckCtx is Check with cooperative cancellation: ctx is consulted
 // between trace steps and between τ-closure expansion rounds inside each
 // step. The whole check runs on the calling goroutine, as one Walk over
-// the trace. On cancellation the partial Result (inspected so far,
+// the trace, a call followed by its return taken as one StepPair. On
+// cancellation the partial Result (inspected so far,
 // verdict meaningless) is returned with ctx.Err().
 func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) {
 	start := time.Now()
 	defer c.scratch.release()
 	w := c.Walk(ctx, t.Name)
-	for _, st := range t.Steps {
-		if _, err := w.Step(st); err != nil {
+	steps := t.Steps
+	for i := 0; i < len(steps); i++ {
+		var err error
+		if i+1 < len(steps) && isCallReturn(steps[i], steps[i+1]) {
+			_, err = w.StepPair(steps[i], steps[i+1])
+			i++
+		} else {
+			_, err = w.Step(steps[i])
+		}
+		if err != nil {
 			return w.Result()
 		}
 	}
@@ -252,7 +267,8 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 // Walk is one trace's check in progress, driven a step at a time: the
 // loop CheckCtx runs, open to callers that want the tracked set after
 // every step, as sfs-debug does. Checker.Walk starts one, Step applies
-// the trace's steps in order and Result reads the outcome. A walk works
+// the trace's steps in order (StepPair a call and its return at once,
+// as CheckCtx does) and Result reads the outcome. A walk works
 // in its checker's scratch, so a checker runs one walk at a time:
 // starting a walk abandons the checker's previous one.
 type Walk struct {
@@ -286,6 +302,39 @@ func (w *Walk) Step(st trace.Step) ([]*osspec.OsState, error) {
 	res.MaxStates = max(res.MaxStates, len(w.states))
 	w.states = w.c.step(w.ctx, w.states, st, res, &w.c.scratch)
 	return w.states, w.ctx.Err()
+}
+
+// StepPair applies a call step and the step after it, the return of the
+// same pid, as Step(call) then Step(ret) would, and returns the set they
+// leave. Where Checker.fuse admits the pair it is checked as one
+// transition; otherwise, and if the pair deviates, it is those two
+// Steps, from the untouched set.
+func (w *Walk) StepPair(call, ret trace.Step) ([]*osspec.OsState, error) {
+	if err := w.ctx.Err(); err != nil {
+		return w.states, err
+	}
+	if next, ok := w.c.fuse(w.states, call, ret, &w.res, &w.c.scratch); ok {
+		w.states = next
+		return next, w.ctx.Err()
+	}
+	if _, err := w.Step(call); err != nil {
+		return w.states, err
+	}
+	return w.Step(ret)
+}
+
+// isCallReturn reports whether a is a call and b the return of its pid.
+func isCallReturn(a, b trace.Step) bool {
+	_, _, ok := callReturn(a, b)
+	return ok
+}
+
+// callReturn returns a's call label and b's return label when b returns
+// a's call.
+func callReturn(a, b trace.Step) (types.CallLabel, types.ReturnLabel, bool) {
+	call, ok := a.Label.(types.CallLabel)
+	ret, isRet := b.Label.(types.ReturnLabel)
+	return call, ret, ok && isRet && call.Pid == ret.Pid
 }
 
 // Result returns the outcome of the steps applied so far, the trace's
@@ -391,6 +440,60 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 	tel.Gauge("checker.max_states").SetMax(int64(res.MaxStates))
 	tel.Histogram("checker.check_ns").Observe(int64(elapsed))
 	tel.Histogram("checker.tau_closure_ns").Observe(res.TauNanos)
+}
+
+// fuse checks a call and its return (see StepPair) as one transition,
+// osspec.CallReturn, where that is exactly the two steps: the tracked set
+// is one state, with no covered pids, that osspec.Fusable admits. It
+// returns the next tracked set, its masks in sc.covered, and true; or
+// false, leaving states and sc.covered untouched, for the stepwise path
+// to take: when the pair deviates (no successor), whose diagnosis and
+// recovery that path makes, or when the closure could reach MaxStateSet.
+// The Result counts what the two steps would: Steps and SumStates two
+// each (two steps from one state), MaxStates the closure's 1+distinct,
+// the closure's expansions and its two rounds (the outcomes', then theirs,
+// which have no call to process). The successors get no covered pids,
+// as ReturnCovered gives a state without a calling process. With a cons
+// table the pair is one entry, keyed by the source state and
+// osspec.AppendPairKey, that keeps the counts. The pair's time lands in
+// TauNanos. A pair that falls back has recorded coverage only the two
+// steps record too.
+func (c *Checker) fuse(states []*osspec.OsState, call, ret trace.Step, res *Result, sc *traceScratch) ([]*osspec.OsState, bool) {
+	cl, rl, ok := callReturn(call, ret)
+	if !ok || len(states) != 1 || sc.covered[0] != 0 || !osspec.Fusable(states[0], cl.Pid) {
+		return nil, false
+	}
+	t0 := time.Now()
+	s := states[0]
+	var succs []*osspec.OsState
+	var expansions, distinct int
+	if memo := c.Memo; memo != nil {
+		sc.key = osspec.AppendPairKey(sc.key[:0], cl, rl)
+		succs, expansions, distinct, ok = memo.GetPair(s, sc.key, &sc.hits)
+		if !ok {
+			sc.fan = cov.Set{}
+			succs, expansions, distinct = osspec.CallReturn(s, cl, rl, &sc.tau.Set, &sc.fan)
+			memo.PutPair(s, sc.key, succs, &sc.fan, expansions, distinct) // hashes and freezes succs
+			sc.hits.Or(&sc.fan)
+		}
+	} else {
+		succs, expansions, distinct = osspec.CallReturn(s, cl, rl, &sc.tau.Set, &sc.hits)
+	}
+	if len(succs) == 0 || (c.MaxStateSet > 0 && 1+distinct >= c.MaxStateSet) {
+		return nil, false
+	}
+	res.Steps += 2
+	res.SumStates += 2
+	res.MaxStates = max(res.MaxStates, 1+distinct)
+	res.TauExpansions += expansions
+	res.TauRounds += 2
+	// The union overwrites the buffer states lives in; succs are not
+	// there (fresh, or interned and copied).
+	sc.union = append(sc.union[:0], succs...)
+	sc.uncover(len(sc.union))
+	next := c.reduce(sc.union, res, sc)
+	res.TauNanos += int64(time.Since(t0))
+	return next, true
 }
 
 // stepReturn matches an observed return value. The state set is first

@@ -22,6 +22,51 @@ func TauFor(s *OsState, pid types.Pid, hits *cov.Set) []*OsState {
 	return processCall(s, pid, p.PendingCmd, hits)
 }
 
+// Fusable reports whether pid's call from s and the return after it can
+// be checked as one step (CallReturn): s is not in crash mode and pid is
+// its only process, running. From such a state the call draws one
+// calling state, the closure before the return processes exactly that
+// call, and the return finds no other process to account for.
+func Fusable(s *OsState, pid types.Pid) bool {
+	return s.durable == nil && len(s.procs) == 1 && s.procs[0].pid == pid &&
+		s.procs[0].p.Run == RsRunning
+}
+
+// CallReturn is Trans(call), the τ-closure and Trans(ret) taken as one
+// step from a state Fusable admits for call.Pid, with ret a return of the
+// same pid: it returns the successors the stepwise path's return step
+// draws, in its order and not yet deduplicated. The τ outcomes are built
+// from s itself: a running process's state differs from its calling one
+// only in fields no τ step reads, and the return rewrites them. Outcomes
+// are deduplicated in set (Reset first) as the closure would, each
+// outcome that matches ret is finalized in place, being its own clone,
+// and the rest are dropped. expansions and distinct are the raw and the
+// deduplicated outcome counts, which the stepwise closure counts as its
+// expansions and adds to its one input state. hits receives the points
+// the stepwise path records, the return's bad_pid included: that return
+// is offered to the calling state too, which has no pending return.
+func CallReturn(s *OsState, call types.CallLabel, ret types.ReturnLabel, set *StateSet, hits *cov.Set) (succs []*OsState, expansions, distinct int) {
+	hits.Hit(covTransCall)
+	hits.Hit(covTransTau)
+	outs := processCall(s, call.Pid, call.Cmd, hits)
+	hits.Hit(covTransReturn)
+	hits.Hit(covTransBadPid)
+	set.Reset()
+	succs = outs[:0]
+	for _, c := range outs {
+		if !set.Add(c) {
+			continue
+		}
+		distinct++
+		if p := c.procs.get(ret.Pid); p.PendingRet != nil && p.PendingRet.Match(c, ret.Ret) {
+			finishReturn(c, ret.Pid, ret.Ret)
+			succs = append(succs, c)
+		}
+	}
+	clear(outs[len(succs):])
+	return succs, len(outs), distinct
+}
+
 // ClosureOpts configures TauClosureWith.
 type ClosureOpts struct {
 	// Cap > 0 stops further expansion rounds once the closure reaches it.

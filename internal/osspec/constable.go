@@ -1,6 +1,7 @@
 package osspec
 
 import (
+	"encoding/binary"
 	"strconv"
 
 	"repro/internal/cov"
@@ -13,7 +14,11 @@ import (
 // hash-cons tables recompute the same clones and digests tens of thousands
 // of times per run. The table interns the successor set of a (source state,
 // label) pair once and replays it for every later trace that reaches the
-// same state. Each entry keeps the coverage points its fan-out hit, and a
+// same state. A sequential call and its return, which the checker fuses
+// into one transition (CallReturn), are one entry under AppendPairKey,
+// keeping the τ outcome counts the checker reports for the pair: one
+// lookup and one entry where the stepwise path made three or more. Each
+// entry keeps the coverage points its fan-out hit, and a
 // replay records them again, so a trace's coverage set does not depend on
 // whether its transitions were computed or replayed.
 //
@@ -64,10 +69,13 @@ type consKey struct {
 }
 
 // consEntry is one interned fan-out: the successors and the coverage
-// points computing them hit.
+// points computing them hit. A fused call/return pair's entry also keeps
+// CallReturn's τ outcome counts, so a replay reports what computing the
+// pair again would.
 type consEntry struct {
-	succs []*OsState
-	hits  cov.Set
+	succs                []*OsState
+	hits                 cov.Set
+	expansions, distinct int32
 }
 
 // DefaultConsCap bounds the states a run's cons tables may retain in total
@@ -95,14 +103,26 @@ func NewConsTable(maxStates, sizeHint int) *ConsTable {
 // of a map index), so a hit allocates nothing; callers may reuse key's
 // storage as soon as Get returns.
 func (t *ConsTable) Get(src *OsState, key []byte, hits *cov.Set) ([]*OsState, bool) {
+	e, ok := t.lookup(src, key, hits)
+	return e.succs, ok
+}
+
+// GetPair is Get for a fused call/return pair (key from AppendPairKey),
+// also returning the τ outcome counts PutPair stored with it.
+func (t *ConsTable) GetPair(src *OsState, key []byte, hits *cov.Set) (succs []*OsState, expansions, distinct int, ok bool) {
+	e, ok := t.lookup(src, key, hits)
+	return e.succs, int(e.expansions), int(e.distinct), ok
+}
+
+func (t *ConsTable) lookup(src *OsState, key []byte, hits *cov.Set) (consEntry, bool) {
 	e, ok := t.m[consKey{src, string(key)}]
 	if ok {
 		t.hits++
 		hits.Or(&e.hits)
-		return e.succs, true
+		return e, true
 	}
 	t.misses++
-	return nil, false
+	return consEntry{}, false
 }
 
 // Put interns succs as the fan-out of (src, key), with the coverage
@@ -111,6 +131,17 @@ func (t *ConsTable) Get(src *OsState, key []byte, hits *cov.Set) ([]*OsState, bo
 // missed: its owner computes a fan-out only after Get found none. src
 // must already be frozen. key is copied into the entry.
 func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState, hits *cov.Set) {
+	t.put(src, key, consEntry{succs: succs}, hits)
+}
+
+// PutPair is Put for a fused call/return pair, keeping CallReturn's τ
+// outcome counts with its successors.
+func (t *ConsTable) PutPair(src *OsState, key []byte, succs []*OsState, hits *cov.Set, expansions, distinct int) {
+	t.put(src, key, consEntry{succs: succs, expansions: int32(expansions), distinct: int32(distinct)}, hits)
+}
+
+func (t *ConsTable) put(src *OsState, key []byte, e consEntry, hits *cov.Set) {
+	succs := e.succs
 	for _, ns := range succs {
 		ns.Hash()
 		ns.Freeze()
@@ -125,7 +156,6 @@ func (t *ConsTable) Put(src *OsState, key []byte, succs []*OsState, hits *cov.Se
 		t.retained = 0
 		t.resets++
 	}
-	e := consEntry{succs: succs}
 	if hits != nil {
 		e.hits = *hits
 	}
@@ -182,6 +212,20 @@ func AppendLabelKey(dst []byte, lbl types.Label) []byte {
 		return append(dst, 'x')
 	}
 	return append(append(dst, '?'), lbl.String()...)
+}
+
+// AppendPairKey appends the ConsTable key of a fused call/return pair
+// (see CallReturn) to dst: a 'p' tag, the call's label key behind its
+// length, then the return's label key. The length makes the pair's
+// concatenation injective, and the tag keeps pair keys apart from label
+// keys. It takes the labels unboxed, so rendering a key allocates
+// nothing.
+func AppendPairKey(dst []byte, call types.CallLabel, ret types.ReturnLabel) []byte {
+	dst = append(dst, 'p', 0, 0, 0, 0)
+	n := len(dst)
+	dst = call.Cmd.Append(appendPidKey(dst, 'c', call.Pid))
+	binary.BigEndian.PutUint32(dst[n-4:n], uint32(len(dst)-n))
+	return ret.Ret.Append(appendPidKey(dst, 'r', ret.Pid))
 }
 
 // appendPidKey appends a call or return key's prefix: the tag, the pid

@@ -68,13 +68,7 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label, hits *cov.Set) []*
 			return dst
 		}
 		c := s.Clone()
-		cp := c.mutProc(l.Pid)
-		pend := cp.PendingRet
-		cp.Run = RsRunning
-		cp.PendingRet = nil
-		cp.PendingCmd = nil
-		pend.Finalize(c, l.Ret)
-		c.persistNote()
+		finishReturn(c, l.Pid, l.Ret)
 		return append(dst, c)
 
 	case types.CreateLabel:
@@ -114,6 +108,19 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label, hits *cov.Set) []*
 		return append(dst, CrashStates(s)...)
 	}
 	return dst
+}
+
+// finishReturn completes pid's return of rv in c, whose pending return
+// matched it: the process runs again and the pending's rv-dependent
+// effects land.
+func finishReturn(c *OsState, pid types.Pid, rv types.RetValue) {
+	cp := c.mutProc(pid)
+	pend := cp.PendingRet
+	cp.Run = RsRunning
+	cp.PendingRet = nil
+	cp.PendingCmd = nil
+	pend.Finalize(c, rv)
+	c.persistNote()
 }
 
 // processCall evaluates the pending command of pid against s, returning one

@@ -340,9 +340,11 @@ type worker struct {
 // a checker, its scratch and its cons table belong to one goroutine.
 // Sequential runs give each checker its own cons table with an even share
 // of DefaultConsCap, its map sized once for min(that share, the worker's
-// share of the run's labels) entries, about where a cold table ends up,
-// so it never rehashes on the way there: a shard is the natural epoch (shards may run on different machines), and
-// a table resets itself if a pathological suite outgrows its share.
+// share of the run's labels) entries, above where a cold table ends up (a
+// fused call/return pair stores one entry for two labels), so it never
+// rehashes on the way there; growing from empty measured slower. A shard
+// is the natural epoch (shards may run on different machines), and a
+// table resets itself if a pathological suite outgrows its share.
 // Sequential traces walk the same interned states along their shared
 // script prefix, so most lookups hit, and a worker's own traces find
 // nearly every hit that one shared table would: sharing was measured to
