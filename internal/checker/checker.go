@@ -92,12 +92,11 @@ type Result struct {
 	CrashPoints int
 	// CrashStates counts the remounted states the crash labels drew: the
 	// successors osspec.CrashStates built for every tracked state, each
-	// source's deduplicated. Telemetry, like CrashPoints; it does not
-	// depend on Memo.
+	// source's deduplicated. Telemetry, like CrashPoints.
 	CrashStates int
-	// Coverage is the set of model coverage points the check hit,
-	// transitions replayed from the cons table included, so it does not
-	// depend on Memo. Like CrashPoints, not part of the serialized record.
+	// Coverage is the set of model coverage points the check hit, fused
+	// pairs replayed from the cons table included, so it does not depend
+	// on Memo. Like CrashPoints, not part of the serialized record.
 	Coverage cov.Set
 }
 
@@ -124,19 +123,19 @@ type Checker struct {
 	// attribution); nil records none. Purely observational: results are
 	// byte-identical whatever registry is installed.
 	Tel *telemetry.Registry
-	// Memo, when non-nil, is the checker's cons table: transition
-	// fan-outs are interned per (source state object, label), or per
-	// (source state object, call and return) for a fused pair, and replayed
-	// across traces (scripts share their fixture prefix — and the shared
-	// initial state — so most of a suite's τ-closure work walks the same
-	// interned object graph). A replay is Trans applied to that very
-	// object, so results are byte-identical with the table on or off;
-	// the golden parity fixtures pin it. The table keys on source-state
+	// Memo, when non-nil, is the checker's cons table: fused call/return
+	// pairs (see fuse) are interned per (source state object, call and
+	// return) and replayed across traces (scripts share their fixture
+	// prefix — and the shared initial state — so most of a sequential
+	// suite's pairs walk the same interned object graph). Every other
+	// step is computed afresh. A replay is CallReturn applied to that very
+	// object, so results are byte-identical with the table on or off; the
+	// golden parity fixtures pin it. The table keys on source-state
 	// pointer identity, so it pays only where traces share a prefix of
 	// states: pipeline.Run gives each worker's checker a table of its own
 	// for sequential runs and leaves it nil for concurrent ones, whose
 	// schedules rarely reach the same state object twice.
-	Memo *osspec.ConsTable
+	Memo *ConsTable
 
 	// initial is the hashed+frozen initial state every trace this checker
 	// checks starts from, built at the first check: all traces start
@@ -161,7 +160,7 @@ type Checker struct {
 // its output in closure; the transition union reads from closure and
 // appends into union, which reduce compacts in place — so between steps
 // the tracked set lives in union, and the next closure copies it out
-// before the union overwrites it. Interned memo slices are only ever
+// before the union overwrites it. Interned pair successors are only ever
 // copied into these buffers.
 type traceScratch struct {
 	tau     osspec.ClosureScratch
@@ -177,11 +176,10 @@ type traceScratch struct {
 	// stats receives each closure's work split; a local would escape
 	// through ClosureOpts, which the closure's output flows from.
 	stats osspec.ClosureStats
-	// key holds the current label's cons-table key (osspec.AppendLabelKey),
-	// rendered once per step.
+	// key holds the current pair's cons-table key (AppendPairKey).
 	key []byte
 	// hits collects the trace's coverage points (Result.Coverage); fan
-	// collects one memo miss's, which its cons-table entry keeps.
+	// collects one pair miss's, which its cons-table entry keeps.
 	hits, fan cov.Set
 }
 
@@ -455,7 +453,7 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 // which have no call to process). The successors get no covered pids,
 // as ReturnCovered gives a state without a calling process. With a cons
 // table the pair is one entry, keyed by the source state and
-// osspec.AppendPairKey, that keeps the counts. The pair's time lands in
+// AppendPairKey, that keeps the counts. The pair's time lands in
 // TauNanos. A pair that falls back has recorded coverage only the two
 // steps record too.
 func (c *Checker) fuse(states []*osspec.OsState, call, ret trace.Step, res *Result, sc *traceScratch) ([]*osspec.OsState, bool) {
@@ -468,12 +466,12 @@ func (c *Checker) fuse(states []*osspec.OsState, call, ret trace.Step, res *Resu
 	var succs []*osspec.OsState
 	var expansions, distinct int
 	if memo := c.Memo; memo != nil {
-		sc.key = osspec.AppendPairKey(sc.key[:0], cl, rl)
-		succs, expansions, distinct, ok = memo.GetPair(s, sc.key, &sc.hits)
+		sc.key = AppendPairKey(sc.key[:0], cl, rl)
+		succs, expansions, distinct, ok = memo.Get(s, sc.key, &sc.hits)
 		if !ok {
 			sc.fan = cov.Set{}
 			succs, expansions, distinct = osspec.CallReturn(s, cl, rl, &sc.tau.Set, &sc.fan)
-			memo.PutPair(s, sc.key, succs, &sc.fan, expansions, distinct) // hashes and freezes succs
+			memo.Put(s, sc.key, succs, &sc.fan, expansions, distinct) // hashes and freezes succs
 			sc.hits.Or(&sc.fan)
 		}
 	} else {
@@ -559,7 +557,6 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 		Cov:     &sc.hits,
 		Ctx:     ctx,
 		Stats:   cs,
-		Memo:    c.Memo,
 		Scratch: &sc.tau,
 		Buf:     sc.closure,
 		Covered: sc.covered,
@@ -574,23 +571,22 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 	return out, !capHit && ctx.Err() == nil
 }
 
-// unionTrans applies one label to every tracked state, in a loop that
-// allocates nothing per step on a memo hit. Successors are concatenated
-// in source order, so every later dedup decision is deterministic. With
-// a cons table the per-state fan-out is interned suite-wide and replayed
-// for equal (state, label) pairs. The successors are appended into the
-// trace's union buffer, overwriting it; states must not live there. The
-// successors' covered masks replace sc.covered: cover(i) for the
-// successor of source i when cover is non-nil (call and return labels,
-// which draw at most one successor per source), 0 otherwise.
+// unionTrans applies one label to every tracked state, recording the
+// coverage points in the trace's set. Successors are concatenated in
+// source order, so every later dedup decision is deterministic, and
+// pre-hashed for reduce. They are appended into the trace's union buffer,
+// overwriting it; states must not live there. The successors' covered
+// masks replace sc.covered: cover(i) for the successor of source i when
+// cover is non-nil (call and return labels, which draw at most one
+// successor per source), 0 otherwise.
 func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *traceScratch, cover func(int) uint64) []*osspec.OsState {
-	if c.Memo != nil {
-		sc.key = osspec.AppendLabelKey(sc.key[:0], lbl)
-	}
 	sc.union, sc.fanout = sc.union[:0], sc.fanout[:0]
 	for _, s := range states {
 		n := len(sc.union)
-		sc.union = c.trans(sc.union, s, lbl, sc)
+		sc.union = osspec.AppendTrans(sc.union, s, lbl, &sc.hits)
+		for _, ns := range sc.union[n:] {
+			ns.Hash()
+		}
 		sc.fanout = append(sc.fanout, len(sc.union)-n)
 	}
 	if cover == nil {
@@ -608,28 +604,6 @@ func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, sc *trac
 	}
 	sc.covered = masks
 	return sc.union
-}
-
-// trans appends s's successors under lbl to dst, and their coverage
-// points to the trace's set: with a cons table the interned fan-out (sc.key
-// is lbl's cons key), otherwise fresh successors, pre-hashed for reduce.
-func (c *Checker) trans(dst []*osspec.OsState, s *osspec.OsState, lbl types.Label, sc *traceScratch) []*osspec.OsState {
-	if memo := c.Memo; memo != nil {
-		succs, ok := memo.Get(s, sc.key, &sc.hits)
-		if !ok {
-			sc.fan = cov.Set{}
-			succs = osspec.Trans(s, lbl, &sc.fan)
-			memo.Put(s, sc.key, succs, &sc.fan) // hashes and freezes succs
-			sc.hits.Or(&sc.fan)
-		}
-		return append(dst, succs...)
-	}
-	n := len(dst)
-	dst = osspec.AppendTrans(dst, s, lbl, &sc.hits)
-	for _, ns := range dst[n:] {
-		ns.Hash()
-	}
-	return dst
 }
 
 func allowedSet(states []*osspec.OsState, pid types.Pid) []string {

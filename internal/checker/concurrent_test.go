@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/osspec"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -75,7 +74,7 @@ func TestCheckerReusableAfterPanic(t *testing.T) {
 	for _, memo := range []bool{false, true} {
 		c := New(types.DefaultSpec())
 		if memo {
-			c.Memo = osspec.NewConsTable(0, 0)
+			c.Memo = NewConsTable(0, 0)
 		}
 		func() {
 			defer func() {

@@ -148,27 +148,3 @@ func TestLocalTauAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestConsGetHitAllocs pins the memo's hot path: a hit looked up with a
-// []byte key allocates nothing, because the compiler elides the string
-// conversion of a map index.
-func TestConsGetHitAllocs(t *testing.T) {
-	src := NewOsState(types.DefaultSpec())
-	src.Hash()
-	src.Freeze()
-	// Boxed once, as a trace step holds it.
-	var lbl types.Label = types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
-	tbl := NewConsTable(0, 0)
-	key := AppendLabelKey(nil, lbl)
-	tbl.Put(src, key, Trans(src, lbl, nil), nil)
-	buf := make([]byte, 0, 64)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendLabelKey(buf[:0], lbl)
-		if _, ok := tbl.Get(src, buf, nil); !ok {
-			t.Fatal("interned pair missed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("%.1f allocations per cons hit, want 0", allocs)
-	}
-}

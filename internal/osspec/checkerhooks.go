@@ -71,8 +71,8 @@ func CallReturn(s *OsState, call types.CallLabel, ret types.ReturnLabel, set *St
 type ClosureOpts struct {
 	// Cap > 0 stops further expansion rounds once the closure reaches it.
 	Cap int
-	// Cov records the coverage points of the closure's transitions,
-	// replayed ones included; nil records nothing.
+	// Cov records the coverage points of the closure's transitions; nil
+	// records nothing.
 	Cov *cov.Set
 	// Ctx, when non-nil, is consulted between expansion rounds: a
 	// cancelled context stops the closure early and returns whatever has
@@ -82,12 +82,6 @@ type ClosureOpts struct {
 	// Stats, when non-nil, receives the closure's work split (telemetry;
 	// never affects results).
 	Stats *ClosureStats
-	// Memo, when non-nil, interns each state's τ fan-out in the suite-level
-	// ConsTable: traces sharing a prefix (every combinatorial script does)
-	// replay interned successors, and their coverage points, instead of
-	// re-running the spec. Its successors are the ones the closure would
-	// build and hash itself.
-	Memo *ConsTable
 	// Scratch, when non-nil, is caller-owned storage the closure reuses
 	// instead of allocating its working buffers (see ClosureScratch); nil
 	// gives the call a fresh one.
@@ -112,16 +106,13 @@ type ClosureOpts struct {
 }
 
 // ClosureScratch is the storage a τ-closure works in: the dedup set
-// (Reset on entry), the per-state covered masks, the sleep bits of one
-// expansion and the coverage set of one memo miss, which its cons-table
-// entry copies. It belongs to one owner, which passes it to one closure
-// at a time and may reuse Set between closures (the
-// checker's reduce does).
+// (Reset on entry), the per-state covered masks and the sleep bits of one
+// expansion. It belongs to one owner, which passes it to one closure at a
+// time and may reuse Set between closures (the checker's reduce does).
 type ClosureScratch struct {
 	Set   StateSet
 	masks []uint64
 	sleep []uint64
-	fan   cov.Set
 }
 
 // ClosureStats describes how one τ-closure spent its effort.
@@ -173,7 +164,7 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 		}
 		for i, s := range out[lo:hi] {
 			var succs []*OsState
-			succs, sc.sleep = expandOne(s, maskAt(sc.masks, lo+i), o.Memo, sc.sleep[:0], o.Cov, &sc.fan)
+			succs, sc.sleep = expandOne(s, maskAt(sc.masks, lo+i), sc.sleep[:0], o.Cov)
 			for j, ns := range succs {
 				expansions++
 				if !set.Add(ns) {
@@ -279,38 +270,14 @@ func hasCallingProc(s *OsState) bool {
 // So bit q on a state always means its τ_q-successors are in the output
 // before the state itself is expanded (see ClosureOpts.Covered).
 //
-// With a memo, the whole fan-out is interned per source state, with its
-// coverage points (collected in fan, the closure's scratch, on a miss),
-// and replayed for equal states in later traces; interned successors are
-// already hashed and frozen, and the returned slice must not be mutated.
-// Either way the fan-out's points land in hits, osspec/trans/tau for
+// The successors' coverage points land in hits, osspec/trans/tau for
 // each pid expanded.
-// A masked state bypasses the memo: it wants only part of the fan-out,
-// and generating that part costs the same work with the table on or off.
-// So does a state with two calling pids, whose successors' sleep bits
-// depend on how they were built. A state with no calling process has no
-// τ-successors: it returns nil before touching the memo (every closure's
-// last round is made of such states).
-func expandOne(s *OsState, skip uint64, memo *ConsTable, sleep []uint64, hits, fan *cov.Set) ([]*OsState, []uint64) {
+func expandOne(s *OsState, skip uint64, sleep []uint64, hits *cov.Set) ([]*OsState, []uint64) {
 	calling := 0
 	for _, e := range s.procs {
 		if e.p.Run == RsCalling {
 			calling++
 		}
-	}
-	if calling == 0 {
-		return nil, sleep
-	}
-	if skip != 0 || calling > 1 {
-		memo = nil
-	}
-	rec := hits // where the fan-out's coverage points go
-	if memo != nil {
-		if succs, ok := memo.Get(s, tauExpandKey, hits); ok {
-			return succs, sleep
-		}
-		*fan = cov.Set{} // the entry's own set, replayed with it
-		rec = fan
 	}
 	var out []*OsState
 	var local, inherited uint64
@@ -324,8 +291,8 @@ func expandOne(s *OsState, skip uint64, memo *ConsTable, sleep []uint64, hits, f
 			continue
 		}
 		start := len(out)
-		rec.Hit(covTransTau)
-		if succs := processCall(s, e.pid, e.p.PendingCmd, rec); out == nil {
+		hits.Hit(covTransTau)
+		if succs := processCall(s, e.pid, e.p.PendingCmd, hits); out == nil {
 			out = succs // a fresh slice: the first fan-out needs no copy
 		} else {
 			out = append(out, succs...)
@@ -345,11 +312,6 @@ func expandOne(s *OsState, skip uint64, memo *ConsTable, sleep []uint64, hits, f
 		for range out[start:] {
 			sleep = append(sleep, m)
 		}
-	}
-	if memo != nil {
-		hits.Or(rec)
-		memo.Put(s, tauExpandKey, out, rec) // hashes and freezes out
-		return out, sleep
 	}
 	for _, ns := range out {
 		ns.Hash()

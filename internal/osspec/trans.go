@@ -48,8 +48,7 @@ func AppendTrans(dst []*OsState, s *OsState, lbl types.Label, hits *cov.Set) []*
 		hits.Hit(covTransTau)
 		// An internal step processes the pending call of any one calling
 		// process — the concurrency nondeterminism of §3. Deterministic pid
-		// order so a memoised fan-out replays exactly what a fresh
-		// computation would produce.
+		// order, so every later dedup decision is deterministic too.
 		for _, e := range s.procs {
 			if e.p.Run == RsCalling {
 				dst = append(dst, processCall(s, e.pid, e.p.PendingCmd, hits)...)

@@ -46,9 +46,9 @@ type Config struct {
 	// MaxStateSet caps the checker's tracked state set (0 = the checker
 	// default). Part of the cache key: a different cap can change verdicts.
 	MaxStateSet int
-	// NoSharedCons disables the cons tables that intern transition
-	// fan-outs across the traces each worker checks (checker.Memo, one
-	// table per worker) — the ablation knob for benchmarks and the parity
+	// NoSharedCons disables the cons tables that intern fused call/return
+	// pairs across the traces each worker checks (checker.Memo, one table
+	// per worker) — the ablation knob for benchmarks and the parity
 	// fixtures. Purely an execution strategy: records are byte-identical
 	// either way, so it is NOT part of the cache key. Concurrent runs
 	// never build the tables (see Run), so it only matters for sequential
@@ -338,24 +338,24 @@ type worker struct {
 
 // newWorkers builds one slot per worker, each with a checker of its own:
 // a checker, its scratch and its cons table belong to one goroutine.
-// Sequential runs give each checker its own cons table with an even share
-// of DefaultConsCap, its map sized once for min(that share, the worker's
-// share of the run's labels) entries, above where a cold table ends up (a
-// fused call/return pair stores one entry for two labels), so it never
-// rehashes on the way there; growing from empty measured slower. A shard
-// is the natural epoch (shards may run on different machines), and a
-// table resets itself if a pathological suite outgrows its share.
-// Sequential traces walk the same interned states along their shared
-// script prefix, so most lookups hit, and a worker's own traces find
-// nearly every hit that one shared table would: sharing was measured to
-// add under 0.5% of hits, while its lock made the workers' cores trade
-// one cache line on every lookup. Concurrent schedules interleave the
-// pending calls differently, so only about 9% of lookups hit there, and
-// every miss keeps states alive for the collector to scan: those runs
-// check without a table.
+// Sequential runs give each checker its own cons table of fused
+// call/return pairs with an even share of checker.DefaultConsCap, its map
+// sized once for min(that share, the worker's share of the run's labels)
+// entries, above where a cold table ends up (one entry per missed pair,
+// and a pair is two labels), so it never rehashes on the way there;
+// growing from empty measured slower. A shard is the natural epoch
+// (shards may run on different machines), and a table resets itself if a
+// pathological suite outgrows its share. Sequential traces walk the same
+// interned states along their shared script prefix, so most lookups hit,
+// and a worker's own traces find nearly every hit that one shared table
+// would: sharing was measured to add under 0.5% of hits, while its lock
+// made the workers' cores trade one cache line on every lookup.
+// Concurrent schedules interleave the pending calls differently, so only
+// about 9% of lookups hit there, and every miss keeps states alive for
+// the collector to scan: those runs check without a table.
 func newWorkers(cfg Config, workers, labels int, tel *telemetry.Registry) []*worker {
 	ws := make([]*worker, workers)
-	share := max(1, osspec.DefaultConsCap/workers)
+	share := max(1, checker.DefaultConsCap/workers)
 	for w := range ws {
 		chk := checker.New(cfg.Spec)
 		if cfg.MaxStateSet > 0 {
@@ -363,7 +363,7 @@ func newWorkers(cfg Config, workers, labels int, tel *telemetry.Registry) []*wor
 		}
 		chk.Tel = tel
 		if !cfg.NoSharedCons && !cfg.Concurrent {
-			chk.Memo = osspec.NewConsTable(share, min(share, labels/workers))
+			chk.Memo = checker.NewConsTable(share, min(share, labels/workers))
 		}
 		ws[w] = &worker{chk: chk}
 	}
@@ -377,7 +377,7 @@ func publishConsStats(tel *telemetry.Registry, ws []*worker) {
 	if ws[0].chk.Memo == nil {
 		return
 	}
-	var sum osspec.ConsStats
+	var sum checker.ConsStats
 	for _, w := range ws {
 		cs := w.chk.Memo.Stats()
 		sum.Hits += cs.Hits

@@ -92,9 +92,9 @@ func TestConsTablePolicy(t *testing.T) {
 // DefaultConsCap plus one fan-out per table, since the tables split the
 // cap.
 func TestPerWorkerConsTables(t *testing.T) {
-	// Traces share a two-call prefix, so tables hit, then each makes 20
-	// directories of its own, so the full-size suite outgrows the cap and
-	// resets.
+	// Traces share a two-call prefix, so tables hit, then each makes 60
+	// directories of its own, one cons entry each, so the full-size suite
+	// outgrows the cap and resets.
 	n := 1200
 	if testing.Short() {
 		n = 150
@@ -103,7 +103,7 @@ func TestPerWorkerConsTables(t *testing.T) {
 	for i := 0; i < n; i++ {
 		var b strings.Builder
 		fmt.Fprintf(&b, "@type script\n# Test memo___job_%04d\nmkdir \"p\" 0o755\nstat \"p\"\n", i)
-		for j := 0; j < 20; j++ {
+		for j := 0; j < 60; j++ {
 			fmt.Fprintf(&b, "mkdir \"p/d%d_%d\" 0o755\n", i, j)
 		}
 		s, err := trace.ParseScript(b.String())
@@ -128,8 +128,8 @@ func TestPerWorkerConsTables(t *testing.T) {
 	if lookups == 0 {
 		t.Fatal("one-worker run made no cons lookups")
 	}
-	// A sequential fan-out is one successor per call or return, or a τ
-	// fan-out that lands in a closure the record's MaxStates counts.
+	// An entry holds a fused pair's successors: at most its distinct τ
+	// outcomes, which the record's MaxStates counts.
 	fanout := 0
 	for _, r := range want {
 		fanout = max(fanout, r.MaxStates)
@@ -144,8 +144,11 @@ func TestPerWorkerConsTables(t *testing.T) {
 			t.Errorf("%d workers: %d cons lookups reported, want %d (the sum over every table)", workers, got, lookups)
 		}
 		retained := snap.Gauges["checker.cons_retained"]
-		if bound := int64(osspec.DefaultConsCap + workers*fanout); retained > bound {
+		if bound := int64(checker.DefaultConsCap + workers*fanout); retained > bound {
 			t.Errorf("%d workers: %d states retained, want <= %d", workers, retained, bound)
+		}
+		if !testing.Short() && snap.Counters["checker.cons_resets"] == 0 {
+			t.Errorf("%d workers: no table reset; the suite no longer outgrows the cap", workers)
 		}
 		t.Logf("%d workers: %d hits, %d misses, %d resets, %d retained", workers,
 			snap.Counters["checker.cons_hits"], snap.Counters["checker.cons_misses"],
