@@ -5,8 +5,7 @@ package sibylfs
 // counts, state-set sizes, and one SHA-256 over every rendered checked
 // trace are pinned in testdata/crash_golden.json. TestCrashGoldenParity
 // additionally proves the pipeline reproduces those bytes from a warm
-// cache with zero re-executions, and with the suite-level transition memo
-// on and off.
+// cache with zero re-executions, and on any worker count and job order.
 //
 // Regenerate with:
 //
@@ -23,6 +22,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -133,19 +133,26 @@ func TestCrashGolden(t *testing.T) {
 }
 
 // runCrashPipeline runs the crash universe through the cache-backed
-// pipeline and returns the digest over the records' checked-trace bytes,
-// the run stats and the checker.crash_states counter of the checks it ran.
-func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, PipelineStats, int64) {
+// pipeline on the given number of workers (0: GOMAXPROCS), with the jobs
+// in suite order or reversed, and returns the digest over the records'
+// checked-trace bytes in suite order, the run stats and the
+// checker.crash_states counter of the checks it ran.
+func runCrashPipeline(t *testing.T, cacheDir string, workers int, reversed bool) (string, PipelineStats, int64) {
 	t.Helper()
 	tel := NewTelemetryRegistry()
+	scripts := generate(t, (*Session).GenerateCrash)
+	if reversed {
+		scripts = slices.Clone(scripts)
+		slices.Reverse(scripts)
+	}
 	cfg := pipeline.Config{
-		Name:         "crash golden",
-		Scripts:      generate(t, (*Session).GenerateCrash),
-		Factory:      crashGoldenFactory(),
-		FSName:       "ext4-crash",
-		Spec:         crashGoldenSpec(),
-		NoSharedCons: noMemo,
-		Tel:          tel,
+		Name:    "crash golden",
+		Scripts: scripts,
+		Factory: crashGoldenFactory(),
+		FSName:  "ext4-crash",
+		Spec:    crashGoldenSpec(),
+		Workers: workers,
+		Tel:     tel,
 	}
 	if cacheDir != "" {
 		store, err := pipeline.OpenCache(cacheDir, nil)
@@ -159,6 +166,9 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 	if err != nil {
 		t.Fatal(err)
 	}
+	if reversed {
+		slices.Reverse(records)
+	}
 	h := sha256.New()
 	for _, rec := range records {
 		h.Write([]byte(rec.Checked))
@@ -170,16 +180,18 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 }
 
 // TestCrashGoldenParity pins byte-reproduction across execution
-// strategies: cold vs warm cache (the warm run re-executes nothing) and
-// transition memo on vs off all produce identical checked-trace bytes,
-// and the memo leaves the count of remounted crash states as it is.
+// strategies: cold vs warm cache (the warm run re-executes nothing), one
+// worker or three and the jobs in suite order or reversed all produce
+// identical checked-trace bytes and the same count of remounted crash
+// states. The worker counts and job orders give each check a different
+// predecessor to resume from.
 func TestCrashGoldenParity(t *testing.T) {
 	dir := t.TempDir()
-	coldSHA, coldStats, coldCrashStates := runCrashPipeline(t, dir, false)
+	coldSHA, coldStats, coldCrashStates := runCrashPipeline(t, dir, 0, false)
 	if n := len(generate(t, (*Session).GenerateCrash)); coldStats.Executed != n {
 		t.Fatalf("cold run executed %d of %d scripts", coldStats.Executed, n)
 	}
-	warmSHA, warmStats, _ := runCrashPipeline(t, dir, false)
+	warmSHA, warmStats, _ := runCrashPipeline(t, dir, 0, false)
 	if warmStats.Executed != 0 {
 		t.Fatalf("warm run re-executed %d scripts, want 0", warmStats.Executed)
 	}
@@ -189,13 +201,21 @@ func TestCrashGoldenParity(t *testing.T) {
 	if warmSHA != coldSHA {
 		t.Fatal("warm cache replayed different checked-trace bytes")
 	}
-	noMemoSHA, _, noMemoCrashStates := runCrashPipeline(t, "", true)
-	if noMemoSHA != coldSHA {
-		t.Fatal("transition memo changed checked-trace bytes")
+	if coldCrashStates == 0 {
+		t.Fatal("the cold run drew no crash states")
 	}
-	if coldCrashStates == 0 || coldCrashStates != noMemoCrashStates {
-		t.Fatalf("checker.crash_states %d with the memo, %d without; want equal and nonzero",
-			coldCrashStates, noMemoCrashStates)
+	for _, c := range []struct {
+		workers  int
+		reversed bool
+	}{{1, false}, {3, true}} {
+		sha, _, crashStates := runCrashPipeline(t, "", c.workers, c.reversed)
+		if sha != coldSHA {
+			t.Fatalf("%d workers, reversed %v: checked-trace bytes differ", c.workers, c.reversed)
+		}
+		if crashStates != coldCrashStates {
+			t.Fatalf("%d workers, reversed %v: checker.crash_states %d, want %d",
+				c.workers, c.reversed, crashStates, coldCrashStates)
+		}
 	}
 	// And the fixture digest must agree with the direct-check digest path
 	// (TestCrashGolden): same renderer, same bytes.

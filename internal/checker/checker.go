@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -94,9 +95,10 @@ type Result struct {
 	// successors osspec.CrashStates built for every tracked state, each
 	// source's deduplicated. Telemetry, like CrashPoints.
 	CrashStates int
-	// Coverage is the set of model coverage points the check hit, fused
-	// pairs replayed from the cons table included, so it does not depend
-	// on Memo. Like CrashPoints, not part of the serialized record.
+	// Coverage is the set of model coverage points the check hit, the
+	// steps it resumed past (see CheckCtx) included, so it does not depend
+	// on which trace the checker checked before. Like CrashPoints, not
+	// part of the serialized record.
 	Coverage cov.Set
 }
 
@@ -109,10 +111,14 @@ func (r Result) MeanStates() float64 {
 }
 
 // Checker checks traces against one variant of the model. A checker and
-// everything it holds (its per-trace scratch, its initial state and its
-// cons table) belong to one goroutine: a caller that checks in parallel
-// builds one checker per worker, as Session.Check, pipeline.Run and the
-// fuzz engine do. Traces are independent, so the checkers share nothing.
+// everything it holds (its per-trace scratch, its initial state and the
+// history its next check resumes from) belong to one goroutine: a caller
+// that checks in parallel builds one checker per worker, as
+// Session.Check, pipeline.Run and the fuzz engine do. Traces are
+// independent, so the checkers share nothing. A checker checks each
+// trace as if it were its first: CheckCtx resumes from the previous
+// trace's walk only where that walk is exactly the one the trace would
+// take, so no Result depends on the traces checked before it.
 type Checker struct {
 	Spec types.Spec
 	// MaxStateSet caps the tracked set to guard against pathological
@@ -123,25 +129,16 @@ type Checker struct {
 	// attribution); nil records none. Purely observational: results are
 	// byte-identical whatever registry is installed.
 	Tel *telemetry.Registry
-	// Memo, when non-nil, is the checker's cons table: fused call/return
-	// pairs (see fuse) are interned per (source state object, call and
-	// return) and replayed across traces (scripts share their fixture
-	// prefix — and the shared initial state — so most of a sequential
-	// suite's pairs walk the same interned object graph). Every other
-	// step is computed afresh. A replay is CallReturn applied to that very
-	// object, so results are byte-identical with the table on or off; the
-	// golden parity fixtures pin it. The table keys on source-state
-	// pointer identity, so it pays only where traces share a prefix of
-	// states: pipeline.Run gives each worker's checker a table of its own
-	// for sequential runs and leaves it nil for concurrent ones, whose
-	// schedules rarely reach the same state object twice.
-	Memo *ConsTable
 
 	// initial is the hashed+frozen initial state every trace this checker
 	// checks starts from, built at the first check: all traces start
-	// identical, and the pointer-equality fast paths in StateEqual and the
-	// cons table make the per-trace first steps cheap.
+	// identical, and the pointer-equality fast paths in StateEqual make
+	// the per-trace first steps cheap.
 	initial *osspec.OsState
+
+	// hist is the walk of the last check CheckCtx completed (see
+	// history).
+	hist history
 
 	// scratch is the storage each trace reuses (see traceScratch).
 	scratch traceScratch
@@ -154,14 +151,13 @@ type Checker struct {
 // traceScratch is the storage a trace reuses at every step instead of
 // allocating per step, and the next trace after it: the τ-closure's
 // working storage (whose dedup set reduce reuses too, reset per reduce and
-// per τ-closure), two state buffers and the trace's coverage sets. Every
+// per τ-closure), two state buffers and the trace's coverage set. Every
 // field is reset before it is read, so a trace abandoned by a panic
 // leaves nothing the next trace sees. The τ-closure builds
 // its output in closure; the transition union reads from closure and
 // appends into union, which reduce compacts in place — so between steps
 // the tracked set lives in union, and the next closure copies it out
-// before the union overwrites it. Interned pair successors are only ever
-// copied into these buffers.
+// before the union overwrites it.
 type traceScratch struct {
 	tau     osspec.ClosureScratch
 	closure []*osspec.OsState
@@ -176,19 +172,16 @@ type traceScratch struct {
 	// stats receives each closure's work split; a local would escape
 	// through ClosureOpts, which the closure's output flows from.
 	stats osspec.ClosureStats
-	// key holds the current pair's cons-table key (AppendPairKey).
-	key []byte
-	// hits collects the trace's coverage points (Result.Coverage); fan
-	// collects one pair miss's, which its cons-table entry keeps.
-	hits, fan cov.Set
+	// hits collects the trace's coverage points (Result.Coverage).
+	hits cov.Set
 }
 
-// start makes the tracked set the single initial state, with no covered
-// pids and no coverage, and returns it.
-func (sc *traceScratch) start(initial *osspec.OsState) []*osspec.OsState {
-	sc.union = append(sc.union[:0], initial)
-	sc.covered = append(sc.covered[:0], 0)
-	sc.hits = cov.Set{}
+// start makes the tracked set the single state s, with covered mask
+// mask and the coverage points hits, and returns it.
+func (sc *traceScratch) start(s *osspec.OsState, mask uint64, hits cov.Set) []*osspec.OsState {
+	sc.union = append(sc.union[:0], s)
+	sc.covered = append(sc.covered[:0], mask)
+	sc.hits = hits
 	return sc.union
 }
 
@@ -238,28 +231,64 @@ func (c *Checker) Check(t *trace.Trace) Result {
 // the trace, a call followed by its return taken as one StepPair. On
 // cancellation the partial Result (inspected so far,
 // verdict meaningless) is returned with ctx.Err().
+//
+// The walk resumes from the checker's previous trace (see history): it
+// restores that walk's snapshot at the end of the steps the two traces
+// share, and applies only the steps after it. A cancelled check, or one
+// cut short by a panic, leaves no history, so the next check starts
+// from the initial state.
 func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) {
 	start := time.Now()
 	defer c.scratch.release()
-	w := c.Walk(ctx, t.Name)
-	steps := t.Steps
-	for i := 0; i < len(steps); i++ {
+	h, steps := &c.hist, t.Steps
+	from := h.resume(steps, c.MaxStateSet)
+	if from < 0 {
+		h.snaps = append(h.snaps[:0], c.origin())
+		from = 0
+	}
+	h.snaps = h.snaps[:from+1]
+	reused := h.snaps[from].at
+	w := c.walkFrom(ctx, t.Name, &h.snaps[from])
+	for i := reused; i < len(steps); {
 		var err error
+		alone := false
 		if i+1 < len(steps) && isCallReturn(steps[i], steps[i+1]) {
 			_, err = w.StepPair(steps[i], steps[i+1])
-			i++
+			i += 2
 		} else {
 			_, err = w.Step(steps[i])
+			_, alone = steps[i].Label.(types.CallLabel)
+			i++
 		}
 		if err != nil {
 			return w.Result()
 		}
+		if len(w.states) == 1 {
+			h.snaps = append(h.snaps, w.snapshot(i, alone))
+		}
 	}
 	res, err := w.Result()
 	if err == nil {
-		c.record(res, time.Since(start))
+		h.publish(steps, c.MaxStateSet)
+		c.record(res, time.Since(start), reused)
 	}
+	// The history's snapshots hold the walk's errors, so the caller gets
+	// a copy of its own.
+	res.Errors = cloneErrors(res.Errors)
 	return res, err
+}
+
+// cloneErrors returns a copy of errs that shares no storage with it.
+func cloneErrors(errs []StepError) []StepError {
+	if len(errs) == 0 {
+		return errs
+	}
+	out := make([]StepError, len(errs))
+	for i, e := range errs {
+		e.Allowed = slices.Clone(e.Allowed)
+		out[i] = e
+	}
+	return out
 }
 
 // Walk is one trace's check in progress, driven a step at a time: the
@@ -268,7 +297,9 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 // the trace's steps in order (StepPair a call and its return at once,
 // as CheckCtx does) and Result reads the outcome. A walk works
 // in its checker's scratch, so a checker runs one walk at a time:
-// starting a walk abandons the checker's previous one.
+// starting a walk abandons the checker's previous one. A walk always
+// starts from the initial state, and neither reads nor writes the
+// history CheckCtx resumes from.
 type Walk struct {
 	c      *Checker
 	ctx    context.Context
@@ -279,9 +310,36 @@ type Walk struct {
 // Walk starts checking the trace called name from the model's initial
 // state. Its steps consult ctx as CheckCtx does.
 func (c *Checker) Walk(ctx context.Context, name string) *Walk {
-	c.walk = Walk{c: c, ctx: ctx, res: Result{Name: name, Accepted: true}}
-	c.walk.states = c.scratch.start(c.initialState())
+	s := c.origin()
+	return c.walkFrom(ctx, name, &s)
+}
+
+// origin is the snapshot every walk can start from: the initial state,
+// before any step.
+func (c *Checker) origin() snapshot {
+	return snapshot{state: c.initialState(), res: Result{Accepted: true}}
+}
+
+// walkFrom starts checking the trace called name from the snapshot s.
+// The Result starts as s's, with no TauNanos, since only the work the
+// walk does is timed, and with Errors clipped, so that an appended
+// error never writes into the snapshot.
+func (c *Checker) walkFrom(ctx context.Context, name string, s *snapshot) *Walk {
+	res := s.res
+	res.Name, res.TauNanos, res.Coverage = name, 0, cov.Set{}
+	res.Errors = res.Errors[:len(res.Errors):len(res.Errors)]
+	c.walk = Walk{c: c, ctx: ctx, res: res}
+	c.walk.states = c.scratch.start(s.state, s.covered, s.res.Coverage)
 	return &c.walk
+}
+
+// snapshot captures the walk, whose tracked set is one state, after its
+// first at steps; alone reports that the last of them was a call taken
+// alone.
+func (w *Walk) snapshot(at int, alone bool) snapshot {
+	s := snapshot{at: at, alone: alone, state: w.states[0], covered: w.c.scratch.covered[0], res: w.res}
+	s.res.Coverage = w.c.scratch.hits
+	return s
 }
 
 // Step applies one observed step to the tracked set and returns the set
@@ -412,16 +470,18 @@ func (c *Checker) step(ctx context.Context, states []*osspec.OsState, st trace.S
 	}
 }
 
-// record attributes one completed trace's work to the checker's registry.
+// record attributes one completed trace's work to the checker's registry:
+// its Result's counts, the reused steps it resumed past among them.
 // One batch of counter adds per trace — never per step — so the oracle's
 // hot loop stays unmetered.
-func (c *Checker) record(res Result, elapsed time.Duration) {
+func (c *Checker) record(res Result, elapsed time.Duration, reused int) {
 	tel := c.Tel
 	if tel == nil {
 		return
 	}
 	tel.Counter("checker.traces").Inc()
 	tel.Counter("checker.steps").Add(int64(res.Steps))
+	tel.Counter("checker.reused_steps").Add(int64(reused))
 	tel.Counter("checker.states_explored").Add(int64(res.SumStates))
 	tel.Counter("checker.tau_expansions").Add(int64(res.TauExpansions))
 	tel.Counter("checker.tau_rounds").Add(int64(res.TauRounds))
@@ -451,32 +511,16 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 // each (two steps from one state), MaxStates the closure's 1+distinct,
 // the closure's expansions and its two rounds (the outcomes', then theirs,
 // which have no call to process). The successors get no covered pids,
-// as ReturnCovered gives a state without a calling process. With a cons
-// table the pair is one entry, keyed by the source state and
-// AppendPairKey, that keeps the counts. The pair's time lands in
-// TauNanos. A pair that falls back has recorded coverage only the two
-// steps record too.
+// as ReturnCovered gives a state without a calling process. The pair's
+// time lands in TauNanos. A pair that falls back has recorded coverage
+// only the two steps record too.
 func (c *Checker) fuse(states []*osspec.OsState, call, ret trace.Step, res *Result, sc *traceScratch) ([]*osspec.OsState, bool) {
 	cl, rl, ok := callReturn(call, ret)
 	if !ok || len(states) != 1 || sc.covered[0] != 0 || !osspec.Fusable(states[0], cl.Pid) {
 		return nil, false
 	}
 	t0 := time.Now()
-	s := states[0]
-	var succs []*osspec.OsState
-	var expansions, distinct int
-	if memo := c.Memo; memo != nil {
-		sc.key = AppendPairKey(sc.key[:0], cl, rl)
-		succs, expansions, distinct, ok = memo.Get(s, sc.key, &sc.hits)
-		if !ok {
-			sc.fan = cov.Set{}
-			succs, expansions, distinct = osspec.CallReturn(s, cl, rl, &sc.tau.Set, &sc.fan)
-			memo.Put(s, sc.key, succs, &sc.fan, expansions, distinct) // hashes and freezes succs
-			sc.hits.Or(&sc.fan)
-		}
-	} else {
-		succs, expansions, distinct = osspec.CallReturn(s, cl, rl, &sc.tau.Set, &sc.hits)
-	}
+	succs, expansions, distinct := osspec.CallReturn(states[0], cl, rl, &sc.tau.Set, &sc.hits)
 	if len(succs) == 0 || (c.MaxStateSet > 0 && 1+distinct >= c.MaxStateSet) {
 		return nil, false
 	}
@@ -485,8 +529,7 @@ func (c *Checker) fuse(states []*osspec.OsState, call, ret trace.Step, res *Resu
 	res.MaxStates = max(res.MaxStates, 1+distinct)
 	res.TauExpansions += expansions
 	res.TauRounds += 2
-	// The union overwrites the buffer states lives in; succs are not
-	// there (fresh, or interned and copied).
+	// The union overwrites the buffer states lives in; succs are fresh.
 	sc.union = append(sc.union[:0], succs...)
 	sc.uncover(len(sc.union))
 	next := c.reduce(sc.union, res, sc)
@@ -543,10 +586,11 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 // tauClosure closes the state set over internal transitions (see
 // osspec.TauClosureWith), respecting the checker's set cap and
 // accounting the expansions in the result's statistics. A cancelled ctx
-// cuts the closure short; Walk.Step reports the cancellation and the
-// trace is abandoned, so the truncated set is never used for a verdict. The output is built in the trace's closure buffer; states'
-// covered masks (sc.covered) spare it the successors the previous steps
-// already found. complete reports that the output holds every τ-successor
+// cuts the closure short. Walk.Step reports the cancellation and the
+// trace is abandoned, so the truncated set is never used for a verdict.
+// The output is built in the trace's closure buffer; states' covered
+// masks (sc.covered) spare it the successors the previous steps already
+// found. complete reports that the output holds every τ-successor
 // of its states: no cap hit and no cancellation.
 func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *traceScratch) (out []*osspec.OsState, complete bool) {
 	t0 := time.Now()
@@ -623,9 +667,8 @@ func allowedSet(states []*osspec.OsState, pid types.Pid) []string {
 
 // reduce dedupes the state set by hash-consed identity, records cap
 // truncation, and freezes the survivors, so the next fan-out clones them
-// instead of writing to them (the cons table hands them to later
-// traces). It compacts states in
-// place, and their covered masks (sc.covered, aligned with states on
+// instead of writing to them (a snapshot hands them to later traces).
+// It compacts states in place, and their covered masks (sc.covered, aligned with states on
 // entry) along with them: a duplicate's mask goes with it, and a
 // truncated set keeps none, since the states it dropped were what the
 // masks vouched for. sc.tau.Set is reset here; its previous contents are

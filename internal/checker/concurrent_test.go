@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -54,11 +55,13 @@ func TestTwoWritersRacingOnePath(t *testing.T) {
 }
 
 // TestCheckerReusableAfterPanic: a checker's traces all reuse its one
-// scratch, and the fuzzer recovers a panic mid-check and checks its next
-// candidate with the same checker. A check cut short by a panic must
-// leave nothing behind: the next traces, one opening with a create and
-// one with a call, check exactly as on a fresh checker, with a cons table
-// or without.
+// scratch and resume from its history, and the fuzzer recovers a panic
+// mid-check and checks its next candidate with the same checker. A check
+// cut short by a panic must leave nothing behind: after a trace that
+// publishes a history sharing its first steps with the panicking one,
+// the next traces, one opening with a create and one with a call, check
+// exactly as on a fresh checker, and the first of them resumes past
+// nothing.
 func TestCheckerReusableAfterPanic(t *testing.T) {
 	bad := parse(t, twoWriterTrace)
 	// Pid 1's write returns no value at all: the check dies on it, after
@@ -71,26 +74,28 @@ func TestCheckerReusableAfterPanic(t *testing.T) {
 1: mkdir "d" 0o755
 1: RV_none
 `)}
-	for _, memo := range []bool{false, true} {
-		c := New(types.DefaultSpec())
-		if memo {
-			c.Memo = NewConsTable(0, 0)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("memo=%v: a return without a value did not panic", memo)
-				}
-			}()
-			c.Check(bad)
-		}()
-		for _, tr := range good {
-			want := New(types.DefaultSpec()).Check(tr)
-			got := c.Check(tr)
-			got.TauNanos, want.TauNanos = 0, 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("memo=%v: %s after a panic diverged:\n%+v\nwant\n%+v", memo, tr.Steps[0].Label, got, want)
+	c := New(types.DefaultSpec())
+	c.Tel = telemetry.NewRegistry()
+	c.Check(good[0])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a return without a value did not panic")
 			}
+		}()
+		c.Check(bad)
+	}()
+	reused := c.Tel.Counter("checker.reused_steps")
+	before := reused.Value()
+	for i, tr := range good {
+		want := New(types.DefaultSpec()).Check(tr)
+		got := c.Check(tr)
+		got.TauNanos, want.TauNanos = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after a panic diverged:\n%+v\nwant\n%+v", tr.Steps[0].Label, got, want)
+		}
+		if i == 0 && reused.Value() != before {
+			t.Fatalf("the check after a panic resumed past %d steps, want 0", reused.Value()-before)
 		}
 	}
 }

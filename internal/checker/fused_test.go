@@ -2,11 +2,13 @@ package checker
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/fsimpl"
+	"repro/internal/telemetry"
 	"repro/internal/testgen"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -25,28 +27,40 @@ func stepwise(c *Checker, tr *trace.Trace) Result {
 }
 
 // newChecker returns a checker for spec with the given state-set cap (0:
-// the default) and, if memo, a cons table of its own.
-func newChecker(spec types.Spec, memo bool, maxStates int) *Checker {
+// the default).
+func newChecker(spec types.Spec, maxStates int) *Checker {
 	c := New(spec)
 	if maxStates > 0 {
 		c.MaxStateSet = maxStates
 	}
-	if memo {
-		c.Memo = NewConsTable(0, 0)
-	}
 	return c
 }
 
-// sameResult fails the test where got, a CheckCtx Result, differs from
-// want, the stepwise one, in any field (TauNanos, wall-clock telemetry,
-// aside).
+// sameResult fails the test where got differs from want in any Result
+// field (TauNanos, wall-clock telemetry, aside).
 func sameResult(t testing.TB, c *Checker, tr *trace.Trace, got, want Result) {
 	t.Helper()
 	got.TauNanos, want.TauNanos = 0, 0
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s (%+v, memo %v, cap %d): fused result differs from the stepwise one:\n got %+v\nwant %+v",
-			tr.Name, c.Spec, c.Memo != nil, c.MaxStateSet, got, want)
+		t.Fatalf("%s (%+v, cap %d): result differs:\n got %+v\nwant %+v",
+			tr.Name, c.Spec, c.MaxStateSet, got, want)
 	}
+}
+
+// fusesSome reports whether the first step pair of some trace fuses from
+// the initial state, so that a parity test over traces is not vacuous.
+func fusesSome(spec types.Spec, traces []*trace.Trace) bool {
+	c := New(spec)
+	for _, tr := range traces {
+		if len(tr.Steps) < 2 {
+			continue
+		}
+		w := c.Walk(context.Background(), tr.Name)
+		if _, ok := c.fuse(w.states, tr.Steps[0], tr.Steps[1], &w.res, &c.scratch); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // runSuite executes every k-th script of the sequential suite on the
@@ -74,17 +88,22 @@ func runSuite(t testing.TB, profile string, k int) []*trace.Trace {
 	return traces
 }
 
-// TestFusedStepParity pins that checking a call and its return as one
-// fused transition is exactly the two steps: every Result field,
-// coverage, errors and cap hits included, equals a plain Walk/Step
-// loop's, with the cons table on and off. The traces: the sequential
-// suite on ext4 under all four platform variants (the non-Linux ones
-// reject thousands of steps, so deviations fall back and recover), the
-// defect-injected hfsplus_linux_trusty profile under Linux, the crash
-// universe (which never fuses), the concurrent universe under schedule 1
-// (which fuses only while one process runs), and small state-set caps
-// that make pairs fall back. -short checks a sample of the suite.
-func TestFusedStepParity(t *testing.T) {
+// parityGroup is a set of traces to check under one spec and state-set
+// cap (0: the default).
+type parityGroup struct {
+	name      string
+	spec      types.Spec
+	maxStates int
+	traces    []*trace.Trace
+	fuses     bool // sequential, outside crash mode
+}
+
+// parityGroups returns the traces the parity tests check: the sequential
+// suite on ext4 under all four platform variants, the defect-injected
+// hfsplus_linux_trusty profile under Linux, the crash universe, the
+// concurrent universe under schedule 1, and the last two again under
+// small state-set caps. -short takes a sample of the suite.
+func parityGroups(t *testing.T) []parityGroup {
 	ctx := context.Background()
 	every := 1
 	if testing.Short() {
@@ -114,41 +133,54 @@ func TestFusedStepParity(t *testing.T) {
 	crashSpec := types.DefaultSpec()
 	crashSpec.Crash = true
 
-	type group struct {
-		name      string
-		spec      types.Spec
-		maxStates int
-		traces    []*trace.Trace
-		fuses     bool // sequential, outside crash mode
-	}
-	var groups []group
+	var groups []parityGroup
 	for _, pl := range []types.Platform{types.PlatformLinux, types.PlatformPOSIX, types.PlatformOSX, types.PlatformFreeBSD} {
-		groups = append(groups, group{"ext4 " + pl.String(), types.Spec{Platform: pl, Permissions: true, RootUser: true}, 0, ext4, true})
+		groups = append(groups, parityGroup{"ext4 " + pl.String(), types.Spec{Platform: pl, Permissions: true, RootUser: true}, 0, ext4, true})
 	}
-	groups = append(groups,
-		group{"hfsplus_linux_trusty", types.DefaultSpec(), 0, hfs, true},
-		group{"conc___ seed 1", types.DefaultSpec(), 0, conc, false},
-		group{"crash___", crashSpec, 0, crash, false},
-		group{"hfsplus_linux_trusty cap 3", types.DefaultSpec(), 3, hfs, true},
-		group{"conc___ seed 1 cap 8", types.DefaultSpec(), 8, conc, false},
+	return append(groups,
+		parityGroup{"hfsplus_linux_trusty", types.DefaultSpec(), 0, hfs, true},
+		parityGroup{"conc___ seed 1", types.DefaultSpec(), 0, conc, false},
+		parityGroup{"crash___", crashSpec, 0, crash, false},
+		parityGroup{"hfsplus_linux_trusty cap 3", types.DefaultSpec(), 3, hfs, true},
+		parityGroup{"conc___ seed 1 cap 8", types.DefaultSpec(), 8, conc, false},
 	)
-	for _, g := range groups {
+}
+
+// TestFusedStepParity pins that checking a call and its return as one
+// fused transition, and resuming from the previous trace's walk, are
+// exactly the steps they stand for: every Result field, coverage, errors
+// and cap hits included, equals a plain Walk/Step loop's from the
+// initial state. One checker checks each group's traces in turn, in
+// suite order and shuffled, so each check resumes from a predecessor
+// that shares more or less of it. The traces are parityGroups': on the
+// non-Linux platforms the suite rejects thousands of steps, so
+// deviations fall back and recover; the crash universe never fuses, the
+// concurrent universe fuses only while one process runs, and the small
+// state-set caps make pairs fall back.
+func TestFusedStepParity(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range parityGroups(t) {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			plain := newChecker(g.spec, false, g.maxStates)
-			want := make([]Result, len(g.traces))
-			for i, tr := range g.traces {
-				want[i] = stepwise(plain, tr)
-			}
-			for _, memo := range []bool{false, true} {
-				c := newChecker(g.spec, memo, g.maxStates)
+			plain := newChecker(g.spec, g.maxStates)
+			shuffled := append([]*trace.Trace(nil), g.traces...)
+			rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			})
+			for _, order := range []struct {
+				name   string
+				traces []*trace.Trace
+			}{{"suite order", g.traces}, {"shuffled", shuffled}} {
+				c := newChecker(g.spec, g.maxStates)
+				c.Tel = telemetry.NewRegistry()
 				var steps, errs, rejected, capHits int
-				for i, tr := range g.traces {
+				for _, tr := range order.traces {
+					want := stepwise(plain, tr)
 					got, err := c.CheckCtx(ctx, tr)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameResult(t, c, tr, got, want[i])
+					sameResult(t, c, tr, got, want)
 					steps += got.Steps
 					errs += len(got.Errors)
 					if !got.Accepted {
@@ -158,16 +190,17 @@ func TestFusedStepParity(t *testing.T) {
 						capHits++
 					}
 				}
-				t.Logf("memo %v: %d traces, %d rejected, %d errors, %d cap hits",
-					memo, len(g.traces), rejected, errs, capHits)
-				if !memo || !g.fuses {
-					continue
+				t.Logf("%s: %d traces, %d rejected, %d errors, %d cap hits, %d of %d steps reused",
+					order.name, len(g.traces), rejected, errs, capHits, reusedSteps(c), steps)
+				// A sequential group that resumes past nothing in suite
+				// order would make the resume's parity vacuous.
+				if g.fuses && order.name == "suite order" && reusedSteps(c) == 0 {
+					t.Error("no step reused in suite order")
 				}
-				// Only a fused pair looks the table up. A checker making
-				// no lookup fused nothing, and its parity would be vacuous.
-				if st := c.Memo.Stats(); st.Hits+st.Misses == 0 {
-					t.Errorf("no cons lookup over %d steps: no pair fused", steps)
-				}
+			}
+			// A group no pair of which fuses would make its parity vacuous.
+			if g.fuses && !fusesSome(g.spec, g.traces) {
+				t.Error("no trace's first pair fuses")
 			}
 		})
 	}
@@ -236,8 +269,9 @@ destroy 2
 
 // FuzzFusedStepParity: for any trace text the parser accepts, checking
 // it with fused call/return pairs neither panics nor differs in any
-// Result field from the stepwise loop, with the cons table off, and on
-// over two passes (the second replays the first's entries).
+// Result field from the stepwise loop, on a fresh checker and on one
+// whose history holds the trace (the second check resumes past all of
+// it).
 func FuzzFusedStepParity(f *testing.F) {
 	for _, s := range fusedSeeds {
 		if _, err := trace.ParseTrace(s); err != nil {
@@ -258,9 +292,9 @@ func FuzzFusedStepParity(f *testing.F) {
 			t.Skip()
 		}
 		spec := types.DefaultSpec()
-		want := stepwise(newChecker(spec, false, 0), tr)
-		plain, memo := newChecker(spec, false, 0), newChecker(spec, true, 0)
-		for _, c := range []*Checker{plain, memo, memo} {
+		want := stepwise(newChecker(spec, 0), tr)
+		c := newChecker(spec, 0)
+		for range 2 {
 			got, err := c.CheckCtx(context.Background(), tr)
 			if err != nil {
 				t.Fatal(err)

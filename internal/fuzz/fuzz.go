@@ -471,7 +471,7 @@ func (e *engine) reportDeviation(c *checker.Checker, cand *trace.Script, tr *tra
 	}
 	e.mu.Unlock()
 
-	min, err := reduce.MinimizeWith(cand, func(s *trace.Script) (bool, error) {
+	min, err := reduce.Minimize(cand, func(s *trace.Script) (bool, error) {
 		return e.deviates(c, s)
 	})
 	if err != nil {
@@ -528,7 +528,7 @@ func (e *engine) reportDeviation(c *checker.Checker, cand *trace.Script, tr *tra
 // reportCrash minimizes a panicking candidate with a panic-preserving
 // oracle, checking with c, and records it.
 func (e *engine) reportCrash(c *checker.Checker, cand *trace.Script, panicVal string) {
-	min, err := reduce.MinimizeWith(cand, func(s *trace.Script) (bad bool, oerr error) {
+	min, err := reduce.Minimize(cand, func(s *trace.Script) (bad bool, oerr error) {
 		_, _, _, crash, runErr := e.execCheck(c, s)
 		if runErr != nil {
 			return false, nil // an unexecutable shrink is not the crash

@@ -29,37 +29,6 @@ func TestScriptHashAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmRunBuildsNoConsMap pins that a cons table makes its map only
-// when it first stores a fan-out: a cold run's tables make theirs, and a
-// warm run over the same cache, which checks nothing, makes none.
-func TestWarmRunBuildsNoConsMap(t *testing.T) {
-	store, err := OpenCache(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	defer func() { runDoneHook = nil }()
-	mapped := 0 // tables with a map at the end of the last run
-	runDoneHook = func(ws []*worker) {
-		mapped = 0
-		for _, w := range ws {
-			if w.chk.Memo.Stats().Mapped {
-				mapped++
-			}
-		}
-	}
-	cfg := testConfig(testScripts(t, 16))
-	cfg.Store = store
-	for _, warm := range []bool{false, true} {
-		if _, st, err := Run(context.Background(), cfg); err != nil || (st.CacheHits == st.Jobs) != warm {
-			t.Fatalf("warm=%v: %+v, err %v", warm, st, err)
-		}
-		if (mapped > 0) == warm {
-			t.Errorf("warm=%v: %d of %d tables made a map", warm, mapped, cfg.Workers)
-		}
-	}
-}
-
 // TestWarmHitAllocs pins what a journaled warm run allocates per hit: the
 // decoded record's Name and Checked strings and the journal line the sink
 // keeps, plus a constant for the job's share of the run's key pass,

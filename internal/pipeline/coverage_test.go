@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,10 +15,11 @@ import (
 )
 
 // TestCoverageSetsMemoInvariant: every executed trace's coverage set, and
-// the registry the run's workers merge into, are the same with the cons
-// tables on and off and with one and two workers. Cons-table replays
-// carry the points of the fan-out they replay, so a trace's set does not
-// depend on which transitions its worker had already computed. Covers a
+// the registry the run's workers merge into, are the same with one and
+// two workers and with the jobs in suite order and reversed. Each check
+// resumes from its worker's previous one, and a resumed check's set
+// carries the points of the steps it resumed past, so a trace's set does
+// not depend on which trace its worker checked before. Covers a
 // sequential slice of the suite run on the determinized model (whose
 // execution-side points join each trace's set) and the crash universe.
 func TestCoverageSetsMemoInvariant(t *testing.T) {
@@ -46,7 +48,7 @@ func TestCoverageSetsMemoInvariant(t *testing.T) {
 			counts   []uint64
 			hitCount int
 		}
-		do := func(workers int, noMemo bool) run {
+		do := func(workers int, reversed bool) run {
 			var mu sync.Mutex
 			sets := make(map[string]cov.Set)
 			jobCoverageHook = func(script string, hits cov.Set) {
@@ -55,10 +57,15 @@ func TestCoverageSetsMemoInvariant(t *testing.T) {
 				mu.Unlock()
 			}
 			defer func() { jobCoverageHook = nil }()
+			scripts := u.scripts
+			if reversed {
+				scripts = append([]*trace.Script(nil), scripts...)
+				slices.Reverse(scripts)
+			}
 			reg := cov.NewRegistry()
 			cfg := Config{
-				Name: u.name, Scripts: u.scripts, Factory: u.factory, FSName: u.name,
-				Spec: u.spec, Workers: workers, NoSharedCons: noMemo, Cov: reg,
+				Name: u.name, Scripts: scripts, Factory: u.factory, FSName: u.name,
+				Spec: u.spec, Workers: workers, Cov: reg,
 			}
 			if _, _, err := Run(context.Background(), cfg); err != nil {
 				t.Fatal(err)
@@ -71,18 +78,18 @@ func TestCoverageSetsMemoInvariant(t *testing.T) {
 			t.Fatalf("%s: %d sets for %d scripts, %d points hit", u.name, len(want.sets), len(u.scripts), want.hitCount)
 		}
 		for _, c := range []struct {
-			workers int
-			noMemo  bool
+			workers  int
+			reversed bool
 		}{{1, true}, {2, false}, {2, true}} {
-			got := do(c.workers, c.noMemo)
+			got := do(c.workers, c.reversed)
 			for name, hits := range want.sets {
 				if g := got.sets[name]; g != hits {
-					t.Fatalf("%s, %d workers, memo off %v: %s hit %v, want %v", u.name, c.workers, c.noMemo,
+					t.Fatalf("%s, %d workers, reversed %v: %s hit %v, want %v", u.name, c.workers, c.reversed,
 						name, g.Names(), hits.Names())
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, %d workers, memo off %v: merged registry differs", u.name, c.workers, c.noMemo)
+				t.Fatalf("%s, %d workers, reversed %v: merged registry differs", u.name, c.workers, c.reversed)
 			}
 		}
 	}

@@ -46,14 +46,6 @@ type Config struct {
 	// MaxStateSet caps the checker's tracked state set (0 = the checker
 	// default). Part of the cache key: a different cap can change verdicts.
 	MaxStateSet int
-	// NoSharedCons disables the cons tables that intern fused call/return
-	// pairs across the traces each worker checks (checker.Memo, one table
-	// per worker) — the ablation knob for benchmarks and the parity
-	// fixtures. Purely an execution strategy: records are byte-identical
-	// either way, so it is NOT part of the cache key. Concurrent runs
-	// never build the tables (see Run), so it only matters for sequential
-	// ones.
-	NoSharedCons bool
 	// HashScripts, when non-nil, fills hashes[i] with scripts[i]'s content
 	// hash for key computation instead of ScriptHash. Sessions pass a
 	// memo, so a second run over the same scripts (Survey's repeated
@@ -131,11 +123,10 @@ func (st Stats) String() string {
 
 // Run executes one shard of the suite through the cache-backed pipeline
 // and returns this shard's records in job order. Each worker checks with
-// a checker of its own, and for sequential runs a cons table of its own
-// (see newWorkers). The record content is deterministic: a cache hit,
-// a sink resume and a fresh execution of the same job yield identical
-// records whichever worker checks it (only Stats and Record.Cached reveal
-// the difference).
+// a checker of its own (see newWorkers). The record content is
+// deterministic: a cache hit, a sink resume and a fresh execution of the
+// same job yield identical records whichever worker checks it (only
+// Stats and Record.Cached reveal the difference).
 //
 // Cancellation is cooperative: ctx is consulted between jobs and inside
 // each job's execute/check. On cancellation Run stops dispatching, waits
@@ -169,14 +160,12 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 
 	// Shard selection: stable indices into the shared job list.
 	var jobs []int
-	labels := 0 // an upper bound on the labels this shard's traces carry
-	for i, s := range cfg.Scripts {
+	for i := range cfg.Scripts {
 		if cfg.Shards <= 1 || i%cfg.Shards == cfg.Shard {
 			jobs = append(jobs, i)
-			labels += 2 * len(s.Steps)
 		}
 	}
-	ws := newWorkers(cfg, workers, labels, tel)
+	ws := newWorkers(cfg, workers, tel)
 	if cfg.Sink != nil {
 		cfg.Sink.SetTelemetry(tel)
 	}
@@ -282,10 +271,6 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	if cfg.Store != nil {
 		flushErr = cfg.Store.Flush()
 	}
-	publishConsStats(tel, ws)
-	if runDoneHook != nil {
-		runDoneHook(ws)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
@@ -309,12 +294,10 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 const keyBatch = 128
 
 // Test hooks, nil outside tests: jobFailedHook runs once a job error has
-// marked the run failed, runDoneHook with the run's worker slots before
-// Run returns, jobCoverageHook with each executed job's coverage set (from
-// every worker at once).
+// marked the run failed, jobCoverageHook with each executed job's
+// coverage set (from every worker at once).
 var (
 	jobFailedHook   func()
-	runDoneHook     func([]*worker)
 	jobCoverageHook func(script string, hits cov.Set)
 )
 
@@ -337,58 +320,22 @@ type worker struct {
 }
 
 // newWorkers builds one slot per worker, each with a checker of its own:
-// a checker, its scratch and its cons table belong to one goroutine.
-// Sequential runs give each checker its own cons table of fused
-// call/return pairs with an even share of checker.DefaultConsCap, its map
-// sized once for min(that share, the worker's share of the run's labels)
-// entries, above where a cold table ends up (one entry per missed pair,
-// and a pair is two labels), so it never rehashes on the way there;
-// growing from empty measured slower. A shard is the natural epoch
-// (shards may run on different machines), and a table resets itself if a
-// pathological suite outgrows its share. Sequential traces walk the same
-// interned states along their shared script prefix, so most lookups hit,
-// and a worker's own traces find nearly every hit that one shared table
-// would: sharing was measured to add under 0.5% of hits, while its lock
-// made the workers' cores trade one cache line on every lookup.
-// Concurrent schedules interleave the pending calls differently, so only
-// about 9% of lookups hit there, and every miss keeps states alive for
-// the collector to scan: those runs check without a table.
-func newWorkers(cfg Config, workers, labels int, tel *telemetry.Registry) []*worker {
+// a checker, its scratch and the history its checks resume from belong
+// to one goroutine. Workers claim jobs in increasing order, so each
+// worker's traces are nearby scripts of the suite, which share most of
+// their fixture prelude, and each check resumes from the walk of the
+// worker's previous one (see checker.CheckCtx).
+func newWorkers(cfg Config, workers int, tel *telemetry.Registry) []*worker {
 	ws := make([]*worker, workers)
-	share := max(1, checker.DefaultConsCap/workers)
 	for w := range ws {
 		chk := checker.New(cfg.Spec)
 		if cfg.MaxStateSet > 0 {
 			chk.MaxStateSet = cfg.MaxStateSet
 		}
 		chk.Tel = tel
-		if !cfg.NoSharedCons && !cfg.Concurrent {
-			chk.Memo = checker.NewConsTable(share, min(share, labels/workers))
-		}
 		ws[w] = &worker{chk: chk}
 	}
 	return ws
-}
-
-// publishConsStats reports the worker tables' counters, summed, to tel.
-// Runs without tables (every worker has one, or none does) report
-// nothing.
-func publishConsStats(tel *telemetry.Registry, ws []*worker) {
-	if ws[0].chk.Memo == nil {
-		return
-	}
-	var sum checker.ConsStats
-	for _, w := range ws {
-		cs := w.chk.Memo.Stats()
-		sum.Hits += cs.Hits
-		sum.Misses += cs.Misses
-		sum.Resets += cs.Resets
-		sum.Retained += cs.Retained
-	}
-	tel.Counter("checker.cons_hits").Add(sum.Hits)
-	tel.Counter("checker.cons_misses").Add(sum.Misses)
-	tel.Counter("checker.cons_resets").Add(sum.Resets)
-	tel.Gauge("checker.cons_retained").SetMax(int64(sum.Retained))
 }
 
 // logProgress emits one rate-limited in-flight status line: completion,

@@ -7,14 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/checker"
 	"repro/internal/fsimpl"
 	"repro/internal/osspec"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -48,118 +46,6 @@ func testConfig(scripts []*trace.Script) Config {
 		FSName:  "ext4",
 		Spec:    types.DefaultSpec(),
 		Workers: 2,
-	}
-}
-
-// TestConsTablePolicy pins when Run builds the suite-level cons table:
-// for sequential runs, whose traces share a prefix of interned states,
-// and never for concurrent ones, whose schedules do not.
-func TestConsTablePolicy(t *testing.T) {
-	scripts := testScripts(t, 4)
-	consMetrics := func(concurrent bool) []string {
-		cfg := testConfig(scripts)
-		cfg.Concurrent = concurrent
-		cfg.SchedSeed = 1
-		cfg.Tel = telemetry.NewRegistry()
-		if _, _, err := Run(context.Background(), cfg); err != nil {
-			t.Fatal(err)
-		}
-		snap := cfg.Tel.Snapshot()
-		var names []string
-		for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
-			for name := range m {
-				if strings.HasPrefix(name, "checker.cons_") {
-					names = append(names, name)
-				}
-			}
-		}
-		return names
-	}
-	if names := consMetrics(true); len(names) != 0 {
-		t.Errorf("concurrent run recorded cons-table metrics %v", names)
-	}
-	if names := consMetrics(false); len(names) == 0 {
-		t.Error("sequential run recorded no cons-table metrics")
-	}
-}
-
-// TestPerWorkerConsTables pins the memo's ownership: every worker checks
-// with a table of its own, which changes no record, and Run reports the
-// tables' counters summed. The tracked sets, and with them the lookups,
-// do not depend on which worker checks a trace, so hits plus misses must
-// match the one-table run for every worker count; a report from a single
-// worker's table would fall short. The retained total stays within
-// DefaultConsCap plus one fan-out per table, since the tables split the
-// cap.
-func TestPerWorkerConsTables(t *testing.T) {
-	// Traces share a two-call prefix, so tables hit, then each makes 60
-	// directories of its own, one cons entry each, so the full-size suite
-	// outgrows the cap and resets.
-	n := 1200
-	if testing.Short() {
-		n = 150
-	}
-	var scripts []*trace.Script
-	for i := 0; i < n; i++ {
-		var b strings.Builder
-		fmt.Fprintf(&b, "@type script\n# Test memo___job_%04d\nmkdir \"p\" 0o755\nstat \"p\"\n", i)
-		for j := 0; j < 60; j++ {
-			fmt.Fprintf(&b, "mkdir \"p/d%d_%d\" 0o755\n", i, j)
-		}
-		s, err := trace.ParseScript(b.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		scripts = append(scripts, s)
-	}
-	run := func(workers int, noMemo bool) ([]Record, telemetry.Snapshot) {
-		cfg := testConfig(scripts)
-		cfg.Workers = workers
-		cfg.NoSharedCons = noMemo
-		cfg.Tel = telemetry.NewRegistry()
-		recs, _, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs, cfg.Tel.Snapshot()
-	}
-	want, snap1 := run(1, false)
-	lookups := snap1.Counters["checker.cons_hits"] + snap1.Counters["checker.cons_misses"]
-	if lookups == 0 {
-		t.Fatal("one-worker run made no cons lookups")
-	}
-	// An entry holds a fused pair's successors: at most its distinct τ
-	// outcomes, which the record's MaxStates counts.
-	fanout := 0
-	for _, r := range want {
-		fanout = max(fanout, r.MaxStates)
-	}
-	for _, workers := range []int{2, 4} {
-		recs, snap := run(workers, false)
-		if !reflect.DeepEqual(recs, want) {
-			t.Errorf("%d workers: records differ from the one-worker run", workers)
-		}
-		got := snap.Counters["checker.cons_hits"] + snap.Counters["checker.cons_misses"]
-		if got != lookups {
-			t.Errorf("%d workers: %d cons lookups reported, want %d (the sum over every table)", workers, got, lookups)
-		}
-		retained := snap.Gauges["checker.cons_retained"]
-		if bound := int64(checker.DefaultConsCap + workers*fanout); retained > bound {
-			t.Errorf("%d workers: %d states retained, want <= %d", workers, retained, bound)
-		}
-		if !testing.Short() && snap.Counters["checker.cons_resets"] == 0 {
-			t.Errorf("%d workers: no table reset; the suite no longer outgrows the cap", workers)
-		}
-		t.Logf("%d workers: %d hits, %d misses, %d resets, %d retained", workers,
-			snap.Counters["checker.cons_hits"], snap.Counters["checker.cons_misses"],
-			snap.Counters["checker.cons_resets"], retained)
-	}
-	recs, snap := run(2, true)
-	if !reflect.DeepEqual(recs, want) {
-		t.Error("NoSharedCons: records differ from the memoised run")
-	}
-	if n := snap.Counters["checker.cons_hits"] + snap.Counters["checker.cons_misses"]; n != 0 {
-		t.Errorf("NoSharedCons: %d cons lookups reported", n)
 	}
 }
 

@@ -1,14 +1,6 @@
 package reduce
 
-import (
-	"context"
-
-	"repro/internal/checker"
-	"repro/internal/exec"
-	"repro/internal/fsimpl"
-	"repro/internal/trace"
-	"repro/internal/types"
-)
+import "repro/internal/trace"
 
 // Oracle reports whether a script still exhibits the behaviour being
 // minimized (for spec deviations: executes the script and asks the checker).
@@ -17,29 +9,12 @@ import (
 // does for every run.
 type Oracle func(*trace.Script) (bool, error)
 
-// Deviates executes the script against a fresh instance and reports
-// whether the oracle rejects the resulting trace. It records no coverage.
-func Deviates(s *trace.Script, factory fsimpl.Factory, spec types.Spec) (bool, error) {
-	tr, err := exec.Run(context.Background(), s, factory, nil)
-	if err != nil {
-		return false, err
-	}
-	r := checker.New(spec).Check(tr)
-	return !r.Accepted, nil
-}
-
-// Minimize shrinks a deviating script while the deviation persists,
-// using one-at-a-time removal passes until a fixed point (ddmin's
-// granularity-1 phase, which suffices for our linear scripts). The result
-// still deviates; if the input does not deviate it is returned unchanged.
-func Minimize(s *trace.Script, factory fsimpl.Factory, spec types.Spec) (*trace.Script, error) {
-	return MinimizeWith(s, func(c *trace.Script) (bool, error) {
-		return Deviates(c, factory, spec)
-	})
-}
-
-// MinimizeWith is Minimize with an injected deviation oracle.
-func MinimizeWith(s *trace.Script, deviates Oracle) (*trace.Script, error) {
+// Minimize shrinks a script while deviates reports that it still
+// exhibits the behaviour, using one-at-a-time removal passes until a
+// fixed point (ddmin's granularity-1 phase, which suffices for our
+// linear scripts). The result still deviates; if the input does not
+// deviate it is returned unchanged.
+func Minimize(s *trace.Script, deviates Oracle) (*trace.Script, error) {
 	bad, err := deviates(s)
 	if err != nil || !bad {
 		return s, err

@@ -1,8 +1,11 @@
 package reduce
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/checker"
+	"repro/internal/exec"
 	"repro/internal/fsimpl"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -40,25 +43,22 @@ func trustyHFS() fsimpl.Factory {
 	panic("profile missing")
 }
 
-func TestDeviates(t *testing.T) {
-	bad, err := Deviates(buggyScript(), trustyHFS(), linuxSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bad {
-		t.Fatal("padded script should deviate on the buggy profile")
-	}
-	good, err := Deviates(buggyScript(), fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), linuxSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good {
-		t.Fatal("padded script should be clean on the conforming profile")
+// deviates is the oracle the tests minimize with: it executes the script
+// against a fresh instance from factory and reports whether the checker
+// rejects the resulting trace.
+func deviates(factory fsimpl.Factory) Oracle {
+	c := checker.New(linuxSpec())
+	return func(s *trace.Script) (bool, error) {
+		tr, err := exec.Run(context.Background(), s, factory, nil)
+		if err != nil {
+			return false, err
+		}
+		return !c.Check(tr).Accepted, nil
 	}
 }
 
 func TestMinimizeStripsNoise(t *testing.T) {
-	min, err := Minimize(buggyScript(), trustyHFS(), linuxSpec())
+	min, err := Minimize(buggyScript(), deviates(trustyHFS()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMinimizeStripsNoise(t *testing.T) {
 		t.Fatalf("no reduction: %d steps", len(min.Steps))
 	}
 	// The result must still deviate ...
-	bad, err := Deviates(min, trustyHFS(), linuxSpec())
+	bad, err := deviates(trustyHFS())(min)
 	if err != nil || !bad {
 		t.Fatalf("minimized script no longer deviates (err=%v)", err)
 	}
@@ -82,7 +82,7 @@ func TestMinimizeStripsNoise(t *testing.T) {
 
 func TestMinimizeLeavesCleanScriptsAlone(t *testing.T) {
 	s := buggyScript()
-	min, err := Minimize(s, fsimpl.MemFactory(fsimpl.LinuxProfile("ext4")), linuxSpec())
+	min, err := Minimize(s, deviates(fsimpl.MemFactory(fsimpl.LinuxProfile("ext4"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestMinimizeStatefulDependency(t *testing.T) {
 		call(types.Open{Path: "/t", Flags: types.ORdonly}),
 		call(types.Read{FD: 5, Size: 16}),
 	}}
-	min, err := Minimize(s, fsimpl.MemFactory(prof), linuxSpec())
+	min, err := Minimize(s, deviates(fsimpl.MemFactory(prof)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := Deviates(min, fsimpl.MemFactory(prof), linuxSpec())
+	bad, err := deviates(fsimpl.MemFactory(prof))(min)
 	if err != nil || !bad {
 		t.Fatalf("minimized script no longer deviates")
 	}

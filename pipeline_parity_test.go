@@ -1,7 +1,7 @@
 package sibylfs
 
 // Pipeline-parity fixtures: the sharded, cache-backed pipeline (driven
-// through pipeline.Run, so the ablation knobs Session does not expose are
+// through pipeline.Run, so the worker counts Session does not expose are
 // reachable) must produce verdicts byte-identical to the direct
 // Execute+Check flow that
 // recorded testdata/oracle_golden.json. The per-record Checked text is
@@ -66,41 +66,47 @@ func pipelineGolden(t *testing.T, name string, cfg pipeline.Config) {
 	}
 }
 
-func TestPipelineGoldenParity(t *testing.T) {
+// seqSlice7 is the sequential slice the seq_slice7 golden record pins:
+// every seventh script of the generated suite.
+func seqSlice7(t *testing.T) []*Script {
+	t.Helper()
 	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
+	return sel
+}
+
+func TestPipelineGoldenParity(t *testing.T) {
 	pipelineGolden(t, "seq_slice7", pipeline.Config{
 		Name:    "seq_slice7",
-		Scripts: sel,
+		Scripts: seqSlice7(t),
 		Factory: MemFS(LinuxProfile("ext4")),
 		FSName:  "ext4",
 		Spec:    DefaultSpec(),
 	})
 }
 
-// TestPipelineGoldenParityNoSharedCons re-runs the sequential slice with
-// the suite-level cons table ablated: the shared transition memo is an
-// execution strategy only, so the checked-trace digest AND the oracle work
-// metrics (peak/τ/sum/steps) must match the same golden record the
-// memoised run pins. A divergence here means the memo replayed a fan-out
-// it had no right to reuse.
-func TestPipelineGoldenParityNoSharedCons(t *testing.T) {
-	suite := generate(t, (*Session).Generate)
-	var sel []*Script
-	for i := 0; i < len(suite); i += 7 {
-		sel = append(sel, suite[i])
+// TestPipelineGoldenParityWorkers re-runs the sequential slice on one
+// worker and on three. Each check resumes from the walk of its worker's
+// previous trace, and the two runs give most traces different
+// predecessors, so the checked-trace digest AND the oracle work metrics
+// (peak/τ/sum/steps) must match the same golden record in both. A
+// divergence here means a check resumed from a walk that was not its
+// own.
+func TestPipelineGoldenParityWorkers(t *testing.T) {
+	sel := seqSlice7(t)
+	for _, workers := range []int{1, 3} {
+		pipelineGolden(t, "seq_slice7", pipeline.Config{
+			Name:    "seq_slice7",
+			Scripts: sel,
+			Factory: MemFS(LinuxProfile("ext4")),
+			FSName:  "ext4",
+			Spec:    DefaultSpec(),
+			Workers: workers,
+		})
 	}
-	pipelineGolden(t, "seq_slice7", pipeline.Config{
-		Name:         "seq_slice7",
-		Scripts:      sel,
-		Factory:      MemFS(LinuxProfile("ext4")),
-		FSName:       "ext4",
-		Spec:         DefaultSpec(),
-		NoSharedCons: true,
-	})
 }
 
 func TestPipelineGoldenParityConcurrent(t *testing.T) {
