@@ -2,11 +2,12 @@
 // configuration matrix and renders text and HTML reports — the merged
 // multi-platform comparison of §7. Each configuration streams through the
 // sharded checking pipeline: summaries aggregate from per-trace records
-// (optionally journaled to JSONL sinks with -jsonl-dir), never from a
+// (optionally written to JSONL files with -jsonl-dir), never from a
 // monolithic in-memory run, and -cache-dir lets an unchanged
 // configuration re-summarise without re-executing a single trace.
-// Ctrl-C or -timeout cancels between jobs; with -jsonl-dir the sinks stay
-// resumable and a later -resume run completes the matrix.
+// Ctrl-C or -timeout cancels between jobs; with -cache-dir a rerun on
+// the same cache completes the matrix without re-executing what the
+// cancelled run finished.
 package main
 
 import (
@@ -38,8 +39,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "shared result cache: unchanged configurations skip re-execution")
 	cacheStats := flag.Bool("cache-stats", false, "print result-store contents and hit/miss ratios on exit")
 	jsonlDir := flag.String("jsonl-dir", "", "write one canonical JSONL record file per configuration")
-	resume := flag.Bool("resume", false, "with -jsonl-dir: recover interrupted sinks and skip completed traces")
-	timeout := flag.Duration("timeout", 0, "cancel the survey after this long (sinks stay resumable; exit 4)")
+	timeout := flag.Duration("timeout", 0, "cancel the survey after this long (exit 4; rerun with the same -cache-dir)")
 	statsJSON := flag.String("stats-json", "", "write a telemetry snapshot (counters, latency histograms) here on exit; - = stdout")
 	showVersion := cliutil.VersionFlag(flag.CommandLine, "sfs-report")
 	flag.Parse()
@@ -67,9 +67,6 @@ func main() {
 	}
 	if *jsonlDir != "" {
 		opts = append(opts, sibylfs.WithJournalDir(*jsonlDir))
-	}
-	if *resume {
-		opts = append(opts, sibylfs.WithResume())
 	}
 	session := sibylfs.New(opts...)
 	// fail reports err and exits with code, closing the session first:
@@ -112,8 +109,8 @@ func main() {
 			stop()
 			fmt.Fprintf(os.Stderr, "sfs-report: cancelled after %v with %d/%d configurations done",
 				time.Since(start).Round(time.Millisecond), len(results), len(configs))
-			if *jsonlDir != "" {
-				fmt.Fprintf(os.Stderr, "; rerun with -resume to finish")
+			if *cacheDir != "" {
+				fmt.Fprintf(os.Stderr, "; rerun with the same -cache-dir to finish")
 			}
 			fmt.Fprintln(os.Stderr)
 			printCacheStats()

@@ -1,11 +1,12 @@
 // sfs-run is the batch orchestrator: it drives the whole Fig 1 flow
 // (generate/load scripts → execute → check) through the sharded,
-// cache-backed pipeline, streaming per-trace records to a JSONL sink that
-// doubles as a crash-safe resume journal. Unchanged traces are skipped on
-// re-runs via the content-addressed result cache; -shards/-shard split one
-// suite across invocations or machines. Ctrl-C (or -timeout) cancels the
-// run cooperatively: completed records stay journaled and a later
-// -resume invocation finishes the suite without re-executing them.
+// cache-backed pipeline and writes the per-trace records to a JSONL file
+// when the run succeeds. Unchanged traces are skipped on re-runs via the
+// content-addressed result cache; -shards/-shard split one suite across
+// invocations or machines, each writing a file of its own for -merge.
+// Ctrl-C (or -timeout) cancels the run cooperatively and writes no JSONL:
+// completed records stay in the -cache-dir cache, and a rerun with the
+// same -cache-dir finishes the suite without re-executing them.
 package main
 
 import (
@@ -35,18 +36,19 @@ func usage() {
 
 Without -i, the generated suite is used (with -concurrent: the concurrent
 multi-process universe; with -crash: the crash-consistency universe, checked
-against a persistence-aware model). Results stream to the -jsonl sink as
-they finish;
--resume recovers an interrupted run and skips completed traces. With
--cache-dir, traces whose (script, model version, run config) key is cached
-are never re-executed — edit one script and only it re-runs; bump the
-model version and everything does.
+against a persistence-aware model). When the run succeeds its records are
+written to the -jsonl file, once, in canonical order. With -cache-dir,
+traces whose (script, model version, run config) key is cached are never
+re-executed — edit one script and only it re-runs; bump the model
+version and everything does. Shards write files of their own; -merge
+combines them.
 
-SIGINT/SIGTERM and -timeout cancel cooperatively: the journal keeps every
-completed record and -resume finishes the run later.
+SIGINT/SIGTERM and -timeout cancel cooperatively and write no JSONL: the
+-cache-dir cache keeps every completed record, and a rerun with the same
+-cache-dir finishes the run without re-executing them.
 
 exit status: 0 all traces accepted, 1 error, 2 usage, 3 deviations found,
-4 cancelled (interrupt or timeout; journal resumable).
+4 cancelled (interrupt or timeout; rerun with the same -cache-dir).
 
 flags:
 `)
@@ -85,13 +87,12 @@ func main() {
 	shard := flag.Int("shard", 0, "this invocation's shard index, in [0,shards)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache (skip unchanged traces)")
 	cacheStats := flag.Bool("cache-stats", false, "print result-store contents and hit/miss ratios on exit")
-	jsonl := flag.String("jsonl", "run.jsonl", "JSONL result sink / resume journal")
-	resume := flag.Bool("resume", false, "recover the sink journal and skip already-completed traces")
-	merge := flag.Bool("merge", false, "merge shard sinks: sfs-run -merge OUT.jsonl IN.jsonl...")
+	jsonl := flag.String("jsonl", "run.jsonl", "JSONL result file, written when the run succeeds")
+	merge := flag.Bool("merge", false, "merge shard files: sfs-run -merge OUT.jsonl IN.jsonl...")
 	concurrent := flag.Bool("concurrent", false, "run script processes concurrently")
 	schedSeed := flag.Int64("sched-seed", 0, "with -concurrent: deterministic scheduler seed (0 = free-running)")
 	crashMode := flag.Bool("crash", false, "crash-consistency universe: persistence-aware model, crash-profiled implementation")
-	timeout := flag.Duration("timeout", 0, "cancel the run after this long (journal stays resumable; exit 4)")
+	timeout := flag.Duration("timeout", 0, "cancel the run after this long (exit 4; rerun with the same -cache-dir)")
 	outDir := flag.String("o", "", "directory for .checked files (optional)")
 	htmlPath := flag.String("html", "", "write the HTML analysis index here (optional)")
 	statsJSON := flag.String("stats-json", "", "write a telemetry snapshot (counters, latency histograms) here on exit; - = stdout")
@@ -175,9 +176,6 @@ func main() {
 	if *cacheDir != "" {
 		opts = append(opts, sibylfs.WithCacheDir(*cacheDir))
 	}
-	if *resume {
-		opts = append(opts, sibylfs.WithResume())
-	}
 	if *verbose {
 		opts = append(opts, sibylfs.WithLog(os.Stderr))
 	}
@@ -202,8 +200,12 @@ func main() {
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			stop() // restore default signal handling: a second Ctrl-C kills
-			fmt.Fprintf(os.Stderr, "sfs-run: cancelled (%v); journal %s keeps %s — rerun with -resume to finish\n",
-				err, *jsonl, stats)
+			hint := "rerun with the same -cache-dir to finish"
+			if *cacheDir == "" {
+				hint = "run with -cache-dir to keep completed traces across a cancel"
+			}
+			fmt.Fprintf(os.Stderr, "sfs-run: cancelled (%v); %s; %s not written — %s\n",
+				err, stats, *jsonl, hint)
 			printCacheStats()
 			closeSession()
 			writeStats()
@@ -212,9 +214,8 @@ func main() {
 		fatal(err)
 	}
 
-	// Report over the whole sink (it may hold other shards' records from
-	// earlier resumed invocations): Run returns the records the finalized
-	// file holds, in its order.
+	// Report over the records the JSONL file holds, in its order: Run
+	// returns them.
 	span := tel.Span("cli.summary")
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

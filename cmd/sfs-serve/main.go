@@ -3,10 +3,10 @@
 // in submission order on a pool of Session workers, streams per-record
 // results as NDJSON, and serves every job from one content-addressed
 // result store, so a resubmitted suite runs warm. All state lives under
-// -data-dir: per-job resumable journals and the packed result store,
-// which one daemon at a time holds locked — kill the daemon, restart it
-// on the same directory, and unfinished jobs resume without
-// re-executing completed traces.
+// -data-dir: per-job journals and the packed result store, which one
+// daemon at a time holds locked — kill the daemon, restart it on the
+// same directory, and unfinished jobs run again with every trace they
+// completed a cache hit.
 package main
 
 import (
@@ -36,9 +36,9 @@ The daemon serves, on -addr:
   POST /v1/jobs/{id}/cancel    cooperative cancel
   GET  /v1/healthz             liveness probe
 
-SIGINT/SIGTERM drain gracefully: running jobs cancel cooperatively, their
-journals stay resumable, and the next start on the same -data-dir
-re-enqueues and finishes them.
+SIGINT/SIGTERM drain gracefully: running jobs cancel cooperatively, what
+they completed stays in the result store, and the next start on the same
+-data-dir re-enqueues them and finishes them from the store.
 
 exit status: 0 clean shutdown, 1 error, 2 usage.
 
@@ -106,7 +106,7 @@ func main() {
 	select {
 	case <-ctx.Done():
 		stop() // a second signal kills immediately
-		fmt.Fprintln(os.Stderr, "sfs-serve: draining (running jobs stay resumable)...")
+		fmt.Fprintln(os.Stderr, "sfs-serve: draining (running jobs are requeued for the next start)...")
 	case err := <-errc:
 		srv.Close()
 		fatal(err)

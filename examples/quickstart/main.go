@@ -4,7 +4,8 @@
 // test and checked by the oracle twice: the cold run executes everything,
 // the warm run is pure cache hits, and both produce byte-identical
 // records. Every call takes the context, so Ctrl-C (or a deadline) would
-// stop the pipeline between jobs and leave the journal resumable. The
+// stop the pipeline between jobs, write no journal, and leave what it
+// completed in the cache, for a rerun with the same cache to hit. The
 // Fig 4 deviation replay at the end shows what a rejection looks like.
 package main
 

@@ -40,7 +40,7 @@ func TestSequentialStepAllocs(t *testing.T) {
 	}
 }
 
-// TestSequentialStepAllocsNoMemo is TestSequentialStepAllocs with nothing
+// TestSequentialStepAllocsWhole is TestSequentialStepAllocs with nothing
 // to resume from: the checks alternate between the trace and a copy of it
 // one line down, which shares no step with it, so every check walks all
 // of its steps. Every call and its return are one fused transition,
@@ -49,7 +49,7 @@ func TestSequentialStepAllocs(t *testing.T) {
 // once per τ outcome and once more for the return: 160 allocations per
 // trace here, against 118 fused. The bound has headroom over the fused
 // figure and fails the stepwise one.
-func TestSequentialStepAllocsNoMemo(t *testing.T) {
+func TestSequentialStepAllocsWhole(t *testing.T) {
 	tr := parse(t, seqTrace)
 	down := &trace.Trace{Name: tr.Name}
 	for _, st := range tr.Steps {

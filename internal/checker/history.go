@@ -91,8 +91,7 @@ func (h *history) publish(steps []trace.Step, limit int) {
 // sameLabel reports whether the label a and the history's label b are
 // the same observation, which the model's walk cannot tell apart. It
 // compares them field by field, return values by RetValue.Equal, as the
-// model matches them; a label's rendering is no substitute, since it
-// omits fields the model compares (a stat return's st_ino).
+// model matches them, so no label is rendered.
 func sameLabel(a, b types.Label) bool {
 	switch a := a.(type) {
 	case types.CallLabel:

@@ -251,11 +251,9 @@ func exactPending(rv types.RetValue) PendingExact {
 
 // pendingEqual follows the fingerprint contract to the letter: pendings
 // are identified by the bytes of their rendered description (a nil
-// pending renders as nothing), rendered into one pooled buffer. It must
-// not use RetValue.Equal instead: RvStats.Equal compares Stats.Ino,
-// which the description does not render, so it would split states
-// Fingerprint merges. Two PendingExacts with different cached hashes
-// render differently, so they are told apart without rendering.
+// pending renders as nothing), rendered into one pooled buffer. Two
+// PendingExacts with different cached hashes render differently, so they
+// are told apart without rendering.
 func pendingEqual(a, b Pending) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil

@@ -29,14 +29,14 @@ func TestScriptHashAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmHitAllocs pins what a journaled warm run allocates per hit: the
-// decoded record's Name and Checked strings and the journal line the sink
-// keeps, plus a constant for the job's share of the run's key pass,
-// record slices and sink index (about 650 bytes) and of its last journal
-// chunk's unused tail. A hit reads its frame into the worker's buffer and
-// the sink keeps its line once, in its journal chunks; reading each hit
-// into a fresh frame, and regrowing one journal buffer, each cost about
-// another line per hit.
+// TestWarmHitAllocs pins what a warm RunJSONL allocates per hit: the
+// decoded record's Name and Checked strings and the copy of its line the
+// run keeps for the file, plus a constant for the job's share of the
+// run's key pass, record and line slices, dedup set and write buffer
+// (about 650 bytes). A hit reads its frame into the worker's buffer and
+// its line is copied out of it once; reading each hit into a fresh
+// frame, or encoding each record again for the file, would each cost
+// about another line per hit.
 func TestWarmHitAllocs(t *testing.T) {
 	const n, slack = 600, 1024
 	scripts := testgen.Generate().Scripts[:n]
@@ -58,16 +58,11 @@ func TestWarmHitAllocs(t *testing.T) {
 
 	gets := &dstStore{Store: store}
 	cfg.Store = gets
-	sink, err := OpenSink(filepath.Join(t.TempDir(), "warm.jsonl"), false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	cfg.Sink = sink
+	path := filepath.Join(t.TempDir(), "warm.jsonl")
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, st, err := Run(context.Background(), cfg)
+	_, st, err := RunJSONL(context.Background(), cfg, path)
 	runtime.ReadMemStats(&after)
 	if err != nil || st.CacheHits != n {
 		t.Fatalf("warm run: %+v, err %v", st, err)

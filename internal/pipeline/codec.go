@@ -11,12 +11,12 @@ import (
 //	"sfsrec1\x00" | uint32 len(json) | json | binary fields
 //
 // so a warm hit decodes the flat binary fields (length-prefixed slices,
-// no parser) and journals the embedded canonical JSON verbatim
-// (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The
-// decoded record is what a hit hands out: to Stats.Rejected, observers,
-// the sfs-serve live stream and the caller of Sink.Finalize. The embedded
-// JSON is the hit's journal line once it passes the sink's framing guard.
-// The two agree because both come from one encodeRecord call, and a
+// no parser) and writes the embedded canonical JSON to the JSONL file
+// verbatim — neither a JSON parse nor a re-marshal. The decoded record
+// is what a hit hands out: to Stats.Rejected, observers, the sfs-serve
+// live stream and the caller of RunJSONL. The embedded JSON is the
+// hit's JSONL line once it passes the framing guard (usableLine). The
+// two agree because both come from one encodeRecord call, and a
 // PackStore hands back only CRC-checked frames; a damaged binary part
 // (decodeRecord's bounds checks fail) degrades to parsing the embedded
 // JSON. A value without the tag — a v1 bare-JSON entry among them — is a

@@ -14,7 +14,7 @@ import (
 	"repro/internal/types"
 )
 
-// TestCoverageSetsMemoInvariant: every executed trace's coverage set, and
+// TestCoverageSetsInvariant: every executed trace's coverage set, and
 // the registry the run's workers merge into, are the same with one and
 // two workers and with the jobs in suite order and reversed. Each check
 // resumes from its worker's previous one, and a resumed check's set
@@ -22,7 +22,7 @@ import (
 // not depend on which trace its worker checked before. Covers a
 // sequential slice of the suite run on the determinized model (whose
 // execution-side points join each trace's set) and the crash universe.
-func TestCoverageSetsMemoInvariant(t *testing.T) {
+func TestCoverageSetsInvariant(t *testing.T) {
 	var slice []*trace.Script
 	for i, s := range testgen.Generate().Scripts {
 		if i%40 == 0 {

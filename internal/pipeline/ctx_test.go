@@ -1,9 +1,10 @@
 package pipeline
 
 // Cancellation contract of the pipeline: a cancelled run reports
-// context.Canceled (wrapped, errors.Is-visible), keeps every completed
-// record in the sink journal, and a resumed run completes the suite with
-// a finalized file byte-identical to an uninterrupted run's.
+// context.Canceled (wrapped, errors.Is-visible), writes no JSONL, keeps
+// every completed record in the store, and a rerun on the store hits
+// each of them and writes a file byte-identical to an uninterrupted
+// run's.
 
 import (
 	"bytes"
@@ -23,6 +24,11 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "clean.jsonl")
 	killed := filepath.Join(dir, "killed.jsonl")
+	store, err := OpenCache(filepath.Join(dir, "cache"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	base := Config{
 		Name:    "ctx",
 		Scripts: scripts,
@@ -32,17 +38,8 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 		Workers: 2,
 	}
 
-	// Baseline.
-	cfg := base
-	sink, err := OpenSink(clean, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sink = sink
-	if _, _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sink.Finalize(); err != nil {
+	// Baseline, without a store.
+	if _, _, err := RunJSONL(context.Background(), base, clean); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +48,8 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	var n int
-	cfg = base
+	cfg := base
+	cfg.Store = store
 	cfg.Observe = func(Record) {
 		mu.Lock()
 		n++
@@ -60,37 +58,27 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	if sink, err = OpenSink(killed, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sink = sink
-	_, _, err = Run(ctx, cfg)
+	_, cancelled, err := RunJSONL(ctx, cfg, killed)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	sink.Close()
+	if _, err := os.Stat(killed); !os.IsNotExist(err) {
+		t.Fatalf("the cancelled run wrote its JSONL file: %v", err)
+	}
+	if cancelled.Executed < 3 || cancelled.Executed >= len(scripts) {
+		t.Fatalf("cancelled run completed %d jobs, want a strict partial ≥ 3 of %d", cancelled.Executed, len(scripts))
+	}
 
-	// Resume to completion and finalize.
-	if sink, err = OpenSink(killed, true, nil); err != nil {
-		t.Fatal(err)
-	}
-	journaled := sink.Len()
-	if journaled < 3 || journaled >= len(scripts) {
-		t.Fatalf("journal holds %d records, want a strict partial ≥ 3 of %d", journaled, len(scripts))
-	}
+	// Rerun on the same store to completion.
 	cfg = base
-	cfg.Sink = sink
-	_, st, err := Run(context.Background(), cfg)
+	cfg.Store = store
+	_, st, err := RunJSONL(context.Background(), cfg, killed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SinkSkipped != journaled {
-		t.Fatalf("resume skipped %d, want %d", st.SinkSkipped, journaled)
+	if st.CacheHits != cancelled.Executed || st.Executed != len(scripts)-cancelled.Executed {
+		t.Fatalf("rerun %s, want the %d jobs the cancelled run completed as hits", st, cancelled.Executed)
 	}
-	if _, err := sink.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-
 	a, err := os.ReadFile(clean)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +88,6 @@ func TestRunCancelledKeepsResumableSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("resumed journal differs from the uninterrupted run's")
+		t.Fatal("the rerun's JSONL differs from the uninterrupted run's")
 	}
 }

@@ -1,7 +1,8 @@
 // Package pipeline is the batch orchestration layer over the Fig 1 flow:
 // it shards a suite of test scripts across a pool of workers (parallelism
 // *across* traces; each trace is executed and checked on one worker),
-// and streams one Record per trace to a crash-safe JSONL sink. A content-addressed result cache keyed by
+// and returns one Record per trace, which RunJSONL writes to a JSONL
+// file. A content-addressed result cache keyed by
 //
 //	(script hash, spec/model version hash, run-config hash)
 //
@@ -11,23 +12,20 @@
 // invalidates everything. See ARCHITECTURE.md ("The cache key contract")
 // for the exact key composition.
 //
-// The sink doubles as the resume journal: records append as jobs finish,
-// a killed run leaves at worst one torn trailing line (dropped on reopen),
-// and a resumed run skips every job whose key the sink already holds.
-// Finalize rewrites the sink in canonical (name, key) order, so the final
-// JSONL is byte-identical regardless of worker count, shard layout,
-// cache state, or how many times the run was interrupted.
+// The cache is also what a run resumes from: every completed record is
+// stored as its job finishes, so a rerun after a kill or a cancel hits
+// each of them and executes only the rest. The JSONL file is written
+// once, when a run succeeds, in canonical (name, key) order, so it is
+// byte-identical regardless of worker count, shard layout, cache state,
+// or how many times the run was interrupted.
 //
-// Sharding composes with resume: `-shards N -shard K` selects every Nth
-// job, so N machines (or N sequential invocations resuming into one sink)
-// cover the suite exactly once, and ReadRecords/WriteRecords merge shard
-// sinks into the same canonical form.
+// `-shards N -shard K` selects every Nth job, so N machines cover the
+// suite exactly once, each writing a file of its own, and MergeRecords
+// merges the shard files into the same canonical form.
 //
 // Run takes a context and cancels cooperatively between jobs and inside
-// each job's execute/check; because every completed record is already an
-// atomic line in the sink, a cancelled run's journal is always a valid
-// resume log — finishing it later yields the same canonical bytes as an
-// uninterrupted run. Config.Observe streams records as jobs finish, and
+// each job's execute/check; a cancelled run flushes the store and writes
+// no JSONL. Config.Observe streams records as jobs finish, and
 // Config.Cov receives the run's model coverage: each worker counts its
 // jobs' coverage sets and merges the counts once, when the run ends.
 //

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"maps"
 	"os"
 	"path/filepath"
@@ -56,8 +57,9 @@ func TestFinalizedSinkPermissions(t *testing.T) {
 
 // TestOrphanSweepOnOpen simulates a kill between CreateTemp and Rename:
 // the leaked temp files (backdated past orphanAge) must be reclaimed the
-// next time the cache or sink is opened, while a live writer's fresh temp
-// file and ordinary payload files survive untouched.
+// next time the cache is opened or a JSONL file is written beside them,
+// while a live writer's fresh temp file and ordinary payload files
+// survive untouched.
 func TestOrphanSweepOnOpen(t *testing.T) {
 	dir := t.TempDir()
 
@@ -92,8 +94,8 @@ func TestOrphanSweepOnOpen(t *testing.T) {
 		t.Fatal("cache entry was swept")
 	}
 
-	// Sink orphans (.jsonl-*, from a kill mid-Finalize) live next to the
-	// sink file.
+	// JSONL orphans (.jsonl-*, from a kill mid-write) live next to the
+	// JSONL file.
 	sinkDir := t.TempDir()
 	oldSink := filepath.Join(sinkDir, ".jsonl-dead")
 	freshSink := filepath.Join(sinkDir, ".jsonl-live")
@@ -105,18 +107,18 @@ func TestOrphanSweepOnOpen(t *testing.T) {
 	if err := os.Chtimes(oldSink, stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSink(filepath.Join(sinkDir, "run.jsonl"), false, reg)
-	if err != nil {
+	cfg := testConfig(testScripts(t, 1))
+	cfg.Tel = reg
+	if _, _, err := RunJSONL(context.Background(), cfg, filepath.Join(sinkDir, "run.jsonl")); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, err := os.Stat(oldSink); !os.IsNotExist(err) {
-		t.Fatal("stale sink orphan survived OpenSink")
+		t.Fatal("stale JSONL orphan survived the write")
 	}
 	if _, err := os.Stat(freshSink); err != nil {
-		t.Fatal("fresh sink temp file was swept")
+		t.Fatal("fresh JSONL temp file was swept")
 	}
-	// Both sweeps count into the registry passed to the open.
+	// Both sweeps count into the registry passed to the open and the run.
 	if n := reg.Counter("pipeline.orphans_swept").Value(); n != 2 {
 		t.Fatalf("pipeline.orphans_swept = %d, want 2", n)
 	}

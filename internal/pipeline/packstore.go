@@ -43,8 +43,8 @@ import (
 //     (pipeline.store_batches / store_fsyncs). Flushes happen on size
 //     (FlushBytes), on interval (FlushInterval, via a background
 //     flusher), and always on Flush/Close — pipeline.Run flushes at
-//     every exit, cancellation included, so the cache is durable
-//     whenever the resume journal is. A commit never rewrites the
+//     every exit, cancellation included, so every record a cancelled
+//     run completed is durable for its rerun to hit. A commit never rewrites the
 //     index sidecar (pipeline.index_writes).
 //
 // Entry layout (all integers big-endian):
@@ -640,8 +640,8 @@ func (p *PackStore) flushLocked() error {
 
 // Flush commits every buffered Put — the group-commit barrier: one
 // write and one fsync. pipeline.Run calls it on every exit path
-// (success, failure and cancellation), so the store is durable whenever
-// the journal is. It leaves the index sidecar alone: rewriting the whole
+// (success, failure and cancellation), so a rerun hits every record a
+// failed or cancelled run completed. It leaves the index sidecar alone: rewriting the whole
 // index at every barrier made a long session quadratic in its keys.
 // Close writes it instead (sibylfs.Session.Close closes the store a
 // session opened), and a store killed before Close costs its next open

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -67,14 +68,12 @@ type Config struct {
 	// a framed record under (codec.go) is a hit, and every fresh result
 	// is stored. Any other value under a key is a miss, which the job's
 	// fresh record overwrites. Run installs the run's telemetry registry
-	// on stores that accept one and flushes the store on every exit.
+	// on stores that accept one and flushes the store on every exit, so
+	// a rerun on the same store after a cancel or a kill hits every job
+	// that completed: the store is what a run resumes from.
 	Store Store
-	// Sink, when non-nil, receives records as jobs finish and acts as the
-	// resume journal: jobs whose key the sink already holds are skipped
-	// (their record is reused). Callers own Finalize/Close.
-	Sink *Sink
 	// Observe, when non-nil, is called once per record as its job
-	// completes — cache hits and sink resumes included — so callers can
+	// completes — cache hits included — so callers can
 	// stream progress without buffering the whole run. Calls are
 	// serialized but arrive in completion order, which is nondeterministic
 	// under parallel workers; the returned slice stays in job order.
@@ -91,7 +90,7 @@ type Config struct {
 	// that would dominate wall time through the terminal.
 	Log io.Writer
 	// Tel receives the run's telemetry — per-phase latency histograms
-	// (cache lookup/store, execute, check, journal append) and work
+	// (cache lookup/store, execute, check, JSONL write) and work
 	// counters (exec.* for the traces it executes). nil gives the run a
 	// registry of its own, which nobody reads; sessions pass theirs.
 	// Purely observational: records are byte-identical whatever registry
@@ -105,45 +104,74 @@ const progressInterval = 200 * time.Millisecond
 
 // Stats describes one run's work split.
 type Stats struct {
-	// Jobs is the number of scripts in this shard; Executed + CacheHits +
-	// SinkSkipped = Jobs.
-	Jobs        int
-	Executed    int
-	CacheHits   int
-	SinkSkipped int
-	Rejected    int
-	Elapsed     time.Duration
+	// Jobs is the number of scripts in this shard; Executed + CacheHits =
+	// Jobs.
+	Jobs      int
+	Executed  int
+	CacheHits int
+	Rejected  int
+	Elapsed   time.Duration
 }
 
 func (st Stats) String() string {
-	return fmt.Sprintf("%d jobs: %d executed, %d cache hits, %d resumed, %d rejected in %v",
-		st.Jobs, st.Executed, st.CacheHits, st.SinkSkipped, st.Rejected,
+	return fmt.Sprintf("%d jobs: %d executed, %d cache hits, %d rejected in %v",
+		st.Jobs, st.Executed, st.CacheHits, st.Rejected,
 		st.Elapsed.Round(time.Millisecond))
 }
 
 // Run executes one shard of the suite through the cache-backed pipeline
 // and returns this shard's records in job order. Each worker checks with
 // a checker of its own (see newWorkers). The record content is
-// deterministic: a cache hit, a sink resume and a fresh execution of the
-// same job yield identical records whichever worker checks it (only
-// Stats and Record.Cached reveal the difference).
+// deterministic: a cache hit and a fresh execution of the same job yield
+// identical records whichever worker checks it (only Stats and
+// Record.Cached reveal the difference).
 //
 // Cancellation is cooperative: ctx is consulted between jobs and inside
 // each job's execute/check. On cancellation Run stops dispatching, waits
-// for in-flight jobs, and returns ctx.Err() (wrapped; errors.Is works).
-// Every record completed before the cancel has already reached the sink,
-// so the JSONL journal stays valid for -resume — the caller just Closes
-// the sink instead of Finalizing it.
+// for in-flight jobs, flushes the store and returns ctx.Err() (wrapped;
+// errors.Is works). Every record completed before the cancel is then in
+// the store, and a rerun on it finishes the suite from there.
 func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
-	var st Stats
+	records, _, st, err := run(ctx, cfg, false)
+	return records, st, err
+}
+
+// RunJSONL is Run with a JSONL result file: once every job of the shard
+// has succeeded, it writes the records to path, once, atomically and in
+// canonical order (writeLines), and returns them in that order. A failed
+// or cancelled run writes nothing, and a file already at path stays as
+// it was. The file's bytes depend only on the record set: not on worker
+// count, completion order, cache hits or how many interrupted runs the
+// store holds the work of. The lines written are the ones the workers
+// encoded or read from the store; nothing is marshalled twice. The write
+// is timed in journal.finalize_ns.
+func RunJSONL(ctx context.Context, cfg Config, path string) ([]Record, Stats, error) {
+	if cfg.Tel == nil {
+		cfg.Tel = telemetry.NewRegistry()
+	}
+	records, lines, st, err := run(ctx, cfg, true)
+	if err != nil {
+		return nil, st, err
+	}
+	start := time.Now()
+	records, err = writeLines(path, records, lines, cfg.Tel)
+	cfg.Tel.Histogram("journal.finalize_ns").ObserveSince(start)
+	return records, st, err
+}
+
+// run is Run, and with keepLines also each record's canonical line,
+// lines[j] for records[j]: a copy of the line the job encoded or read
+// from the store, or the record's own encoding where a stored line fails
+// usableLine.
+func run(ctx context.Context, cfg Config, keepLines bool) (records []Record, lines [][]byte, st Stats, err error) {
 	if cfg.Factory == nil {
-		return nil, st, errors.New("pipeline: Config.Factory is required")
+		return nil, nil, st, errors.New("pipeline: Config.Factory is required")
 	}
 	if cfg.Store != nil && cfg.FSName == "" {
-		return nil, st, errors.New("pipeline: Config.FSName is required when caching")
+		return nil, nil, st, errors.New("pipeline: Config.FSName is required when caching")
 	}
 	if cfg.Shards > 1 && (cfg.Shard < 0 || cfg.Shard >= cfg.Shards) {
-		return nil, st, fmt.Errorf("pipeline: shard %d out of range [0,%d)", cfg.Shard, cfg.Shards)
+		return nil, nil, st, fmt.Errorf("pipeline: shard %d out of range [0,%d)", cfg.Shard, cfg.Shards)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -158,17 +186,15 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		tel = telemetry.NewRegistry()
 	}
 
-	// Shard selection: stable indices into the shared job list.
-	var jobs []int
-	for i := range cfg.Scripts {
-		if cfg.Shards <= 1 || i%cfg.Shards == cfg.Shard {
-			jobs = append(jobs, i)
+	// Shard selection: this shard's scripts of the shared job list.
+	jobs := cfg.Scripts
+	if cfg.Shards > 1 {
+		jobs = nil
+		for i := cfg.Shard; i < len(cfg.Scripts); i += cfg.Shards {
+			jobs = append(jobs, cfg.Scripts[i])
 		}
 	}
 	ws := newWorkers(cfg, workers, tel)
-	if cfg.Sink != nil {
-		cfg.Sink.SetTelemetry(tel)
-	}
 	if ts, ok := cfg.Store.(telemetrySetter); ok {
 		ts.SetTelemetry(tel)
 	}
@@ -176,37 +202,34 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	specHash := SpecHash(version, cfg.Spec)
 	configHash := ConfigHash(cfg.FSName, cfg.Concurrent, cfg.SchedSeed, ws[0].chk.MaxStateSet)
 
-	// Keys for the FULL suite (not just this shard): jobs need theirs, and
-	// the sink prunes against the complete set so a resumed sink keeps
-	// other shards' records but drops records of edited/removed scripts.
-	n := len(cfg.Scripts)
+	// Keys for this shard's jobs, in job order.
+	n := len(jobs)
 	keys := make([]string, n) // a batch's script hashes, until replaced by its keys
 	par.Each(ctx, workers, (n+keyBatch-1)/keyBatch, func(_, b int) bool {
 		lo, hi := b*keyBatch, min(n, (b+1)*keyBatch)
 		if cfg.HashScripts != nil {
-			cfg.HashScripts(cfg.Scripts[lo:hi], keys[lo:hi])
+			cfg.HashScripts(jobs[lo:hi], keys[lo:hi])
 		}
 		for i := lo; i < hi; i++ {
 			if cfg.HashScripts == nil {
-				keys[i] = ScriptHash(cfg.Scripts[i])
+				keys[i] = ScriptHash(jobs[i])
 			}
 			keys[i] = Key(keys[i], specHash, configHash)
 		}
 		return true
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
+		return nil, nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
 
 	st.Jobs = len(jobs)
-	if cfg.Sink != nil {
-		cfg.Sink.Restrict(keys, len(jobs))
-	}
-
 	start := time.Now()
 	defer tel.Span("pipeline.run").End()
 	tel.Counter("pipeline.jobs").Add(int64(st.Jobs))
-	records := make([]Record, len(jobs))
+	records = make([]Record, len(jobs))
+	if keepLines {
+		lines = make([][]byte, len(jobs))
+	}
 	errs := make([]error, len(jobs))
 	var mu sync.Mutex // st counters + log
 	lastProgress := start
@@ -219,22 +242,27 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 			return false
 		}
 		jobStart := time.Now()
-		rec, hit, skipped, err := ws[w].runJob(ctx, cfg, tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
+		rec, line, hit, err := ws[w].runJob(ctx, cfg, tel, jobs[j], keys[j])
 		records[j], errs[j] = rec, err
 		if err != nil {
 			failed.Store(true)
 			if jobFailedHook != nil {
 				jobFailedHook()
 			}
-			return false // completed records stay in sink/cache
+			return false // completed records stay in the store
+		}
+		if keepLines {
+			// line lives in the worker's buffers, which its next job reuses.
+			if usableLine(rec.Key, line) {
+				lines[j] = bytes.Clone(line)
+			} else {
+				lines[j] = rec.AppendJSON(nil)
+			}
 		}
 		tel.Histogram("pipeline.job_ns").ObserveSince(jobStart)
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
-		case skipped:
-			st.SinkSkipped++
-			tel.Counter("pipeline.resumed").Inc()
 		case hit:
 			st.CacheHits++
 			tel.Counter("pipeline.cache_hits").Inc()
@@ -264,28 +292,28 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		}
 	}
 	// Group-commit barrier: every exit — success, job error, cancel —
-	// passes through here, so each record that reached the cache is
-	// durable whenever the resume journal is. On the failure paths the
-	// flush is best-effort (the job error wins); on success it is checked.
+	// passes through here, so each completed record is durable in the
+	// store for a rerun to hit. On the failure paths the flush is
+	// best-effort (the job error wins); on success it is checked.
 	var flushErr error
 	if cfg.Store != nil {
 		flushErr = cfg.Store.Flush()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
+		return nil, nil, st, fmt.Errorf("pipeline: %s: %w", cfg.Name, err)
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, st, err
+			return nil, nil, st, err
 		}
 	}
 	if flushErr != nil {
-		return nil, st, fmt.Errorf("pipeline: %s: cache flush: %w", cfg.Name, flushErr)
+		return nil, nil, st, fmt.Errorf("pipeline: %s: cache flush: %w", cfg.Name, flushErr)
 	}
 	if cfg.Log != nil {
 		fmt.Fprintf(cfg.Log, "pipeline: %s: %s\n", cfg.Name, st)
 	}
-	return records, st, nil
+	return records, lines, st, nil
 }
 
 // keyBatch is how many scripts a key-pass worker claims at once, and so
@@ -305,8 +333,8 @@ var (
 // checker, its jobs' coverage counts, and the scratch its jobs reuse.
 // Per-trace scratch comes from here rather than from a sync.Pool, which
 // the collector empties several times per pass; only a job's outputs (the
-// record and its checked-trace text) are allocated, and the sink copies
-// the journal line into its own buffer.
+// record and its checked-trace text) are allocated, and RunJSONL copies
+// the record's line out of the worker's buffer.
 type worker struct {
 	chk *checker.Checker
 	// covered counts the coverage points of the worker's jobs, so no two
@@ -342,11 +370,11 @@ func newWorkers(cfg Config, workers int, tel *telemetry.Registry) []*worker {
 // work split, cache hit rate over the jobs resolved so far, throughput
 // and a naive remaining/rate ETA.
 func logProgress(w io.Writer, name string, st Stats, elapsed time.Duration) {
-	done := st.Executed + st.CacheHits + st.SinkSkipped
+	done := st.Executed + st.CacheHits
 	if done == 0 || elapsed <= 0 {
 		return
 	}
-	cached := st.CacheHits + st.SinkSkipped
+	cached := st.CacheHits
 	rate := float64(done) / elapsed.Seconds()
 	eta := time.Duration(float64(st.Jobs-done) / rate * float64(time.Second)).Round(time.Second)
 	fmt.Fprintf(w, "pipeline: %s: %d/%d traces (%d executed, %d cached %.0f%%, %.0f traces/s, ETA %s)\n",
@@ -354,18 +382,14 @@ func logProgress(w io.Writer, name string, st Stats, elapsed time.Duration) {
 		100*float64(cached)/float64(done), rate, eta)
 }
 
-// runJob resolves one script to its record: sink journal first, then the
-// result cache, then a real execute-and-check (whose record is written
-// back to both, and whose coverage set the worker counts). Phase
-// latencies (cache lookup/store, execute, check, journal append) land in
-// tel's histograms.
-func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry, s *trace.Script, key string) (rec Record, hit, skipped bool, err error) {
-	if cfg.Sink != nil {
-		if rec, ok := cfg.Sink.Lookup(key); ok {
-			rec.Cached = true
-			return rec, false, true, nil
-		}
-	}
+// runJob resolves one script to its record and the record's JSON line:
+// from the result cache, else by a real execute-and-check (whose record
+// is stored, and whose coverage set the worker counts). The line is a
+// view of the worker's buffers, valid until its next job: the one the
+// store held (see usableLine) or the one the job encoded. Phase
+// latencies (cache lookup/store, execute, check) land in tel's
+// histograms.
+func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry, s *trace.Script, key string) (rec Record, line []byte, hit bool, err error) {
 	if cfg.Store != nil {
 		lookupStart := time.Now()
 		// The frame is read into the worker's buffer; a miss leaves it
@@ -374,16 +398,10 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 		rec, line, ok := decodeRecord(w.frame, key)
 		tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)
 		if ok {
-			// The stored line IS the canonical journal encoding (Cached is
-			// json:"-"), so a hit journals without a re-marshal. Cached is
-			// set first: the sink hands its records back from Finalize.
+			// The stored line is the canonical JSONL encoding (Cached is
+			// json:"-"), so a hit is written out without a re-marshal.
 			rec.Cached = true
-			if cfg.Sink != nil {
-				if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
-					return rec, true, false, err
-				}
-			}
-			return rec, true, false, nil
+			return rec, line, true, nil
 		}
 		tel.Counter("pipeline.cache_misses").Inc()
 	}
@@ -412,28 +430,23 @@ func (w *worker) runJob(ctx context.Context, cfg Config, tel *telemetry.Registry
 		jobCoverageHook(s.Name, hits)
 	}
 	if err != nil {
-		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
+		return Record{}, nil, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
 	}
 	// The checked trace and the JSON line are built in the worker's
-	// buffer; the store and the sink copy what they keep. One line
-	// serves both the framed cache entry and the journal.
+	// buffer; the store copies what it keeps. One line serves both the
+	// framed cache entry and the JSONL file.
 	rec, w.buf = newRecord(w.buf, key, t, res)
 	w.buf = rec.AppendJSON(w.buf[:0])
-	line := w.buf
+	line = w.buf
 	if cfg.Store != nil {
 		storeStart := time.Now()
 		w.frame = encodeRecord(w.frame[:0], rec, line)
 		err := cfg.Store.Put(rec.Key, w.frame)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
-			return rec, false, false, err
+			return rec, nil, false, err
 		}
 		tel.Counter("pipeline.cache_stores").Inc()
 	}
-	if cfg.Sink != nil {
-		if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
-			return rec, false, false, err
-		}
-	}
-	return rec, false, false, nil
+	return rec, line, false, nil
 }

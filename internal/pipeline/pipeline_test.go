@@ -121,19 +121,11 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 	}
 }
 
-// finalizedRun runs cfg into a fresh sink at path and finalizes it.
-func finalizedRun(t *testing.T, cfg Config, path string, resume bool) Stats {
+// finalizedRun runs cfg with its JSONL file at path.
+func finalizedRun(t *testing.T, cfg Config, path string) Stats {
 	t.Helper()
-	sink, err := OpenSink(path, resume, nil)
+	_, st, err := RunJSONL(context.Background(), cfg, path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sink = sink
-	_, st, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sink.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -148,6 +140,8 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
+// TestShardInvariance: shards of a 3- and a 5-shard layout, each written
+// to a file of its own and merged, give the unsharded run's bytes.
 func TestShardInvariance(t *testing.T) {
 	scripts := testScripts(t, 10)
 	dir := t.TempDir()
@@ -155,107 +149,107 @@ func TestShardInvariance(t *testing.T) {
 
 	// Reference: one unsharded run.
 	whole := filepath.Join(dir, "whole.jsonl")
-	finalizedRun(t, cfg, whole, false)
+	finalizedRun(t, cfg, whole)
 	want := readFile(t, whole)
 
-	// Three shards into separate sinks, merged.
-	var parts []string
-	for k := 0; k < 3; k++ {
-		part := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", k))
-		scfg := cfg
-		scfg.Shards, scfg.Shard = 3, k
-		st := finalizedRun(t, scfg, part, false)
-		if st.Jobs == 0 {
-			t.Fatalf("shard %d got no jobs", k)
+	for _, shards := range []int{3, 5} {
+		var parts []string
+		for k := 0; k < shards; k++ {
+			part := filepath.Join(dir, fmt.Sprintf("shard%d-%d.jsonl", shards, k))
+			scfg := cfg
+			scfg.Shards, scfg.Shard = shards, k
+			if st := finalizedRun(t, scfg, part); st.Jobs == 0 {
+				t.Fatalf("shard %d of %d got no jobs", k, shards)
+			}
+			parts = append(parts, part)
 		}
-		parts = append(parts, part)
-	}
-	merged := filepath.Join(dir, "merged.jsonl")
-	if err := MergeRecords(merged, parts...); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, merged); string(got) != string(want) {
-		t.Errorf("merged 3-shard output differs from unsharded run")
-	}
-
-	// Three shard invocations resuming into ONE sink.
-	shared := filepath.Join(dir, "shared.jsonl")
-	for k := 0; k < 3; k++ {
-		scfg := cfg
-		scfg.Shards, scfg.Shard = 3, k
-		finalizedRun(t, scfg, shared, k > 0)
-	}
-	if got := readFile(t, shared); string(got) != string(want) {
-		t.Errorf("shared-sink 3-shard output differs from unsharded run")
-	}
-
-	// A different layout (5 shards) lands on the same bytes too.
-	shared5 := filepath.Join(dir, "shared5.jsonl")
-	for k := 0; k < 5; k++ {
-		scfg := cfg
-		scfg.Shards, scfg.Shard = 5, k
-		finalizedRun(t, scfg, shared5, k > 0)
-	}
-	if got := readFile(t, shared5); string(got) != string(want) {
-		t.Errorf("5-shard output differs from unsharded run")
+		merged := filepath.Join(dir, fmt.Sprintf("merged%d.jsonl", shards))
+		if err := MergeRecords(merged, parts...); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFile(t, merged); string(got) != string(want) {
+			t.Errorf("merged %d-shard output differs from unsharded run", shards)
+		}
 	}
 }
 
+// TestResumeAfterKill: a run killed after its k-th job, for every k, left
+// the records of jobs 1..k in the store's active segment and no sidecar;
+// a rerun on the store hits them, executes the rest and writes the
+// uninterrupted run's bytes. The same holds when the kill also cut the
+// segment inside its last entry: that job is a miss and runs again.
 func TestResumeAfterKill(t *testing.T) {
 	scripts := testScripts(t, 9)
-	dir := t.TempDir()
 	cfg := testConfig(scripts)
-
-	// Reference: uninterrupted run.
-	whole := filepath.Join(dir, "whole.jsonl")
-	finalizedRun(t, cfg, whole, false)
+	whole := filepath.Join(t.TempDir(), "whole.jsonl")
+	finalizedRun(t, cfg, whole)
 	want := readFile(t, whole)
 
-	// "Killed" run: journal some records, then chop the file mid-line —
-	// exactly what dying inside an append leaves behind.
-	killed := filepath.Join(dir, "killed.jsonl")
-	sink, err := OpenSink(killed, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := cfg
-	part.Scripts = scripts[:5] // only some jobs "finished" before the kill
-	part.Sink = sink
-	if _, _, err := Run(context.Background(), part); err != nil {
-		t.Fatal(err)
-	}
-	sink.Close() // no Finalize: the process died
-	data := readFile(t, killed)
-	if err := os.WriteFile(killed, data[:len(data)-17], 0o644); err != nil {
-		t.Fatal(err) // torn trailing record
-	}
+	for k := 0; k <= len(scripts); k++ {
+		for _, cut := range []bool{false, true} {
+			if cut && k == 0 {
+				continue
+			}
+			dir := t.TempDir()
+			store, err := OpenPackStore(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part := cfg
+			part.Scripts, part.Store = scripts[:k], store
+			if _, _, err := Run(context.Background(), part); err != nil {
+				t.Fatal(err)
+			}
+			abandon(store) // killed: no Close, so no sidecar
+			hits := k
+			if cut {
+				seg := filepath.Join(dir, "000001.seg")
+				info, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(seg, info.Size()-17); err != nil {
+					t.Fatal(err)
+				}
+				hits--
+			}
 
-	// Resume over the full job list.
-	st := finalizedRun(t, cfg, killed, true)
-	if st.SinkSkipped != 4 { // 5 journaled - 1 torn
-		t.Errorf("resume skipped %d jobs, want 4", st.SinkSkipped)
-	}
-	if st.Executed != len(scripts)-4 {
-		t.Errorf("resume executed %d jobs, want %d", st.Executed, len(scripts)-4)
-	}
-	if got := readFile(t, killed); string(got) != string(want) {
-		t.Errorf("resumed run's final JSONL differs from uninterrupted run")
+			if store, err = OpenPackStore(dir, nil); err != nil {
+				t.Fatal(err)
+			}
+			rerun := cfg
+			rerun.Store = store
+			path := filepath.Join(dir, "rerun.jsonl")
+			st := finalizedRun(t, rerun, path)
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st.CacheHits != hits || st.Executed != len(scripts)-hits {
+				t.Errorf("kill after job %d (cut %v): rerun %s, want %d hits", k, cut, st, hits)
+			}
+			if got := readFile(t, path); string(got) != string(want) {
+				t.Errorf("kill after job %d (cut %v): rerun's JSONL differs from the uninterrupted run's", k, cut)
+			}
+		}
 	}
 }
 
-// TestResumeAfterScriptEdit pins the stale-record defence: a record for
-// an edited (or removed) script must not survive a resumed run — by name
-// it describes the same test, so keeping both the old and new verdict
-// would corrupt summaries and exit codes.
+// TestResumeAfterScriptEdit: after a script is edited, a rerun on the
+// store misses on it alone, and its file equals a fresh run of the
+// edited suite: no record of the old script survives.
 func TestResumeAfterScriptEdit(t *testing.T) {
 	scripts := testScripts(t, 6)
 	dir := t.TempDir()
+	store, err := OpenCache(filepath.Join(dir, "cache"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	cfg := testConfig(scripts)
-
+	cfg.Store = store
 	sinkPath := filepath.Join(dir, "run.jsonl")
-	finalizedRun(t, cfg, sinkPath, false)
+	finalizedRun(t, cfg, sinkPath)
 
-	// Edit one script, then resume into the same sink.
 	edited := append([]*trace.Script(nil), scripts...)
 	mod, err := trace.ParseScript("@type script\n# Test pipe___job_02\nmkdir \"d2\" 0o700\n")
 	if err != nil {
@@ -264,17 +258,49 @@ func TestResumeAfterScriptEdit(t *testing.T) {
 	edited[2] = mod
 	ecfg := cfg
 	ecfg.Scripts = edited
-	st := finalizedRun(t, ecfg, sinkPath, true)
-	if st.Executed != 1 || st.SinkSkipped != 5 {
-		t.Errorf("resume after edit: executed %d, resumed %d, want 1/5", st.Executed, st.SinkSkipped)
+	st := finalizedRun(t, ecfg, sinkPath)
+	if st.Executed != 1 || st.CacheHits != 5 {
+		t.Errorf("rerun after edit: executed %d, hits %d, want 1/5", st.Executed, st.CacheHits)
 	}
 
-	// The sink must equal a fresh run of the edited suite: same count, no
-	// stale record for the old pipe___job_02.
 	freshPath := filepath.Join(dir, "fresh.jsonl")
-	finalizedRun(t, ecfg, freshPath, false)
+	ecfg.Store = nil
+	finalizedRun(t, ecfg, freshPath)
 	if got, want := string(readFile(t, sinkPath)), string(readFile(t, freshPath)); got != want {
-		t.Errorf("resumed-after-edit sink differs from a fresh run of the edited suite")
+		t.Errorf("rerun-after-edit file differs from a fresh run of the edited suite")
+	}
+}
+
+// TestRunJSONLFailureWritesNothing: a cancelled run and a run whose job
+// fails write nothing, and leave a file already at the path as it was.
+func TestRunJSONLFailureWritesNothing(t *testing.T) {
+	scripts := testScripts(t, 8)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if _, _, err := RunJSONL(context.Background(), testConfig(scripts), path); err != nil {
+		t.Fatal(err)
+	}
+	before := readFile(t, path)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := RunJSONL(ctx, testConfig(scripts[:3]), path); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err %v, want context.Canceled", err)
+	}
+	boom := errors.New("factory failed")
+	failing := testConfig(scripts[:3])
+	failing.Factory = func() (fsimpl.FS, error) { return nil, boom }
+	if _, _, err := RunJSONL(context.Background(), failing, path); !errors.Is(err, boom) {
+		t.Fatalf("failing run: err %v, want the factory's", err)
+	}
+	if got := readFile(t, path); string(got) != string(before) {
+		t.Fatal("a failed run changed the file at its path")
+	}
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
+	if _, _, err := RunJSONL(ctx, testConfig(scripts), missing); err == nil {
+		t.Fatal("cancelled run succeeded")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("a cancelled run created its file: %v", err)
 	}
 }
 
@@ -326,37 +352,15 @@ func TestRecordResultRoundTrip(t *testing.T) {
 }
 
 // TestRunWorkersAgree pins that the worker count changes nothing a run
-// produces: keys (each equal to the serial Key of its script), records
-// and finalized bytes are the same for 1, 2 and 8 workers, on a 3-shard
-// layout resuming one sink that starts with a stale record. The stale
-// record is pruned by Restrict after the parallel key pass. The suite
-// spans several key-pass batches, the last one partial.
+// produces: keys (each equal to the serial Key of its script) and
+// records are the same for 1, 2 and 8 workers on a 3-shard layout, and
+// the shards' records, merged, equal a fresh unsharded run's file. The suite spans several key-pass batches, the last one
+// partial.
 func TestRunWorkersAgree(t *testing.T) {
 	scripts := testScripts(t, 2*keyBatch+44)
 	dir := t.TempDir()
-
-	// A journal holding one record of an edited pipe___job_00.
-	stale := filepath.Join(dir, "stale.jsonl")
-	edited, err := trace.ParseScript("@type script\n# Test pipe___job_00\nmkdir \"d0\" 0o700\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := OpenSink(stale, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecfg := testConfig([]*trace.Script{edited})
-	ecfg.Sink = sink
-	if _, _, err := Run(context.Background(), ecfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	staleJournal := readFile(t, stale)
-
 	fresh := filepath.Join(dir, "fresh.jsonl")
-	finalizedRun(t, testConfig(scripts), fresh, false)
+	finalizedRun(t, testConfig(scripts), fresh)
 	want := readFile(t, fresh)
 
 	specHash := SpecHash(osspec.ModelVersion, types.DefaultSpec())
@@ -365,23 +369,16 @@ func TestRunWorkersAgree(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		cfg := testConfig(scripts)
 		cfg.Workers = workers
-		path := filepath.Join(dir, fmt.Sprintf("w%d.jsonl", workers))
-		if err := os.WriteFile(path, staleJournal, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		var records [][]Record
+		var parts []string
 		for k := 0; k < 3; k++ {
-			sink, err := OpenSink(path, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			scfg := cfg
-			scfg.Shards, scfg.Shard, scfg.Sink = 3, k, sink
+			scfg.Shards, scfg.Shard = 3, k
 			recs, st, err := Run(context.Background(), scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.SinkSkipped != 0 || st.Executed != st.Jobs {
+			if st.Executed != st.Jobs {
 				t.Fatalf("workers %d, shard %d: %s, want every job executed", workers, k, st)
 			}
 			for j, rec := range recs {
@@ -390,22 +387,23 @@ func TestRunWorkersAgree(t *testing.T) {
 				}
 			}
 			records = append(records, recs)
-			if k < 2 {
-				err = sink.Close()
-			} else {
-				_, err = sink.Finalize()
-			}
-			if err != nil {
+			part := filepath.Join(dir, fmt.Sprintf("w%d-%d.jsonl", workers, k))
+			if err := WriteRecords(part, recs); err != nil {
 				t.Fatal(err)
 			}
+			parts = append(parts, part)
 		}
 		if wantRecords == nil {
 			wantRecords = records
 		} else if !reflect.DeepEqual(records, wantRecords) {
 			t.Fatalf("workers %d: records differ from 1 worker's", workers)
 		}
-		if got := readFile(t, path); string(got) != string(want) {
-			t.Fatalf("workers %d: finalized sink differs from a fresh unsharded run (stale record kept?)", workers)
+		merged := filepath.Join(dir, fmt.Sprintf("w%d.jsonl", workers))
+		if err := MergeRecords(merged, parts...); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFile(t, merged); string(got) != string(want) {
+			t.Fatalf("workers %d: merged shards differ from a fresh unsharded run", workers)
 		}
 	}
 }

@@ -41,8 +41,8 @@ type Record struct {
 	CapHit        bool   `json:"cap_hit,omitempty"`
 	Checked       string `json:"checked"`
 
-	// Cached reports whether this record came from the result cache or a
-	// resumed journal rather than a fresh execution. Run-local provenance
+	// Cached reports whether this record came from the result cache
+	// rather than a fresh execution. Run-local provenance
 	// only: never serialized.
 	Cached bool `json:"-"`
 }
@@ -78,7 +78,7 @@ func newRecord(buf []byte, key string, t *trace.Trace, r checker.Result) (Record
 // AppendJSON appends rec's JSON encoding to b and returns the extended
 // slice. The bytes are exactly json.Marshal(rec)'s, HTML-safe escapes
 // and all (TestRecordJSONMatchesMarshal and FuzzRecordJSON pin it), so
-// journals, cache entries and finalized sinks do not depend on which of
+// cache entries and JSONL files do not depend on which of
 // the two wrote them; AppendJSON needs no reflection and, given room in
 // b, no allocation.
 func (rec Record) AppendJSON(b []byte) []byte {
@@ -202,7 +202,7 @@ func (rec Record) Result() checker.Result {
 }
 
 // Summarise aggregates records into the standard analysis.RunSummary —
-// the bridge that lets sfs-run and sfs-report report from a JSONL sink
+// the bridge that lets sfs-run and sfs-report report from pipeline records
 // instead of a monolithic in-memory ([]Trace, []Result) pair. The
 // summary's build time goes to tel's analysis.summarise_ns (nil records
 // nothing).

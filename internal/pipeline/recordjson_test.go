@@ -32,7 +32,7 @@ var jsonEdgeStrings = []string{
 }
 
 // TestRecordJSONMatchesMarshal pins Record.AppendJSON to json.Marshal,
-// byte for byte: journals, cache entries and finalized sinks hold its
+// byte for byte: cache entries and JSONL files hold its
 // lines, so any drift would move golden digests and cache keys' values.
 func TestRecordJSONMatchesMarshal(t *testing.T) {
 	check := func(rec Record) {

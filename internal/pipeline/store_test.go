@@ -189,10 +189,10 @@ func TestPackConcurrency(t *testing.T) {
 func TestCacheV1EntryIsMiss(t *testing.T) {
 	run := func(t *testing.T, store Store) (Stats, string) {
 		t.Helper()
-		cfg := storeSuiteConfig(t, store, nil)
+		cfg := storeSuiteConfig(t, store)
 		cfg.Scripts = cfg.Scripts[:8]
 		path := filepath.Join(t.TempDir(), "run.jsonl")
-		return finalizedRun(t, cfg, path, false), path
+		return finalizedRun(t, cfg, path), path
 	}
 	_, cold := run(t, nil)
 	records, err := ReadRecords(cold)
@@ -356,7 +356,7 @@ func getReused(t testing.TB, s Store, buf *[]byte, key string) ([]byte, bool) {
 
 // storeSuiteConfig builds a small real pipeline config against the
 // determinized model (execution is hermetic and fast).
-func storeSuiteConfig(t *testing.T, store Store, sink *Sink) Config {
+func storeSuiteConfig(t *testing.T, store Store) Config {
 	t.Helper()
 	scripts := testgen.Generate().Scripts
 	if len(scripts) > 60 {
@@ -371,7 +371,6 @@ func storeSuiteConfig(t *testing.T, store Store, sink *Sink) Config {
 		Spec:    spec,
 		Workers: 4,
 		Store:   store,
-		Sink:    sink,
 	}
 }
 
@@ -382,14 +381,14 @@ func TestBackendJSONLParity(t *testing.T) {
 	run := func(t *testing.T, cfg Config) (Stats, []byte) {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "run.jsonl")
-		return finalizedRun(t, cfg, path, false), readFile(t, path)
+		return finalizedRun(t, cfg, path), readFile(t, path)
 	}
 	dir := t.TempDir()
 	cold, err := OpenCache(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, coldOut := run(t, storeSuiteConfig(t, cold, nil))
+	_, coldOut := run(t, storeSuiteConfig(t, cold))
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +399,7 @@ func TestBackendJSONLParity(t *testing.T) {
 	}
 	defer warm.Close()
 	reg := telemetry.NewRegistry()
-	cfg := storeSuiteConfig(t, warm, nil)
+	cfg := storeSuiteConfig(t, warm)
 	cfg.Tel = reg
 	st, warmOut := run(t, cfg)
 	if st.Executed != 0 {
@@ -424,7 +423,7 @@ func TestPipelineFlushesCacheOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := storeSuiteConfig(t, store, nil)
+	cfg := storeSuiteConfig(t, store)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
 	cfg.Observe = func(Record) {

@@ -124,15 +124,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, j *job) {
 // replays its journal file — for a successful job that is the
 // finalized, canonically ordered JSONL, byte-identical to a local
 // sfs-run of the same suite. A live job streams records in completion
-// order as they arrive (cache hits and resumes included) and ends the
-// stream when the job settles.
+// order as they arrive (cache hits included) and ends the stream when
+// the job settles.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if j.terminal() {
 		data, err := os.ReadFile(j.journalPath())
 		if err != nil {
-			// Settled without a journal (failed before the sink opened, or
-			// cancelled while queued): replay the in-memory records.
+			// Settled without a journal (failed or cancelled, which write
+			// none): replay the records this daemon life observed.
 			enc := json.NewEncoder(w)
 			j.mu.Lock()
 			recs := append([]pipeline.Record(nil), j.recs...)

@@ -69,14 +69,13 @@ func (j *job) statusLocked() serveapi.JobStatus {
 		Jobs:      j.stats.Jobs,
 		Executed:  j.stats.Executed,
 		CacheHits: j.stats.CacheHits,
-		Resumed:   j.stats.SinkSkipped,
 		Rejected:  j.stats.Rejected,
 		ElapsedMS: j.elapsed.Milliseconds(),
 	}
 }
 
 // observe is the job's WithObserver hook: records arrive in completion
-// order — cache hits and journal resumes included — and every append
+// order — cache hits included — and every append
 // wakes the streaming handlers.
 func (j *job) observe(rec pipeline.Record) {
 	j.mu.Lock()
@@ -103,7 +102,7 @@ func (j *job) setState(state, errMsg string) {
 
 // persistStatus writes the status snapshot beside the journal. A torn
 // write parses as garbage, which recovery treats as non-terminal — the
-// job is re-enqueued, and resume makes that cheap.
+// job is re-enqueued, and the shared store makes that cheap.
 func (j *job) persistStatus(st serveapi.JobStatus) {
 	data, err := json.Marshal(st)
 	if err != nil {

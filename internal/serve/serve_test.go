@@ -41,7 +41,7 @@ rmdir "e%d"
 // localJournal runs the same inline suite through a plain local Session
 // — the reference sfs-run would produce — and returns the finalized
 // journal bytes.
-func localJournal(t *testing.T, name string, texts []string, workers int) []byte {
+func localJournal(t *testing.T, name string, texts []string, workers int, opts ...sibylfs.Option) []byte {
 	t.Helper()
 	pl, ok := sibylfs.ParsePlatformName("linux")
 	if !ok {
@@ -62,12 +62,12 @@ func localJournal(t *testing.T, name string, texts []string, workers int) []byte
 		t.Fatal(err)
 	}
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
-	session := sibylfs.New(
+	session := sibylfs.New(append([]sibylfs.Option{
 		sibylfs.WithSpec(spec),
 		sibylfs.WithWorkers(workers),
 		sibylfs.WithJournal(journal),
 		sibylfs.WithTelemetry(telemetry.NewRegistry()),
-	)
+	}, opts...)...)
 	_, _, err = session.Run(context.Background(), sibylfs.RunJob{
 		Name:    name,
 		Scripts: scripts,
@@ -300,11 +300,11 @@ func TestServeRecordsStreamOutlivesBodyTimeout(t *testing.T) {
 
 // TestServeRestartResume pins the crash-recovery contract. The on-disk
 // state of a daemon killed mid-job is fabricated directly — a job
-// directory holding the spec, a non-terminal status, and a journal
-// covering a prefix of the suite — so the test is deterministic no
-// matter how fast the suite runs. A daemon started on that data
-// directory must re-enqueue the job, skip every journaled trace, and
-// finalize byte-identical to a local run of the whole suite.
+// directory holding the spec and a non-terminal status, and a shared
+// store holding the records of a prefix of the suite — so the test is
+// deterministic no matter how fast the suite runs. A daemon started on
+// that data directory must re-enqueue the job, hit every stored trace,
+// and finalize byte-identical to a local run of the whole suite.
 func TestServeRestartResume(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -333,10 +333,14 @@ func TestServeRestartResume(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jobDir, "status.json"), statusData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The journal a killed daemon left behind: the first `prefix` traces,
-	// completed and durably journaled.
-	partial := localJournal(t, "resume", texts[:prefix], 1)
-	if err := os.WriteFile(filepath.Join(jobDir, "run.jsonl"), partial, 0o644); err != nil {
+	// The store a killed daemon left behind: the first `prefix` traces,
+	// completed and durably stored.
+	store, err := sibylfs.OpenPackStore(filepath.Join(dataDir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	localJournal(t, "resume", texts[:prefix], 1, sibylfs.WithStore(store))
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -349,8 +353,8 @@ func TestServeRestartResume(t *testing.T) {
 	if final.State != serveapi.StateDone {
 		t.Fatalf("resumed job state = %s (%s)", final.State, final.Error)
 	}
-	if final.Resumed != prefix {
-		t.Fatalf("resume skipped %d traces, want the %d journaled ones", final.Resumed, prefix)
+	if final.CacheHits != prefix {
+		t.Fatalf("resumed job hit %d traces, want the %d stored ones", final.CacheHits, prefix)
 	}
 	if final.Executed != len(texts)-prefix {
 		t.Fatalf("resumed job executed %d traces, want %d", final.Executed, len(texts)-prefix)

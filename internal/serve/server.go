@@ -2,12 +2,11 @@
 // an HTTP front end (JSON + NDJSON streaming, stdlib only) over the
 // Session facade. Clients submit suite specs as jobs; a FIFO scheduler
 // hands them, in submission order, to worker goroutines, each driving
-// an isolated Session with a per-job resumable journal under the data
-// directory; and every job shares the daemon's content-addressed
-// result store, so a resubmitted suite is served warm. A killed daemon
-// restarted on the same data directory re-enqueues its unfinished jobs
-// and resumes them from their journals without re-executing completed
-// traces.
+// an isolated Session with a per-job journal under the data directory;
+// and every job shares the daemon's content-addressed result store, so
+// a resubmitted suite is served warm. A killed daemon restarted on the
+// same data directory re-enqueues its unfinished jobs, and the store
+// makes every trace they completed a cache hit.
 package serve
 
 import (
@@ -121,9 +120,8 @@ func New(opts Options) (*Server, error) {
 
 // recoverJobs scans DataDir/jobs: terminal jobs are kept for status
 // and record queries, anything else — queued or mid-run when the
-// previous daemon died — is re-enqueued. Resume is journal-driven:
-// the re-run session opens the job's journal WithResume and skips
-// every completed trace.
+// previous daemon died — is re-enqueued. Resume is store-driven: every
+// trace the job completed is in the shared store, so its rerun hits it.
 func (s *Server) recoverJobs() error {
 	dir := filepath.Join(s.opts.DataDir, "jobs")
 	entries, err := os.ReadDir(dir)
@@ -152,11 +150,10 @@ func (s *Server) recoverJobs() error {
 				j.errMsg = st.Error
 				j.scripts = st.Scripts
 				j.stats = pipeline.Stats{
-					Jobs:        st.Jobs,
-					Executed:    st.Executed,
-					CacheHits:   st.CacheHits,
-					SinkSkipped: st.Resumed,
-					Rejected:    st.Rejected,
+					Jobs:      st.Jobs,
+					Executed:  st.Executed,
+					CacheHits: st.CacheHits,
+					Rejected:  st.Rejected,
 				}
 				j.elapsed = time.Duration(st.ElapsedMS) * time.Millisecond
 			}
@@ -177,8 +174,8 @@ func (s *Server) recoverJobs() error {
 }
 
 // Close drains the daemon: no new submissions, running jobs cancel
-// cooperatively (their journals stay resumable and their on-disk state
-// stays non-terminal, so the next daemon life picks them up), workers
+// cooperatively (what they completed is in the store and their on-disk
+// state stays non-terminal, so the next daemon life picks them up), workers
 // exit, and the shared store flushes durably.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -256,8 +253,8 @@ func (s *Server) plan(spec serveapi.JobSpec) (runPlan, error) {
 }
 
 // runJob drives one job through an isolated Session: its own telemetry
-// registry (per-tenant metrics), its own resumable journal, the shared
-// result store, and a cancellable context parented on the daemon's.
+// registry (per-tenant metrics), its own journal, the shared result
+// store, and a cancellable context parented on the daemon's.
 func (s *Server) runJob(j *job) {
 	plan, err := s.plan(j.spec)
 	if err != nil {
@@ -285,7 +282,6 @@ func (s *Server) runJob(j *job) {
 		sibylfs.WithWorkers(plan.workers),
 		sibylfs.WithStore(s.store),
 		sibylfs.WithJournal(j.journalPath()),
-		sibylfs.WithResume(),
 		sibylfs.WithTelemetry(tel),
 		sibylfs.WithObserver(j.observe),
 	}
@@ -324,11 +320,11 @@ func (s *Server) runJob(j *job) {
 		if j.wasCancelled() {
 			s.finishJob(j, serveapi.StateCancelled, "")
 		} else {
-			// Daemon shutdown mid-job: the journal holds every completed
+			// Daemon shutdown mid-job: the store holds every completed
 			// record and the on-disk state goes back to queued, so the next
-			// daemon life re-enqueues and resumes it.
+			// daemon life re-enqueues it and hits them.
 			j.setState(serveapi.StateQueued, "")
-			s.logf("serve: job %s interrupted by shutdown; journal resumable", j.id)
+			s.logf("serve: job %s interrupted by shutdown; requeued", j.id)
 		}
 	default:
 		s.finishJob(j, serveapi.StateFailed, err.Error())

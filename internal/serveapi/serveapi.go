@@ -85,7 +85,6 @@ type JobStatus struct {
 	Jobs      int   `json:"jobs,omitempty"`
 	Executed  int   `json:"executed,omitempty"`
 	CacheHits int   `json:"cache_hits,omitempty"`
-	Resumed   int   `json:"resumed,omitempty"`
 	Rejected  int   `json:"rejected,omitempty"`
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 }
@@ -140,8 +139,9 @@ func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 }
 
 // Cancel requests cooperative cancellation; the job settles into the
-// "cancelled" state once its in-flight traces drain. Its journal stays
-// resumable — a daemon restart does not resurrect a cancelled job.
+// "cancelled" state once its in-flight traces drain. It writes no
+// journal, and a daemon restart does not resurrect it; the traces it
+// completed are in the shared store, so resubmitting the suite hits them.
 func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.doJSON(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, nil)
 }

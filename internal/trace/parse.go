@@ -264,11 +264,12 @@ func parseStatsRecord(tok string) (types.Stats, error) {
 			}
 			st.Gid = types.Gid(n)
 		case "st_ino":
-			n, err := parseInt(val)
-			if err != nil {
+			// Inode numbers are not part of the model (the paper's
+			// model ignores them), so a trace's are accepted and
+			// dropped.
+			if _, err := parseInt(val); err != nil {
 				return st, err
 			}
-			st.Ino = n
 		default:
 			return st, fmt.Errorf("unknown stats field %q", key)
 		}

@@ -106,7 +106,6 @@ type Stats struct {
 	Nlink int
 	Uid   Uid
 	Gid   Gid
-	Ino   int64
 }
 
 // Append renders stats in trace syntax onto b, e.g.

@@ -5,17 +5,15 @@ import "repro/internal/pipeline"
 // Batch pipeline vocabulary, re-exported (see internal/pipeline and
 // ARCHITECTURE.md). The pipeline is the cross-trace scaling layer: it
 // shards a suite over a worker pool, skips unchanged work through a
-// content-addressed result cache, and journals records to a crash-safe
-// JSONL sink that doubles as the resume log.
+// content-addressed result cache, which is also what an interrupted run
+// resumes from, and writes records to a canonical JSONL file.
 type (
 	// PipelineConfig parameterises one sharded, cache-backed run.
 	PipelineConfig = pipeline.Config
 	// PipelineRecord is one checked trace as the pipeline persists it.
 	PipelineRecord = pipeline.Record
-	// PipelineStats is a run's executed/cached/resumed work split.
+	// PipelineStats is a run's executed/cached work split.
 	PipelineStats = pipeline.Stats
-	// ResultSink is the streaming JSONL journal with crash-safe resume.
-	ResultSink = pipeline.Sink
 	// ResultStore is the content-addressed (script, spec, config)-keyed
 	// result cache (see WithStore): a PackStore — packed append-only
 	// segments with group-commit durability, one owner per directory.
@@ -36,11 +34,4 @@ func OpenPackStore(dir string) (ResultStore, error) {
 		return nil, err // not a ResultStore holding a nil *PackStore
 	}
 	return p, nil
-}
-
-// OpenResultSink opens the JSONL sink at path; resume recovers an
-// interrupted run's journal instead of replacing it. Its journal metrics
-// go to the registry of the pipeline run it serves.
-func OpenResultSink(path string, resume bool) (*ResultSink, error) {
-	return pipeline.OpenSink(path, resume, nil)
 }

@@ -28,8 +28,8 @@ import (
 // sharded cache-backed pipeline), Survey and Fuzz — behind a single set of
 // options instead of per-call parameter soups. Every method takes a
 // context.Context first and cancels cooperatively: a deadlined or
-// interrupted Run stops between (and inside) jobs and leaves its JSONL
-// journal valid for resumption.
+// interrupted Run stops between (and inside) jobs, writes no JSONL, and
+// leaves every completed record in the result cache, which a rerun hits.
 //
 //	s := sibylfs.New(
 //	    sibylfs.WithSpec(sibylfs.SpecFor(sibylfs.Linux)),
@@ -59,7 +59,6 @@ type Session struct {
 	store       pipeline.Store // WithStore's, or opened from cacheDir on first use
 	journal     string
 	journalDir  string
-	resume      bool
 	observer    func(PipelineRecord)
 	reg         *cov.Registry       // never nil after New
 	tel         *telemetry.Registry // never nil after New
@@ -73,9 +72,6 @@ type Session struct {
 	// key computation reads it via Config.HashScripts.
 	hashMu sync.Mutex
 	hashes map[*Script]string
-	// journalMu serializes Run calls that share this session's journal:
-	// two sinks appending to (or truncating) one file would corrupt it.
-	journalMu sync.Mutex
 }
 
 // Option configures a Session at construction.
@@ -126,29 +122,23 @@ func WithCacheDir(dir string) Option { return func(s *Session) { s.cacheDir = di
 // but the caller owns Close.
 func WithStore(store ResultStore) Option { return func(s *Session) { s.store = store } }
 
-// WithJournal streams Run's records to the JSONL sink at path. The sink
-// doubles as the crash-safe resume journal: with WithResume, a later
-// session skips every trace the journal already holds. On success the
-// journal is finalized to canonical order; on error (cancellation
-// included) it keeps its append order and remains valid for resumption.
-// Concurrent Run calls on one session serialize on the journal (each Run
-// opens it afresh, and without WithResume opening truncates); to run
-// shards in parallel, give each its own journal — one session per shard,
-// merged afterwards as sfs-run -merge does.
+// WithJournal writes Run's records to the JSONL file at path when the run
+// succeeds: once, atomically, in canonical order. A failed or cancelled
+// Run writes nothing and leaves a file already at path as it was; what
+// it completed is in the result cache (WithCacheDir, WithStore), and a
+// rerun on the same cache hits it. Each write replaces the whole file,
+// so concurrent Runs on one path cannot corrupt it; to run shards in
+// parallel, give each its own path and merge them afterwards, as
+// sfs-run -merge does.
 func WithJournal(path string) Option { return func(s *Session) { s.journal = path } }
 
-// WithJournalDir streams Survey's records to one JSONL sink per
-// configuration under dir (Survey runs many configurations; Run's single
-// sink is WithJournal).
+// WithJournalDir writes Survey's records to one JSONL file per
+// configuration under dir, as WithJournal does for Run.
 func WithJournalDir(dir string) Option { return func(s *Session) { s.journalDir = dir } }
 
-// WithResume recovers existing journals instead of replacing them,
-// skipping work they already hold.
-func WithResume() Option { return func(s *Session) { s.resume = true } }
-
 // WithObserver streams per-record progress: fn is called once per
-// pipeline record as Run and Survey complete each job — cache hits and
-// journal resumes included — so callers see progress without buffering
+// pipeline record as Run and Survey complete each job — cache hits
+// included — so callers see progress without buffering
 // whole suites. Calls are serialized but arrive in completion order,
 // which is nondeterministic under parallel workers. fn must not call back
 // into the session.
@@ -411,15 +401,13 @@ type RunJob struct {
 
 // Run executes one shard of a suite through the sharded, cache-backed
 // checking pipeline. Without WithJournal it returns this shard's records
-// in job order. With WithJournal the records stream to the JSONL sink,
-// which is finalized on success and left as a valid append-order journal
-// on error — cancellation (ctx deadline, Ctrl-C via signal.NotifyContext)
-// stops between jobs, and a later session constructed WithResume
-// completes the run without re-executing journaled work, yielding
-// byte-identical finalized output. A journaled Run returns the finalized
-// file's records in file order: every record the file holds, other
-// shards' and resumed ones included. Record.Cached marks the records a
-// cache hit or the resumed journal supplied.
+// in job order. With WithJournal it writes them to the JSONL file on
+// success and returns them in file order. Cancellation (ctx deadline,
+// Ctrl-C via signal.NotifyContext) stops between jobs and writes
+// nothing; a rerun on the same cache completes the run without
+// re-executing the work the cancelled one finished, yielding
+// byte-identical output. Record.Cached marks the records a cache hit
+// supplied.
 func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, PipelineStats, error) {
 	store, err := s.openCache()
 	if err != nil {
@@ -446,40 +434,23 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 		Log:          s.log,
 		HashScripts:  s.scriptHashes,
 	}
-	if s.journal != "" {
-		s.journalMu.Lock()
-		defer s.journalMu.Unlock()
-	}
-	return s.runSink(ctx, cfg, s.journal)
+	return runTo(ctx, cfg, s.journal)
 }
 
-// runSink runs cfg through the pipeline with a sink at path, if path is
-// not empty: opened per the session's WithResume, finalized on success
-// and closed on error, so the append-order journal stays resumable. With
-// a sink it returns the records Finalize wrote; without one, pipeline.Run's.
-func (s *Session) runSink(ctx context.Context, cfg pipeline.Config, path string) ([]PipelineRecord, PipelineStats, error) {
+// runTo runs cfg through the pipeline, writing its JSONL file at path
+// unless path is empty.
+func runTo(ctx context.Context, cfg pipeline.Config, path string) ([]PipelineRecord, PipelineStats, error) {
 	if path == "" {
 		return pipeline.Run(ctx, cfg)
 	}
-	sink, err := pipeline.OpenSink(path, s.resume, s.tel)
-	if err != nil {
-		return nil, PipelineStats{}, err
-	}
-	cfg.Sink = sink
-	_, stats, err := pipeline.Run(ctx, cfg)
-	if err != nil {
-		sink.Close()
-		return nil, stats, err
-	}
-	records, err := sink.Finalize()
-	return records, stats, err
+	return pipeline.RunJSONL(ctx, cfg, path)
 }
 
 // Survey executes scripts on every configuration through the pipeline and
 // summarises the deviations (the §7.3 survey). Summaries aggregate from
 // per-trace records, so no configuration ever holds its full
 // ([]Trace, []Result) pair in memory. The session's cache is shared
-// across configurations; WithJournalDir adds one resumable JSONL sink per
+// across configurations; WithJournalDir adds one JSONL file per
 // configuration. Cancellation stops between jobs and returns the
 // configurations completed so far with ctx's error.
 func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Config) ([]SurveyResult, error) {
@@ -488,10 +459,6 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		return nil, err
 	}
 	if s.journalDir != "" {
-		// Concurrent Surveys of one session would race on the same
-		// per-configuration sink files; serialize them, as Run does.
-		s.journalMu.Lock()
-		defer s.journalMu.Unlock()
 		if err := os.MkdirAll(s.journalDir, 0o755); err != nil {
 			return nil, err
 		}
@@ -531,7 +498,7 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		if s.journalDir != "" {
 			path = filepath.Join(s.journalDir, surveySinkName(cfg.Name))
 		}
-		records, _, err := s.runSink(ctx, pcfg, path)
+		records, _, err := runTo(ctx, pcfg, path)
 		if err != nil {
 			return out, fmt.Errorf("survey %s: %w", cfg.Name, err)
 		}

@@ -1,7 +1,7 @@
 package sibylfs
 
 // Session facade tests: parity with the layers under it, cooperative
-// cancellation with a resumable journal, and per-session coverage-registry
+// cancellation resumed from the result cache, and per-session coverage-registry
 // isolation. The golden-parity test is the acceptance gate for the facade
 // — the Session pipeline must be byte-identical to a bare pipeline.Run
 // against the recorded oracle fixtures.
@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,12 +121,13 @@ func smallSuite(t *testing.T, n int) []*Script {
 }
 
 // TestSessionRunCancelResume cancels a pipeline run mid-flight via the
-// observer, then proves the journal is valid and that a -resume-style
-// session completes it with output byte-identical to an uninterrupted
-// run.
+// observer, then proves the cancelled run wrote no journal and that a
+// rerun on the same cache hits every record the cancelled run completed
+// and writes output byte-identical to an uninterrupted run.
 func TestSessionRunCancelResume(t *testing.T) {
 	scripts := smallSuite(t, 30)
 	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
 	clean := filepath.Join(dir, "clean.jsonl")
 	killed := filepath.Join(dir, "killed.jsonl")
 
@@ -138,7 +140,7 @@ func TestSessionRunCancelResume(t *testing.T) {
 		}
 	}
 
-	// Baseline: uninterrupted run, finalized journal.
+	// Baseline: uninterrupted run, no cache.
 	if _, _, err := New(WithJournal(clean)).Run(context.Background(), job()); err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +152,7 @@ func TestSessionRunCancelResume(t *testing.T) {
 	var mu sync.Mutex
 	session := New(
 		WithJournal(killed),
+		WithCacheDir(cacheDir),
 		WithWorkers(2),
 		WithObserver(func(PipelineRecord) {
 			mu.Lock()
@@ -160,35 +163,34 @@ func TestSessionRunCancelResume(t *testing.T) {
 			mu.Unlock()
 		}),
 	)
-	_, _, err := session.Run(ctx, job())
+	_, partial, err := session.Run(ctx, job())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: got err %v, want context.Canceled", err)
 	}
-
-	// The journal must hold ≥ the records observed before the cancel and
-	// parse cleanly (append order, not finalized).
-	partial, err := OpenResultSink(killed, true)
-	if err != nil {
-		t.Fatalf("cancelled journal unreadable: %v", err)
+	if err := session.Close(); err != nil {
+		t.Fatal(err)
 	}
-	got := partial.Len()
-	partial.Close()
+	if _, err := os.Stat(killed); !os.IsNotExist(err) {
+		t.Fatalf("the cancelled run wrote its journal: %v", err)
+	}
+	got := partial.Executed
 	if got < 3 || got >= len(scripts) {
-		t.Fatalf("cancelled journal holds %d records, want a strict partial ≥ 3 of %d", got, len(scripts))
+		t.Fatalf("cancelled run completed %d jobs, want a strict partial ≥ 3 of %d", got, len(scripts))
 	}
 
-	// Resume: a fresh session over the same journal completes the suite
-	// without touching journaled jobs, and finalizes.
-	resumed := New(WithJournal(killed), WithResume())
+	// Rerun: a fresh session on the same cache completes the suite
+	// without executing what the cancelled run completed.
+	resumed := New(WithJournal(killed), WithCacheDir(cacheDir))
+	defer resumed.Close()
 	_, stats, err := resumed.Run(context.Background(), job())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SinkSkipped != got {
-		t.Fatalf("resume skipped %d journaled jobs, want %d", stats.SinkSkipped, got)
+	if stats.CacheHits != got {
+		t.Fatalf("rerun hit %d jobs, want the %d the cancelled run completed", stats.CacheHits, got)
 	}
 	if stats.Executed != len(scripts)-got {
-		t.Fatalf("resume executed %d, want %d", stats.Executed, len(scripts)-got)
+		t.Fatalf("rerun executed %d, want %d", stats.Executed, len(scripts)-got)
 	}
 
 	a, err := os.ReadFile(clean)
@@ -205,23 +207,22 @@ func TestSessionRunCancelResume(t *testing.T) {
 }
 
 // TestSessionRunReturnsFinalizedSink pins a journaled Run's records: the
-// records of the whole finalized file, in file order. Shard 0 of 2 runs
-// first; shard 1 then resumes the same journal, with a cache that holds
-// the first third of the scripts. The second Run must return exactly
-// what ReadRecords reads back, with Cached set on exactly the resumed
-// shard-0 records and shard 1's cache hits.
+// records of its finalized file, in file order. Shards 0 and 1 of 2 run
+// to files of their own, on a cache that holds the first third of the
+// scripts. Each Run must return exactly what ReadRecords reads back, with
+// Cached set on exactly its cache hits, and the two files merged must
+// equal an unsharded run's.
 func TestSessionRunReturnsFinalizedSink(t *testing.T) {
 	scripts := smallSuite(t, 30)
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
-	journal := filepath.Join(dir, "run.jsonl")
-	job := func(shard int) RunJob {
+	job := func(shards, shard int) RunJob {
 		return RunJob{
 			Name:    "finalized-sink",
 			Scripts: scripts,
 			Factory: MemFS(LinuxProfile("ext4")),
 			FSName:  "ext4",
-			Shards:  2,
+			Shards:  shards,
 			Shard:   shard,
 		}
 	}
@@ -236,18 +237,10 @@ func TestSessionRunReturnsFinalizedSink(t *testing.T) {
 		return records
 	}
 	cachedPrefix := len(scripts) / 3
-	warm := job(0)
-	warm.Shards, warm.Scripts = 0, scripts[:cachedPrefix]
+	warm := job(0, 0)
+	warm.Scripts = scripts[:cachedPrefix]
 	run(warm)
 
-	readBack := func() []PipelineRecord {
-		t.Helper()
-		recs, err := pipeline.ReadRecords(journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
 	uncached := func(recs []PipelineRecord) []PipelineRecord {
 		out := make([]PipelineRecord, len(recs))
 		for i, rec := range recs {
@@ -256,58 +249,89 @@ func TestSessionRunReturnsFinalizedSink(t *testing.T) {
 		}
 		return out
 	}
-	first := run(job(0), WithJournal(journal))
-	if want := readBack(); len(first) != (len(scripts)+1)/2 || !reflect.DeepEqual(uncached(first), want) {
-		t.Fatalf("shard 0 returned %d records, not the %d its finalized journal holds", len(first), len(want))
-	}
-	second := run(job(1), WithJournal(journal), WithResume())
-	want := readBack()
-	if len(second) != len(scripts) || !reflect.DeepEqual(uncached(second), want) {
-		t.Fatalf("resumed shard 1 returned %d records, not the %d of its finalized journal in file order",
-			len(second), len(want))
-	}
 	index := make(map[string]int, len(scripts))
 	for i, sc := range scripts {
 		index[sc.Name] = i
 	}
+	var parts []string
 	hits := 0
-	for _, rec := range second {
-		i := index[rec.Name]
-		resumed, hit := i%2 == 0, i%2 == 1 && i < cachedPrefix
-		if hit {
-			hits++
+	for shard := range 2 {
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", shard))
+		records := run(job(2, shard), WithJournal(path))
+		want, err := pipeline.ReadRecords(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rec.Cached != (resumed || hit) {
-			t.Errorf("%s (script %d): Cached %v, want %v", rec.Name, i, rec.Cached, resumed || hit)
+		if len(records) != (len(scripts)+1-shard)/2 || !reflect.DeepEqual(uncached(records), want) {
+			t.Fatalf("shard %d returned %d records, not the %d of its finalized journal in file order",
+				shard, len(records), len(want))
 		}
+		for _, rec := range records {
+			i := index[rec.Name]
+			hit := i < cachedPrefix
+			if hit {
+				hits++
+			}
+			if rec.Cached != hit {
+				t.Errorf("%s (script %d): Cached %v, want %v", rec.Name, i, rec.Cached, hit)
+			}
+		}
+		parts = append(parts, path)
 	}
-	if hits == 0 {
-		t.Fatal("shard 1 had no cache hits: the Cached check on hits is vacuous")
+	if hits == 0 || hits == len(scripts) {
+		t.Fatalf("%d of %d records were cache hits: the Cached check is vacuous", hits, len(scripts))
+	}
+	whole, merged := filepath.Join(dir, "whole.jsonl"), filepath.Join(dir, "merged.jsonl")
+	run(job(0, 0), WithJournal(whole))
+	if err := pipeline.MergeRecords(merged, parts...); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := readBytes(t, whole), readBytes(t, merged); !bytes.Equal(a, b) {
+		t.Fatal("merged shard journals differ from the unsharded run's")
 	}
 }
 
+func readBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestSessionRunPreCancelled: a context cancelled before Run starts must
-// stop promptly, execute nothing, and still leave a valid (empty)
-// journal.
+// stop promptly, execute nothing, and leave the journal's path as it
+// was: absent stays absent, and an existing file keeps its bytes.
 func TestSessionRunPreCancelled(t *testing.T) {
 	scripts := smallSuite(t, 10)
-	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, stats, err := New(WithJournal(journal)).Run(ctx, RunJob{
+	job := RunJob{
 		Name:    "pre-cancelled",
 		Scripts: scripts,
 		Factory: MemFS(LinuxProfile("ext4")),
 		FSName:  "ext4",
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got err %v, want context.Canceled", err)
 	}
-	if stats.Executed != 0 {
-		t.Fatalf("pre-cancelled run executed %d jobs", stats.Executed)
+	absent, existing := filepath.Join(dir, "absent.jsonl"), filepath.Join(dir, "existing.jsonl")
+	if err := os.WriteFile(existing, []byte("earlier run\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(journal); err != nil {
-		t.Fatalf("journal missing after pre-cancelled run: %v", err)
+	for _, journal := range []string{absent, existing} {
+		_, stats, err := New(WithJournal(journal)).Run(ctx, job)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("got err %v, want context.Canceled", err)
+		}
+		if stats.Executed != 0 {
+			t.Fatalf("pre-cancelled run executed %d jobs", stats.Executed)
+		}
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Fatalf("pre-cancelled run created its journal: %v", err)
+	}
+	if got := readBytes(t, existing); string(got) != "earlier run\n" {
+		t.Fatalf("pre-cancelled run changed an existing journal to %q", got)
 	}
 }
 

@@ -52,10 +52,7 @@ func TestConcurrentSessionTelemetryIsolation(t *testing.T) {
 		reg  *TelemetryRegistry
 		want int64
 	}{{regA, int64(len(scriptsA))}, {regB, int64(len(scriptsB))}} {
-		for _, name := range []string{"pipeline.jobs", "pipeline.executed", "exec.traces", "checker.traces", "journal.appends"} {
-			if name == "journal.appends" {
-				continue // no journal configured in this test
-			}
+		for _, name := range []string{"pipeline.jobs", "pipeline.executed", "exec.traces", "checker.traces"} {
 			if got := c.reg.Counter(name).Value(); got != c.want {
 				t.Errorf("%s = %d, want exactly this session's %d", name, got, c.want)
 			}
