@@ -34,8 +34,8 @@ The model variant defaults to the profile's platform; override with -spec.
 With -crash the implementation simulates persistence, the oracle checks
 durability (Spec.Crash), and mutations insert fsync/sync barriers and
 crash labels alongside the usual operators.
-The session ends at -duration/-timeout (whichever is shorter), after -runs
-candidates, or on Ctrl-C — all graceful: corpus and findings are reported.
+The session ends at -duration, after -runs candidates, or on Ctrl-C — all
+graceful: corpus and findings are reported.
 
 exit status: 0 no deviations, 1 error, 2 usage, 3 deviations found.
 
@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fsName := flags.String("fs", "", "implementation under test")
 	specName := flags.String("spec", "", "model variant to check against (posix|linux|mac_os_x|freebsd)")
 	duration := flags.Duration("duration", 30*time.Second, "wall-clock bound on the session, applied as a context deadline covering corpus seeding and the fuzz loop (0 with -runs for a run-bounded session)")
-	timeout := flags.Duration("timeout", 0, "same deadline mechanism as -duration (0 = none); the shorter of the two bounds the session — use it to cap a -duration 0 -runs N session in CI")
 	runs := flags.Int64("runs", 0, "stop after this many candidate executions (0 = until the time bound)")
 	workers := flags.Int("workers", 4, "parallel fuzzing workers")
 	seed := flags.Int64("seed", 1, "session seed (reproducible with -workers 1)")
@@ -135,11 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the end of the session, exactly like the -duration deadline.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	if *duration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *duration)

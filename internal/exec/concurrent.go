@@ -23,10 +23,6 @@ type ConcurrentOptions struct {
 	Seeded bool
 	// Seed picks the interleaving in seeded mode.
 	Seed int64
-	// Workers bounds script-level parallelism in RunAllConcurrent
-	// (≤ 0 selects GOMAXPROCS). Within a script, parallelism is one
-	// goroutine per process regardless.
-	Workers int
 }
 
 // procEvent is one step of a process's program: its own create, a call, or
@@ -259,13 +255,13 @@ func runSeeded(ctx context.Context, name string, progs []*procProgram, fs fsimpl
 }
 
 // RunAllConcurrent executes many scripts with the concurrent executor,
-// opts.Workers scripts in flight at once (≤ 0 selects GOMAXPROCS),
-// preserving order. In seeded mode every script uses the same scheduler
-// seed, so each trace is reproducible from (script, seed) independent of
-// its position in the suite. Cancellation and coverage behave as in
-// RunAll.
-func RunAllConcurrent(ctx context.Context, scripts []*trace.Script, factory fsimpl.Factory, opts ConcurrentOptions, reg *cov.Registry) ([]*trace.Trace, error) {
-	return runPool(ctx, len(scripts), opts.Workers, reg, func(i int, hits *cov.Set) (*trace.Trace, error) {
+// workers scripts in flight at once (≤ 0 selects GOMAXPROCS), preserving
+// order; within a script, parallelism is one goroutine per process
+// regardless. In seeded mode every script uses the same scheduler seed,
+// so each trace is reproducible from (script, seed) independent of its
+// position in the suite. Cancellation and coverage behave as in RunAll.
+func RunAllConcurrent(ctx context.Context, scripts []*trace.Script, factory fsimpl.Factory, opts ConcurrentOptions, workers int, reg *cov.Registry) ([]*trace.Trace, error) {
+	return runPool(ctx, len(scripts), workers, reg, func(i int, hits *cov.Set) (*trace.Trace, error) {
 		return RunConcurrent(ctx, scripts[i], factory, opts, hits)
 	})
 }

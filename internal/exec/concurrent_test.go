@@ -212,7 +212,7 @@ func TestRunAllConcurrentPreservesOrder(t *testing.T) {
 		s.Name = "racy" + itoa(i)
 		scripts = append(scripts, s)
 	}
-	traces, err := RunAllConcurrent(context.Background(), scripts, memFactory(), ConcurrentOptions{Seeded: true, Seed: 3, Workers: 8}, nil)
+	traces, err := RunAllConcurrent(context.Background(), scripts, memFactory(), ConcurrentOptions{Seeded: true, Seed: 3}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

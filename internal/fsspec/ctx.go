@@ -203,7 +203,6 @@ func (c *Ctx) parentGone(d state.DirRef) bool {
 }
 
 // isLinux, isOSX etc. shorten platform dispatch in the command files.
-func (c *Ctx) isLinux() bool   { return c.Spec.Platform == types.PlatformLinux }
-func (c *Ctx) isOSX() bool     { return c.Spec.Platform == types.PlatformOSX }
-func (c *Ctx) isFreeBSD() bool { return c.Spec.Platform == types.PlatformFreeBSD }
-func (c *Ctx) isPOSIX() bool   { return c.Spec.Platform == types.PlatformPOSIX }
+func (c *Ctx) isLinux() bool { return c.Spec.Platform == types.PlatformLinux }
+func (c *Ctx) isOSX() bool   { return c.Spec.Platform == types.PlatformOSX }
+func (c *Ctx) isPOSIX() bool { return c.Spec.Platform == types.PlatformPOSIX }

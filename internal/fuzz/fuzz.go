@@ -62,15 +62,12 @@ type Config struct {
 	Concurrent bool
 	// Seeds are extra initial inputs offered to the corpus at startup.
 	Seeds []*trace.Script
-	// KeepCoverage leaves the session's coverage counters as they are
-	// instead of resetting them at session start.
-	KeepCoverage bool
 	// Registry receives the session's model coverage (nil gives the
 	// session a registry of its own): every run, minimization probes
 	// included, records its points in a set of its own and merges it here
-	// once, and the corpus guidance polls this registry. Unless
-	// KeepCoverage is set the session resets it at start, so only a
-	// registry the caller owns belongs here.
+	// once, and the corpus guidance polls this registry. The session
+	// resets it at start, so only a registry the caller owns belongs
+	// here.
 	Registry *cov.Registry
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
@@ -143,9 +140,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		bySig:   make(map[string]*Finding),
 		rawSeen: make(map[string]*Finding),
 	}
-	if !cfg.KeepCoverage {
-		e.reg.Reset()
-	}
+	e.reg.Reset()
 
 	// Seeding runs on this goroutine with a checker of its own; every loop
 	// worker builds another.

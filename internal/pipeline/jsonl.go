@@ -93,21 +93,25 @@ func writeLines(path string, records []Record, lines [][]byte, tel *telemetry.Re
 }
 
 // ReadRecords loads every record line of a JSONL file, in file order. A
-// line that does not decode as a record is an error, and so is a last
-// line without its newline that does not; -merge reads shard files that
-// anything may have written.
+// line that does not decode as a record with a key is an error, and so
+// is a last line without its newline that does not; -merge reads shard
+// files that anything may have written, and its first-key-wins rule
+// would fold every keyless line into one.
 func ReadRecords(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var out []Record
-	for len(data) > 0 {
+	for n := 1; len(data) > 0; n++ {
 		var line []byte
 		line, data, _ = bytes.Cut(data, []byte{'\n'})
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("pipeline: %s: bad record line: %w", path, err)
+			return nil, fmt.Errorf("pipeline: %s:%d: bad record line: %w", path, n, err)
+		}
+		if rec.Key == "" {
+			return nil, fmt.Errorf("pipeline: %s:%d: record line without a key", path, n)
 		}
 		out = append(out, rec)
 	}

@@ -105,6 +105,31 @@ func TestStoredLineGuard(t *testing.T) {
 	})
 }
 
+// TestReadRecordsKeyless pins that a line without a key is an error
+// naming its file and line, not a record that -merge's first-key-wins
+// rule folds into every other keyless line.
+func TestReadRecordsKeyless(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ data, line string }{
+		{"{}\n", ":1:"},
+		{`{"key":"a","name":"a"}` + "\n" + `{"name":"b"}` + "\n", ":2:"},
+		{`{"key":"a","name":"a"}` + "\nnull\n", ":2:"},
+		{`{"key":"a","name":"a"}` + "\n" + `{"key":"","name":"c"}`, ":2:"},
+	} {
+		in := filepath.Join(dir, "in.jsonl")
+		if err := os.WriteFile(in, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadRecords(in)
+		if err == nil || !strings.Contains(err.Error(), in+tc.line) {
+			t.Errorf("ReadRecords(%q) = %v, want an error naming %s%s", tc.data, err, in, tc.line)
+		}
+		if err := MergeRecords(filepath.Join(dir, "out.jsonl"), in); err == nil {
+			t.Errorf("MergeRecords of %q succeeded", tc.data)
+		}
+	}
+}
+
 func TestUsableLine(t *testing.T) {
 	const key = "abc"
 	for _, tc := range []struct {

@@ -11,7 +11,7 @@ import (
 
 // FuzzPackSegment holds opening a pack store to its contract on any
 // bytes found as its active segment and that segment's index sidecar:
-// OpenPackStoreWith never panics, and once open, every key the index
+// OpenPackStore never panics, and once open, every key the index
 // holds is either a miss or a value whose CRC (over key and value)
 // verifies against its entry, absent keys miss, and the store still
 // takes and serves a new entry. Every read also goes into one reused
@@ -60,7 +60,7 @@ func FuzzPackSegment(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		p, err := OpenPackStoreWith(dir, PackOptions{}, nil)
+		p, err := OpenPackStore(dir, nil)
 		if err != nil {
 			return // refusing the bytes is allowed; panicking is not
 		}

@@ -41,7 +41,7 @@ import (
 //   - Group commit. Puts from all pipeline workers coalesce into one
 //     in-memory tail; a single write + fsync covers the whole batch
 //     (pipeline.store_batches / store_fsyncs). Flushes happen on size
-//     (FlushBytes), on interval (FlushInterval, via a background
+//     (1 MiB pending), on interval (flushInterval, via a background
 //     flusher), and always on Flush/Close — pipeline.Run flushes at
 //     every exit, cancellation included, so every record a cancelled
 //     run completed is durable for its rerun to hit. A commit never rewrites the
@@ -52,7 +52,7 @@ import (
 //	uint32 crc32(key ‖ value) | uint16 len(key) | uint32 len(value) | key | value
 //
 // Segments are named NNNNNN.seg with an 8-byte "sfspack1" header and
-// sealed at MaxSegmentBytes; NNNNNN.idx sidecars are written atomically
+// sealed at 64 MiB; NNNNNN.idx sidecars are written atomically
 // on seal and on Close.
 //
 // A directory has one owner: the store holds an exclusive flock on the
@@ -61,8 +61,13 @@ import (
 // segments. The kernel drops the lock when a killed owner exits.
 type PackStore struct {
 	dir  string
-	opts PackOptions
 	lock *os.File // LOCK, flocked until closeFiles
+
+	// maxSegmentBytes seals a segment once it grows past this size; an
+	// entry larger than the bound still fits, in a segment of its own.
+	// flushBytes forces a group commit once this many bytes are pending.
+	maxSegmentBytes int64
+	flushBytes      int
 
 	mu       sync.RWMutex
 	index    map[string]packLoc
@@ -90,20 +95,6 @@ type packLoc struct {
 	crc  uint32
 }
 
-// PackOptions tune a PackStore; zero values select the defaults.
-type PackOptions struct {
-	// MaxSegmentBytes seals a segment once it grows past this size
-	// (default 64 MiB). An entry larger than the bound still fits: it
-	// gets a segment of its own.
-	MaxSegmentBytes int64
-	// FlushBytes forces a group commit once this many bytes are pending
-	// (default 1 MiB).
-	FlushBytes int
-	// FlushInterval bounds how long a Put can stay buffered before the
-	// background flusher commits it (default 50ms).
-	FlushInterval time.Duration
-}
-
 const (
 	packMagic     = "sfspack1"
 	packIdxMagic  = "sfspidx1"
@@ -111,7 +102,9 @@ const (
 
 	defaultMaxSegmentBytes = 64 << 20
 	defaultFlushBytes      = 1 << 20
-	defaultFlushInterval   = 50 * time.Millisecond
+	// flushInterval bounds how long a Put can stay buffered before the
+	// background flusher commits it.
+	flushInterval = 50 * time.Millisecond
 )
 
 // packCRC is Castagnoli — hardware-accelerated on amd64/arm64, so the
@@ -127,26 +120,17 @@ func OpenCache(dir string, tel *telemetry.Registry) (*PackStore, error) {
 }
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
-// at dir, with default options.
+// at dir. The store's metrics go to tel, its open-time ones (segments,
+// index rebuilds and writes, orphans swept) included, until
+// SetTelemetry re-points them; nil gives the store a registry of its
+// own.
 func OpenPackStore(dir string, tel *telemetry.Registry) (*PackStore, error) {
-	return OpenPackStoreWith(dir, PackOptions{}, tel)
+	return openPackStore(dir, defaultMaxSegmentBytes, defaultFlushBytes, tel)
 }
 
-// OpenPackStoreWith opens a packed segment store with explicit options
-// (tests use tiny segments to force rotation). The store's metrics go to
-// tel, its open-time ones (segments, index rebuilds and writes, orphans
-// swept) included, until SetTelemetry re-points them; nil gives the
-// store a registry of its own.
-func OpenPackStoreWith(dir string, opts PackOptions, tel *telemetry.Registry) (*PackStore, error) {
-	if opts.MaxSegmentBytes <= 0 {
-		opts.MaxSegmentBytes = defaultMaxSegmentBytes
-	}
-	if opts.FlushBytes <= 0 {
-		opts.FlushBytes = defaultFlushBytes
-	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = defaultFlushInterval
-	}
+// openPackStore is OpenPackStore with explicit segment and commit sizes,
+// which tests shrink to force rotation and size-triggered commits.
+func openPackStore(dir string, maxSegmentBytes int64, flushBytes int, tel *telemetry.Registry) (*PackStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -159,14 +143,15 @@ func OpenPackStoreWith(dir string, opts PackOptions, tel *telemetry.Registry) (*
 	}
 	sweepOrphans(dir, ".tmp-", tel)
 	p := &PackStore{
-		dir:       dir,
-		opts:      opts,
-		lock:      lock,
-		index:     make(map[string]packLoc),
-		files:     make(map[int]*os.File),
-		segSizes:  make(map[int]int64),
-		flushDone: make(chan struct{}),
-		tel:       tel,
+		dir:             dir,
+		lock:            lock,
+		maxSegmentBytes: maxSegmentBytes,
+		flushBytes:      flushBytes,
+		index:           make(map[string]packLoc),
+		files:           make(map[int]*os.File),
+		segSizes:        make(map[int]int64),
+		flushDone:       make(chan struct{}),
+		tel:             tel,
 	}
 	if err := p.load(); err != nil {
 		p.closeFiles()
@@ -296,7 +281,7 @@ func (p *PackStore) loadSegment(id int, last bool) error {
 	}
 	p.files[id] = f
 	p.segSizes[id] = size
-	if last && size < p.opts.MaxSegmentBytes {
+	if last && size < p.maxSegmentBytes {
 		p.active = id
 		p.idxCovered = covered
 		if size < int64(len(packMagic)) {
@@ -541,12 +526,12 @@ func (p *PackStore) Put(key string, data []byte) error {
 	if p.closed {
 		return fmt.Errorf("pipeline: pack store: closed")
 	}
-	if size := int(min(int64(p.opts.FlushBytes), p.opts.MaxSegmentBytes)); cap(p.pending) < size {
+	if size := int(min(int64(p.flushBytes), p.maxSegmentBytes)); cap(p.pending) < size {
 		// Sized once per store: regrowing the buffer from empty was the
 		// cold path's largest store allocation.
 		p.pending = append(make([]byte, 0, size), p.pending...)
 	}
-	if p.active == 0 || p.flushedSize+int64(len(p.pending))+entrySize > p.opts.MaxSegmentBytes {
+	if p.active == 0 || p.flushedSize+int64(len(p.pending))+entrySize > p.maxSegmentBytes {
 		if err := p.rotateLocked(); err != nil {
 			return err
 		}
@@ -568,7 +553,7 @@ func (p *PackStore) Put(key string, data []byte) error {
 		vlen: uint32(len(data)),
 		crc:  sum,
 	}
-	if len(p.pending) >= p.opts.FlushBytes {
+	if len(p.pending) >= p.flushBytes {
 		return p.flushLocked()
 	}
 	return nil
@@ -576,7 +561,7 @@ func (p *PackStore) Put(key string, data []byte) error {
 
 // rotateLocked seals the active segment (committing its tail and writing
 // its index sidecar) and opens the next one. The very first Put, and any
-// Put that would overflow MaxSegmentBytes, lands here.
+// Put that would overflow maxSegmentBytes, lands here.
 func (p *PackStore) rotateLocked() error {
 	next := 1
 	for id := range p.files {
@@ -656,10 +641,10 @@ func (p *PackStore) Flush() error {
 }
 
 // flusher is the background interval commit: it bounds how long a Put
-// can stay buffered in a process that neither fills FlushBytes nor
+// can stay buffered in a process that neither fills flushBytes nor
 // reaches a Flush barrier (e.g. a run killed without cleanup).
 func (p *PackStore) flusher() {
-	t := time.NewTicker(p.opts.FlushInterval)
+	t := time.NewTicker(flushInterval)
 	defer t.Stop()
 	for {
 		select {

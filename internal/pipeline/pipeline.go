@@ -48,11 +48,11 @@ type Config struct {
 	// default). Part of the cache key: a different cap can change verdicts.
 	MaxStateSet int
 	// HashScripts, when non-nil, fills hashes[i] with scripts[i]'s content
-	// hash for key computation instead of ScriptHash. Sessions pass a
-	// memo, so a second run over the same scripts (Survey's repeated
-	// configurations) looks every hash up instead of hashing the suite
-	// again. The key pass calls it on batches of scripts from several
-	// workers at once. Must agree with ScriptHash.
+	// hash for key computation instead of ScriptHash. Survey passes a
+	// lookup it filled once for all of its configurations, so each
+	// configuration after the first hashes no script again. The key pass
+	// calls it on batches of scripts from several workers at once. Must
+	// agree with ScriptHash.
 	HashScripts func(scripts []*trace.Script, hashes []string)
 	// Shards/Shard split the job list across invocations or machines:
 	// shard K of N takes jobs K, K+N, K+2N, ... Shards ≤ 1 means the whole
@@ -316,9 +316,9 @@ func run(ctx context.Context, cfg Config, keepLines bool) (records []Record, lin
 	return records, lines, st, nil
 }
 
-// keyBatch is how many scripts a key-pass worker claims at once, and so
-// the size of each Config.HashScripts call: a memo takes its lock once
-// per batch instead of once per script.
+// keyBatch is how many scripts a key-pass worker claims at once, so the
+// workers share the dispatch cursor once per batch instead of once per
+// script; it is also the size of each Config.HashScripts call.
 const keyBatch = 128
 
 // Test hooks, nil outside tests: jobFailedHook runs once a job error has

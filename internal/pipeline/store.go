@@ -46,7 +46,7 @@ type StoreStats struct {
 	Backend string
 	// Entries is the number of live keys.
 	Entries int
-	// Segments is the number of pack segments (0 for non-segment stores).
+	// Segments is the number of pack segments.
 	Segments int
 	// Bytes is the stored payload footprint: for PackStore the bytes of
 	// all segment files (live and superseded entries alike).

@@ -92,7 +92,7 @@ func TestPackPersistence(t *testing.T) {
 // reopen, and that Stats sees the extra segments.
 func TestPackRotation(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenPackStoreWith(dir, PackOptions{MaxSegmentBytes: 512}, nil)
+	p, err := openPackStore(dir, 512, defaultFlushBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPackRotation(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPackStoreWith(dir, PackOptions{MaxSegmentBytes: 512}, nil)
+	p2, err := openPackStore(dir, 512, defaultFlushBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestPackRotation(t *testing.T) {
 }
 
 // TestPackOversizeEntry pins the escape hatch: an entry larger than
-// MaxSegmentBytes still stores (in a segment of its own).
+// maxSegmentBytes still stores (in a segment of its own).
 func TestPackOversizeEntry(t *testing.T) {
-	p, err := OpenPackStoreWith(t.TempDir(), PackOptions{MaxSegmentBytes: 128}, nil)
+	p, err := openPackStore(t.TempDir(), 128, defaultFlushBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPackOversizeEntry(t *testing.T) {
 // TestPackConcurrency hammers one store from many goroutines — the
 // pipeline's worker pool shape — under the race detector.
 func TestPackConcurrency(t *testing.T) {
-	p, err := OpenPackStoreWith(t.TempDir(), PackOptions{MaxSegmentBytes: 4096, FlushBytes: 256}, nil)
+	p, err := openPackStore(t.TempDir(), 4096, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,11 +67,6 @@ type Session struct {
 	cacheOnce sync.Once
 	cacheErr  error
 	ownsStore bool // opened from cacheDir, so Close closes it
-	// hashMu/hashes memoise per-script content hashes, so each script is
-	// hashed at most once per session however many runs check it; pipeline
-	// key computation reads it via Config.HashScripts.
-	hashMu sync.Mutex
-	hashes map[*Script]string
 }
 
 // Option configures a Session at construction.
@@ -117,9 +112,9 @@ func WithCacheDir(dir string) Option { return func(s *Session) { s.cacheDir = di
 
 // WithStore backs the session's result cache with an explicit store
 // backend instead of opening one from a directory — the injection seam
-// for tuned PackOptions or a test's wrapped store. Takes precedence over
-// WithCacheDir; the session owns flushing (it flushes at run boundaries)
-// but the caller owns Close.
+// for a store the caller opened itself (OpenPackStore) or a test's
+// wrapped store. Takes precedence over WithCacheDir; the session owns
+// flushing (it flushes at run boundaries) but the caller owns Close.
 func WithStore(store ResultStore) Option { return func(s *Session) { s.store = store } }
 
 // WithJournal writes Run's records to the JSONL file at path when the run
@@ -273,37 +268,6 @@ func (s *Session) generate(ctx context.Context, gen func() []*Script) ([]*Script
 	return scripts, nil
 }
 
-// scriptHashes is the pipeline's Config.HashScripts hook: memoised per
-// script pointer, computing (and caching) pipeline.ScriptHash on first
-// sight, so Survey's repeated configurations hash no script again. The
-// key pass calls it from several workers at once, so the memo lock is
-// taken once to look the batch up and once to store its misses, which
-// are hashed outside it.
-func (s *Session) scriptHashes(scripts []*Script, hashes []string) {
-	s.hashMu.Lock()
-	for i, sc := range scripts {
-		hashes[i] = s.hashes[sc]
-	}
-	s.hashMu.Unlock()
-	fresh := false
-	for i, h := range hashes {
-		if h == "" {
-			hashes[i], fresh = pipeline.ScriptHash(scripts[i]), true
-		}
-	}
-	if !fresh {
-		return
-	}
-	s.hashMu.Lock()
-	if s.hashes == nil {
-		s.hashes = make(map[*Script]string, len(scripts))
-	}
-	for i, sc := range scripts {
-		s.hashes[sc] = hashes[i]
-	}
-	s.hashMu.Unlock()
-}
-
 // Execute runs scripts against fresh instances from factory (§6.2) with
 // the session's worker pool, cancelling between scripts and between
 // steps. A model-backed factory (SpecFS) adds each trace's execution-side
@@ -316,12 +280,10 @@ func (s *Session) Execute(ctx context.Context, scripts []*Script, factory Factor
 
 // ExecuteConcurrent runs scripts with one goroutine per script process,
 // so calls from different processes genuinely overlap in the recorded
-// traces. opts.Workers ≤ 0 falls back to the session's worker bound.
+// traces; the session's worker pool bounds how many scripts run at once,
+// as in Execute.
 func (s *Session) ExecuteConcurrent(ctx context.Context, scripts []*Script, factory Factory, opts ConcurrentOptions) ([]*Trace, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = s.workers
-	}
-	traces, err := exec.RunAllConcurrent(ctx, scripts, factory, opts, s.reg)
+	traces, err := exec.RunAllConcurrent(ctx, scripts, factory, opts, s.workers, s.reg)
 	s.countExecuted(traces, true)
 	return traces, err
 }
@@ -395,8 +357,6 @@ type RunJob struct {
 	// seeded deterministic scheduler.
 	Concurrent bool
 	SchedSeed  int64
-	// ModelVersion overrides the cache key's model version (tests only).
-	ModelVersion string
 }
 
 // Run executes one shard of a suite through the sharded, cache-backed
@@ -415,24 +375,22 @@ func (s *Session) Run(ctx context.Context, job RunJob) ([]PipelineRecord, Pipeli
 	}
 	defer s.tel.Span("session.run").End()
 	cfg := pipeline.Config{
-		Name:         job.Name,
-		Scripts:      job.Scripts,
-		Factory:      job.Factory,
-		FSName:       job.FSName,
-		Spec:         s.spec,
-		ModelVersion: job.ModelVersion,
-		Workers:      s.workers,
-		MaxStateSet:  s.maxStateSet,
-		Shards:       job.Shards,
-		Shard:        job.Shard,
-		Concurrent:   job.Concurrent,
-		SchedSeed:    job.SchedSeed,
-		Store:        store,
-		Observe:      s.observer,
-		Cov:          s.reg,
-		Tel:          s.tel,
-		Log:          s.log,
-		HashScripts:  s.scriptHashes,
+		Name:        job.Name,
+		Scripts:     job.Scripts,
+		Factory:     job.Factory,
+		FSName:      job.FSName,
+		Spec:        s.spec,
+		Workers:     s.workers,
+		MaxStateSet: s.maxStateSet,
+		Shards:      job.Shards,
+		Shard:       job.Shard,
+		Concurrent:  job.Concurrent,
+		SchedSeed:   job.SchedSeed,
+		Store:       store,
+		Observe:     s.observer,
+		Cov:         s.reg,
+		Tel:         s.tel,
+		Log:         s.log,
 	}
 	return runTo(ctx, cfg, s.journal)
 }
@@ -464,6 +422,7 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		}
 	}
 	defer s.tel.Span("session.survey").End()
+	hashes := s.surveyHashes(ctx, scripts)
 	var out []SurveyResult
 	for _, cfg := range configs {
 		if err := ctx.Err(); err != nil {
@@ -489,7 +448,7 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 			Cov:         s.reg,
 			Tel:         s.tel,
 			Log:         s.log,
-			HashScripts: s.scriptHashes,
+			HashScripts: hashes,
 		}
 		if s.maxStateSet > 0 {
 			pcfg.MaxStateSet = s.maxStateSet
@@ -508,6 +467,30 @@ func (s *Session) Survey(ctx context.Context, scripts []*Script, configs []Confi
 		})
 	}
 	return out, nil
+}
+
+// surveyHashes hashes scripts once, on the session's workers, for all of
+// Survey's configurations: it returns their pipeline.Config.HashScripts
+// hook, a read-only lookup by script pointer that the configurations'
+// key passes share without a lock. Every configuration runs scripts or a
+// subset of them (FilterHostSafe keeps the pointers), so the lookup
+// covers each script a key pass asks for. A cancelled ctx leaves hashes
+// unset, but then Survey returns before its first configuration runs.
+func (s *Session) surveyHashes(ctx context.Context, scripts []*Script) func([]*Script, []string) {
+	hashes := make([]string, len(scripts))
+	par.Each(ctx, s.workers, len(scripts), func(_, i int) bool {
+		hashes[i] = pipeline.ScriptHash(scripts[i])
+		return true
+	})
+	lookup := make(map[*Script]string, len(scripts))
+	for i, sc := range scripts {
+		lookup[sc] = hashes[i]
+	}
+	return func(batch []*Script, out []string) {
+		for i, sc := range batch {
+			out[i] = lookup[sc]
+		}
+	}
 }
 
 // MergeSurvey merges the per-configuration summaries, exposing the tests
@@ -547,34 +530,32 @@ type FuzzJob struct {
 	Concurrent bool
 	// Seeds are extra initial inputs offered to the corpus at startup.
 	Seeds []*Script
-	// KeepCoverage keeps the session's coverage counters instead of
-	// resetting them at start.
-	KeepCoverage bool
 }
 
 // Fuzz runs a coverage-guided fuzzing session: mutated scripts are
 // executed via the job's Factory, checked against the session's spec,
 // admitted to the corpus when they reach new model coverage points, and
-// minimized into findings when the oracle rejects them. Cancellation is
-// the normal end of a session: the corpus and findings collected so far
-// are reported as usual.
+// minimized into findings when the oracle rejects them. Fuzz resets the
+// session's coverage registry at start, so the corpus is guided by this
+// fuzzing session's coverage alone. Cancellation is the normal end of a
+// session: the corpus and findings collected so far are reported as
+// usual.
 func (s *Session) Fuzz(ctx context.Context, job FuzzJob) (*FuzzResult, error) {
 	defer s.tel.Span("session.fuzz").End()
 	return fuzz.Run(ctx, FuzzConfig{
-		Name:         job.Name,
-		Factory:      job.Factory,
-		Spec:         s.spec,
-		Seed:         job.Seed,
-		Workers:      s.workers,
-		MaxRuns:      job.MaxRuns,
-		MaxSteps:     job.MaxSteps,
-		CorpusDir:    job.CorpusDir,
-		Concurrent:   job.Concurrent,
-		Seeds:        job.Seeds,
-		KeepCoverage: job.KeepCoverage,
-		Registry:     s.reg,
-		Tel:          s.tel,
-		Log:          s.log,
+		Name:       job.Name,
+		Factory:    job.Factory,
+		Spec:       s.spec,
+		Seed:       job.Seed,
+		Workers:    s.workers,
+		MaxRuns:    job.MaxRuns,
+		MaxSteps:   job.MaxSteps,
+		CorpusDir:  job.CorpusDir,
+		Concurrent: job.Concurrent,
+		Seeds:      job.Seeds,
+		Registry:   s.reg,
+		Tel:        s.tel,
+		Log:        s.log,
 	})
 }
 

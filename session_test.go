@@ -291,6 +291,45 @@ func TestSessionRunReturnsFinalizedSink(t *testing.T) {
 	}
 }
 
+// TestSurveyHashesMatchRun pins Survey's script-hash lookup to
+// ScriptHash: on one session, a survey over a configuration and a
+// host-filtered one writes, for each, the JSONL file a fresh Run of that
+// configuration writes, keys included.
+func TestSurveyHashesMatchRun(t *testing.T) {
+	scripts := smallSuite(t, 60)
+	dir := t.TempDir()
+	configs := []Config{
+		{Name: "ext4 vs linux", Factory: MemFS(LinuxProfile("ext4")), Spec: SpecFor(Linux)},
+		{Name: "ext4 vs posix", Factory: MemFS(LinuxProfile("ext4")), Spec: SpecFor(POSIX), SkipUserScripts: true},
+	}
+	surveyDir := filepath.Join(dir, "survey")
+	s := New(WithCacheDir(filepath.Join(dir, "cache")), WithJournalDir(surveyDir))
+	defer s.Close()
+	if _, err := s.Survey(context.Background(), scripts, configs); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range configs {
+		sel := scripts
+		if cfg.SkipUserScripts {
+			sel = FilterHostSafe(scripts)
+			if len(sel) == 0 || len(sel) == len(scripts) {
+				t.Fatalf("host filter kept %d of %d scripts: the subset case is vacuous", len(sel), len(scripts))
+			}
+		}
+		path := filepath.Join(dir, surveySinkName(cfg.Name))
+		fresh := New(WithSpec(cfg.Spec), WithJournal(path))
+		if _, _, err := fresh.Run(context.Background(), RunJob{
+			Name: cfg.Name, Scripts: sel, Factory: cfg.Factory, FSName: cfg.Name,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := readBytes(t, filepath.Join(surveyDir, surveySinkName(cfg.Name)))
+		if want := readBytes(t, path); !bytes.Equal(got, want) {
+			t.Errorf("%s: survey's JSONL differs from a fresh Run's", cfg.Name)
+		}
+	}
+}
+
 func readBytes(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
